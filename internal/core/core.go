@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"tofu/internal/cancel"
-	"tofu/internal/coarsen"
 	"tofu/internal/graph"
 	"tofu/internal/graphgen"
 	"tofu/internal/hybrid"
@@ -119,12 +118,8 @@ func Partition(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	co, err := coarsen.Coarsen(g)
-	if err != nil {
-		return nil, err
-	}
 	if opts.Pipeline != nil {
-		return partitionHybrid(g, k, co, opts)
+		return partitionHybrid(g, k, opts)
 	}
 	search := opts.Search
 	if search.Topology == nil && opts.Topology != nil && int64(opts.Topology.NumGPUs()) == k {
@@ -143,8 +138,13 @@ func Partition(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 	if search.Cancel == nil {
 		search.Cancel = opts.Cancel
 	}
+	// Coarsen once: the search and the summary below read the same Coarse.
 	start := time.Now()
-	p, err := recursive.Partition(g, k, search)
+	co, err := recursive.Coarsen(g, search.Trace)
+	if err != nil {
+		return nil, err
+	}
+	p, err := recursive.PartitionCoarse(co, k, search)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +177,7 @@ func Partition(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 // partitionHybrid is the Options.Pipeline branch of Partition: the joint
 // search stages the graph across a slow interconnect level and partitions
 // within each stage.
-func partitionHybrid(g *graph.Graph, k int64, co *coarsen.Coarse, opts Options) (*Summary, error) {
+func partitionHybrid(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 	if opts.Search.StrategyFilter != nil || opts.Search.Factors != nil || opts.Search.TopologyNaive {
 		return nil, fmt.Errorf("core: pipeline search does not compose with strategy filters, explicit factors or naive ordering")
 	}
@@ -186,7 +186,11 @@ func partitionHybrid(g *graph.Graph, k int64, co *coarsen.Coarse, opts Options) 
 	}
 	var st hybrid.Stats
 	start := time.Now()
-	res, err := hybrid.Partition(g, k, hybrid.Options{
+	co, err := recursive.Coarsen(g, opts.Trace)
+	if err != nil {
+		return nil, err
+	}
+	res, err := hybrid.PartitionCoarse(co, k, hybrid.Options{
 		Topology:    opts.Topology,
 		Level:       opts.Pipeline.Level,
 		DType:       opts.Search.DType,

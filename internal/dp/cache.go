@@ -46,15 +46,15 @@ func NewPriceCache() *PriceCache {
 // priced returns the cached full pricing for key, building it at most once
 // (concurrent callers for the same key block on the first build). A nil
 // receiver builds without caching.
-func (c *PriceCache) priced(key string, build func() (*partition.Priced, error)) (*partition.Priced, error) {
+func (c *PriceCache) priced(key []byte, build func() (*partition.Priced, error)) (*partition.Priced, error) {
 	if c == nil {
 		return build()
 	}
 	c.mu.Lock()
-	e, ok := c.m[key]
+	e, ok := c.m[string(key)] // no copy: only a miss keeps the key
 	if !ok {
 		e = &cacheEntry{}
-		c.m[key] = e
+		c.m[string(key)] = e
 	}
 	c.mu.Unlock()
 	if ok {
@@ -88,11 +88,11 @@ func (c *PriceCache) Len() int {
 // slotKey is the structural signature a pricing is memoized under: operator
 // name, sorted attributes, original input/output shapes, dtype and K. Two
 // slots with equal keys price identically regardless of which graph, model
-// variant or recursive step they come from. Built with plain byte appends —
-// it runs once per slot per step, inside the pooled evaluator build.
-func slotKey(rep *graph.Node, k int64, dt shape.DType) string {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, rep.Op...)
+// variant or recursive step they come from. Built with plain byte appends
+// into the caller's buffer — it runs once per slot per step, inside the
+// pooled evaluator build.
+func slotKey(buf []byte, rep *graph.Node, k int64, dt shape.DType) []byte {
+	buf = append(buf[:0], rep.Op...)
 	if len(rep.Attrs) > 0 {
 		keys := make([]string, 0, len(rep.Attrs))
 		for a := range rep.Attrs {
@@ -125,6 +125,5 @@ func slotKey(rep *graph.Node, k int64, dt shape.DType) string {
 	buf = append(buf, '@')
 	buf = strconv.AppendInt(buf, int64(dt), 10)
 	buf = append(buf, '/')
-	buf = strconv.AppendInt(buf, k, 10)
-	return string(buf)
+	return strconv.AppendInt(buf, k, 10)
 }

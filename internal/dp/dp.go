@@ -10,10 +10,11 @@
 // operators/tensors within the group".
 //
 // The sweep is allocation-free integer arithmetic: states are packed
-// mixed-radix numbers over per-variable cut-dim alphabets (state.go), and
-// every slot's cost under any assignment comes from a dense table built
-// once per step (table.go). See DESIGN.md, "Packed frontier states and
-// dense slot tables".
+// mixed-radix numbers over per-variable cut-dim alphabets (state.go), every
+// slot's cost under any assignment comes from a dense table built once per
+// step (table.go), and each group sums its slots' tables into one group
+// cost table that the sweep reads a row at a time (sweep.go). See
+// DESIGN.md, "Packed frontier states and dense slot tables".
 //
 //tofu:searchpath reachable from dp.Solve / recursive.Partition; nodeterm enforces determinism
 package dp
@@ -22,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"tofu/internal/cancel"
@@ -155,6 +155,41 @@ func newResult(c *coarsen.Coarse) *Result {
 	return res
 }
 
+// materialize expands res.VarCut to every member tensor and gives every
+// operator of evals (all slots, in group order) its cheapest strategy and
+// itemized communication under it. It returns the slots' summed cost — the
+// assignment's price.
+func (res *Result) materialize(c *coarsen.Coarse, evals []*slotEval) (float64, error) {
+	total := 0.0
+	var cuts []partition.Cut
+	for _, ev := range evals {
+		si, cost, err := ev.best(res.VarCut)
+		if err != nil {
+			return 0, err
+		}
+		cuts = grow(cuts, len(ev.inVars))
+		parts, err := ev.parts(si, res.VarCut, cuts)
+		if err != nil {
+			return 0, err
+		}
+		total += cost
+		for _, n := range ev.slot.Ops {
+			res.OpStrategy[n.ID] = ev.priced.Strategies[si]
+			res.OpComm[n.ID] = parts
+		}
+	}
+	for _, v := range c.Vars {
+		dim, ok := res.VarCut[v.ID]
+		if !ok {
+			continue
+		}
+		for _, t := range v.Tensors {
+			res.TensorCut[t.ID] = dim
+		}
+	}
+	return total, nil
+}
+
 // Solve runs the frontier DP.
 func Solve(p *Problem) (*Result, error) {
 	c := p.Coarse
@@ -192,38 +227,39 @@ func Solve(p *Problem) (*Result, error) {
 	// (cheapest wins, ties break by canonical sweep order), so the result is
 	// byte-identical for every Parallelism setting.
 	res := newResult(c)
-	fronts := make([]*frontier, len(c.Groups))
-	comboLays := make([]layout, len(c.Groups))
-	prev := initialFrontier()
+	sw := newSweeper(p, sl.alphas)
+	// back[gi] is all backtracking reads of the frontier after group gi.
+	type backPtrs struct{ parent, combo []int32 }
+	back := make([]backPtrs, len(c.Groups))
+	var prev *frontier
 	for gi, g := range c.Groups {
 		if p.Cancel.Cancelled() {
 			return nil, cancel.Reason(p.Cancel.Err(), "dp: cancelled before group %d/%d", gi, len(c.Groups))
 		}
-		comboLays[gi] = makeLayout(g.NewVars, sl.alphas)
 		// Guard the flattened index arithmetic: combination and state
 		// indices must fit int32 (they are stored as compact trace
 		// entries), and the product must fit the sweep bound. Division
-		// avoids overflowing the product check itself (makeLayout clamps
+		// avoids overflowing the product check itself (layout.set clamps
 		// runaway sizes to maxStateSpace).
-		nCombos := comboLays[gi].size
-		if nCombos > math.MaxInt32 || int64(prev.count()) > math.MaxInt32 {
+		before, nCombos := sw.begin(gi, g)
+		if nCombos > math.MaxInt32 || int64(before.count()) > math.MaxInt32 {
 			return nil, fmt.Errorf("dp: group %d sweep exceeds index range", gi)
 		}
-		if int64(prev.count()) > maxSweep/nCombos {
+		if int64(before.count()) > maxSweep/nCombos {
 			return nil, fmt.Errorf("dp: group %d sweep exceeds %d combinations", gi, maxSweep)
 		}
-		next, err := expandGroup(p, sl.byGroup[gi], prev, comboLays[gi], makeLayout(g.LiveAfter, sl.alphas))
-		if err != nil {
-			return nil, err
+		res.Configs += before.live * int(nCombos)
+		next, ok := sw.expand(gi, g, sl.byGroup[gi])
+		if !ok {
+			return nil, fmt.Errorf("dp: group %d sweep exceeds index range", gi)
 		}
-		res.Configs += prev.live * int(comboLays[gi].size)
 		if next.live == 0 {
 			return nil, fmt.Errorf("dp: no feasible assignment at group %d", gi)
 		}
 		if p.MaxStates > 0 && next.live > p.MaxStates {
-			next.prune(p.MaxStates)
+			sw.idxs = next.prune(p.MaxStates, sw.idxs)
 		}
-		fronts[gi] = next
+		back[gi] = backPtrs{next.parent, next.combo}
 		prev = next
 		res.States += next.live
 	}
@@ -242,44 +278,23 @@ func Solve(p *Problem) (*Result, error) {
 	}
 	res.CommBytes = fc
 
-	// Backtrack decisions through the compact parent/combo indices.
+	// Backtrack decisions through the compact parent/combo indices: a
+	// combination is the mixed-radix number of its new variables' digits,
+	// last variable least significant.
 	cur := fi
 	for gi := len(c.Groups) - 1; gi >= 0; gi-- {
-		f := fronts[gi]
-		ci := int64(f.combo[cur])
-		cl := &comboLays[gi]
-		for j, v := range cl.vars {
-			dg := (ci / cl.stride[j]) % cl.radix[j]
-			res.VarCut[v.ID] = sl.alphas[v.ID].dims[dg]
+		ci := int(back[gi].combo[cur])
+		nv := c.Groups[gi].NewVars
+		for j := len(nv) - 1; j >= 0; j-- {
+			dims := sl.alphas[nv[j].ID].dims
+			res.VarCut[nv[j].ID] = dims[ci%len(dims)]
+			ci /= len(dims)
 		}
-		cur = int(f.parent[cur])
+		cur = int(back[gi].parent[cur])
 	}
 
-	// Expand to tensors and pick per-op strategies under the final cuts.
-	for _, v := range c.Vars {
-		dim, ok := res.VarCut[v.ID]
-		if !ok {
-			continue
-		}
-		for _, t := range v.Tensors {
-			res.TensorCut[t.ID] = dim
-		}
-	}
-	for gi := range c.Groups {
-		for _, ev := range sl.byGroup[gi] {
-			si, _, err := ev.best(res.VarCut)
-			if err != nil {
-				return nil, err
-			}
-			parts, err := ev.parts(si, res.VarCut)
-			if err != nil {
-				return nil, err
-			}
-			for _, n := range ev.slot.Ops {
-				res.OpStrategy[n.ID] = ev.priced.Strategies[si]
-				res.OpComm[n.ID] = parts
-			}
-		}
+	if _, err := res.materialize(c, sl.ordered); err != nil {
+		return nil, err
 	}
 	sp.SetInt("states", int64(res.States))
 	sp.SetInt("configs", int64(res.Configs))
@@ -315,14 +330,15 @@ func prepareSlotEvals(p *Problem) (*slotSet, error) {
 	built := make([]*slotEval, len(slots))
 	errs := make([]error, len(slots))
 	forEachChunk(p.parallelism(), len(slots), func(_, lo, hi int) {
+		var sc evalScratch
 		for i := lo; i < hi; i++ {
 			if prevSet != nil && i < len(prevSet.ordered) {
-				if pe := prevSet.ordered[i]; pe.slot == slots[i] && pe.reusable(p, alphas) {
+				if pe := prevSet.ordered[i]; pe.slot == slots[i] && pe.reusable(p, alphas, &sc) {
 					built[i] = pe
 					continue
 				}
 			}
-			built[i], errs[i] = newSlotEval(p, slots[i], alphas)
+			built[i], errs[i] = newSlotEval(p, slots[i], alphas, &sc)
 		}
 	})
 	for _, err := range errs {
@@ -343,184 +359,24 @@ func prepareSlotEvals(p *Problem) (*slotSet, error) {
 	return ss, nil
 }
 
-// spCand is one sparse-frontier contender: its accumulated cost and the
-// compact (parent state, combination) indices that replace the legacy
-// decided-map trace.
-type spCand struct {
-	cost   float64
-	parent int32
-	combo  int32
-}
-
-// expandGroup evaluates every (state × combination) pair for one group on
-// the worker pool and merges the per-worker bests deterministically. The
-// work is chunked over the flattened (state × combination) index space, so
-// even a single-state frontier (always the first group) parallelizes across
-// its combinations. Within a worker the sweep runs in ascending flat order
-// and replaces only on strictly cheaper cost; workers merge in chunk order
-// the same way — so ties always resolve to the earliest candidate in
-// canonical sweep order, independent of the worker count.
-//
-//tofu:hotpath allocation-free by PR 3; enforced by tofu-vet/hotalloc
-func expandGroup(p *Problem, slots []*slotEval, prev *frontier, combos, next layout) (*frontier, error) {
-	nVars := len(p.Coarse.Vars)
-	nCombos := int(combos.size)
-	total := prev.count() * nCombos
-	workers := p.parallelism()
-	// Tiny sweeps (the common case on chain graphs) run inline: goroutine
-	// fan-out and per-worker merge buffers cost more than the sweep.
-	if total < minParallelSweep {
-		workers = 1
-	}
-	chunks := chunkRanges(workers, total)
-
-	dcost := make([][]float64, len(chunks))
-	dparent := make([][]int32, len(chunks))
-	dcombo := make([][]int32, len(chunks))
-	smaps := make([]map[string]spCand, len(chunks))
-
-	runChunks(chunks, func(w, lo, hi int) {
-		digit := make([]uint8, nVars)
-		var (
-			bc     []float64
-			bp, bb []int32
-			m      map[string]spCand
-			keyBuf []byte
-		)
-		if next.dense {
-			bc = make([]float64, next.size)
-			for i := range bc {
-				bc[i] = math.Inf(1)
-			}
-			bp = make([]int32, next.size)
-			bb = make([]int32, next.size)
-			dcost[w], dparent[w], dcombo[w] = bc, bp, bb
-		} else {
-			m = make(map[string]spCand)
-			smaps[w] = m
-			keyBuf = make([]byte, len(next.vars))
-		}
-		curSi := -1
-		stCost := 0.0
-		skip := false
-		for idx := lo; idx < hi; idx++ {
-			si, ci := idx/nCombos, idx%nCombos
-			if si != curSi {
-				curSi = si
-				stCost = prev.cost[si]
-				skip = math.IsInf(stCost, 1)
-				if !skip {
-					prev.decode(si, digit)
-				}
-			}
-			if skip {
-				// Pruned predecessor: skip its whole combo block at once.
-				idx = (si+1)*nCombos - 1
-				continue
-			}
-			cil := int64(ci)
-			for j, v := range combos.vars {
-				digit[v.ID] = uint8((cil / combos.stride[j]) % combos.radix[j])
-			}
-			cost := 0.0
-			for _, ev := range slots {
-				cost += ev.costAt(digit)
-			}
-			cost = stCost + cost
-			if next.dense {
-				ni := int64(0)
-				for j, v := range next.vars {
-					ni += next.stride[j] * int64(digit[v.ID])
-				}
-				if cost < bc[ni] {
-					bc[ni] = cost
-					bp[ni] = int32(si)
-					bb[ni] = int32(ci)
-				}
-			} else {
-				for j, v := range next.vars {
-					keyBuf[j] = digit[v.ID]
-				}
-				if old, ok := m[string(keyBuf)]; !ok || cost < old.cost {
-					m[string(keyBuf)] = spCand{cost: cost, parent: int32(si), combo: int32(ci)}
-				}
-			}
-		}
-	})
-
-	// Merge worker-local bests in chunk order; strictly-cheaper replacement
-	// makes the result independent of worker count.
-	f := &frontier{lay: next}
-	if next.dense {
-		bc, bp, bb := dcost[0], dparent[0], dcombo[0]
-		for w := 1; w < len(chunks); w++ {
-			wc := dcost[w]
-			for i, c := range wc {
-				if c < bc[i] {
-					bc[i] = c
-					bp[i] = dparent[w][i]
-					bb[i] = dcombo[w][i]
-				}
-			}
-		}
-		f.cost, f.parent, f.combo = bc, bp, bb
-		for _, c := range bc {
-			if !math.IsInf(c, 1) {
-				f.live++
-			}
-		}
-		return f, nil
-	}
-	merged := smaps[0]
-	for w := 1; w < len(chunks); w++ {
-		for k, cand := range smaps[w] {
-			if old, ok := merged[k]; !ok || cand.cost < old.cost {
-				merged[k] = cand
-			}
-		}
-	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	f.keys = keys
-	f.cost = make([]float64, len(keys))
-	f.parent = make([]int32, len(keys))
-	f.combo = make([]int32, len(keys))
-	for i, k := range keys {
-		cand := merged[k]
-		f.cost[i] = cand.cost
-		f.parent[i] = cand.parent
-		f.combo[i] = cand.combo
-	}
-	f.live = len(keys)
-	return f, nil
-}
-
-// chunkRanges splits [0, n) into at most workers contiguous [lo, hi)
-// ranges. Callers size their per-chunk state by len(ranges), so the split
-// arithmetic lives in exactly one place.
-func chunkRanges(workers, n int) [][2]int {
+// chunkRanges appends to dst the split of [0, n) into at most workers
+// contiguous [lo, hi) ranges. Callers size their per-chunk state by the
+// number of ranges, so the split arithmetic lives in exactly one place.
+func chunkRanges(dst [][2]int, workers, n int) [][2]int {
 	if n == 0 {
-		return nil
+		return dst
 	}
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		return [][2]int{{0, n}}
+		return append(dst, [2]int{0, n})
 	}
 	chunk := (n + workers - 1) / workers
-	var out [][2]int
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
+		dst = append(dst, [2]int{lo, min(lo+chunk, n)})
 	}
-	return out
+	return dst
 }
 
 // runChunks executes fn(chunkIdx, lo, hi) for each range, concurrently
@@ -546,7 +402,7 @@ func runChunks(ranges [][2]int, fn func(w, lo, hi int)) {
 
 // forEachChunk runs fn over [0, n) split into at most workers chunks.
 func forEachChunk(workers, n int, fn func(w, lo, hi int)) {
-	runChunks(chunkRanges(workers, n), fn)
+	runChunks(chunkRanges(nil, workers, n), fn)
 }
 
 // Evaluate prices a complete variable assignment without searching — the
@@ -559,34 +415,10 @@ func Evaluate(p *Problem, varCut map[int]int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := p.Coarse
-	res := newResult(c)
+	res := newResult(p.Coarse)
 	res.VarCut = varCut
-	for gi := range c.Groups {
-		for _, ev := range sl.byGroup[gi] {
-			si, cost, err := ev.best(varCut)
-			if err != nil {
-				return nil, err
-			}
-			parts, err := ev.parts(si, varCut)
-			if err != nil {
-				return nil, err
-			}
-			res.CommBytes += cost
-			for _, n := range ev.slot.Ops {
-				res.OpStrategy[n.ID] = ev.priced.Strategies[si]
-				res.OpComm[n.ID] = parts
-			}
-		}
-	}
-	for _, v := range c.Vars {
-		dim, ok := varCut[v.ID]
-		if !ok {
-			continue
-		}
-		for _, t := range v.Tensors {
-			res.TensorCut[t.ID] = dim
-		}
+	if res.CommBytes, err = res.materialize(p.Coarse, sl.ordered); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -666,29 +498,9 @@ func (e *Evaluator) Total(assign map[int]int) (float64, error) {
 func (e *Evaluator) Result(assign map[int]int) (*Result, error) {
 	res := newResult(e.p.Coarse)
 	res.VarCut = assign
-	for _, ev := range e.evals {
-		si, cost, err := ev.best(assign)
-		if err != nil {
-			return nil, err
-		}
-		parts, err := ev.parts(si, assign)
-		if err != nil {
-			return nil, err
-		}
-		res.CommBytes += cost
-		for _, n := range ev.slot.Ops {
-			res.OpStrategy[n.ID] = ev.priced.Strategies[si]
-			res.OpComm[n.ID] = parts
-		}
-	}
-	for _, v := range e.p.Coarse.Vars {
-		dim, ok := assign[v.ID]
-		if !ok {
-			continue
-		}
-		for _, t := range v.Tensors {
-			res.TensorCut[t.ID] = dim
-		}
+	var err error
+	if res.CommBytes, err = res.materialize(e.p.Coarse, e.evals); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -1,7 +1,9 @@
 package dp
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -11,7 +13,7 @@ import (
 	"tofu/internal/shape"
 )
 
-func problemFor(t *testing.T, m *models.Model, k int64) *Problem {
+func problemFor(t testing.TB, m *models.Model, k int64) *Problem {
 	t.Helper()
 	c, err := coarsen.Coarsen(m.G)
 	if err != nil {
@@ -66,29 +68,22 @@ func TestSolveBasics(t *testing.T) {
 	}
 }
 
-// TestSolveIsOptimal cross-checks the frontier DP against brute force over
-// all variable assignments on a small model.
-func TestSolveIsOptimal(t *testing.T) {
-	m, err := models.MLP(1, 64, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := problemFor(t, m, 2)
-	res, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+// bruteForce returns the cheapest total over every variable assignment, or
+// false when the problem has more than 12 variables.
+func bruteForce(t *testing.T, p *Problem) (float64, bool) {
+	t.Helper()
 	ev, err := NewEvaluator(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Enumerate every assignment.
 	var vars []int
 	for _, v := range p.Coarse.Vars {
 		if v.First >= 0 {
 			vars = append(vars, v.ID)
 		}
+	}
+	if len(vars) > 12 {
+		return 0, false
 	}
 	best := math.Inf(1)
 	var walk func(idx int, assign map[int]int)
@@ -109,13 +104,43 @@ func TestSolveIsOptimal(t *testing.T) {
 		}
 		delete(assign, vars[idx])
 	}
-	if len(vars) > 12 {
-		t.Skipf("brute force too large: %d vars", len(vars))
-	}
 	walk(0, map[int]int{})
+	return best, true
+}
 
-	if math.Abs(best-res.CommBytes) > 1e-6*(1+best) {
-		t.Fatalf("DP found %g, brute force found %g", res.CommBytes, best)
+// TestSolveIsOptimal cross-checks the frontier DP against brute force over
+// all variable assignments: on a small model, and on the seeded random
+// graphs of the sweep oracle that have at most 12 variables (the "DP optimum
+// = brute force" metamorphic relation).
+func TestSolveIsOptimal(t *testing.T) {
+	m, err := models.MLP(1, 64, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems := map[string]*Problem{"mlp-1-64": problemFor(t, m, 2)}
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 240; i++ {
+		g := randomGraph(rng)
+		problems[fmt.Sprintf("random-%d k=2", i)] = graphProblem(t, g, 2)
+		problems[fmt.Sprintf("random-%d k=3", i)] = graphProblem(t, g, 3)
+	}
+	checked := 0
+	for name, p := range problems {
+		best, ok := bruteForce(t, p)
+		if !ok {
+			continue
+		}
+		checked++
+		res, err := Solve(p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if math.Abs(best-res.CommBytes) > 1e-6*(1+best) {
+			t.Fatalf("%s: DP found %g, brute force found %g", name, res.CommBytes, best)
+		}
+	}
+	if checked < 200 {
+		t.Fatalf("brute force covered only %d problems, want >= 200", checked)
 	}
 }
 

@@ -124,7 +124,7 @@ func SolveFlat(p *Problem, factors []int64, budget time.Duration) (*FlatReport, 
 				ti := 0
 				for j, v := range ev.tvars {
 					d := varConfigs[v.ID][cfg[v.ID]][li]
-					dg := ev.talphas[j].digitOf[d]
+					dg := ev.alphas[v.ID].digitOf[d]
 					if dg < 0 {
 						return 0, false
 					}

@@ -3,7 +3,7 @@ package dp
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"tofu/internal/coarsen"
 )
@@ -14,8 +14,8 @@ import (
 // are those alphabet indices, most significant digit first in variable-ID
 // order. Small boundaries (the paper's chains and residual graphs) keep the
 // whole frontier in flat arrays indexed by that number; wide boundaries
-// (attention fan-outs under a beam bound) fall back to a map keyed by the
-// raw digit bytes. Both orders coincide with the legacy sorted-string-key
+// (attention fan-outs under a beam bound) list their reachable states by
+// raw digit bytes, sorted. Both orders coincide with the legacy sorted-string-key
 // sweep order, which is what keeps plans byte-identical across the
 // representations and across worker-pool sizes.
 
@@ -33,15 +33,26 @@ type varAlpha struct {
 
 // buildAlphas enumerates per-variable alphabets (cuttable dimensions at this
 // step), indexed by variable ID. Unreferenced variables keep a nil alphabet.
+// Every dims and digitOf is a window of one backing array each.
 func buildAlphas(p *Problem) ([]varAlpha, error) {
 	alphas := make([]varAlpha, len(p.Coarse.Vars))
+	ranks := 0
+	for _, v := range p.Coarse.Vars {
+		if v.First >= 0 {
+			ranks += p.Shapes[v.Tensors[0].ID].Rank()
+		}
+	}
+	dims := make([]int, ranks)
+	digits := make([]int8, ranks)
 	for _, v := range p.Coarse.Vars {
 		if v.First < 0 {
 			continue // never referenced by an operator
 		}
 		s := p.Shapes[v.Tensors[0].ID]
-		a := varAlpha{v: v, digitOf: make([]int8, s.Rank())}
-		for d := 0; d < s.Rank(); d++ {
+		rank := s.Rank()
+		a := varAlpha{v: v, dims: dims[:0:rank], digitOf: digits[:rank:rank]}
+		dims, digits = dims[rank:], digits[rank:]
+		for d := 0; d < rank; d++ {
 			a.digitOf[d] = -1
 			if s.CanSplit(d, p.K) {
 				a.digitOf[d] = int8(len(a.dims))
@@ -78,13 +89,14 @@ type layout struct {
 	dense bool
 }
 
-func makeLayout(vars []*coarsen.Var, alphas []varAlpha) layout {
-	l := layout{
-		vars:   vars,
-		radix:  make([]int64, len(vars)),
-		stride: make([]int64, len(vars)),
-		size:   1,
-	}
+// set points the layout at vars, reusing its radix/stride storage — Solve
+// keeps three layouts (previous boundary, next boundary, the group's new
+// variables) and re-points them group after group.
+func (l *layout) set(vars []*coarsen.Var, alphas []varAlpha) {
+	l.vars = vars
+	l.radix = grow(l.radix, len(vars))
+	l.stride = grow(l.stride, len(vars))
+	l.size = 1
 	for j := len(vars) - 1; j >= 0; j-- {
 		r := int64(len(alphas[vars[j].ID].dims))
 		l.radix[j] = r
@@ -96,17 +108,15 @@ func makeLayout(vars []*coarsen.Var, alphas []varAlpha) layout {
 		}
 	}
 	l.dense = l.size <= denseStateLimit
-	return l
 }
 
-// decode writes state idx's digit per variable into the scratch array
-// (indexed by variable ID).
-//
-//tofu:hotpath allocation-free by PR 3; enforced by tofu-vet/hotalloc
-func (l *layout) decode(idx int64, digit []uint8) {
-	for j, v := range l.vars {
-		digit[v.ID] = uint8((idx / l.stride[j]) % l.radix[j])
+// grow returns s resized to n elements, reallocating only when its capacity
+// is too small. The contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
 }
 
 // frontier holds the DP states at one boundary. Dense frontiers are indexed
@@ -114,7 +124,10 @@ func (l *layout) decode(idx int64, digit []uint8) {
 // states; sparse frontiers list reachable states in ascending key order.
 // parent is the state's predecessor position in the previous frontier's
 // state list and combo the packed assignment of the group's new variables —
-// together they replace the legacy per-group decided-map trace.
+// together they replace the legacy per-group decided-map trace, and they are
+// all backtracking reads: each group allocates its own pair, while the
+// layout and the cost array belong to the sweeper and are reused two groups
+// later.
 type frontier struct {
 	lay    layout
 	cost   []float64
@@ -137,28 +150,16 @@ func (f *frontier) count() int {
 	return len(f.keys)
 }
 
-// decode writes state position i's digits into the scratch array.
+// digits writes state position i's digits into dg, indexed like lay.vars.
 //
 //tofu:hotpath allocation-free by PR 3; enforced by tofu-vet/hotalloc
-func (f *frontier) decode(i int, digit []uint8) {
-	if f.lay.dense {
-		f.lay.decode(int64(i), digit)
+func (f *frontier) digits(i int, dg []uint8) {
+	if !f.lay.dense {
+		copy(dg, f.keys[i])
 		return
 	}
-	k := f.keys[i]
-	for j, v := range f.lay.vars {
-		digit[v.ID] = k[j]
-	}
-}
-
-// initialFrontier is the single empty state before the first group.
-func initialFrontier() *frontier {
-	return &frontier{
-		lay:    layout{size: 1, dense: true},
-		cost:   []float64{0},
-		parent: []int32{-1},
-		combo:  []int32{-1},
-		live:   1,
+	for j := range f.lay.vars {
+		dg[j] = uint8((int64(i) / f.lay.stride[j]) % f.lay.radix[j])
 	}
 }
 
@@ -179,42 +180,39 @@ func (f *frontier) best() (int, float64) {
 // prune keeps the cheapest max live states — the beam bound. The surviving
 // set is selected by the total order (cost, state order), so it is
 // deterministic; selection is O(n) expected (quickselect), replacing the
-// legacy full sort. Sparse frontiers compact their state list; dense ones
-// mark pruned states +Inf in place.
+// legacy full sort. Sparse frontiers compact their state list in place;
+// dense ones mark pruned states +Inf. idxs is selection scratch, returned
+// (possibly grown) for the next call.
 //
 //tofu:hotpath allocation-free by PR 3; enforced by tofu-vet/hotalloc
-func (f *frontier) prune(max int) {
+func (f *frontier) prune(max int, idxs []int32) []int32 {
 	if f.live <= max {
-		return
+		return idxs
 	}
-	idxs := make([]int32, 0, f.live)
+	idxs = grow(idxs, f.live)[:0]
 	for i, c := range f.cost {
 		if !math.IsInf(c, 1) {
 			idxs = append(idxs, int32(i))
 		}
 	}
 	selectCheapest(idxs, f.cost, max)
+	f.live = max
 	if f.lay.dense {
 		for _, i := range idxs[max:] {
 			f.cost[i] = math.Inf(1)
 		}
-		f.live = max
-		return
+		return idxs
 	}
 	keep := idxs[:max]
-	sort.Slice(keep, func(a, b int) bool { return keep[a] < keep[b] })
-	keys := make([]string, max)
-	cost := make([]float64, max)
-	parent := make([]int32, max)
-	combo := make([]int32, max)
+	slices.Sort(keep)
 	for o, i := range keep {
-		keys[o] = f.keys[i]
-		cost[o] = f.cost[i]
-		parent[o] = f.parent[i]
-		combo[o] = f.combo[i]
+		f.keys[o] = f.keys[i]
+		f.cost[o] = f.cost[i]
+		f.parent[o] = f.parent[i]
+		f.combo[o] = f.combo[i]
 	}
-	f.keys, f.cost, f.parent, f.combo = keys, cost, parent, combo
-	f.live = max
+	f.keys, f.cost, f.parent, f.combo = f.keys[:max], f.cost[:max], f.parent[:max], f.combo[:max]
+	return idxs
 }
 
 // selectCheapest partially sorts idxs so its first k entries are the k

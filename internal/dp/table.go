@@ -30,10 +30,12 @@ type slotEval struct {
 
 	// tvars lists the distinct touched variables ascending by ID; tstride
 	// their mixed-radix weights over alphabet digits (tvars[0] most
-	// significant); talphas their alphabets. inPos/outPos map the slot's
-	// input positions and output to tvars indices.
+	// significant). alphas is the per-variable alphabet table (indexed by
+	// variable ID) the evaluator was built against. inPos/outPos map the
+	// slot's input positions and output to tvars indices. tvars shares one
+	// backing array with inVars, tstride with inPos.
 	tvars   []*coarsen.Var
-	talphas []*varAlpha
+	alphas  []varAlpha
 	tstride []int
 	inPos   []int
 	outPos  int
@@ -59,12 +61,23 @@ type slotBest struct {
 	cost float64
 }
 
-func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha) (*slotEval, error) {
+// evalScratch is the working memory one pool worker reuses across the slot
+// evaluators it builds; nothing in it outlives a newSlotEval call.
+type evalScratch struct {
+	curIn  []shape.Shape
+	inCuts []partition.Cut
+	key    []byte
+}
+
+func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch) (*slotEval, error) {
 	rep := s.Rep()
 	ev := &slotEval{slot: s, mult: float64(len(s.Ops))}
 
-	curIn := make([]shape.Shape, len(rep.Inputs))
-	ev.inVars = make([]*coarsen.Var, len(rep.Inputs))
+	nIn := len(rep.Inputs)
+	sc.curIn = grow(sc.curIn, nIn)
+	curIn := sc.curIn
+	// One array backs inVars and (in buildTable) tvars.
+	ev.inVars = make([]*coarsen.Var, nIn, 2*nIn+1)
 	for i, in := range rep.Inputs {
 		curIn[i] = p.Shapes[in.ID]
 		ev.inVars[i] = p.Coarse.VarOf(in)
@@ -86,7 +99,8 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha) (*slotEval, err
 	// step-invariant, so it is memoized in the cache — the Spec only
 	// materializes on a miss; the per-step strategy filter and
 	// current-shape gate become a cheap Restrict view.
-	full, err := p.Cache.priced(slotKey(rep, p.K, p.DType), func() (*partition.Priced, error) {
+	sc.key = slotKey(sc.key, rep, p.K, p.DType)
+	full, err := p.Cache.priced(sc.key, func() (*partition.Priced, error) {
 		origIn := make([]shape.Shape, len(rep.Inputs))
 		for i, in := range rep.Inputs {
 			origIn[i] = in.Shape
@@ -117,16 +131,19 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha) (*slotEval, err
 	if err != nil {
 		return nil, fmt.Errorf("dp: pricing %v: %w", rep, err)
 	}
-	ev.buildTable(alphas)
+	sc.inCuts = grow(sc.inCuts, nIn)
+	ev.buildTable(alphas, sc.inCuts)
 	return ev, nil
 }
 
 // buildTable lays out the touched-variable cross-product and fills the
-// dense cost/strategy tables.
-func (ev *slotEval) buildTable(alphas []varAlpha) {
+// dense cost/strategy tables. inCuts is caller scratch, one per input.
+func (ev *slotEval) buildTable(alphas []varAlpha, inCuts []partition.Cut) {
 	// Distinct touched vars (inVars/outVar may repeat), kept ascending by
-	// ID — the per-slot sets are tiny, so linear scans beat maps.
-	tvars := make([]*coarsen.Var, 0, len(ev.inVars)+1)
+	// ID — the per-slot sets are tiny, so linear scans beat maps. They live
+	// in the spare capacity newSlotEval left behind inVars.
+	nIn := len(ev.inVars)
+	tvars := ev.inVars[nIn:nIn]
 	add := func(v *coarsen.Var) {
 		for _, t := range tvars {
 			if t == v {
@@ -145,7 +162,9 @@ func (ev *slotEval) buildTable(alphas []varAlpha) {
 		add(v)
 	}
 	add(ev.outVar)
+	ev.inVars = ev.inVars[:nIn:nIn]
 	ev.tvars = tvars
+	ev.alphas = alphas
 	pos := func(v *coarsen.Var) int {
 		for j, t := range tvars {
 			if t == v {
@@ -154,19 +173,17 @@ func (ev *slotEval) buildTable(alphas []varAlpha) {
 		}
 		return -1
 	}
-	ev.inPos = make([]int, len(ev.inVars))
+	ints := make([]int, len(tvars)+nIn)
+	ev.tstride, ev.inPos = ints[:len(tvars):len(tvars)], ints[len(tvars):]
 	for i, v := range ev.inVars {
 		ev.inPos[i] = pos(v)
 	}
 	ev.outPos = pos(ev.outVar)
 
-	ev.talphas = make([]*varAlpha, len(ev.tvars))
-	ev.tstride = make([]int, len(ev.tvars))
 	size := 1
-	for j := len(ev.tvars) - 1; j >= 0; j-- {
-		ev.talphas[j] = &alphas[ev.tvars[j].ID]
+	for j := len(tvars) - 1; j >= 0; j-- {
 		ev.tstride[j] = size
-		size *= len(ev.talphas[j].dims)
+		size *= len(alphas[tvars[j].ID].dims)
 	}
 	if size > tableLimit {
 		ev.memo = map[int]slotBest{}
@@ -175,7 +192,6 @@ func (ev *slotEval) buildTable(alphas []varAlpha) {
 	ev.costT = make([]float64, size)
 	ev.bestT = make([]int32, size)
 	ev.minCost = math.Inf(1)
-	inCuts := make([]partition.Cut, len(ev.inVars))
 	for ti := 0; ti < size; ti++ {
 		si, cost := ev.price(ti, inCuts)
 		ev.costT[ti] = cost
@@ -193,9 +209,9 @@ func (ev *slotEval) buildTable(alphas []varAlpha) {
 // prime, the gate is monotone (a dropped strategy can never revive), so
 // these two checks imply the freshly-built evaluator would be identical.
 // See Problem.Reuse.
-func (ev *slotEval) reusable(p *Problem, alphas []varAlpha) bool {
-	for j, v := range ev.tvars {
-		pd := ev.talphas[j].dims
+func (ev *slotEval) reusable(p *Problem, alphas []varAlpha, sc *evalScratch) bool {
+	for _, v := range ev.tvars {
+		pd := ev.alphas[v.ID].dims
 		cd := alphas[v.ID].dims
 		if len(pd) != len(cd) {
 			return false
@@ -221,7 +237,8 @@ func (ev *slotEval) reusable(p *Problem, alphas []varAlpha) bool {
 			return false
 		}
 		if curIn == nil {
-			curIn = make([]shape.Shape, len(rep.Inputs))
+			sc.curIn = grow(sc.curIn, len(rep.Inputs))
+			curIn = sc.curIn
 			for i, in := range rep.Inputs {
 				curIn[i] = p.Shapes[in.ID]
 			}
@@ -241,37 +258,19 @@ func (ev *slotEval) reusable(p *Problem, alphas []varAlpha) bool {
 //tofu:hotpath allocation-free by PR 3; enforced by tofu-vet/hotalloc
 func (ev *slotEval) price(ti int, inCuts []partition.Cut) (int32, float64) {
 	for i, tp := range ev.inPos {
-		a := ev.talphas[tp]
-		inCuts[i] = partition.Cut{Dim: a.dims[(ti/ev.tstride[tp])%len(a.dims)]}
+		inCuts[i] = partition.Cut{Dim: ev.dimAt(ti, tp)}
 	}
-	oa := ev.talphas[ev.outPos]
-	outCut := partition.Cut{Dim: oa.dims[(ti/ev.tstride[ev.outPos])%len(oa.dims)]}
+	outCut := partition.Cut{Dim: ev.dimAt(ti, ev.outPos)}
 	si, cost := ev.priced.Best(inCuts, outCut)
 	return int32(si), cost * ev.mult
 }
 
-// index packs the scratch digit array (indexed by variable ID) into the
-// slot's table index.
+// dimAt is the cut dimension table index ti assigns to tvars[tp].
 //
 //tofu:hotpath allocation-free by PR 3; enforced by tofu-vet/hotalloc
-func (ev *slotEval) index(digit []uint8) int {
-	ti := 0
-	for j, v := range ev.tvars {
-		ti += ev.tstride[j] * int(digit[v.ID])
-	}
-	return ti
-}
-
-// costAt prices the slot under the digits — the DP sweep's inner lookup.
-//
-//tofu:hotpath allocation-free by PR 3; enforced by tofu-vet/hotalloc
-func (ev *slotEval) costAt(digit []uint8) float64 {
-	ti := ev.index(digit)
-	if ev.costT != nil {
-		return ev.costT[ti]
-	}
-	_, cost := ev.lazy(ti)
-	return cost
+func (ev *slotEval) dimAt(ti, tp int) int {
+	dims := ev.alphas[ev.tvars[tp].ID].dims
+	return dims[(ti/ev.tstride[tp])%len(dims)]
 }
 
 // lazy is the oversized-slot path: memoized per-index pricing.
@@ -318,7 +317,7 @@ func (ev *slotEval) indexOf(assign map[int]int) (int, error) {
 			}
 			return 0, fmt.Errorf("dp: slot %v output var %v undecided", ev.slot.Rep(), v)
 		}
-		a := ev.talphas[j]
+		a := &ev.alphas[v.ID]
 		if d < 0 || d >= len(a.digitOf) || a.digitOf[d] < 0 {
 			return 0, fmt.Errorf("dp: slot %v: var %v cannot be cut along dim %d at this step",
 				ev.slot.Rep(), v, d)
@@ -340,8 +339,8 @@ func (ev *slotEval) best(assign map[int]int) (int, float64, error) {
 }
 
 // parts itemizes the chosen strategy's communication under an assignment.
-func (ev *slotEval) parts(si int, assign map[int]int) (partition.Parts, error) {
-	inCuts := make([]partition.Cut, len(ev.inVars))
+// inCuts is caller scratch, one per input.
+func (ev *slotEval) parts(si int, assign map[int]int, inCuts []partition.Cut) (partition.Parts, error) {
 	for i, v := range ev.inVars {
 		d, ok := assign[v.ID]
 		if !ok {

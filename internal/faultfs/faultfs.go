@@ -165,9 +165,18 @@ func (i *Injector) Fired() []int {
 	return out
 }
 
+// refund returns one firing to the rule's Count budget: the fault matched a
+// call it then could not affect (a corrupt read of a file that does not
+// exist), and budgets are spent only by faults that took effect.
+func (r *Rule) refund() {
+	r.mu.Lock()
+	r.fired--
+	r.mu.Unlock()
+}
+
 // fault finds the first firing rule for a call, sleeping for latency rules.
-// The returned mode is "" when the call should pass through untouched.
-func (i *Injector) fault(op Op, path string) Mode {
+// It returns nil when the call should pass through untouched.
+func (i *Injector) fault(op Op, path string) *Rule {
 	for _, r := range i.rules {
 		if !r.match(op, path) {
 			continue
@@ -176,9 +185,9 @@ func (i *Injector) fault(op Op, path string) Mode {
 			time.Sleep(r.Latency)
 			continue // latency delays, it does not consume the call
 		}
-		return r.Mode
+		return r
 	}
-	return ""
+	return nil
 }
 
 func corruptCopy(data []byte) []byte {
@@ -193,24 +202,28 @@ func corruptCopy(data []byte) []byte {
 }
 
 func (i *Injector) MkdirAll(dir string, perm fs.FileMode) error {
-	if m := i.fault(OpMkdir, dir); m != "" {
+	if i.fault(OpMkdir, dir) != nil {
 		return fmt.Errorf("%w: mkdir %s", ErrInjected, dir)
 	}
 	return i.inner.MkdirAll(dir, perm)
 }
 
 func (i *Injector) ReadFile(path string) ([]byte, error) {
-	switch i.fault(OpRead, path) {
-	case ModeError:
+	r := i.fault(OpRead, path)
+	if r != nil && r.Mode == ModeError {
 		return nil, fmt.Errorf("%w: read %s", ErrInjected, filepath.Base(path))
-	case ModeCorrupt:
-		data, err := i.inner.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return corruptCopy(data), nil
 	}
-	return i.inner.ReadFile(path)
+	data, err := i.inner.ReadFile(path)
+	if r == nil || r.Mode != ModeCorrupt {
+		return data, err
+	}
+	if err != nil {
+		// Nothing to corrupt (typically a first-lookup ENOENT): the fault
+		// did not take effect, so it does not spend the rule's budget.
+		r.refund()
+		return nil, err
+	}
+	return corruptCopy(data), nil
 }
 
 func (i *Injector) Create(path string) (File, error) {
@@ -222,35 +235,35 @@ func (i *Injector) Create(path string) (File, error) {
 }
 
 func (i *Injector) Rename(oldPath, newPath string) error {
-	if m := i.fault(OpRename, newPath); m != "" {
+	if i.fault(OpRename, newPath) != nil {
 		return fmt.Errorf("%w: rename %s", ErrInjected, filepath.Base(newPath))
 	}
 	return i.inner.Rename(oldPath, newPath)
 }
 
 func (i *Injector) Remove(path string) error {
-	if m := i.fault(OpRemove, path); m != "" {
+	if i.fault(OpRemove, path) != nil {
 		return fmt.Errorf("%w: remove %s", ErrInjected, filepath.Base(path))
 	}
 	return i.inner.Remove(path)
 }
 
 func (i *Injector) Stat(path string) (fs.FileInfo, error) {
-	if m := i.fault(OpStat, path); m != "" {
+	if i.fault(OpStat, path) != nil {
 		return nil, fmt.Errorf("%w: stat %s", ErrInjected, filepath.Base(path))
 	}
 	return i.inner.Stat(path)
 }
 
 func (i *Injector) Glob(pattern string) ([]string, error) {
-	if m := i.fault(OpGlob, pattern); m != "" {
+	if i.fault(OpGlob, pattern) != nil {
 		return nil, fmt.Errorf("%w: glob %s", ErrInjected, pattern)
 	}
 	return i.inner.Glob(pattern)
 }
 
 func (i *Injector) SyncDir(dir string) error {
-	if m := i.fault(OpSync, dir); m != "" {
+	if i.fault(OpSync, dir) != nil {
 		return fmt.Errorf("%w: syncdir %s", ErrInjected, dir)
 	}
 	return i.inner.SyncDir(dir)
@@ -264,7 +277,11 @@ type faultFile struct {
 }
 
 func (w *faultFile) Write(p []byte) (int, error) {
-	switch w.inj.fault(OpWrite, w.path) {
+	r := w.inj.fault(OpWrite, w.path)
+	if r == nil {
+		return w.f.Write(p)
+	}
+	switch r.Mode {
 	case ModeError:
 		return 0, fmt.Errorf("%w: write %s", ErrInjected, filepath.Base(w.path))
 	case ModeShort:
@@ -280,7 +297,7 @@ func (w *faultFile) Write(p []byte) (int, error) {
 }
 
 func (w *faultFile) Sync() error {
-	if m := w.inj.fault(OpSync, w.path); m != "" {
+	if w.inj.fault(OpSync, w.path) != nil {
 		return fmt.Errorf("%w: sync %s", ErrInjected, filepath.Base(w.path))
 	}
 	return w.f.Sync()

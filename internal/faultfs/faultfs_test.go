@@ -147,3 +147,33 @@ func TestParseSpec(t *testing.T) {
 		}
 	}
 }
+
+// TestCorruptReadOfMissingFileKeepsBudget pins the budget rule: a corrupt
+// read that fails in the inner FS corrupted nothing, so it must not spend
+// the rule's Count — otherwise first-lookup ENOENTs burn every fault before
+// any entry exists to corrupt.
+func TestCorruptReadOfMissingFileKeepsBudget(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.plan")
+	inj := New(OS, &Rule{Op: OpRead, Pattern: "*.plan", Mode: ModeCorrupt, Count: 1})
+	for i := 0; i < 3; i++ {
+		if _, err := inj.ReadFile(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("missing file: got %v, want ErrNotExist", err)
+		}
+	}
+	if fired := inj.Fired(); fired[0] != 0 {
+		t.Fatalf("Fired = %v after reads that corrupted nothing, want [0]", fired)
+	}
+	if err := os.WriteFile(path, []byte("payload"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := inj.ReadFile(path); err != nil || string(got) == "payload" {
+		t.Fatalf("first real read: %q, %v; want corrupted bytes", got, err)
+	}
+	if got, err := inj.ReadFile(path); err != nil || string(got) != "payload" {
+		t.Fatalf("budget of 1 spent, yet read returned %q, %v", got, err)
+	}
+	if fired := inj.Fired(); fired[0] != 1 {
+		t.Fatalf("Fired = %v, want [1]", fired)
+	}
+}

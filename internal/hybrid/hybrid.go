@@ -30,6 +30,7 @@ import (
 	"tofu/internal/graphgen"
 	"tofu/internal/obs"
 	"tofu/internal/plan"
+	"tofu/internal/recursive"
 	"tofu/internal/shape"
 	"tofu/internal/topo"
 )
@@ -148,8 +149,20 @@ type Result struct {
 }
 
 // Partition runs the joint hybrid-parallelism search for a training graph on
-// a hierarchical machine with k = Topology.NumGPUs() workers.
+// a hierarchical machine with k = Topology.NumGPUs() workers. It is
+// recursive.Coarsen followed by PartitionCoarse.
 func Partition(g *graph.Graph, k int64, opts Options) (*Result, error) {
+	c, err := recursive.Coarsen(g, opts.Trace)
+	if err != nil {
+		return nil, err
+	}
+	return PartitionCoarse(c, k, opts)
+}
+
+// PartitionCoarse is Partition over an already coarsened graph (c.G): the
+// search alone, with no "coarsen" span of its own.
+func PartitionCoarse(c *coarsen.Coarse, k int64, opts Options) (*Result, error) {
+	g := c.G
 	tp := opts.Topology
 	if tp == nil {
 		return nil, fmt.Errorf("hybrid: a topology is required")
@@ -167,13 +180,6 @@ func Partition(g *graph.Graph, k int64, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("hybrid: stage level %d out of range [1, %d] (0 = auto)",
 			opts.Level, len(tp.Levels)-1)
 	}
-	csp := opts.Trace.Child("coarsen")
-	c, err := coarsen.Coarsen(g)
-	if err != nil {
-		return nil, err
-	}
-	csp.SetInt("groups", int64(len(c.Groups)))
-	csp.End()
 	if len(c.Groups) < 2 {
 		return nil, fmt.Errorf("hybrid: graph coarsens to %d group(s); pipelining needs at least 2", len(c.Groups))
 	}

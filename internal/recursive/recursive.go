@@ -102,8 +102,34 @@ type Options struct {
 // Partition searches for the best partition plan of a training graph across
 // k workers. k = 1 yields a valid trivial plan with zero steps (every
 // tensor whole on the single worker), which flows through graph generation
-// and simulation unchanged.
+// and simulation unchanged. It is Coarsen followed by PartitionCoarse.
 func Partition(g *graph.Graph, k int64, opts Options) (*plan.Plan, error) {
+	c, err := Coarsen(g, opts.Trace)
+	if err != nil {
+		return nil, err
+	}
+	return PartitionCoarse(c, k, opts)
+}
+
+// Coarsen is the first half of every search entry point: coarsen g under a
+// "coarsen" span of trace (nil records nothing). Callers that need the
+// coarsened graph themselves coarsen once with it and hand the result to
+// PartitionCoarse (or hybrid.PartitionCoarse).
+func Coarsen(g *graph.Graph, trace *obs.Span) (*coarsen.Coarse, error) {
+	csp := trace.Child("coarsen")
+	defer csp.End()
+	c, err := coarsen.Coarsen(g)
+	if err != nil {
+		return nil, err
+	}
+	csp.SetInt("groups", int64(len(c.Groups)))
+	return c, nil
+}
+
+// PartitionCoarse is Partition over an already coarsened graph (c.G): the
+// search alone. It emits no "coarsen" span — whoever coarsened did.
+func PartitionCoarse(c *coarsen.Coarse, k int64, opts Options) (*plan.Plan, error) {
+	g := c.G
 	if k < 1 {
 		return nil, fmt.Errorf("recursive: worker count %d invalid", k)
 	}
@@ -113,7 +139,7 @@ func Partition(g *graph.Graph, k int64, opts Options) (*plan.Plan, error) {
 				opts.Topology.Name, got, k)
 		}
 		if opts.Topology.Hierarchical() && opts.Factors == nil {
-			return partitionTopo(g, k, *opts.Topology, opts)
+			return partitionTopo(g, c, k, *opts.Topology, opts)
 		}
 	}
 	factors := opts.Factors
@@ -131,13 +157,6 @@ func Partition(g *graph.Graph, k int64, opts Options) (*plan.Plan, error) {
 		return nil, fmt.Errorf("recursive: factors %v do not multiply to %d", factors, k)
 	}
 
-	csp := opts.Trace.Child("coarsen")
-	c, err := coarsen.Coarsen(g)
-	if err != nil {
-		return nil, err
-	}
-	csp.SetInt("groups", int64(len(c.Groups)))
-	csp.End()
 	cache := opts.Cache
 	if cache == nil {
 		cache = dp.NewPriceCache()
@@ -262,14 +281,7 @@ type factorLevel struct {
 // layout and TopoExhaustive the flat one-DP-run-per-ordering enumeration,
 // both of which choose byte-identical plans to the tree wherever they
 // apply.
-func partitionTopo(g *graph.Graph, k int64, tp topo.Topology, opts Options) (*plan.Plan, error) {
-	csp := opts.Trace.Child("coarsen")
-	c, err := coarsen.Coarsen(g)
-	if err != nil {
-		return nil, err
-	}
-	csp.SetInt("groups", int64(len(c.Groups)))
-	csp.End()
+func partitionTopo(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology, opts Options) (*plan.Plan, error) {
 	cache := opts.Cache
 	if cache == nil {
 		cache = dp.NewPriceCache()

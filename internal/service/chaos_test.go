@@ -38,24 +38,31 @@ func TestChaosCorruptReadsZeroServerErrors(t *testing.T) {
 	body := func(i int) string {
 		return fmt.Sprintf(`{"model":{"family":"mlp","depth":4,"width":256,"batch":%d}}`, 16<<(i%3))
 	}
-	const rounds = 18
-	var wg sync.WaitGroup
+	// Waves of the three distinct requests: wave 0 computes and stores
+	// them, and from wave 1 on the one-entry LRU sends at least two of
+	// every three lookups to entries that exist on disk — on any core
+	// count, where 18 simultaneous requests could all coalesce onto the
+	// first three jobs and never read the store at all.
+	const rounds, perWave = 18, 3
 	codes := make([]int, rounds)
-	for i := 0; i < rounds; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Post(srv.URL+"/v1/partition", "application/json", strings.NewReader(body(i)))
-			if err != nil {
-				t.Errorf("request %d: %v", i, err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body) //tofu:allow-errdrop test drain
-			resp.Body.Close()
-			codes[i] = resp.StatusCode
-		}(i)
+	for w := 0; w < rounds; w += perWave {
+		var wg sync.WaitGroup
+		for i := w; i < w+perWave; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resp, err := http.Post(srv.URL+"/v1/partition", "application/json", strings.NewReader(body(i)))
+				if err != nil {
+					t.Errorf("request %d: %v", i, err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body) //tofu:allow-errdrop test drain
+				resp.Body.Close()
+				codes[i] = resp.StatusCode
+			}(i)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 
 	for i, code := range codes {
 		if code >= 500 {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -151,7 +152,10 @@ func TestDeadlineAdmission503(t *testing.T) {
 			return degradedExportOptimal(t, 8), nil
 		},
 	})
-	t.Cleanup(func() { close(gate) })
+	// Release the wedged searches and wait for the saturating requests
+	// below before startServer's cleanup closes the server under them.
+	var load sync.WaitGroup
+	t.Cleanup(func() { close(gate); load.Wait() })
 
 	reqBody := func(batch int) string {
 		return fmt.Sprintf(`{"model":{"family":"mlp","depth":4,"width":256,"batch":%d}}`, batch)
@@ -165,8 +169,14 @@ func TestDeadlineAdmission503(t *testing.T) {
 	}
 	// Saturate: one search wedged on the worker plus a queued backlog.
 	for i := 0; i < 4; i++ {
+		load.Add(1)
 		go func(i int) {
-			r := postPartition(t, srv.URL, reqBody(4+2*i))
+			defer load.Done()
+			r, err := http.Post(srv.URL+"/v1/partition", "application/json", strings.NewReader(reqBody(4+2*i)))
+			if err != nil {
+				t.Errorf("saturating request %d: %v", i, err)
+				return
+			}
 			io.Copy(io.Discard, r.Body) //tofu:allow-errdrop test drain
 			r.Body.Close()
 		}(i)

@@ -164,8 +164,11 @@ func TestStoreCorruptEntryRecomputes(t *testing.T) {
 
 func TestTenantQuota(t *testing.T) {
 	gate := make(chan struct{})
+	// One worker: the FIFO queue hands it j1 first, so j1 is the only job
+	// parked on the gate and the single token below releases j1 — with two
+	// workers the token could go to another tenant's job and j1 never ends.
 	s := New(Config{
-		Workers: 2, QueueDepth: 16, TenantQuota: 1,
+		Workers: 1, QueueDepth: 16, TenantQuota: 1,
 		Compute: func(r Request) ([]byte, error) { <-gate; return []byte("p"), nil },
 	})
 	defer func() { close(gate); s.Shutdown(context.Background()) }()

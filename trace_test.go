@@ -99,6 +99,17 @@ func TestTraceStructureDeterministic(t *testing.T) {
 			if s1, s2 := r1.Structure(), r2.Structure(); s1 != s2 {
 				t.Fatalf("span structure differs across serial runs:\n%s\nvs\n%s", s1, s2)
 			}
+			// The op coarsens its graph once, whichever engine searches it
+			// (pipeline segments coarsen their own subgraphs further down).
+			coarsens := 0
+			for _, c := range r1.Children() {
+				if c.Name() == "coarsen" {
+					coarsens++
+				}
+			}
+			if coarsens != 1 {
+				t.Fatalf("%d top-level coarsen spans, want exactly 1:\n%s", coarsens, r1.Structure())
+			}
 		})
 	}
 }
