@@ -223,6 +223,18 @@ func runSearchBenchmarks(outPath string, short bool, baselinePath string) error 
 	}
 	out.Benchmarks = append(out.Benchmarks, hybridRows...)
 
+	// The plan codec rows ride along in both modes (one 100 ms search, then
+	// encode and verify of its 3.2 MB plan).
+	codecRows, err := runCodecRows()
+	if err != nil {
+		return fmt.Errorf("codec rows: %w", err)
+	}
+	for _, rec := range codecRows {
+		fmt.Printf("%-28s %14.0f ns/op %12d B/op %10d allocs/op (%d iters)\n",
+			rec.Name, rec.NsPerOp, rec.BytesPerOp, rec.AllocsPerOp, rec.Iterations)
+	}
+	out.Benchmarks = append(out.Benchmarks, codecRows...)
+
 	// The serve loadtest rides along. The throughput floor is enforced via
 	// the regression list below — after the artifact is written — so a slow
 	// run never discards the search measurements; only genuine failures

@@ -189,6 +189,12 @@ func main() {
 		logger.Info("pprof enabled at /debug/pprof/")
 	}
 
+	// Catch SIGTERM before the port opens: a supervisor that sees /healthz
+	// answer may signal at once, and a signal that lands before Notify kills
+	// the process instead of draining it.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -217,8 +223,6 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		logger.Info("draining", "signal", sig.String(), "timeout", drainTimeout.String())

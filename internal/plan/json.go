@@ -1,11 +1,9 @@
 package plan
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 )
 
 // Export is the stable, serializable form of a partition plan, for tooling
@@ -50,63 +48,128 @@ type strat struct {
 	Dim  int    `json:"dim,omitempty"`
 }
 
-// ToExport converts a plan into its serializable form.
-func (p *Plan) ToExport() Export {
-	ex := Export{Digest: p.Digest, Workers: p.K, Pipeline: p.Pipeline, Degraded: p.Degraded, TotalCommBytes: p.TotalComm()}
-	for _, s := range p.Steps {
-		se := StepExport{
-			Ways: s.K, Multiplier: s.Multiplier, CommBytes: s.CommBytes, Level: s.Level, Stage: s.Stage,
-			TensorCut:  make(map[string]int, len(s.TensorCut)),
-			OpStrategy: make(map[string]strat, len(s.OpStrategy)),
-		}
-		for tid, d := range s.TensorCut {
-			if d >= 0 {
-				se.TensorCut[fmt.Sprint(tid)] = d
-			}
-		}
-		for nid, st := range s.OpStrategy {
-			if st.Axis == "" {
-				continue
-			}
-			se.OpStrategy[fmt.Sprint(nid)] = strat{
-				Kind: st.Kind.String(), Axis: st.Axis, Dim: st.OutDim,
-			}
-		}
-		ex.Steps = append(ex.Steps, se)
-	}
-	return ex
+// Header is the part of a serialized plan the serving tier reads after
+// verifying it: which request it answers, for how many workers, whether the
+// search was cut short, and the realized ordering (factor and interconnect
+// level per step) that seeds neighboring searches and the store's index.
+type Header struct {
+	Digest   string
+	Workers  int64
+	Degraded bool
+	Steps    []StepHeader
 }
 
-// WriteJSON serializes the plan.
-func (p *Plan) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p.ToExport())
+// StepHeader is one step of a Header.
+type StepHeader struct {
+	Ways  int64
+	Level int
 }
 
 // ReadJSON parses a serialized plan back into its export form (tensor and
 // node identities belong to the original graph, so the export — not a full
 // Plan — is the unit of exchange). Every field is validated: malformed
-// identifiers, unknown strategy kinds and inconsistent multipliers are
-// errors, never silently-accepted zero values.
+// identifiers, unknown strategy kinds, inconsistent multipliers or totals,
+// unknown, duplicated or case-folded keys and trailing bytes are errors,
+// never silently-accepted zero values (DESIGN.md, "Plan codec").
 func ReadJSON(r io.Reader) (Export, error) {
-	var ex Export
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ex); err != nil {
+	raw, err := readAll(r)
+	if err != nil {
 		return Export{}, fmt.Errorf("plan: decoding: %w", err)
 	}
-	if ex.Digest != "" {
-		if err := ValidateDigest(ex.Digest); err != nil {
-			return Export{}, err
+	return scan(raw, true)
+}
+
+// ReadJSONExpect is ReadJSON that additionally requires the plan to answer
+// the request identified by want: a missing or different embedded digest is
+// an error. This is how a plan fetched by digest (the service's
+// /v1/plans/{digest}, a cached artifact on disk) proves it belongs to the
+// request the caller hashed.
+func ReadJSONExpect(r io.Reader, want string) (Export, error) {
+	if err := ValidateDigest(want); err != nil {
+		return Export{}, err
+	}
+	ex, err := ReadJSON(r)
+	if err != nil {
+		return Export{}, err
+	}
+	if err := matchDigest(ex.Digest, want); err != nil {
+		return Export{}, err
+	}
+	return ex, nil
+}
+
+func matchDigest(got, want string) error {
+	if got != want {
+		return fmt.Errorf("plan: digest mismatch: plan carries %q, want %q", got, want)
+	}
+	return nil
+}
+
+// Verify makes every check ReadJSON makes, in the same single pass, without
+// building the per-step maps, and returns the plan's Header. A non-empty
+// want must be a well-formed digest and the one the plan embeds (as in
+// ReadJSONExpect); an empty want accepts any plan, digest or not.
+func Verify(raw []byte, want string) (Header, error) {
+	if want != "" {
+		if err := ValidateDigest(want); err != nil {
+			return Header{}, err
 		}
 	}
+	ex, err := scan(raw, false)
+	if err != nil {
+		return Header{}, err
+	}
+	if want != "" {
+		if err := matchDigest(ex.Digest, want); err != nil {
+			return Header{}, err
+		}
+	}
+	h := Header{Digest: ex.Digest, Workers: ex.Workers, Degraded: ex.Degraded, Steps: make([]StepHeader, len(ex.Steps))}
+	for i, s := range ex.Steps {
+		h.Steps[i] = StepHeader{Ways: s.Ways, Level: s.Level}
+	}
+	return h, nil
+}
+
+// readAll is io.ReadAll with the buffer sized up front when the reader knows
+// its length (bytes.Reader, bytes.Buffer, strings.Reader).
+func readAll(r io.Reader) ([]byte, error) {
+	if l, ok := r.(interface{ Len() int }); ok {
+		raw := make([]byte, l.Len())
+		n, err := io.ReadFull(r, raw)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			err = nil
+		}
+		return raw[:n], err
+	}
+	return io.ReadAll(r)
+}
+
+// scan parses and audits one serialized plan. The scanner checks what is
+// local to a value as it passes (syntax, keys, IDs, strategies); the checks
+// that relate fields to each other run here, once the whole object is in.
+// With full unset the steps' TensorCut and OpStrategy stay nil.
+func scan(raw []byte, full bool) (Export, error) {
+	s := scanner{b: raw, full: full}
+	ex := s.plan()
+	if s.err != nil {
+		return Export{}, s.err
+	}
+	if err := validate(&ex); err != nil {
+		return Export{}, err
+	}
+	return ex, nil
+}
+
+// validate audits a scanned plan's cross-field structure: worker count,
+// pipeline descriptor, the multiplier chain and the communication totals.
+func validate(ex *Export) error {
 	if ex.Workers < 1 {
-		return Export{}, fmt.Errorf("plan: invalid worker count %d", ex.Workers)
+		return fmt.Errorf("plan: invalid worker count %d", ex.Workers)
 	}
 	if ex.Pipeline != nil {
 		if err := validatePipeline(ex.Pipeline, ex.Workers); err != nil {
-			return Export{}, err
+			return err
 		}
 	}
 	// Flat plans chain one multiplier product across all steps; stage-
@@ -115,25 +178,26 @@ func ReadJSON(r io.Reader) (Export, error) {
 	// per-stage products must each reach the stage's worker count.
 	prod := int64(1)
 	curStage := 0
+	total := 0.0
 	for si, s := range ex.Steps {
 		if s.Ways < 2 {
-			return Export{}, fmt.Errorf("plan: step %d: invalid ways %d", si, s.Ways)
+			return fmt.Errorf("plan: step %d: invalid ways %d", si, s.Ways)
 		}
 		if ex.Pipeline == nil {
 			if s.Stage != 0 {
-				return Export{}, fmt.Errorf("plan: step %d: stage %d without a pipeline descriptor", si, s.Stage)
+				return fmt.Errorf("plan: step %d: stage %d without a pipeline descriptor", si, s.Stage)
 			}
 		} else {
 			if s.Stage < curStage || s.Stage >= len(ex.Pipeline.Stages) {
-				return Export{}, fmt.Errorf("plan: step %d: stage %d out of order (at stage %d of %d)",
+				return fmt.Errorf("plan: step %d: stage %d out of order (at stage %d of %d)",
 					si, s.Stage, curStage, len(ex.Pipeline.Stages))
 			}
 			if s.Stage > curStage {
 				if s.Stage != curStage+1 {
-					return Export{}, fmt.Errorf("plan: stage %d has no steps", curStage+1)
+					return fmt.Errorf("plan: stage %d has no steps", curStage+1)
 				}
 				if prod != ex.Pipeline.Stages[curStage].Workers {
-					return Export{}, fmt.Errorf("plan: stage %d steps multiply to %d, want %d workers",
+					return fmt.Errorf("plan: stage %d steps multiply to %d, want %d workers",
 						curStage, prod, ex.Pipeline.Stages[curStage].Workers)
 				}
 				curStage++
@@ -141,59 +205,37 @@ func ReadJSON(r io.Reader) (Export, error) {
 			}
 		}
 		if s.Multiplier != prod {
-			return Export{}, fmt.Errorf("plan: step %d: multiplier %d, want %d (product of prior ways)",
+			return fmt.Errorf("plan: step %d: multiplier %d, want %d (product of prior ways)",
 				si, s.Multiplier, prod)
 		}
 		if s.CommBytes < 0 || math.IsNaN(s.CommBytes) {
-			return Export{}, fmt.Errorf("plan: step %d: invalid comm bytes %g", si, s.CommBytes)
+			return fmt.Errorf("plan: step %d: invalid comm bytes %g", si, s.CommBytes)
 		}
 		if s.Level < 0 {
-			return Export{}, fmt.Errorf("plan: step %d: invalid level %d", si, s.Level)
+			return fmt.Errorf("plan: step %d: invalid level %d", si, s.Level)
 		}
-		for tid, d := range s.TensorCut {
-			id, err := strconv.Atoi(tid)
-			if err != nil || id < 0 {
-				return Export{}, fmt.Errorf("plan: step %d: malformed tensor ID %q", si, tid)
-			}
-			if d < 0 {
-				return Export{}, fmt.Errorf("plan: step %d: tensor %s: invalid cut dim %d", si, tid, d)
-			}
-		}
-		for nid, st := range s.OpStrategy {
-			id, err := strconv.Atoi(nid)
-			if err != nil || id < 0 {
-				return Export{}, fmt.Errorf("plan: step %d: malformed node ID %q", si, nid)
-			}
-			switch st.Kind {
-			case "output":
-				if st.Dim < 0 {
-					return Export{}, fmt.Errorf("plan: step %d: node %s: invalid output dim %d", si, nid, st.Dim)
-				}
-			case "reduce":
-				// Dim is unused for reductions.
-			default:
-				return Export{}, fmt.Errorf("plan: step %d: node %s: unknown strategy kind %q", si, nid, st.Kind)
-			}
-			if st.Axis == "" {
-				return Export{}, fmt.Errorf("plan: step %d: node %s: missing strategy axis", si, nid)
-			}
-		}
+		total += s.CommBytes
 		prod *= s.Ways
 	}
 	if ex.Pipeline == nil {
 		if prod != ex.Workers {
-			return Export{}, fmt.Errorf("plan: steps multiply to %d, want %d", prod, ex.Workers)
+			return fmt.Errorf("plan: steps multiply to %d, want %d", prod, ex.Workers)
 		}
 	} else {
 		if curStage != len(ex.Pipeline.Stages)-1 {
-			return Export{}, fmt.Errorf("plan: stage %d has no steps", curStage+1)
+			return fmt.Errorf("plan: stage %d has no steps", curStage+1)
 		}
 		if prod != ex.Pipeline.Stages[curStage].Workers {
-			return Export{}, fmt.Errorf("plan: stage %d steps multiply to %d, want %d workers",
+			return fmt.Errorf("plan: stage %d steps multiply to %d, want %d workers",
 				curStage, prod, ex.Pipeline.Stages[curStage].Workers)
 		}
 	}
-	return ex, nil
+	// WriteJSON emits Σ comm_bytes summed in step order, and strconv
+	// round-trips every float exactly, so an honest total matches bit for bit.
+	if ex.TotalCommBytes < 0 || math.Float64bits(ex.TotalCommBytes) != math.Float64bits(total) {
+		return fmt.Errorf("plan: total comm bytes %g, want %g (sum over steps)", ex.TotalCommBytes, total)
+	}
+	return nil
 }
 
 // validatePipeline audits a hybrid plan's stage descriptor: at least two
@@ -251,23 +293,4 @@ func ValidateDigest(d string) error {
 		}
 	}
 	return nil
-}
-
-// ReadJSONExpect is ReadJSON that additionally requires the plan to answer
-// the request identified by want: a missing or different embedded digest is
-// an error. This is how a plan fetched by digest (the service's
-// /v1/plans/{digest}, a cached artifact on disk) proves it belongs to the
-// request the caller hashed.
-func ReadJSONExpect(r io.Reader, want string) (Export, error) {
-	if err := ValidateDigest(want); err != nil {
-		return Export{}, err
-	}
-	ex, err := ReadJSON(r)
-	if err != nil {
-		return Export{}, err
-	}
-	if ex.Digest != want {
-		return Export{}, fmt.Errorf("plan: digest mismatch: plan carries %q, want %q", ex.Digest, want)
-	}
-	return ex, nil
 }

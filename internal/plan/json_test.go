@@ -84,8 +84,9 @@ func TestReadJSONValidation(t *testing.T) {
 }
 
 // TestReadJSONRejectsMalformed locks the parse-audit contract: malformed
-// identifiers, unknown strategy kinds, inconsistent multipliers and unknown
-// fields are errors, never silently-accepted zero values.
+// identifiers, unknown strategy kinds, inconsistent multipliers and totals,
+// unknown, folded or repeated keys and trailing bytes are errors, never
+// silently-accepted zero values.
 func TestReadJSONRejectsMalformed(t *testing.T) {
 	cases := []struct {
 		name string
@@ -99,10 +100,48 @@ func TestReadJSONRejectsMalformed(t *testing.T) {
 		{"missing axis", `{"workers": 2, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {}, "op_strategy": {"7": {"kind": "output"}}}]}`},
 		{"bad multiplier", `{"workers": 4, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {}, "op_strategy": {}}, {"ways": 2, "multiplier": 3, "comm_bytes": 0, "tensor_cut": {}, "op_strategy": {}}]}`},
 		{"negative comm", `{"workers": 2, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": -5, "tensor_cut": {}, "op_strategy": {}}]}`},
+		// What encoding/json let through (each was accepted before the scanner).
+		{"trailing bytes", `{"workers": 2, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {}, "op_strategy": {}}], "total_comm_bytes": 0}garbage`},
+		{"trailing value", `{"workers": 2, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {}, "op_strategy": {}}], "total_comm_bytes": 0} {}`},
+		{"negative total", `{"workers": 2, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {}, "op_strategy": {}}], "total_comm_bytes": -1}`},
+		{"inconsistent total", `{"workers": 4, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 10, "tensor_cut": {}, "op_strategy": {}}, {"ways": 2, "multiplier": 2, "comm_bytes": 20, "tensor_cut": {}, "op_strategy": {}}], "total_comm_bytes": 31}`},
+		{"missing total", `{"workers": 2, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 10, "tensor_cut": {}, "op_strategy": {}}]}`},
+		{"case-folded key", `{"WORKERS": 2, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {}, "op_strategy": {}}], "total_comm_bytes": 0}`},
+		{"case-folded step key", `{"workers": 2, "steps": [{"Ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {}, "op_strategy": {}}], "total_comm_bytes": 0}`},
+		{"escaped key", `{"w\u006frkers": 2, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {}, "op_strategy": {}}], "total_comm_bytes": 0}`},
+		{"duplicate key", `{"workers": 4, "workers": 2, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {}, "op_strategy": {}}], "total_comm_bytes": 0}`},
+		{"duplicate step key", `{"workers": 2, "steps": [{"ways": 3, "ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {}, "op_strategy": {}}], "total_comm_bytes": 0}`},
+		{"duplicate tensor id", `{"workers": 2, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {"1": 0, "1": 1}, "op_strategy": {}}], "total_comm_bytes": 0}`},
+		{"tensor ids out of order", `{"workers": 2, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {"2": 0, "10": 1}, "op_strategy": {}}], "total_comm_bytes": 0}`},
+		{"zero-padded id", `{"workers": 2, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {"01": 0}, "op_strategy": {}}], "total_comm_bytes": 0}`},
+		{"signed id", `{"workers": 2, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {"+1": 0}, "op_strategy": {}}], "total_comm_bytes": 0}`},
+		{"aliasing node ids", `{"workers": 2, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {}, "op_strategy": {"07": {"kind": "output", "axis": "i"}, "7": {"kind": "reduce", "axis": "k"}}}], "total_comm_bytes": 0}`},
+		{"id beyond int", `{"workers": 2, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {"9223372036854775808": 0}, "op_strategy": {}}], "total_comm_bytes": 0}`},
+		{"fractional workers", `{"workers": 2.0, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {}, "op_strategy": {}}], "total_comm_bytes": 0}`},
+		{"null cut dim", `{"workers": 2, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0, "tensor_cut": {"1": null}, "op_strategy": {}}], "total_comm_bytes": 0}`},
+		{"three-element groups", `{"workers": 4, "steps": [{"ways": 2, "multiplier": 1, "comm_bytes": 0}, {"ways": 2, "multiplier": 1, "comm_bytes": 0, "stage": 1}], "pipeline": {"level": 1, "stages": [{"groups": [0, 1, 9], "workers": 2, "handoff_bytes": 0}, {"groups": [1, 2], "workers": 2, "handoff_bytes": 0}]}, "total_comm_bytes": 0}`},
 	}
 	for _, tc := range cases {
 		if _, err := ReadJSON(strings.NewReader(tc.in)); err == nil {
 			t.Errorf("%s: expected error, got none", tc.name)
+		}
+		if _, err := Verify([]byte(tc.in), ""); err == nil {
+			t.Errorf("%s: Verify: expected error, got none", tc.name)
+		}
+	}
+	// The same shapes in any key order, compact or indented, with the nulls
+	// encoding/json writes for nil containers, are still plans.
+	for _, in := range []string{
+		`{"total_comm_bytes": 0, "steps": [{"op_strategy": {}, "tensor_cut": {}, "comm_bytes": 0, "multiplier": 1, "ways": 2}], "workers": 2}`,
+		`{"workers":2,"steps":[{"ways":2,"multiplier":1,"comm_bytes":0,"tensor_cut":null,"op_strategy":null}],"total_comm_bytes":0}`,
+		`{"workers":1,"steps":null,"total_comm_bytes":0}`,
+		"{\"workers\": 2,\r\n\t\"steps\": [{\"ways\": 2, \"multiplier\": 1, \"comm_bytes\": 1e-7, \"tensor_cut\": {\"1\": 0, \"10\": 1, \"2\": 0}, \"op_strategy\": {\"0\": {\"axis\": \"a\\u00e9\", \"dim\": -1, \"kind\": \"reduce\"}}}], \"total_comm_bytes\": 1E-7} \n",
+	} {
+		if _, err := ReadJSON(strings.NewReader(in)); err != nil {
+			t.Errorf("well-formed plan rejected: %v\n%s", err, in)
+		}
+		if _, err := Verify([]byte(in), ""); err != nil {
+			t.Errorf("Verify: well-formed plan rejected: %v\n%s", err, in)
 		}
 	}
 	// A well-formed plan still parses.

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -167,9 +166,14 @@ func (j *Job) setState(s JobState) {
 	j.mu.Unlock()
 }
 
-// maxRetainedJobs bounds the finished-job index so a long-lived daemon's
-// job map cannot grow without bound; pollers of evicted jobs re-POST.
-const maxRetainedJobs = 1024
+// maxRetainedJobs and maxRetainedBytes bound the finished-job index, by
+// count and by the plan bytes the jobs hold, so a long-lived daemon's job
+// map cannot grow without bound (1024 plans of a few megabytes each would
+// pin gigabytes beside a 128-entry LRU); pollers of evicted jobs re-POST.
+const (
+	maxRetainedJobs  = 1024
+	maxRetainedBytes = 32 << 20
+)
 
 // Config sizes the service.
 type Config struct {
@@ -269,13 +273,14 @@ type Service struct {
 	started time.Time
 	reqSeq  atomic.Int64 // access-log trace-id counter
 
-	mu       sync.Mutex
-	closed   bool
-	inflight map[string]*Job // digest -> the job every identical request joins
-	jobs     map[string]*Job // id -> job, finished jobs retained (bounded)
-	doneIDs  []string        // finished job ids, oldest first (retention ring)
-	tenants  map[string]int  // tenant -> queued-plus-running jobs
-	seq      int64
+	mu        sync.Mutex
+	closed    bool
+	inflight  map[string]*Job // digest -> the job every identical request joins
+	jobs      map[string]*Job // id -> job, finished jobs retained (bounded)
+	doneIDs   []string        // finished job ids, oldest first (retention ring)
+	doneBytes int64           // plan bytes held by the jobs in doneIDs
+	tenants   map[string]int  // tenant -> queued-plus-running jobs
+	seq       int64
 
 	neighbors *neighborIndex
 
@@ -318,8 +323,9 @@ func New(cfg Config) *Service {
 
 // Lookup answers from the warm layers: the in-memory LRU first, then the
 // persistent store (when configured). Store bytes are verified to answer
-// the digest — plan.ReadJSONExpect on top of the store's own checksum —
-// before being promoted into the LRU and served.
+// the digest — plan.Verify, every check of plan.ReadJSONExpect without
+// building the plan, on top of the store's own checksum — before being
+// promoted into the LRU and served.
 func (s *Service) Lookup(digest string) ([]byte, bool) {
 	val, ok := s.cache.Get(digest)
 	if ok {
@@ -333,7 +339,7 @@ func (s *Service) Lookup(digest string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if _, err := plan.ReadJSONExpect(bytes.NewReader(val), digest); err != nil {
+	if _, err := plan.Verify(val, digest); err != nil {
 		// Checksum-valid but not a plan answering this digest: a writer
 		// bug, not bit rot. Don't serve it; the search recomputes.
 		s.metrics.storeBadPlan.Add(1)
@@ -605,13 +611,14 @@ func (s *Service) run(j *Job) {
 	// A degraded plan is a real, valid answer — but not the proven optimum,
 	// so it is served to its callers and never written into the cache or the
 	// store: the next identical request re-runs the search for a chance at
-	// the full result instead of pinning the incumbent forever.
+	// the full result instead of pinning the incumbent forever. The bytes
+	// are verified once, here; the header is all the rest of the path reads.
 	degraded := false
 	if err == nil {
-		if ex, perr := plan.ReadJSON(bytes.NewReader(val)); perr == nil {
-			degraded = ex.Degraded
+		if hdr, perr := plan.Verify(val, ""); perr == nil {
+			degraded = hdr.Degraded
 			if !degraded {
-				s.persist(j, val)
+				s.persist(j, val, hdr)
 			}
 		}
 	}
@@ -665,35 +672,36 @@ func (s *Service) run(j *Job) {
 	close(j.done)
 }
 
-// persist writes a finished plan through to the persistent store (when
-// configured) and feeds the warm-start neighbor index. Both are best-effort
-// accelerators: the parse guards against a Compute seam returning non-plan
-// bytes, and a store write failure costs the fleet a future recompute, not
-// this request.
-func (s *Service) persist(j *Job, val []byte) {
-	ex, err := plan.ReadJSON(bytes.NewReader(val))
-	if err != nil {
-		return
-	}
+// persist writes a finished, verified plan through to the persistent store
+// (when configured) and feeds the warm-start neighbor index. Both are
+// best-effort accelerators: run's verification guards against a Compute seam
+// returning non-plan bytes, and a store write failure costs the fleet a
+// future recompute, not this request.
+func (s *Service) persist(j *Job, val []byte, hdr plan.Header) {
 	md, err := modelDigest(j.req.Model)
 	if err != nil {
 		return
 	}
-	s.neighbors.add(md, j.digest, ex.Workers, warmStepsFromExport(ex))
+	s.neighbors.add(md, j.digest, hdr.Workers, warmStepsFromHeader(hdr))
 	if s.cfg.Store == nil {
 		return
 	}
 	_ = s.cfg.Store.Put(store.Meta{ //tofu:allow-errdrop the store counts its own put failures; a failed write costs a future recompute, not this request
 		Digest:      j.digest,
 		ModelDigest: md,
-		Workers:     ex.Workers,
-		Steps:       storeStepsFromExport(ex),
+		Workers:     hdr.Workers,
+		Steps:       storeStepsFromHeader(hdr),
 	}, val)
 }
 
 func (s *Service) retainFinishedLocked(j *Job) {
 	s.doneIDs = append(s.doneIDs, j.id)
-	for len(s.doneIDs) > maxRetainedJobs {
+	s.doneBytes += int64(len(j.val))
+	// The newest job always stays: its caller may not have collected it yet.
+	for len(s.doneIDs) > maxRetainedJobs || (s.doneBytes > maxRetainedBytes && len(s.doneIDs) > 1) {
+		if old := s.jobs[s.doneIDs[0]]; old != nil {
+			s.doneBytes -= int64(len(old.val))
+		}
 		delete(s.jobs, s.doneIDs[0])
 		s.doneIDs = s.doneIDs[1:]
 	}

@@ -141,26 +141,26 @@ func warmStepsFromMeta(meta store.Meta) []recursive.WarmStep {
 	return out
 }
 
-// warmStepsFromExport extracts a parsed plan's realized ordering in the
+// warmStepsFromHeader extracts a verified plan's realized ordering in the
 // search layer's seed form.
-func warmStepsFromExport(ex plan.Export) []recursive.WarmStep {
-	if len(ex.Steps) == 0 {
+func warmStepsFromHeader(h plan.Header) []recursive.WarmStep {
+	if len(h.Steps) == 0 {
 		return nil
 	}
-	out := make([]recursive.WarmStep, len(ex.Steps))
-	for i, st := range ex.Steps {
+	out := make([]recursive.WarmStep, len(h.Steps))
+	for i, st := range h.Steps {
 		out[i] = recursive.WarmStep{Factor: st.Ways, Level: st.Level}
 	}
 	return out
 }
 
-// storeStepsFromExport extracts a parsed plan's realized ordering in the
+// storeStepsFromHeader extracts a verified plan's realized ordering in the
 // store's header form. Plans that never ran the topology-aware search
 // (single-level machines) record their steps too — factor and level are
 // still meaningful for the index's bookkeeping.
-func storeStepsFromExport(ex plan.Export) []store.Step {
-	out := make([]store.Step, len(ex.Steps))
-	for i, st := range ex.Steps {
+func storeStepsFromHeader(h plan.Header) []store.Step {
+	out := make([]store.Step, len(h.Steps))
+	for i, st := range h.Steps {
 		out[i] = store.Step{Factor: st.Ways, Level: st.Level}
 	}
 	return out

@@ -37,7 +37,7 @@ type Meta struct {
 	Format string `json:"format"`
 	// Digest is the request content digest the plan answers ("sha256:<64
 	// hex>") — the store key. The payload's own embedded digest is verified
-	// against it again at serve time via plan.ReadJSONExpect.
+	// against it again at serve time via plan.Verify.
 	Digest string `json:"digest"`
 	// ModelDigest buckets entries by model (the pricing-cache key's hex
 	// form): neighbors for warm starts are drawn from the same bucket.
