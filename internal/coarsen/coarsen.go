@@ -98,6 +98,50 @@ type Coarse struct {
 	Vars   []*Var
 	Groups []*Group
 	varOf  []*Var // tensor ID -> var
+	// facts is what coarsening looked up about G's nodes; CoarsenSub reads
+	// it to coarsen extractions of G without looking anything up again.
+	facts nodeFacts
+}
+
+// nodeFacts is everything coarsening needs to know about the nodes of a
+// graph beyond its structure, dense by node ID.
+type nodeFacts struct {
+	// desc is each node's TDL description.
+	desc []*tdl.OpDesc
+	// sig interns each node's (UnrollTag, Op, attribute signature): nodes
+	// that may share a timestep slot have equal ids. -1 marks nodes outside
+	// any unrolled loop.
+	sig []int32
+}
+
+// describeNodes computes the node facts of a root graph: one registry
+// lookup and, for unrolled nodes, one signature interning per node.
+func describeNodes(g *graph.Graph) (nodeFacts, error) {
+	type sigKey struct {
+		tag, op string
+		attrs   tdl.AttrsKey
+	}
+	f := nodeFacts{desc: make([]*tdl.OpDesc, len(g.Nodes)), sig: make([]int32, len(g.Nodes))}
+	ids := map[sigKey]int32{}
+	for i, n := range g.Nodes {
+		d, err := g.Describe(n)
+		if err != nil {
+			return nodeFacts{}, fmt.Errorf("coarsen: %v: %w", n, err)
+		}
+		f.desc[i] = d
+		f.sig[i] = -1
+		if n.UnrollTag == "" {
+			continue
+		}
+		k := sigKey{tag: n.UnrollTag, op: n.Op, attrs: tdl.MakeAttrsKey(n.Attrs)}
+		id, ok := ids[k]
+		if !ok {
+			id = int32(len(ids))
+			ids[k] = id
+		}
+		f.sig[i] = id
+	}
+	return f, nil
 }
 
 // VarOf returns the variable owning a tensor.
@@ -123,21 +167,39 @@ func Coarsen(g *graph.Graph) (*Coarse, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	facts, err := describeNodes(g)
+	if err != nil {
+		return nil, err
+	}
+	return coarsen(g, facts)
+}
 
+// CoarsenSub coarsens sub.G, an extraction of parent.G (graph.Subgraph), and
+// returns exactly what Coarsen(sub.G) would. It is the same algorithm; only
+// the node facts come from the parent's through sub.NodeID — a clone keeps
+// its original's operator, attributes and unroll tag — and the validation
+// Subgraph has just done is not repeated. The pipeline search coarsens
+// O(L²) overlapping segments of one graph this way.
+func CoarsenSub(parent *Coarse, sub *graph.Subgraphed) (*Coarse, error) {
+	n := len(sub.NodeID)
+	facts := nodeFacts{desc: make([]*tdl.OpDesc, n), sig: make([]int32, n)}
+	for i, id := range sub.NodeID {
+		facts.desc[i] = parent.facts.desc[id]
+		facts.sig[i] = parent.facts.sig[id]
+	}
+	return coarsen(sub.G, facts)
+}
+
+// coarsen is the coarsening algorithm over a valid graph and its node facts.
+func coarsen(g *graph.Graph, facts nodeFacts) (*Coarse, error) {
 	// --- tensor variables: union-find over tensors --------------------
 	tuf := newUF(len(g.Tensors))
 
 	// Element-wise coalescing: inputs and output of an element-wise op share
 	// a partition.
 	ewNode := make([]bool, len(g.Nodes))
-	descs := make([]*tdl.OpDesc, len(g.Nodes))
 	for i, n := range g.Nodes {
-		d, err := g.Describe(n)
-		if err != nil {
-			return nil, fmt.Errorf("coarsen: %v: %w", n, err)
-		}
-		descs[i] = d
-		if !d.IsElementwise() {
+		if !facts.desc[i].IsElementwise() {
 			continue
 		}
 		ewNode[i] = true
@@ -150,7 +212,7 @@ func Coarsen(g *graph.Graph) (*Coarse, error) {
 
 	// Timestep merging: structurally identical ops across timesteps share
 	// slots; their same-position tensors share variables.
-	slots := buildSlots(g)
+	slots := buildSlots(g, facts.sig)
 	for _, ops := range slots {
 		rep := ops[0]
 		for _, n := range ops[1:] {
@@ -164,7 +226,7 @@ func Coarsen(g *graph.Graph) (*Coarse, error) {
 	}
 
 	// Materialize variables.
-	c := &Coarse{G: g, varOf: make([]*Var, len(g.Tensors))}
+	c := &Coarse{G: g, varOf: make([]*Var, len(g.Tensors)), facts: facts}
 	roots := make([]*Var, len(g.Tensors))
 	for _, t := range g.Tensors {
 		r := tuf.find(t.ID)
@@ -233,40 +295,37 @@ func Coarsen(g *graph.Graph) (*Coarse, error) {
 		}
 	}
 
-	if err := buildGroups(c, g, nuf, slots, descs); err != nil {
-		return nil, err
-	}
+	buildGroups(c, g, nuf, slots)
 	return c, nil
 }
 
 func indexOf(g *graph.Graph, n *graph.Node) int { return n.ID }
 
 // buildSlots groups UnrollTag'd nodes into per-structural-position slots.
-// The slot key is (tag, op, attr signature, ordinal among same-key ops in
-// the same timestep); instances whose shapes disagree are left unmerged.
-func buildSlots(g *graph.Graph) [][]*graph.Node {
+// The slot key is (signature id — tag, op and attributes, see nodeFacts —
+// and ordinal among same-signature ops in the same timestep); instances
+// whose shapes disagree are left unmerged.
+func buildSlots(g *graph.Graph, sig []int32) [][]*graph.Node {
 	type key struct {
-		tag, op string
-		attrs   tdl.AttrsKey
+		sig     int32
 		ordinal int
 	}
 	// ordCount disambiguates several same-signature ops inside one
 	// timestep: it counts occurrences per (timestep, signature), flat in
 	// one map.
 	type ordKey struct {
-		ts int
-		k  key
+		ts  int
+		sig int32
 	}
 	ordCount := map[ordKey]int{}
 	bySlot := map[key][]*graph.Node{}
 	var order []key
-	for _, n := range g.Nodes {
-		if n.UnrollTag == "" {
+	for i, n := range g.Nodes {
+		if sig[i] < 0 {
 			continue
 		}
-		k := key{tag: n.UnrollTag, op: n.Op, attrs: attrSig(n)}
-		ok := ordKey{ts: n.Timestep, k: k}
-		k.ordinal = ordCount[ok]
+		ok := ordKey{ts: n.Timestep, sig: sig[i]}
+		k := key{sig: sig[i], ordinal: ordCount[ok]}
 		ordCount[ok]++
 		if _, seen := bySlot[k]; !seen {
 			order = append(order, k)
@@ -304,17 +363,10 @@ func sameSignature(a, b *graph.Node) bool {
 	return a.Output.Shape.Equal(b.Output.Shape)
 }
 
-// attrSig buckets a node by its attribute signature (tdl.AttrsKey: inline
-// and allocation-free for the ≤ 4-attribute operators of the standard
-// library).
-func attrSig(n *graph.Node) tdl.AttrsKey {
-	return tdl.MakeAttrsKey(n.Attrs)
-}
-
 // buildGroups materializes groups from the node union-find, orders them by
 // earliest member node, slices each into slots, and computes variable
 // liveness (First/Last group references).
-func buildGroups(c *Coarse, g *graph.Graph, nuf *uf, slots [][]*graph.Node, descs []*tdl.OpDesc) error {
+func buildGroups(c *Coarse, g *graph.Graph, nuf *uf, slots [][]*graph.Node) {
 	members := make([][]*graph.Node, len(g.Nodes)) // union root -> members
 	for _, n := range g.Nodes {
 		r := nuf.find(n.ID)
@@ -369,7 +421,7 @@ func buildGroups(c *Coarse, g *graph.Graph, nuf *uf, slots [][]*graph.Node, desc
 		sort.Ints(slotOrder)
 		for _, id := range slotOrder {
 			s := bySlot[id]
-			s.Desc = descs[s.Ops[0].ID]
+			s.Desc = c.facts.desc[s.Ops[0].ID]
 			group.Slots = append(group.Slots, s)
 			for _, n := range s.Ops {
 				for _, in := range n.Inputs {
@@ -419,7 +471,6 @@ func buildGroups(c *Coarse, g *graph.Graph, nuf *uf, slots [][]*graph.Node, desc
 			}
 		}
 	}
-	return nil
 }
 
 // --- tiny union-find -------------------------------------------------------

@@ -1,6 +1,8 @@
 package coarsen
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"tofu/internal/graph"
@@ -277,4 +279,114 @@ func TestLivenessSlices(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCoarsenSubMatchesCoarsen: for every contiguous group interval of a
+// small instance of each benchmark family — the segments the pipeline search
+// extracts — CoarsenSub over the root graph's node facts builds exactly the
+// coarsening Coarsen builds from scratch: group order, slot membership and
+// descriptions, variable membership and IDs, First/Last, NewVars, LiveAfter.
+func TestCoarsenSubMatchesCoarsen(t *testing.T) {
+	cfgs := []models.Config{
+		{Family: "mlp", Depth: 4, Width: 64, Batch: 16},
+		{Family: "rnn", Depth: 2, Width: 64, Batch: 16},
+		{Family: "transformer", Depth: 1, Width: 64, Batch: 8},
+		{Family: "wresnet", Depth: 50, Width: 1, Batch: 4},
+	}
+	for _, cfg := range cfgs {
+		m, err := models.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := Coarsen(m.G)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groupOf := make([]int, len(m.G.Nodes))
+		for gi, grp := range root.Groups {
+			for _, s := range grp.Slots {
+				for _, n := range s.Ops {
+					groupOf[n.ID] = gi
+				}
+			}
+		}
+		L := len(root.Groups)
+		// Every interval of the small graphs; the smallest WResNet still has
+		// 283 groups (40k intervals), so it is sampled on a grid — which
+		// keeps the whole graph, lo == 0 && hi == L.
+		stride := max(1, L/24)
+		for lo := 0; lo < L; lo += stride {
+			for hi := L; hi > lo; hi -= stride {
+				sub, err := m.G.Subgraph(func(n *graph.Node) bool {
+					return groupOf[n.ID] >= lo && groupOf[n.ID] < hi
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Coarsen(sub.G)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := CoarsenSub(root, sub)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := diffCoarse(got, want); diff != "" {
+					t.Fatalf("%s groups [%d,%d): CoarsenSub differs from Coarsen: %s", cfg.Family, lo, hi, diff)
+				}
+				// A segment's coarsening carries facts of its own: coarsening
+				// an extraction of the extraction works the same way.
+				if lo == 0 && hi == L {
+					again, err := CoarsenSub(got, &graph.Subgraphed{G: sub.G, NodeID: identity(len(sub.G.Nodes))})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if diff := diffCoarse(again, want); diff != "" {
+						t.Fatalf("%s: CoarsenSub of a CoarsenSub result differs: %s", cfg.Family, diff)
+					}
+				}
+			}
+		}
+	}
+}
+
+// diffCoarse names the first difference between two coarsenings of one
+// graph ("" when there is none), comparing variables and operators by ID.
+func diffCoarse(a, b *Coarse) string {
+	if len(a.Vars) != len(b.Vars) || len(a.Groups) != len(b.Groups) {
+		return fmt.Sprintf("%d vars and %d groups vs %d and %d", len(a.Vars), len(a.Groups), len(b.Vars), len(b.Groups))
+	}
+	sameVars := func(x, y []*Var) bool {
+		return slices.EqualFunc(x, y, func(v, w *Var) bool { return v.ID == w.ID })
+	}
+	for i, v := range a.Vars {
+		w := b.Vars[i]
+		if v.ID != w.ID || !v.Shape.Equal(w.Shape) || v.HasWeight != w.HasWeight || v.First != w.First ||
+			v.Last != w.Last || !slices.Equal(v.Tensors, w.Tensors) {
+			return fmt.Sprintf("var %d: %v [%d,%d] vs %v [%d,%d]", i, v, v.First, v.Last, w, w.First, w.Last)
+		}
+	}
+	for i, g := range a.Groups {
+		h := b.Groups[i]
+		if g.ID != h.ID || !sameVars(g.Vars, h.Vars) || !sameVars(g.NewVars, h.NewVars) || !sameVars(g.LiveAfter, h.LiveAfter) {
+			return fmt.Sprintf("group %d: variable lists", i)
+		}
+		if !slices.EqualFunc(g.Slots, h.Slots, func(s, r *Slot) bool {
+			return s.Desc == r.Desc && slices.Equal(s.Ops, r.Ops)
+		}) {
+			return fmt.Sprintf("group %d: slots", i)
+		}
+	}
+	if !sameVars(a.varOf, b.varOf) {
+		return "tensor-to-variable map"
+	}
+	return ""
+}
+
+func identity(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
 }

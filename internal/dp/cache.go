@@ -1,7 +1,6 @@
 package dp
 
 import (
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -9,6 +8,7 @@ import (
 	"tofu/internal/graph"
 	"tofu/internal/partition"
 	"tofu/internal/shape"
+	"tofu/internal/tdl"
 )
 
 // PriceCache memoizes the priced strategy enumerations of operator slots.
@@ -21,15 +21,30 @@ import (
 // model (per-step strategy filters become cheap Restrict views of the full
 // enumeration), and even structurally identical slots of different models.
 //
+// The cache is a two-level memo. Above the priced enumerations it keeps the
+// finished dense slot tables (table.go) under the slot key extended by
+// everything else their contents depend on (slotEval.tableKey), so each
+// distinct table is filled once however many slots, factor steps, pipeline
+// segments, lower-bound queries or requests ask for it. Tables are immutable
+// once filled and a retained table is bit-identical to one filled on the
+// spot, so what the memo holds can change a search's speed, never its plan.
+//
 // The zero value is not usable; call NewPriceCache. A nil *PriceCache is a
 // valid "no caching" sentinel. All methods are safe for concurrent use.
 type PriceCache struct {
 	mu sync.Mutex
 	m  map[string]*cacheEntry
+	// tables is the second level; tableBytes the retained tables' footprint,
+	// held at or below tableBudget (tableMemoBytes; tests shrink it).
+	tables      map[string]*tableEntry
+	tableBytes  int64
+	tableBudget int64
 
 	// hits/misses count priced() lookups that found an existing entry vs
 	// ones that created it — the service's cross-request reuse metric.
-	hits, misses atomic.Int64
+	// tableHits/tableMisses count table() lookups the same way.
+	hits, misses           atomic.Int64
+	tableHits, tableMisses atomic.Int64
 }
 
 type cacheEntry struct {
@@ -38,9 +53,15 @@ type cacheEntry struct {
 	err    error
 }
 
+type tableEntry struct {
+	once sync.Once
+	t    *slotTable
+	err  error
+}
+
 // NewPriceCache returns an empty cache.
 func NewPriceCache() *PriceCache {
-	return &PriceCache{m: map[string]*cacheEntry{}}
+	return &PriceCache{m: map[string]*cacheEntry{}, tables: map[string]*tableEntry{}, tableBudget: tableMemoBytes}
 }
 
 // priced returns the cached full pricing for key, building it at most once
@@ -64,6 +85,49 @@ func (c *PriceCache) priced(key []byte, build func() (*partition.Priced, error))
 	}
 	e.once.Do(func() { e.priced, e.err = build() })
 	return e.priced, e.err
+}
+
+// table returns the dense table of size entries memoized under key, filling
+// it at most once (concurrent callers for the same key block on the first
+// fill). Past the byte budget a table is filled for the caller alone and
+// not retained. A nil receiver fills without caching.
+func (c *PriceCache) table(key []byte, size int, fill func() (*slotTable, error)) (*slotTable, error) {
+	if c == nil {
+		return fill()
+	}
+	c.mu.Lock()
+	e, ok := c.tables[string(key)] // no copy: only a retained miss keeps the key
+	if !ok {
+		if cost := tableEntryBytes + int64(len(key)) + 12*int64(size); c.tableBytes+cost <= c.tableBudget {
+			e = &tableEntry{}
+			c.tables[string(key)] = e
+			c.tableBytes += cost
+		}
+	}
+	c.mu.Unlock()
+	if ok {
+		c.tableHits.Add(1)
+	} else {
+		c.tableMisses.Add(1)
+	}
+	if e == nil {
+		return fill()
+	}
+	e.once.Do(func() { e.t, e.err = fill() })
+	return e.t, e.err
+}
+
+// TableStats reports how many dense-table lookups found a memoized table vs
+// filled one since the cache was created, and the bytes the retained tables
+// occupy.
+func (c *PriceCache) TableStats() (hits, misses, bytes int64) {
+	if c == nil {
+		return 0, 0, 0
+	}
+	c.mu.Lock()
+	bytes = c.tableBytes
+	c.mu.Unlock()
+	return c.tableHits.Load(), c.tableMisses.Load(), bytes
 }
 
 // Stats reports how many priced() lookups hit an existing entry vs built a
@@ -91,39 +155,47 @@ func (c *PriceCache) Len() int {
 // variant or recursive step they come from. Built with plain byte appends
 // into the caller's buffer — it runs once per slot per step, inside the
 // pooled evaluator build.
+//
+//tofu:hotpath runs once per slot per Solve/LowerBound; enforced by tofu-vet/hotalloc
 func slotKey(buf []byte, rep *graph.Node, k int64, dt shape.DType) []byte {
 	buf = append(buf[:0], rep.Op...)
-	if len(rep.Attrs) > 0 {
-		keys := make([]string, 0, len(rep.Attrs))
-		for a := range rep.Attrs {
-			keys = append(keys, a)
-		}
-		sort.Strings(keys)
-		for _, a := range keys {
+	// tdl.MakeAttrsKey sorts up to four attributes inline, without
+	// allocating; a larger set arrives pre-joined in Spill.
+	if ak := tdl.MakeAttrsKey(rep.Attrs); ak.Spill != "" {
+		buf = append(buf, ';')
+		buf = append(buf, ak.Spill[:len(ak.Spill)-1]...)
+	} else {
+		names := [4]string{ak.K0, ak.K1, ak.K2, ak.K3}
+		vals := [4]int64{ak.V0, ak.V1, ak.V2, ak.V3}
+		for i := 0; i < ak.N; i++ {
 			buf = append(buf, ';')
-			buf = append(buf, a...)
+			buf = append(buf, names[i]...)
 			buf = append(buf, '=')
-			buf = strconv.AppendInt(buf, rep.Attrs[a], 10)
+			buf = strconv.AppendInt(buf, vals[i], 10)
 		}
-	}
-	appendShape := func(s shape.Shape) {
-		buf = append(buf, '(')
-		for i := 0; i < s.Rank(); i++ {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = strconv.AppendInt(buf, s.Dim(i), 10)
-		}
-		buf = append(buf, ')')
 	}
 	for _, in := range rep.Inputs {
 		buf = append(buf, '|')
-		appendShape(in.Shape)
+		buf = appendShape(buf, in.Shape)
 	}
 	buf = append(buf, '>')
-	appendShape(rep.Output.Shape)
+	buf = appendShape(buf, rep.Output.Shape)
 	buf = append(buf, '@')
 	buf = strconv.AppendInt(buf, int64(dt), 10)
 	buf = append(buf, '/')
 	return strconv.AppendInt(buf, k, 10)
+}
+
+// appendShape appends "(d0,d1,...)".
+//
+//tofu:hotpath part of slotKey
+func appendShape(buf []byte, s shape.Shape) []byte {
+	buf = append(buf, '(')
+	for i := 0; i < s.Rank(); i++ {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, s.Dim(i), 10)
+	}
+	return append(buf, ')')
 }

@@ -1,0 +1,345 @@
+package dp
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+
+	"tofu/internal/graph"
+	"tofu/internal/models"
+	"tofu/internal/partition"
+	"tofu/internal/shape"
+	"tofu/internal/tdl"
+)
+
+// sameTable asserts two evaluators of one slot agree bit for bit on
+// everything the table memo shares.
+func sameTable(t *testing.T, name string, got, want *slotEval) {
+	t.Helper()
+	if len(got.priced.Strategies) != len(want.priced.Strategies) {
+		t.Fatalf("%s: %d strategies, fresh %d", name, len(got.priced.Strategies), len(want.priced.Strategies))
+	}
+	for i, st := range want.priced.Strategies {
+		if got.priced.Strategies[i] != st {
+			t.Fatalf("%s: strategy %d = %v, fresh %v", name, i, got.priced.Strategies[i], st)
+		}
+	}
+	if len(got.costT) != len(want.costT) || len(got.bestT) != len(want.bestT) {
+		t.Fatalf("%s: table sizes (%d, %d), fresh (%d, %d)",
+			name, len(got.costT), len(got.bestT), len(want.costT), len(want.bestT))
+	}
+	for ti := range want.costT {
+		if math.Float64bits(got.costT[ti]) != math.Float64bits(want.costT[ti]) || got.bestT[ti] != want.bestT[ti] {
+			t.Fatalf("%s: entry %d = (%d, %v), fresh (%d, %v)",
+				name, ti, got.bestT[ti], got.costT[ti], want.bestT[ti], want.costT[ti])
+		}
+	}
+	if math.Float64bits(got.minCost) != math.Float64bits(want.minCost) {
+		t.Fatalf("%s: minCost %v, fresh %v", name, got.minCost, want.minCost)
+	}
+}
+
+// TestTableMemoMatchesFresh walks every benchmark family down its factor
+// steps — solve, divide the shapes, solve again — and at each step builds
+// the slot evaluators without a cache and through one cache shared by the
+// whole walk. The two must agree bit for bit, every lookup must be counted,
+// and every filled table must back all the evaluators that asked for it:
+// distinct backing arrays == misses.
+func TestTableMemoMatchesFresh(t *testing.T) {
+	cases := []struct {
+		cfg     models.Config
+		factors []int64
+	}{
+		{models.Config{Family: "mlp", Depth: 3, Width: 96, Batch: 24}, []int64{3, 2, 2, 2}},
+		{models.Config{Family: "rnn", Depth: 2, Width: 96, Batch: 24}, []int64{3, 2, 2, 2}},
+		{models.Config{Family: "wresnet", Depth: 50, Width: 2, Batch: 16}, []int64{2, 2, 2}},
+		{models.Config{Family: "transformer", Depth: 2, Width: 96, Batch: 24}, []int64{3, 2, 2, 2}},
+	}
+	for _, tc := range cases {
+		cfg := tc.cfg
+		m, err := models.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewPriceCache()
+		arrays := map[*float64]bool{}
+		var hits, misses int64
+		p := problemFor(t, m, 0)
+		p.Parallelism = 2
+		for step, k := range tc.factors {
+			name := fmt.Sprintf("%s step %d (x%d)", cfg.Family, step+1, k)
+			p.K, p.Cache = k, nil
+			fresh, err := prepareSlotEvals(p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			p.Cache = cache
+			memo, err := prepareSlotEvals(p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			dense, filled := int64(0), int64(0)
+			for i, ev := range memo.ordered {
+				sameTable(t, fmt.Sprintf("%s slot %v", name, ev.slot.Rep()), ev, fresh.ordered[i])
+				if ev.costT == nil {
+					continue
+				}
+				dense++
+				if !arrays[&ev.costT[0]] {
+					arrays[&ev.costT[0]] = true
+					filled++
+				}
+			}
+			h, ms, bytes := cache.TableStats()
+			if h+ms-hits-misses != dense || ms-misses != filled {
+				t.Fatalf("%s: %d lookups filled %d tables; evaluators show %d and %d",
+					name, h+ms-hits-misses, ms-misses, dense, filled)
+			}
+			if bytes <= 0 || bytes > tableMemoBytes {
+				t.Fatalf("%s: %d resident table bytes", name, bytes)
+			}
+			hits, misses = h, ms
+
+			p.Cache = nil
+			res, err := Solve(p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for tid, dim := range res.TensorCut {
+				if dim < 0 {
+					continue
+				}
+				if err := p.Shapes[tid].SplitInPlace(dim, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if hits == 0 {
+			t.Errorf("%s: no table was ever shared", cfg.Family)
+		}
+	}
+}
+
+// matmulEval builds the evaluator of g's only matmul slot through cache.
+func matmulEval(t *testing.T, g *graph.Graph, cache *PriceCache, tweak func(*Problem)) *slotEval {
+	t.Helper()
+	p := graphProblem(t, g, 2)
+	p.Cache = cache
+	if tweak != nil {
+		tweak(p)
+	}
+	sl, err := prepareSlotEvals(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sl.ordered) != 1 || sl.ordered[0].slot.Rep().Op != "matmul" {
+		t.Fatalf("want one matmul slot, got %d slots", len(sl.ordered))
+	}
+	return sl.ordered[0]
+}
+
+// TestTableMemoKeySeparates: slots that share a pricing (equal slotKey) but
+// differ in any one other ingredient of a dense table must not share the
+// table — and each must still get exactly the table a cache-less build fills.
+func TestTableMemoKeySeparates(t *testing.T) {
+	const s = 12
+	// base is out = matmul(x, w), three distinct variables.
+	base := func() *graph.Graph {
+		g := graph.New()
+		g.Apply("matmul", nil, g.Input("x", shape.Of(s, s)), g.Input("w", shape.Of(s, s)))
+		return g
+	}
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		tweak func(*Problem)
+	}{
+		{"tie pattern f(x,x)", func() *graph.Graph {
+			g := graph.New()
+			x := g.Input("x", shape.Of(s, s))
+			g.Apply("matmul", nil, x, x)
+			return g
+		}(), nil},
+		{"alphabet: x's dim 0 exhausted by an earlier step", base(), func(p *Problem) {
+			p.Shapes[0] = shape.Of(3, s) // tensor 0 is x; 3 does not split 2 ways
+		}},
+		{"surviving strategies: no output reduction", base(), func(p *Problem) {
+			p.StrategyFilter = func(st partition.Strategy) bool { return st.Kind != partition.SplitReduce }
+		}},
+		{"multiplicity: two timesteps in one slot", func() *graph.Graph {
+			g := graph.New()
+			x0, x1 := g.Input("x0", shape.Of(s, s)), g.Input("x1", shape.Of(s, s))
+			w := g.Input("w", shape.Of(s, s))
+			for ts, x := range []*graph.Tensor{x0, x1} {
+				n := g.Apply("matmul", nil, x, w).Producer
+				n.UnrollTag, n.Timestep = "cell", ts
+			}
+			return g
+		}(), nil},
+	}
+	for _, tc := range cases {
+		cache := NewPriceCache()
+		ref := matmulEval(t, base(), cache, nil)
+		got := matmulEval(t, tc.g, cache, tc.tweak)
+		if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
+			t.Fatalf("%s: pricing hits/misses = %d/%d, want 1/1 (the case must differ from the base in the table key only)",
+				tc.name, hits, misses)
+		}
+		if hits, misses, _ := cache.TableStats(); hits != 0 || misses != 2 {
+			t.Fatalf("%s: table hits/misses = %d/%d, want 0/2", tc.name, hits, misses)
+		}
+		if &got.costT[0] == &ref.costT[0] {
+			t.Fatalf("%s: shares the base slot's table", tc.name)
+		}
+		sameTable(t, tc.name, got, matmulEval(t, tc.g, nil, tc.tweak))
+
+		// The positive control: the same slot, coarsened afresh, does share.
+		again := matmulEval(t, tc.g, cache, tc.tweak)
+		if hits, _, _ := cache.TableStats(); hits != 1 || &again.costT[0] != &got.costT[0] {
+			t.Fatalf("%s: an identical slot did not share its table (hits %d)", tc.name, hits)
+		}
+	}
+}
+
+// TestTableMemoBudget: past the byte budget tables are filled for their
+// evaluator alone — same contents, nothing retained, the budget never
+// exceeded — while tables retained earlier keep being shared.
+func TestTableMemoBudget(t *testing.T) {
+	m, err := models.Build(models.Config{Family: "transformer", Depth: 1, Width: 64, Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := problemFor(t, m, 2)
+	p.Parallelism = 1
+	fresh, err := prepareSlotEvals(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbounded := NewPriceCache()
+	p.Cache = unbounded
+	if _, err := prepareSlotEvals(p); err != nil {
+		t.Fatal(err)
+	}
+	_, distinct, full := unbounded.TableStats()
+
+	p.Cache = NewPriceCache()
+	p.Cache.tableBudget = full / 2
+	var h0, m0 int64
+	for round := 0; round < 2; round++ {
+		sl, err := prepareSlotEvals(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ev := range sl.ordered {
+			sameTable(t, fmt.Sprintf("round %d slot %v", round, ev.slot.Rep()), ev, fresh.ordered[i])
+		}
+		hits, misses, bytes := p.Cache.TableStats()
+		if bytes <= 0 || bytes > full/2 {
+			t.Fatalf("round %d: %d resident bytes under a budget of %d", round, bytes, full/2)
+		}
+		if round == 1 && (hits-h0 == 0 || misses-m0 == 0 || misses-m0 >= distinct) {
+			t.Fatalf("round 1: %d hits and %d fills of %d distinct tables: want the retained half shared and the rest refilled",
+				hits-h0, misses-m0, distinct)
+		}
+		h0, m0 = hits, misses
+	}
+}
+
+var registerWide8 sync.Once
+
+// TestTableMemoBypassedByLazySlots: a slot whose cross-product exceeds
+// tableLimit has no dense table, so it must not touch the table memo.
+func TestTableMemoBypassedByLazySlots(t *testing.T) {
+	const n = 8
+	registerWide8.Do(func() {
+		// out[a,b,c,d] = x0[b,a,c,d] + x1[a,b,c,d] + ... + x7[a,b,c,d]: the
+		// transposed access keeps it from being element-wise, so all nine
+		// tensors stay distinct variables.
+		a, b, c, d := tdl.Ax("a"), tdl.Ax("b"), tdl.Ax("c"), tdl.Ax("d")
+		bld := tdl.Describe("wide8_test")
+		var body tdl.Scalar = tdl.At("x0", b, a, c, d)
+		bld = bld.In("x0", 4)
+		for i := 1; i < n; i++ {
+			name := fmt.Sprintf("x%d", i)
+			bld = bld.In(name, 4)
+			body = tdl.Add(body, tdl.At(name, a, b, c, d))
+		}
+		tdl.Std.MustRegisterStatic(bld.Out(a, b, c, d).MustIs(body))
+		graph.RegisterInfo("wide8_test", graph.OpInfo{
+			InferShape: func(_ tdl.Attrs, in []shape.Shape) (shape.Shape, error) { return in[0].Clone(), nil },
+		})
+	})
+	g := graph.New()
+	ins := make([]*graph.Tensor, n)
+	for i := range ins {
+		ins[i] = g.Input(fmt.Sprintf("x%d", i), shape.Of(4, 4, 4, 4))
+	}
+	g.Apply("wide8_test", nil, ins...)
+
+	p := graphProblem(t, g, 2)
+	p.Cache = NewPriceCache()
+	sl, err := prepareSlotEvals(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := sl.ordered[0]
+	if len(ev.tvars) != n+1 || ev.costT != nil || ev.memo == nil {
+		t.Fatalf("want a lazily priced slot over %d variables, got %d (dense: %v)", n+1, len(ev.tvars), ev.costT != nil)
+	}
+	if _, misses := p.Cache.Stats(); misses != 1 {
+		t.Errorf("pricing misses = %d, want 1: the priced enumeration is still memoized", misses)
+	}
+	if hits, misses, bytes := p.Cache.TableStats(); hits != 0 || misses != 0 || bytes != 0 {
+		t.Errorf("table hits/misses/bytes = %d/%d/%d, want none", hits, misses, bytes)
+	}
+	if si, cost := ev.bestAt(0); si < 0 || math.IsInf(cost, 1) {
+		t.Errorf("lazy pricing returned (%d, %v)", si, cost)
+	}
+}
+
+// TestTableMemoConcurrent: solves racing on one PriceCache (run under -race)
+// return exactly what a serial, cache-less solve returns.
+func TestTableMemoConcurrent(t *testing.T) {
+	m, err := models.Build(models.Config{Family: "wresnet", Depth: 50, Width: 2, Batch: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := problemFor(t, m, 2)
+	serial.Parallelism = 1
+	want, err := Solve(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewPriceCache()
+	const workers = 8
+	got := make([]*Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		p := problemFor(t, m, 2)
+		p.Cache, p.Parallelism = cache, 2
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w], errs[w] = Solve(p)
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		sameSearch(t, fmt.Sprintf("goroutine %d", w), got[w], want)
+		for nid := range want.OpStrategy {
+			if got[w].OpStrategy[nid] != want.OpStrategy[nid] || got[w].OpComm[nid] != want.OpComm[nid] {
+				t.Fatalf("goroutine %d node %d: (%v, %v), serial (%v, %v)", w, nid,
+					got[w].OpStrategy[nid], got[w].OpComm[nid], want.OpStrategy[nid], want.OpComm[nid])
+			}
+		}
+	}
+	hits, misses, _ := cache.TableStats()
+	if hits == 0 || misses == 0 {
+		t.Errorf("table hits/misses = %d/%d: the solves did not share tables", hits, misses)
+	}
+}

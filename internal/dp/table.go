@@ -3,6 +3,7 @@ package dp
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 
 	"tofu/internal/coarsen"
@@ -14,6 +15,15 @@ import (
 // variables span a larger cross-product (which no benchmark model comes
 // near) price lazily through an integer-keyed memo instead.
 const tableLimit = 1 << 16
+
+// tableMemoBytes bounds the dense tables one PriceCache retains (12 bytes
+// per table entry plus key and bookkeeping). Past it a table is filled for
+// its evaluator alone, exactly as without a cache: retention decides who
+// pays for a table, never what is in it.
+const (
+	tableMemoBytes  = 16 << 20
+	tableEntryBytes = 256
+)
 
 // slotEval prices one slot under any variable assignment. The interval
 // analyses run once (cached across steps in PriceCache); on top of them the
@@ -42,7 +52,9 @@ type slotEval struct {
 
 	// costT/bestT are the dense tables: cost (pre-multiplied by the slot's
 	// timestep multiplicity) and best strategy index per digit
-	// cross-product. nil when the cross-product exceeds tableLimit.
+	// cross-product. nil when the cross-product exceeds tableLimit. They and
+	// priced are read-only: evaluators with equal table keys share them
+	// through PriceCache (see slotTable).
 	costT []float64
 	bestT []int32
 	// minCost is the cheapest entry of costT — the slot's contribution to
@@ -61,22 +73,34 @@ type slotBest struct {
 	cost float64
 }
 
+// slotTable is the finished, immutable payload of a dense evaluator: the
+// step's restricted pricing and the tables filled from it. PriceCache shares
+// one between every slot, step, segment and search whose table key agrees.
+type slotTable struct {
+	priced *partition.Priced
+	costT  []float64
+	bestT  []int32
+	// minCost is the cheapest entry of costT.
+	minCost float64
+}
+
 // evalScratch is the working memory one pool worker reuses across the slot
 // evaluators it builds; nothing in it outlives a newSlotEval call.
 type evalScratch struct {
 	curIn  []shape.Shape
 	inCuts []partition.Cut
+	keep   []bool
 	key    []byte
 }
 
 func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch) (*slotEval, error) {
 	rep := s.Rep()
-	ev := &slotEval{slot: s, mult: float64(len(s.Ops))}
+	ev := &slotEval{slot: s, mult: float64(len(s.Ops)), alphas: alphas}
 
 	nIn := len(rep.Inputs)
 	sc.curIn = grow(sc.curIn, nIn)
 	curIn := sc.curIn
-	// One array backs inVars and (in buildTable) tvars.
+	// One array backs inVars and (in layout) tvars.
 	ev.inVars = make([]*coarsen.Var, nIn, 2*nIn+1)
 	for i, in := range rep.Inputs {
 		curIn[i] = p.Shapes[in.ID]
@@ -98,7 +122,7 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch
 	// The full pricing (every strategy applicable at original shapes) is
 	// step-invariant, so it is memoized in the cache — the Spec only
 	// materializes on a miss; the per-step strategy filter and
-	// current-shape gate become a cheap Restrict view.
+	// current-shape gate become a mask over its strategies.
 	sc.key = slotKey(sc.key, rep, p.K, p.DType)
 	full, err := p.Cache.priced(sc.key, func() (*partition.Priced, error) {
 		origIn := make([]shape.Shape, len(rep.Inputs))
@@ -115,7 +139,7 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch
 	if err != nil {
 		return nil, fmt.Errorf("dp: pricing %v: %w", rep, err)
 	}
-	ev.priced, err = full.Restrict(func(st partition.Strategy) bool {
+	gate := func(st partition.Strategy) bool {
 		if p.StrategyFilter != nil && !p.StrategyFilter(st) {
 			return false
 		}
@@ -127,18 +151,35 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch
 			return false
 		}
 		return ext >= p.K && ext%p.K == 0
+	}
+	sc.keep = grow(sc.keep, len(full.Strategies))
+	for si, st := range full.Strategies {
+		sc.keep[si] = gate(st)
+	}
+	size := ev.layout()
+	if size > tableLimit {
+		// Oversized cross-product: no table to share, price lazily.
+		if ev.priced, err = full.Restrict(sc.keep); err != nil {
+			return nil, fmt.Errorf("dp: pricing %v: %w", rep, err)
+		}
+		ev.memo = map[int]slotBest{}
+		return ev, nil
+	}
+	sc.key = ev.tableKey(sc.key, sc.keep)
+	sc.inCuts = grow(sc.inCuts, nIn)
+	t, err := p.Cache.table(sc.key, size, func() (*slotTable, error) {
+		return ev.fill(full, sc.keep, size, sc.inCuts)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dp: pricing %v: %w", rep, err)
 	}
-	sc.inCuts = grow(sc.inCuts, nIn)
-	ev.buildTable(alphas, sc.inCuts)
+	ev.priced, ev.costT, ev.bestT, ev.minCost = t.priced, t.costT, t.bestT, t.minCost
 	return ev, nil
 }
 
-// buildTable lays out the touched-variable cross-product and fills the
-// dense cost/strategy tables. inCuts is caller scratch, one per input.
-func (ev *slotEval) buildTable(alphas []varAlpha, inCuts []partition.Cut) {
+// layout lays out the touched-variable cross-product — tvars, tstride,
+// inPos, outPos — and returns its size.
+func (ev *slotEval) layout() int {
 	// Distinct touched vars (inVars/outVar may repeat), kept ascending by
 	// ID — the per-slot sets are tiny, so linear scans beat maps. They live
 	// in the spare capacity newSlotEval left behind inVars.
@@ -164,7 +205,6 @@ func (ev *slotEval) buildTable(alphas []varAlpha, inCuts []partition.Cut) {
 	add(ev.outVar)
 	ev.inVars = ev.inVars[:nIn:nIn]
 	ev.tvars = tvars
-	ev.alphas = alphas
 	pos := func(v *coarsen.Var) int {
 		for j, t := range tvars {
 			if t == v {
@@ -183,23 +223,73 @@ func (ev *slotEval) buildTable(alphas []varAlpha, inCuts []partition.Cut) {
 	size := 1
 	for j := len(tvars) - 1; j >= 0; j-- {
 		ev.tstride[j] = size
-		size *= len(alphas[tvars[j].ID].dims)
+		size *= len(ev.alphas[tvars[j].ID].dims)
 	}
-	if size > tableLimit {
-		ev.memo = map[int]slotBest{}
-		return
-	}
-	ev.costT = make([]float64, size)
-	ev.bestT = make([]int32, size)
-	ev.minCost = math.Inf(1)
-	for ti := 0; ti < size; ti++ {
-		si, cost := ev.price(ti, inCuts)
-		ev.costT[ti] = cost
-		ev.bestT[ti] = si
-		if cost < ev.minCost {
-			ev.minCost = cost
+	return size
+}
+
+// tableKey extends key — the slot's structural signature (slotKey) — with
+// everything else a dense table's contents depend on: which strategies of
+// the full pricing survive this step's filter and current-shape gate, which
+// positions share a variable (inPos/outPos: f(x,x) and f(x,y) index their
+// tables differently), each touched variable's alphabet (the cut dimension
+// behind every digit) and the slot multiplicity the costs are pre-multiplied
+// by. Variable IDs, the step and the graph are deliberately absent: slots
+// that agree on the key fill bit-identical tables wherever they occur.
+//
+//tofu:hotpath runs once per slot per Solve/LowerBound; enforced by tofu-vet/hotalloc
+func (ev *slotEval) tableKey(key []byte, keep []bool) []byte {
+	key = append(key, '#')
+	for _, ok := range keep {
+		if ok {
+			key = append(key, '1')
+		} else {
+			key = append(key, '0')
 		}
 	}
+	key = append(key, '#')
+	for _, tp := range ev.inPos {
+		key = strconv.AppendInt(key, int64(tp), 10)
+		key = append(key, ',')
+	}
+	key = append(key, '>')
+	key = strconv.AppendInt(key, int64(ev.outPos), 10)
+	for _, v := range ev.tvars {
+		key = append(key, '|')
+		for _, d := range ev.alphas[v.ID].dims {
+			key = strconv.AppendInt(key, int64(d), 10)
+			key = append(key, ',')
+		}
+	}
+	key = append(key, '*')
+	return strconv.AppendInt(key, int64(len(ev.slot.Ops)), 10)
+}
+
+// fill restricts the full pricing to the surviving strategies and fills the
+// dense cost/strategy tables over the laid-out cross-product — the one table
+// filler, whether PriceCache retains the result or not. inCuts is caller
+// scratch, one per input.
+func (ev *slotEval) fill(full *partition.Priced, keep []bool, size int, inCuts []partition.Cut) (*slotTable, error) {
+	priced, err := full.Restrict(keep)
+	if err != nil {
+		return nil, err
+	}
+	ev.priced = priced // price() minimizes over it
+	t := &slotTable{
+		priced:  priced,
+		costT:   make([]float64, size),
+		bestT:   make([]int32, size),
+		minCost: math.Inf(1),
+	}
+	for ti := 0; ti < size; ti++ {
+		si, cost := ev.price(ti, inCuts)
+		t.costT[ti] = cost
+		t.bestT[ti] = si
+		if cost < t.minCost {
+			t.minCost = cost
+		}
+	}
+	return t, nil
 }
 
 // reusable reports whether this evaluator — built at an earlier recursive

@@ -38,10 +38,11 @@ type levelState struct {
 	// segs memoizes solved segments by [lo, hi) — the O(L²) core.
 	segs map[segKey]*segment
 
-	// floorScratch and bwScratch are reused by the hand-off floor — it runs
-	// at every tree node, and the search is serial.
-	floorScratch []float64
-	bwScratch    []float64
+	// xbAsc[b] lists the S-1 smallest crossings of xb[b+1:] and bwAsc[j] all
+	// of bw[j+1:], both ascending — the hand-off floor reads them at every
+	// tree node.
+	xbAsc [][]float64
+	bwAsc [][]float64
 
 	best     []int
 	bestCost float64
@@ -99,8 +100,28 @@ func (s *search) newLevelState(level int) (*levelState, error) {
 	for j := 1; j < ls.S; j++ {
 		ls.bw[j] = s.tp.LinkBandwidth(j*int(kSub)-1, j*int(kSub))
 	}
+	ls.buildHandoffFloors()
 	ls.buildLB1()
 	return ls, nil
+}
+
+// buildHandoffFloors sorts, once per level, every suffix the hand-off floor
+// can ask for: the candidate crossings after each position (only the S-1
+// smallest can ever be paired) and the bandwidths after each boundary.
+func (ls *levelState) buildHandoffFloors() {
+	L := len(ls.s.c.Groups)
+	ls.xbAsc = make([][]float64, L)
+	asc := make([]float64, 0, L)
+	for b := range ls.xbAsc {
+		asc = append(asc[:0], ls.s.xb[b+1:]...)
+		sort.Float64s(asc)
+		ls.xbAsc[b] = append([]float64(nil), asc[:min(len(asc), ls.S-1)]...)
+	}
+	ls.bwAsc = make([][]float64, ls.S)
+	for j := range ls.bwAsc {
+		ls.bwAsc[j] = append([]float64(nil), ls.bw[j+1:]...)
+		sort.Float64s(ls.bwAsc[j])
+	}
 }
 
 // buildLB1 computes the admissible per-group cost floor: for each coarsened
@@ -134,7 +155,7 @@ func (ls *levelState) groupFloor(g int) (float64, error) {
 	if err != nil {
 		return math.Inf(1), err
 	}
-	co, err := coarsen.Coarsen(sub.G)
+	co, err := coarsen.CoarsenSub(ls.s.c, sub)
 	if err != nil {
 		return math.Inf(1), fmt.Errorf("group %d: %w", g, err)
 	}
@@ -194,8 +215,18 @@ func (ls *levelState) segment(lo, hi int) *segment {
 	ssp.SetInt("lo", int64(lo))
 	ssp.SetInt("hi", int64(hi))
 	defer ssp.End()
+	csp := ssp.Child("coarsen")
+	co, err := coarsen.CoarsenSub(ls.s.c, sub)
+	if err == nil {
+		csp.SetInt("groups", int64(len(co.Groups)))
+	}
+	csp.End()
+	if err != nil {
+		sg.err = fmt.Errorf("groups [%d,%d) on %d GPUs: %w", lo, hi, ls.kSub, err)
+		return sg
+	}
 	var inner recursive.SearchStats
-	p, err := recursive.Partition(sub.G, ls.kSub, recursive.Options{
+	p, err := recursive.PartitionCoarse(co, ls.kSub, recursive.Options{
 		DType:       ls.s.opts.DType,
 		MaxStates:   ls.s.opts.MaxStates,
 		Parallelism: ls.s.opts.Parallelism,
@@ -232,32 +263,12 @@ func (ls *levelState) segment(lo, hi int) *segment {
 // candidates only lowers each term. Hence the floor never exceeds any
 // completion's true hand-off cost.
 func (ls *levelState) handoffFloor(b, j int) float64 {
-	r := ls.S - 1 - j
-	if r == 0 {
-		return 0
-	}
-	L := len(ls.s.c.Groups)
-	cand := ls.floorScratch[:0]
-	for p := b + 1; p < L; p++ {
-		cand = append(cand, ls.s.xb[p])
-	}
-	sort.Float64s(cand)
-	ls.floorScratch = cand
-	bws := ls.remainingBW(j)
+	cand, bws := ls.xbAsc[b], ls.bwAsc[j]
 	total := 0.0
-	for i := 0; i < r; i++ {
+	for i := 0; i < ls.S-1-j; i++ {
 		total += cand[i] / bws[i]
 	}
 	return total
-}
-
-// remainingBW returns bw[j+1..S-1] sorted ascending.
-func (ls *levelState) remainingBW(j int) []float64 {
-	out := ls.bwScratch[:0]
-	out = append(out, ls.bw[j+1:]...)
-	sort.Float64s(out)
-	ls.bwScratch = out
-	return out
 }
 
 // run seeds the incumbent with the balanced boundary set, then walks the

@@ -51,19 +51,20 @@ func Price(sp *Spec, k int64, filter func(Strategy) bool) (*Priced, error) {
 	return p, nil
 }
 
-// Restrict returns a view of p holding only the strategies keep accepts,
-// in the original enumeration order. The view shares the underlying region
-// analyses, so restricting a cached full pricing to one recursive step's
-// applicable strategies costs a few slice appends instead of re-running the
-// symbolic interval analysis (see dp.PriceCache).
-func (p *Priced) Restrict(keep func(Strategy) bool) (*Priced, error) {
+// Restrict returns a view of p holding only the strategies whose keep entry
+// is set (keep is indexed like p.Strategies), in the original enumeration
+// order. The view shares the underlying region analyses, so restricting a
+// cached full pricing to one recursive step's applicable strategies costs a
+// few slice appends instead of re-running the symbolic interval analysis
+// (see dp.PriceCache).
+func (p *Priced) Restrict(keep []bool) (*Priced, error) {
 	out := &Priced{
 		Spec: p.Spec, K: p.K, outBytes: p.outBytes,
 		Strategies: make([]Strategy, 0, len(p.Strategies)),
 		regions:    make([][][]Region, 0, len(p.Strategies)),
 	}
 	for si, s := range p.Strategies {
-		if keep != nil && !keep(s) {
+		if !keep[si] {
 			continue
 		}
 		out.Strategies = append(out.Strategies, s)

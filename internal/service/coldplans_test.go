@@ -1,0 +1,85 @@
+package service
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+
+	"tofu/internal/dp"
+)
+
+// coldPlans pins the plan JSON of the repository benchmark's twelve cold
+// cases (bench/workloads/cold-*.json) by sha256 — the list EXPERIMENTS.md has
+// carried unchanged since PR 12. Search-speed work must keep every byte.
+var coldPlans = []struct{ request, sha256 string }{
+	{`{"model":{"family":"wresnet","depth":50,"width":4,"batch":32}}`,
+		"c192214581df687ae6104a00376d970f97aa793d4bd74689211d0146172cc56a"},
+	{`{"model":{"family":"wresnet","depth":152,"width":10,"batch":8}}`,
+		"bb0bf6e846a64129d55a4a09e1ab9c1f7029a99ed900c61b4bd26043097f8dfd"},
+	{`{"model":{"family":"rnn","depth":10,"width":8192,"batch":128}}`,
+		"d18c9f0c959a5cbd481dc4f5c98d6a3bbc72bbee70013893d2ec882bf88c6965"},
+	{`{"model":{"family":"transformer","depth":4,"width":1024,"batch":16}}`,
+		"14a77c4b450838fcacf55adafe7ad13501db44dedbcb81cad0b4571a1b6de7d6"},
+	{`{"model":{"family":"rnn","depth":2,"width":8192,"batch":256},"hw":"cluster-8x2x8"}`,
+		"de4a646d28805a03a8eab55f66190b59c06d74a6e7a37864263705700beebb3f"},
+	{`{"model":{"family":"transformer","depth":2,"width":1536,"batch":24},"hw":"cluster-2x4x2x12"}`,
+		"3fa2106f2d917b4213d3048a4f239f59dc0519af6bab9a833effdd080c96e305"},
+	{`{"model":{"family":"transformer","depth":2,"width":1024,"batch":64},"hw":"cluster-4x2x8"}`,
+		"d3a7fe5641a3fe3335872f3fa4f04d213ca9cb42b792b01f587f36fe1d0a849d"},
+	{`{"model":{"family":"mlp","depth":3,"width":3072,"batch":48},"hw":"cluster-2x8x2x8"}`,
+		"0108016645574464d1d667efa67cb712a168b140c82d8971cb3976657fae9639"},
+	{`{"model":{"family":"mlp","depth":4,"width":384,"batch":48},"hw":"cluster-2x4x2x12","pipeline":{}}`,
+		"60c5514ee6a01e712ab647f9f78d85f2c3570fe4d96bbd4ab436cbd15c298339"},
+	{`{"model":{"family":"mlp","depth":8,"width":256,"batch":64},"hw":"cluster-4x2x8","pipeline":{}}`,
+		"4aed1f0b11cecf8dfa17395575655f82bbb3673a8f6f477c8b94d4de7e957ee2"},
+	{`{"model":{"family":"rnn","depth":2,"width":1024,"batch":64},"hw":"cluster-4x2x8","pipeline":{}}`,
+		"a2f71d971d1fe2f8bdf30b6772e8abb3301fb8b4f33160ad6c5aecfbe1e3c11d"},
+	{`{"model":{"family":"transformer","depth":2,"width":1024,"batch":64},"hw":"cluster-2x8","pipeline":{}}`,
+		"54f278dde10a3ff14bbf2843219660b117f9f06eaec03d389139a35f3002f701"},
+}
+
+// TestColdPlansPinned plans the twelve cold cases at search parallelism 1, 2
+// and 8 (1 only under -short) and checks each plan's sha256. With -v it also
+// logs how much of the slot-table work each case shares (EXPERIMENTS.md,
+// "Slot-table memo").
+func TestColdPlansPinned(t *testing.T) {
+	pars := []int{1, 2, 8}
+	if testing.Short() {
+		pars = pars[:1]
+	}
+	for _, c := range coldPlans {
+		nr, err := ParseRequest([]byte(c.request))
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest, err := nr.digestNormalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range pars {
+			cache := dp.NewPriceCache()
+			val, err := computeWarm(nr, digest, par, cache, nil, nil, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", c.request, err)
+			}
+			sum := sha256.Sum256(val)
+			if got := hex.EncodeToString(sum[:]); got != c.sha256 {
+				t.Errorf("%s at parallelism %d: plan sha256 %s, pinned %s", c.request, par, got, c.sha256)
+			}
+			if par == 1 {
+				ph, pm := cache.Stats()
+				th, tm, tb := cache.TableStats()
+				t.Logf("%s: pricings %d hit / %d built; tables %d hit / %d filled (%s shared), %.2f MB resident",
+					c.request, ph, pm, th, tm, percent(th, th+tm), float64(tb)/1e6)
+			}
+		}
+	}
+}
+
+func percent(part, whole int64) string {
+	if whole == 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.1f %%", 100*float64(part)/float64(whole))
+}

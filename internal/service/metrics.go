@@ -154,13 +154,17 @@ type Snapshot struct {
 	SweepFailed    int64 `json:"sweep_failed"`
 	// Pricing* report the cross-request pricing-reuse layer: resident model
 	// buckets, per-slot pricing hits vs builds across all searches, and
-	// bucket-level model hits vs creations.
-	PricingModels    int   `json:"pricing_models"`
-	PricingModelCap  int   `json:"pricing_model_cap"`
-	PricingHits      int64 `json:"pricing_hits"`
-	PricingMisses    int64 `json:"pricing_misses"`
-	PricingModelHits int64 `json:"pricing_model_hits"`
-	PricingModelMiss int64 `json:"pricing_model_misses"`
+	// bucket-level model hits vs creations, and the dense slot-table memo's
+	// reuses vs fills with the bytes its resident tables occupy.
+	PricingModels     int   `json:"pricing_models"`
+	PricingModelCap   int   `json:"pricing_model_cap"`
+	PricingHits       int64 `json:"pricing_hits"`
+	PricingMisses     int64 `json:"pricing_misses"`
+	PricingModelHits  int64 `json:"pricing_model_hits"`
+	PricingModelMiss  int64 `json:"pricing_model_misses"`
+	PricingTableHits  int64 `json:"pricing_table_hits"`
+	PricingTableMiss  int64 `json:"pricing_table_misses"`
+	PricingTableBytes int64 `json:"pricing_table_bytes"`
 	// Search* report cumulative topology-aware ordering-search effort: the
 	// candidate orderings examined, branch-and-bound nodes expanded (search
 	// steps) and pruned, DP steps actually run, what a flat enumeration

@@ -25,10 +25,12 @@ type PricingCaches struct {
 	items map[string]*list.Element
 
 	// modelHits/modelMisses count For() lookups; retiredHits/retiredMisses
-	// accumulate the per-entry pricing counters of evicted buckets so the
-	// metrics survive eviction.
-	modelHits, modelMisses     int64
-	retiredHits, retiredMisses int64
+	// accumulate the per-entry pricing counters of evicted buckets — and
+	// retiredTableHits/retiredTableMisses their dense-table counters — so
+	// the metrics survive eviction.
+	modelHits, modelMisses               int64
+	retiredHits, retiredMisses           int64
+	retiredTableHits, retiredTableMisses int64
 }
 
 type pricingEntry struct {
@@ -82,6 +84,9 @@ func (p *PricingCaches) For(cfg models.Config) *dp.PriceCache {
 		h, m := e.cache.Stats()
 		p.retiredHits += h
 		p.retiredMisses += m
+		th, tm, _ := e.cache.TableStats()
+		p.retiredTableHits += th
+		p.retiredTableMisses += tm
 		delete(p.items, e.digest)
 	}
 	return cache
@@ -107,4 +112,21 @@ func (p *PricingCaches) PricingStats() (hits, misses, modelHits, modelMisses int
 		misses += m
 	}
 	return hits, misses, p.modelHits, p.modelMisses
+}
+
+// TableStats aggregates the dense slot-table memo counters the same way:
+// lookups that found a filled table vs ones that filled it, across all
+// resident buckets plus everything evicted so far, and the bytes the
+// resident buckets' tables occupy (an evicted bucket's tables are garbage).
+func (p *PricingCaches) TableStats() (hits, misses, bytes int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	hits, misses = p.retiredTableHits, p.retiredTableMisses
+	for el := p.order.Front(); el != nil; el = el.Next() {
+		h, m, b := el.Value.(*pricingEntry).cache.TableStats()
+		hits += h
+		misses += m
+		bytes += b
+	}
+	return hits, misses, bytes
 }

@@ -76,6 +76,10 @@ func TestPricingReuseAcrossRequests(t *testing.T) {
 	if m.PricingHits == 0 {
 		t.Error("pricing_hits = 0: warm requests re-priced every slot")
 	}
+	if m.PricingTableHits == 0 || m.PricingTableMiss == 0 || m.PricingTableBytes <= 0 {
+		t.Errorf("pricing_table hits/misses/bytes = %d/%d/%d: the searches filled and shared dense tables",
+			m.PricingTableHits, m.PricingTableMiss, m.PricingTableBytes)
+	}
 	if m.SearchOrderings == 0 {
 		t.Error("search_orderings = 0: the dgx1 request ran a topology-aware search")
 	}
@@ -108,5 +112,28 @@ func TestPricingCachesBounded(t *testing.T) {
 	_, _, hits, misses := p.PricingStats()
 	if hits != 1 || misses != 4 {
 		t.Errorf("model hits/misses = %d/%d, want 1/4", hits, misses)
+	}
+}
+
+// TestPricingCachesRetireTableStats: a bucket's dense-table counters join
+// the aggregate when it is evicted; its bytes leave with it.
+func TestPricingCachesRetireTableStats(t *testing.T) {
+	p := NewPricingCaches(1)
+	req := Request{Model: models.Config{Family: "mlp", Depth: 2, Width: 128, Batch: 32}, Workers: 4}
+	nr, err := req.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := computeWarm(nr, "", 1, p.For(nr.Model), nil, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses, bytes := p.TableStats()
+	if hits == 0 || misses == 0 || bytes <= 0 {
+		t.Fatalf("table hits/misses/bytes = %d/%d/%d after a search", hits, misses, bytes)
+	}
+	p.For(models.Config{Family: "mlp", Depth: 3, Width: 128, Batch: 32}) // evicts the searched bucket
+	h2, m2, b2 := p.TableStats()
+	if h2 != hits || m2 != misses || b2 != 0 {
+		t.Errorf("after eviction: table hits/misses/bytes = %d/%d/%d, want %d/%d/0", h2, m2, b2, hits, misses)
 	}
 }

@@ -59,6 +59,9 @@ func (s *Service) WritePrometheus(w io.Writer) error {
 	counter("tofu_pricing_misses_total", "Per-slot pricing cache builds across all searches.", snap.PricingMisses)
 	counter("tofu_pricing_model_hits_total", "Pricing bucket-level model hits.", snap.PricingModelHits)
 	counter("tofu_pricing_model_misses_total", "Pricing bucket-level model creations.", snap.PricingModelMiss)
+	counter("tofu_pricing_table_hits_total", "Dense slot-table memo reuses across all searches.", snap.PricingTableHits)
+	counter("tofu_pricing_table_misses_total", "Dense slot tables filled across all searches.", snap.PricingTableMiss)
+	gauge("tofu_pricing_table_bytes", "Bytes of dense slot tables resident in the pricing-reuse cache.", float64(snap.PricingTableBytes))
 
 	counter("tofu_search_orderings_total", "Candidate factor-to-level orderings examined.", snap.SearchOrderings)
 	counter("tofu_search_steps_total", "Branch-and-bound nodes expanded.", snap.SearchSteps)

@@ -758,6 +758,7 @@ func (s *Service) Draining() bool {
 func (s *Service) Metrics() Snapshot {
 	p50, p99 := s.metrics.percentiles()
 	ph, pm, mh, mm := s.pricing.PricingStats()
+	th, tm, tb := s.pricing.TableStats()
 	var st store.Stats
 	if s.cfg.Store != nil {
 		st = s.cfg.Store.Stats()
@@ -794,6 +795,9 @@ func (s *Service) Metrics() Snapshot {
 		PricingMisses:     pm,
 		PricingModelHits:  mh,
 		PricingModelMiss:  mm,
+		PricingTableHits:  th,
+		PricingTableMiss:  tm,
+		PricingTableBytes: tb,
 		SearchOrderings:   s.metrics.searchOrderings.Load(),
 		SearchSteps:       s.metrics.searchSteps.Load(),
 		SearchPruned:      s.metrics.searchPruned.Load(),
