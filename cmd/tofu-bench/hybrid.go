@@ -21,16 +21,21 @@ const hybridSolveFloor = 10
 
 // hybridCases are the gate profiles for the joint hybrid-parallelism
 // search. Both the -exp hybrid artifact and the bench-json short rows run
-// them; the dp-solve floor applies to both.
+// them; the dp-solve floor applies to both. A rowOnly case is a bench-json
+// row alone: the RNN's 2k-node segments make it the one row bound by segment
+// extraction and coarsening rather than by dp.Solve, which is what its
+// allocs/op gate watches; the artifact's exhaustive oracle skips it.
 var hybridCases = []struct {
-	prof  string
-	cfg   models.Config
-	level int // 0 = auto
-	gated bool
+	prof    string
+	cfg     models.Config
+	level   int // 0 = auto
+	gated   bool
+	rowOnly bool
 }{
-	{"cluster-2x8", models.Config{Family: "mlp", Depth: 4, Width: 256, Batch: 64}, 0, false},
-	{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 4, Width: 256, Batch: 64}, 0, true},
-	{"cluster-2x4x2x12", models.Config{Family: "mlp", Depth: 4, Width: 384, Batch: 48}, 2, true},
+	{"cluster-2x8", models.Config{Family: "mlp", Depth: 4, Width: 256, Batch: 64}, 0, false, false},
+	{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 4, Width: 256, Batch: 64}, 0, true, false},
+	{"cluster-2x4x2x12", models.Config{Family: "mlp", Depth: 4, Width: 384, Batch: 48}, 2, true, false},
+	{"cluster-4x2x8", models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}, 0, false, true},
 }
 
 // HybridRecord is one joint-search measurement: the branch-and-bound
@@ -69,6 +74,9 @@ func runHybridExperiment(outPath string) (string, error) {
 	var floors []string
 	var sb []byte
 	for _, c := range hybridCases {
+		if c.rowOnly {
+			continue
+		}
 		tp, err := topo.Profile(c.prof)
 		if err != nil {
 			return "", err

@@ -20,7 +20,8 @@ package coarsen
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"tofu/internal/graph"
 	"tofu/internal/shape"
@@ -65,6 +66,12 @@ type Slot struct {
 	// during coarsening (which describes every node anyway) so downstream
 	// passes skip the registry lookup.
 	Desc *tdl.OpDesc
+	// Sig is the representative operator's structural pricing signature —
+	// operator name, sorted attributes, original input and output shapes —
+	// interned once per root graph (see nodeFacts). Everything about the
+	// operator that a pricing depends on is in it; dp.PriceCache keys its
+	// memos by it.
+	Sig string
 }
 
 // Rep returns the representative operator.
@@ -93,6 +100,12 @@ type Group struct {
 // Coarse is the coarsened view of a training graph. Vars is a dense index:
 // Vars[i].ID == i, so a variable's ID addresses per-variable side tables
 // (the DP's cut-dim alphabets and packed state digits) directly.
+//
+// A Coarse is built count-then-fill: every list it holds — variable members,
+// slot operators, the groups' slot and variable lists — is a window of one
+// exactly-sized slab per element type, and the variables, groups and slots
+// themselves sit in one slab each, so the number of allocations does not
+// depend on the size of the graph.
 type Coarse struct {
 	G      *graph.Graph
 	Vars   []*Var
@@ -104,44 +117,137 @@ type Coarse struct {
 }
 
 // nodeFacts is everything coarsening needs to know about the nodes of a
-// graph beyond its structure, dense by node ID.
+// graph beyond its structure. desc, cell and price are dense by node ID;
+// cellSig, nsig and prices are tables of the root graph the facts were first
+// computed for, shared unchanged by every extraction's facts.
 type nodeFacts struct {
 	// desc is each node's TDL description.
 	desc []*tdl.OpDesc
-	// sig interns each node's (UnrollTag, Op, attribute signature): nodes
-	// that may share a timestep slot have equal ids. -1 marks nodes outside
-	// any unrolled loop.
-	sig []int32
+	// cell interns each unrolled node's (Timestep, signature), where the
+	// signature is (UnrollTag, Op, attributes): nodes that may share a
+	// timestep slot have cells of equal signature, and the i-th node of a
+	// cell goes to the signature's i-th slot. -1 marks nodes outside any
+	// unrolled loop.
+	cell []int32
+	// price indexes prices with each node's structural pricing signature
+	// (appendPriceSig), which a Slot carries as Sig.
+	price []int32
+
+	// cellSig maps a cell to its signature id, dense in [0, nsig).
+	cellSig []int32
+	nsig    int
+	// prices holds each distinct pricing signature once.
+	prices []string
 }
 
 // describeNodes computes the node facts of a root graph: one registry
-// lookup and, for unrolled nodes, one signature interning per node.
+// lookup per node, and the interning of unroll cells and pricing signatures.
 func describeNodes(g *graph.Graph) (nodeFacts, error) {
 	type sigKey struct {
 		tag, op string
 		attrs   tdl.AttrsKey
 	}
-	f := nodeFacts{desc: make([]*tdl.OpDesc, len(g.Nodes)), sig: make([]int32, len(g.Nodes))}
-	ids := map[sigKey]int32{}
+	type cellKey struct {
+		sig int32
+		ts  int
+	}
+	n := len(g.Nodes)
+	ints := make([]int32, 2*n)
+	f := nodeFacts{desc: make([]*tdl.OpDesc, n), cell: ints[:n:n], price: ints[n:]}
+	sigs := map[sigKey]int32{}
+	cells := map[cellKey]int32{}
+	prices := map[string]int32{}
+	// lastOf[sig] is the last node priced under the signature, plus one:
+	// the timesteps of an unrolled operator repeat its shapes, so most
+	// nodes take their predecessor's pricing signature without building it.
+	var lastOf []int32
+	var buf []byte
 	for i, n := range g.Nodes {
 		d, err := g.Describe(n)
 		if err != nil {
 			return nodeFacts{}, fmt.Errorf("coarsen: %v: %w", n, err)
 		}
 		f.desc[i] = d
-		f.sig[i] = -1
-		if n.UnrollTag == "" {
-			continue
+		f.cell[i] = -1
+		ak := tdl.MakeAttrsKey(n.Attrs)
+		if n.UnrollTag != "" {
+			sk := sigKey{tag: n.UnrollTag, op: n.Op, attrs: ak}
+			sig, ok := sigs[sk]
+			if !ok {
+				sig = int32(len(sigs))
+				sigs[sk] = sig
+				lastOf = append(lastOf, 0)
+			}
+			ck := cellKey{sig: sig, ts: n.Timestep}
+			cell, ok := cells[ck]
+			if !ok {
+				cell = int32(len(cells))
+				cells[ck] = cell
+				f.cellSig = append(f.cellSig, sig)
+			}
+			f.cell[i] = cell
+			if j := lastOf[sig]; j > 0 && sameSignature(g.Nodes[j-1], n) {
+				f.price[i] = f.price[j-1]
+				continue
+			}
+			lastOf[sig] = int32(i + 1)
 		}
-		k := sigKey{tag: n.UnrollTag, op: n.Op, attrs: tdl.MakeAttrsKey(n.Attrs)}
-		id, ok := ids[k]
+		buf = appendPriceSig(buf[:0], n, ak)
+		id, ok := prices[string(buf)] // no copy: only a new signature keeps the key
 		if !ok {
-			id = int32(len(ids))
-			ids[k] = id
+			id = int32(len(f.prices))
+			f.prices = append(f.prices, string(buf))
+			prices[f.prices[id]] = id
 		}
-		f.sig[i] = id
+		f.price[i] = id
 	}
+	f.nsig = len(sigs)
 	return f, nil
+}
+
+// appendPriceSig appends a node's structural pricing signature: operator
+// name, attributes in sorted order, original input and output shapes. Two
+// operators with equal signatures price identically at any worker count and
+// dtype, whichever graph, model variant or recursive step they come from.
+//
+//tofu:hotpath once per distinct operator of a root graph; enforced by tofu-vet/hotalloc
+func appendPriceSig(buf []byte, n *graph.Node, ak tdl.AttrsKey) []byte {
+	buf = append(buf, n.Op...)
+	// tdl.MakeAttrsKey sorts up to four attributes inline, without
+	// allocating; a larger set arrives pre-joined in Spill.
+	if ak.Spill != "" {
+		buf = append(buf, ';')
+		buf = append(buf, ak.Spill[:len(ak.Spill)-1]...)
+	} else {
+		names := [4]string{ak.K0, ak.K1, ak.K2, ak.K3}
+		vals := [4]int64{ak.V0, ak.V1, ak.V2, ak.V3}
+		for i := 0; i < ak.N; i++ {
+			buf = append(buf, ';')
+			buf = append(buf, names[i]...)
+			buf = append(buf, '=')
+			buf = strconv.AppendInt(buf, vals[i], 10)
+		}
+	}
+	for _, in := range n.Inputs {
+		buf = append(buf, '|')
+		buf = appendShape(buf, in.Shape)
+	}
+	buf = append(buf, '>')
+	return appendShape(buf, n.Output.Shape)
+}
+
+// appendShape appends "(d0,d1,...)".
+//
+//tofu:hotpath part of appendPriceSig
+func appendShape(buf []byte, s shape.Shape) []byte {
+	buf = append(buf, '(')
+	for i := 0; i < s.Rank(); i++ {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, s.Dim(i), 10)
+	}
+	return append(buf, ')')
 }
 
 // VarOf returns the variable owning a tensor.
@@ -177,27 +283,40 @@ func Coarsen(g *graph.Graph) (*Coarse, error) {
 // CoarsenSub coarsens sub.G, an extraction of parent.G (graph.Subgraph), and
 // returns exactly what Coarsen(sub.G) would. It is the same algorithm; only
 // the node facts come from the parent's through sub.NodeID — a clone keeps
-// its original's operator, attributes and unroll tag — and the validation
-// Subgraph has just done is not repeated. The pipeline search coarsens
-// O(L²) overlapping segments of one graph this way.
+// its original's operator, attributes, shapes, unroll tag and timestep — and
+// the validation Subgraph has just done is not repeated. The pipeline search
+// coarsens O(L²) overlapping segments of one graph this way.
 func CoarsenSub(parent *Coarse, sub *graph.Subgraphed) (*Coarse, error) {
 	n := len(sub.NodeID)
-	facts := nodeFacts{desc: make([]*tdl.OpDesc, n), sig: make([]int32, n)}
-	for i, id := range sub.NodeID {
-		facts.desc[i] = parent.facts.desc[id]
-		facts.sig[i] = parent.facts.sig[id]
-	}
+	ints := make([]int32, 2*n)
+	facts := parent.facts // the root's tables, shared
+	facts.desc, facts.cell, facts.price = make([]*tdl.OpDesc, n), ints[:n:n], ints[n:]
+	copyFacts(&facts, &parent.facts, sub.NodeID)
 	return coarsen(sub.G, facts)
 }
 
-// coarsen is the coarsening algorithm over a valid graph and its node facts.
+// copyFacts fills dst's per-node facts from src's through the ID map.
+//
+//tofu:hotpath once per segment coarsening; enforced by tofu-vet/hotalloc
+func copyFacts(dst, src *nodeFacts, nodeID []int) {
+	for i, id := range nodeID {
+		dst.desc[i] = src.desc[id]
+		dst.cell[i] = src.cell[id]
+		dst.price[i] = src.price[id]
+	}
+}
+
+// coarsen is the coarsening algorithm over a valid graph (node and tensor
+// IDs are positions, producers precede consumers) and its node facts.
 func coarsen(g *graph.Graph, facts nodeFacts) (*Coarse, error) {
+	nT, nN := len(g.Tensors), len(g.Nodes)
+	parents := make([]int32, nT+nN)
 	// --- tensor variables: union-find over tensors --------------------
-	tuf := newUF(len(g.Tensors))
+	tuf := newUF(parents[:nT:nT])
 
 	// Element-wise coalescing: inputs and output of an element-wise op share
 	// a partition.
-	ewNode := make([]bool, len(g.Nodes))
+	ewNode := make([]bool, nN)
 	for i, n := range g.Nodes {
 		if !facts.desc[i].IsElementwise() {
 			continue
@@ -212,43 +331,27 @@ func coarsen(g *graph.Graph, facts nodeFacts) (*Coarse, error) {
 
 	// Timestep merging: structurally identical ops across timesteps share
 	// slots; their same-position tensors share variables.
-	slots := buildSlots(g, facts.sig)
-	for _, ops := range slots {
-		rep := ops[0]
-		for _, n := range ops[1:] {
-			for p := range n.Inputs {
-				if n.Inputs[p].Shape.Equal(rep.Inputs[p].Shape) {
-					tuf.union(n.Inputs[p].ID, rep.Inputs[p].ID)
-				}
-			}
-			tuf.union(n.Output.ID, rep.Output.ID)
+	leader := slotLeaders(g, &facts)
+	for i, n := range g.Nodes {
+		if int(leader[i]) == i {
+			continue
 		}
+		rep := g.Nodes[leader[i]]
+		for p := range n.Inputs {
+			if n.Inputs[p].Shape.Equal(rep.Inputs[p].Shape) {
+				tuf.union(n.Inputs[p].ID, rep.Inputs[p].ID)
+			}
+		}
+		tuf.union(n.Output.ID, rep.Output.ID)
 	}
 
-	// Materialize variables.
-	c := &Coarse{G: g, varOf: make([]*Var, len(g.Tensors)), facts: facts}
-	roots := make([]*Var, len(g.Tensors))
-	for _, t := range g.Tensors {
-		r := tuf.find(t.ID)
-		v := roots[r]
-		if v == nil {
-			v = &Var{ID: len(c.Vars), Shape: t.Shape}
-			roots[r] = v
-			c.Vars = append(c.Vars, v)
-		}
-		if !v.Shape.Equal(t.Shape) {
-			return nil, fmt.Errorf("coarsen: variable %v merged mismatched shapes %v vs %v (tensor %v)",
-				v, v.Shape, t.Shape, t)
-		}
-		v.Tensors = append(v.Tensors, t)
-		if t.Kind == graph.Weight {
-			v.HasWeight = true
-		}
-		c.varOf[t.ID] = v
+	c := &Coarse{G: g, facts: facts}
+	if err := buildVars(c, tuf); err != nil {
+		return nil, err
 	}
 
 	// --- operator groups: union-find over nodes -------------------------
-	nuf := newUF(len(g.Nodes))
+	nuf := newUF(parents[nT:])
 	// Backward ops join their forward op.
 	for _, n := range g.Nodes {
 		if n.FwdOf != nil {
@@ -267,9 +370,9 @@ func coarsen(g *graph.Graph, facts nodeFacts) (*Coarse, error) {
 		}
 	}
 	// Timestep slot members join.
-	for _, ops := range slots {
-		for _, n := range ops[1:] {
-			nuf.union(n.ID, ops[0].ID)
+	for i, l := range leader {
+		if int(l) != i {
+			nuf.union(i, int(l))
 		}
 	}
 	// Consecutive element-wise ops coalesce — but only forward operators
@@ -289,66 +392,65 @@ func coarsen(g *graph.Graph, facts nodeFacts) (*Coarse, error) {
 			if p == nil || len(in.Consumers) != 1 {
 				continue
 			}
-			if ewNode[indexOf(g, p)] && p.FwdOf == nil && !p.GradAgg {
+			if ewNode[p.ID] && p.FwdOf == nil && !p.GradAgg {
 				nuf.union(n.ID, p.ID)
 			}
 		}
 	}
 
-	buildGroups(c, g, nuf, slots)
+	buildGroups(c, nuf, leader)
 	return c, nil
 }
 
-func indexOf(g *graph.Graph, n *graph.Node) int { return n.ID }
-
-// buildSlots groups UnrollTag'd nodes into per-structural-position slots.
-// The slot key is (signature id — tag, op and attributes, see nodeFacts —
-// and ordinal among same-signature ops in the same timestep); instances
-// whose shapes disagree are left unmerged.
-func buildSlots(g *graph.Graph, sig []int32) [][]*graph.Node {
-	type key struct {
-		sig     int32
-		ordinal int
+// slotLeaders groups UnrollTag'd nodes into per-structural-position slots
+// and returns, dense by node ID, the first node of each node's slot (the
+// node itself outside any slot, and for a slot of one). The slot key is
+// (signature id — tag, op and attributes, see nodeFacts — and ordinal among
+// same-signature ops in the same timestep, which is the node's rank within
+// its cell); instances whose shapes disagree with the slot's first node are
+// left unmerged.
+//
+//tofu:hotpath once per coarsening; enforced by tofu-vet/hotalloc
+func slotLeaders(g *graph.Graph, f *nodeFacts) []int32 {
+	nN := len(g.Nodes)
+	unrolled := 0
+	for _, c := range f.cell {
+		if c >= 0 {
+			unrolled++
+		}
 	}
-	// ordCount disambiguates several same-signature ops inside one
-	// timestep: it counts occurrences per (timestep, signature), flat in
-	// one map.
-	type ordKey struct {
-		ts  int
-		sig int32
+	// One slab: the result, then the working tables. start[s] is where
+	// signature s's slots begin in first (a signature has at most as many
+	// slots as nodes); rank[c] counts cell c's nodes seen so far; first[k]
+	// is slot k's first node, plus one.
+	ints := make([]int32, nN+f.nsig+1+len(f.cellSig)+unrolled)
+	leader, ints := ints[:nN:nN], ints[nN:]
+	start, ints := ints[:f.nsig+1], ints[f.nsig+1:]
+	rank, first := ints[:len(f.cellSig)], ints[len(f.cellSig):]
+	for _, c := range f.cell {
+		if c >= 0 {
+			start[f.cellSig[c]+1]++
+		}
 	}
-	ordCount := map[ordKey]int{}
-	bySlot := map[key][]*graph.Node{}
-	var order []key
+	for s := 0; s < f.nsig; s++ {
+		start[s+1] += start[s]
+	}
 	for i, n := range g.Nodes {
-		if sig[i] < 0 {
+		leader[i] = int32(i)
+		c := f.cell[i]
+		if c < 0 {
 			continue
 		}
-		ok := ordKey{ts: n.Timestep, sig: sig[i]}
-		k := key{sig: sig[i], ordinal: ordCount[ok]}
-		ordCount[ok]++
-		if _, seen := bySlot[k]; !seen {
-			order = append(order, k)
+		k := start[f.cellSig[c]] + rank[c]
+		rank[c]++
+		if first[k] == 0 {
+			first[k] = int32(i) + 1
+		} else if rep := first[k] - 1; sameSignature(g.Nodes[rep], n) {
+			// Keep only shape-consistent instances merged.
+			leader[i] = rep
 		}
-		bySlot[k] = append(bySlot[k], n)
 	}
-
-	var out [][]*graph.Node
-	for _, k := range order {
-		ops := bySlot[k]
-		// Keep only shape-consistent instances merged; demote stragglers.
-		rep := ops[0]
-		var merged []*graph.Node
-		for _, n := range ops {
-			if sameSignature(rep, n) {
-				merged = append(merged, n)
-			} else {
-				out = append(out, []*graph.Node{n})
-			}
-		}
-		out = append(out, merged)
-	}
-	return out
+	return leader
 }
 
 func sameSignature(a, b *graph.Node) bool {
@@ -363,139 +465,259 @@ func sameSignature(a, b *graph.Node) bool {
 	return a.Output.Shape.Equal(b.Output.Shape)
 }
 
-// buildGroups materializes groups from the node union-find, orders them by
-// earliest member node, slices each into slots, and computes variable
-// liveness (First/Last group references).
-func buildGroups(c *Coarse, g *graph.Graph, nuf *uf, slots [][]*graph.Node) {
-	members := make([][]*graph.Node, len(g.Nodes)) // union root -> members
-	for _, n := range g.Nodes {
-		r := nuf.find(n.ID)
-		members[r] = append(members[r], n)
-	}
-	// Order groups by their earliest node ID: forward topological order.
-	type gp struct {
-		min int
-		ns  []*graph.Node
-	}
-	var gps []gp
-	for _, ns := range members {
-		if ns == nil {
-			continue
+// buildVars materializes the variables from the tensor union-find, numbered
+// by their first member tensor: one pass counts the classes and their sizes,
+// the next fills one slab of variables and one of member lists.
+func buildVars(c *Coarse, tuf uf) error {
+	g := c.G
+	nT := len(g.Tensors)
+	// varOfRoot[r] is the variable of the class rooted at tensor r, plus
+	// one; size[v] variable v's member count.
+	ints := make([]int32, 2*nT)
+	varOfRoot, size := ints[:nT], ints[nT:]
+	nVars := 0
+	for _, t := range g.Tensors {
+		r := tuf.find(t.ID)
+		if varOfRoot[r] == 0 {
+			nVars++
+			varOfRoot[r] = int32(nVars)
 		}
-		min := ns[0].ID
-		for _, n := range ns {
-			if n.ID < min {
-				min = n.ID
-			}
-		}
-		gps = append(gps, gp{min: min, ns: ns})
+		size[varOfRoot[r]-1]++
 	}
-	sort.Slice(gps, func(i, j int) bool { return gps[i].min < gps[j].min })
+	vars := make([]Var, nVars)
+	members := make([]*graph.Tensor, nT)
+	ptrs := make([]*Var, nVars+nT)
+	c.Vars, c.varOf = ptrs[:nVars:nVars], ptrs[nVars:]
+	if bad := fillVars(c, tuf, vars, members, varOfRoot, size); bad != nil {
+		v := c.varOf[bad.ID]
+		return fmt.Errorf("coarsen: variable %v merged mismatched shapes %v vs %v (tensor %v)",
+			v, v.Shape, bad.Shape, bad)
+	}
+	return nil
+}
 
-	// Slot membership lookup: node -> slot leader node.
-	slotLeader := make([]*graph.Node, len(g.Nodes))
-	for _, ops := range slots {
-		for _, n := range ops {
-			slotLeader[n.ID] = ops[0]
+// fillVars is buildVars' fill pass. It returns the first tensor whose shape
+// disagrees with its variable's, nil when there is none.
+//
+//tofu:hotpath once per coarsening; enforced by tofu-vet/hotalloc
+func fillVars(c *Coarse, tuf uf, vars []Var, members []*graph.Tensor, varOfRoot, size []int32) *graph.Tensor {
+	for i := range vars {
+		v := &vars[i]
+		v.ID, v.First, v.Last = i, -1, -1
+		v.Tensors, members = members[:0:size[i]], members[size[i]:]
+		c.Vars[i] = v
+	}
+	for _, t := range c.G.Tensors {
+		v := &vars[varOfRoot[tuf.find(t.ID)]-1]
+		c.varOf[t.ID] = v
+		if len(v.Tensors) == 0 {
+			v.Shape = t.Shape
+		} else if !v.Shape.Equal(t.Shape) {
+			return t
 		}
+		v.Tensors = append(v.Tensors, t)
+		if t.Kind == graph.Weight {
+			v.HasWeight = true
+		}
+	}
+	return nil
+}
+
+// buildGroups materializes groups from the node union-find, ordered by
+// earliest member node, slices each into slots ordered by their first node,
+// and computes variable liveness (First/Last group references). Nodes are
+// visited in ID order throughout, so a group or slot is met first at its
+// earliest member and lists fill in ID order with nothing to sort.
+func buildGroups(c *Coarse, nuf uf, leader []int32) {
+	g := c.G
+	nN := len(g.Nodes)
+	// groupOfRoot[r] is the group of the class rooted at node r, plus one;
+	// groupOf[i] node i's group; slots[gi] group gi's slot count; ops[l]
+	// the operator count and slotOf[l] the index of the slot led by node l.
+	ints := make([]int32, 5*nN)
+	groupOfRoot, groupOf, slots, ops, slotOf := ints[:nN], ints[nN:2*nN], ints[2*nN:3*nN], ints[3*nN:4*nN], ints[4*nN:]
+	nGroups, nSlots := 0, 0
+	for i := range g.Nodes {
+		r := nuf.find(i)
+		if groupOfRoot[r] == 0 {
+			nGroups++
+			groupOfRoot[r] = int32(nGroups)
+		}
+		groupOf[i] = groupOfRoot[r] - 1
+		if int(leader[i]) == i {
+			slots[groupOf[i]]++
+			nSlots++
+		}
+		ops[leader[i]]++
 	}
 
-	seen := make([]int, len(c.Vars)) // var ID -> last group stamp + 1
-	for gi, grp := range gps {
-		group := &Group{ID: gi}
-		bySlot := map[int]*Slot{}
-		var slotOrder []int
-		for _, n := range grp.ns {
-			leader := n
-			if l := slotLeader[n.ID]; l != nil {
-				leader = l
-			}
-			s, ok := bySlot[leader.ID]
-			if !ok {
-				s = &Slot{}
-				bySlot[leader.ID] = s
-				slotOrder = append(slotOrder, leader.ID)
-			}
-			s.Ops = append(s.Ops, n)
-		}
-		sort.Ints(slotOrder)
-		for _, id := range slotOrder {
-			s := bySlot[id]
-			s.Desc = c.facts.desc[s.Ops[0].ID]
-			group.Slots = append(group.Slots, s)
-			for _, n := range s.Ops {
-				for _, in := range n.Inputs {
-					v := c.varOf[in.ID]
-					if seen[v.ID] != gi+1 {
-						seen[v.ID] = gi + 1
-						group.Vars = append(group.Vars, v)
-					}
-				}
-				v := c.varOf[n.Output.ID]
-				if seen[v.ID] != gi+1 {
-					seen[v.ID] = gi + 1
-					group.Vars = append(group.Vars, v)
-				}
-			}
-		}
-		sort.Slice(group.Vars, func(i, j int) bool { return group.Vars[i].ID < group.Vars[j].ID })
-		c.Groups = append(c.Groups, group)
-	}
+	groups := make([]Group, nGroups)
+	c.Groups = make([]*Group, nGroups)
+	slotSlab := make([]Slot, nSlots)
+	slotPtrs := make([]*Slot, nSlots)
+	opSlab := make([]*graph.Node, nN)
+	fillGroups(c, groups, slotSlab, slotPtrs, opSlab, leader, groupOf, slots, ops, slotOf)
 
-	// Variable liveness across the group order.
-	for _, v := range c.Vars {
-		v.First, v.Last = -1, -1
-	}
-	for gi, grp := range c.Groups {
-		for _, v := range grp.Vars {
-			if v.First < 0 {
-				v.First = gi
-			}
-			v.Last = gi
-		}
-	}
+	// Per-group variable lists. Count first: vars[gi] distinct variables
+	// touched (which also fixes every variable's First/Last), then how many
+	// start at each group and how many stay live across each boundary.
+	counts := make([]int32, len(c.Vars)+3*nGroups)
+	seen, counts := counts[:len(c.Vars)], counts[len(c.Vars):]
+	touched, fresh, live := counts[:nGroups], counts[nGroups:2*nGroups], counts[2*nGroups:]
+	total := countGroupVars(c, seen, touched, fresh, live)
 	// Variables never referenced by any op (dangling tensors) live nowhere;
 	// they are dropped from the DP by construction.
+	fillGroupVars(c, make([]*Var, total), seen, touched, fresh, live)
+}
 
-	// Dense per-group liveness slices (c.Vars is ID-ordered, so appends in
-	// Var order keep both slices sorted by ID).
+// fillGroups lays out the groups, their slots and the slots' operators.
+//
+//tofu:hotpath once per coarsening; enforced by tofu-vet/hotalloc
+func fillGroups(c *Coarse, groups []Group, slotSlab []Slot, slotPtrs []*Slot, opSlab []*graph.Node,
+	leader, groupOf, slots, ops, slotOf []int32) {
+
+	for gi := range groups {
+		grp := &groups[gi]
+		grp.ID = gi
+		grp.Slots, slotPtrs = slotPtrs[:0:slots[gi]], slotPtrs[slots[gi]:]
+		c.Groups[gi] = grp
+	}
+	next := 0
+	for i, n := range c.G.Nodes {
+		l := leader[i]
+		if int(l) == i {
+			s := &slotSlab[next]
+			slotOf[i] = int32(next)
+			next++
+			s.Ops, opSlab = opSlab[:0:ops[i]], opSlab[ops[i]:]
+			s.Desc = c.facts.desc[i]
+			s.Sig = c.facts.prices[c.facts.price[i]]
+			grp := &groups[groupOf[i]]
+			grp.Slots = append(grp.Slots, s)
+		}
+		s := &slotSlab[slotOf[l]]
+		s.Ops = append(s.Ops, n)
+	}
+}
+
+// countGroupVars stamps, group by group, the variables the group's
+// operators touch: touched[gi] counts them, the variables' First/Last are
+// set, and fresh[gi] / live[gi] count the variables starting at group gi /
+// live across the boundary after it. It returns the three lists' total
+// length over all groups.
+//
+//tofu:hotpath once per coarsening; enforced by tofu-vet/hotalloc
+func countGroupVars(c *Coarse, seen, touched, fresh, live []int32) int {
+	total := 0
 	for gi, grp := range c.Groups {
+		stamp := int32(gi + 1)
+		for _, s := range grp.Slots {
+			for _, n := range s.Ops {
+				for _, in := range n.Inputs {
+					touch(c.varOf[in.ID], gi, stamp, seen, touched)
+				}
+				touch(c.varOf[n.Output.ID], gi, stamp, seen, touched)
+			}
+		}
+		total += int(touched[gi])
+	}
+	for _, v := range c.Vars {
+		if v.First < 0 {
+			continue
+		}
+		fresh[v.First]++
+		for gi := v.First; gi < v.Last; gi++ {
+			live[gi]++
+		}
+		total += 1 + v.Last - v.First
+	}
+	return total
+}
+
+// touch records that group gi references v, once per group.
+//
+//tofu:hotpath part of countGroupVars
+func touch(v *Var, gi int, stamp int32, seen, touched []int32) {
+	if seen[v.ID] == stamp {
+		return
+	}
+	seen[v.ID] = stamp
+	touched[gi]++
+	if v.First < 0 {
+		v.First = gi
+	}
+	v.Last = gi
+}
+
+// fillGroupVars carves each group's Vars, NewVars and LiveAfter out of slab
+// by the counted sizes and fills them, all three sorted by variable ID.
+//
+//tofu:hotpath once per coarsening; enforced by tofu-vet/hotalloc
+func fillGroupVars(c *Coarse, slab []*Var, seen, touched, fresh, live []int32) {
+	base := int32(len(c.Groups))
+	for gi, grp := range c.Groups {
+		grp.Vars, slab = slab[:0:touched[gi]], slab[touched[gi]:]
+		grp.NewVars, slab = slab[:0:fresh[gi]], slab[fresh[gi]:]
+		grp.LiveAfter, slab = slab[:0:live[gi]], slab[live[gi]:]
+		stamp := base + int32(gi+1) // past every stamp of the count pass
+		for _, s := range grp.Slots {
+			for _, n := range s.Ops {
+				for _, in := range n.Inputs {
+					if v := c.varOf[in.ID]; seen[v.ID] != stamp {
+						seen[v.ID] = stamp
+						grp.Vars = append(grp.Vars, v)
+					}
+				}
+				if v := c.varOf[n.Output.ID]; seen[v.ID] != stamp {
+					seen[v.ID] = stamp
+					grp.Vars = append(grp.Vars, v)
+				}
+			}
+		}
+		slices.SortFunc(grp.Vars, byVarID)
 		for _, v := range grp.Vars {
 			if v.First == gi {
 				grp.NewVars = append(grp.NewVars, v)
 			}
 		}
-		for _, v := range c.Vars {
-			if v.First <= gi && v.Last > gi {
-				grp.LiveAfter = append(grp.LiveAfter, v)
-			}
+	}
+	// c.Vars is ID-ordered, so appending variable by variable keeps every
+	// LiveAfter sorted by ID.
+	for _, v := range c.Vars {
+		for gi := v.First; gi < v.Last; gi++ {
+			grp := c.Groups[gi]
+			grp.LiveAfter = append(grp.LiveAfter, v)
 		}
 	}
 }
 
+func byVarID(a, b *Var) int { return a.ID - b.ID }
+
 // --- tiny union-find -------------------------------------------------------
 
-type uf struct{ parent []int }
+// uf is a union-find over [0, len(parent)); newUF adopts the caller's
+// storage, so one coarsening allocates both of its forests at once.
+type uf struct{ parent []int32 }
 
-func newUF(n int) *uf {
-	p := make([]int, n)
+func newUF(p []int32) uf {
 	for i := range p {
-		p[i] = i
+		p[i] = int32(i)
 	}
-	return &uf{parent: p}
+	return uf{parent: p}
 }
 
-func (u *uf) find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
+func (u uf) find(x int) int {
+	i := int32(x)
+	for u.parent[i] != i {
+		u.parent[i] = u.parent[u.parent[i]]
+		i = u.parent[i]
 	}
-	return x
+	return int(i)
 }
 
-func (u *uf) union(a, b int) {
+func (u uf) union(a, b int) {
 	ra, rb := u.find(a), u.find(b)
 	if ra != rb {
-		u.parent[rb] = ra
+		u.parent[rb] = int32(ra)
 	}
 }

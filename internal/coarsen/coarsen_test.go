@@ -8,6 +8,7 @@ import (
 	"tofu/internal/graph"
 	"tofu/internal/models"
 	"tofu/internal/shape"
+	"tofu/internal/tdl"
 )
 
 func mlp(t *testing.T, layers int) *models.Model {
@@ -287,13 +288,7 @@ func TestLivenessSlices(t *testing.T) {
 // coarsening Coarsen builds from scratch: group order, slot membership and
 // descriptions, variable membership and IDs, First/Last, NewVars, LiveAfter.
 func TestCoarsenSubMatchesCoarsen(t *testing.T) {
-	cfgs := []models.Config{
-		{Family: "mlp", Depth: 4, Width: 64, Batch: 16},
-		{Family: "rnn", Depth: 2, Width: 64, Batch: 16},
-		{Family: "transformer", Depth: 1, Width: 64, Batch: 8},
-		{Family: "wresnet", Depth: 50, Width: 1, Batch: 4},
-	}
-	for _, cfg := range cfgs {
+	for _, cfg := range segmentModels {
 		m, err := models.Build(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -302,14 +297,7 @@ func TestCoarsenSubMatchesCoarsen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		groupOf := make([]int, len(m.G.Nodes))
-		for gi, grp := range root.Groups {
-			for _, s := range grp.Slots {
-				for _, n := range s.Ops {
-					groupOf[n.ID] = gi
-				}
-			}
-		}
+		groupOf := groupIndex(root)
 		L := len(root.Groups)
 		// Every interval of the small graphs; the smallest WResNet still has
 		// 283 groups (40k intervals), so it is sampled on a grid — which
@@ -334,6 +322,16 @@ func TestCoarsenSubMatchesCoarsen(t *testing.T) {
 				if diff := diffCoarse(got, want); diff != "" {
 					t.Fatalf("%s groups [%d,%d): CoarsenSub differs from Coarsen: %s", cfg.Family, lo, hi, diff)
 				}
+				// The pricing signature carried over from the root's facts
+				// is the one the extraction's own operator spells.
+				for _, g := range got.Groups {
+					for _, s := range g.Slots {
+						if derived := string(appendPriceSig(nil, s.Rep(), tdl.MakeAttrsKey(s.Rep().Attrs))); s.Sig != derived {
+							t.Fatalf("%s groups [%d,%d): slot %v carries signature %q, its operator spells %q",
+								cfg.Family, lo, hi, s.Rep(), s.Sig, derived)
+						}
+					}
+				}
 				// A segment's coarsening carries facts of its own: coarsening
 				// an extraction of the extraction works the same way.
 				if lo == 0 && hi == L {
@@ -350,9 +348,192 @@ func TestCoarsenSubMatchesCoarsen(t *testing.T) {
 	}
 }
 
+// TestCoarsenMatchesReference holds the count-then-fill coarsening to the
+// append-and-map builder it replaced (coarsen_oracle_test.go) on the whole
+// graph of each benchmark family and on a grid of its segments: the same
+// variables, groups, slots and orders, object for object.
+func TestCoarsenMatchesReference(t *testing.T) {
+	for _, cfg := range segmentModels {
+		m, err := models.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := Coarsen(m.G)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := coarsenReference(m.G)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := diffStructure(root, want); diff != "" {
+			t.Fatalf("%s: Coarsen differs from the reference: %s", cfg.Family, diff)
+		}
+		groupOf := groupIndex(root)
+		L := len(root.Groups)
+		stride := max(1, L/12)
+		for lo := 0; lo < L; lo += stride {
+			for hi := L; hi > lo; hi -= stride {
+				sub, err := m.G.Subgraph(func(n *graph.Node) bool {
+					return groupOf[n.ID] >= lo && groupOf[n.ID] < hi
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := CoarsenSub(root, sub)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := coarsenReference(sub.G)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := diffStructure(got, want); diff != "" {
+					t.Fatalf("%s groups [%d,%d): CoarsenSub differs from the reference: %s", cfg.Family, lo, hi, diff)
+				}
+			}
+		}
+	}
+
+	// Timestep instances whose shapes disagree stay unmerged, in both.
+	g := graph.New()
+	w := g.Weight("w", shape.Of(8, 8))
+	for ts, rows := range []int64{4, 4, 6, 4} {
+		x := g.Input(fmt.Sprintf("x%d", ts), shape.Of(rows, 8))
+		for i := 0; i < 2; i++ { // two same-signature ops per timestep: ordinals 0 and 1
+			y := g.Apply("matmul", nil, x, w)
+			y.Producer.UnrollTag, y.Producer.Timestep = "cell", ts
+		}
+	}
+	got, err := Coarsen(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := coarsenReference(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := diffStructure(got, want); diff != "" {
+		t.Fatalf("straggler graph: Coarsen differs from the reference: %s", diff)
+	}
+	merged := 0
+	for _, grp := range got.Groups {
+		for _, s := range grp.Slots {
+			merged = max(merged, len(s.Ops))
+		}
+	}
+	if merged != 3 {
+		t.Fatalf("straggler graph: largest slot has %d operators, want the 3 shape-consistent timesteps", merged)
+	}
+}
+
+// segmentModels are small instances of the four benchmark families — the
+// graphs whose contiguous group intervals the pipeline search coarsens.
+var segmentModels = []models.Config{
+	{Family: "mlp", Depth: 4, Width: 64, Batch: 16},
+	{Family: "rnn", Depth: 2, Width: 64, Batch: 16},
+	{Family: "transformer", Depth: 1, Width: 64, Batch: 8},
+	{Family: "wresnet", Depth: 50, Width: 1, Batch: 4},
+}
+
+// groupIndex maps each node of c.G to its group.
+func groupIndex(c *Coarse) []int {
+	groupOf := make([]int, len(c.G.Nodes))
+	for gi, grp := range c.Groups {
+		for _, s := range grp.Slots {
+			for _, n := range s.Ops {
+				groupOf[n.ID] = gi
+			}
+		}
+	}
+	return groupOf
+}
+
+// TestCoarsenSubAllocsBounded is the segment coarsening's allocation
+// ceiling, a + b·groups with b = 0: a constant number of slabs whatever the
+// segment holds (18 today), where the append-and-map builder allocated
+// several objects per group, slot and variable (7523 on the whole WResNet).
+func TestCoarsenSubAllocsBounded(t *testing.T) {
+	const ceiling = 20
+	for _, cfg := range segmentModels {
+		m, err := models.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := Coarsen(m.G)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groupOf := groupIndex(root)
+		L := len(root.Groups)
+		for _, hi := range []int{1, L / 2, L} {
+			sub, err := m.G.Subgraph(func(n *graph.Node) bool { return groupOf[n.ID] < hi })
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := CoarsenSub(root, sub); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > ceiling {
+				t.Errorf("%s groups [0,%d): %v allocations, ceiling %d", cfg.Family, hi, allocs, ceiling)
+			}
+		}
+	}
+}
+
+// BenchmarkCoarsenSub coarsens the middle half of each family's groups — a
+// typical pipeline segment — from the root's node facts. Run with -benchmem.
+func BenchmarkCoarsenSub(b *testing.B) {
+	for _, cfg := range []models.Config{
+		{Family: "mlp", Depth: 8, Width: 256, Batch: 64},
+		{Family: "rnn", Depth: 2, Width: 1024, Batch: 64},
+		{Family: "transformer", Depth: 2, Width: 1024, Batch: 64},
+	} {
+		m, err := models.Build(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		root, err := Coarsen(m.G)
+		if err != nil {
+			b.Fatal(err)
+		}
+		groupOf := groupIndex(root)
+		L := len(root.Groups)
+		sub, err := m.G.Subgraph(func(n *graph.Node) bool { return groupOf[n.ID] >= L/4 && groupOf[n.ID] < 3*L/4 })
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(cfg.Family, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := CoarsenSub(root, sub); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // diffCoarse names the first difference between two coarsenings of one
-// graph ("" when there is none), comparing variables and operators by ID.
+// graph ("" when there is none), comparing variables and operators by ID and
+// the slots' carried descriptions and pricing signatures.
 func diffCoarse(a, b *Coarse) string {
+	if diff := diffStructure(a, b); diff != "" {
+		return diff
+	}
+	for i, g := range a.Groups {
+		if !slices.EqualFunc(g.Slots, b.Groups[i].Slots, func(s, r *Slot) bool { return s.Sig == r.Sig }) {
+			return fmt.Sprintf("group %d: slot pricing signatures", i)
+		}
+	}
+	return ""
+}
+
+// diffStructure is diffCoarse without the pricing signatures, which the
+// reference coarsening does not carry.
+func diffStructure(a, b *Coarse) string {
 	if len(a.Vars) != len(b.Vars) || len(a.Groups) != len(b.Groups) {
 		return fmt.Sprintf("%d vars and %d groups vs %d and %d", len(a.Vars), len(a.Groups), len(b.Vars), len(b.Groups))
 	}

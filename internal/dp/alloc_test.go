@@ -1,0 +1,61 @@
+package dp
+
+import (
+	"testing"
+
+	"tofu/internal/models"
+)
+
+// TestPrepareSlotEvalsAllocs is the evaluator builder's allocation ceiling.
+// A warm call under EvalReuse keeps every evaluator and allocates none — no
+// evaluator slab, no variable or index lists, whatever the slot count — and
+// a call that rebuilds every evaluator from a warm PriceCache allocates its
+// three slabs and its scratch once, not per slot (the builder it replaced
+// allocated three objects per slot either way).
+func TestPrepareSlotEvalsAllocs(t *testing.T) {
+	const (
+		warmCeiling    = 12 // alphabets (3), slot list, slotSet, ordered, byGroup, chunk ranges and errors, the worker closure and its shape scratch
+		rebuildCeiling = 18 // the above, three slabs, three more scratch buffers
+	)
+	for _, cfg := range []models.Config{
+		{Family: "mlp", Depth: 4, Width: 64, Batch: 16},
+		{Family: "rnn", Depth: 2, Width: 64, Batch: 16},
+		{Family: "wresnet", Depth: 50, Width: 1, Batch: 4},
+	} {
+		m, err := models.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := problemFor(t, m, 2)
+		p.Parallelism = 1
+		p.Cache = NewPriceCache()
+		p.Reuse = &EvalReuse{}
+		first, err := prepareSlotEvals(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := testing.AllocsPerRun(10, func() {
+			if _, err := prepareSlotEvals(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for i, ev := range p.Reuse.set.ordered {
+			if ev != first.ordered[i] {
+				t.Fatalf("%s: slot %d was rebuilt on a warm call", cfg, i)
+			}
+		}
+		if warm > warmCeiling {
+			t.Errorf("%s (%d slots): warm prepareSlotEvals allocates %v objects, ceiling %d", cfg, len(first.ordered), warm, warmCeiling)
+		}
+		p.Reuse = nil
+		rebuild := testing.AllocsPerRun(10, func() {
+			if _, err := prepareSlotEvals(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if rebuild > rebuildCeiling {
+			t.Errorf("%s (%d slots): rebuilding every evaluator allocates %v objects, ceiling %d", cfg, len(first.ordered), rebuild, rebuildCeiling)
+		}
+		t.Logf("%s: %d slots, warm %v, rebuild %v", cfg, len(first.ordered), warm, rebuild)
+	}
+}

@@ -5,10 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tofu/internal/graph"
 	"tofu/internal/partition"
 	"tofu/internal/shape"
-	"tofu/internal/tdl"
 )
 
 // PriceCache memoizes the priced strategy enumerations of operator slots.
@@ -149,53 +147,19 @@ func (c *PriceCache) Len() int {
 	return len(c.m)
 }
 
-// slotKey is the structural signature a pricing is memoized under: operator
-// name, sorted attributes, original input/output shapes, dtype and K. Two
-// slots with equal keys price identically regardless of which graph, model
-// variant or recursive step they come from. Built with plain byte appends
-// into the caller's buffer — it runs once per slot per step, inside the
-// pooled evaluator build.
+// slotKey is the key a pricing is memoized under: the slot's structural
+// signature (operator name, sorted attributes, original input/output shapes —
+// coarsening interns it per root graph and every slot carries it), dtype and
+// K. Two slots with equal keys price identically regardless of which graph,
+// model variant or recursive step they come from. Built with plain byte
+// appends into the caller's buffer — it runs once per slot per step, inside
+// the pooled evaluator build.
 //
 //tofu:hotpath runs once per slot per Solve/LowerBound; enforced by tofu-vet/hotalloc
-func slotKey(buf []byte, rep *graph.Node, k int64, dt shape.DType) []byte {
-	buf = append(buf[:0], rep.Op...)
-	// tdl.MakeAttrsKey sorts up to four attributes inline, without
-	// allocating; a larger set arrives pre-joined in Spill.
-	if ak := tdl.MakeAttrsKey(rep.Attrs); ak.Spill != "" {
-		buf = append(buf, ';')
-		buf = append(buf, ak.Spill[:len(ak.Spill)-1]...)
-	} else {
-		names := [4]string{ak.K0, ak.K1, ak.K2, ak.K3}
-		vals := [4]int64{ak.V0, ak.V1, ak.V2, ak.V3}
-		for i := 0; i < ak.N; i++ {
-			buf = append(buf, ';')
-			buf = append(buf, names[i]...)
-			buf = append(buf, '=')
-			buf = strconv.AppendInt(buf, vals[i], 10)
-		}
-	}
-	for _, in := range rep.Inputs {
-		buf = append(buf, '|')
-		buf = appendShape(buf, in.Shape)
-	}
-	buf = append(buf, '>')
-	buf = appendShape(buf, rep.Output.Shape)
+func slotKey(buf []byte, sig string, k int64, dt shape.DType) []byte {
+	buf = append(buf[:0], sig...)
 	buf = append(buf, '@')
 	buf = strconv.AppendInt(buf, int64(dt), 10)
 	buf = append(buf, '/')
 	return strconv.AppendInt(buf, k, 10)
-}
-
-// appendShape appends "(d0,d1,...)".
-//
-//tofu:hotpath part of slotKey
-func appendShape(buf []byte, s shape.Shape) []byte {
-	buf = append(buf, '(')
-	for i := 0; i < s.Rank(); i++ {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendInt(buf, s.Dim(i), 10)
-	}
-	return append(buf, ')')
 }

@@ -161,14 +161,17 @@ func newResult(c *coarsen.Coarse) *Result {
 // assignment's price.
 func (res *Result) materialize(c *coarsen.Coarse, evals []*slotEval) (float64, error) {
 	total := 0.0
-	var cuts []partition.Cut
+	maxIn := 0
+	for _, ev := range evals {
+		maxIn = max(maxIn, len(ev.inVars))
+	}
+	cuts := make([]partition.Cut, maxIn)
 	for _, ev := range evals {
 		si, cost, err := ev.best(res.VarCut)
 		if err != nil {
 			return 0, err
 		}
-		cuts = grow(cuts, len(ev.inVars))
-		parts, err := ev.parts(si, res.VarCut, cuts)
+		parts, err := ev.parts(si, res.VarCut, cuts[:len(ev.inVars)])
 		if err != nil {
 			return 0, err
 		}
@@ -227,7 +230,7 @@ func Solve(p *Problem) (*Result, error) {
 	// (cheapest wins, ties break by canonical sweep order), so the result is
 	// byte-identical for every Parallelism setting.
 	res := newResult(c)
-	sw := newSweeper(p, sl.alphas)
+	sw := newSweeper(p, sl)
 	// back[gi] is all backtracking reads of the frontier after group gi.
 	type backPtrs struct{ parent, combo []int32 }
 	back := make([]backPtrs, len(c.Groups))
@@ -313,44 +316,74 @@ type slotSet struct {
 }
 
 // prepareSlotEvals builds every slot's evaluator and dense cost table,
-// fanning the pricing analyses across the worker pool.
+// fanning the pricing analyses across the worker pool. Each worker decides
+// first which of its slots keep the previous step's evaluator (Problem.Reuse)
+// and counts what the others need, then builds those in three exactly-sized
+// slabs — evaluators, variable lists, index lists. A reused evaluator costs
+// nothing here: slabs are never sized for work that is skipped.
 func prepareSlotEvals(p *Problem) (*slotSet, error) {
 	alphas, err := buildAlphas(p)
 	if err != nil {
 		return nil, err
 	}
-	var slots []*coarsen.Slot
-	for _, g := range p.Coarse.Groups {
+	groups := p.Coarse.Groups
+	nSlots := 0
+	for _, g := range groups {
+		nSlots += len(g.Slots)
+	}
+	slots := make([]*coarsen.Slot, 0, nSlots)
+	ss := &slotSet{alphas: alphas, ordered: make([]*slotEval, nSlots), byGroup: make([][]*slotEval, len(groups))}
+	maxIn, maxSig := 0, 0 // over all slots: sizes each worker's scratch
+	for gi, g := range groups {
+		off := len(slots)
 		slots = append(slots, g.Slots...)
+		ss.byGroup[gi] = ss.ordered[off:len(slots):len(slots)]
+		for _, s := range g.Slots {
+			maxIn, maxSig = max(maxIn, len(s.Rep().Inputs)), max(maxSig, len(s.Sig))
+		}
 	}
-	var prevSet *slotSet
-	if p.Reuse != nil && p.Reuse.k == p.K {
-		prevSet = p.Reuse.set
+	var prev []*slotEval
+	if p.Reuse != nil && p.Reuse.k == p.K && p.Reuse.set != nil {
+		prev = p.Reuse.set.ordered
 	}
-	built := make([]*slotEval, len(slots))
-	errs := make([]error, len(slots))
-	forEachChunk(p.parallelism(), len(slots), func(_, lo, hi int) {
-		var sc evalScratch
+	ranges := chunkRanges(nil, p.parallelism(), nSlots)
+	errs := make([]error, len(ranges))
+	runChunks(ranges, func(w, lo, hi int) {
+		sc := evalScratch{curIn: make([]shape.Shape, maxIn)}
+		rebuilt, lists := 0, 0
 		for i := lo; i < hi; i++ {
-			if prevSet != nil && i < len(prevSet.ordered) {
-				if pe := prevSet.ordered[i]; pe.slot == slots[i] && pe.reusable(p, alphas, &sc) {
-					built[i] = pe
-					continue
-				}
+			if i < len(prev) && prev[i].slot == slots[i] && prev[i].reusable(p, alphas, &sc) {
+				ss.ordered[i] = prev[i]
+				continue
 			}
-			built[i], errs[i] = newSlotEval(p, slots[i], alphas, &sc)
+			// An evaluator lists its inputs' variables and the distinct
+			// ones (vars), and an index per entry of either (ints).
+			nIn, nTouched := touchedVars(p.Coarse, slots[i].Rep())
+			rebuilt++
+			lists += nIn + nTouched
+		}
+		if rebuilt == 0 {
+			return
+		}
+		slabs := evalSlabs{
+			evs:  make([]slotEval, rebuilt),
+			vars: make([]*coarsen.Var, lists),
+			ints: make([]int, lists),
+		}
+		sc.sizeForBuild(maxIn, maxSig)
+		for i := lo; i < hi; i++ {
+			if ss.ordered[i] != nil {
+				continue
+			}
+			if ss.ordered[i], errs[w] = newSlotEval(p, slots[i], alphas, &sc, &slabs); errs[w] != nil {
+				return
+			}
 		}
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-	}
-	ss := &slotSet{alphas: alphas, ordered: built}
-	off := 0
-	for _, g := range p.Coarse.Groups {
-		ss.byGroup = append(ss.byGroup, built[off:off+len(g.Slots)])
-		off += len(g.Slots)
 	}
 	if p.Reuse != nil {
 		p.Reuse.k = p.K
@@ -398,11 +431,6 @@ func runChunks(ranges [][2]int, fn func(w, lo, hi int)) {
 		}(w, r[0], r[1])
 	}
 	wg.Wait()
-}
-
-// forEachChunk runs fn over [0, n) split into at most workers chunks.
-func forEachChunk(workers, n int, fn func(w, lo, hi int)) {
-	runChunks(chunkRanges(nil, workers, n), fn)
 }
 
 // Evaluate prices a complete variable assignment without searching — the

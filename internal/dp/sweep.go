@@ -23,8 +23,12 @@ import (
 
 // sweeper is one Solve's sweep engine and all of its working memory: the two
 // frontiers it alternates between, the group plan, the cost table and the
-// per-worker merge buffers are grown to the largest group and reused, so a
-// group allocates only what backtracking keeps.
+// per-worker merge buffers are reused group after group. newSweeper sizes
+// everything the coarsening and the alphabets determine — per-variable,
+// per-slot and dense per-state arrays, and the back-pointers backtracking
+// keeps — to the largest group, in one slab per element type; what depends
+// on the sweep itself (the shared cost table, byte-keyed frontiers, extra
+// workers' candidates) grows when a group first needs it.
 type sweeper struct {
 	alphas  []varAlpha
 	workers int
@@ -79,6 +83,9 @@ type sweeper struct {
 	cont     []int32
 	keyBuf   []byte
 
+	// backs is what is left of the back-pointer slab (see backPtrs).
+	backs []int32
+
 	// out aliases a dense next frontier's arrays as worker 0's candidates.
 	out       cands
 	work      []workBuf
@@ -116,16 +123,105 @@ type workBuf struct {
 	dg  []uint8
 }
 
-func newSweeper(p *Problem, alphas []varAlpha) *sweeper {
-	s := &sweeper{alphas: alphas, workers: p.parallelism(), pos: make([]int32, len(p.Coarse.Vars))}
-	s.fr[1] = frontier{
-		lay:    layout{size: 1, dense: true},
-		cost:   []float64{0},
-		parent: []int32{-1},
-		combo:  []int32{-1},
-		live:   1,
+// presizeLimit caps each state- or combination-indexed array newSweeper
+// sizes ahead of the sweep. Past it — frontiers that will be byte-keyed,
+// groups whose sweep Solve may yet refuse — the array grows when its group
+// is reached, as all of them used to.
+const presizeLimit = denseStateLimit
+
+func newSweeper(p *Problem, sl *slotSet) *sweeper {
+	s := &sweeper{alphas: sl.alphas, workers: p.parallelism()}
+	c := p.Coarse
+
+	// Count pass: the widest frontier and group, and every dense boundary's
+	// state count, are known from the coarsening and the alphabets.
+	var live, fresh, slots, terms int // maxima over groups
+	var nC, offs, states int          // maxima over groups, each <= presizeLimit
+	backs := 2                        // back-pointer entries: the initial state's, then every dense boundary's
+	for gi, g := range c.Groups {
+		live, fresh = max(live, len(g.LiveAfter)), max(fresh, len(g.NewVars))
+		evs := sl.byGroup[gi]
+		slots = max(slots, len(evs))
+		t := 0
+		for _, ev := range evs {
+			t += len(ev.tvars)
+		}
+		terms = max(terms, t)
+		if n := s.span(g.NewVars); n <= presizeLimit {
+			nC = max(nC, n)
+			if n*len(evs) <= presizeLimit {
+				offs = max(offs, n*len(evs))
+			}
+		}
+		if n := s.span(g.LiveAfter); n <= presizeLimit {
+			states = max(states, n)
+			backs += 2 * n
+		}
 	}
+
+	// Fill pass: one slab per element type, each array a window whose
+	// capacity is its maximum (the sweep's grow calls then re-slice).
+	i32 := make([]int32, len(c.Vars)+2*live+2*fresh+nC+offs+2*states+backs)
+	carve32 := func(n int) []int32 {
+		w := i32[:n:n]
+		i32 = i32[n:]
+		return w
+	}
+	s.pos = carve32(len(c.Vars))
+	s.rowW, s.nextW = carve32(live)[:0], carve32(live)[:0]
+	s.offW, s.slotW = carve32(fresh)[:0], carve32(fresh)[:0]
+	s.nOff, s.slotOff = carve32(nC)[:0], carve32(offs)[:0]
+	s.stRow, s.stNext = carve32(states)[:0], carve32(states)[:0]
+	s.backs = i32
+
+	i64 := make([]int64, 4*live+2*fresh)
+	for _, l := range []*layout{&s.fr[0].lay, &s.fr[1].lay} {
+		l.radix, l.stride, i64 = i64[:0:live], i64[live:live:2*live], i64[2*live:]
+	}
+	s.combos.radix, s.combos.stride = i64[:0:fresh], i64[fresh:fresh:2*fresh]
+
+	costs := make([]float64, 2*states)
+	s.fr[0].cost, s.fr[1].cost = costs[:0:states], costs[states:states:2*states]
+	s.plans, s.terms = make([]slotPlan, 0, slots), make([]slotTerm, 0, terms)
+	s.touched = make([]bool, 0, live)
+	s.work = make([]workBuf, s.workers)
+	dg := make([]uint8, s.workers*live)
+	for w := range s.work {
+		s.work[w].dg, dg = dg[:0:live], dg[live:]
+	}
+
+	first := &s.fr[1]
+	first.lay.size, first.lay.dense = 1, true
+	first.cost = append(first.cost, 0)
+	bp := s.backPtrs(2)
+	bp[0], bp[1] = -1, -1
+	first.parent, first.combo = bp[:1:1], bp[1:]
+	first.live = 1
 	return s
+}
+
+// span is the number of joint assignments of vars — the size of the layout
+// over them — saturating just past presizeLimit.
+func (s *sweeper) span(vars []*coarsen.Var) int {
+	n := 1
+	for _, v := range vars {
+		if n *= len(s.alphas[v.ID].dims); n > presizeLimit {
+			return presizeLimit + 1
+		}
+	}
+	return n
+}
+
+// backPtrs returns n zeroed back-pointer entries that outlive the group: a
+// window of the slab newSweeper sized for the dense boundaries, or an
+// allocation of their own for a boundary it did not count.
+func (s *sweeper) backPtrs(n int) []int32 {
+	if n > len(s.backs) {
+		return make([]int32, n)
+	}
+	bp := s.backs[:n:n]
+	s.backs = s.backs[n:]
+	return bp
 }
 
 // begin lays out group gi's new variables and returns the frontier before
@@ -165,9 +261,6 @@ func (s *sweeper) expand(gi int, g *coarsen.Group, slots []*slotEval) (*frontier
 		workers = 1
 	}
 	s.chunks = chunkRanges(s.chunks[:0], workers, total)
-	if n := workers - len(s.work); n > 0 {
-		s.work = append(s.work, make([]workBuf, n)...)
-	}
 	for w := range s.work[:workers] {
 		wb := &s.work[w]
 		wb.dg = grow(wb.dg, len(prev.lay.vars))
@@ -194,7 +287,7 @@ func (s *sweeper) expand(gi int, g *coarsen.Group, slots []*slotEval) (*frontier
 	out := &s.work[0].cands
 	if next.lay.dense {
 		next.cost = grow(next.cost, s.nextSize)
-		bp := make([]int32, 2*s.nextSize)
+		bp := s.backPtrs(2 * s.nextSize)
 		next.parent, next.combo = bp[:s.nextSize:s.nextSize], bp[s.nextSize:]
 		s.out = cands{cost: next.cost, parent: next.parent, combo: next.combo}
 		out = &s.out

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"tofu/internal/coarsen"
+	"tofu/internal/graph"
 	"tofu/internal/partition"
 	"tofu/internal/shape"
 )
@@ -42,8 +43,9 @@ type slotEval struct {
 	// their mixed-radix weights over alphabet digits (tvars[0] most
 	// significant). alphas is the per-variable alphabet table (indexed by
 	// variable ID) the evaluator was built against. inPos/outPos map the
-	// slot's input positions and output to tvars indices. tvars shares one
-	// backing array with inVars, tstride with inPos.
+	// slot's input positions and output to tvars indices. The evaluator and
+	// its four lists are windows of the slabs of the prepareSlotEvals call
+	// that built it (evalSlabs).
 	tvars   []*coarsen.Var
 	alphas  []varAlpha
 	tstride []int
@@ -93,15 +95,58 @@ type evalScratch struct {
 	key    []byte
 }
 
-func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch) (*slotEval, error) {
+// sizeForBuild readies the scratch — whose curIn already holds maxIn shapes,
+// all the reuse test needs — for building evaluators of slots of up to maxIn
+// inputs whose carried signatures are up to maxSig bytes: inCuts exactly,
+// keep and key with room for the strategy count and the table-key tail of
+// every registered operator (a longer one grows them like any append).
+func (sc *evalScratch) sizeForBuild(maxIn, maxSig int) {
+	sc.inCuts = make([]partition.Cut, maxIn)
+	sc.keep = make([]bool, 16)
+	sc.key = make([]byte, 0, maxSig+128)
+}
+
+// evalSlabs is the storage of the evaluators one pool worker rebuilds in one
+// prepareSlotEvals call, sized exactly by its count pass and carved from the
+// front by newSlotEval.
+type evalSlabs struct {
+	evs  []slotEval
+	vars []*coarsen.Var
+	ints []int
+}
+
+// touchedVars counts what an evaluator for rep lists: its inputs, and the
+// distinct variables among its inputs' and its output's.
+//
+//tofu:hotpath count pass of prepareSlotEvals; enforced by tofu-vet/hotalloc
+func touchedVars(c *coarsen.Coarse, rep *graph.Node) (nIn, nTouched int) {
+	out := c.VarOf(rep.Output)
+	nTouched = 1
+	for i, in := range rep.Inputs {
+		v := c.VarOf(in)
+		fresh := v != out
+		for _, earlier := range rep.Inputs[:i] {
+			if c.VarOf(earlier) == v {
+				fresh = false
+			}
+		}
+		if fresh {
+			nTouched++
+		}
+	}
+	return len(rep.Inputs), nTouched
+}
+
+func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch, slabs *evalSlabs) (*slotEval, error) {
 	rep := s.Rep()
-	ev := &slotEval{slot: s, mult: float64(len(s.Ops)), alphas: alphas}
+	ev := &slabs.evs[0]
+	slabs.evs = slabs.evs[1:]
+	ev.slot, ev.mult, ev.alphas = s, float64(len(s.Ops)), alphas
 
 	nIn := len(rep.Inputs)
 	sc.curIn = grow(sc.curIn, nIn)
 	curIn := sc.curIn
-	// One array backs inVars and (in layout) tvars.
-	ev.inVars = make([]*coarsen.Var, nIn, 2*nIn+1)
+	ev.inVars, slabs.vars = slabs.vars[:nIn:nIn], slabs.vars[nIn:]
 	for i, in := range rep.Inputs {
 		curIn[i] = p.Shapes[in.ID]
 		ev.inVars[i] = p.Coarse.VarOf(in)
@@ -123,7 +168,7 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch
 	// step-invariant, so it is memoized in the cache — the Spec only
 	// materializes on a miss; the per-step strategy filter and
 	// current-shape gate become a mask over its strategies.
-	sc.key = slotKey(sc.key, rep, p.K, p.DType)
+	sc.key = slotKey(sc.key, s.Sig, p.K, p.DType)
 	full, err := p.Cache.priced(sc.key, func() (*partition.Priced, error) {
 		origIn := make([]shape.Shape, len(rep.Inputs))
 		for i, in := range rep.Inputs {
@@ -156,7 +201,7 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch
 	for si, st := range full.Strategies {
 		sc.keep[si] = gate(st)
 	}
-	size := ev.layout()
+	size := ev.layout(slabs)
 	if size > tableLimit {
 		// Oversized cross-product: no table to share, price lazily.
 		if ev.priced, err = full.Restrict(sc.keep); err != nil {
@@ -178,13 +223,11 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch
 }
 
 // layout lays out the touched-variable cross-product — tvars, tstride,
-// inPos, outPos — and returns its size.
-func (ev *slotEval) layout() int {
+// inPos, outPos, carved from the slabs — and returns its size.
+func (ev *slotEval) layout(slabs *evalSlabs) int {
 	// Distinct touched vars (inVars/outVar may repeat), kept ascending by
-	// ID — the per-slot sets are tiny, so linear scans beat maps. They live
-	// in the spare capacity newSlotEval left behind inVars.
-	nIn := len(ev.inVars)
-	tvars := ev.inVars[nIn:nIn]
+	// ID — the per-slot sets are tiny, so linear scans beat maps.
+	tvars := slabs.vars[:0]
 	add := func(v *coarsen.Var) {
 		for _, t := range tvars {
 			if t == v {
@@ -203,8 +246,8 @@ func (ev *slotEval) layout() int {
 		add(v)
 	}
 	add(ev.outVar)
-	ev.inVars = ev.inVars[:nIn:nIn]
-	ev.tvars = tvars
+	nT, nIn := len(tvars), len(ev.inVars)
+	ev.tvars, slabs.vars = tvars[:nT:nT], slabs.vars[nT:]
 	pos := func(v *coarsen.Var) int {
 		for j, t := range tvars {
 			if t == v {
@@ -213,8 +256,7 @@ func (ev *slotEval) layout() int {
 		}
 		return -1
 	}
-	ints := make([]int, len(tvars)+nIn)
-	ev.tstride, ev.inPos = ints[:len(tvars):len(tvars)], ints[len(tvars):]
+	ev.tstride, ev.inPos, slabs.ints = slabs.ints[:nT:nT], slabs.ints[nT:nT+nIn:nT+nIn], slabs.ints[nT+nIn:]
 	for i, v := range ev.inVars {
 		ev.inPos[i] = pos(v)
 	}

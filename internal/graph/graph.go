@@ -53,8 +53,11 @@ func (k TensorKind) String() string {
 
 // Tensor is one edge of the dataflow graph.
 type Tensor struct {
-	ID        int
-	Name      string
+	ID   int
+	Name string
+	// Shape is immutable after construction: extractions (Subgraph) and
+	// coarsened variables alias it, and the searches divide slab copies of
+	// their own (shape.SplitInPlace), never a tensor's.
 	Shape     shape.Shape
 	DType     shape.DType
 	Kind      TensorKind
@@ -210,34 +213,40 @@ func (g *Graph) Describe(n *Node) (*tdl.OpDesc, error) {
 // preserve that invariant, so construction order is already topological; we
 // verify rather than re-sort, failing loudly on corruption.
 func (g *Graph) Topo() ([]*Node, error) {
-	ready := make([]bool, len(g.Tensors))
-	for _, t := range g.Tensors {
-		if t.Producer == nil {
-			ready[t.ID] = true
-		}
+	if err := g.checkOrder(); err != nil {
+		return nil, err
 	}
-	done := make([]bool, len(g.Nodes))
-	for _, n := range g.Nodes {
+	return append([]*Node(nil), g.Nodes...), nil
+}
+
+// checkOrder verifies that construction order is topological, without
+// allocating. Apply and Subgraph number nodes as they append them, so a
+// node's ID is its position and "already executed" is an ID comparison; a
+// node that is out of place, or a producer or control dependency that is not
+// this graph's node of that ID, is a violation too.
+func (g *Graph) checkOrder() error {
+	for i, n := range g.Nodes {
+		if n.ID != i {
+			return fmt.Errorf("graph: node %v sits at position %d", n, i)
+		}
 		for _, in := range n.Inputs {
-			if !ready[in.ID] {
-				return nil, fmt.Errorf("graph: node %v consumes %v before production", n, in)
+			if p := in.Producer; p != nil && (p.ID < 0 || p.ID >= i || g.Nodes[p.ID] != p) {
+				return fmt.Errorf("graph: node %v consumes %v before production", n, in)
 			}
 		}
 		for _, d := range n.CtrlDeps {
-			if !done[d.ID] {
-				return nil, fmt.Errorf("graph: node %v control-depends on later node %v", n, d)
+			if d.ID < 0 || d.ID >= i || g.Nodes[d.ID] != d {
+				return fmt.Errorf("graph: node %v control-depends on later node %v", n, d)
 			}
 		}
-		ready[n.Output.ID] = true
-		done[n.ID] = true
 	}
-	return append([]*Node(nil), g.Nodes...), nil
+	return nil
 }
 
 // Validate checks structural invariants: shape validity, consumer/producer
 // symmetry and topological construction order.
 func (g *Graph) Validate() error {
-	if _, err := g.Topo(); err != nil {
+	if err := g.checkOrder(); err != nil {
 		return err
 	}
 	for _, t := range g.Tensors {

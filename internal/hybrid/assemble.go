@@ -34,7 +34,11 @@ func (s *search) assemble(ls *levelState, set []int) (*Result, error) {
 			// Unreachable: the winning set's segments all solved feasibly.
 			return nil, sg.err
 		}
-		sub := s.subs[segKey{lo, hi}]
+		sub, err := s.extract(lo, hi)
+		if err != nil {
+			// Unreachable while segment memoizes its extraction.
+			return nil, err
+		}
 		sh, err := graphgen.Generate(sub.G, sg.plan, s.opts.Gen)
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: stage %d graph generation: %w", si, err)

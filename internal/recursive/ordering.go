@@ -268,8 +268,10 @@ func (s *orderSearch) prefixFor(parent *prefixState, key string, f int64) *prefi
 // it the tightest admissible per-step gate available; a warm-start seed
 // plants exactly these states along the winning chain before the first pop.
 func (s *orderSearch) memoDelta(key string, f int64) (float64, bool) {
+	var buf [64]byte // a peek builds its key on the stack; only a new prefix keeps one
+	ck := appendChildKey(buf[:0], key, f)
 	s.mu.Lock()
-	ps := s.prefixes[childKey(key, f)]
+	ps := s.prefixes[string(ck)]
 	s.mu.Unlock()
 	if ps == nil || !ps.done.Load() || ps.err != nil || ps.res == nil {
 		return 0, false
@@ -431,13 +433,28 @@ func lexLess(a, b []uint8) bool {
 }
 
 func childKey(key string, f int64) string {
-	return key + strconv.FormatInt(f, 10) + "."
+	var buf [64]byte
+	return string(appendChildKey(buf[:0], key, f))
 }
 
-// remaining returns the per-uniq-pair multiplicities still unplaced after
-// the given rank prefix.
-func (s *orderSearch) remaining(ranks []uint8) []int {
-	rem := make([]int, len(s.counts))
+// appendChildKey appends the factor-prefix key of key extended by f.
+//
+//tofu:hotpath every bound query peeks at a child key; enforced by tofu-vet/hotalloc
+func appendChildKey(buf []byte, key string, f int64) []byte {
+	buf = append(buf, key...)
+	buf = strconv.AppendInt(buf, f, 10)
+	return append(buf, '.')
+}
+
+// remaining writes into rem (reallocated only when too small) the
+// per-uniq-pair multiplicities still unplaced after the given rank prefix.
+//
+//tofu:hotpath once per popped node; enforced by tofu-vet/hotalloc
+func (s *orderSearch) remaining(rem []int, ranks []uint8) []int {
+	if cap(rem) < len(s.counts) {
+		rem = make([]int, len(s.counts))
+	}
+	rem = rem[:len(s.counts)]
 	copy(rem, s.counts)
 	for _, r := range ranks {
 		rem[r]--
@@ -506,7 +523,7 @@ func (s *orderSearch) process(n *obNode) []*obNode {
 			return nil
 		}
 	}
-	rem := s.remaining(n.ranks)
+	rem := s.remaining(nil, n.ranks)
 	bound, err := s.boundAt(ps, n.key, g, rem)
 	if err != nil {
 		s.addErr(err)
@@ -527,19 +544,51 @@ func (s *orderSearch) process(n *obNode) []*obNode {
 		ex.SetFloat("bound", bound)
 		ex.End()
 	}
-	children := make([]*obNode, 0, len(s.uniq))
+	return s.children(n, ps, g, bound, rem)
+}
+
+// children emits n's child nodes in canonical order, one per pair still
+// unplaced (rem), count-then-fill: the nodes, and their step and rank
+// sequences, are windows of one slab each, and children placing the same
+// factor share one key.
+//
+//tofu:hotpath once per expanded node; enforced by tofu-vet/hotalloc
+func (s *orderSearch) children(n *obNode, ps *prefixState, g, bound float64, rem []int) []*obNode {
+	m := 0
+	for _, r := range rem {
+		if r != 0 {
+			m++
+		}
+	}
+	d := len(n.steps) + 1
+	nodes := make([]obNode, m)
+	out := make([]*obNode, m)
+	steps := make([]factorLevel, m*d)
+	ranks := make([]uint8, m*d)
+	k := 0
 	for i, fl := range s.uniq {
 		if rem[i] == 0 {
 			continue
 		}
-		steps := append(append(make([]factorLevel, 0, len(n.steps)+1), n.steps...), fl)
-		ranks := append(append(make([]uint8, 0, len(n.ranks)+1), n.ranks...), uint8(i))
-		children = append(children, &obNode{
-			steps: steps, ranks: ranks, key: childKey(n.key, fl.f),
-			parKey: n.key, par: ps, gPar: g, bound: bound,
-		})
+		c := &nodes[k]
+		c.steps, c.ranks = steps[k*d:(k+1)*d:(k+1)*d], ranks[k*d:(k+1)*d:(k+1)*d]
+		copy(c.steps, n.steps)
+		copy(c.ranks, n.ranks)
+		c.steps[d-1], c.ranks[d-1] = fl, uint8(i)
+		for _, sib := range nodes[:k] {
+			if sib.steps[d-1].f == fl.f {
+				c.key = sib.key
+				break
+			}
+		}
+		if c.key == "" {
+			c.key = childKey(n.key, fl.f)
+		}
+		c.parKey, c.par, c.gPar, c.bound = n.key, ps, g, bound
+		out[k] = c
+		k++
 	}
-	return children
+	return out
 }
 
 // dive evaluates the naive hierarchy-following ordering (the pool itself,
@@ -659,6 +708,13 @@ func (s *orderSearch) run() (*plan.Plan, error) {
 	}
 	pq := &nodeHeap{{key: "", par: s.rootPS}}
 	heap.Init(pq)
+	// Round scratch, reused: the popped batch, its children, and the
+	// remaining-pair counts of the pop-time re-bound.
+	var (
+		batch    []*obNode
+		children [][]*obNode
+		rem      []int
+	)
 	for pq.Len() > 0 {
 		// Deadline poll, once per expansion round: a tripped token stops
 		// the walk here and ships the incumbent as a degraded plan.
@@ -673,7 +729,7 @@ func (s *orderSearch) run() (*plan.Plan, error) {
 		// A node whose provisional bound already exceeds the incumbent dies
 		// here, BEFORE its DP step runs — with a warm-started incumbent this
 		// fires from the very first expansion round.
-		var batch []*obNode
+		batch = batch[:0]
 		for len(batch) < par && pq.Len() > 0 {
 			if s.opts.Cancel.Cancelled() {
 				break
@@ -688,7 +744,8 @@ func (s *orderSearch) run() (*plan.Plan, error) {
 				// node was pushed (the warm-start chain above all) often
 				// lift the parent-scope bound past the incumbent. All the
 				// ingredients are memoized, so this costs map lookups.
-				b, err := s.boundAt(n.par, n.parKey, n.gPar, s.remaining(n.ranks[:len(n.ranks)-1]))
+				rem = s.remaining(rem, n.ranks[:len(n.ranks)-1])
+				b, err := s.boundAt(n.par, n.parKey, n.gPar, rem)
 				if err == nil {
 					s.mu.Lock()
 					prune = s.shouldPrune(b)
@@ -704,7 +761,10 @@ func (s *orderSearch) run() (*plan.Plan, error) {
 			}
 			batch = append(batch, n)
 		}
-		children := make([][]*obNode, len(batch))
+		if cap(children) < len(batch) {
+			children = make([][]*obNode, par)
+		}
+		children = children[:len(batch)]
 		if len(batch) == 1 {
 			children[0] = s.process(batch[0])
 		} else {
