@@ -1,52 +1,39 @@
 package dp
 
-import "fmt"
-
 // This file is the branch-and-bound support: an admissible lower bound on
 // the communication a Solve of the same Problem could choose. The recursive
 // ordering search prices every not-yet-placed factor with it and prunes any
 // factor-to-level ordering whose bound already exceeds the incumbent.
 
 // LowerBound returns an admissible lower bound on the CommBytes any feasible
-// assignment of p can achieve: the sum over slots of each slot's cheapest
-// table entry. Independent per-slot minima ignore the consistency constraint
-// between slots sharing a variable, so the bound can only be below Solve's
-// optimum — never above it.
+// assignment of the prepared problem can achieve: the sum over slots of each
+// slot's cheapest table entry. Independent per-slot minima ignore the
+// consistency constraint between slots sharing a variable, so the bound can
+// only be below Solve's optimum — never above it.
 //
 // The bound is also a valid lower bound for the SAME K at any LATER
 // recursive step over further-divided shapes: costs are priced at the
 // graph's original shapes (Lemma 1), and shrinking shapes can only remove
 // strategies and cut dimensions from the search, never add them, so every
-// per-slot minimum is monotone nondecreasing along a recursion branch.
-//
-// An error reports genuine infeasibility — some variable has no dimension
-// divisible by K, or some slot no applicable strategy — and by the same
-// monotonicity the whole recursion subtree below the queried shapes is
-// infeasible for this K.
-//
-// When reuse is non-nil, the slot evaluators built for the bound are parked
-// there, so a subsequent Solve over the identical (Coarse, K, Shapes,
-// DType, StrategyFilter) pays nothing to rebuild them. p.Reuse is ignored;
-// the bound never reads a previous step's evaluators.
-func LowerBound(p *Problem, reuse *EvalReuse) (float64, error) {
-	if p.K < 2 {
-		return 0, fmt.Errorf("dp: K must be >= 2, got %d", p.K)
-	}
-	q := *p
-	q.Reuse = nil
-	sl, err := prepareSlotEvals(&q)
-	if err != nil {
-		return 0, err
-	}
+// per-slot minimum is monotone nondecreasing along a recursion branch. By
+// the same monotonicity a Prepare error — genuine infeasibility — condemns
+// the whole recursion subtree below the queried shapes for this K.
+func (pr *Prepared) LowerBound() float64 {
 	total := 0.0
-	for _, ev := range sl.ordered {
+	for _, ev := range pr.sl.ordered {
 		if ev.costT != nil {
 			total += ev.minCost
 		}
 	}
-	if reuse != nil {
-		reuse.k = p.K
-		reuse.set = sl
+	return total
+}
+
+// LowerBound is Prepare followed by the bound, for callers that will not
+// solve the problem they bound.
+func LowerBound(p *Problem) (float64, error) {
+	pr, err := Prepare(p)
+	if err != nil {
+		return 0, err
 	}
-	return total, nil
+	return pr.LowerBound(), nil
 }

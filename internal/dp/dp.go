@@ -80,10 +80,11 @@ type Problem struct {
 	// implies K divides ext). Callers must keep Coarse, DType and
 	// StrategyFilter fixed across the Solves sharing one Reuse.
 	Reuse *EvalReuse
-	// Trace, if non-nil, records a "dp.solve" span (with a nested
-	// "dp.pricing" span for slot-evaluator preparation) under the given
-	// parent. A nil Trace — the default — is a strict no-op: spans never
-	// influence the sweep, so plans stay byte-identical either way.
+	// Trace, if non-nil, is the parent of a "dp.pricing" span per Prepare
+	// (slot-evaluator preparation, whoever asks for it — a solve or a bound
+	// query) and a "dp.solve" span per sweep. A nil Trace — the default — is
+	// a strict no-op: spans never influence the sweep, so plans stay
+	// byte-identical either way.
 	Trace *obs.Span
 	// Cancel, if non-nil, is polled once per group sweep; a tripped token
 	// aborts Solve with its reason. The DP has no incumbent to degrade to —
@@ -107,12 +108,17 @@ func (p *Problem) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Result is the chosen basic partition plan for one step.
+// Result is the chosen basic partition plan for one step. A solve decides the
+// assignment and its cost; the dense per-tensor and per-node tables a plan
+// step carries are derived from the assignment on demand (Materialize), so a
+// search that asks thousands of solves for a number builds them for its
+// winners only.
 type Result struct {
 	// VarCut maps coarsened-variable ID to the chosen cut dimension.
 	VarCut map[int]int
 	// TensorCut expands VarCut to every member tensor ID — dense by tensor
-	// ID, -1 for uncut tensors.
+	// ID, -1 for uncut tensors. It, OpStrategy and OpComm are nil until
+	// Materialize fills them.
 	TensorCut []int
 	// OpStrategy is the chosen partition strategy per node ID (dense); an
 	// empty Axis marks nodes without one.
@@ -129,6 +135,12 @@ type Result struct {
 	States int
 	// Configs is the number of (state x choice) combinations evaluated.
 	Configs int
+
+	// c and evals (all slots, in group order) are what the assignment was
+	// solved or priced on — the handle the dense tables derive from. Holding
+	// a Result therefore holds its step's evaluators.
+	c     *coarsen.Coarse
+	evals []*slotEval
 }
 
 // maxSweep bounds a single group's (states × combinations) sweep; beyond it
@@ -140,33 +152,35 @@ const maxSweep = int64(1) << 40
 // group's sweep runs inline instead of fanning out.
 const minParallelSweep = 1 << 9
 
-// newResult allocates a Result with dense per-tensor/per-node tables sized
-// for the graph.
-func newResult(c *coarsen.Coarse) *Result {
-	res := &Result{
-		VarCut:     make(map[int]int, len(c.Vars)),
-		TensorCut:  make([]int, len(c.G.Tensors)),
-		OpStrategy: make([]partition.Strategy, len(c.G.Nodes)),
-		OpComm:     make([]partition.Parts, len(c.G.Nodes)),
+// Materialize fills TensorCut, OpStrategy and OpComm from VarCut and the
+// evaluators the result came from. A result that already has them is left
+// alone, so callers need not track whether someone else asked first.
+func (res *Result) Materialize() error {
+	if res.TensorCut != nil {
+		return nil
 	}
-	for i := range res.TensorCut {
-		res.TensorCut[i] = -1
-	}
-	return res
+	_, err := res.materialize()
+	return err
 }
 
 // materialize expands res.VarCut to every member tensor and gives every
-// operator of evals (all slots, in group order) its cheapest strategy and
-// itemized communication under it. It returns the slots' summed cost — the
-// assignment's price.
-func (res *Result) materialize(c *coarsen.Coarse, evals []*slotEval) (float64, error) {
+// operator of res.evals its cheapest strategy and itemized communication
+// under it. It returns the slots' summed cost — the assignment's price.
+func (res *Result) materialize() (float64, error) {
+	c := res.c
+	tensorCut := make([]int, len(c.G.Tensors))
+	opStrategy := make([]partition.Strategy, len(c.G.Nodes))
+	opComm := make([]partition.Parts, len(c.G.Nodes))
+	for i := range tensorCut {
+		tensorCut[i] = -1
+	}
 	total := 0.0
 	maxIn := 0
-	for _, ev := range evals {
+	for _, ev := range res.evals {
 		maxIn = max(maxIn, len(ev.inVars))
 	}
 	cuts := make([]partition.Cut, maxIn)
-	for _, ev := range evals {
+	for _, ev := range res.evals {
 		si, cost, err := ev.best(res.VarCut)
 		if err != nil {
 			return 0, err
@@ -177,8 +191,8 @@ func (res *Result) materialize(c *coarsen.Coarse, evals []*slotEval) (float64, e
 		}
 		total += cost
 		for _, n := range ev.slot.Ops {
-			res.OpStrategy[n.ID] = ev.priced.Strategies[si]
-			res.OpComm[n.ID] = parts
+			opStrategy[n.ID] = ev.priced.Strategies[si]
+			opComm[n.ID] = parts
 		}
 	}
 	for _, v := range c.Vars {
@@ -187,33 +201,53 @@ func (res *Result) materialize(c *coarsen.Coarse, evals []*slotEval) (float64, e
 			continue
 		}
 		for _, t := range v.Tensors {
-			res.TensorCut[t.ID] = dim
+			tensorCut[t.ID] = dim
 		}
 	}
+	res.TensorCut, res.OpStrategy, res.OpComm = tensorCut, opStrategy, opComm
 	return total, nil
 }
 
-// Solve runs the frontier DP.
-func Solve(p *Problem) (*Result, error) {
-	c := p.Coarse
+// priceAssignment is the materialized Result of a given assignment on
+// evals: CommBytes is the slots' summed cost.
+func priceAssignment(c *coarsen.Coarse, evals []*slotEval, varCut map[int]int) (*Result, error) {
+	res := &Result{VarCut: varCut, c: c, evals: evals}
+	var err error
+	if res.CommBytes, err = res.materialize(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Prepared is a Problem with its slot evaluators built: the per-variable
+// alphabets and every slot's dense cost table. Preparation is the part of a
+// step that a bound query and a solve share, so a search that bounds first
+// and solves later prepares once and does both on the same evaluators.
+type Prepared struct {
+	p  *Problem
+	sl *slotSet
+}
+
+// Prepare builds p's slot evaluators (fanned out across the worker pool —
+// slots are independent), keeping those p.Reuse carries from the previous
+// step. A "dp.pricing" span under p.Trace measures it and attributes the
+// price-cache traffic it caused; under parallel sibling solves the
+// shared-cache deltas are approximate, which is fine for display. An error
+// reports genuine infeasibility: some variable has no dimension divisible by
+// K, or some slot no applicable strategy.
+//
+// The Prepared keeps p, not a copy: Solve reads p.MaxStates, p.Parallelism,
+// p.Cancel and p.Trace when it runs, so a caller that prepared under one span
+// may point p.Trace at another before solving.
+func Prepare(p *Problem) (*Prepared, error) {
 	if p.K < 2 {
 		return nil, fmt.Errorf("dp: K must be >= 2, got %d", p.K)
 	}
-	sp := p.Trace.Child("dp.solve")
-	defer sp.End()
-	sp.SetInt("k", p.K)
-	sp.SetInt("groups", int64(len(c.Groups)))
-
-	// Per-variable alphabets, slot evaluators and their dense cost tables
-	// (fanned out across the worker pool — slots are independent). The
-	// pricing span measures that preparation and attributes the
-	// price-cache traffic it caused; under parallel sibling solves the
-	// shared-cache deltas are approximate, which is fine for display.
+	pricing := p.Trace.Child("dp.pricing")
 	var hits0, misses0 int64
-	if sp.Enabled() {
+	if pricing.Enabled() {
 		hits0, misses0 = p.Cache.Stats()
 	}
-	pricing := sp.Child("dp.pricing")
 	sl, err := prepareSlotEvals(p)
 	if pricing.Enabled() {
 		hits1, misses1 := p.Cache.Stats()
@@ -224,12 +258,34 @@ func Solve(p *Problem) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return &Prepared{p: p, sl: sl}, nil
+}
+
+// Solve runs the frontier DP: Prepare, then the sweep.
+func Solve(p *Problem) (*Result, error) {
+	pr, err := Prepare(p)
+	if err != nil {
+		return nil, err
+	}
+	return pr.Solve()
+}
+
+// Solve sweeps the frontier over the prepared evaluators and back-tracks the
+// cheapest assignment. The Result carries the assignment, its cost and the
+// effort counters; see Result.Materialize for the dense tables.
+func (pr *Prepared) Solve() (*Result, error) {
+	p, sl := pr.p, pr.sl
+	c := p.Coarse
+	sp := p.Trace.Child("dp.solve")
+	defer sp.End()
+	sp.SetInt("k", p.K)
+	sp.SetInt("groups", int64(len(c.Groups)))
 
 	// Frontier DP over groups. Each group's (state × strategy-combination)
 	// expansion is evaluated by the worker pool; the merge is deterministic
 	// (cheapest wins, ties break by canonical sweep order), so the result is
 	// byte-identical for every Parallelism setting.
-	res := newResult(c)
+	res := &Result{VarCut: make(map[int]int, len(c.Vars)), c: c, evals: sl.ordered}
 	sw := newSweeper(p, sl)
 	// back[gi] is all backtracking reads of the frontier after group gi.
 	type backPtrs struct{ parent, combo []int32 }
@@ -296,9 +352,6 @@ func Solve(p *Problem) (*Result, error) {
 		cur = int(back[gi].parent[cur])
 	}
 
-	if _, err := res.materialize(c, sl.ordered); err != nil {
-		return nil, err
-	}
 	sp.SetInt("states", int64(res.States))
 	sp.SetInt("configs", int64(res.Configs))
 	sp.SetFloat("comm_bytes", res.CommBytes)
@@ -443,12 +496,7 @@ func Evaluate(p *Problem, varCut map[int]int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := newResult(p.Coarse)
-	res.VarCut = varCut
-	if res.CommBytes, err = res.materialize(p.Coarse, sl.ordered); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return priceAssignment(p.Coarse, sl.ordered, varCut)
 }
 
 // Evaluator prices assignments incrementally: the interval analyses and
@@ -524,13 +572,7 @@ func (e *Evaluator) Total(assign map[int]int) (float64, error) {
 // Result materializes a full Result (strategies, per-op comm) for an
 // assignment.
 func (e *Evaluator) Result(assign map[int]int) (*Result, error) {
-	res := newResult(e.p.Coarse)
-	res.VarCut = assign
-	var err error
-	if res.CommBytes, err = res.materialize(e.p.Coarse, e.evals); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return priceAssignment(e.p.Coarse, e.evals, assign)
 }
 
 // SlotCost reports one slot's contribution to an Evaluate run (debugging and

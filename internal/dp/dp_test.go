@@ -26,16 +26,30 @@ func problemFor(t testing.TB, m *models.Model, k int64) *Problem {
 	return &Problem{Coarse: c, K: k, Shapes: shapes, DType: shape.Float32}
 }
 
+// solveDense is Solve with the dense tables filled, for the tests that read
+// them.
+func solveDense(t testing.TB, p *Problem) *Result {
+	t.Helper()
+	res, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TensorCut != nil || res.OpStrategy != nil || res.OpComm != nil {
+		t.Fatal("Solve filled dense tables nobody asked for")
+	}
+	if err := res.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestSolveBasics(t *testing.T) {
 	m, err := models.MLP(2, 256, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := problemFor(t, m, 2)
-	res, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveDense(t, p)
 	if res.CommBytes < 0 {
 		t.Fatal("negative cost")
 	}
@@ -170,10 +184,7 @@ func TestStrategyFilter(t *testing.T) {
 	}
 	p := problemFor(t, m, 2)
 	p.StrategyFilter = func(s partition.Strategy) bool { return s.Kind != partition.SplitReduce }
-	res, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := solveDense(t, p)
 	for _, s := range res.OpStrategy {
 		if s.Kind == partition.SplitReduce {
 			t.Fatal("filter violated")
@@ -342,10 +353,7 @@ func TestPriceCacheReuse(t *testing.T) {
 	filtered := problemFor(t, m, 2)
 	filtered.Cache = cache
 	filtered.StrategyFilter = func(s partition.Strategy) bool { return s.Kind != partition.SplitReduce }
-	fres, err := Solve(filtered)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fres := solveDense(t, filtered)
 	for _, s := range fres.OpStrategy {
 		if s.Kind == partition.SplitReduce {
 			t.Fatal("cached pricing leaked a filtered strategy")

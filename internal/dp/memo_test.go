@@ -102,10 +102,7 @@ func TestTableMemoMatchesFresh(t *testing.T) {
 			hits, misses = h, ms
 
 			p.Cache = nil
-			res, err := Solve(p)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+			res := solveDense(t, p)
 			for tid, dim := range res.TensorCut {
 				if dim < 0 {
 					continue
@@ -307,10 +304,7 @@ func TestTableMemoConcurrent(t *testing.T) {
 	}
 	serial := problemFor(t, m, 2)
 	serial.Parallelism = 1
-	want, err := Solve(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := solveDense(t, serial)
 	cache := NewPriceCache()
 	const workers = 8
 	got := make([]*Result, workers)
@@ -331,12 +325,10 @@ func TestTableMemoConcurrent(t *testing.T) {
 			t.Fatal(errs[w])
 		}
 		sameSearch(t, fmt.Sprintf("goroutine %d", w), got[w], want)
-		for nid := range want.OpStrategy {
-			if got[w].OpStrategy[nid] != want.OpStrategy[nid] || got[w].OpComm[nid] != want.OpComm[nid] {
-				t.Fatalf("goroutine %d node %d: (%v, %v), serial (%v, %v)", w, nid,
-					got[w].OpStrategy[nid], got[w].OpComm[nid], want.OpStrategy[nid], want.OpComm[nid])
-			}
+		if err := got[w].Materialize(); err != nil {
+			t.Fatal(err)
 		}
+		sameTables(t, fmt.Sprintf("goroutine %d", w), got[w], want)
 	}
 	hits, misses, _ := cache.TableStats()
 	if hits == 0 || misses == 0 {

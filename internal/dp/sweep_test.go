@@ -298,10 +298,7 @@ func TestSweepLazySlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := problemFor(t, m, 2)
-	tabled, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tabled := solveDense(t, p)
 	p.Reuse = &EvalReuse{}
 	if _, err := Solve(p); err != nil {
 		t.Fatal(err)
@@ -313,15 +310,8 @@ func TestSweepLazySlots(t *testing.T) {
 	}
 	for _, par := range []int{1, 8} {
 		p.Parallelism = par
-		got, err := Solve(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := solveDense(t, p)
 		sameSearch(t, fmt.Sprintf("lazy slots, parallelism %d", par), got, tabled)
-		for nid := range tabled.OpStrategy {
-			if got.OpStrategy[nid] != tabled.OpStrategy[nid] {
-				t.Fatalf("node %d: lazy strategy %v != tabled %v", nid, got.OpStrategy[nid], tabled.OpStrategy[nid])
-			}
-		}
+		sameTables(t, fmt.Sprintf("lazy slots, parallelism %d", par), got, tabled)
 	}
 }

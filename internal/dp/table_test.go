@@ -98,11 +98,7 @@ func TestEvalReuseMatchesFresh(t *testing.T) {
 		p := problemFor(t, m, 2)
 		p.Shapes = shapes
 		p.Reuse = reuse
-		res, err := Solve(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return solveDense(t, p)
 	}
 	divide := func(shapes map[int]shape.Shape, res *Result) map[int]shape.Shape {
 		t.Helper()
@@ -145,9 +141,5 @@ func TestEvalReuseMatchesFresh(t *testing.T) {
 			t.Fatalf("reused step cut var %d along %d, fresh chose %d", id, got.VarCut[id], dim)
 		}
 	}
-	for nid := range want.OpStrategy {
-		if got.OpStrategy[nid] != want.OpStrategy[nid] {
-			t.Fatalf("node %d: reused strategy %v != fresh %v", nid, got.OpStrategy[nid], want.OpStrategy[nid])
-		}
-	}
+	sameTables(t, "reused step", got, want)
 }

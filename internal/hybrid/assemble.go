@@ -3,17 +3,21 @@ package hybrid
 import (
 	"fmt"
 
+	"tofu/internal/coarsen"
 	"tofu/internal/graph"
 	"tofu/internal/graphgen"
 	"tofu/internal/partition"
 	"tofu/internal/plan"
+	"tofu/internal/recursive"
 	"tofu/internal/shape"
 )
 
-// assemble materializes the winning boundary set: per-stage execution
-// structures plus one combined stage-annotated plan in full-graph IDs, with
-// per-stage multipliers restarting at 1 (each stage's kSub workers divide
-// only that stage's tensors).
+// assemble materializes the winning boundary set: per-stage plans filled from
+// their memoized cost-only form, per-stage execution structures, and one
+// combined stage-annotated plan in full-graph IDs, with per-stage multipliers
+// restarting at 1 (each stage's kSub workers divide only that stage's
+// tensors). It polls no cancellation: the work is bounded by the S winning
+// stages, and a degraded incumbent must still ship as a complete plan.
 func (s *search) assemble(ls *levelState, set []int) (*Result, error) {
 	L := len(s.c.Groups)
 	bounds := make([]int, 0, ls.S+1)
@@ -38,6 +42,14 @@ func (s *search) assemble(ls *levelState, set []int) (*Result, error) {
 		if err != nil {
 			// Unreachable while segment memoizes its extraction.
 			return nil, err
+		}
+		co, err := coarsen.CoarsenSub(s.c, sub)
+		if err != nil {
+			// Unreachable: the segment's own search coarsened the same way.
+			return nil, fmt.Errorf("hybrid: stage %d: %w", si, err)
+		}
+		if err := recursive.Materialize(co, sg.plan, ls.stageOptions()); err != nil {
+			return nil, fmt.Errorf("hybrid: stage %d: %w", si, err)
 		}
 		sh, err := graphgen.Generate(sub.G, sg.plan, s.opts.Gen)
 		if err != nil {
@@ -94,6 +106,8 @@ func (s *search) assemble(ls *levelState, set []int) (*Result, error) {
 // remapStep lifts one stage-local step into full-graph IDs through the
 // extraction's identity maps. Tensors and nodes outside the stage stay
 // uncut/strategy-less, exactly like tensors a flat step never references.
+// VarCut is dropped: its keys are variable IDs of the stage's own coarsening,
+// which name nothing in the full graph — the stage plans keep theirs.
 func remapStep(st *plan.Step, sub *graph.Subgraphed, nTensors, nNodes, stage int) *plan.Step {
 	out := &plan.Step{
 		K:          st.K,

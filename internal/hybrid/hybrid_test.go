@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"tofu/internal/cancel"
 	"tofu/internal/hybrid"
 	"tofu/internal/models"
 	"tofu/internal/plan"
@@ -249,5 +250,79 @@ func TestHybridInfeasible(t *testing.T) {
 	}
 	if _, err := hybrid.Partition(m.G, int64(deep.NumGPUs()), hybrid.Options{Parallelism: 1}); err == nil {
 		t.Error("nil topology accepted")
+	}
+}
+
+// TestHybridCancelledIncumbentIsComplete: a boundary walk stopped after its
+// first incumbent ships that incumbent as a complete plan. The segment memo
+// holds cost-only plans, so everything a consumer reads — every stage step's
+// dense tables, the stages' final shapes, the execution structures — is
+// filled by assemble after the token has tripped, and must not depend on it.
+func TestHybridCancelledIncumbentIsComplete(t *testing.T) {
+	for _, prof := range []string{"cluster-2x8", "cluster-4x2x8"} {
+		tp, err := topo.Profile(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := models.Build(models.Config{Family: "mlp", Depth: 4, Width: 256, Batch: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := int64(tp.NumGPUs())
+		// Walk the poll budget up to the first run that neither fails for
+		// want of an incumbent nor finishes: the walk died right after its
+		// first incumbent.
+		var res *hybrid.Result
+		for polls := int64(1); res == nil; polls += 1 + polls/8 {
+			got, err := hybrid.Partition(m.G, k, hybrid.Options{
+				Topology: &tp, Parallelism: 1, Cancel: cancel.AfterPolls(polls),
+			})
+			switch {
+			case err != nil && !cancel.IsCancellation(err):
+				t.Fatalf("%s polls=%d: %v", prof, polls, err)
+			case err != nil:
+			case !got.Plan.Degraded:
+				t.Fatalf("%s: no poll budget below %d left a degraded incumbent", prof, polls)
+			default:
+				res = got
+			}
+		}
+		if len(res.Stages) < 2 {
+			t.Fatalf("%s: degraded plan has %d stages", prof, len(res.Stages))
+		}
+		for si, stg := range res.Stages {
+			if stg.Sharded == nil || len(stg.Plan.FinalShapes) != len(stg.G.Tensors) {
+				t.Fatalf("%s stage %d: no execution structure or %d final shapes for %d tensors",
+					prof, si, len(stg.Plan.FinalShapes), len(stg.G.Tensors))
+			}
+			prod := int64(1)
+			for i, st := range stg.Plan.Steps {
+				if len(st.TensorCut) != len(stg.G.Tensors) || len(st.OpStrategy) != len(stg.G.Nodes) ||
+					len(st.OpComm) != len(stg.G.Nodes) {
+					t.Fatalf("%s stage %d step %d: dense tables (%d, %d, %d) for %d tensors and %d nodes", prof, si, i+1,
+						len(st.TensorCut), len(st.OpStrategy), len(st.OpComm), len(stg.G.Tensors), len(stg.G.Nodes))
+				}
+				for _, n := range stg.G.Nodes {
+					if st.OpStrategy[n.ID].Axis == "" {
+						t.Fatalf("%s stage %d step %d: node %v has no strategy", prof, si, i+1, n)
+					}
+				}
+				prod *= st.K
+			}
+			if prod != stg.Workers {
+				t.Fatalf("%s stage %d: steps divide %d ways, stage has %d workers", prof, si, prod, stg.Workers)
+			}
+		}
+		raw := planBytes(t, res.Plan)
+		if _, err := plan.Verify(raw, ""); err != nil {
+			t.Fatalf("%s: degraded plan does not verify: %v", prof, err)
+		}
+		back, err := plan.ReadJSON(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: degraded plan does not read back: %v", prof, err)
+		}
+		if !back.Degraded || len(back.Steps) != len(res.Plan.Steps) {
+			t.Fatalf("%s: read back degraded=%v with %d steps, wrote %d", prof, back.Degraded, len(back.Steps), len(res.Plan.Steps))
+		}
 	}
 }

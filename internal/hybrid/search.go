@@ -53,7 +53,10 @@ type levelState struct {
 	trace *obs.Span
 }
 
-// segment is one memoized contiguous-segment solution.
+// segment is one memoized contiguous-segment solution: its cost and the
+// cost-only plan behind it (recursive.Search). Of the O(L²) segments only the
+// winning boundary set's S are ever materialized (assemble), so the memo keeps
+// each one's VarCuts and nothing of the evaluators that found them.
 type segment struct {
 	plan *plan.Plan
 	cost float64 // bandwidth-weighted comm time on the stage sub-machine
@@ -168,7 +171,6 @@ func (ls *levelState) groupFloor(g int) (float64, error) {
 	// appears at; a factor's floor is charged once per pool entry at that
 	// entry's bandwidth.
 	perF := make(map[int64]float64)
-	var reuse dp.EvalReuse
 	for li := 0; li < ls.level; li++ {
 		for _, f := range recursive.Factorize(ls.s.tp.Levels[li].GroupSize) {
 			lb, ok := perF[f]
@@ -182,7 +184,7 @@ func (ls *levelState) groupFloor(g int) (float64, error) {
 					MaxStates:   ls.s.opts.MaxStates,
 					Parallelism: ls.s.opts.Parallelism,
 					Cache:       ls.s.cache,
-				}, &reuse)
+				})
 				if err != nil {
 					return math.Inf(1), fmt.Errorf("group %d cannot split %d ways: %w", g, f, err)
 				}
@@ -192,6 +194,18 @@ func (ls *levelState) groupFloor(g int) (float64, error) {
 		}
 	}
 	return total, nil
+}
+
+// stageOptions are the recursive-search options every stage of this level
+// is searched — and the winners materialized — under.
+func (ls *levelState) stageOptions() recursive.Options {
+	return recursive.Options{
+		DType:       ls.s.opts.DType,
+		MaxStates:   ls.s.opts.MaxStates,
+		Parallelism: ls.s.opts.Parallelism,
+		Cache:       ls.s.cache,
+		Topology:    &ls.subTopo,
+	}
 }
 
 // segment returns the memoized partition solution for groups [lo, hi),
@@ -226,16 +240,9 @@ func (ls *levelState) segment(lo, hi int) *segment {
 		return sg
 	}
 	var inner recursive.SearchStats
-	p, err := recursive.PartitionCoarse(co, ls.kSub, recursive.Options{
-		DType:       ls.s.opts.DType,
-		MaxStates:   ls.s.opts.MaxStates,
-		Parallelism: ls.s.opts.Parallelism,
-		Cache:       ls.s.cache,
-		Topology:    &ls.subTopo,
-		Stats:       &inner,
-		Trace:       ssp,
-		Cancel:      ls.s.opts.Cancel,
-	})
+	ropts := ls.stageOptions()
+	ropts.Stats, ropts.Trace, ropts.Cancel = &inner, ssp, ls.s.opts.Cancel
+	p, err := recursive.Search(co, ls.kSub, ropts)
 	if ls.subTopo.Hierarchical() {
 		ls.s.stats.DPSolves = satAdd(ls.s.stats.DPSolves, int64(inner.DPSolves))
 		ls.s.stats.LBQueries = satAdd(ls.s.stats.LBQueries, int64(inner.LBQueries))

@@ -22,7 +22,12 @@ type Step struct {
 	// Multiplier is the number of worker groups executing this step
 	// concurrently: k1*k2*...*k(i-1).
 	Multiplier int64
-	// VarCut maps coarsened-variable ID to the cut dimension.
+	// VarCut maps coarsened-variable ID to the cut dimension — what the
+	// step's search decided, and the handle the three dense tables below
+	// derive from (recursive.Materialize prices it back into them). The
+	// keys belong to the coarsening the step was searched over, so nothing
+	// downstream of the search reads it: it is not serialized, and plans
+	// decoded from JSON or lifted into another graph's IDs carry none.
 	VarCut map[int]int
 	// TensorCut is the cut dimension per tensor ID (dense — tensor IDs
 	// index it directly), -1 for tensors uncut at this step.

@@ -85,11 +85,14 @@ type SearchStats struct {
 
 // prefixState is the per-factor-prefix memo node: the DP result of the
 // prefix's last step and the tensor shapes after it, computed exactly once
-// however many orderings share the prefix.
+// however many orderings share the prefix. A complete prefix (depth = the
+// pool's length) has nothing below it to solve, so it only checks that its
+// last division is possible and keeps no shape table.
 type prefixState struct {
 	once   sync.Once
 	parent *prefixState
 	factor int64
+	depth  int
 	// done flips after the once body returns; readers that merely want to
 	// PEEK at an already-computed sibling's δ (the memo gate in boundAt)
 	// check it instead of entering once.Do, which would block on — or worse,
@@ -106,16 +109,21 @@ type prefixState struct {
 	// much tighter admissible bound the expansion maxes with dp.LowerBound.
 	lastDelta map[int64]float64
 
-	// lb memoizes dp.LowerBound per candidate next factor at these shapes;
-	// the prepared evaluators are handed to the child's Solve via EvalReuse.
+	// lb memoizes the prepared step per candidate next factor at these
+	// shapes: its LowerBound for the bound queries, and the evaluators the
+	// child prefix's Solve then runs on.
 	lbMu sync.Mutex
 	lb   map[int64]*lbQuery
 }
 
+// lbQuery is one (prefix, next factor) step, prepared once. prob is the
+// Problem prep holds; only the child prefix's computeStep touches either
+// after the once.
 type lbQuery struct {
 	once  sync.Once
+	prob  dp.Problem
+	prep  *dp.Prepared
 	delta float64
-	reuse *dp.EvalReuse
 	err   error
 }
 
@@ -245,7 +253,7 @@ func (s *orderSearch) prefixFor(parent *prefixState, key string, f int64) *prefi
 	s.mu.Lock()
 	ps, ok := s.prefixes[key]
 	if !ok {
-		ps = &prefixState{parent: parent, factor: f, lb: map[int64]*lbQuery{}}
+		ps = &prefixState{parent: parent, factor: f, depth: parent.depth + 1, lb: map[int64]*lbQuery{}}
 		s.prefixes[key] = ps
 	}
 	s.mu.Unlock()
@@ -279,33 +287,23 @@ func (s *orderSearch) memoDelta(key string, f int64) (float64, bool) {
 	return ps.res.CommBytes, true
 }
 
-// computeStep runs one prefix's DP step: lower-bound first (it prepares the
-// slot evaluators the Solve then reuses, and detects infeasibility before
-// any frontier sweep), then the sweep, then the shape division.
+// computeStep runs one prefix's DP step: prepare it (or pick up the
+// preparation a bound query at the parent already made — it detects
+// infeasibility before any frontier sweep), sweep on those evaluators, then
+// divide the shapes for the prefixes below.
 func (s *orderSearch) computeStep(ps *prefixState, st *obs.Span) {
 	par := ps.parent
 	if par.err != nil {
 		ps.err = par.err
 		return
 	}
-	_, reuse, err := s.lowerBoundFor(par, ps.factor)
-	if err != nil {
-		ps.err = err
+	q := s.lowerBoundFor(par, ps.factor, st)
+	if q.err != nil {
+		ps.err = q.err
 		return
 	}
-	res, err := dp.Solve(&dp.Problem{
-		Coarse:         s.c,
-		K:              ps.factor,
-		Shapes:         par.shapes,
-		DType:          s.opts.DType,
-		StrategyFilter: s.opts.StrategyFilter,
-		MaxStates:      s.opts.MaxStates,
-		Parallelism:    s.opts.Parallelism,
-		Cache:          s.cache,
-		Reuse:          reuse,
-		Trace:          st,
-		Cancel:         s.opts.Cancel,
-	})
+	q.prob.Trace = st
+	res, err := q.prep.Solve()
 	if err != nil {
 		ps.err = err
 		return
@@ -313,29 +311,30 @@ func (s *orderSearch) computeStep(ps *prefixState, st *obs.Span) {
 	s.mu.Lock()
 	s.stats.DPSolves++
 	s.mu.Unlock()
-	shapes := cloneShapes(s.g, par.shapes)
-	for tid, dim := range res.TensorCut {
-		if dim < 0 {
-			continue
-		}
-		if err := shapes[tid].SplitInPlace(dim, ps.factor); err != nil {
-			ps.err = fmt.Errorf("recursive: splitting tensor %d: %w", tid, err)
-			return
-		}
+	if ps.depth == len(s.pool) {
+		ps.err = divideShapes(s.c, par.shapes, res.VarCut, ps.factor, false)
+	} else {
+		ps.shapes = cloneShapes(s.g, par.shapes)
+		ps.err = divideShapes(s.c, ps.shapes, res.VarCut, ps.factor, true)
+	}
+	if ps.err != nil {
+		return
 	}
 	last := make(map[int64]float64, len(par.lastDelta)+1)
 	for f, d := range par.lastDelta {
 		last[f] = d
 	}
 	last[ps.factor] = res.CommBytes
-	ps.res, ps.shapes, ps.lastDelta = res, shapes, last
+	ps.res, ps.lastDelta = res, last
 }
 
-// lowerBoundFor memoizes the admissible per-step bound for factor f at the
-// prefix's shapes. An error means no step with factor f can ever run at or
-// below this prefix (divisibility and strategy gates are monotone), so the
-// whole subtree still owing f is infeasible.
-func (s *orderSearch) lowerBoundFor(ps *prefixState, f int64) (float64, *dp.EvalReuse, error) {
+// lowerBoundFor memoizes the prepared step for factor f at the prefix's
+// shapes; its delta is the admissible per-step bound. An error means no step
+// with factor f can ever run at or below this prefix (divisibility and
+// strategy gates are monotone), so the whole subtree still owing f is
+// infeasible. trace parents the preparation's "dp.pricing" span when this
+// call is the one that prepares.
+func (s *orderSearch) lowerBoundFor(ps *prefixState, f int64, trace *obs.Span) *lbQuery {
 	ps.lbMu.Lock()
 	q, ok := ps.lb[f]
 	if !ok {
@@ -344,8 +343,7 @@ func (s *orderSearch) lowerBoundFor(ps *prefixState, f int64) (float64, *dp.Eval
 	}
 	ps.lbMu.Unlock()
 	q.once.Do(func() {
-		q.reuse = &dp.EvalReuse{}
-		q.delta, q.err = dp.LowerBound(&dp.Problem{
+		q.prob = dp.Problem{
 			Coarse:         s.c,
 			K:              f,
 			Shapes:         ps.shapes,
@@ -354,12 +352,17 @@ func (s *orderSearch) lowerBoundFor(ps *prefixState, f int64) (float64, *dp.Eval
 			MaxStates:      s.opts.MaxStates,
 			Parallelism:    s.opts.Parallelism,
 			Cache:          s.cache,
-		}, q.reuse)
+			Trace:          trace,
+			Cancel:         s.opts.Cancel,
+		}
+		if q.prep, q.err = dp.Prepare(&q.prob); q.err == nil {
+			q.delta = q.prep.LowerBound()
+		}
 		s.mu.Lock()
 		s.stats.LBQueries++
 		s.mu.Unlock()
 	})
-	return q.delta, q.reuse, q.err
+	return q
 }
 
 // pruneSlack absorbs float summation-order noise between a node's bound and
@@ -482,10 +485,11 @@ func (s *orderSearch) boundAt(ps *prefixState, key string, g float64, rem []int)
 		if rem[j] == 0 {
 			continue
 		}
-		lb, _, err := s.lowerBoundFor(ps, fl2.f)
-		if err != nil {
-			return 0, err
+		q := s.lowerBoundFor(ps, fl2.f, s.trace)
+		if q.err != nil {
+			return 0, q.err
 		}
+		lb := q.delta
 		if s.opts.MaxStates == 0 {
 			if d := ps.lastDelta[fl2.f]; d > lb {
 				lb = d
@@ -674,7 +678,7 @@ func (s *orderSearch) warmOrder() ([]factorLevel, []uint8, bool) {
 }
 
 // run drains the branch-and-bound tree and assembles the winning plan.
-func (s *orderSearch) run() (*plan.Plan, error) {
+func (s *orderSearch) run() (*winner, error) {
 	s.trace = s.opts.Trace.Child("order.search")
 	defer s.trace.End()
 	s.stats.Orderings = multinomial(s.counts)
@@ -857,18 +861,18 @@ func (s *orderSearch) diagnose() {
 	walk(s.rootPS, "", 0)
 }
 
-// buildPlan materializes the winning ordering from the shared prefix memos —
-// no DP re-runs; the assembled steps are the exact Results the exhaustive
-// enumeration's runSteps would have produced.
-func (s *orderSearch) buildPlan() (*plan.Plan, error) {
+// buildPlan assembles the winning ordering from the shared prefix memos — no
+// DP re-runs; the steps and their retained results are the ones the
+// exhaustive enumeration's runSteps would have produced.
+func (s *orderSearch) buildPlan() (*winner, error) {
 	p := &plan.Plan{K: s.k}
-	ps := s.rootPS
+	w := &winner{plan: p}
 	key := ""
 	mult := int64(1)
 	for _, fl := range s.bestSteps {
 		key = childKey(key, fl.f)
 		s.mu.Lock()
-		ps = s.prefixes[key]
+		ps := s.prefixes[key]
 		s.mu.Unlock()
 		if ps == nil || ps.err != nil || ps.res == nil {
 			return nil, fmt.Errorf("recursive: internal: winning prefix %q lost", key)
@@ -878,21 +882,18 @@ func (s *orderSearch) buildPlan() (*plan.Plan, error) {
 			K:          fl.f,
 			Multiplier: mult,
 			VarCut:     res.VarCut,
-			TensorCut:  res.TensorCut,
-			OpStrategy: res.OpStrategy,
-			OpComm:     res.OpComm,
 			CommBytes:  res.CommBytes,
 			States:     res.States,
 			Configs:    res.Configs,
 			Level:      fl.level,
 		})
+		w.results = append(w.results, res)
 		mult *= fl.f
 	}
-	p.FinalShapes = ps.shapes
 	// A walk the deadline stopped ships its incumbent — a real, feasible
 	// plan, just not a proven optimum — under the Degraded marker.
 	p.Degraded = s.cancelled
-	return p, nil
+	return w, nil
 }
 
 // infeasibleTopoErr joins the distinct infeasibility reasons (sorted for

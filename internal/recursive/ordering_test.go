@@ -253,13 +253,8 @@ func TestLowerBoundAdmissible(t *testing.T) {
 				t.Fatalf("ordering %v step %d: %v", ord, i, err)
 			}
 			deltas[i] = res.CommBytes
-			for tid, dim := range res.TensorCut {
-				if dim < 0 {
-					continue
-				}
-				if err := shapes[tid].SplitInPlace(dim, ord[i].f); err != nil {
-					t.Fatal(err)
-				}
+			if err := divideShapes(c, shapes, res.VarCut, ord[i].f, true); err != nil {
+				t.Fatal(err)
 			}
 		}
 		// Pass 2: the bound computed at any prefix must not exceed the δ of
@@ -268,7 +263,7 @@ func TestLowerBoundAdmissible(t *testing.T) {
 			for j := i; j < len(ord); j++ {
 				lb, err := dp.LowerBound(&dp.Problem{
 					Coarse: c, K: ord[j].f, Shapes: prefixShapes[i], Cache: cache,
-				}, nil)
+				})
 				if err != nil {
 					t.Fatalf("ordering %v prefix %d: bound for %d: %v", ord, i, ord[j].f, err)
 				}
@@ -402,7 +397,7 @@ func TestOrderingSearchSupersedesBlockFallback(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if cost := weightedComm(pb, tp); blockBest < 0 || cost < blockBest {
+		if cost := weightedComm(pb.plan, tp); blockBest < 0 || cost < blockBest {
 			blockBest = cost
 		}
 	}

@@ -127,8 +127,129 @@ func Coarsen(g *graph.Graph, trace *obs.Span) (*coarsen.Coarse, error) {
 }
 
 // PartitionCoarse is Partition over an already coarsened graph (c.G): the
-// search alone. It emits no "coarsen" span — whoever coarsened did.
+// search alone. It emits no "coarsen" span — whoever coarsened did. It is
+// Search followed by Materialize, except that it fills the winner's tables
+// from the evaluators its solves left behind instead of re-pricing them.
 func PartitionCoarse(c *coarsen.Coarse, k int64, opts Options) (*plan.Plan, error) {
+	w, err := search(c, k, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := fill(c, w, opts); err != nil {
+		return nil, err
+	}
+	return w.plan, nil
+}
+
+// Search is the cost-only half of PartitionCoarse: the winning plan with
+// every step's K, Multiplier, Level, VarCut, CommBytes, States and Configs
+// (and Degraded), but no TensorCut, OpStrategy, OpComm or FinalShapes — what
+// a caller comparing many candidate searches needs of each. It retains
+// nothing of the search besides the plan; Materialize fills in the rest.
+func Search(c *coarsen.Coarse, k int64, opts Options) (*plan.Plan, error) {
+	w, err := search(c, k, opts)
+	if err != nil {
+		return nil, err
+	}
+	return w.plan, nil
+}
+
+// Materialize completes a plan Search returned over the same c and opts
+// (DType and StrategyFilter decide the tables; Cache and Parallelism only how
+// fast): each step's VarCut is priced by dp.Evaluate at the shapes the steps
+// before it leave, which fills exactly the tables the step's own solve would
+// have. The work is bounded — one evaluator preparation per step, no sweep —
+// so it does not poll opts.Cancel: a degraded incumbent still ships complete.
+func Materialize(c *coarsen.Coarse, p *plan.Plan, opts Options) error {
+	return fill(c, &winner{plan: p}, opts)
+}
+
+// winner is a search's chosen plan, cost-only, with what the search still
+// holds of it.
+type winner struct {
+	plan *plan.Plan
+	// results[i] is the solve behind plan.Steps[i], evaluators attached; nil
+	// when only the plan survives.
+	results []*dp.Result
+	// final is the shape table after the last step, when the engine divided
+	// one all the way down the winning chain anyway (flat chains).
+	final map[int]shape.Shape
+}
+
+// fill gives every step of w.plan its dense tables — from the step's retained
+// result, or by pricing its VarCut at the shapes divided so far — and the
+// plan its FinalShapes.
+func fill(c *coarsen.Coarse, w *winner, opts Options) error {
+	p := w.plan
+	shapes := w.final
+	if shapes == nil {
+		shapes = cloneShapes(c.G, nil)
+	}
+	cache := opts.Cache
+	for i, st := range p.Steps {
+		var res *dp.Result
+		var err error
+		if w.results != nil {
+			res = w.results[i]
+			err = res.Materialize()
+		} else {
+			if cache == nil {
+				cache = dp.NewPriceCache() // shared by this plan's steps
+			}
+			res, err = dp.Evaluate(&dp.Problem{
+				Coarse:         c,
+				K:              st.K,
+				Shapes:         shapes,
+				DType:          opts.DType,
+				StrategyFilter: opts.StrategyFilter,
+				Parallelism:    opts.Parallelism,
+				Cache:          cache,
+			}, st.VarCut)
+		}
+		if err != nil {
+			return fmt.Errorf("recursive: step %d (x%d): %w", i+1, st.K, err)
+		}
+		st.TensorCut, st.OpStrategy, st.OpComm = res.TensorCut, res.OpStrategy, res.OpComm
+		if w.final == nil {
+			if err := divideShapes(c, shapes, st.VarCut, st.K, true); err != nil {
+				return err
+			}
+		}
+	}
+	p.FinalShapes = shapes
+	return nil
+}
+
+// divideShapes divides every cut tensor's shape k ways along its variable's
+// cut — in place when apply is set, otherwise only checking that it could
+// be. The error is the one a pass in tensor-ID order would meet first.
+func divideShapes(c *coarsen.Coarse, shapes map[int]shape.Shape, varCut map[int]int, k int64, apply bool) error {
+	bad, badErr := -1, error(nil)
+	for _, v := range c.Vars {
+		dim, ok := varCut[v.ID]
+		if !ok {
+			continue
+		}
+		for _, t := range v.Tensors {
+			var err error
+			if s := shapes[t.ID]; apply {
+				err = s.SplitInPlace(dim, k)
+			} else if !s.CanSplit(dim, k) {
+				_, err = s.Split(dim, k)
+			}
+			if err != nil && (bad < 0 || t.ID < bad) {
+				bad, badErr = t.ID, err
+			}
+		}
+	}
+	if badErr != nil {
+		return fmt.Errorf("recursive: splitting tensor %d: %w", bad, badErr)
+	}
+	return nil
+}
+
+// search is the engine dispatch behind Search and PartitionCoarse.
+func search(c *coarsen.Coarse, k int64, opts Options) (*winner, error) {
 	g := c.G
 	if k < 1 {
 		return nil, fmt.Errorf("recursive: worker count %d invalid", k)
@@ -161,16 +282,16 @@ func PartitionCoarse(c *coarsen.Coarse, k int64, opts Options) (*plan.Plan, erro
 	if cache == nil {
 		cache = dp.NewPriceCache()
 	}
-	p, err := runSteps(g, c, k, factors, nil, opts, cache, nil)
+	w, err := runSteps(g, c, k, factors, nil, opts, cache, nil)
 	if err != nil {
 		return nil, err
 	}
 	if opts.Topology != nil {
 		// Explicit-factor searches (EqualChop's single chop) still run on
 		// the real machine: annotate the topology-blind layout.
-		opts.Topology.AssignLevels(p)
+		opts.Topology.AssignLevels(w.plan)
 	}
-	return p, nil
+	return w, nil
 }
 
 // runSteps runs the per-factor DP sequence — the body of the recursive
@@ -178,23 +299,14 @@ func PartitionCoarse(c *coarsen.Coarse, k int64, opts Options) (*plan.Plan, erro
 // level its communication crosses. nSolves, when non-nil, counts the DP
 // executions (the flat enumeration's search-effort metric).
 func runSteps(g *graph.Graph, c *coarsen.Coarse, k int64, factors []int64, levels []int,
-	opts Options, cache *dp.PriceCache, nSolves *int) (*plan.Plan, error) {
+	opts Options, cache *dp.PriceCache, nSolves *int) (*winner, error) {
 
-	// Current (progressively divided) shape of every tensor — clones carved
-	// out of one slab, owned by this search and divided in place below.
-	total := 0
-	for _, t := range g.Tensors {
-		total += t.Shape.Rank()
-	}
-	slab := make([]int64, 0, total)
-	shapes := make(map[int]shape.Shape, len(g.Tensors))
-	for _, t := range g.Tensors {
-		start := len(slab)
-		slab = append(slab, t.Shape...)
-		shapes[t.ID] = shape.Shape(slab[start:len(slab):len(slab)])
-	}
+	// Current (progressively divided) shape of every tensor — clones owned by
+	// this search and divided in place below.
+	shapes := cloneShapes(g, nil)
 
-	p := &plan.Plan{K: k, FinalShapes: shapes}
+	p := &plan.Plan{K: k}
+	w := &winner{plan: p, results: make([]*dp.Result, 0, len(factors)), final: shapes}
 	mult := int64(1)
 	// Consecutive equal-factor steps reuse unchanged slot evaluators (same
 	// Coarse, DType and filter throughout — see dp.Problem.Reuse).
@@ -236,9 +348,6 @@ func runSteps(g *graph.Graph, c *coarsen.Coarse, k int64, factors []int64, level
 			K:          ki,
 			Multiplier: mult,
 			VarCut:     res.VarCut,
-			TensorCut:  res.TensorCut,
-			OpStrategy: res.OpStrategy,
-			OpComm:     res.OpComm,
 			CommBytes:  res.CommBytes,
 			States:     res.States,
 			Configs:    res.Configs,
@@ -247,21 +356,17 @@ func runSteps(g *graph.Graph, c *coarsen.Coarse, k int64, factors []int64, level
 			step.Level = levels[i]
 		}
 		p.Steps = append(p.Steps, step)
+		w.results = append(w.results, res)
 		mult *= ki
 
 		// Divide shapes along the chosen cuts for the next step. The table
 		// holds clones made above, so dividing in place is safe and spares
 		// a fresh shape per (tensor, step).
-		for tid, dim := range res.TensorCut {
-			if dim < 0 {
-				continue
-			}
-			if err := shapes[tid].SplitInPlace(dim, ki); err != nil {
-				return nil, fmt.Errorf("recursive: splitting tensor %d: %w", tid, err)
-			}
+		if err := divideShapes(c, shapes, res.VarCut, ki, true); err != nil {
+			return nil, err
 		}
 	}
-	return p, nil
+	return w, nil
 }
 
 // factorLevel is one recursive factor bound to the interconnect level whose
@@ -281,7 +386,7 @@ type factorLevel struct {
 // layout and TopoExhaustive the flat one-DP-run-per-ordering enumeration,
 // both of which choose byte-identical plans to the tree wherever they
 // apply.
-func partitionTopo(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology, opts Options) (*plan.Plan, error) {
+func partitionTopo(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology, opts Options) (*winner, error) {
 	cache := opts.Cache
 	if cache == nil {
 		cache = dp.NewPriceCache()
@@ -311,11 +416,11 @@ func partitionTopo(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology,
 // aggregated so a fully infeasible topology reports every way it failed,
 // not just the first.
 func partitionTopoFlat(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology,
-	opts Options, cache *dp.PriceCache) (*plan.Plan, error) {
+	opts Options, cache *dp.PriceCache) (*winner, error) {
 
 	orderings := topoOrderings(tp, opts.TopologyNaive)
 	var (
-		best     *plan.Plan
+		best     *winner
 		bestCost float64
 		stats    SearchStats
 		errs     errCollector
@@ -336,7 +441,7 @@ func partitionTopoFlat(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topol
 			levels[i] = fl.level
 		}
 		stats.FlatDPSolves += len(ord)
-		p, err := runSteps(g, c, k, factors, levels, opts, cache, &stats.DPSolves)
+		w, err := runSteps(g, c, k, factors, levels, opts, cache, &stats.DPSolves)
 		if err != nil {
 			if cancel.IsCancellation(err) {
 				// A cancelled chain is not an infeasible one: keep it out of
@@ -348,9 +453,9 @@ func partitionTopoFlat(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topol
 			continue
 		}
 		stats.Leaves++
-		cost := weightedComm(p, tp)
+		cost := weightedComm(w.plan, tp)
 		if best == nil || cost < bestCost {
-			best, bestCost = p, cost
+			best, bestCost = w, cost
 		}
 	}
 	stats.Expanded = stats.Leaves
@@ -364,7 +469,7 @@ func partitionTopoFlat(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topol
 		}
 		return nil, infeasibleTopoErr(tp, errs.errs)
 	}
-	best.Degraded = degraded
+	best.plan.Degraded = degraded
 	return best, nil
 }
 
