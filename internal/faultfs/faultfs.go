@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -39,6 +40,11 @@ type FS interface {
 	ReadFile(path string) ([]byte, error)
 	// Create opens path for exclusive creation (O_WRONLY|O_CREATE|O_EXCL).
 	Create(path string) (File, error)
+	// TempSuffix returns a random temp-file suffix. Writers sharing a
+	// directory share no counter — two handles in one process, two containers
+	// that are both pid 1 on one volume — so uniqueness comes from randomness
+	// and the caller retries Create when two draws collide.
+	TempSuffix() string
 	Rename(oldPath, newPath string) error
 	Remove(path string) error
 	Stat(path string) (fs.FileInfo, error)
@@ -57,6 +63,7 @@ func (osFS) ReadFile(path string) ([]byte, error)        { return os.ReadFile(pa
 func (osFS) Create(path string) (File, error) {
 	return os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 }
+func (osFS) TempSuffix() string                    { return strconv.FormatUint(rand.Uint64(), 36) }
 func (osFS) Rename(oldPath, newPath string) error  { return os.Rename(oldPath, newPath) }
 func (osFS) Remove(path string) error              { return os.Remove(path) }
 func (osFS) Stat(path string) (fs.FileInfo, error) { return os.Stat(path) }
@@ -233,6 +240,8 @@ func (i *Injector) Create(path string) (File, error) {
 	}
 	return &faultFile{inj: i, path: path, f: f}, nil
 }
+
+func (i *Injector) TempSuffix() string { return i.inner.TempSuffix() }
 
 func (i *Injector) Rename(oldPath, newPath string) error {
 	if i.fault(OpRename, newPath) != nil {

@@ -12,17 +12,17 @@ import (
 	"tofu/internal/shape"
 )
 
-// assemble materializes the winning boundary set: per-stage plans filled from
-// their memoized cost-only form, per-stage execution structures, and one
+// assemble materializes the winning level's boundary set: per-stage plans
+// filled from their memoized cost-only form, per-stage execution structures, and one
 // combined stage-annotated plan in full-graph IDs, with per-stage multipliers
 // restarting at 1 (each stage's kSub workers divide only that stage's
 // tensors). It polls no cancellation: the work is bounded by the S winning
 // stages, and a degraded incumbent must still ship as a complete plan.
-func (s *search) assemble(ls *levelState, set []int) (*Result, error) {
+func (s *search) assemble(ls *levelState) (*Result, error) {
 	L := len(s.c.Groups)
 	bounds := make([]int, 0, ls.S+1)
 	bounds = append(bounds, 0)
-	bounds = append(bounds, set...)
+	bounds = append(bounds, ls.best...)
 	bounds = append(bounds, L)
 
 	res := &Result{Level: ls.level, Cost: ls.bestCost}

@@ -5,15 +5,14 @@
 // branch-and-bound (the RaNNC-style staging of PAPERS.md applied to Tofu's
 // recursive DP).
 //
-// The performance core is a segment memo: a depth-L coarsened graph has only
-// O(L²) distinct contiguous segments, so each segment's partition search runs
-// exactly once and is shared across every candidate boundary set, while
-// admissible lower bounds — per-group dense-table minima plus hand-off
-// transfer floors priced at the stage level's links — prune the boundary tree
-// the way the PR 5 ordering search pruned factor orderings. Pruning is strict
-// and ties break by the exhaustive enumeration's lexicographic order, so the
-// chosen plan is byte-identical to the Options.Exhaustive oracle at any
-// Parallelism.
+// The performance core is a segment memo searched lazily: a depth-L coarsened
+// graph has only O(L²) distinct contiguous segments, each segment's partition
+// search runs at most once, and the boundary problem is a shortest path through
+// the (stage, boundary) DAG whose edges start at admissible per-group floors
+// and turn exact only when the cheapest estimated path crosses them (search.go).
+// Pruning is strict and ties break by the exhaustive enumeration's
+// lexicographic order, so the chosen plan is byte-identical to the
+// Options.Exhaustive oracle at any Parallelism.
 //
 //tofu:searchpath reachable from dp.Solve / recursive.Partition; nodeterm enforces determinism
 package hybrid
@@ -67,12 +66,14 @@ type Options struct {
 	// Trace, if non-nil, records the joint search's span tree: "coarsen",
 	// per-candidate-level "hybrid.level" spans, and under each a
 	// "hybrid.segment" span per memoized segment solve (wrapping that
-	// segment's full recursive search). nil records nothing and costs
-	// nothing; spans never influence the chosen plan.
+	// segment's full recursive search). A level span carries seed_rounds
+	// (seed rounds started), segments (solved at that level) and skipped=1
+	// when an earlier level's best cut it before any solve. nil records
+	// nothing and costs nothing; spans never influence the chosen plan.
 	Trace *obs.Span
-	// Cancel, if non-nil, is polled at every boundary-tree node and plumbed
-	// into each segment's recursive search. On a tripped token the search
-	// returns its best incumbent (the balanced seed counts) marked
+	// Cancel, if non-nil, is polled at every seed round and boundary-tree node
+	// and plumbed into each segment's recursive search. On a tripped token the
+	// search returns its best incumbent (the first seed round counts) marked
 	// plan.Degraded, or the token's reason when nothing completed. nil (the
 	// default) costs a pointer comparison per poll.
 	Cancel *cancel.Token
@@ -87,9 +88,10 @@ type Stats struct {
 	// BoundarySets is the search-space size summed over the levels tried:
 	// C(L-1, S-1) candidate boundary sets per level.
 	BoundarySets int64 `json:"boundary_sets"`
-	// Leaves is how many complete boundary sets were actually costed;
-	// Expanded and Pruned count boundary-tree nodes expanded vs discarded
-	// because their admissible bound exceeded the incumbent.
+	// Leaves is how many complete boundary sets the tree walk costed; Expanded
+	// and Pruned count boundary-tree nodes expanded vs discarded — because
+	// their admissible bound exceeded the incumbent or an earlier level's
+	// best, or (dominance cuts) an earlier visit to the same state was cheaper.
 	Leaves   int64 `json:"leaves"`
 	Expanded int64 `json:"expanded"`
 	Pruned   int64 `json:"pruned"`
@@ -102,8 +104,8 @@ type Stats struct {
 	// depth, saturating.
 	DPSolves     int64 `json:"dp_solves"`
 	FlatDPSolves int64 `json:"flat_dp_solves"`
-	// LBQueries counts admissible lower-bound evaluations (the per-group
-	// dp.LowerBound table plus per-node bound checks).
+	// LBQueries counts admissible lower-bound evaluations: the per-group
+	// dp.LowerBound table plus every read of a level's cost-to-go table.
 	LBQueries int64 `json:"lb_queries"`
 	// BestCost is the winning modeled communication time in seconds:
 	// Σ per-stage bandwidth-weighted comm + Σ boundary hand-offs.
@@ -199,10 +201,7 @@ func PartitionCoarse(c *coarsen.Coarse, k int64, opts Options) (*Result, error) 
 			levels = append(levels, l)
 		}
 	}
-	var (
-		bestLS  *levelState
-		bestSet []int
-	)
+	var bestLS *levelState
 	for _, level := range levels {
 		if opts.Cancel.Cancelled() {
 			s.cancelled = true
@@ -217,18 +216,8 @@ func PartitionCoarse(c *coarsen.Coarse, k int64, opts Options) (*Result, error) 
 			continue
 		}
 		ls.trace = lsp
-		set, ok := ls.run()
-		if ok {
-			lsp.SetFloat("best_cost", ls.bestCost)
-		}
+		bestLS = ls.contend(bestLS)
 		lsp.End()
-		if !ok {
-			continue
-		}
-		// Strict improvement keeps the innermost feasible level on ties.
-		if bestLS == nil || ls.bestCost < bestLS.bestCost {
-			bestLS, bestSet = ls, set
-		}
 	}
 	if bestLS == nil {
 		if s.cancelled {
@@ -239,7 +228,7 @@ func PartitionCoarse(c *coarsen.Coarse, k int64, opts Options) (*Result, error) 
 	s.stats.Level = bestLS.level
 	s.stats.Stages = bestLS.S
 	s.stats.BestCost = bestLS.bestCost
-	res, err := s.assemble(bestLS, bestSet)
+	res, err := s.assemble(bestLS)
 	if err != nil {
 		return nil, err
 	}

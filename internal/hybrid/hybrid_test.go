@@ -9,6 +9,7 @@ import (
 	"tofu/internal/cancel"
 	"tofu/internal/hybrid"
 	"tofu/internal/models"
+	"tofu/internal/obs"
 	"tofu/internal/plan"
 	"tofu/internal/topo"
 )
@@ -79,19 +80,50 @@ func TestHybridMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestHybridPruningFloor enforces the tentpole's acceptance gate in-tree:
-// on the 3- and 4-level cluster profiles the segment memo plus
-// branch-and-bound must run >= 10x fewer dp.Solve calls than exhaustive
-// boundary enumeration would.
+// levelAttrs runs fn under a trace and returns each "hybrid.level" span's
+// attributes, in level order.
+func levelAttrs(fn func(trace *obs.Span)) []map[string]string {
+	root := obs.NewSpan("test")
+	fn(root)
+	var out []map[string]string
+	for _, sp := range root.Children() {
+		if sp.Name() != "hybrid.level" {
+			continue
+		}
+		attrs := make(map[string]string)
+		for _, a := range sp.Attrs() {
+			attrs[a.Key] = a.Val
+		}
+		out = append(out, attrs)
+	}
+	return out
+}
+
+// TestHybridPruningFloor enforces the search-effort gates in-tree. The PR 8
+// floor: the segment memo plus branch-and-bound must run >= 10x fewer dp.Solve
+// calls than exhaustive boundary enumeration would. The lazy shortest-path
+// ceilings: on the four cold-hybrid benchmark cases the search solves no more
+// segments and expands no more tree nodes than it did when the ceilings were
+// recorded (effort is deterministic, so any rise is a change of policy, not
+// noise), and a level an earlier level's best cuts solves nothing.
 func TestHybridPruningFloor(t *testing.T) {
 	cases := []struct {
-		prof  string
-		cfg   models.Config
-		level int
+		prof               string
+		cfg                models.Config
+		level              int
+		segments, expanded int64 // ceilings; 0 = not pinned
 	}{
-		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 4, Width: 256, Batch: 64}, 0},
-		{"cluster-2x4x2x12", models.Config{Family: "mlp", Depth: 4, Width: 384, Batch: 48}, 2},
+		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 4, Width: 256, Batch: 64}, 0, 0, 0},
+		{"cluster-2x4x2x12", models.Config{Family: "mlp", Depth: 4, Width: 384, Batch: 48}, 2, 0, 0},
+		// bench/workloads/cold-hybrid.json; the parent commit's balanced seed
+		// and static floors solved 114/493/245/10 segments and expanded
+		// 2087/95725/376/1 nodes.
+		{"cluster-2x4x2x12", models.Config{Family: "mlp", Depth: 4, Width: 384, Batch: 48}, 0, 78, 43},
+		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 8, Width: 256, Batch: 64}, 0, 312, 151},
+		{"cluster-4x2x8", models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}, 0, 28, 10},
+		{"cluster-2x8", models.Config{Family: "transformer", Depth: 2, Width: 1024, Batch: 64}, 0, 8, 1},
 	}
+	skipped := 0
 	for _, c := range cases {
 		tp, err := topo.Profile(c.prof)
 		if err != nil {
@@ -102,18 +134,38 @@ func TestHybridPruningFloor(t *testing.T) {
 			t.Fatal(err)
 		}
 		var st hybrid.Stats
-		if _, err := hybrid.Partition(m.G, int64(tp.NumGPUs()), hybrid.Options{
-			Topology: &tp, Level: c.level, Parallelism: 1, Stats: &st,
-		}); err != nil {
+		levels := levelAttrs(func(trace *obs.Span) {
+			_, err = hybrid.Partition(m.G, int64(tp.NumGPUs()), hybrid.Options{
+				Topology: &tp, Level: c.level, Parallelism: 1, Stats: &st, Trace: trace,
+			})
+		})
+		if err != nil {
 			t.Fatalf("%s: %v", c.prof, err)
 		}
 		if st.DPSolves*10 > st.FlatDPSolves {
-			t.Errorf("%s: %d dp solves vs %d flat — below the 10x floor",
-				c.prof, st.DPSolves, st.FlatDPSolves)
+			t.Errorf("%s %s: %d dp solves vs %d flat — below the 10x floor",
+				c.prof, c.cfg, st.DPSolves, st.FlatDPSolves)
 		}
 		if st.Pruned == 0 {
-			t.Errorf("%s: branch-and-bound pruned nothing", c.prof)
+			t.Errorf("%s %s: branch-and-bound pruned nothing", c.prof, c.cfg)
 		}
+		if c.segments > 0 && (st.Segments > c.segments || st.Expanded > c.expanded) {
+			t.Errorf("%s %s: %d segments solved and %d nodes expanded, ceilings %d and %d",
+				c.prof, c.cfg, st.Segments, st.Expanded, c.segments, c.expanded)
+		}
+		for _, attrs := range levels {
+			if attrs["skipped"] == "" {
+				continue
+			}
+			skipped++
+			if attrs["segments"] != "0" || attrs["seed_rounds"] != "0" {
+				t.Errorf("%s %s: level %s was cut by an earlier level's best yet ran %s seed rounds and solved %s segments",
+					c.prof, c.cfg, attrs["level"], attrs["seed_rounds"], attrs["segments"])
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Error("no case had a level cut by an earlier level's best")
 	}
 }
 
@@ -251,6 +303,25 @@ func TestHybridInfeasible(t *testing.T) {
 	if _, err := hybrid.Partition(m.G, int64(deep.NumGPUs()), hybrid.Options{Parallelism: 1}); err == nil {
 		t.Error("nil topology accepted")
 	}
+	// Nothing splits: every candidate level fails, and the pruned search must
+	// still report every distinct reason the exhaustive walk finds — one per
+	// failing segment and sub-machine, not just the first it met.
+	odd, err := models.Build(models.Config{Family: "mlp", Depth: 4, Width: 63, Batch: 63})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid, err := topo.Profile("cluster-4x2x8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got := hybrid.Partition(odd.G, int64(mid.NumGPUs()), hybrid.Options{Topology: &mid, Parallelism: 1})
+	_, want := hybrid.Partition(odd.G, int64(mid.NumGPUs()), hybrid.Options{Topology: &mid, Parallelism: 1, Exhaustive: true})
+	if got == nil || want == nil || got.Error() != want.Error() {
+		t.Errorf("indivisible model: search reports\n%v\nexhaustive walk reports\n%v", got, want)
+	} else if n := strings.Count(want.Error(), "\n"); n < 10 ||
+		!strings.Contains(want.Error(), "on 8 GPUs") || !strings.Contains(want.Error(), "on 16 GPUs") {
+		t.Errorf("indivisible model: %d reasons, want at least 10 across both stage sub-machines:\n%v", n, want)
+	}
 }
 
 // TestHybridCancelledIncumbentIsComplete: a boundary walk stopped after its
@@ -287,42 +358,109 @@ func TestHybridCancelledIncumbentIsComplete(t *testing.T) {
 				res = got
 			}
 		}
-		if len(res.Stages) < 2 {
-			t.Fatalf("%s: degraded plan has %d stages", prof, len(res.Stages))
+		checkCompletePlan(t, prof, res)
+	}
+}
+
+// checkCompletePlan asserts a degraded result is a whole plan: every stage
+// has execution structures, final shapes and dense per-step tables, and the
+// combined plan verifies and reads back.
+func checkCompletePlan(t *testing.T, prof string, res *hybrid.Result) {
+	t.Helper()
+	if len(res.Stages) < 2 {
+		t.Fatalf("%s: degraded plan has %d stages", prof, len(res.Stages))
+	}
+	for si, stg := range res.Stages {
+		if stg.Sharded == nil || len(stg.Plan.FinalShapes) != len(stg.G.Tensors) {
+			t.Fatalf("%s stage %d: no execution structure or %d final shapes for %d tensors",
+				prof, si, len(stg.Plan.FinalShapes), len(stg.G.Tensors))
 		}
-		for si, stg := range res.Stages {
-			if stg.Sharded == nil || len(stg.Plan.FinalShapes) != len(stg.G.Tensors) {
-				t.Fatalf("%s stage %d: no execution structure or %d final shapes for %d tensors",
-					prof, si, len(stg.Plan.FinalShapes), len(stg.G.Tensors))
+		prod := int64(1)
+		for i, st := range stg.Plan.Steps {
+			if len(st.TensorCut) != len(stg.G.Tensors) || len(st.OpStrategy) != len(stg.G.Nodes) ||
+				len(st.OpComm) != len(stg.G.Nodes) {
+				t.Fatalf("%s stage %d step %d: dense tables (%d, %d, %d) for %d tensors and %d nodes", prof, si, i+1,
+					len(st.TensorCut), len(st.OpStrategy), len(st.OpComm), len(stg.G.Tensors), len(stg.G.Nodes))
 			}
-			prod := int64(1)
-			for i, st := range stg.Plan.Steps {
-				if len(st.TensorCut) != len(stg.G.Tensors) || len(st.OpStrategy) != len(stg.G.Nodes) ||
-					len(st.OpComm) != len(stg.G.Nodes) {
-					t.Fatalf("%s stage %d step %d: dense tables (%d, %d, %d) for %d tensors and %d nodes", prof, si, i+1,
-						len(st.TensorCut), len(st.OpStrategy), len(st.OpComm), len(stg.G.Tensors), len(stg.G.Nodes))
+			for _, n := range stg.G.Nodes {
+				if st.OpStrategy[n.ID].Axis == "" {
+					t.Fatalf("%s stage %d step %d: node %v has no strategy", prof, si, i+1, n)
 				}
-				for _, n := range stg.G.Nodes {
-					if st.OpStrategy[n.ID].Axis == "" {
-						t.Fatalf("%s stage %d step %d: node %v has no strategy", prof, si, i+1, n)
-					}
-				}
-				prod *= st.K
 			}
-			if prod != stg.Workers {
-				t.Fatalf("%s stage %d: steps divide %d ways, stage has %d workers", prof, si, prod, stg.Workers)
-			}
+			prod *= st.K
 		}
-		raw := planBytes(t, res.Plan)
-		if _, err := plan.Verify(raw, ""); err != nil {
-			t.Fatalf("%s: degraded plan does not verify: %v", prof, err)
+		if prod != stg.Workers {
+			t.Fatalf("%s stage %d: steps divide %d ways, stage has %d workers", prof, si, prod, stg.Workers)
 		}
-		back, err := plan.ReadJSON(bytes.NewReader(raw))
+	}
+	raw := planBytes(t, res.Plan)
+	if _, err := plan.Verify(raw, ""); err != nil {
+		t.Fatalf("%s: degraded plan does not verify: %v", prof, err)
+	}
+	back, err := plan.ReadJSON(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("%s: degraded plan does not read back: %v", prof, err)
+	}
+	if !back.Degraded || len(back.Steps) != len(res.Plan.Steps) {
+		t.Fatalf("%s: read back degraded=%v with %d steps, wrote %d", prof, back.Degraded, len(back.Steps), len(res.Plan.Steps))
+	}
+}
+
+// TestHybridCancelledInsideSeed trips the token inside the seed loop — in its
+// first round, a middle one and its last — on a model whose innermost level
+// needs four. Once a round has finished the answer is the best finished
+// round's boundary set as a complete degraded plan, the same bytes on a second
+// run with the same budget; before that it is the token's reason.
+func TestHybridCancelledInsideSeed(t *testing.T) {
+	tp, err := topo.Profile("cluster-4x2x8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := models.Build(models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := int64(tp.NumGPUs())
+	run := func(polls int64) (res *hybrid.Result, levels []map[string]string, err error) {
+		levels = levelAttrs(func(trace *obs.Span) {
+			res, err = hybrid.Partition(m.G, k, hybrid.Options{
+				Topology: &tp, Parallelism: 1, Cancel: cancel.AfterPolls(polls), Trace: trace,
+			})
+		})
+		return res, levels, err
+	}
+	// rounds[r] counts budgets that died in the innermost level's seed loop
+	// (no tree node expanded yet) during round r: seed_rounds counts rounds
+	// started. Dying in round 1 leaves no incumbent and is refused.
+	rounds := make(map[string]int)
+	refused := 0
+	for polls := int64(1); ; polls += 1 + polls/16 {
+		res, levels, err := run(polls)
 		if err != nil {
-			t.Fatalf("%s: degraded plan does not read back: %v", prof, err)
+			if !cancel.IsCancellation(err) {
+				t.Fatalf("polls=%d: %v", polls, err)
+			}
+			if len(levels) > 1 || (len(levels) == 1 && levels[0]["best_cost"] != "") {
+				t.Fatalf("polls=%d: the token's reason came back although a seed round had finished: %v", polls, levels)
+			}
+			refused++
+			continue
 		}
-		if !back.Degraded || len(back.Steps) != len(res.Plan.Steps) {
-			t.Fatalf("%s: read back degraded=%v with %d steps, wrote %d", prof, back.Degraded, len(back.Steps), len(res.Plan.Steps))
+		if !res.Plan.Degraded {
+			break
 		}
+		if res.Stats.Expanded > 0 || len(levels) != 1 {
+			continue // died in the walk or a later level: the older test's ground
+		}
+		rounds[levels[0]["seed_rounds"]]++
+		checkCompletePlan(t, "cluster-4x2x8", res)
+		again, _, err := run(polls)
+		if err != nil || !bytes.Equal(planBytes(t, again.Plan), planBytes(t, res.Plan)) {
+			t.Fatalf("polls=%d: a second run with the same budget gave a different answer (err %v)", polls, err)
+		}
+	}
+	if refused == 0 || rounds["2"] == 0 || rounds["3"] == 0 || rounds["4"] == 0 {
+		t.Errorf("sweep missed a cancellation point: %d budgets refused in round 1, seed-loop deaths by later round %v (want 2, 3 and 4)",
+			refused, rounds)
 	}
 }

@@ -3,7 +3,6 @@ package hybrid
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"tofu/internal/coarsen"
 	"tofu/internal/dp"
@@ -30,19 +29,27 @@ type levelState struct {
 	// the outermost (boundary 4 of a 2x4x... machine crosses the spine
 	// while 1-3 cross ethernet).
 	bw []float64
-	// lb1[g] is the admissible per-group cost floor (see buildLB1);
-	// lbSuffix[g] = Σ_{i>=g} lb1[i]. +Inf marks an infeasible group.
-	lb1      []float64
-	lb1err   []error
-	lbSuffix []float64
-	// segs memoizes solved segments by [lo, hi) — the O(L²) core.
-	segs map[segKey]*segment
-
-	// xbAsc[b] lists the S-1 smallest crossings of xb[b+1:] and bwAsc[j] all
-	// of bw[j+1:], both ascending — the hand-off floor reads them at every
-	// tree node.
-	xbAsc [][]float64
-	bwAsc [][]float64
+	// lb1[g] is the admissible per-group cost floor (see groupFloor); +Inf
+	// marks an infeasible group.
+	lb1 []float64
+	// segs memoizes solved segments — the O(L²) core — and est prices every
+	// segment, both dense at [lo*W+hi] with W = L+1: est is the exact cost
+	// once solved, +Inf once failed, else the admissible floor Σ lb1[lo:hi).
+	W    int
+	segs []*segment
+	est  []float64
+	// solve is the solver behind the memo (solveSegment; tests swap it).
+	solve func(lo, hi int) (*plan.Plan, float64, error)
+	// togo[j*W+b] is the cost-to-go table H and next its argmin (see
+	// refresh); stale marks a solve since the last refresh.
+	togo  []float64
+	next  []int
+	stale bool
+	// seen[j*W+prev] is the prefix cost of the completed dfs visit to state
+	// (j, prev), +Inf before one — the dominance cut's memo.
+	seen []float64
+	// prior is the earlier levels' best cost, +Inf when there is none.
+	prior float64
 
 	best     []int
 	bestCost float64
@@ -65,7 +72,7 @@ type segment struct {
 
 func (s *search) newLevelState(level int) (*levelState, error) {
 	L := len(s.c.Groups)
-	ls := &levelState{s: s, level: level, segs: make(map[segKey]*segment)}
+	ls := &levelState{s: s, level: level}
 	kSub, S := int64(1), int64(1)
 	for li, lv := range s.tp.Levels {
 		if li < level {
@@ -103,31 +110,84 @@ func (s *search) newLevelState(level int) (*levelState, error) {
 	for j := 1; j < ls.S; j++ {
 		ls.bw[j] = s.tp.LinkBandwidth(j*int(kSub)-1, j*int(kSub))
 	}
-	ls.buildHandoffFloors()
-	ls.buildLB1()
+	ls.solve = ls.solveSegment
+	ls.lb1 = make([]float64, L)
+	for g := range ls.lb1 {
+		ls.lb1[g] = ls.groupFloor(g)
+	}
+	ls.initTables()
 	return ls, nil
 }
 
-// buildHandoffFloors sorts, once per level, every suffix the hand-off floor
-// can ask for: the candidate crossings after each position (only the S-1
-// smallest can ever be paired) and the bandwidths after each boundary.
-func (ls *levelState) buildHandoffFloors() {
-	L := len(ls.s.c.Groups)
-	ls.xbAsc = make([][]float64, L)
-	asc := make([]float64, 0, L)
-	for b := range ls.xbAsc {
-		asc = append(asc[:0], ls.s.xb[b+1:]...)
-		sort.Float64s(asc)
-		ls.xbAsc[b] = append([]float64(nil), asc[:min(len(asc), ls.S-1)]...)
+// initTables lays out the dense tables over lb1: every segment unsolved at its
+// group-floor sum, no state visited, no earlier level to beat.
+func (ls *levelState) initTables() {
+	L := len(ls.lb1)
+	ls.W = L + 1
+	ls.segs, ls.est = make([]*segment, ls.W*ls.W), make([]float64, ls.W*ls.W)
+	for lo := 0; lo < L; lo++ {
+		sum := 0.0
+		for hi := lo + 1; hi <= L; hi++ {
+			sum += ls.lb1[hi-1]
+			ls.est[lo*ls.W+hi] = sum
+		}
 	}
-	ls.bwAsc = make([][]float64, ls.S)
-	for j := range ls.bwAsc {
-		ls.bwAsc[j] = append([]float64(nil), ls.bw[j+1:]...)
-		sort.Float64s(ls.bwAsc[j])
+	ls.togo, ls.next = make([]float64, ls.S*ls.W), make([]int, ls.S*ls.W)
+	ls.seen = make([]float64, ls.S*ls.W)
+	for i := range ls.seen {
+		ls.seen[i] = math.Inf(1)
+	}
+	ls.stale, ls.prior = true, math.Inf(1)
+}
+
+// refresh recomputes the cost-to-go table backward over the (stage, boundary)
+// DAG: togo[j][b] is the cheapest completion once boundary j sits at b —
+// remaining segments at their estimates, hand-offs exact — and next[j][b] the
+// position of boundary j+1 attaining it (the smallest on ties). Estimates are
+// admissible, so togo never exceeds a true completion's cost, and it is at
+// least the group-floor suffix plus any hand-off floor, being a minimum over
+// the completions those bound. O(S·L²) flops, run only after a new solve.
+func (ls *levelState) refresh() {
+	L, W, S := ls.W-1, ls.W, ls.S
+	ls.stale = false
+	for b := S - 1; b < L; b++ {
+		ls.togo[(S-1)*W+b] = ls.est[b*W+L]
+	}
+	for j := S - 2; j >= 0; j-- {
+		// Boundary j sits in [j, L-(S-j)]; "boundary 0" is the graph's start.
+		for b := j; b <= min(L-(S-j), j*L); b++ {
+			best, arg := math.Inf(1), b+1
+			for nb := b + 1; nb <= L-(S-j-1); nb++ {
+				if v := ls.est[b*W+nb] + ls.s.xb[nb]/ls.bw[j+1] + ls.togo[(j+1)*W+nb]; v < best {
+					best, arg = v, nb
+				}
+			}
+			ls.togo[j*W+b], ls.next[j*W+b] = best, arg
+		}
 	}
 }
 
-// buildLB1 computes the admissible per-group cost floor: for each coarsened
+// h reads the cost-to-go of state (j, b), refreshing the table first if a
+// segment was solved since.
+func (ls *levelState) h(j, b int) float64 {
+	if ls.stale {
+		ls.refresh()
+	}
+	ls.s.stats.LBQueries++
+	return ls.togo[j*ls.W+b]
+}
+
+// bar is what a completion must stay within to matter: the cheaper of the
+// earlier levels' best and this level's incumbent, plus the float guard.
+func (ls *levelState) bar() float64 {
+	c := ls.prior
+	if ls.haveBest && ls.bestCost < c {
+		c = ls.bestCost
+	}
+	return c + pruneSlack(c)
+}
+
+// groupFloor computes the admissible per-group cost floor: for coarsened
 // group g, extract the single-group subgraph, coarsen it, and sum
 // dp.LowerBound over the sub-machine's (factor, level) pool weighted by each
 // level's bandwidth. Soundness: a single-group extraction severs every
@@ -139,28 +199,16 @@ func (ls *levelState) buildHandoffFloors() {
 // original shapes, Lemma 1), so the pool sum bounds the full stage cost from
 // below. A group that cannot split f ways makes every segment containing it
 // infeasible for the same reason (the single-group problem has strictly
-// fewer sharding constraints).
-func (ls *levelState) buildLB1() {
-	L := len(ls.s.c.Groups)
-	ls.lb1 = make([]float64, L)
-	ls.lb1err = make([]error, L)
-	for g := 0; g < L; g++ {
-		ls.lb1[g], ls.lb1err[g] = ls.groupFloor(g)
-	}
-	ls.lbSuffix = make([]float64, L+1)
-	for g := L - 1; g >= 0; g-- {
-		ls.lbSuffix[g] = ls.lbSuffix[g+1] + ls.lb1[g]
-	}
-}
-
-func (ls *levelState) groupFloor(g int) (float64, error) {
+// fewer sharding constraints): its floor is +Inf, and the reason surfaces
+// from the segment solves.
+func (ls *levelState) groupFloor(g int) float64 {
 	sub, err := ls.s.extract(g, g+1)
 	if err != nil {
-		return math.Inf(1), err
+		return math.Inf(1)
 	}
 	co, err := coarsen.CoarsenSub(ls.s.c, sub)
 	if err != nil {
-		return math.Inf(1), fmt.Errorf("group %d: %w", g, err)
+		return math.Inf(1)
 	}
 	shapes := make(map[int]shape.Shape, len(sub.G.Tensors))
 	for _, t := range sub.G.Tensors {
@@ -186,14 +234,14 @@ func (ls *levelState) groupFloor(g int) (float64, error) {
 					Cache:       ls.s.cache,
 				})
 				if err != nil {
-					return math.Inf(1), fmt.Errorf("group %d cannot split %d ways: %w", g, f, err)
+					return math.Inf(1)
 				}
 				perF[f] = lb
 			}
 			total += lb / ls.s.tp.Levels[li].Bandwidth
 		}
 	}
-	return total, nil
+	return total
 }
 
 // stageOptions are the recursive-search options every stage of this level
@@ -213,17 +261,26 @@ func (ls *levelState) stageOptions() recursive.Options {
 // stage sub-machine. Shared across every boundary set — and, via the memo,
 // across the branch-and-bound and oracle paths of the same Partition call.
 func (ls *levelState) segment(lo, hi int) *segment {
-	key := segKey{lo, hi}
-	if sg, ok := ls.segs[key]; ok {
+	at := lo*ls.W + hi
+	if sg := ls.segs[at]; sg != nil {
 		return sg
 	}
 	sg := &segment{}
-	ls.segs[key] = sg
+	ls.segs[at] = sg
 	ls.s.stats.Segments++
+	sg.plan, sg.cost, sg.err = ls.solve(lo, hi)
+	ls.est[at], ls.stale = sg.cost, true
+	if sg.err != nil {
+		ls.est[at] = math.Inf(1)
+	}
+	return sg
+}
+
+// solveSegment extracts, coarsens, searches and prices groups [lo, hi).
+func (ls *levelState) solveSegment(lo, hi int) (*plan.Plan, float64, error) {
 	sub, err := ls.s.extract(lo, hi)
 	if err != nil {
-		sg.err = err
-		return sg
+		return nil, 0, err
 	}
 	ssp := ls.trace.Child("hybrid.segment")
 	ssp.SetInt("lo", int64(lo))
@@ -236,8 +293,7 @@ func (ls *levelState) segment(lo, hi int) *segment {
 	}
 	csp.End()
 	if err != nil {
-		sg.err = fmt.Errorf("groups [%d,%d) on %d GPUs: %w", lo, hi, ls.kSub, err)
-		return sg
+		return nil, 0, fmt.Errorf("groups [%d,%d) on %d GPUs: %w", lo, hi, ls.kSub, err)
 	}
 	var inner recursive.SearchStats
 	ropts := ls.stageOptions()
@@ -251,87 +307,95 @@ func (ls *levelState) segment(lo, hi int) *segment {
 		ls.s.stats.DPSolves = satAdd(ls.s.stats.DPSolves, int64(ls.depth))
 	}
 	if err != nil {
-		sg.err = fmt.Errorf("groups [%d,%d) on %d GPUs: %w", lo, hi, ls.kSub, err)
-		return sg
+		return nil, 0, fmt.Errorf("groups [%d,%d) on %d GPUs: %w", lo, hi, ls.kSub, err)
 	}
-	sg.plan = p
-	sg.cost = recursive.CommTime(p, ls.subTopo)
-	ssp.SetFloat("cost", sg.cost)
-	return sg
+	cost := recursive.CommTime(p, ls.subTopo)
+	ssp.SetFloat("cost", cost)
+	return p, cost, nil
 }
 
-// handoffFloor bounds the remaining hand-off cost from below after placing
-// boundary j at position b: the S-1-j boundaries still to place must each
-// use a distinct position > b, and their bandwidths are exactly
-// bw[j+1..S-1]. Pair the R smallest candidate crossings (ascending) with
-// those bandwidths sorted ascending — by the rearrangement inequality,
-// Σ x_i/b_i over a fixed bandwidth multiset is minimized when x and b are
-// similarly sorted, and replacing the true crossings with the R smallest
-// candidates only lowers each term. Hence the floor never exceeds any
-// completion's true hand-off cost.
-func (ls *levelState) handoffFloor(b, j int) float64 {
-	cand, bws := ls.xbAsc[b], ls.bwAsc[j]
-	total := 0.0
-	for i := 0; i < ls.S-1-j; i++ {
-		total += cand[i] / bws[i]
+// contend searches this level against the best earlier one and returns the
+// winner. A later level must be strictly cheaper — ties keep the innermost —
+// so the earlier best is a bar on everything this level solves.
+func (ls *levelState) contend(best *levelState) *levelState {
+	if best != nil {
+		ls.prior = best.bestCost
 	}
-	return total
+	if ls.run(); ls.haveBest && (best == nil || ls.bestCost < best.bestCost) {
+		return ls
+	}
+	return best
 }
 
-// run seeds the incumbent with the balanced boundary set, then walks the
-// boundary tree depth-first in lexicographic order, pruning subtrees whose
-// admissible bound exceeds the incumbent (never in Exhaustive mode). The
-// leaf offer rule — strict improvement, or equal cost and lexicographically
-// smaller — makes the winner the lex-first minimum with or without the seed
-// and with or without pruning, so branch-and-bound plans are byte-identical
-// to the oracle's.
-func (ls *levelState) run() ([]int, bool) {
-	ls.s.stats.BoundarySets = satAdd(ls.s.stats.BoundarySets,
-		binomial(len(ls.s.c.Groups)-1, ls.S-1))
+// run finds the level's lex-first cheapest boundary set as a lazy shortest
+// path: seed rounds solve only the segments the estimate-optimal set needs,
+// then a depth-first walk in lexicographic order settles exact ties, cutting
+// what the cost-to-go table or a dominating earlier visit rules out
+// (Exhaustive walks the whole tree with neither). The leaf offer rule — strict
+// improvement, or equal cost and lexicographically smaller — makes the winner
+// the lex-first minimum whatever was offered in whatever order, so
+// branch-and-bound plans are byte-identical to the oracle's.
+func (ls *levelState) run() {
+	sets := binomial(ls.W-2, ls.S-1)
+	ls.s.stats.BoundarySets = satAdd(ls.s.stats.BoundarySets, sets)
 	ls.s.stats.FlatDPSolves = satAdd(ls.s.stats.FlatDPSolves,
-		satMul(binomial(len(ls.s.c.Groups)-1, ls.S-1), satMul(int64(ls.S), int64(ls.depth))))
+		satMul(sets, satMul(int64(ls.S), int64(ls.depth))))
 
+	solved, rounds, open := ls.s.stats.Segments, 0, true
 	if !ls.s.opts.Exhaustive {
-		if seed, cost, ok := ls.balancedSeed(); ok {
-			ls.offer(seed, cost)
-		}
+		rounds, open = ls.seed()
 	}
-	ls.dfs(1, 0, 0, make([]int, 0, ls.S-1))
-	if !ls.haveBest {
-		return nil, false
+	if open {
+		ls.dfs(1, 0, 0, make([]int, 0, ls.S-1))
 	}
-	return ls.best, true
+	ls.trace.SetInt("seed_rounds", int64(rounds))
+	ls.trace.SetInt("segments", ls.s.stats.Segments-solved)
+	if !open && rounds == 0 && !ls.s.cancelled {
+		ls.trace.SetInt("skipped", 1) // an earlier level's best cut it before any solve
+	}
+	if ls.haveBest {
+		ls.trace.SetFloat("best_cost", ls.bestCost)
+	}
 }
 
-// balancedSeed costs the evenly spread boundary set b_j = round(j*L/S) using
-// the same accumulation arithmetic as the tree walk, so an equal-cost tree
-// leaf compares bit-for-bit against it.
-func (ls *levelState) balancedSeed() ([]int, float64, bool) {
-	L := len(ls.s.c.Groups)
+// seed is the lazy shortest-path phase. Each round reads the estimate-optimal
+// boundary set off the cost-to-go table, solves its unsolved segments and
+// offers its exact cost; a round solves at least one segment, so the loop ends:
+// when that set is already fully solved (the level's optimum up to float ties,
+// which the walk settles), when no set can stay within the bar (open = false,
+// the walk has nothing to find), or when every set crosses a failed segment
+// (the walk collects the reasons). The first round's set is what a cancelled
+// search ships.
+func (ls *levelState) seed() (rounds int, open bool) {
 	set := make([]int, ls.S-1)
-	for j := 1; j < ls.S; j++ {
-		b := (j*L + ls.S/2) / ls.S
-		if b < j {
-			b = j // keep strictly increasing with room for earlier stages
+	for {
+		if ls.s.cancelled || ls.s.opts.Cancel.Cancelled() {
+			ls.s.cancelled = true
+			return rounds, false
 		}
-		if max := L - (ls.S - j); b > max {
-			b = max
+		h := ls.h(0, 0)
+		if cut := h > ls.bar(); cut || math.IsInf(h, 1) {
+			return rounds, !cut
 		}
-		set[j-1] = b
+		for j, b := 0, 0; j < len(set); j++ {
+			b = ls.next[j*ls.W+b]
+			set[j] = b
+		}
+		solved := ls.s.stats.Segments
+		if cost, ok := ls.leafCost(set); ok {
+			ls.offer(set, cost)
+		}
+		if ls.s.stats.Segments == solved {
+			return rounds, true
+		}
+		rounds++
 	}
-	for j := 1; j < len(set); j++ {
-		if set[j] <= set[j-1] {
-			set[j] = set[j-1] + 1
-		}
-	}
-	cost, ok := ls.leafCost(set)
-	return set, cost, ok
 }
 
 // leafCost prices a complete boundary set with the identical left-to-right
 // accumulation the DFS uses.
 func (ls *levelState) leafCost(set []int) (float64, bool) {
-	L := len(ls.s.c.Groups)
+	L := ls.W - 1
 	g, prev := 0.0, 0
 	for j := 1; j < ls.S; j++ {
 		b := set[j-1]
@@ -352,30 +416,31 @@ func (ls *levelState) leafCost(set []int) (float64, bool) {
 }
 
 // dfs places boundary j (1-based) at every position after prev, accumulating
-// the exact prefix cost g. Bounds run twice per child: before the segment
-// solve (prefix floor + suffix floor — this is where dp.Solve calls are
-// saved) and after it (exact prefix + suffix floor).
+// the exact prefix cost g. Outside Exhaustive mode it cuts a node dominated by
+// a completed earlier visit to the same (j, prev) with no larger g — that
+// visit was lexicographically smaller and float accumulation is monotone in g,
+// so every completion here lost to or tied behind its twin there — and a child
+// whose bound leaves the bar, before its segment solve (estimate + cost-to-go:
+// where dp.Solve calls are saved) and after it (exact prefix + cost-to-go).
 func (ls *levelState) dfs(j, prev int, g float64, chosen []int) {
 	if ls.s.opts.Cancel.Cancelled() {
-		// Wind the walk down; the incumbent (balanced seed or an earlier
+		// Wind the walk down; the incumbent (a seed round or an earlier
 		// leaf) ships as the degraded answer.
 		ls.s.cancelled = true
 		return
 	}
-	ls.s.stats.Expanded++
-	L := len(ls.s.c.Groups)
 	bound := !ls.s.opts.Exhaustive
-	for b := prev + 1; b <= L-(ls.S-j); b++ {
+	if bound && g >= ls.seen[j*ls.W+prev] {
+		ls.s.stats.Pruned++
+		return
+	}
+	ls.s.stats.Expanded++
+	L := ls.W - 1
+	for b := prev + 1; b <= L-(ls.S-j) && !ls.s.cancelled; b++ {
 		hb := ls.s.xb[b] / ls.bw[j]
-		if bound && ls.haveBest {
-			// lbSuffix[prev] covers both this child's segment [prev,b) and
-			// everything after b, since suffix sums telescope.
-			ls.s.stats.LBQueries++
-			pre := g + ls.lbSuffix[prev] + hb + ls.handoffFloor(b, j)
-			if pre > ls.bestCost+pruneSlack(ls.bestCost) {
-				ls.s.stats.Pruned++
-				continue
-			}
+		if bound && g+ls.est[prev*ls.W+b]+hb+ls.h(j, b) > ls.bar() {
+			ls.s.stats.Pruned++
+			continue
 		}
 		sg := ls.segment(prev, b)
 		if sg.err != nil {
@@ -383,13 +448,9 @@ func (ls *levelState) dfs(j, prev int, g float64, chosen []int) {
 			continue
 		}
 		g2 := g + sg.cost + hb
-		if bound && ls.haveBest && j < ls.S-1 {
-			ls.s.stats.LBQueries++
-			post := g2 + ls.lbSuffix[b] + ls.handoffFloor(b, j)
-			if post > ls.bestCost+pruneSlack(ls.bestCost) {
-				ls.s.stats.Pruned++
-				continue
-			}
+		if bound && g2+ls.h(j, b) > ls.bar() {
+			ls.s.stats.Pruned++
+			continue
 		}
 		chosen = append(chosen, b)
 		if j == ls.S-1 {
@@ -404,6 +465,9 @@ func (ls *levelState) dfs(j, prev int, g float64, chosen []int) {
 			ls.dfs(j+1, b, g2, chosen)
 		}
 		chosen = chosen[:len(chosen)-1]
+	}
+	if bound && !ls.s.cancelled {
+		ls.seen[j*ls.W+prev] = g // completed: every child was offered or ruled out
 	}
 }
 

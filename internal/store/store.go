@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -54,8 +55,7 @@ type Store struct {
 	quarantined atomic.Int64
 	putErrors   atomic.Int64
 
-	// seq disambiguates concurrent temp files within one process; the PID
-	// in the name disambiguates across replicas sharing the directory.
+	// seq numbers this handle's .corrupt.<n> quarantine files.
 	seq atomic.Int64
 
 	// quarantineMu serializes quarantine renames so two readers hitting the
@@ -103,8 +103,8 @@ func (s *Store) Put(meta Meta, planBytes []byte) error {
 		s.putErrors.Add(1)
 		return err
 	}
-	tmp := fmt.Sprintf("%s.tmp.%d.%d", path, os.Getpid(), s.seq.Add(1))
-	if err := s.writeFile(tmp, data); err != nil {
+	tmp, err := s.writeTemp(path, data)
+	if err != nil {
 		s.putErrors.Add(1)
 		return fmt.Errorf("store: %w", err)
 	}
@@ -121,6 +121,26 @@ func (s *Store) Put(meta Meta, planBytes []byte) error {
 	}
 	s.puts.Add(1)
 	return nil
+}
+
+// tempAttempts bounds the retries on a temp-name collision; with a 64-bit
+// random suffix a second attempt is already a once-in-a-lifetime event.
+const tempAttempts = 8
+
+// writeTemp writes data to a fresh <path>.tmp.<random> sibling and returns its
+// name. The suffix is random, not a pid or a per-handle counter: every writer
+// on the directory — another handle in this process, another container with
+// the same pid — draws from the same space, and an exclusive create that
+// finds the name taken draws again.
+func (s *Store) writeTemp(path string, data []byte) (string, error) {
+	var err error
+	for range tempAttempts {
+		tmp := path + ".tmp." + s.opts.FS.TempSuffix()
+		if err = s.writeFile(tmp, data); !errors.Is(err, fs.ErrExist) {
+			return tmp, err
+		}
+	}
+	return "", err
 }
 
 func (s *Store) writeFile(path string, data []byte) error {

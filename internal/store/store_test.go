@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"tofu/internal/faultfs"
 )
 
 func digestFor(b byte) string {
@@ -226,6 +228,65 @@ func TestStoreScan(t *testing.T) {
 	}
 	if st := s.Stats(); st.Corrupt != 1 {
 		t.Errorf("corrupt counter %d, want 1 (the garbage entry)", st.Corrupt)
+	}
+}
+
+// scriptedSuffixFS hands out temp suffixes from a script, then real ones: the
+// seam a test needs to make two writers draw the same name.
+type scriptedSuffixFS struct {
+	faultfs.FS
+	mu     sync.Mutex
+	script []string
+}
+
+func (f *scriptedSuffixFS) TempSuffix() string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.script) == 0 {
+		return f.FS.TempSuffix()
+	}
+	s := f.script[0]
+	f.script = f.script[1:]
+	return s
+}
+
+// TestStoreTempNameCollision: a temp name another writer holds — another
+// handle in this process, or another container with the same pid on a shared
+// volume — costs a redraw, not the Put; a name space that stays taken is an
+// error after a bounded number of draws, never a spin.
+func TestStoreTempNameCollision(t *testing.T) {
+	dir := t.TempDir()
+	d := digestFor(40)
+	taken := filepath.Join(dir, strings.TrimPrefix(d, "sha256:")+".plan.tmp.dup")
+	if err := os.WriteFile(taken, []byte("another writer's half-written entry"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{FS: &scriptedSuffixFS{FS: faultfs.OS, script: []string{"dup", "dup", "fresh"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(testMeta(d), []byte("payload")); err != nil {
+		t.Fatalf("Put after two colliding draws: %v", err)
+	}
+	if _, got, err := s.Get(d); err != nil || string(got) != "payload" {
+		t.Fatalf("Get after a redrawn Put: %q, %v", got, err)
+	}
+	if kept, err := os.ReadFile(taken); err != nil || !strings.HasPrefix(string(kept), "another writer") {
+		t.Errorf("the other writer's temp file was disturbed: %q, %v", kept, err)
+	}
+	stuck := make([]string, tempAttempts)
+	for i := range stuck {
+		stuck[i] = "dup"
+	}
+	s, err = Open(dir, Options{FS: &scriptedSuffixFS{FS: faultfs.OS, script: stuck}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(testMeta(digestFor(40)), []byte("payload")); !errors.Is(err, os.ErrExist) {
+		t.Errorf("Put with every draw taken: %v, want a file-exists error", err)
+	}
+	if st := s.Stats(); st.PutErrors != 1 {
+		t.Errorf("stats %+v, want 1 put error", st)
 	}
 }
 
