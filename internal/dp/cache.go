@@ -11,10 +11,11 @@ import (
 
 // PriceCache memoizes the priced strategy enumerations of operator slots.
 // By Lemma 1 the DP prices every basic plan at the graph's ORIGINAL shapes,
-// so a slot's pricing — the expensive part of each dp.Solve call, one
-// symbolic interval analysis per (strategy, worker) — depends only on the
-// operator's structural signature (description, attributes, original
-// shapes), the step's group count K and the dtype. One cache therefore
+// so a slot's pricing — every (strategy, worker)'s input regions, evaluated
+// through the description's compiled region program and folded into a table
+// of fetch terms (partition.Price) — depends only on the operator's
+// structural signature (description, attributes, original shapes), the
+// step's group count K and the dtype. One cache therefore
 // serves every recursive factor step, every baseline variant over the same
 // model (per-step strategy filters become cheap Restrict views of the full
 // enumeration), and even structurally identical slots of different models.

@@ -52,22 +52,7 @@ func Cost(sp *Spec, s Strategy, k int64, inCuts []Cut, outCut Cut) (Breakdown, e
 			if d < 0 || d >= ishape.Rank() {
 				return Breakdown{}, fmt.Errorf("partition: input %d cut dim %d out of range for %v", i, d, ishape)
 			}
-			need := reg.Elems()
-			if need == 0 {
-				continue
-			}
-			ext := float64(ishape.Dim(d))
-			own := Range{Lo: float64(w) / float64(k) * ext, Hi: float64(w+1) / float64(k) * ext}
-			overlap := reg[d].Intersect(own).Size()
-			//
-
-			// Elements covered locally: the box with its cut-dim range
-			// replaced by the overlap with the worker's own slab.
-			local := need
-			if reg[d].Size() > 0 {
-				local = need / reg[d].Size() * overlap
-			}
-			bd.InputBytes[i] += math.Max(0, need-local) * elemSize
+			bd.InputBytes[i] += fetchBytes(reg, d, w, k, float64(ishape.Dim(d)), elemSize)
 		}
 	}
 
@@ -96,6 +81,29 @@ func Cost(sp *Spec, s Strategy, k int64, inCuts []Cut, outCut Cut) (Breakdown, e
 	}
 	bd.Total += bd.OutputBytes
 	return bd, nil
+}
+
+// fetchBytes is the input side of Lemma 1 for one worker and one input: the
+// bytes of the region reg worker w of k must read that its own slab of the
+// tensor — the w-th of k equal parts along dimension d, of extent ext — does
+// not hold. The one definition both Cost and the Priced term tables price
+// with.
+//
+//tofu:hotpath the term fill of Price; enforced by tofu-vet/hotalloc
+func fetchBytes(reg Region, d int, w, k int64, ext, elemSize float64) float64 {
+	need := reg.Elems()
+	if need == 0 {
+		return 0
+	}
+	own := Range{Lo: float64(w) / float64(k) * ext, Hi: float64(w+1) / float64(k) * ext}
+	overlap := reg[d].Intersect(own).Size()
+	// Elements covered locally: the box with its cut-dim range replaced by
+	// the overlap with the worker's own slab.
+	local := need
+	if reg[d].Size() > 0 {
+		local = need / reg[d].Size() * overlap
+	}
+	return math.Max(0, need-local) * elemSize
 }
 
 // BestStrategy returns the cheapest applicable strategy for the given cuts,

@@ -9,7 +9,7 @@ import (
 	"tofu/internal/tdl"
 )
 
-func spec(t *testing.T, op string, attrs tdl.Attrs, out shape.Shape, ins ...shape.Shape) *Spec {
+func spec(t testing.TB, op string, attrs tdl.Attrs, out shape.Shape, ins ...shape.Shape) *Spec {
 	t.Helper()
 	d, err := tdl.Std.Describe(op, attrs)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"tofu/internal/interval"
 	"tofu/internal/tdl"
 )
 
@@ -49,10 +48,10 @@ func (r Region) Frac(s Shapelike) float64 {
 // Shapelike decouples Region helpers from the concrete shape type.
 type Shapelike interface{ Dim(i int) int64 }
 
-// InputRegions runs the symbolic interval analysis (Sec 4.2) for worker w of
-// k under the given strategy and returns, per operator input, the bounding
-// box of the region that worker must read. This is the information Fig 2's
-// stripe diagrams visualize.
+// InputRegions runs the interval analysis (Sec 4.2) for worker w of k under
+// the given strategy and returns, per operator input, the bounding box of the
+// region that worker must read. This is the information Fig 2's stripe
+// diagrams visualize.
 func InputRegions(sp *Spec, s Strategy, k, w int64) ([]Region, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -60,153 +59,116 @@ func InputRegions(sp *Spec, s Strategy, k, w int64) ([]Region, error) {
 	if k < 1 || w < 0 || w >= k {
 		return nil, fmt.Errorf("partition: worker %d of %d out of range", w, k)
 	}
-	desc := sp.Desc
-
-	// Build the symbol space: output axes, top-level reduce axes, nested
-	// reduce axes.
-	names := append([]string(nil), desc.OutAxes...)
-	for _, ra := range desc.ReduceAxes() {
-		names = append(names, ra.Name)
-	}
-	for _, ra := range desc.NestedReduceAxes() {
-		names = append(names, ra.Name)
-	}
-	space := interval.NewSpace(names...)
-
-	// Resolve the concrete extent of every symbol.
-	extents := make([]float64, len(names))
-	for i, ax := range desc.OutAxes {
-		extents[space.IndexOf(ax)] = float64(sp.OutShape.Dim(i))
-	}
-	for _, ra := range append(append([]tdl.ReduceAxis(nil), desc.ReduceAxes()...), desc.NestedReduceAxes()...) {
-		ext, err := resolveExtent(sp, ra)
-		if err != nil {
-			return nil, err
-		}
-		extents[space.IndexOf(ra.Name)] = ext
-	}
-
-	// Environment: the split axis gets the worker's share [w/k·X,(w+1)/k·X];
-	// every other axis gets its full range [0, X]. This mirrors the paper's
-	// two analysis runs with ZV[u_b = 1/2] and ZV[l_b = 1/2, u_b = 1].
-	env := make(map[string]interval.Interval, len(names))
-	for _, n := range names {
-		var iv interval.Interval
-		var err error
-		if n == s.Axis {
-			iv, err = interval.Span(space, n, float64(w)/float64(k), float64(w+1)/float64(k), 0, 0)
-		} else {
-			iv, err = interval.Variable(space, n)
-		}
-		if err != nil {
-			return nil, err
-		}
-		env[n] = iv
-	}
-
-	// Start each input region empty; union in every access box.
-	regions := make([]Region, len(desc.Inputs))
-	seen := make([]bool, len(desc.Inputs))
-	for i, p := range desc.Inputs {
-		regions[i] = make(Region, p.Rank)
-	}
-
-	for _, ta := range desc.AllAccesses() {
-		ti := desc.InputIndex(ta.Access.Tensor)
-		ishape := sp.InShapes[ti]
-		for d, ix := range ta.Access.Index {
-			iv, err := ix.Eval(space, env)
-			if err != nil {
-				return nil, fmt.Errorf("partition: op %s input %s dim %d: %w", desc.Name, ta.Access.Tensor, d, err)
-			}
-			lo, hi, err := iv.Concretize(extents)
-			if err != nil {
-				return nil, err
-			}
-			// Constant-index dims (e.g. an opaque Full dim encoded as 0, or a
-			// literal offset) cover a single position unless marked Full.
-			if len(ix.Terms) == 0 && !isOpaqueFullDim(desc, ta.Access, d) {
-				hi = lo + 1
-			}
-			hi = math.Min(hi, float64(ishape.Dim(d)))
-			lo = math.Max(lo, 0)
-			if isOpaqueFullDim(desc, ta.Access, d) {
-				lo, hi = 0, float64(ishape.Dim(d))
-			}
-			r := Range{Lo: lo, Hi: hi}
-			if !seen[ti] {
-				regions[ti][d] = r
-			} else {
-				regions[ti][d] = Range{
-					Lo: math.Min(regions[ti][d].Lo, r.Lo),
-					Hi: math.Max(regions[ti][d].Hi, r.Hi),
-				}
-			}
-		}
-		seen[ti] = true
-	}
-
-	// Inputs never accessed (possible for degenerate descriptions) need no
-	// data at all.
+	ev := newRegionEval(sp)
+	ev.eval(ev.prog.Symbol(s.Axis), k, w)
+	regions := make([]Region, len(sp.InShapes))
 	for i := range regions {
-		if !seen[i] {
-			for d := range regions[i] {
-				regions[i][d] = Range{}
-			}
-		}
+		regions[i] = ev.input(i)
 	}
 	return regions, nil
 }
 
-// isOpaqueFullDim reports whether access dim d came from an opaque ":".
-// Opaque Full dims are encoded as empty Index expressions by the tdl
-// package; distinguish them from a genuine constant-0 index by checking the
-// description's opaque arguments.
-func isOpaqueFullDim(desc *tdl.OpDesc, acc *tdl.Access, d int) bool {
-	if !desc.HasOpaque() {
-		return false
-	}
-	full := false
-	walkBody(desc, func(o *tdl.OpaqueExpr) {
-		for _, a := range o.Args {
-			if a.Tensor != acc.Tensor || d >= len(a.Dims) {
-				continue
-			}
-			if a.Dims[d].Full {
-				full = true
-			}
-		}
-	})
-	return full
+// regionEval evaluates a description's compiled region program
+// (tdl.RegionProgram) at one Spec's shapes: the symbols' concrete extents are
+// resolved once, then each (split symbol, worker) is a pass over the access
+// dimensions that writes one flat row of ranges and allocates nothing.
+type regionEval struct {
+	prog *tdl.RegionProgram
+	ext  []float64 // concrete extent per symbol
+	dim  []float64 // extent of the input dimension behind each region slot
+	regs []Range   // the last evaluated worker's regions, one per slot
 }
 
-func walkBody(desc *tdl.OpDesc, fn func(*tdl.OpaqueExpr)) {
-	var walk func(e tdl.Scalar)
-	walk = func(e tdl.Scalar) {
-		switch v := e.(type) {
-		case *tdl.OpaqueExpr:
-			fn(v)
-		case *tdl.Bin:
-			walk(v.L)
-			walk(v.R)
-		case *tdl.Unary:
-			walk(v.X)
-		case *tdl.ReduceExpr:
-			walk(v.Body)
+func newRegionEval(sp *Spec) *regionEval {
+	prog := sp.Desc.Regions()
+	slots := prog.Offsets[len(sp.InShapes)]
+	floats := make([]float64, len(prog.Symbols)+slots)
+	ev := &regionEval{
+		prog: prog,
+		ext:  floats[:len(prog.Symbols)],
+		dim:  floats[len(prog.Symbols):],
+		regs: make([]Range, slots),
+	}
+	for j, ref := range prog.Extents {
+		switch ref.Input {
+		case tdl.ExtentFromOutput:
+			ev.ext[j] = float64(sp.OutShape.Dim(ref.Dim))
+		case tdl.ExtentFromConst:
+			ev.ext[j] = float64(ref.Const)
+		default:
+			ev.ext[j] = float64(sp.InShapes[ref.Input].Dim(ref.Dim))
 		}
 	}
-	walk(desc.Body)
+	for i, ishape := range sp.InShapes {
+		for d := range ishape {
+			ev.dim[prog.Offsets[i]+d] = float64(ishape.Dim(d))
+		}
+	}
+	return ev
 }
 
-func resolveExtent(sp *Spec, ra tdl.ReduceAxis) (float64, error) {
-	if ra.Extent.Input == "" {
-		return float64(ra.Extent.Const), nil
+// input returns input i's region within the last evaluated row.
+func (ev *regionEval) input(i int) Region {
+	return Region(ev.regs[ev.prog.Offsets[i]:ev.prog.Offsets[i+1]:ev.prog.Offsets[i+1]])
+}
+
+// eval fills regs with the regions worker w of k reads when symbol split is
+// partitioned: the split symbol ranges over the worker's share
+// [w/k·X, (w+1)/k·X], every other symbol over its full range [0, X] — the
+// paper's two analysis runs with ZV[u_b = 1/2] and ZV[l_b = 1/2, u_b = 1].
+//
+// Each float operation is the one the symbolic execution performs on the
+// same coefficient, in the same order — Interval.MulConst (scale, swap on a
+// negative coefficient), Interval.Add onto the zero accumulator, then
+// Interval.Concretize summing coefficient·extent ascending by symbol — so
+// the ranges are bit-identical to evaluating the index expressions through
+// package interval (region_oracle_test.go holds it to that).
+//
+//tofu:hotpath once per (strategy, worker) of every pricing; enforced by tofu-vet/hotalloc
+func (ev *regionEval) eval(split int, k, w int64) {
+	shareLo, shareHi := float64(w)/float64(k), float64(w+1)/float64(k)
+	for i := range ev.prog.Dims {
+		ad := &ev.prog.Dims[i]
+		lo, hi := ad.Const, ad.Const
+		for _, t := range ad.Terms {
+			l, h := 0.0, 1.0
+			if t.Sym == split {
+				l, h = shareLo, shareHi
+			}
+			l *= t.Coeff
+			h *= t.Coeff
+			if t.Coeff < 0 {
+				l, h = h, l
+			}
+			l += 0
+			h += 0
+			lo += l * ev.ext[t.Sym]
+			hi += h * ev.ext[t.Sym]
+		}
+		if ad.Sparse {
+			// Concretize also adds +0·X for every symbol the index does not
+			// mention. Extents are non-negative, so those addends are +0 and
+			// change nothing unless all the others are -0; one +0 at the end
+			// is the same sum.
+			lo += 0
+			hi += 0
+		}
+		lo = max(lo, 0)
+		extent := ev.dim[ad.Slot]
+		if ad.Point {
+			hi = lo + 1
+		}
+		hi = min(hi, extent)
+		if ad.Full {
+			lo, hi = 0, extent
+		}
+		if ad.Union {
+			// A later access of the same input widens the bounding box.
+			r := ev.regs[ad.Slot]
+			lo, hi = min(r.Lo, lo), max(r.Hi, hi)
+		}
+		ev.regs[ad.Slot] = Range{Lo: lo, Hi: hi}
 	}
-	idx := sp.Desc.InputIndex(ra.Extent.Input)
-	if idx < 0 {
-		return 0, fmt.Errorf("partition: reduce axis %s bound to unknown input %s", ra.Name, ra.Extent.Input)
-	}
-	return float64(sp.InShapes[idx].Dim(ra.Extent.Dim)), nil
 }
 
 // OutputRegion returns the slab of the output tensor worker w of k produces

@@ -56,7 +56,7 @@ func (s Strategy) String() string {
 // of prior work; in particular it never "forgets" the output-reduction
 // strategies that ICML18 missed (Sec 7.3).
 func Enumerate(desc *tdl.OpDesc) []Strategy {
-	var out []Strategy
+	out := make([]Strategy, 0, len(desc.OutAxes)+len(desc.ReduceAxes()))
 	for i, ax := range desc.OutAxes {
 		if desc.OpaqueOutAxis(ax) {
 			continue // produced inside an opaque function: not partitionable

@@ -27,6 +27,7 @@ type OpDesc struct {
 	elementwise bool
 	hasOpaque   bool
 	opaqueOut   map[string]bool // output axes owned by an opaque result
+	regions     *RegionProgram  // the accesses compiled for the region analysis
 }
 
 // Builder assembles an OpDesc fluently; see the package example.
@@ -201,9 +202,14 @@ func (d *OpDesc) validate() error {
 				d.Name, acc.Tensor, len(acc.Index), rank)
 		}
 		for _, ix := range acc.Index {
-			for _, t := range ix.Terms {
+			for ti, t := range ix.Terms {
 				if !bound[t.Axis] {
 					return fmt.Errorf("tdl: operator %s uses unbound axis %q", d.Name, t.Axis)
+				}
+				for _, prev := range ix.Terms[:ti] {
+					if prev.Axis == t.Axis {
+						return fmt.Errorf("tdl: operator %s index %v repeats axis %q", d.Name, ix, t.Axis)
+					}
 				}
 			}
 		}
@@ -219,6 +225,7 @@ func (d *OpDesc) validate() error {
 	})
 
 	d.elementwise = d.computeElementwise()
+	d.regions = compileRegions(d)
 	d.validated = true
 	return nil
 }

@@ -1,6 +1,7 @@
 package tdl
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -195,6 +196,76 @@ func TestValidationErrors(t *testing.T) {
 	if _, err := Describe("bad6").In("x", 2).Out(i).Is(
 		Reduce(Sum, []ReduceAxis{RVar(i, ExtentOf("x", 0))}, At("x", i, i))); err == nil {
 		t.Error("expected out/reduce clash error")
+	}
+	// One index expression naming an axis twice (only a hand-built Index can).
+	twice := Index{Terms: []IndexTerm{{Axis: "i", Coeff: 1}, {Axis: "i", Coeff: 2}}}
+	if _, err := Describe("bad7").In("x", 1).Out(i).Is(At("x", twice)); err == nil {
+		t.Error("expected repeated-axis error")
+	}
+}
+
+// TestRegionProgramConv1d pins the compiled form of the paper's running
+// example: symbol order, extent sources, slot layout and term order.
+func TestRegionProgramConv1d(t *testing.T) {
+	d, err := Std.Describe("conv1d", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := d.Regions()
+	if got := strings.Join(p.Symbols, ","); got != "b,co,x,ci,dx" {
+		t.Errorf("symbols = %s", got)
+	}
+	wantExt := []ExtentRef{
+		{Input: ExtentFromOutput, Dim: 0}, {Input: ExtentFromOutput, Dim: 1}, {Input: ExtentFromOutput, Dim: 2},
+		{Input: 1, Dim: 0}, {Input: 1, Dim: 2},
+	}
+	if !reflect.DeepEqual(p.Extents, wantExt) {
+		t.Errorf("extents = %+v", p.Extents)
+	}
+	if !reflect.DeepEqual(p.Offsets, []int{0, 3, 6}) {
+		t.Errorf("offsets = %v", p.Offsets)
+	}
+	// data[b, ci, x+dx], filters[ci, co, dx]: x+dx is stored "dx,x" by name
+	// and must come out ascending by symbol.
+	wantTerms := [][]SymTerm{
+		{{Sym: 0, Coeff: 1}}, {{Sym: 3, Coeff: 1}}, {{Sym: 2, Coeff: 1}, {Sym: 4, Coeff: 1}},
+		{{Sym: 3, Coeff: 1}}, {{Sym: 1, Coeff: 1}}, {{Sym: 4, Coeff: 1}},
+	}
+	if len(p.Dims) != len(wantTerms) {
+		t.Fatalf("%d access dims, want %d", len(p.Dims), len(wantTerms))
+	}
+	for i, ad := range p.Dims {
+		if ad.Slot != i || !reflect.DeepEqual(ad.Terms, wantTerms[i]) {
+			t.Errorf("access dim %d: slot %d terms %+v", i, ad.Slot, ad.Terms)
+		}
+		if !ad.Sparse || ad.Point || ad.Full || ad.Union {
+			t.Errorf("access dim %d: flags %+v", i, ad)
+		}
+	}
+
+	// Opaque ":" dimensions are Full, a constant index is a Point, and a
+	// second access of an input is a Union.
+	chol, err := Std.Describe("batch_cholesky", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dims := chol.Regions().Dims; dims[0].Full || !dims[1].Full || !dims[2].Full || dims[1].Point {
+		t.Errorf("batch_cholesky dims = %+v", dims)
+	}
+	sm, err := Std.Describe("softmax", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := sm.Regions(); strings.Join(p.Symbols, ",") != "i,j,k" || p.Dims[1].Union || !p.Dims[2].Union || !p.Dims[3].Union {
+		t.Errorf("softmax program = %+v", p)
+	}
+	i := Ax("i")
+	row, err := Describe("row0").In("x", 2).Out(i).Is(At("x", IdxConst(0), i))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dims := row.Regions().Dims; !dims[0].Point || dims[1].Point || dims[1].Sparse {
+		t.Errorf("row0 dims = %+v", dims)
 	}
 }
 
