@@ -23,7 +23,7 @@ import (
 	"tofu/internal/experiments"
 	"tofu/internal/models"
 	"tofu/internal/recursive"
-	"tofu/internal/sim"
+	"tofu/internal/topo"
 )
 
 var printOnce sync.Map
@@ -50,7 +50,7 @@ func runExperiment(b *testing.B, name string, fn func(experiments.Opts) (string,
 // extrapolated) versus Tofu's recursion.
 func BenchmarkTable1SearchTime(b *testing.B) {
 	runExperiment(b, "Table 1", func(o experiments.Opts) (string, error) {
-		return experiments.Table1(o, sim.DefaultTopology())
+		return experiments.Table1(o, topo.DefaultTopology())
 	})
 }
 
@@ -64,7 +64,7 @@ func BenchmarkTable2WeightSizes(b *testing.B) {
 // placement vs TensorFlow operator placement on RNNs with hidden size 4096.
 func BenchmarkTable3RNNComparison(b *testing.B) {
 	runExperiment(b, "Table 3", func(o experiments.Opts) (string, error) {
-		return experiments.Table3(o, sim.DefaultTopology())
+		return experiments.Table3(o, topo.DefaultTopology())
 	})
 }
 
@@ -72,7 +72,7 @@ func BenchmarkTable3RNNComparison(b *testing.B) {
 // for Ideal/SmallBatch/Swap/Tofu, normalized to ideal, with OOM markers.
 func BenchmarkFigure8WResNet(b *testing.B) {
 	runExperiment(b, "Figure 8", func(o experiments.Opts) (string, error) {
-		return experiments.Figure8(o, sim.DefaultTopology())
+		return experiments.Figure8(o, topo.DefaultTopology())
 	})
 }
 
@@ -80,7 +80,7 @@ func BenchmarkFigure8WResNet(b *testing.B) {
 // Ideal/SmallBatch/Swap/Op-Placement/Tofu.
 func BenchmarkFigure9RNN(b *testing.B) {
 	runExperiment(b, "Figure 9", func(o experiments.Opts) (string, error) {
-		return experiments.Figure9(o, sim.DefaultTopology())
+		return experiments.Figure9(o, topo.DefaultTopology())
 	})
 }
 
@@ -89,7 +89,7 @@ func BenchmarkFigure9RNN(b *testing.B) {
 // communication-overhead breakdown and OOMs.
 func BenchmarkFigure10Algorithms(b *testing.B) {
 	runExperiment(b, "Figure 10", func(o experiments.Opts) (string, error) {
-		return experiments.Figure10(o, sim.DefaultTopology())
+		return experiments.Figure10(o, topo.DefaultTopology())
 	})
 }
 
@@ -105,7 +105,7 @@ func BenchmarkFigure11Plan(b *testing.B) {
 // hierarchical-naive layout.
 func BenchmarkCrossTopology(b *testing.B) {
 	runExperiment(b, "Cross-topology", func(o experiments.Opts) (string, error) {
-		return experiments.CrossTopology(o, sim.DefaultTopology())
+		return experiments.CrossTopology(o, topo.DefaultTopology())
 	})
 }
 
@@ -114,7 +114,7 @@ func BenchmarkCrossTopology(b *testing.B) {
 // reduction).
 func BenchmarkAblations(b *testing.B) {
 	runExperiment(b, "Ablations", func(o experiments.Opts) (string, error) {
-		return experiments.Ablations(o, sim.DefaultTopology())
+		return experiments.Ablations(o, topo.DefaultTopology())
 	})
 }
 
@@ -213,7 +213,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := tofu.Simulate(s, m.Batch)
+		res := tofu.Simulate(s, m.Batch, tofu.DefaultPipelineOptions(), nil)
 		if res.Throughput <= 0 {
 			b.Fatal("no throughput")
 		}
@@ -237,7 +237,7 @@ func BenchmarkPartitionSearchTopo(b *testing.B) {
 		cases = cases[:2]
 	}
 	for _, c := range cases {
-		tp, err := sim.Profile(c.prof)
+		tp, err := topo.Profile(c.prof)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,8 +6,9 @@
 //	tofu-plan [-family wresnet|rnn|mlp] [-depth 152] [-width 10]
 //	          [-batch 8] [-workers 8] [-parallel N]
 //	          [-search-deadline D] [-model-json config.json|-]
-//	          [-hw <profile>|machine.json]   (profiles: p2.8xlarge, dgx1, dgx2,
-//	           cluster-2x8, cluster-4x2x8, cluster-4x2x12, cluster-8x2x8)
+//	          [-hw <profile>|machine.json]   (profiles, as tofu.TopologyProfiles
+//	           lists them: cluster-2x4x2x12, cluster-2x8, cluster-2x8x2x8,
+//	           cluster-4x2x12, cluster-4x2x8, cluster-8x2x8, dgx1, dgx2, p2.8xlarge)
 //
 // -model-json reads the model config from a JSON file (or stdin with "-")
 // in the same canonical form tofu-serve accepts, so a CLI run and a service
@@ -159,7 +160,7 @@ func main() {
 		fmt.Printf("  %-16s %-18s %s\n", w.Name, w.Shape, s.Plan.CutSummary(w.ID))
 	}
 
-	res := tofu.SimulateTraced(s, m.Batch, popts, timeline)
+	res := tofu.Simulate(s, m.Batch, popts, timeline)
 	fmt.Printf("\nsimulated: %.3f s/iteration, %.1f samples/s, OOM=%v\n",
 		res.IterSeconds, res.Throughput, res.OOM)
 

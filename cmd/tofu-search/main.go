@@ -23,7 +23,7 @@ import (
 	"tofu/internal/experiments"
 	"tofu/internal/models"
 	"tofu/internal/obs"
-	"tofu/internal/sim"
+	"tofu/internal/topo"
 )
 
 func main() {
@@ -47,7 +47,7 @@ func main() {
 			"or a small MLP) — where the search's time goes, subsystem by subsystem")
 	flag.Parse()
 
-	topo, err := sim.ResolveTopology(*hwArg)
+	tp, err := topo.ResolveTopology(*hwArg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func main() {
 		opts.Models = []models.Config{cfg}
 	}
 	if *trace {
-		if err := printTracedSearch(opts, topo); err != nil {
+		if err := printTracedSearch(opts, tp); err != nil {
 			log.Fatal(err)
 		}
 	}
-	out, err := experiments.Table1(opts, topo)
+	out, err := experiments.Table1(opts, tp)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,8 +73,8 @@ func main() {
 	// On a hierarchical machine the search's cost has a second axis — the
 	// factor-to-level ordering space — so report the branch-and-bound
 	// effort next to Table 1's timings.
-	if topo.Hierarchical() {
-		out, err := experiments.Orderings(opts, topo)
+	if tp.Hierarchical() {
+		out, err := experiments.Orderings(opts, tp)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func main() {
 	}
 
 	if *pipeline {
-		out, err := experiments.Hybrid(opts, topo)
+		out, err := experiments.Hybrid(opts, tp)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func main() {
 // on and prints its span tree — a per-subsystem time breakdown to read
 // alongside Table 1's totals. Serial search keeps the tree's shape
 // deterministic run to run.
-func printTracedSearch(o experiments.Opts, topo sim.Topology) error {
+func printTracedSearch(o experiments.Opts, tp topo.Topology) error {
 	cfg := models.Config{Family: "mlp", Depth: 4, Width: 1024, Batch: 16}
 	if len(o.Models) > 0 {
 		cfg = o.Models[0]
@@ -106,12 +106,12 @@ func printTracedSearch(o experiments.Opts, topo sim.Topology) error {
 	root := obs.NewSpan("tofu-search " + cfg.String())
 	popts := core.DefaultOptions()
 	popts.Search.Parallelism = 1
-	popts.Topology = &topo
+	popts.Topology = &tp
 	popts.Trace = root
-	if _, err := core.Partition(m.G, int64(topo.NumGPUs()), popts); err != nil {
+	if _, err := core.Partition(m.G, int64(tp.NumGPUs()), popts); err != nil {
 		return err
 	}
 	root.End()
-	fmt.Printf("traced search (%s on %d GPUs):\n%s\n", cfg, topo.NumGPUs(), obs.SpanTree(root))
+	fmt.Printf("traced search (%s on %d GPUs):\n%s\n", cfg, tp.NumGPUs(), obs.SpanTree(root))
 	return nil
 }

@@ -47,7 +47,7 @@ func main() {
 		fmt.Printf("  %-10s %-14s %s\n", w.Name, w.Shape, s.Plan.CutSummary(w.ID))
 	}
 
-	res := tofu.Simulate(s, m.Batch)
+	res := tofu.Simulate(s, m.Batch, opts, nil)
 	fmt.Printf("\nsimulated: %.1f sequences/s (%.3f s/iteration)\n",
 		res.Throughput, res.IterSeconds)
 }

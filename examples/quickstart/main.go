@@ -35,13 +35,13 @@ func main() {
 		float64(s.Memory.PeakBytes)/(1<<30), s.Memory.Fits(12<<30))
 
 	// Simulate one training iteration on the default 8-GPU machine.
-	res := tofu.Simulate(s, m.Batch)
+	res := tofu.Simulate(s, m.Batch, tofu.DefaultPipelineOptions(), nil)
 	fmt.Printf("Tofu: %.0f samples/s (%.2f s/iteration)\n\n", res.Throughput, res.IterSeconds)
 
 	// How the alternatives fare on the same model (Figure 9's comparison).
 	cfg := m.Cfg
 	for _, sys := range []tofu.System{tofu.Ideal, tofu.SmallBatch, tofu.Swap, tofu.OpPlacement} {
-		out, err := tofu.EvaluateSystem(cfg, sys, tofu.DefaultHW())
+		out, err := tofu.EvaluateSystem(cfg, sys, tofu.DefaultTopology())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 func main() {
-	hw := tofu.DefaultHW()
+	machine := tofu.DefaultTopology()
 	systems := []tofu.System{tofu.Ideal, tofu.SmallBatch, tofu.Swap, tofu.OpPlacement, tofu.TofuSystem}
 
 	for _, layers := range []int{6, 8} {
@@ -20,7 +20,7 @@ func main() {
 			fmt.Printf("\nRNN-%d-%dK (batch 512):\n", layers, hidden/1024)
 			var ideal float64
 			for _, sys := range systems {
-				out, err := tofu.EvaluateSystem(cfg, sys, hw)
+				out, err := tofu.EvaluateSystem(cfg, sys, machine)
 				if err != nil {
 					log.Fatal(err)
 				}

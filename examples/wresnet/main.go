@@ -66,6 +66,6 @@ func main() {
 	}
 	flush()
 
-	res := tofu.Simulate(s, m.Batch)
+	res := tofu.Simulate(s, m.Batch, tofu.DefaultPipelineOptions(), nil)
 	fmt.Printf("\nsimulated training: %.1f samples/s at batch %d\n", res.Throughput, m.Batch)
 }

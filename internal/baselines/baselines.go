@@ -24,6 +24,7 @@ import (
 	"tofu/internal/recursive"
 	"tofu/internal/shape"
 	"tofu/internal/sim"
+	"tofu/internal/topo"
 )
 
 // System names a baseline.
@@ -76,25 +77,25 @@ type SearchOptions struct {
 }
 
 // Evaluate runs one system on one model configuration at a fixed batch.
-func Evaluate(cfg models.Config, sys System, topo sim.Topology) (Outcome, error) {
-	return EvaluateWith(cfg, sys, topo, SearchOptions{})
+func Evaluate(cfg models.Config, sys System, tp topo.Topology) (Outcome, error) {
+	return EvaluateWith(cfg, sys, tp, SearchOptions{})
 }
 
 // EvaluateWith is Evaluate with explicit search options.
-func EvaluateWith(cfg models.Config, sys System, topo sim.Topology, so SearchOptions) (Outcome, error) {
+func EvaluateWith(cfg models.Config, sys System, tp topo.Topology, so SearchOptions) (Outcome, error) {
 	switch sys {
 	case Ideal:
-		return runSingle(cfg, sys, topo, false)
+		return runSingle(cfg, sys, tp, false)
 	case SmallBatch:
-		return runSingle(cfg, sys, topo, true)
+		return runSingle(cfg, sys, tp, true)
 	case Swap:
-		return runSwap(cfg, topo)
+		return runSwap(cfg, tp)
 	case OpPlacement:
-		return runPlacement(cfg, topo, false)
+		return runPlacement(cfg, tp, false)
 	case TFOpPlacement:
-		return runPlacement(cfg, topo, true)
+		return runPlacement(cfg, tp, true)
 	case Tofu, AllRowGreedy, Spartan, EqualChop, ICML18, HierNaive:
-		return runPartitioned(cfg, sys, topo, so)
+		return runPartitioned(cfg, sys, tp, so)
 	default:
 		return Outcome{}, fmt.Errorf("baselines: unknown system %q", sys)
 	}
@@ -102,7 +103,7 @@ func EvaluateWith(cfg models.Config, sys System, topo sim.Topology, so SearchOpt
 
 // --- single-GPU family --------------------------------------------------
 
-func runSingle(cfg models.Config, sys System, topo sim.Topology, fitMemory bool) (Outcome, error) {
+func runSingle(cfg models.Config, sys System, tp topo.Topology, fitMemory bool) (Outcome, error) {
 	batch := cfg.Batch
 	for {
 		m, err := models.Build(withBatch(cfg, batch))
@@ -113,8 +114,8 @@ func runSingle(cfg models.Config, sys System, topo sim.Topology, fitMemory bool)
 		if err != nil {
 			return Outcome{}, err
 		}
-		res := sim.Run(sh, topo, batch, memplan.DefaultOptions(),
-			sim.RunOptions{Replicas: topo.NumGPUs()})
+		res := sim.Run(sh, tp, batch, memplan.DefaultOptions(),
+			sim.RunOptions{Replicas: tp.NumGPUs()})
 		out := Outcome{
 			System: sys, Model: m.Name, Batch: batch,
 			Throughput: res.Throughput, IterSeconds: res.IterSeconds,
@@ -136,7 +137,7 @@ func runSingle(cfg models.Config, sys System, topo sim.Topology, fitMemory bool)
 	}
 }
 
-func runSwap(cfg models.Config, topo sim.Topology) (Outcome, error) {
+func runSwap(cfg models.Config, tp topo.Topology) (Outcome, error) {
 	// Sec 7.1: Swapping "uses the largest batch size that makes the
 	// execution fit in the GPU memory". When shrinking the batch could fit
 	// the model, the swap system runs just past that point (twice the
@@ -145,7 +146,7 @@ func runSwap(cfg models.Config, topo sim.Topology) (Outcome, error) {
 	// device), it runs the full batch: weight streaming dominates and a
 	// larger batch amortizes it. Both reproduce the paper's measured
 	// points.
-	fit, err := runSingle(cfg, SmallBatch, topo, true)
+	fit, err := runSingle(cfg, SmallBatch, tp, true)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -164,7 +165,7 @@ func runSwap(cfg models.Config, topo sim.Topology) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
-	res := sim.RunSwap(sh, topo, batch)
+	res := sim.RunSwap(sh, tp, batch)
 	return Outcome{
 		System: Swap, Model: m.Name, Batch: batch,
 		Throughput: res.Throughput, IterSeconds: res.IterSeconds,
@@ -175,7 +176,7 @@ func runSwap(cfg models.Config, topo sim.Topology) (Outcome, error) {
 
 // --- operator placement ------------------------------------------------
 
-func runPlacement(cfg models.Config, topo sim.Topology, tf bool) (Outcome, error) {
+func runPlacement(cfg models.Config, tp topo.Topology, tf bool) (Outcome, error) {
 	sys := OpPlacement
 	if tf {
 		sys = TFOpPlacement
@@ -186,7 +187,7 @@ func runPlacement(cfg models.Config, topo sim.Topology, tf bool) (Outcome, error
 		if err != nil {
 			return Outcome{}, err
 		}
-		res, err := sim.RunPipeline(m.G, topo, batch, sim.PipelineOptions{TFMode: tf})
+		res, err := sim.RunPipeline(m.G, tp, batch, sim.PipelineOptions{TFMode: tf})
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -209,7 +210,7 @@ func runPlacement(cfg models.Config, topo sim.Topology, tf bool) (Outcome, error
 
 // --- partitioned family -----------------------------------------------
 
-func runPartitioned(cfg models.Config, sys System, topo sim.Topology, so SearchOptions) (Outcome, error) {
+func runPartitioned(cfg models.Config, sys System, tp topo.Topology, so SearchOptions) (Outcome, error) {
 	if so.Cache == nil {
 		// Batch-halving retries rebuild the model with divided shapes;
 		// sharing one cache across them still deduplicates the shapes that
@@ -222,7 +223,7 @@ func runPartitioned(cfg models.Config, sys System, topo sim.Topology, so SearchO
 		if err != nil {
 			return Outcome{}, err
 		}
-		p, err := PlanForOn(m, sys, topo, so)
+		p, err := PlanForOn(m, sys, tp, so)
 		if err != nil {
 			// Heuristics can be infeasible (e.g. AllRow-Greedy on a batch
 			// already smaller than the worker count).
@@ -236,7 +237,7 @@ func runPartitioned(cfg models.Config, sys System, topo sim.Topology, so SearchO
 		if err != nil {
 			return Outcome{}, err
 		}
-		res := sim.Run(sh, topo, batch, memplan.DefaultOptions(), sim.RunOptions{})
+		res := sim.Run(sh, tp, batch, memplan.DefaultOptions(), sim.RunOptions{})
 		out := Outcome{
 			System: sys, Model: m.Name, Batch: batch,
 			Throughput: res.Throughput, IterSeconds: res.IterSeconds,
@@ -272,15 +273,15 @@ func PlanForOpts(m *models.Model, sys System, k int64, so SearchOptions) (*plan.
 // level each step crosses. Strategy pricing is filter-independent (filters
 // restrict a cached full enumeration), so one cache can serve every
 // algorithm variant over the same model.
-func PlanForOn(m *models.Model, sys System, topo sim.Topology, so SearchOptions) (*plan.Plan, error) {
-	return planFor(m, sys, int64(topo.NumGPUs()), &topo, so)
+func PlanForOn(m *models.Model, sys System, tp topo.Topology, so SearchOptions) (*plan.Plan, error) {
+	return planFor(m, sys, int64(tp.NumGPUs()), &tp, so)
 }
 
-func planFor(m *models.Model, sys System, k int64, topo *sim.Topology, so SearchOptions) (*plan.Plan, error) {
-	base := recursive.Options{Parallelism: so.Parallelism, Cache: so.Cache, Topology: topo}
+func planFor(m *models.Model, sys System, k int64, tp *topo.Topology, so SearchOptions) (*plan.Plan, error) {
+	base := recursive.Options{Parallelism: so.Parallelism, Cache: so.Cache, Topology: tp}
 	annotate := func(p *plan.Plan, err error) (*plan.Plan, error) {
-		if err == nil && topo != nil {
-			topo.AssignLevels(p)
+		if err == nil && tp != nil {
+			tp.AssignLevels(p)
 		}
 		return p, err
 	}

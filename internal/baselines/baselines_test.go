@@ -4,12 +4,12 @@ import (
 	"testing"
 
 	"tofu/internal/models"
-	"tofu/internal/sim"
+	"tofu/internal/topo"
 )
 
 func eval(t *testing.T, cfg models.Config, sys System) Outcome {
 	t.Helper()
-	out, err := Evaluate(cfg, sys, sim.DefaultTopology())
+	out, err := Evaluate(cfg, sys, topo.DefaultTopology())
 	if err != nil {
 		t.Fatalf("%s: %v", sys, err)
 	}
@@ -166,7 +166,7 @@ func TestSwapUsesLargerBatchThanSmallBatch(t *testing.T) {
 }
 
 func TestUnknownSystem(t *testing.T) {
-	if _, err := Evaluate(smallRNN, System("nope"), sim.DefaultTopology()); err == nil {
+	if _, err := Evaluate(smallRNN, System("nope"), topo.DefaultTopology()); err == nil {
 		t.Fatal("expected unknown-system error")
 	}
 	m, err := models.Build(smallRNN)

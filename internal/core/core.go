@@ -19,6 +19,7 @@ import (
 	"tofu/internal/plan"
 	"tofu/internal/recursive"
 	"tofu/internal/sim"
+	"tofu/internal/topo"
 )
 
 // Options configure the pipeline.
@@ -31,7 +32,7 @@ type Options struct {
 	Mem memplan.Options
 	// Topology overrides the simulated machine (DefaultTopology when nil)
 	// and, when hierarchical, switches the search into topology-aware mode.
-	Topology *sim.Topology
+	Topology *topo.Topology
 	// Pipeline, when non-nil, switches Partition into the joint
 	// hybrid-parallelism search: pipeline stages across a slow interconnect
 	// level, the partition DP inside each stage. Requires a hierarchical
@@ -65,19 +66,12 @@ type PipelineSpec struct {
 	Exhaustive bool
 }
 
-// SetHW is the flat-machine compatibility setter: it wraps an HW into a
-// single-level topology.
-func (o *Options) SetHW(hw sim.HW) {
-	t := sim.FlatTopology(hw)
-	o.Topology = &t
-}
-
 // topology resolves the effective machine.
-func (o Options) topology() sim.Topology {
+func (o Options) topology() topo.Topology {
 	if o.Topology != nil {
 		return *o.Topology
 	}
-	return sim.DefaultTopology()
+	return topo.DefaultTopology()
 }
 
 // DefaultOptions matches the full system.

@@ -7,6 +7,7 @@ import (
 	"tofu/internal/partition"
 	"tofu/internal/recursive"
 	"tofu/internal/sim"
+	"tofu/internal/topo"
 )
 
 func TestPartitionEndToEnd(t *testing.T) {
@@ -69,10 +70,11 @@ func TestSimulateWithCustomHW(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast := sim.DefaultHW()
-	fast.PeakFLOPS *= 10
+	hw := topo.DefaultHW()
+	hw.PeakFLOPS *= 10
+	fast := topo.FlatTopology(hw)
 	opts := DefaultOptions()
-	opts.SetHW(fast)
+	opts.Topology = &fast
 	quick := Simulate(s, m.Batch, opts, sim.RunOptions{})
 	slow := Simulate(s, m.Batch, DefaultOptions(), sim.RunOptions{})
 	if quick.IterSeconds >= slow.IterSeconds {
@@ -90,7 +92,7 @@ func TestSubMachinePlanGetsBlindLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := sim.Cluster2x8Topology()
+	cl := topo.Cluster2x8Topology()
 	opts := DefaultOptions()
 	opts.Topology = &cl
 	s, err := Partition(m.G, 8, opts)

@@ -10,13 +10,14 @@ import (
 	"tofu/internal/models"
 	"tofu/internal/plan"
 	"tofu/internal/sim"
+	"tofu/internal/topo"
 )
 
 // Ablations quantifies the design choices DESIGN.md calls out: the Sec 6
 // graph-generation optimizations (MultiFetch fusion, control-dependency
 // injection for buffer reuse, spread-out reductions), in-place gradient
 // aggregation, and the output-reduction strategies (Tofu vs ICML18).
-func Ablations(o Opts, topo sim.Topology) (string, error) {
+func Ablations(o Opts, tp topo.Topology) (string, error) {
 	cfg := models.Config{Family: "rnn", Depth: 4, Width: 4096, Batch: 256}
 	if o.Quick {
 		cfg = models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}
@@ -30,7 +31,7 @@ func Ablations(o Opts, topo sim.Topology) (string, error) {
 	// Tofu search runs before the cell fan-out, so it gets the whole
 	// worker pool; the ICML18 search inside a cell stays serial.
 	cache := dp.NewPriceCache()
-	p, err := baselines.PlanForOn(m, baselines.Tofu, topo,
+	p, err := baselines.PlanForOn(m, baselines.Tofu, tp,
 		baselines.SearchOptions{Parallelism: o.Parallelism, Cache: cache})
 	if err != nil {
 		return "", err
@@ -61,7 +62,7 @@ func Ablations(o Opts, topo sim.Topology) (string, error) {
 		{"- in-place gradient aggregation", tofuPlan, graphgen.DefaultOptions(), noInPlace},
 		// Output reduction ablation: the ICML18 plan on the same model.
 		{"- output reduction (ICML18 plan)", func() (*plan.Plan, error) {
-			return baselines.PlanForOn(m, baselines.ICML18, topo, so)
+			return baselines.PlanForOn(m, baselines.ICML18, tp, so)
 		}, graphgen.DefaultOptions(), memplan.DefaultOptions()},
 	}
 
@@ -77,7 +78,7 @@ func Ablations(o Opts, topo sim.Topology) (string, error) {
 		if err != nil {
 			return err
 		}
-		res := sim.Run(sh, topo, cfg.Batch, ab.mopts, sim.RunOptions{})
+		res := sim.Run(sh, tp, cfg.Batch, ab.mopts, sim.RunOptions{})
 		rows[i] = []string{ab.name, fmt.Sprintf("%.3f", res.IterSeconds),
 			gb(float64(res.Mem.PeakBytes)), gb(float64(res.Mem.CommBufferPeak))}
 		return nil

@@ -12,6 +12,7 @@ import (
 	"tofu/internal/models"
 	"tofu/internal/plan"
 	"tofu/internal/sim"
+	"tofu/internal/topo"
 )
 
 // CrossTopology is the scenario sweep the topology refactor unlocks (no
@@ -25,21 +26,21 @@ import (
 // The caller's machine (the -hw flag) joins the sweep when it is not
 // already one of the library profiles, so user-defined topologies compare
 // against the built-ins in one artifact.
-func CrossTopology(o Opts, topo sim.Topology) (string, error) {
-	topos := []sim.Topology{
-		sim.DefaultTopology(),
-		sim.DGX1Topology(),
-		sim.Cluster2x8Topology(),
+func CrossTopology(o Opts, tp topo.Topology) (string, error) {
+	topos := []topo.Topology{
+		topo.DefaultTopology(),
+		topo.DGX1Topology(),
+		topo.Cluster2x8Topology(),
 	}
 	known := false
 	for _, t := range topos {
-		if reflect.DeepEqual(t, topo) {
+		if reflect.DeepEqual(t, tp) {
 			known = true
 			break
 		}
 	}
 	if !known {
-		topos = append(topos, topo)
+		topos = append(topos, tp)
 	}
 	// RNN-4-4K is the comfortable regime (every step repeats the same
 	// cheapest cut, so layouts tie); the non-power-of-two hidden sizes
@@ -79,8 +80,8 @@ func CrossTopology(o Opts, topo sim.Topology) (string, error) {
 		si := i % len(systems)
 		ci := (i / len(systems)) % len(cfgs)
 		ti := i / (len(systems) * len(cfgs))
-		topo, cfg, sys, m := topos[ti], cfgs[ci], systems[si], ms[ci]
-		p, err := baselines.PlanForOn(m, sys, topo, so)
+		tp, cfg, sys, m := topos[ti], cfgs[ci], systems[si], ms[ci]
+		p, err := baselines.PlanForOn(m, sys, tp, so)
 		if err != nil {
 			cells[i].line = fmt.Sprintf("  %-11s infeasible (%v)\n", sys, err)
 			return nil
@@ -89,13 +90,13 @@ func CrossTopology(o Opts, topo sim.Topology) (string, error) {
 		if err != nil {
 			return err
 		}
-		res := sim.Run(sh, topo, cfg.Batch, memplan.DefaultOptions(), sim.RunOptions{})
+		res := sim.Run(sh, tp, cfg.Batch, memplan.DefaultOptions(), sim.RunOptions{})
 		oom := ""
 		if res.OOM {
 			oom = "  OOM"
 		}
 		cells[i].line = fmt.Sprintf("  %-11s %8.3fs/iter  %8.1f samples/s  comm %5.2f GB  steps %s%s\n",
-			sys, res.IterSeconds, res.Throughput, p.TotalComm()/(1<<30), stepLayout(p, topo), oom)
+			sys, res.IterSeconds, res.Throughput, p.TotalComm()/(1<<30), stepLayout(p, tp), oom)
 		return nil
 	})
 	if err != nil {
@@ -105,8 +106,8 @@ func CrossTopology(o Opts, topo sim.Topology) (string, error) {
 	var sb strings.Builder
 	sb.WriteString("Cross-topology sweep: Tofu (topology-aware) vs EqualChop vs hierarchical-naive\n")
 	sb.WriteString("(steps column: ways@level for each recursive step, innermost level fastest)\n")
-	for ti, topo := range topos {
-		fmt.Fprintf(&sb, "\n== %s (%d GPUs: %s) ==\n", topo.Name, topo.NumGPUs(), levelString(topo))
+	for ti, tp := range topos {
+		fmt.Fprintf(&sb, "\n== %s (%d GPUs: %s) ==\n", tp.Name, tp.NumGPUs(), levelString(tp))
 		for ci, cfg := range cfgs {
 			fmt.Fprintf(&sb, "-- %s --\n", cfg)
 			for si := range systems {
@@ -119,24 +120,24 @@ func CrossTopology(o Opts, topo sim.Topology) (string, error) {
 
 // stepLayout renders a plan's factor-to-level sequence ("2@pcie 2@nvlink
 // 2@nvlink").
-func stepLayout(p *plan.Plan, topo sim.Topology) string {
+func stepLayout(p *plan.Plan, tp topo.Topology) string {
 	if len(p.Steps) == 0 {
 		return "none"
 	}
 	parts := make([]string, len(p.Steps))
 	for i, s := range p.Steps {
 		name := "p2p"
-		if s.Level >= 0 && s.Level < len(topo.Levels) {
-			name = topo.Levels[s.Level].Name
+		if s.Level >= 0 && s.Level < len(tp.Levels) {
+			name = tp.Levels[s.Level].Name
 		}
 		parts[i] = fmt.Sprintf("%d@%s", s.K, name)
 	}
 	return strings.Join(parts, " ")
 }
 
-func levelString(topo sim.Topology) string {
-	parts := make([]string, len(topo.Levels))
-	for i, l := range topo.Levels {
+func levelString(tp topo.Topology) string {
+	parts := make([]string, len(tp.Levels))
+	for i, l := range tp.Levels {
 		parts[i] = fmt.Sprintf("%s x%d @%.1f GB/s", l.Name, l.GroupSize, l.Bandwidth/1e9)
 	}
 	return strings.Join(parts, " | ")

@@ -5,13 +5,13 @@ import (
 	"testing"
 	"time"
 
-	"tofu/internal/sim"
+	"tofu/internal/topo"
 )
 
 func quick() Opts { return Opts{Quick: true, FlatBudget: 2 * time.Second} }
 
 func TestTable1Quick(t *testing.T) {
-	out, err := Table1(quick(), sim.DefaultTopology())
+	out, err := Table1(quick(), topo.DefaultTopology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestTable2Quick(t *testing.T) {
 }
 
 func TestTable3Quick(t *testing.T) {
-	out, err := Table3(quick(), sim.DefaultTopology())
+	out, err := Table3(quick(), topo.DefaultTopology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestTable3Quick(t *testing.T) {
 }
 
 func TestFigure8Quick(t *testing.T) {
-	out, err := Figure8(quick(), sim.DefaultTopology())
+	out, err := Figure8(quick(), topo.DefaultTopology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestFigure8Quick(t *testing.T) {
 }
 
 func TestFigure9Quick(t *testing.T) {
-	out, err := Figure9(quick(), sim.DefaultTopology())
+	out, err := Figure9(quick(), topo.DefaultTopology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFigure9Quick(t *testing.T) {
 }
 
 func TestFigure10Quick(t *testing.T) {
-	out, err := Figure10(quick(), sim.DefaultTopology())
+	out, err := Figure10(quick(), topo.DefaultTopology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFigure11Quick(t *testing.T) {
 }
 
 func TestCrossTopologyQuick(t *testing.T) {
-	out, err := CrossTopology(quick(), sim.DefaultTopology())
+	out, err := CrossTopology(quick(), topo.DefaultTopology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCrossTopologyQuick(t *testing.T) {
 }
 
 func TestAblationsQuick(t *testing.T) {
-	out, err := Ablations(quick(), sim.DefaultTopology())
+	out, err := Ablations(quick(), topo.DefaultTopology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestAblationsQuick(t *testing.T) {
 }
 
 func TestHybridQuick(t *testing.T) {
-	out, err := Hybrid(quick(), sim.DefaultTopology())
+	out, err := Hybrid(quick(), topo.DefaultTopology())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,12 +10,13 @@ import (
 	"tofu/internal/memplan"
 	"tofu/internal/models"
 	"tofu/internal/sim"
+	"tofu/internal/topo"
 )
 
 // Figure8 reproduces the WResNet throughput comparison: Ideal, SmallBatch,
 // Swap and Tofu on WResNet-{50,101,152} widened {4,6,8,10}, normalized to
 // the ideal baseline (global batch 128).
-func Figure8(o Opts, topo sim.Topology) (string, error) {
+func Figure8(o Opts, tp topo.Topology) (string, error) {
 	depths := []int{50, 101, 152}
 	widths := []int64{4, 6, 8, 10}
 	if o.Quick {
@@ -28,7 +29,7 @@ func Figure8(o Opts, topo sim.Topology) (string, error) {
 			cfgs = append(cfgs, models.Config{Family: "wresnet", Depth: d, Width: w, Batch: 128})
 		}
 	}
-	outs, err := evaluateGrid(o, cfgs, systems, topo)
+	outs, err := evaluateGrid(o, cfgs, systems, tp)
 	if err != nil {
 		return "", err
 	}
@@ -56,7 +57,7 @@ func Figure8(o Opts, topo sim.Topology) (string, error) {
 // sweep exactly. All partition searches share one pricing cache and run
 // serial internally — the parallelism budget is spent at the cell level.
 func evaluateGrid(o Opts, cfgs []models.Config, systems []baselines.System,
-	topo sim.Topology) ([][]baselines.Outcome, error) {
+	tp topo.Topology) ([][]baselines.Outcome, error) {
 
 	outs := make([][]baselines.Outcome, len(cfgs))
 	for i := range outs {
@@ -65,7 +66,7 @@ func evaluateGrid(o Opts, cfgs []models.Config, systems []baselines.System,
 	so := baselines.SearchOptions{Parallelism: 1, Cache: dp.NewPriceCache()}
 	err := fanOut(o.Parallelism, len(cfgs)*len(systems), func(i int) error {
 		ci, si := i/len(systems), i%len(systems)
-		out, err := baselines.EvaluateWith(cfgs[ci], systems[si], topo, so)
+		out, err := baselines.EvaluateWith(cfgs[ci], systems[si], tp, so)
 		if err != nil {
 			return fmt.Errorf("%v/%s: %w", cfgs[ci], systems[si], err)
 		}
@@ -78,7 +79,7 @@ func evaluateGrid(o Opts, cfgs []models.Config, systems []baselines.System,
 // Figure9 reproduces the RNN throughput comparison: Ideal, SmallBatch,
 // Swap, Op-Placement and Tofu on RNN-{6,8,10} with hidden {4K,6K,8K}
 // (global batch 512).
-func Figure9(o Opts, topo sim.Topology) (string, error) {
+func Figure9(o Opts, tp topo.Topology) (string, error) {
 	layers := []int{6, 8, 10}
 	hiddens := []int64{4096, 6144, 8192}
 	if o.Quick {
@@ -94,7 +95,7 @@ func Figure9(o Opts, topo sim.Topology) (string, error) {
 			cfgs = append(cfgs, models.Config{Family: "rnn", Depth: l, Width: h, Batch: 512})
 		}
 	}
-	outs, err := evaluateGrid(o, cfgs, systems, topo)
+	outs, err := evaluateGrid(o, cfgs, systems, tp)
 	if err != nil {
 		return "", err
 	}
@@ -121,7 +122,7 @@ func Figure9(o Opts, topo sim.Topology) (string, error) {
 // EqualChop, ICML18, Tofu) at a fixed batch on 8 GPUs, reporting per-batch
 // execution time with the communication overhead share — the striped bars
 // of the paper's figure. Algorithms whose plan does not fit report OOM.
-func Figure10(o Opts, topo sim.Topology) (string, error) {
+func Figure10(o Opts, tp topo.Topology) (string, error) {
 	workloads := []models.Config{
 		{Family: "rnn", Depth: 4, Width: 8192, Batch: 512},
 		{Family: "wresnet", Depth: 152, Width: 10, Batch: 8},
@@ -150,7 +151,7 @@ func Figure10(o Opts, topo sim.Topology) (string, error) {
 	err := fanOut(o.Parallelism, len(lines), func(i int) error {
 		wi, ai := i/len(algos), i%len(algos)
 		cfg, m, algo := workloads[wi], ms[wi], algos[ai]
-		p, err := baselines.PlanForOn(m, algo, topo, so)
+		p, err := baselines.PlanForOn(m, algo, tp, so)
 		if err != nil {
 			lines[i] = fmt.Sprintf("  %-14s infeasible (%v)\n", algo, err)
 			return nil
@@ -159,8 +160,8 @@ func Figure10(o Opts, topo sim.Topology) (string, error) {
 		if err != nil {
 			return err
 		}
-		full := sim.Run(sh, topo, cfg.Batch, memplan.DefaultOptions(), sim.RunOptions{})
-		pure := sim.Run(sh, topo, cfg.Batch, memplan.DefaultOptions(), sim.RunOptions{DisableComm: true})
+		full := sim.Run(sh, tp, cfg.Batch, memplan.DefaultOptions(), sim.RunOptions{})
+		pure := sim.Run(sh, tp, cfg.Batch, memplan.DefaultOptions(), sim.RunOptions{DisableComm: true})
 		if full.OOM {
 			lines[i] = fmt.Sprintf("  %-14s OOM (needs %s GB/GPU)\n", algo, gb(float64(full.Mem.PeakBytes)))
 			return nil

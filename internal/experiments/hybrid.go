@@ -9,6 +9,7 @@ import (
 	"tofu/internal/core"
 	"tofu/internal/models"
 	"tofu/internal/sim"
+	"tofu/internal/topo"
 )
 
 // Hybrid is the joint-search benchmark (no paper counterpart — the paper's
@@ -22,20 +23,20 @@ import (
 // enumeration it replaces. Plans are byte-identical to the exhaustive
 // boundary oracle by construction (the differential test in internal/hybrid
 // enforces it); only the effort differs.
-func Hybrid(o Opts, tp sim.Topology) (string, error) {
+func Hybrid(o Opts, tp topo.Topology) (string, error) {
 	type row struct {
-		topo sim.Topology
+		topo topo.Topology
 		cfg  models.Config
 	}
 	rows := []row{
-		{sim.Cluster2x8Topology(), models.Config{Family: "mlp", Depth: 8, Width: 256, Batch: 64}},
-		{sim.Cluster4x2x8Topology(), models.Config{Family: "mlp", Depth: 8, Width: 256, Batch: 64}},
-		{sim.Cluster2x4x2x12Topology(), models.Config{Family: "mlp", Depth: 8, Width: 384, Batch: 48}},
+		{topo.Cluster2x8Topology(), models.Config{Family: "mlp", Depth: 8, Width: 256, Batch: 64}},
+		{topo.Cluster4x2x8Topology(), models.Config{Family: "mlp", Depth: 8, Width: 256, Batch: 64}},
+		{topo.Cluster2x4x2x12Topology(), models.Config{Family: "mlp", Depth: 8, Width: 384, Batch: 48}},
 	}
 	if o.Quick {
 		rows = []row{
-			{sim.Cluster2x8Topology(), models.Config{Family: "mlp", Depth: 4, Width: 256, Batch: 64}},
-			{sim.Cluster4x2x8Topology(), models.Config{Family: "mlp", Depth: 4, Width: 256, Batch: 64}},
+			{topo.Cluster2x8Topology(), models.Config{Family: "mlp", Depth: 4, Width: 256, Batch: 64}},
+			{topo.Cluster4x2x8Topology(), models.Config{Family: "mlp", Depth: 4, Width: 256, Batch: 64}},
 		}
 	}
 
@@ -49,20 +50,20 @@ func Hybrid(o Opts, tp sim.Topology) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		topo := r.topo
-		k := int64(topo.NumGPUs())
+		mach := r.topo
+		k := int64(mach.NumGPUs())
 
 		base := core.DefaultOptions()
-		base.Topology = &topo
+		base.Topology = &mach
 		base.Search.Parallelism = o.Parallelism
 		ts, err := core.Partition(m.G, k, base)
 		if err != nil {
-			return "", fmt.Errorf("hybrid: %s tensor-only: %w", topo.Name, err)
+			return "", fmt.Errorf("hybrid: %s tensor-only: %w", mach.Name, err)
 		}
 		tensorRes := core.Simulate(ts, r.cfg.Batch, base, sim.RunOptions{})
 
 		hopts := core.DefaultOptions()
-		hopts.Topology = &topo
+		hopts.Topology = &mach
 		hopts.Search.Parallelism = o.Parallelism
 		hopts.Pipeline = &core.PipelineSpec{}
 		tok, stopTok := cancel.WithTimeout(o.SearchDeadline)
@@ -72,18 +73,18 @@ func Hybrid(o Opts, tp sim.Topology) (string, error) {
 		searchTime := time.Since(start)
 		stopTok()
 		if err != nil {
-			tab.add(topo.Name, fmt.Sprint(k), r.cfg.String(), "infeasible",
+			tab.add(mach.Name, fmt.Sprint(k), r.cfg.String(), "infeasible",
 				"", "", "", "", "", fmt.Sprintf("%.3f", tensorRes.IterSeconds), "",
 				gb(float64(ts.Memory.PeakBytes)), "", "")
 			continue
 		}
 		hybridRes, err := core.SimulatePipeline(hs, r.cfg.Batch, hopts, sim.RunOptions{})
 		if err != nil {
-			return "", fmt.Errorf("hybrid: %s simulation: %w", topo.Name, err)
+			return "", fmt.Errorf("hybrid: %s simulation: %w", mach.Name, err)
 		}
 		st := hs.Hybrid.Stats
 		tab.add(
-			topo.Name,
+			mach.Name,
 			fmt.Sprint(k),
 			r.cfg.String(),
 			fmt.Sprint(st.Level),

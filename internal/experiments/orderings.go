@@ -9,7 +9,7 @@ import (
 	"tofu/internal/dp"
 	"tofu/internal/models"
 	"tofu/internal/recursive"
-	"tofu/internal/sim"
+	"tofu/internal/topo"
 )
 
 // Orderings is the ordering-scaling benchmark behind the branch-and-bound
@@ -23,17 +23,17 @@ import (
 // internal/recursive enforces it); only the effort differs. The caller's
 // machine (-hw) joins the sweep when hierarchical and not already a library
 // profile.
-func Orderings(o Opts, tp sim.Topology) (string, error) {
+func Orderings(o Opts, tp topo.Topology) (string, error) {
 	type row struct {
-		topo sim.Topology
+		topo topo.Topology
 		cfg  models.Config
 	}
 	rows := []row{
-		{sim.DGX1Topology(), models.Config{Family: "rnn", Depth: 2, Width: 1500, Batch: 64}},
-		{sim.DGX2Topology(), models.Config{Family: "rnn", Depth: 2, Width: 3000, Batch: 64}},
-		{sim.Cluster2x8Topology(), models.Config{Family: "rnn", Depth: 2, Width: 1500, Batch: 64}},
-		{sim.Cluster4x2x8Topology(), models.Config{Family: "rnn", Depth: 2, Width: 8192, Batch: 128}},
-		{sim.Cluster8x2x8Topology(), models.Config{Family: "rnn", Depth: 2, Width: 8192, Batch: 256}},
+		{topo.DGX1Topology(), models.Config{Family: "rnn", Depth: 2, Width: 1500, Batch: 64}},
+		{topo.DGX2Topology(), models.Config{Family: "rnn", Depth: 2, Width: 3000, Batch: 64}},
+		{topo.Cluster2x8Topology(), models.Config{Family: "rnn", Depth: 2, Width: 1500, Batch: 64}},
+		{topo.Cluster4x2x8Topology(), models.Config{Family: "rnn", Depth: 2, Width: 8192, Batch: 128}},
+		{topo.Cluster8x2x8Topology(), models.Config{Family: "rnn", Depth: 2, Width: 8192, Batch: 256}},
 	}
 	if o.Quick {
 		rows = rows[:3]
@@ -61,32 +61,32 @@ func Orderings(o Opts, tp sim.Topology) (string, error) {
 			return "", err
 		}
 		k := int64(r.topo.NumGPUs())
-		topo := r.topo
+		mach := r.topo
 		// Both engines get a fresh pricing cache: the comparison is
 		// cold-search vs cold-search.
 		var st recursive.SearchStats
 		start := time.Now()
 		_, err = recursive.Partition(m.G, k, recursive.Options{
-			Topology: &topo, Parallelism: o.Parallelism,
+			Topology: &mach, Parallelism: o.Parallelism,
 			Cache: dp.NewPriceCache(), Stats: &st,
 		})
 		bbTime := time.Since(start)
 		if err != nil {
-			tab.add(topo.Name, fmt.Sprint(k), r.cfg.String(), "infeasible", "", "", "", "", "", "", "", "")
+			tab.add(mach.Name, fmt.Sprint(k), r.cfg.String(), "infeasible", "", "", "", "", "", "", "", "")
 			continue
 		}
 		var stFlat recursive.SearchStats
 		start = time.Now()
 		_, err = recursive.Partition(m.G, k, recursive.Options{
-			Topology: &topo, Parallelism: o.Parallelism, TopoExhaustive: true,
+			Topology: &mach, Parallelism: o.Parallelism, TopoExhaustive: true,
 			Cache: dp.NewPriceCache(), Stats: &stFlat,
 		})
 		flatTime := time.Since(start)
 		if err != nil {
-			return "", fmt.Errorf("orderings: %s flat enumeration: %w", topo.Name, err)
+			return "", fmt.Errorf("orderings: %s flat enumeration: %w", mach.Name, err)
 		}
 		tab.add(
-			topo.Name,
+			mach.Name,
 			fmt.Sprint(k),
 			r.cfg.String(),
 			fmt.Sprint(st.Orderings),

@@ -11,7 +11,7 @@ import (
 	"tofu/internal/models"
 	"tofu/internal/recursive"
 	"tofu/internal/shape"
-	"tofu/internal/sim"
+	"tofu/internal/topo"
 )
 
 // Opts tune experiment scope.
@@ -44,7 +44,7 @@ func DefaultOpts() Opts { return Opts{FlatBudget: 20 * time.Second} }
 // (WResNet-152 and RNN-10): the original DP is inapplicable to non-linear
 // fine-grained graphs, the coarsened-but-flat DP explodes, recursion
 // finishes in seconds.
-func Table1(o Opts, topo sim.Topology) (string, error) {
+func Table1(o Opts, tp topo.Topology) (string, error) {
 	t := &table{header: []string{"search algorithm", "WResNet-152", "RNN-10"}}
 	cfgs := []models.Config{
 		{Family: "wresnet", Depth: 152, Width: 10, Batch: 8},
@@ -77,10 +77,10 @@ func Table1(o Opts, topo sim.Topology) (string, error) {
 		}
 		// Recursion (the Tofu algorithm; topology-aware on hierarchical
 		// machines, where the ordering search multiplies the DP runs).
-		k := int64(topo.NumGPUs())
+		k := int64(tp.NumGPUs())
 		start := time.Now()
 		tok, stopTok := cancel.WithTimeout(o.SearchDeadline)
-		p, err := recursive.Partition(m.G, k, recursive.Options{Parallelism: o.Parallelism, Topology: &topo, Cancel: tok})
+		p, err := recursive.Partition(m.G, k, recursive.Options{Parallelism: o.Parallelism, Topology: &tp, Cancel: tok})
 		stopTok()
 		if err != nil {
 			return "", err
@@ -123,7 +123,7 @@ func Table1(o Opts, topo sim.Topology) (string, error) {
 	t.add(append([]string{"Original DP [ICML18]"}, naCells...)...)
 	t.add(append([]string{"DP with coarsening"}, flatCells...)...)
 	t.add(append([]string{"Using recursion (Tofu)"}, recCells...)...)
-	return fmt.Sprintf("Table 1: partition search time, %d workers\n", topo.NumGPUs()) + t.String(), nil
+	return fmt.Sprintf("Table 1: partition search time, %d workers\n", tp.NumGPUs()) + t.String(), nil
 }
 
 // Table2 reproduces "Total weight tensor sizes (GB)" — weight + gradient +
@@ -180,7 +180,7 @@ func addWeightRow(t *table, m *models.Model, paper map[string]float64) {
 
 // Table3 reproduces the RNN framework comparison at hidden size 4096:
 // Tofu vs MXNet operator placement vs TensorFlow operator placement.
-func Table3(o Opts, topo sim.Topology) (string, error) {
+func Table3(o Opts, tp topo.Topology) (string, error) {
 	t := &table{header: []string{"system", "RNN-6", "RNN-8", "RNN-10"}}
 	layers := []int{6, 8, 10}
 	hidden := int64(4096)
@@ -205,7 +205,7 @@ func Table3(o Opts, topo sim.Topology) (string, error) {
 		sys, l := systems[i/len(layers)], layers[i%len(layers)]
 		out, err := baselines.EvaluateWith(models.Config{
 			Family: "rnn", Depth: l, Width: hidden, Batch: batch,
-		}, sys, topo, so)
+		}, sys, tp, so)
 		if err != nil {
 			return err
 		}

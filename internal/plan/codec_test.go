@@ -314,6 +314,41 @@ func TestWriteJSONBuffers(t *testing.T) {
 	}
 }
 
+// TestCodecAllocsConstant: encoding a plan and verifying its bytes allocate a
+// handful of objects whatever the plan holds — nothing per step, tensor or
+// key — on the 82 KB transformer plan and the 3.2 MB RNN plan alike. (The
+// encoder sizes one buffer from an estimate and regrows it at most twice.)
+// The ceilings are the measured counts: encode 2-3 (3-4 under -race, whose
+// sync.Pool drops buffers at random), verify 5.
+func TestCodecAllocsConstant(t *testing.T) {
+	bodies := []string{coldCases[0][0], coldCases[0][3]}
+	if testing.Short() {
+		bodies = bodies[:1]
+	}
+	for _, body := range bodies {
+		p := searchPlan(t, body)
+		var raw bytes.Buffer
+		if err := p.WriteJSON(&raw); err != nil {
+			t.Fatal(err)
+		}
+		encode := testing.AllocsPerRun(5, func() {
+			var out bytes.Buffer
+			if err := p.WriteJSON(&out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		verify := testing.AllocsPerRun(5, func() {
+			if _, err := plan.Verify(raw.Bytes(), p.Digest); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %d bytes, encode %.0f allocs, verify %.0f allocs", body, raw.Len(), encode, verify)
+		if encode > 4 || verify > 5 {
+			t.Errorf("%s: encode allocates %.0f objects and verify %.0f, ceilings 4 and 5", body, encode, verify)
+		}
+	}
+}
+
 type countingWriter struct{ writes, bytes int }
 
 func (w *countingWriter) Write(b []byte) (int, error) {

@@ -46,7 +46,7 @@ type Step struct {
 	// Level is the interconnect tier this step's communication crosses
 	// (index into the topology's levels, 0 = innermost/fastest). Flat
 	// machines and topology-blind searches leave it 0; the topology-aware
-	// search and sim.Topology.AssignLevels set it, and the simulator prices
+	// search and topo.Topology.AssignLevels set it, and the simulator prices
 	// the step's transfers at that level's bandwidth.
 	Level int
 	// States/Configs record search effort (Table 1).

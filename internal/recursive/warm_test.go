@@ -188,17 +188,20 @@ func TestWarmStartByteIdentical(t *testing.T) {
 // prefix and already near the floor — Expanded is where warm starts win;
 // see EXPERIMENTS.md.) Measured at parallelism 1 so the counts are exact:
 // cluster-2x4x2x12/transformer drops 676 -> 310, cluster-2x8x2x8/mlp
-// 225 -> 103.
+// 225 -> 103. Those counts are ceilings too: a warm search that expands
+// more nodes or runs more DP steps than recorded has a seed that prunes
+// less.
 func TestWarmStartSearchEffort(t *testing.T) {
 	if testing.Short() {
 		t.Skip("search-effort pins need the full 4-level profiles")
 	}
 	cases := []struct {
-		prof string
-		cfg  models.Config
+		prof               string
+		cfg                models.Config
+		expanded, dpSolves int // ceilings on the warm search
 	}{
-		{"cluster-2x4x2x12", models.Config{Family: "transformer", Depth: 2, Width: 1536, Batch: 24}},
-		{"cluster-2x8x2x8", models.Config{Family: "mlp", Depth: 3, Width: 3072, Batch: 48}},
+		{"cluster-2x4x2x12", models.Config{Family: "transformer", Depth: 2, Width: 1536, Batch: 24}, 310, 34},
+		{"cluster-2x8x2x8", models.Config{Family: "mlp", Depth: 3, Width: 3072, Batch: 48}, 103, 8},
 	}
 	for _, c := range cases {
 		tp, err := topo.Profile(c.prof)
@@ -233,6 +236,10 @@ func TestWarmStartSearchEffort(t *testing.T) {
 		if warm.DPSolves > cold.DPSolves {
 			t.Errorf("%s/%s: warm start ADDED dp solves: cold %d, warm %d",
 				c.prof, c.cfg, cold.DPSolves, warm.DPSolves)
+		}
+		if warm.Expanded > c.expanded || warm.DPSolves > c.dpSolves {
+			t.Errorf("%s/%s: warm search expanded %d nodes over %d dp solves, ceilings %d and %d",
+				c.prof, c.cfg, warm.Expanded, warm.DPSolves, c.expanded, c.dpSolves)
 		}
 		t.Logf("%s/%s-%d-%d@%d: cold exp=%d dp=%d | warm exp=%d dp=%d (%.2fx fewer steps)",
 			c.prof, c.cfg.Family, c.cfg.Depth, c.cfg.Width, c.cfg.Batch,

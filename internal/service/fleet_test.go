@@ -108,6 +108,9 @@ func TestStoreServesAcrossRestart(t *testing.T) {
 	if !m.StoreEnabled || m.StoreServed != 1 || m.StoreHits != 1 {
 		t.Fatalf("store metrics: %+v", m)
 	}
+	if m.JobsDone != 0 {
+		t.Fatalf("restarted replica ran %d searches; the store should have answered", m.JobsDone)
+	}
 	// A second Lookup is an LRU hit, not another disk read.
 	if _, ok := b.Lookup(digest); !ok {
 		t.Fatal("promoted entry missing from LRU")

@@ -13,19 +13,9 @@ import (
 	"tofu/internal/topo"
 )
 
-// HW describes a flat simulated machine: the per-GPU compute parameters plus
-// one uniform peer link. It lives in the topo package as the per-GPU half of
-// a Topology; sim re-exports it and keeps the kernel cost model on top.
-type HW = topo.HW
-
-// DefaultHW is calibrated to the paper's p2.8xlarge: per-GPU throughput in
-// the ballpark of a K80 GK210 (~4.4 TFLOPS peak, ~240 GB/s HBM), 21 GB/s
-// peer-to-peer, 10 GB/s host link shared by all eight GPUs.
-func DefaultHW() HW { return topo.DefaultHW() }
-
 // Eff returns the fraction of peak FLOPS a kernel achieves given its class
 // and leading output extent (rows for matmul, batch for conv).
-func Eff(hw HW, class KernelClass, rows float64) float64 {
+func Eff(hw topo.HW, class KernelClass, rows float64) float64 {
 	switch class {
 	case ClassMatmul:
 		return hw.MatmulMaxEff * rows / (rows + hw.MatmulHalfRows)
@@ -38,7 +28,7 @@ func Eff(hw HW, class KernelClass, rows float64) float64 {
 
 // KernelTime prices one operator shard on a GPU: the max of its
 // compute-bound and memory-bound times plus launch overhead.
-func KernelTime(hw HW, os graphgen.OpShard) float64 {
+func KernelTime(hw topo.HW, os graphgen.OpShard) float64 {
 	class := Classify(os.Node.Op)
 	rows := os.KernelRows
 	if rows <= 0 {

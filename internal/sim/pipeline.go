@@ -6,6 +6,7 @@ import (
 
 	"tofu/internal/graph"
 	"tofu/internal/graphgen"
+	"tofu/internal/topo"
 )
 
 // PipelineOptions configure the operator-placement baseline (Sec 7.1):
@@ -31,8 +32,8 @@ type PipelineOptions struct {
 // cross whatever interconnect level separates those GPUs — the PCIe link on
 // the flat machine, the slower tier when round-robin placement straddles an
 // island or node boundary.
-func RunPipeline(g *graph.Graph, topo Topology, batch int64, opts PipelineOptions) (Result, error) {
-	hw := topo.HW
+func RunPipeline(g *graph.Graph, tp topo.Topology, batch int64, opts PipelineOptions) (Result, error) {
+	hw := tp.HW
 	var res Result
 	sh, err := graphgen.Single(g)
 	if err != nil {
@@ -111,7 +112,7 @@ func RunPipeline(g *graph.Graph, topo Topology, batch int64, opts PipelineOption
 	// interconnect level between them (on the flat machine: always the peer
 	// link, exactly the old global xfer).
 	xferBetween := func(la, lb int) float64 {
-		return hBytes/topo.LinkBandwidth(gpuOf(la), gpuOf(lb)) + hw.PipelineSyncOverhead
+		return hBytes/tp.LinkBandwidth(gpuOf(la), gpuOf(lb)) + hw.PipelineSyncOverhead
 	}
 
 	gpuFree := make([]float64, hw.NumGPUs)

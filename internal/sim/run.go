@@ -6,6 +6,7 @@ import (
 	"tofu/internal/graphgen"
 	"tofu/internal/memplan"
 	"tofu/internal/obs"
+	"tofu/internal/topo"
 )
 
 // Result is one simulated training iteration.
@@ -49,22 +50,22 @@ type RunOptions struct {
 // a single-level topology the whole payload goes to level 0. Both the
 // pricing (transferTime) and the timeline emission share this walk, so the
 // exported lanes decompose exactly the seconds the simulator charges.
-func eachTransferLevel(topo Topology, byLevel []float64, total float64, fn func(level int, seconds, bytes float64)) {
+func eachTransferLevel(tp topo.Topology, byLevel []float64, total float64, fn func(level int, seconds, bytes float64)) {
 	if len(byLevel) == 0 {
-		fn(0, total/topo.LevelBandwidth(0), total)
+		fn(0, total/tp.LevelBandwidth(0), total)
 		return
 	}
 	for l, b := range byLevel {
 		if b > 0 {
-			fn(l, b/topo.LevelBandwidth(l), b)
+			fn(l, b/tp.LevelBandwidth(l), b)
 		}
 	}
 }
 
 // transferTime prices a per-level byte breakdown.
-func transferTime(topo Topology, byLevel []float64, total float64) float64 {
+func transferTime(tp topo.Topology, byLevel []float64, total float64) float64 {
 	t := 0.0
-	eachTransferLevel(topo, byLevel, total, func(_ int, seconds, _ float64) { t += seconds })
+	eachTransferLevel(tp, byLevel, total, func(_ int, seconds, _ float64) { t += seconds })
 	return t
 }
 
@@ -72,9 +73,9 @@ func transferTime(topo Topology, byLevel []float64, total float64) float64 {
 // representative worker's "w0/xfer-L<level>" lanes, back to back from
 // start — the comm engine serializes the level crossings the same way
 // transferTime sums them.
-func emitTransfer(tl *obs.Timeline, kind, op string, start float64, topo Topology, byLevel []float64, total float64) {
+func emitTransfer(tl *obs.Timeline, kind, op string, start float64, tp topo.Topology, byLevel []float64, total float64) {
 	cursor := start
-	eachTransferLevel(topo, byLevel, total, func(level int, seconds, bytes float64) {
+	eachTransferLevel(tp, byLevel, total, func(level int, seconds, bytes float64) {
 		tl.Add(obs.Event{
 			Lane:  "w0/xfer-L" + strconv.Itoa(level),
 			Name:  kind + " " + op,
@@ -94,8 +95,8 @@ func emitTransfer(tl *obs.Timeline, kind, op string, start float64, topo Topolog
 // reduction transfers; producers gate consumers. Each transfer is priced at
 // the bandwidth of the interconnect level it crosses (its plan step's level
 // annotation) — on a flat topology that is the single peer bandwidth.
-func Run(sh *graphgen.Sharded, topo Topology, batch int64, memOpts memplan.Options, ro RunOptions) Result {
-	hw := topo.HW
+func Run(sh *graphgen.Sharded, tp topo.Topology, batch int64, memOpts memplan.Options, ro RunOptions) Result {
+	hw := tp.HW
 	var res Result
 	res.Mem = memplan.Plan(sh, memOpts)
 	res.OOM = !res.Mem.Fits(hw.GPUMemBytes)
@@ -114,9 +115,9 @@ func Run(sh *graphgen.Sharded, topo Topology, batch int64, memOpts memplan.Optio
 		startReady := depReady
 		if !ro.DisableComm && os.FetchBytes > 0 {
 			fs := maxf(commFree, depReady)
-			fe := fs + transferTime(topo, os.FetchByLevel, os.FetchBytes)
+			fe := fs + transferTime(tp, os.FetchByLevel, os.FetchBytes)
 			if ro.Timeline.Enabled() {
-				emitTransfer(ro.Timeline, "fetch", os.Node.Op, fs, topo, os.FetchByLevel, os.FetchBytes)
+				emitTransfer(ro.Timeline, "fetch", os.Node.Op, fs, tp, os.FetchByLevel, os.FetchBytes)
 			}
 			commFree = fe
 			res.CommSeconds += fe - fs
@@ -137,9 +138,9 @@ func Run(sh *graphgen.Sharded, topo Topology, batch int64, memOpts memplan.Optio
 		avail := ce
 		if !ro.DisableComm && os.OutCommBytes > 0 {
 			rs := maxf(commFree, ce)
-			re := rs + transferTime(topo, os.OutByLevel, os.OutCommBytes)
+			re := rs + transferTime(tp, os.OutByLevel, os.OutCommBytes)
 			if ro.Timeline.Enabled() {
-				emitTransfer(ro.Timeline, "reduce", os.Node.Op, rs, topo, os.OutByLevel, os.OutCommBytes)
+				emitTransfer(ro.Timeline, "reduce", os.Node.Op, rs, tp, os.OutByLevel, os.OutCommBytes)
 			}
 			commFree = re
 			res.CommSeconds += re - rs

@@ -7,6 +7,7 @@ import (
 	"tofu/internal/memplan"
 	"tofu/internal/models"
 	"tofu/internal/recursive"
+	"tofu/internal/topo"
 )
 
 func singleSharded(t *testing.T, m *models.Model) *graphgen.Sharded {
@@ -23,8 +24,8 @@ func TestRunBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw := DefaultHW()
-	res := Run(singleSharded(t, m), FlatTopology(hw), 64, memplan.DefaultOptions(), RunOptions{})
+	hw := topo.DefaultHW()
+	res := Run(singleSharded(t, m), topo.FlatTopology(hw), 64, memplan.DefaultOptions(), RunOptions{})
 	if res.IterSeconds <= 0 || res.Throughput <= 0 {
 		t.Fatalf("degenerate result %+v", res)
 	}
@@ -41,9 +42,9 @@ func TestReplicasScaleThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw := DefaultHW()
-	one := Run(singleSharded(t, m), FlatTopology(hw), 32, memplan.DefaultOptions(), RunOptions{Replicas: 1})
-	eight := Run(singleSharded(t, m), FlatTopology(hw), 32, memplan.DefaultOptions(), RunOptions{Replicas: 8})
+	hw := topo.DefaultHW()
+	one := Run(singleSharded(t, m), topo.FlatTopology(hw), 32, memplan.DefaultOptions(), RunOptions{Replicas: 1})
+	eight := Run(singleSharded(t, m), topo.FlatTopology(hw), 32, memplan.DefaultOptions(), RunOptions{Replicas: 8})
 	if eight.Throughput < one.Throughput*7.9 || eight.Throughput > one.Throughput*8.1 {
 		t.Fatalf("replicas scaling wrong: %g vs %g", eight.Throughput, one.Throughput)
 	}
@@ -62,9 +63,9 @@ func TestCommOverlapsButGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw := DefaultHW()
-	with := Run(sh, FlatTopology(hw), 64, memplan.DefaultOptions(), RunOptions{})
-	without := Run(sh, FlatTopology(hw), 64, memplan.DefaultOptions(), RunOptions{DisableComm: true})
+	hw := topo.DefaultHW()
+	with := Run(sh, topo.FlatTopology(hw), 64, memplan.DefaultOptions(), RunOptions{})
+	without := Run(sh, topo.FlatTopology(hw), 64, memplan.DefaultOptions(), RunOptions{DisableComm: true})
 	if with.IterSeconds < without.IterSeconds {
 		t.Fatal("communication cannot speed execution up")
 	}
@@ -78,7 +79,7 @@ func TestCommOverlapsButGates(t *testing.T) {
 }
 
 func TestKernelEfficiencyCurves(t *testing.T) {
-	hw := DefaultHW()
+	hw := topo.DefaultHW()
 	// Matmul efficiency grows with rows and saturates.
 	if Eff(hw, ClassMatmul, 64) >= Eff(hw, ClassMatmul, 512) {
 		t.Fatal("matmul efficiency must grow with rows")
@@ -116,8 +117,8 @@ func TestSwapFitsWithoutTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw := DefaultHW()
-	res := RunSwap(singleSharded(t, m), FlatTopology(hw), 32)
+	hw := topo.DefaultHW()
+	res := RunSwap(singleSharded(t, m), topo.FlatTopology(hw), 32)
 	if res.CommSeconds != 0 {
 		t.Fatalf("tiny model should not swap, traffic time %g", res.CommSeconds)
 	}
@@ -133,13 +134,13 @@ func TestSwapOverflowsGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw := DefaultHW()
+	hw := topo.DefaultHW()
 	sh := singleSharded(t, m)
 	rep := memplan.Plan(sh, memplan.DefaultOptions())
 	if rep.Fits(hw.GPUMemBytes) {
 		t.Skipf("model unexpectedly fits (%d bytes)", rep.PeakBytes)
 	}
-	res := RunSwap(sh, FlatTopology(hw), 512)
+	res := RunSwap(sh, topo.FlatTopology(hw), 512)
 	if res.OOM {
 		t.Fatal("swap should enable execution")
 	}
@@ -156,8 +157,8 @@ func TestPipelineRNN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw := DefaultHW()
-	res, err := RunPipeline(m.G, FlatTopology(hw), 64, PipelineOptions{})
+	hw := topo.DefaultHW()
+	res, err := RunPipeline(m.G, topo.FlatTopology(hw), 64, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestPipelineRNN(t *testing.T) {
 	}
 	// Pipelining cannot beat perfect parallelism over the busiest GPU:
 	// with 4 layers on 8 GPUs, at most half the machine is busy.
-	ideal := Run(singleSharded(t, m), FlatTopology(hw), 64, memplan.DefaultOptions(), RunOptions{Replicas: 8})
+	ideal := Run(singleSharded(t, m), topo.FlatTopology(hw), 64, memplan.DefaultOptions(), RunOptions{Replicas: 8})
 	if res.Throughput >= ideal.Throughput {
 		t.Fatalf("pipeline %g must not reach ideal %g", res.Throughput, ideal.Throughput)
 	}
@@ -177,12 +178,12 @@ func TestPipelineTFModeSlower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw := DefaultHW()
-	mx, err := RunPipeline(m.G, FlatTopology(hw), 64, PipelineOptions{})
+	hw := topo.DefaultHW()
+	mx, err := RunPipeline(m.G, topo.FlatTopology(hw), 64, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf, err := RunPipeline(m.G, FlatTopology(hw), 64, PipelineOptions{TFMode: true})
+	tf, err := RunPipeline(m.G, topo.FlatTopology(hw), 64, PipelineOptions{TFMode: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestPipelineNeedsUnrolledModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunPipeline(m.G, DefaultTopology(), 8, PipelineOptions{}); err == nil {
+	if _, err := RunPipeline(m.G, topo.DefaultTopology(), 8, PipelineOptions{}); err == nil {
 		t.Fatal("expected error for non-unrolled model")
 	}
 }
@@ -215,12 +216,12 @@ func TestPipelineMemoryImbalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hw := DefaultHW()
-	r10, err := RunPipeline(m10.G, FlatTopology(hw), 16, PipelineOptions{})
+	hw := topo.DefaultHW()
+	r10, err := RunPipeline(m10.G, topo.FlatTopology(hw), 16, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := RunPipeline(m8.G, FlatTopology(hw), 16, PipelineOptions{})
+	r8, err := RunPipeline(m8.G, topo.FlatTopology(hw), 16, PipelineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"tofu/internal/graphgen"
 	"tofu/internal/memplan"
 	"tofu/internal/obs"
+	"tofu/internal/topo"
 )
 
 // PipelineStage is one stage of a partitioned pipeline: a sharded
@@ -14,7 +15,7 @@ import (
 // next stage each iteration (zero on the last stage).
 type PipelineStage struct {
 	Sharded *graphgen.Sharded
-	Topo    Topology
+	Topo    topo.Topology
 	// HandoffBytes is the full-batch activation/gradient traffic into the
 	// next stage; HandoffBandwidth is the per-GPU bandwidth of the link it
 	// crosses. Both are 0 on the last stage.

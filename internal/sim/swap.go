@@ -6,6 +6,7 @@ import (
 	"tofu/internal/graph"
 	"tofu/internal/graphgen"
 	"tofu/internal/memplan"
+	"tofu/internal/topo"
 )
 
 // RunSwap simulates the swapping baseline of Sec 7.1: a single GPU running
@@ -24,8 +25,8 @@ import (
 //   - all of one host's replicas share that host's CPU link, so each sees
 //     HostBandwidth/GPUsPerHost (the Sec 7.2 bottleneck; on a flat machine
 //     that is HostBandwidth/NumGPUs exactly as before).
-func RunSwap(sh *graphgen.Sharded, topo Topology, batch int64) Result {
-	hw := topo.HW
+func RunSwap(sh *graphgen.Sharded, tp topo.Topology, batch int64) Result {
+	hw := tp.HW
 	var res Result
 	res.Mem = memplan.Plan(sh, memplan.DefaultOptions())
 
@@ -190,7 +191,7 @@ func RunSwap(sh *graphgen.Sharded, topo Topology, batch int64) Result {
 		trafficBytes += float64(steps) * float64(overflow)
 	}
 
-	share := hw.HostBandwidth / float64(topo.GPUsPerHost())
+	share := hw.HostBandwidth / float64(tp.GPUsPerHost())
 	transfer := trafficBytes / share
 	res.CommSeconds = transfer
 	// The prefetcher hides SwapOverlap of whichever side is shorter.
@@ -200,7 +201,7 @@ func RunSwap(sh *graphgen.Sharded, topo Topology, batch int64) Result {
 	}
 	res.IterSeconds = hi + (1-hw.SwapOverlap)*lo
 	if res.IterSeconds > 0 {
-		res.Throughput = float64(batch) / res.IterSeconds * float64(topo.NumGPUs())
+		res.Throughput = float64(batch) / res.IterSeconds * float64(tp.NumGPUs())
 	}
 	return res
 }

@@ -9,6 +9,7 @@ import (
 	"tofu/internal/models"
 	"tofu/internal/plan"
 	"tofu/internal/recursive"
+	"tofu/internal/topo"
 )
 
 func benchmarkModels(t *testing.T) []*models.Model {
@@ -42,14 +43,14 @@ func planJSON(t *testing.T, p *plan.Plan) []byte {
 // the flat search's plan JSON byte for byte and the simulator's Result
 // exactly, on MLP, RNN and WResNet.
 func TestFlatProfileEquivalence(t *testing.T) {
-	topo := DefaultTopology()
-	hw := DefaultHW()
+	tp := topo.DefaultTopology()
+	hw := topo.DefaultHW()
 	for _, m := range benchmarkModels(t) {
 		flat, err := recursive.Partition(m.G, 8, recursive.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		aware, err := recursive.Partition(m.G, 8, recursive.Options{Topology: &topo})
+		aware, err := recursive.Partition(m.G, 8, recursive.Options{Topology: &tp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,8 +62,8 @@ func TestFlatProfileEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rFlat := Run(sh, FlatTopology(hw), m.Batch, memplan.DefaultOptions(), RunOptions{})
-		rTopo := Run(sh, topo, m.Batch, memplan.DefaultOptions(), RunOptions{})
+		rFlat := Run(sh, topo.FlatTopology(hw), m.Batch, memplan.DefaultOptions(), RunOptions{})
+		rTopo := Run(sh, tp, m.Batch, memplan.DefaultOptions(), RunOptions{})
 		if rFlat != rTopo {
 			t.Fatalf("%s: simulated results diverged between flat HW and default topology:\n%+v\n%+v",
 				m.Name, rFlat, rTopo)
@@ -75,7 +76,7 @@ func TestFlatProfileEquivalence(t *testing.T) {
 // plan (including its step-to-level layout) must differ from the flat plan
 // on at least one benchmark.
 func TestNVLinkPlanDiffers(t *testing.T) {
-	dgx := DGX1Topology()
+	dgx := topo.DGX1Topology()
 	m, err := models.RNN(2, 1500, 64, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +102,7 @@ func TestHierarchicalCommPricing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := Cluster2x8Topology()
+	cl := topo.Cluster2x8Topology()
 	p, err := recursive.Partition(m.G, 16, recursive.Options{Topology: &cl})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +117,7 @@ func TestHierarchicalCommPricing(t *testing.T) {
 	// cluster's Ethernet level is slower than any flat link.
 	fast := cl.HW
 	fast.NumGPUs = 16
-	flat := Run(sh, FlatTopology(fast), m.Batch, memplan.DefaultOptions(), RunOptions{})
+	flat := Run(sh, topo.FlatTopology(fast), m.Batch, memplan.DefaultOptions(), RunOptions{})
 	if hier.CommSeconds <= flat.CommSeconds {
 		t.Fatalf("Ethernet-crossing steps must cost more than flat PCIe: %g vs %g",
 			hier.CommSeconds, flat.CommSeconds)

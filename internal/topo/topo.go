@@ -2,8 +2,7 @@
 // the machine's interconnect hierarchy (Topology). It sits below both the
 // search (which weights recursive steps by level bandwidth) and the
 // simulator (which prices every transfer at the level it crosses), so
-// neither has to depend on the other. The sim package re-exports these types
-// under their historical names (sim.HW, sim.Topology).
+// neither has to depend on the other.
 package topo
 
 import (

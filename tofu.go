@@ -17,7 +17,7 @@
 //
 //	m, _ := tofu.RNN(6, 4096, 512, 20)
 //	summary, _ := tofu.Partition(m.G, 8)
-//	res := tofu.Simulate(summary, m.Batch)
+//	res := tofu.Simulate(summary, m.Batch, tofu.DefaultPipelineOptions(), nil)
 //	fmt.Printf("%.0f samples/s, %.1f GB/GPU\n",
 //	    res.Throughput, float64(summary.Memory.PeakBytes)/(1<<30))
 package tofu
@@ -39,6 +39,7 @@ import (
 	"tofu/internal/shape"
 	"tofu/internal/sim"
 	"tofu/internal/tdl"
+	"tofu/internal/topo"
 )
 
 // Re-exported core types. Aliases keep the internal packages as the single
@@ -62,14 +63,12 @@ type (
 	Plan = plan.Plan
 	// Summary is the result of the end-to-end pipeline.
 	Summary = core.Summary
-	// HW describes a flat simulated machine (the per-GPU half of a
-	// Topology, and the single-level compatibility view).
-	HW = sim.HW
 	// Topology describes a (possibly hierarchical) simulated machine:
-	// per-GPU parameters plus an ordered interconnect hierarchy.
-	Topology = sim.Topology
+	// per-GPU parameters plus an ordered interconnect hierarchy. A flat
+	// machine is a Topology with one level.
+	Topology = topo.Topology
 	// TopologyLevel is one interconnect tier of a Topology.
-	TopologyLevel = sim.Level
+	TopologyLevel = topo.Level
 	// SimResult is one simulated training iteration.
 	SimResult = sim.Result
 	// PipelineSpec requests the joint hybrid-parallelism search via
@@ -221,25 +220,15 @@ type PipelineOptions = core.Options
 // DefaultPipelineOptions matches the full system.
 func DefaultPipelineOptions() PipelineOptions { return core.DefaultOptions() }
 
-// Simulate executes one training iteration of the partitioned graph on the
-// default simulated machine (8x 12 GB GPUs, 21 GB/s PCIe peer links).
-func Simulate(s *Summary, batch int64) SimResult {
-	return core.Simulate(s, batch, core.DefaultOptions(), sim.RunOptions{})
-}
-
-// SimulateWith is Simulate honoring the caller's pipeline options — in
-// particular the hardware topology and memory planner the summary was
-// produced under, which plain Simulate ignores.
-func SimulateWith(s *Summary, batch int64, opts PipelineOptions) SimResult {
-	return core.Simulate(s, batch, opts, sim.RunOptions{})
-}
-
-// SimulatePipeline prices a hybrid summary's micro-batched pipeline
-// execution (Options.Pipeline.MicroBatches; 0 picks one micro-batch per
-// stage when the batch divides). Unlike SimulateWith it rejects summaries
-// without stages and infeasible batch splits.
-func SimulatePipeline(s *Summary, batch int64, opts PipelineOptions) (SimResult, error) {
-	return core.SimulatePipeline(s, batch, opts, sim.RunOptions{})
+// Simulate executes one training iteration of the partitioned graph under
+// the pipeline options the summary was produced with — the hardware
+// topology and memory planner in particular — recording the run's
+// virtual-clock execution events into tl (nil tl records nothing; the
+// priced result is identical either way). A hybrid summary is priced as a
+// micro-batched pipeline (Options.Pipeline.MicroBatches; 0 or an infeasible
+// count picks one micro-batch per stage when the batch divides, else one).
+func Simulate(s *Summary, batch int64, opts PipelineOptions, tl *Timeline) SimResult {
+	return core.Simulate(s, batch, opts, sim.RunOptions{Timeline: tl})
 }
 
 // NewTraceSpan starts a root trace span. Hand it to PipelineOptions.Trace
@@ -258,22 +247,9 @@ func NewTraceSpan(name string) *TraceSpan { return obs.NewSpan(name) }
 // the proven optimum.
 func SearchDeadline(d time.Duration) (*CancelToken, func()) { return cancel.WithTimeout(d) }
 
-// NewTimeline starts an empty execution timeline for SimulateTraced /
-// SimulatePipelineTraced. Its events carry virtual-clock (simulated)
-// times, so exports are byte-deterministic.
+// NewTimeline starts an empty execution timeline for Simulate. Its events
+// carry virtual-clock (simulated) times, so exports are byte-deterministic.
 func NewTimeline() *Timeline { return obs.NewTimeline() }
-
-// SimulateTraced is SimulateWith recording the run's virtual-clock
-// execution events into tl (nil tl = plain SimulateWith). The priced
-// result is identical either way.
-func SimulateTraced(s *Summary, batch int64, opts PipelineOptions, tl *Timeline) SimResult {
-	return core.Simulate(s, batch, opts, sim.RunOptions{Timeline: tl})
-}
-
-// SimulatePipelineTraced is SimulatePipeline with a timeline.
-func SimulatePipelineTraced(s *Summary, batch int64, opts PipelineOptions, tl *Timeline) (SimResult, error) {
-	return core.SimulatePipeline(s, batch, opts, sim.RunOptions{Timeline: tl})
-}
 
 // WriteChromeTrace exports a search span tree and/or execution timeline
 // (either may be nil) as Chrome trace_event JSON — loadable in
@@ -289,41 +265,31 @@ func SpanTree(root *TraceSpan) string { return obs.SpanTree(root) }
 // TimelineSummary renders a timeline's lanes as human-readable text.
 func TimelineSummary(tl *Timeline) string { return obs.TimelineSummary(tl) }
 
-// DefaultHW is the simulated p2.8xlarge the evaluation uses, as a flat
-// machine.
-func DefaultHW() HW { return sim.DefaultHW() }
-
-// DefaultTopology is the same machine as a (single-level) topology.
-func DefaultTopology() Topology { return sim.DefaultTopology() }
+// DefaultTopology is the simulated p2.8xlarge the evaluation uses: a
+// single-level topology of 8x 12 GB GPUs on 21 GB/s PCIe peer links.
+func DefaultTopology() Topology { return topo.DefaultTopology() }
 
 // TopologyProfile returns a machine from the built-in profile library
 // (see TopologyProfiles).
-func TopologyProfile(name string) (Topology, error) { return sim.Profile(name) }
+func TopologyProfile(name string) (Topology, error) { return topo.Profile(name) }
 
 // TopologyProfiles lists the built-in machine profiles.
-func TopologyProfiles() []string { return sim.ProfileNames() }
+func TopologyProfiles() []string { return topo.ProfileNames() }
 
 // LoadTopology reads a user-defined machine from a topology JSON file
 // (write one with Topology.WriteJSON).
-func LoadTopology(path string) (Topology, error) { return sim.LoadTopology(path) }
+func LoadTopology(path string) (Topology, error) { return topo.LoadTopology(path) }
 
 // ResolveTopology interprets a -hw style argument: a built-in profile name
 // or a path to a topology JSON file.
-func ResolveTopology(arg string) (Topology, error) { return sim.ResolveTopology(arg) }
+func ResolveTopology(arg string) (Topology, error) { return topo.ResolveTopology(arg) }
 
 // EvaluateSystem runs one baseline system (or Tofu itself) on a benchmark
-// model configuration — the building block of Figures 8-10 and Table 3.
-// The flat HW is wrapped into a single-level topology; use
-// EvaluateSystemOn for hierarchical machines.
-func EvaluateSystem(cfg ModelConfig, sys System, hw HW) (Outcome, error) {
-	return baselines.Evaluate(cfg, sys, sim.FlatTopology(hw))
-}
-
-// EvaluateSystemOn is EvaluateSystem on an explicit (possibly hierarchical)
-// machine topology: partition searches become topology-aware and every
-// transfer is priced at the interconnect level it crosses.
-func EvaluateSystemOn(cfg ModelConfig, sys System, topo Topology) (Outcome, error) {
-	return baselines.Evaluate(cfg, sys, topo)
+// model configuration — the building block of Figures 8-10 and Table 3. On
+// a hierarchical topology partition searches become topology-aware and
+// every transfer is priced at the interconnect level it crosses.
+func EvaluateSystem(cfg ModelConfig, sys System, tp Topology) (Outcome, error) {
+	return baselines.Evaluate(cfg, sys, tp)
 }
 
 // DescribeOp starts a TDL description for a custom operator; register the

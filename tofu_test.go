@@ -23,7 +23,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if !s.Plan.Monotone() {
 		t.Fatal("plan violates Theorem 2")
 	}
-	res := tofu.Simulate(s, m.Batch)
+	res := tofu.Simulate(s, m.Batch, tofu.DefaultPipelineOptions(), nil)
 	if res.Throughput <= 0 {
 		t.Fatal("no throughput")
 	}
@@ -67,7 +67,7 @@ func TestPublicAPIBuildersAndEvaluate(t *testing.T) {
 	if m.Batch != 32 {
 		t.Fatal("batch lost")
 	}
-	out, err := tofu.EvaluateSystem(cfg, tofu.Ideal, tofu.DefaultHW())
+	out, err := tofu.EvaluateSystem(cfg, tofu.Ideal, tofu.DefaultTopology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +91,8 @@ func TestPublicAPIGraphConstruction(t *testing.T) {
 }
 
 // TestPublicAPITopology exercises the topology surface: profiles, the
-// topology-aware pipeline, and SimulateWith honoring the machine the
-// summary was produced for (plain Simulate ignores the caller's hardware).
+// topology-aware pipeline, and Simulate honoring the machine in the
+// options it is handed.
 func TestPublicAPITopology(t *testing.T) {
 	names := tofu.TopologyProfiles()
 	if len(names) < 3 {
@@ -112,25 +112,25 @@ func TestPublicAPITopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	onDGX := tofu.SimulateWith(s, m.Batch, opts)
+	onDGX := tofu.Simulate(s, m.Batch, opts, nil)
 	if onDGX.Throughput <= 0 {
 		t.Fatal("no throughput on dgx1")
 	}
 	// Same summary priced on the slower flat default machine: NVLink-level
 	// transfers must not be slower than all-PCIe ones.
-	onFlat := tofu.SimulateWith(s, m.Batch, tofu.DefaultPipelineOptions())
+	onFlat := tofu.Simulate(s, m.Batch, tofu.DefaultPipelineOptions(), nil)
 	if onDGX.CommSeconds > onFlat.CommSeconds {
 		t.Fatalf("dgx1 comm %g slower than flat %g", onDGX.CommSeconds, onFlat.CommSeconds)
 	}
 
-	out, err := tofu.EvaluateSystemOn(
+	out, err := tofu.EvaluateSystem(
 		tofu.ModelConfig{Family: "rnn", Depth: 2, Width: 1024, Batch: 64},
 		tofu.TofuSystem, dgx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Throughput <= 0 {
-		t.Fatal("EvaluateSystemOn produced no throughput")
+		t.Fatal("EvaluateSystem on dgx1 produced no throughput")
 	}
 }
 
@@ -158,7 +158,7 @@ func TestSingleWorkerTrivialPlan(t *testing.T) {
 			t.Fatalf("tensor %v shard %v != full shape %v", ten, fs, ten.Shape)
 		}
 	}
-	res := tofu.Simulate(s, m.Batch)
+	res := tofu.Simulate(s, m.Batch, tofu.DefaultPipelineOptions(), nil)
 	if res.Throughput <= 0 || res.OOM {
 		t.Fatalf("trivial plan does not simulate: throughput %g, oom %v", res.Throughput, res.OOM)
 	}

@@ -130,8 +130,8 @@ func TestTimelineExportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	tl := tofu.NewTimeline()
-	res := tofu.SimulateTraced(s, m.Batch, opts, tl)
-	plain := tofu.SimulateWith(s, m.Batch, opts)
+	res := tofu.Simulate(s, m.Batch, opts, tl)
+	plain := tofu.Simulate(s, m.Batch, opts, nil)
 	if res != plain {
 		t.Fatalf("timeline recording changed the priced result: %+v vs %+v", res, plain)
 	}
