@@ -1,8 +1,10 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"tofu/internal/graph"
 	"tofu/internal/models"
 	"tofu/internal/partition"
 	"tofu/internal/recursive"
@@ -125,5 +127,26 @@ func TestPartitionValidatesGraph(t *testing.T) {
 	m.G.Nodes[0], m.G.Nodes[len(m.G.Nodes)-1] = m.G.Nodes[len(m.G.Nodes)-1], m.G.Nodes[0]
 	if _, err := Partition(m.G, 2, DefaultOptions()); err == nil {
 		t.Fatal("expected validation error")
+	}
+}
+
+// TestPartitionRejectsMisnumberedTensors: graph generation, the memory
+// planner and the simulator index per-tensor slices by tensor ID, so a
+// hand-built graph whose tensor IDs are not their positions is an error from
+// Partition, not an index panic further down.
+func TestPartitionRejectsMisnumberedTensors(t *testing.T) {
+	for _, corrupt := range []func(ts []*graph.Tensor) []*graph.Tensor{
+		func(ts []*graph.Tensor) []*graph.Tensor { ts[0], ts[1] = ts[1], ts[0]; return ts },
+		func(ts []*graph.Tensor) []*graph.Tensor { ts[len(ts)-1].ID += 1000; return ts },
+		func(ts []*graph.Tensor) []*graph.Tensor { return ts[:len(ts)-1] },
+	} {
+		m, err := models.MLP(1, 64, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.G.Tensors = corrupt(m.G.Tensors)
+		if _, err := Partition(m.G, 2, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "tensor") {
+			t.Errorf("misnumbered tensors: err = %v, want a validation error", err)
+		}
 	}
 }

@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"strconv"
 
 	"tofu/internal/shape"
 	"tofu/internal/tdl"
@@ -109,7 +110,10 @@ func (n *Node) String() string {
 	return fmt.Sprintf("%s#%d", n.Op, n.ID)
 }
 
-// Graph is a dataflow graph under construction or transformation.
+// Graph is a dataflow graph under construction or transformation. A node's
+// or tensor's ID is its position in Nodes or Tensors; Validate checks it, and
+// everything downstream that keeps per-node or per-tensor state in dense
+// slices (Subgraph, graphgen, memplan, sim) relies on it.
 type Graph struct {
 	Nodes   []*Node
 	Tensors []*Tensor
@@ -117,7 +121,86 @@ type Graph struct {
 	nextTensorID int
 	nextNodeID   int
 	registry     *tdl.Registry
+
+	// Construction slabs: Apply hands out nodes, tensors, input lists and
+	// first consumer lists from chunks the graph owns (newChunk sizes them),
+	// and reuses one buffer for the input shapes it passes to InferShape.
+	nodeSlab     []Node
+	tensorSlab   []Tensor
+	inputSlab    []*Tensor
+	consumerSlab []*Node
+	shapeBuf     []shape.Shape
 }
+
+// newChunk sizes the next construction slab chunk: as large as the graph
+// already is, so a graph's chunks at most double what it holds and a small
+// graph gets small chunks, capped at maxChunk objects.
+func newChunk(have, need int) int {
+	const maxChunk = 1024
+	return max(need, min(have, maxChunk), 1)
+}
+
+// newNode hands out a zeroed node from the node slab.
+func (g *Graph) newNode() *Node {
+	if len(g.nodeSlab) == 0 {
+		g.nodeSlab = make([]Node, newChunk(len(g.Nodes), 1))
+	}
+	n := &g.nodeSlab[0]
+	g.nodeSlab = g.nodeSlab[1:]
+	return n
+}
+
+// addTensor appends a tensor from the tensor slab. It takes ownership of s:
+// shapes are immutable after construction.
+func (g *Graph) addTensor(name string, kind TensorKind, s shape.Shape, d shape.DType) *Tensor {
+	if len(g.tensorSlab) == 0 {
+		g.tensorSlab = make([]Tensor, newChunk(len(g.Tensors), 1))
+	}
+	t := &g.tensorSlab[0]
+	g.tensorSlab = g.tensorSlab[1:]
+	t.ID, t.Name, t.Shape, t.DType, t.Kind = g.nextTensorID, name, s, d, kind
+	g.nextTensorID++
+	g.Tensors = append(g.Tensors, t)
+	return t
+}
+
+// inputList copies a node's inputs into the input slab, capacity-limited so
+// an append to one list cannot overwrite the next.
+func (g *Graph) inputList(inputs []*Tensor) []*Tensor {
+	k := len(inputs)
+	if k == 0 {
+		return nil
+	}
+	if len(g.inputSlab) < k {
+		g.inputSlab = make([]*Tensor, newChunk(2*len(g.Nodes), k))
+	}
+	l := g.inputSlab[:k:k]
+	g.inputSlab = g.inputSlab[k:]
+	copy(l, inputs)
+	return l
+}
+
+// consumerList carves an empty consumer list of capacity 2 (most tensors
+// have one or two readers) from the consumer slab; a longer list outgrows it
+// by append as before.
+func (g *Graph) consumerList() []*Node {
+	if len(g.consumerSlab) < 2 {
+		g.consumerSlab = make([]*Node, 2*newChunk(len(g.Tensors), 1))
+	}
+	l := g.consumerSlab[:0:2]
+	g.consumerSlab = g.consumerSlab[2:]
+	return l
+}
+
+// rankAttrs are the shared, read-only attributes of an element-wise node
+// given no attributes of its own, by rank (attributes are never mutated;
+// Subgraph aliases them too).
+var rankAttrs = func() (a [9]tdl.Attrs) {
+	for r := range a {
+		a[r] = tdl.Attrs{"rank": int64(r)}
+	}
+	return a
+}()
 
 // New creates an empty graph bound to the standard operator registry.
 func New() *Graph { return NewWithRegistry(tdl.Std) }
@@ -130,12 +213,9 @@ func NewWithRegistry(r *tdl.Registry) *Graph {
 // Registry returns the operator registry this graph resolves ops against.
 func (g *Graph) Registry() *tdl.Registry { return g.registry }
 
-// NewTensor adds a tensor with no producer.
+// NewTensor adds a tensor with no producer, holding a copy of s.
 func (g *Graph) NewTensor(name string, kind TensorKind, s shape.Shape, d shape.DType) *Tensor {
-	t := &Tensor{ID: g.nextTensorID, Name: name, Shape: s.Clone(), DType: d, Kind: kind}
-	g.nextTensorID++
-	g.Tensors = append(g.Tensors, t)
-	return t
+	return g.addTensor(name, kind, s.Clone(), d)
 }
 
 // Input adds an externally-fed tensor.
@@ -171,13 +251,14 @@ func (g *Graph) TryApply(op string, attrs tdl.Attrs, inputs ...*Tensor) (*Tensor
 	if err != nil {
 		return nil, err
 	}
-	shapes := make([]shape.Shape, len(inputs))
+	shapes := g.shapeBuf[:0]
 	for i, in := range inputs {
 		if in == nil {
 			return nil, fmt.Errorf("graph: %s input %d is nil", op, i)
 		}
-		shapes[i] = in.Shape
+		shapes = append(shapes, in.Shape)
 	}
+	g.shapeBuf = shapes
 	out, err := info.InferShape(attrs, shapes)
 	if err != nil {
 		return nil, fmt.Errorf("graph: %s: %w", op, err)
@@ -185,22 +266,37 @@ func (g *Graph) TryApply(op string, attrs tdl.Attrs, inputs ...*Tensor) (*Tensor
 	if info.NeedsRank {
 		// The element-wise TDL descriptions are parameterized by rank; stamp
 		// it on the node so partition analysis sees matching shapes.
-		merged := tdl.Attrs{"rank": int64(shapes[0].Rank())}
-		for k, v := range attrs {
-			merged[k] = v
+		r := shapes[0].Rank()
+		if len(attrs) == 0 && r < len(rankAttrs) {
+			attrs = rankAttrs[r]
+		} else {
+			merged := tdl.Attrs{"rank": int64(r)}
+			for k, v := range attrs {
+				merged[k] = v
+			}
+			attrs = merged
 		}
-		attrs = merged
 	}
-	kind := Activation
-	n := &Node{ID: g.nextNodeID, Op: op, Attrs: attrs, Inputs: inputs}
+	n := g.newNode()
+	n.ID, n.Op, n.Attrs, n.Inputs = g.nextNodeID, op, attrs, g.inputList(inputs)
 	g.nextNodeID++
-	n.Output = g.NewTensor(fmt.Sprintf("%s_%d", op, n.ID), kind, out, shape.Float32)
+	// The output owns the shape InferShape returned.
+	n.Output = g.addTensor(nodeName(op, n.ID), Activation, out, shape.Float32)
 	n.Output.Producer = n
 	for _, in := range inputs {
+		if in.Consumers == nil {
+			in.Consumers = g.consumerList()
+		}
 		in.Consumers = append(in.Consumers, n)
 	}
 	g.Nodes = append(g.Nodes, n)
 	return n.Output, nil
+}
+
+// nodeName is op + "_" + the node ID, built in one allocation.
+func nodeName(op string, id int) string {
+	var buf [48]byte
+	return string(strconv.AppendInt(append(append(buf[:0], op...), '_'), int64(id), 10))
 }
 
 // Describe resolves the TDL description for a node.
@@ -211,25 +307,40 @@ func (g *Graph) Describe(n *Node) (*tdl.OpDesc, error) {
 // Topo returns the nodes in a topological order (inputs first). The graph is
 // built append-only with producers before consumers, and transformations
 // preserve that invariant, so construction order is already topological; we
-// verify rather than re-sort, failing loudly on corruption.
+// verify rather than re-sort, failing loudly on corruption. The result is
+// g.Nodes itself, which callers must not modify.
 func (g *Graph) Topo() ([]*Node, error) {
 	if err := g.checkOrder(); err != nil {
 		return nil, err
 	}
-	return append([]*Node(nil), g.Nodes...), nil
+	return g.Nodes, nil
 }
 
-// checkOrder verifies that construction order is topological, without
-// allocating. Apply and Subgraph number nodes as they append them, so a
-// node's ID is its position and "already executed" is an ID comparison; a
-// node that is out of place, or a producer or control dependency that is not
-// this graph's node of that ID, is a violation too.
+// checkOrder verifies that construction order is topological and that IDs
+// are positions, without allocating. Apply and Subgraph number nodes and
+// tensors as they append them, so a node's ID is its position and "already
+// executed" is an ID comparison, and per-tensor state can live in a slice
+// indexed by tensor ID. A node or tensor that is out of place, a node reading
+// or writing a tensor that is not this graph's tensor of that ID, or a
+// producer or control dependency that is not this graph's node of that ID,
+// is a violation.
 func (g *Graph) checkOrder() error {
+	for i, t := range g.Tensors {
+		if t.ID != i {
+			return fmt.Errorf("graph: tensor %v sits at position %d", t, i)
+		}
+	}
 	for i, n := range g.Nodes {
 		if n.ID != i {
 			return fmt.Errorf("graph: node %v sits at position %d", n, i)
 		}
+		if n.Output != nil && !g.owns(n.Output) { // nil fails Validate's link check
+			return fmt.Errorf("graph: node %v writes %v, not a tensor of this graph", n, n.Output)
+		}
 		for _, in := range n.Inputs {
+			if !g.owns(in) {
+				return fmt.Errorf("graph: node %v reads %v, not a tensor of this graph", n, in)
+			}
 			if p := in.Producer; p != nil && (p.ID < 0 || p.ID >= i || g.Nodes[p.ID] != p) {
 				return fmt.Errorf("graph: node %v consumes %v before production", n, in)
 			}
@@ -241,6 +352,11 @@ func (g *Graph) checkOrder() error {
 		}
 	}
 	return nil
+}
+
+// owns reports whether t is this graph's tensor of its ID.
+func (g *Graph) owns(t *Tensor) bool {
+	return t != nil && t.ID >= 0 && t.ID < len(g.Tensors) && g.Tensors[t.ID] == t
 }
 
 // Validate checks structural invariants: shape validity, consumer/producer

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strings"
 	"testing"
 
 	"tofu/internal/shape"
@@ -224,18 +225,54 @@ func TestTopoDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestValidateChecksTensorIDs: the dense per-tensor tables downstream index
+// by tensor ID, so a tensor out of place, or a node wired to another graph's
+// tensor, is a Validate error rather than a later index panic.
+func TestValidateChecksTensorIDs(t *testing.T) {
+	build := func() *Graph {
+		g := New()
+		x := g.Input("x", shape.Of(4, 4))
+		g.Apply("relu", nil, g.Apply("relu", nil, x))
+		return g
+	}
+	g := build()
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	g.Tensors[0], g.Tensors[1] = g.Tensors[1], g.Tensors[0]
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "sits at position") {
+		t.Fatalf("swapped tensors: err = %v", err)
+	}
+
+	g = build()
+	g.Tensors = g.Tensors[:2] // the last output is no longer the graph's
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "not a tensor of this graph") {
+		t.Fatalf("dropped tensor: err = %v", err)
+	}
+
+	g, other := build(), build()
+	g.Nodes[0].Inputs[0] = other.Tensors[0] // same ID, other graph
+	if err := g.Validate(); err == nil || !strings.Contains(err.Error(), "not a tensor of this graph") {
+		t.Fatalf("foreign input: err = %v", err)
+	}
+}
+
 func TestNodeFLOPs(t *testing.T) {
 	g := New()
 	a := g.Input("a", shape.Of(16, 32))
 	b := g.Input("b", shape.Of(32, 64))
 	c := g.Apply("matmul", nil, a, b)
 	n := c.Producer
-	if got, want := NodeFLOPs(n), float64(2*16*64*32); got != want {
+	if got, want := NodeFLOPs(n, nil), float64(2*16*64*32); got != want {
 		t.Fatalf("matmul FLOPs = %g, want %g", got, want)
 	}
 	r := g.Apply("relu", nil, c)
-	if got := NodeFLOPs(r.Producer); got != float64(16*64) {
+	var buf []shape.Shape
+	if got := NodeFLOPs(r.Producer, &buf); got != float64(16*64) {
 		t.Fatalf("relu FLOPs = %g", got)
+	}
+	if got := testing.AllocsPerRun(10, func() { NodeFLOPs(n, &buf) }); got != 0 {
+		t.Errorf("NodeFLOPs with a warm buffer allocates %v times", got)
 	}
 	if got := MemBytes(r.Producer); got != int64(16*64*4*2) {
 		t.Fatalf("relu MemBytes = %d", got)

@@ -11,10 +11,12 @@ import (
 // TDL description: shape inference (MXNet's infer-shape pass), an analytic
 // cost model for the simulator, and the gradient builder used by autodiff.
 type OpInfo struct {
-	// InferShape computes the output shape from attrs and input shapes.
+	// InferShape computes the output shape from attrs and input shapes. The
+	// node's output takes ownership of the returned shape; in is a buffer
+	// Apply reuses, so InferShape must not retain it.
 	InferShape func(attrs tdl.Attrs, in []shape.Shape) (shape.Shape, error)
 	// FLOPs estimates floating-point work; the simulator divides by the
-	// device's effective throughput.
+	// device's effective throughput. Like InferShape it must not retain in.
 	FLOPs func(attrs tdl.Attrs, in []shape.Shape, out shape.Shape) float64
 	// Grad appends backward nodes computing the gradient w.r.t. each input
 	// (nil entries mean no gradient flows). nil Grad means the op blocks
@@ -57,26 +59,34 @@ func MemBytes(n *Node) int64 {
 	return b + n.Output.Bytes()
 }
 
-// NodeFLOPs evaluates the registered FLOPs model for a node.
-func NodeFLOPs(n *Node) float64 {
+// NodeFLOPs evaluates the registered FLOPs model for a node. It gathers the
+// input shapes into *buf, grown as needed and kept for the next call, so a
+// loop over a graph's nodes allocates once; a nil buf uses a fresh buffer.
+func NodeFLOPs(n *Node, buf *[]shape.Shape) float64 {
 	info, err := Info(n.Op)
 	if err != nil || info.FLOPs == nil {
 		return float64(n.Output.Shape.Elems())
 	}
-	in := make([]shape.Shape, len(n.Inputs))
-	for i, t := range n.Inputs {
-		in[i] = t.Shape
+	if buf == nil {
+		buf = new([]shape.Shape)
 	}
+	in := (*buf)[:0]
+	for _, t := range n.Inputs {
+		in = append(in, t.Shape)
+	}
+	*buf = in
 	return info.FLOPs(n.Attrs, in, n.Output.Shape)
 }
 
 // --- shape helpers -------------------------------------------------------
 
+// sameAsInput0 shares input 0's shape with the output: shapes are immutable
+// after construction.
 func sameAsInput0(_ tdl.Attrs, in []shape.Shape) (shape.Shape, error) {
 	if len(in) == 0 {
 		return nil, fmt.Errorf("no inputs")
 	}
-	return in[0].Clone(), nil
+	return in[0], nil
 }
 
 func allSame(attrs tdl.Attrs, in []shape.Shape) (shape.Shape, error) {

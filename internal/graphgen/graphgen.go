@@ -79,8 +79,9 @@ type Sharded struct {
 	Opts Options
 	// Ops lists per-worker op shards in execution (topological) order.
 	Ops []OpShard
-	// TensorShard maps tensor ID to the per-worker shard bytes.
-	TensorShard map[int]int64
+	// TensorShard is the per-worker shard bytes of each tensor, dense by
+	// tensor ID (G's tensor IDs are their positions, which Topo checks).
+	TensorShard []int64
 	// TotalFetchBytes/TotalOutBytes summarize per-worker communication.
 	TotalFetchBytes float64
 	TotalOutBytes   float64
@@ -92,37 +93,64 @@ func Generate(g *graph.Graph, p *plan.Plan, opts Options) (*Sharded, error) {
 	if p == nil || p.K < 1 {
 		return nil, fmt.Errorf("graphgen: invalid plan")
 	}
-	sh := &Sharded{K: p.K, G: g, Plan: p, Opts: opts, TensorShard: make(map[int]int64, len(g.Tensors))}
-	kf := float64(p.K)
-
-	for _, t := range g.Tensors {
-		fs, ok := p.FinalShapes[t.ID]
-		if !ok || len(p.TensorCuts(t.ID)) == 0 {
-			// Unreferenced tensors stay whole on every worker.
-			sh.TensorShard[t.ID] = t.Bytes()
-			continue
-		}
-		sh.TensorShard[t.ID] = fs.Bytes(t.DType)
-	}
-
 	nodes, err := g.Topo()
 	if err != nil {
 		return nil, err
 	}
+	sh := &Sharded{
+		K: p.K, G: g, Plan: p, Opts: opts,
+		Ops:         make([]OpShard, len(nodes)),
+		TensorShard: make([]int64, len(g.Tensors)),
+	}
+	sh.fillTensorShards()
 	levels := 1
 	for _, s := range p.Steps {
 		if s.Level+1 > levels {
 			levels = s.Level + 1
 		}
 	}
-	for _, n := range nodes {
-		os := OpShard{
-			Node:         n,
-			FLOPs:        graph.NodeFLOPs(n) / kf,
-			MemBytes:     float64(graph.MemBytes(n)) / kf,
-			FetchByLevel: make([]float64, levels),
-			OutByLevel:   make([]float64, levels),
+	sh.fillOps(nodes, levels)
+	return sh, nil
+}
+
+// shapeBufLen sizes the input-shape buffer NodeFLOPs fills: wider than any
+// operator of the model builders, so the buffer never grows on their graphs
+// and Generate allocates a constant number of objects.
+const shapeBufLen = 8
+
+// fillTensorShards sizes every tensor's per-worker shard: its final shape
+// when every step cuts it, the whole tensor otherwise.
+//
+//tofu:hotpath one pass over the tensors of every cold op; enforced by tofu-vet/hotalloc
+func (sh *Sharded) fillTensorShards() {
+	p := sh.Plan
+	for i, t := range sh.G.Tensors {
+		fs, ok := p.FinalShapes[t.ID]
+		if !ok || !p.CutAtEveryStep(t.ID) {
+			// Unreferenced tensors stay whole on every worker.
+			sh.TensorShard[i] = t.Bytes()
+			continue
 		}
+		sh.TensorShard[i] = fs.Bytes(t.DType)
+	}
+}
+
+// fillOps lays out one op shard per node, in order, with every shard's
+// per-level traffic carved from one slab.
+//
+//tofu:hotpath one pass over the nodes of every cold op; enforced by tofu-vet/hotalloc
+func (sh *Sharded) fillOps(nodes []*graph.Node, levels int) {
+	p, opts := sh.Plan, sh.Opts
+	kf := float64(p.K)
+	slab := make([]float64, 2*levels*len(nodes))
+	shapes := make([]shape.Shape, 0, shapeBufLen)
+	for i, n := range nodes {
+		os := &sh.Ops[i]
+		os.Node = n
+		os.FLOPs = graph.NodeFLOPs(n, &shapes) / kf
+		os.MemBytes = float64(graph.MemBytes(n)) / kf
+		os.FetchByLevel, slab = slab[:levels:levels], slab[levels:]
+		os.OutByLevel, slab = slab[:levels:levels], slab[levels:]
 		if fs, ok := p.FinalShapes[n.Output.ID]; ok {
 			os.OutShard = fs
 		} else {
@@ -165,9 +193,7 @@ func Generate(g *graph.Graph, p *plan.Plan, opts Options) (*Sharded, error) {
 		}
 		sh.TotalFetchBytes += os.FetchBytes
 		sh.TotalOutBytes += os.OutCommBytes
-		sh.Ops = append(sh.Ops, os)
 	}
-	return sh, nil
 }
 
 // Single wraps an unpartitioned graph in the same structure (k = 1, no
@@ -181,23 +207,25 @@ func Single(g *graph.Graph) (*Sharded, error) {
 		K: 1, G: g,
 		Plan:        &plan.Plan{K: 1},
 		Opts:        DefaultOptions(),
-		TensorShard: make(map[int]int64, len(g.Tensors)),
+		Ops:         make([]OpShard, len(nodes)),
+		TensorShard: make([]int64, len(g.Tensors)),
 	}
-	for _, t := range g.Tensors {
-		sh.TensorShard[t.ID] = t.Bytes()
+	for i, t := range g.Tensors {
+		sh.TensorShard[i] = t.Bytes()
 	}
-	for _, n := range nodes {
+	shapes := make([]shape.Shape, 0, shapeBufLen)
+	for i, n := range nodes {
 		rows := 1.0
 		if n.Output.Shape.Rank() > 0 {
 			rows = float64(n.Output.Shape.Dim(0))
 		}
-		sh.Ops = append(sh.Ops, OpShard{
+		sh.Ops[i] = OpShard{
 			Node:       n,
 			OutShard:   n.Output.Shape,
 			KernelRows: rows,
-			FLOPs:      graph.NodeFLOPs(n),
+			FLOPs:      graph.NodeFLOPs(n, &shapes),
 			MemBytes:   float64(graph.MemBytes(n)),
-		})
+		}
 	}
 	return sh, nil
 }

@@ -51,110 +51,111 @@ type Report struct {
 // Fits reports whether the footprint fits a device of the given capacity.
 func (r Report) Fits(capacity int64) bool { return r.PeakBytes <= capacity }
 
-// AliasRoots maps every tensor ID to the root buffer of its in-place alias
-// chain (gradient aggregations and optimizer updates share storage with
-// their first input). The swap engine uses this so alias chains do not
-// masquerade as distinct memory blocks.
-func AliasRoots(g *graph.Graph, inPlaceAgg bool) map[int]int {
-	inPlace := func(n *graph.Node) bool {
-		switch {
-		case n.Op == "sgd_update", n.Op == "adam_update":
-			return true
-		case n.InPlace:
-			return inPlaceAgg
-		default:
-			return false
-		}
+// inPlace reports whether a node writes its output into its first input's
+// buffer: optimizer updates always (frameworks update parameters in place),
+// gradient aggregations when inPlaceAgg honours them.
+func inPlace(n *graph.Node, inPlaceAgg bool) bool {
+	switch {
+	case n.Op == "sgd_update", n.Op == "adam_update":
+		return true
+	case n.InPlace:
+		return inPlaceAgg
+	default:
+		return false
 	}
-	roots := make(map[int]int, len(g.Tensors))
-	var rootOf func(t *graph.Tensor) int
-	rootOf = func(t *graph.Tensor) int {
-		if r, ok := roots[t.ID]; ok {
-			return r
-		}
-		r := t.ID
-		if t.Producer != nil && inPlace(t.Producer) {
-			r = rootOf(t.Producer.Inputs[0])
-		}
-		roots[t.ID] = r
-		return r
+}
+
+// AliasRoots maps every tensor, dense by ID, to the ID of the root buffer of
+// its in-place alias chain: an in-place op's output shares its first input's
+// buffer, and the root is the original allocation. The memory planner
+// accounts buffers by root, and the swap engine uses the same map so alias
+// chains do not masquerade as distinct memory blocks.
+func AliasRoots(g *graph.Graph, inPlaceAgg bool) []int {
+	roots := make([]int, len(g.Tensors))
+	for i := range roots {
+		roots[i] = -1
 	}
 	for _, t := range g.Tensors {
-		rootOf(t)
+		rootOf(roots, t, inPlaceAgg)
 	}
 	return roots
 }
 
-// Plan sweeps one (representative) worker of a sharded execution.
+// rootOf resolves t's root into roots (-1 = not yet resolved).
+func rootOf(roots []int, t *graph.Tensor, inPlaceAgg bool) int {
+	if r := roots[t.ID]; r >= 0 {
+		return r
+	}
+	r := t.ID
+	if t.Producer != nil && inPlace(t.Producer, inPlaceAgg) {
+		r = rootOf(roots, t.Producer.Inputs[0], inPlaceAgg)
+	}
+	roots[t.ID] = r
+	return r
+}
+
+func persistentKind(k graph.TensorKind) bool {
+	return k == graph.Weight || k == graph.OptState || k == graph.Input
+}
+
+// Plan sweeps one (representative) worker of a sharded execution. Its state
+// is dense by tensor ID: alias roots, external reference counts per root
+// buffer and which root buffers are live.
 func Plan(sh *graphgen.Sharded, opt Options) Report {
 	var rep Report
-
-	persistentKind := func(k graph.TensorKind) bool {
-		return k == graph.Weight || k == graph.OptState || k == graph.Input
-	}
-	for _, t := range sh.G.Tensors {
+	g := sh.G
+	for _, t := range g.Tensors {
 		if persistentKind(t.Kind) {
 			rep.PersistentBytes += sh.TensorShard[t.ID]
 		}
 	}
+	roots := AliasRoots(g, opt.InPlaceAggregation)
+	refs := make([]int, len(g.Tensors))
+	countRefs(g, roots, refs, opt.InPlaceAggregation)
+	sweep(sh, opt, roots, refs, make([]bool, len(g.Tensors)), &rep)
+	rep.PeakBytes = rep.PersistentBytes + rep.TransientPeak
+	return rep
+}
 
-	inPlace := func(n *graph.Node) bool {
-		switch {
-		case n.Op == "sgd_update", n.Op == "adam_update":
-			return true // frameworks update parameters in place
-		case n.InPlace:
-			return opt.InPlaceAggregation
-		default:
-			return false
-		}
-	}
-
-	// Resolve alias chains: an in-place op's output shares its first
-	// input's buffer; the buffer's root is the original allocation.
-	rootCache := make(map[int]*graph.Tensor, len(sh.G.Tensors))
-	var rootOf func(t *graph.Tensor) *graph.Tensor
-	rootOf = func(t *graph.Tensor) *graph.Tensor {
-		if r, ok := rootCache[t.ID]; ok {
-			return r
-		}
-		r := t
-		if t.Producer != nil && inPlace(t.Producer) {
-			r = rootOf(t.Producer.Inputs[0])
-		}
-		rootCache[t.ID] = r
-		return r
-	}
-
-	// External reference counts per root buffer: consumptions that extend
-	// the alias chain are internal and don't pin the buffer.
-	refs := make(map[int]int, len(sh.G.Tensors))
-	for _, t := range sh.G.Tensors {
-		r := rootOf(t)
+// countRefs counts the external consumptions of every root buffer:
+// consumptions that extend the alias chain are internal and don't pin it.
+//
+//tofu:hotpath one pass over the tensors of every memory plan; enforced by tofu-vet/hotalloc
+func countRefs(g *graph.Graph, roots, refs []int, inPlaceAgg bool) {
+	for _, t := range g.Tensors {
+		r := roots[t.ID]
 		for _, c := range t.Consumers {
-			if inPlace(c) && c.Inputs[0] == t {
+			if inPlace(c, inPlaceAgg) && c.Inputs[0] == t {
 				continue
 			}
-			refs[r.ID]++
+			refs[r]++
 		}
 	}
+}
 
+// sweep walks the ops in execution order, allocating each output buffer at
+// its producer and releasing each root buffer after its last external
+// consumer, and records the transient and communication peaks in rep.
+//
+//tofu:hotpath one pass over the ops of every memory plan; enforced by tofu-vet/hotalloc
+func sweep(sh *graphgen.Sharded, opt Options, roots, refs []int, live []bool, rep *Report) {
 	var cur int64
-	live := make(map[int]bool)
 	bump := func(delta int64) {
 		cur += delta
 		if cur > rep.TransientPeak {
 			rep.TransientPeak = cur
 		}
 	}
-	release := func(r *graph.Tensor) {
-		if !opt.Reuse || persistentKind(r.Kind) || !live[r.ID] {
+	release := func(r int) {
+		if !opt.Reuse || persistentKind(sh.G.Tensors[r].Kind) || !live[r] {
 			return
 		}
-		live[r.ID] = false
-		cur -= sh.TensorShard[r.ID]
+		live[r] = false
+		cur -= sh.TensorShard[r]
 	}
 
-	for _, os := range sh.Ops {
+	for i := range sh.Ops {
+		os := &sh.Ops[i]
 		n := os.Node
 
 		// Communication staging for this op's remote regions, live only
@@ -166,30 +167,29 @@ func Plan(sh *graphgen.Sharded, opt Options) Report {
 		bump(commBuf + opt.WorkspacePerOp)
 
 		// Allocate the output buffer unless it aliases an existing one.
-		outRoot := rootOf(n.Output)
-		if outRoot == n.Output && !persistentKind(n.Output.Kind) {
-			bump(sh.TensorShard[n.Output.ID])
-			live[n.Output.ID] = true
+		out := n.Output.ID
+		outRoot := roots[out]
+		if outRoot == out && !persistentKind(n.Output.Kind) {
+			bump(sh.TensorShard[out])
+			live[out] = true
 		}
 
 		// Release roots whose last external consumer just ran.
+		nInPlace := inPlace(n, opt.InPlaceAggregation)
 		for _, in := range n.Inputs {
-			if inPlace(n) && in == n.Inputs[0] {
+			if nInPlace && in == n.Inputs[0] {
 				continue // internal alias extension
 			}
-			r := rootOf(in)
-			refs[r.ID]--
-			if refs[r.ID] == 0 {
+			r := roots[in.ID]
+			refs[r]--
+			if refs[r] == 0 {
 				release(r)
 			}
 		}
 		// Terminal outputs nobody will read die immediately.
-		if refs[outRoot.ID] == 0 {
+		if refs[outRoot] == 0 {
 			release(outRoot)
 		}
 		cur -= commBuf + opt.WorkspacePerOp
 	}
-
-	rep.PeakBytes = rep.PersistentBytes + rep.TransientPeak
-	return rep
 }

@@ -48,11 +48,21 @@ func RNN(layers int, hidden, batch int64, steps int) (*Model, error) {
 		cs[l] = g.Input(fmt.Sprintf("c0.l%d", l), shape.Of(batch, hidden))
 	}
 
+	// Per-layer unroll tags and the four gate slices' attributes, shared by
+	// every cell (node attributes are never mutated).
+	tags := make([]string, layers)
+	for l := range tags {
+		tags[l] = fmt.Sprintf("lstm/l%d", l)
+	}
+	var gates [4]tdl.Attrs
+	for i := range gates {
+		gates[i] = tdl.Attrs{"offset": int64(i) * hidden, "size": hidden}
+	}
+
 	for t := 0; t < steps; t++ {
 		x := g.Input(fmt.Sprintf("x.t%d", t), shape.Of(batch, hidden))
 		for l := 0; l < layers; l++ {
-			tag := fmt.Sprintf("lstm/l%d", l)
-			h, c := lstmCell(g, tag, t, x, hs[l], cs[l], ws[l].wx, ws[l].wh, ws[l].b, hidden)
+			h, c := lstmCell(g, tags[l], t, x, hs[l], cs[l], ws[l].wx, ws[l].wh, ws[l].b, &gates)
 			hs[l], cs[l] = h, c
 			x = h // the layer's output feeds the next layer
 		}
@@ -78,7 +88,8 @@ func RNN(layers int, hidden, batch int64, steps int) (*Model, error) {
 
 // lstmCell emits the standard LSTM cell as fine-grained operators: two
 // matmuls into fused gates, slicing, non-linearities and the state update.
-func lstmCell(g *graph.Graph, tag string, t int, x, hPrev, cPrev, wx, wh, bias *graph.Tensor, hidden int64) (h, c *graph.Tensor) {
+// gateAttrs[i] selects gate i's columns of the fused gate tensor.
+func lstmCell(g *graph.Graph, tag string, t int, x, hPrev, cPrev, wx, wh, bias *graph.Tensor, gateAttrs *[4]tdl.Attrs) (h, c *graph.Tensor) {
 	start := len(g.Nodes)
 
 	gx := g.Apply("matmul", nil, x, wx)
@@ -86,8 +97,8 @@ func lstmCell(g *graph.Graph, tag string, t int, x, hPrev, cPrev, wx, wh, bias *
 	gates := g.Apply("add", nil, gx, gh)
 	gates = g.Apply("bias_add", nil, gates, bias)
 
-	gate := func(idx int64, fn string) *graph.Tensor {
-		s := g.Apply("slice_axis1", tdl.Attrs{"offset": idx * hidden, "size": hidden}, gates)
+	gate := func(idx int, fn string) *graph.Tensor {
+		s := g.Apply("slice_axis1", gateAttrs[idx], gates)
 		return g.Apply(fn, nil, s)
 	}
 	in := gate(0, "sigmoid")

@@ -131,14 +131,25 @@ func (p *Plan) Monotone() bool {
 // TensorCuts returns the per-step cut dimensions for a tensor (empty if the
 // tensor is never referenced by an operator).
 func (p *Plan) TensorCuts(tensorID int) []int {
-	var out []int
-	for _, s := range p.Steps {
-		if tensorID < 0 || tensorID >= len(s.TensorCut) || s.TensorCut[tensorID] < 0 {
-			return nil
-		}
-		out = append(out, s.TensorCut[tensorID])
+	if !p.CutAtEveryStep(tensorID) {
+		return nil
+	}
+	out := make([]int, len(p.Steps))
+	for i, s := range p.Steps {
+		out[i] = s.TensorCut[tensorID]
 	}
 	return out
+}
+
+// CutAtEveryStep reports whether the plan has steps and every one of them
+// cuts the tensor — len(TensorCuts(tensorID)) > 0, without the slice.
+func (p *Plan) CutAtEveryStep(tensorID int) bool {
+	for _, s := range p.Steps {
+		if tensorID < 0 || tensorID >= len(s.TensorCut) || s.TensorCut[tensorID] < 0 {
+			return false
+		}
+	}
+	return len(p.Steps) > 0
 }
 
 // CutSummary renders a tensor's cut sequence like "dim0/2 · dim1/2 · dim1/2"

@@ -53,6 +53,25 @@ func TestTensorCuts(t *testing.T) {
 	}
 }
 
+// TestCutAtEveryStep: the non-allocating test graphgen sizes shards by is
+// exactly len(TensorCuts) > 0, including a tensor one step leaves uncut and a
+// plan with no steps.
+func TestCutAtEveryStep(t *testing.T) {
+	p := twoStepPlan()
+	p.Steps[1].TensorCut = append(p.Steps[1].TensorCut, -1)
+	p.Steps[0].TensorCut = append(p.Steps[0].TensorCut, 0) // tensor 3: cut by step 0 only
+	for _, q := range []*Plan{p, {K: 1}} {
+		for id := -1; id <= 5; id++ {
+			if got, want := q.CutAtEveryStep(id), len(q.TensorCuts(id)) > 0; got != want {
+				t.Errorf("%d-step plan, tensor %d: CutAtEveryStep %t, TensorCuts %v", len(q.Steps), id, got, q.TensorCuts(id))
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(10, func() { p.CutAtEveryStep(1) }); got != 0 {
+		t.Errorf("CutAtEveryStep allocates %v times", got)
+	}
+}
+
 func TestCutSummary(t *testing.T) {
 	p := twoStepPlan()
 	s := p.CutSummary(1)

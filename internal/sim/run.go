@@ -96,14 +96,30 @@ func emitTransfer(tl *obs.Timeline, kind, op string, start float64, tp topo.Topo
 // the bandwidth of the interconnect level it crosses (its plan step's level
 // annotation) — on a flat topology that is the single peer bandwidth.
 func Run(sh *graphgen.Sharded, tp topo.Topology, batch int64, memOpts memplan.Options, ro RunOptions) Result {
-	hw := tp.HW
 	var res Result
 	res.Mem = memplan.Plan(sh, memOpts)
-	res.OOM = !res.Mem.Fits(hw.GPUMemBytes)
+	res.OOM = !res.Mem.Fits(tp.HW.GPUMemBytes)
+	res.IterSeconds = schedule(sh, tp, ro, make([]float64, len(sh.G.Tensors)), &res)
+	if res.IterSeconds > 0 {
+		replicas := 1
+		if ro.Replicas > 1 {
+			replicas = ro.Replicas
+		}
+		res.Throughput = float64(batch) / res.IterSeconds * float64(replicas)
+	}
+	return res
+}
 
-	ready := make(map[int]float64, len(sh.Ops)) // tensor ID -> available time
+// schedule runs the two engines over the ops in order, accumulating compute
+// and communication seconds into res, and returns when the later engine
+// finishes. ready holds each tensor's available time, dense by tensor ID.
+//
+//tofu:hotpath one pass over the ops of every simulation; enforced by tofu-vet/hotalloc
+func schedule(sh *graphgen.Sharded, tp topo.Topology, ro RunOptions, ready []float64, res *Result) float64 {
+	hw := tp.HW
 	var computeFree, commFree float64
-	for _, os := range sh.Ops {
+	for i := range sh.Ops {
+		os := &sh.Ops[i]
 		depReady := 0.0
 		for _, in := range os.Node.Inputs {
 			if t := ready[in.ID]; t > depReady {
@@ -123,7 +139,7 @@ func Run(sh *graphgen.Sharded, tp topo.Topology, batch int64, memOpts memplan.Op
 			res.CommSeconds += fe - fs
 			startReady = fe
 		}
-		kt := KernelTime(hw, os)
+		kt := KernelTime(hw, *os)
 		cs := maxf(computeFree, startReady)
 		ce := cs + kt
 		if ro.Timeline.Enabled() {
@@ -148,16 +164,7 @@ func Run(sh *graphgen.Sharded, tp topo.Topology, batch int64, memOpts memplan.Op
 		}
 		ready[os.Node.Output.ID] = avail
 	}
-
-	res.IterSeconds = maxf(computeFree, commFree)
-	if res.IterSeconds > 0 {
-		replicas := 1
-		if ro.Replicas > 1 {
-			replicas = ro.Replicas
-		}
-		res.Throughput = float64(batch) / res.IterSeconds * float64(replicas)
-	}
-	return res
+	return maxf(computeFree, commFree)
 }
 
 func maxf(a, b float64) float64 {
