@@ -19,6 +19,7 @@
 package coarsen
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strconv"
@@ -266,6 +267,76 @@ func (c *Coarse) MaxFrontier() int {
 		}
 	}
 	return max
+}
+
+// AppendStructKey appends c's structural key to buf and returns the extended
+// buffer. The key is a self-delimiting encoding of everything the searches
+// over a coarsened graph read — dp.Prepare, Solve and LowerBound, and
+// recursive.Search on top of them — and of nothing that names a node or a
+// tensor:
+//
+//   - per variable, in ID order: shape, element type, member count,
+//     HasWeight, First and Last;
+//   - per group, in order: per slot its Sig, its multiplicity and the
+//     variable IDs of its representative's inputs and output; then the IDs
+//     in NewVars and in LiveAfter.
+//
+// Variable IDs are positions, and every member of a variable has its shape
+// at every recursive step (steps divide a variable's members alike). So equal
+// keys mean dp.Prepare and recursive.Search see the same problem in the same
+// order — the same alphabets, slot tables and frontier layouts, swept in the
+// same canonical order — and return the same cost bits and the same cost-only
+// plan (per step K, Multiplier, Level, VarCut, CommBytes, States, Configs),
+// valid for either graph. Unequal keys promise nothing: an isomorphic graph
+// numbered differently keys differently.
+//
+//tofu:hotpath once per pipeline segment; enforced by tofu-vet/hotalloc
+func (c *Coarse) AppendStructKey(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(c.Vars)))
+	for _, v := range c.Vars {
+		buf = binary.AppendUvarint(buf, uint64(v.Shape.Rank()))
+		for d := 0; d < v.Shape.Rank(); d++ {
+			buf = binary.AppendUvarint(buf, uint64(v.Shape.Dim(d)))
+		}
+		weight := byte(0)
+		if v.HasWeight {
+			weight = 1
+		}
+		buf = append(buf, weight)
+		buf = binary.AppendUvarint(buf, uint64(v.Tensors[0].DType))
+		buf = binary.AppendUvarint(buf, uint64(len(v.Tensors)))
+		buf = binary.AppendUvarint(buf, uint64(v.First+1)) // -1 (unreferenced) encodes as 0
+		buf = binary.AppendUvarint(buf, uint64(v.Last+1))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(c.Groups)))
+	for _, grp := range c.Groups {
+		buf = binary.AppendUvarint(buf, uint64(len(grp.Slots)))
+		for _, s := range grp.Slots {
+			buf = binary.AppendUvarint(buf, uint64(len(s.Sig)))
+			buf = append(buf, s.Sig...)
+			buf = binary.AppendUvarint(buf, uint64(len(s.Ops)))
+			rep := s.Rep()
+			buf = binary.AppendUvarint(buf, uint64(len(rep.Inputs)))
+			for _, in := range rep.Inputs {
+				buf = binary.AppendUvarint(buf, uint64(c.varOf[in.ID].ID))
+			}
+			buf = binary.AppendUvarint(buf, uint64(c.varOf[rep.Output.ID].ID))
+		}
+		buf = appendVarIDs(buf, grp.NewVars)
+		buf = appendVarIDs(buf, grp.LiveAfter)
+	}
+	return buf
+}
+
+// appendVarIDs appends a counted list of variable IDs.
+//
+//tofu:hotpath part of AppendStructKey
+func appendVarIDs(buf []byte, vars []*Var) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(vars)))
+	for _, v := range vars {
+		buf = binary.AppendUvarint(buf, uint64(v.ID))
+	}
+	return buf
 }
 
 // Coarsen builds the coarsened view of a training graph.

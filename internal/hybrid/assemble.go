@@ -13,11 +13,12 @@ import (
 )
 
 // assemble materializes the winning level's boundary set: per-stage plans
-// filled from their memoized cost-only form, per-stage execution structures, and one
-// combined stage-annotated plan in full-graph IDs, with per-stage multipliers
-// restarting at 1 (each stage's kSub workers divide only that stage's
-// tensors). It polls no cancellation: the work is bounded by the S winning
-// stages, and a degraded incumbent must still ship as a complete plan.
+// filled from copies of their memoized cost-only form (never re-solved),
+// per-stage execution structures, and one combined stage-annotated plan in
+// full-graph IDs, with per-stage multipliers restarting at 1 (each stage's
+// kSub workers divide only that stage's tensors). It polls no cancellation:
+// the work is bounded by the S winning stages, and a degraded incumbent must
+// still ship as a complete plan.
 func (s *search) assemble(ls *levelState) (*Result, error) {
 	L := len(s.c.Groups)
 	bounds := make([]int, 0, ls.S+1)
@@ -33,11 +34,16 @@ func (s *search) assemble(ls *levelState) (*Result, error) {
 	info := &plan.PipelineInfo{Level: ls.level}
 	for si := 0; si+1 < len(bounds); si++ {
 		lo, hi := bounds[si], bounds[si+1]
-		sg := ls.segment(lo, hi)
+		// The walk priced the winning set, so its slots are filled: read them,
+		// never segment(), which could start a search no token governs.
+		sg := ls.segs[lo*ls.W+hi]
 		if sg.err != nil {
 			// Unreachable: the winning set's segments all solved feasibly.
 			return nil, sg.err
 		}
+		// The cost-only plan may be shared with the segment's whole memo
+		// class — winners included — and Materialize fills steps in place.
+		p := ownSteps(sg.plan)
 		sub, err := s.extract(lo, hi)
 		if err != nil {
 			// Unreachable while segment memoizes its extraction.
@@ -45,13 +51,13 @@ func (s *search) assemble(ls *levelState) (*Result, error) {
 		}
 		co, err := coarsen.CoarsenSub(s.c, sub)
 		if err != nil {
-			// Unreachable: the segment's own search coarsened the same way.
+			// Unreachable: the segment's fill coarsened the same extraction.
 			return nil, fmt.Errorf("hybrid: stage %d: %w", si, err)
 		}
-		if err := recursive.Materialize(co, sg.plan, ls.stageOptions()); err != nil {
+		if err := recursive.Materialize(co, p, ls.stageOptions()); err != nil {
 			return nil, fmt.Errorf("hybrid: stage %d: %w", si, err)
 		}
-		sh, err := graphgen.Generate(sub.G, sg.plan, s.opts.Gen)
+		sh, err := graphgen.Generate(sub.G, p, s.opts.Gen)
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: stage %d graph generation: %w", si, err)
 		}
@@ -66,7 +72,7 @@ func (s *search) assemble(ls *levelState) (*Result, error) {
 			Topo:             ls.subTopo,
 			G:                sub.G,
 			Sub:              sub,
-			Plan:             sg.plan,
+			Plan:             p,
 			Sharded:          sh,
 			HandoffBytes:     hb,
 			HandoffBandwidth: hbw,
@@ -78,8 +84,8 @@ func (s *search) assemble(ls *levelState) (*Result, error) {
 		})
 		// A stage whose own search ran out of budget taints the whole
 		// assembly: the combined plan is only as proven as its weakest stage.
-		combined.Degraded = combined.Degraded || sg.plan.Degraded
-		for _, st := range sg.plan.Steps {
+		combined.Degraded = combined.Degraded || p.Degraded
+		for _, st := range p.Steps {
 			combined.Steps = append(combined.Steps,
 				remapStep(st, sub, len(s.g.Tensors), len(s.g.Nodes), si))
 		}
@@ -90,7 +96,7 @@ func (s *search) assemble(ls *levelState) (*Result, error) {
 			if _, ok := combined.FinalShapes[origID]; ok {
 				continue
 			}
-			if fs, ok := sg.plan.FinalShapes[tid]; ok {
+			if fs, ok := p.FinalShapes[tid]; ok {
 				combined.FinalShapes[origID] = fs.Clone()
 			}
 		}
@@ -136,4 +142,19 @@ func remapStep(st *plan.Step, sub *graph.Subgraphed, nTensors, nNodes, stage int
 		out.OpComm[sub.NodeID[nid]] = st.OpComm[nid]
 	}
 	return out
+}
+
+// ownSteps returns a copy of a cost-only plan with steps of its own, for
+// Materialize to fill. Each step's VarCut map stays shared: its keys are
+// variable positions, the same in every segment of the plan's memo class, and
+// nothing writes it.
+func ownSteps(p *plan.Plan) *plan.Plan {
+	own := *p
+	steps := make([]plan.Step, len(p.Steps))
+	own.Steps = make([]*plan.Step, len(p.Steps))
+	for i, st := range p.Steps {
+		steps[i] = *st
+		own.Steps[i] = &steps[i]
+	}
+	return &own
 }

@@ -7,7 +7,9 @@
 //
 // The performance core is a segment memo searched lazily: a depth-L coarsened
 // graph has only O(L²) distinct contiguous segments, each segment's partition
-// search runs at most once, and the boundary problem is a shortest path through
+// search runs at most once — and not at all when a structurally identical
+// segment (equal coarsen.Coarse.AppendStructKey) was solved before it at the
+// same level — and the boundary problem is a shortest path through
 // the (stage, boundary) DAG whose edges start at admissible per-group floors
 // and turn exact only when the cheapest estimated path crosses them (search.go).
 // Pruning is strict and ties break by the exhaustive enumeration's
@@ -65,11 +67,13 @@ type Options struct {
 	Stats *Stats
 	// Trace, if non-nil, records the joint search's span tree: "coarsen",
 	// per-candidate-level "hybrid.level" spans, and under each a
-	// "hybrid.segment" span per memoized segment solve (wrapping that
-	// segment's full recursive search). A level span carries seed_rounds
-	// (seed rounds started), segments (solved at that level) and skipped=1
-	// when an earlier level's best cut it before any solve. nil records
-	// nothing and costs nothing; spans never influence the chosen plan.
+	// "hybrid.segment" span per memoized segment (wrapping its coarsening and
+	// its full recursive search, or marked memo_hit=1 when the structural
+	// memo served it). A level span carries seed_rounds (seed rounds
+	// started), segments (solved at that level), segment_hits (served by the
+	// memo) and skipped=1 when an earlier level's best cut it before any
+	// solve. nil records nothing and costs nothing; spans never influence the
+	// chosen plan.
 	Trace *obs.Span
 	// Cancel, if non-nil, is polled at every seed round and boundary-tree node
 	// and plumbed into each segment's recursive search. On a tripped token the
@@ -95,8 +99,9 @@ type Stats struct {
 	Leaves   int64 `json:"leaves"`
 	Expanded int64 `json:"expanded"`
 	Pruned   int64 `json:"pruned"`
-	// Segments counts distinct contiguous segments whose partition search
-	// actually ran — the memo's O(L²) ceiling.
+	// Segments counts the contiguous segments whose partition search
+	// actually ran (failed ones included) — at most the memo's O(L²)
+	// ceiling, and fewer by every segment the structural memo served.
 	Segments int64 `json:"segments"`
 	// DPSolves is the number of dp.Solve executions across all solved
 	// segments. FlatDPSolves is what exhaustive boundary enumeration without

@@ -3,6 +3,7 @@ package hybrid_test
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -102,26 +103,34 @@ func levelAttrs(fn func(trace *obs.Span)) []map[string]string {
 // TestHybridPruningFloor enforces the search-effort gates in-tree. The PR 8
 // floor: the segment memo plus branch-and-bound must run >= 10x fewer dp.Solve
 // calls than exhaustive boundary enumeration would. The lazy shortest-path
-// ceilings: on the four cold-hybrid benchmark cases the search solves no more
-// segments and expands no more tree nodes than it did when the ceilings were
-// recorded (effort is deterministic, so any rise is a change of policy, not
-// noise), and a level an earlier level's best cuts solves nothing.
+// ceilings: on the four cold-hybrid benchmark cases the search fills no more
+// segments, runs no more segment searches and dp.Solve calls and expands no
+// more tree nodes than it did when the ceilings were recorded (effort is
+// deterministic, so any rise is a change of policy, not noise), and a level
+// an earlier level's best cuts fills nothing. The level spans' segments and
+// segment_hits add up to the slots filled: the structural memo changes how a
+// slot is filled, never which.
 func TestHybridPruningFloor(t *testing.T) {
 	cases := []struct {
-		prof               string
-		cfg                models.Config
-		level              int
-		segments, expanded int64 // ceilings; 0 = not pinned
+		prof     string
+		cfg      models.Config
+		level    int
+		filled   int64 // ceilings; 0 = not pinned
+		segments int64
+		dpSolves int64
+		expanded int64
 	}{
-		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 4, Width: 256, Batch: 64}, 0, 0, 0},
-		{"cluster-2x4x2x12", models.Config{Family: "mlp", Depth: 4, Width: 384, Batch: 48}, 2, 0, 0},
-		// bench/workloads/cold-hybrid.json; the parent commit's balanced seed
-		// and static floors solved 114/493/245/10 segments and expanded
-		// 2087/95725/376/1 nodes.
-		{"cluster-2x4x2x12", models.Config{Family: "mlp", Depth: 4, Width: 384, Batch: 48}, 0, 78, 43},
-		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 8, Width: 256, Batch: 64}, 0, 312, 151},
-		{"cluster-4x2x8", models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}, 0, 28, 10},
-		{"cluster-2x8", models.Config{Family: "transformer", Depth: 2, Width: 1024, Batch: 64}, 0, 8, 1},
+		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 4, Width: 256, Batch: 64}, 0, 0, 0, 0, 0},
+		{"cluster-2x4x2x12", models.Config{Family: "mlp", Depth: 4, Width: 384, Batch: 48}, 2, 0, 0, 0, 0},
+		// bench/workloads/cold-hybrid.json; the balanced seed and static
+		// floors before the lazy search solved 114/493/245/10 segments and
+		// expanded 2087/95725/376/1 nodes. Before the structural memo every
+		// filled slot was a search: 78/312/28/8 segments, 1014/936/90/24
+		// dp.Solve calls.
+		{"cluster-2x4x2x12", models.Config{Family: "mlp", Depth: 4, Width: 384, Batch: 48}, 0, 78, 34, 442, 43},
+		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 8, Width: 256, Batch: 64}, 0, 312, 82, 246, 151},
+		{"cluster-4x2x8", models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}, 0, 28, 27, 87, 10},
+		{"cluster-2x8", models.Config{Family: "transformer", Depth: 2, Width: 1024, Batch: 64}, 0, 8, 8, 24, 1},
 	}
 	skipped := 0
 	for _, c := range cases {
@@ -149,19 +158,36 @@ func TestHybridPruningFloor(t *testing.T) {
 		if st.Pruned == 0 {
 			t.Errorf("%s %s: branch-and-bound pruned nothing", c.prof, c.cfg)
 		}
-		if c.segments > 0 && (st.Segments > c.segments || st.Expanded > c.expanded) {
-			t.Errorf("%s %s: %d segments solved and %d nodes expanded, ceilings %d and %d",
-				c.prof, c.cfg, st.Segments, st.Expanded, c.segments, c.expanded)
-		}
+		var segments, hits int64
 		for _, attrs := range levels {
+			if attrs["seed_rounds"] == "" {
+				continue // a level with more stages than groups never runs
+			}
+			n, errN := strconv.ParseInt(attrs["segments"], 10, 64)
+			h, errH := strconv.ParseInt(attrs["segment_hits"], 10, 64)
+			if errN != nil || errH != nil {
+				t.Fatalf("%s %s: level span without segments/segment_hits: %v", c.prof, c.cfg, attrs)
+			}
+			segments, hits = segments+n, hits+h
 			if attrs["skipped"] == "" {
 				continue
 			}
 			skipped++
-			if attrs["segments"] != "0" || attrs["seed_rounds"] != "0" {
-				t.Errorf("%s %s: level %s was cut by an earlier level's best yet ran %s seed rounds and solved %s segments",
-					c.prof, c.cfg, attrs["level"], attrs["seed_rounds"], attrs["segments"])
+			if n != 0 || h != 0 || attrs["seed_rounds"] != "0" {
+				t.Errorf("%s %s: level %s was cut by an earlier level's best yet ran %s seed rounds, solved %d segments and hit %d",
+					c.prof, c.cfg, attrs["level"], attrs["seed_rounds"], n, h)
 			}
+		}
+		if segments != st.Segments {
+			t.Errorf("%s %s: level spans count %d segments, Stats %d", c.prof, c.cfg, segments, st.Segments)
+		}
+		t.Logf("%s %s: %d slots filled, %d searched, %d memo hits, %d dp solves, %d nodes expanded",
+			c.prof, c.cfg, segments+hits, st.Segments, hits, st.DPSolves, st.Expanded)
+		if c.filled > 0 && (segments+hits > c.filled || st.Segments > c.segments ||
+			st.DPSolves > c.dpSolves || st.Expanded > c.expanded) {
+			t.Errorf("%s %s: %d slots filled, %d segments searched, %d dp solves, %d nodes expanded; ceilings %d, %d, %d and %d",
+				c.prof, c.cfg, segments+hits, st.Segments, st.DPSolves, st.Expanded,
+				c.filled, c.segments, c.dpSolves, c.expanded)
 		}
 	}
 	if skipped == 0 {

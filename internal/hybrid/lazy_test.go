@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,13 +12,17 @@ import (
 )
 
 // synthLevel is one candidate level of a synthetic boundary problem: S stages
-// over the instance's L groups, hand-off bandwidths, per-group floors and a
-// segment cost function standing in for the partition search.
+// over the instance's L groups, hand-off bandwidths, per-group floors, a
+// segment cost function standing in for the partition search and a class
+// function standing in for the structural key (nil: every segment its own
+// class). Segments of one class cost the same and fail alike, as equal keys
+// guarantee.
 type synthLevel struct {
-	S    int
-	bw   []float64
-	lb1  []float64
-	cost func(lo, hi int) (float64, error)
+	S     int
+	bw    []float64
+	lb1   []float64
+	cost  func(lo, hi int) (float64, error)
+	class func(lo, hi int) int
 }
 
 // synthOutcome is everything the two searches must agree on.
@@ -27,24 +32,27 @@ type synthOutcome struct {
 	bits  uint64
 	errs  []string // distinct failure reasons, sorted (read only when level < 0)
 	stats Stats
+	// searches is what the structural memo must cost: per level, one search
+	// per distinct class touched whose segments solve, plus one per failing
+	// segment touched (failures are never shared).
+	searches int64
+	hits     int64 // segments the memo served
 }
 
 // runSynth drives the production level search — initTables, contend, run, seed,
-// dfs, offer — over synthetic levels through the levelState.solve seam; only
-// the segment solver and the topology-derived inputs are stand-ins.
+// dfs, offer, and the structural memo in segment/fill — over synthetic levels
+// through the levelState.prepare/solve seam; only the segment solver, its key
+// and the topology-derived inputs are stand-ins.
 func runSynth(xb []float64, levels []synthLevel, exhaustive bool) synthOutcome {
 	s := &search{xb: xb, opts: Options{Exhaustive: exhaustive}}
+	out := synthOutcome{level: -1}
 	var best *levelState
 	for i, lv := range levels {
-		ls := &levelState{s: s, level: i, S: lv.S, bw: lv.bw, lb1: lv.lb1}
-		ls.solve = func(lo, hi int) (*plan.Plan, float64, error) {
-			c, err := lv.cost(lo, hi)
-			return nil, c, err
-		}
-		ls.initTables()
+		ls := synthLevelState(s, i, lv, &out.searches)
 		best = ls.contend(best)
+		out.hits += ls.hits
 	}
-	out := synthOutcome{level: -1, stats: s.stats}
+	out.stats = s.stats
 	for _, e := range s.errs {
 		out.errs = append(out.errs, e.Error())
 	}
@@ -53,6 +61,54 @@ func runSynth(xb []float64, levels []synthLevel, exhaustive bool) synthOutcome {
 		out.level, out.set, out.bits = best.level, best.best, math.Float64bits(best.bestCost)
 	}
 	return out
+}
+
+// synthLevelState lays out level i of a synthetic instance for s, its segment
+// key the level's class and its solve the level's cost, and adds to searches
+// the segment searches the memo must run: one per class touched, one per
+// failing segment touched.
+func synthLevelState(s *search, i int, lv synthLevel, searches *int64) *levelState {
+	ls := &levelState{s: s, level: i, S: lv.S, bw: lv.bw, lb1: lv.lb1}
+	class := func(lo, hi int) int { return lo*(len(s.xb)+1) + hi }
+	if lv.class != nil {
+		class = lv.class
+	}
+	touched := make(map[int]bool)
+	ls.prepare = func(key []byte, lo, hi int) ([]byte, stageProblem, error) {
+		c := class(lo, hi)
+		if _, err := lv.cost(lo, hi); err != nil || !touched[c] {
+			*searches++
+		}
+		touched[c] = true
+		return binary.AppendUvarint(key, uint64(c)), stageProblem{lo: lo, hi: hi}, nil
+	}
+	ls.solve = func(pr stageProblem) (*plan.Plan, float64, error) {
+		c, err := lv.cost(pr.lo, pr.hi)
+		return &plan.Plan{}, c, err
+	}
+	ls.initTables()
+	return ls
+}
+
+// seedSettled runs a level's seed phase alone and reports whether it ended
+// the way seed promises: cut by the bar, facing only infeasible sets, or with
+// the estimate-optimal boundary set filled throughout — not after a round
+// that merely searched nothing new (memo hits fill slots too).
+func seedSettled(xb []float64, lv synthLevel) bool {
+	var searches int64
+	ls := synthLevelState(&search{xb: xb}, 0, lv, &searches)
+	if _, open := ls.seed(); !open || math.IsInf(ls.h(0, 0), 1) {
+		return true
+	}
+	b := 0
+	for j := 0; j < ls.S-1; j++ {
+		nb := ls.next[j*ls.W+b]
+		if ls.segs[b*ls.W+nb] == nil {
+			return false
+		}
+		b = nb
+	}
+	return ls.segs[b*ls.W+ls.W-1] != nil
 }
 
 // bruteSynth is the oracle's oracle, sharing no code with the search: every
@@ -92,7 +148,9 @@ func bruteSynth(xb []float64, levels []synthLevel) (level int, set []int, bits u
 //	3  mode 1 with failing segments and infeasible groups
 //
 // Floors are admissible by construction: cost(lo,hi) ≥ Σ w[lo:hi) ≥ Σ lb1.
-func synthInstance(rng *rand.Rand) (xb []float64, levels []synthLevel, twin bool) {
+// Structural classes come from crng, a stream of their own, so an instance
+// whose draw shares nothing costs exactly what it did before classes existed.
+func synthInstance(rng, crng *rand.Rand) (xb []float64, levels []synthLevel, twin bool) {
 	L := 3 + rng.Intn(10) // 3..12
 	mode := rng.Intn(4)
 	xb = make([]float64, L)
@@ -141,18 +199,38 @@ func synthInstance(rng *rand.Rand) (xb []float64, levels []synthLevel, twin bool
 			}
 		}
 	}
+	// With chance share a segment joins the class of a random earlier one and
+	// takes its cost — where that keeps its failure status and does not lower
+	// its cost, so the floors stay admissible.
+	base := make([]float64, (L+1)*(L+1))
+	class := make([]int, (L+1)*(L+1))
+	share := []float64{0, 0.3, 0.8}[crng.Intn(3)]
+	var earlier []int
+	for lo := 0; lo < L; lo++ {
+		for hi := lo + 1; hi <= L; hi++ {
+			at := lo*(L+1) + hi
+			sum := 0.0
+			for g := lo; g < hi; g++ {
+				sum += w[g]
+			}
+			base[at], class[at] = sum+extra[at], at
+			if len(earlier) > 0 && crng.Float64() < share {
+				if a := earlier[crng.Intn(len(earlier))]; fail[a] == fail[at] && base[a] >= base[at] {
+					base[at], class[at] = base[a], class[a]
+				}
+			}
+			earlier = append(earlier, at)
+		}
+	}
+	classOf := func(lo, hi int) int { return class[lo*(L+1)+hi] }
 	cost := func(scale float64) func(lo, hi int) (float64, error) {
 		return func(lo, hi int) (float64, error) {
 			at := lo*(L+1) + hi
 			if fail[at] {
 				// A handful of distinct reasons, so several segments share one.
-				return 0, fmt.Errorf("synthetic: segment class %d cannot split", at%5)
+				return 0, fmt.Errorf("synthetic: reason %d: segment cannot split", at%5)
 			}
-			sum := 0.0
-			for g := lo; g < hi; g++ {
-				sum += w[g]
-			}
-			return (sum + extra[at]) * scale, nil
+			return base[at] * scale, nil
 		}
 	}
 	floors := func(scale float64) []float64 {
@@ -172,7 +250,7 @@ func synthInstance(rng *rand.Rand) (xb []float64, levels []synthLevel, twin bool
 		for j := 1; j < S; j++ {
 			bw[j] = []float64{1, 2, 4, 3}[rng.Intn(4)] // heterogeneous links
 		}
-		return synthLevel{S: S, bw: bw, lb1: floors(scale), cost: cost(scale)}
+		return synthLevel{S: S, bw: bw, lb1: floors(scale), cost: cost(scale), class: classOf}
 	}
 	levels = []synthLevel{level(1)}
 	switch rng.Intn(4) {
@@ -192,7 +270,11 @@ func synthInstance(rng *rand.Rand) (xb []float64, levels []synthLevel, twin bool
 // random boundary problems (L ≤ 12, S ≤ 5, up to three candidate levels) the
 // lazy shortest-path search must return the exhaustive oracle's level,
 // boundary set and cost bits — and, when nothing is feasible, its reasons —
-// and both must match a brute force that shares no code with either.
+// and both must match a brute force that shares no code with either. Segments
+// fall into random structural classes (equal cost, equal failure status), so
+// the structural memo serves part of every walk: each search must run exactly
+// one segment search per complete class it touches plus one per failing
+// segment it touches.
 //
 // Mutation log — each applied alone to search.go with this test re-run:
 //
@@ -213,14 +295,35 @@ func synthInstance(rng *rand.Rand) (xb []float64, levels []synthLevel, twin bool
 //	           Recording seen on entry instead of on completion survives: the
 //	           two differ only if a visit is cut short, which only cancellation
 //	           does, and a cancelled walk visits nothing afterwards.
+//	memo       seed's progress read off Stats.Segments instead of filled
+//	           slots: killed by seedSettled (a round of hits alone ends the
+//	           seed early; the walk still finds the optimum, so only the
+//	           seed's own promise shows it). Failures entered in the classes,
+//	           no class ever entered, or hits counted as searches: killed by
+//	           the search count.
 func TestLazySearchMatchesExhaustive(t *testing.T) {
 	const n = 6000
-	rng := rand.New(rand.NewSource(17))
-	var ties, infeasible, twins, cheaper int64
+	rng, crng := rand.New(rand.NewSource(17)), rand.New(rand.NewSource(18))
+	var ties, infeasible, twins, cheaper, shared int64
 	for i := 0; i < n; i++ {
-		xb, levels, twin := synthInstance(rng)
+		xb, levels, twin := synthInstance(rng, crng)
 		want := runSynth(xb, levels, true)
 		got := runSynth(xb, levels, false)
+		for _, o := range []struct {
+			name string
+			out  synthOutcome
+		}{{"oracle", want}, {"lazy search", got}} {
+			if o.out.stats.Segments != o.out.searches {
+				t.Fatalf("instance %d: %s ran %d segment searches, want %d (one per complete class touched, one per failing segment)",
+					i, o.name, o.out.stats.Segments, o.out.searches)
+			}
+		}
+		if got.hits > 0 {
+			shared++
+		}
+		if !seedSettled(xb, levels[0]) {
+			t.Fatalf("instance %d: the seed phase stopped before the estimate-optimal set was filled", i)
+		}
 		if bl, bs, bb := bruteSynth(xb, levels); bl != want.level || (bl >= 0 && (!slices.Equal(bs, want.set) || bb != want.bits)) {
 			t.Fatalf("instance %d: Exhaustive chose level %d set %v cost %x, brute force level %d set %v cost %x",
 				i, want.level, want.set, want.bits, bl, bs, bb)
@@ -249,10 +352,10 @@ func TestLazySearchMatchesExhaustive(t *testing.T) {
 			ties++
 		}
 	}
-	t.Logf("%d instances: %d infeasible, %d with several leaves costed, %d level ties kept by the innermost, %d solved fewer segments than the oracle",
-		n, infeasible, ties, twins, cheaper)
-	if infeasible == 0 || ties == 0 || twins == 0 || cheaper < int64(n)/2 {
-		t.Errorf("generator lost coverage: infeasible=%d ties=%d twins=%d cheaper=%d", infeasible, ties, twins, cheaper)
+	t.Logf("%d instances: %d infeasible, %d with several leaves costed, %d level ties kept by the innermost, %d solved fewer segments than the oracle, %d served segments from the memo",
+		n, infeasible, ties, twins, cheaper, shared)
+	if infeasible == 0 || ties == 0 || twins == 0 || cheaper < int64(n)/2 || shared < int64(n)/4 {
+		t.Errorf("generator lost coverage: infeasible=%d ties=%d twins=%d cheaper=%d shared=%d", infeasible, ties, twins, cheaper, shared)
 	}
 }
 

@@ -38,8 +38,19 @@ type levelState struct {
 	W    int
 	segs []*segment
 	est  []float64
-	// solve is the solver behind the memo (solveSegment; tests swap it).
-	solve func(lo, hi int) (*plan.Plan, float64, error)
+	// prepare and solve are the solver behind the memo (prepareSegment and
+	// solveSegment; tests swap both): prepare builds a segment's stage problem
+	// and appends its structural key to the buffer it is given, solve searches
+	// the problem.
+	prepare func(key []byte, lo, hi int) ([]byte, stageProblem, error)
+	solve   func(pr stageProblem) (*plan.Plan, float64, error)
+	// classes is the structural segment memo: per distinct key, the first
+	// complete solution at this level, which every later segment with that
+	// key shares. keyBuf is the key buffer prepare reuses; filled counts the
+	// segs slots filled so far and hits those the classes served.
+	classes      map[string]*segment
+	keyBuf       []byte
+	filled, hits int64
 	// togo[j*W+b] is the cost-to-go table H and next its argmin (see
 	// refresh); stale marks a solve since the last refresh.
 	togo  []float64
@@ -63,12 +74,28 @@ type levelState struct {
 // segment is one memoized contiguous-segment solution: its cost and the
 // cost-only plan behind it (recursive.Search). Of the O(L²) segments only the
 // winning boundary set's S are ever materialized (assemble), so the memo keeps
-// each one's VarCuts and nothing of the evaluators that found them.
+// each one's VarCuts and nothing of the evaluators that found them. Segments
+// with equal structural keys share one *segment, plan included.
 type segment struct {
 	plan *plan.Plan
 	cost float64 // bandwidth-weighted comm time on the stage sub-machine
 	err  error
 }
+
+// stageProblem is one segment's stage problem, coarsened once and read twice:
+// by its structural key, and by the search when no earlier segment of the
+// level had that key.
+type stageProblem struct {
+	lo, hi int
+	co     *coarsen.Coarse
+	// span is the segment's "hybrid.segment" span (nil when tracing is off or
+	// the extraction failed); fill ends it.
+	span *obs.Span
+}
+
+// memoAudit, when set (tests only), sees every structural-memo hit: the level,
+// the hit segment's own stage problem and the class solution serving it.
+var memoAudit func(ls *levelState, pr stageProblem, class *segment)
 
 func (s *search) newLevelState(level int) (*levelState, error) {
 	L := len(s.c.Groups)
@@ -110,7 +137,7 @@ func (s *search) newLevelState(level int) (*levelState, error) {
 	for j := 1; j < ls.S; j++ {
 		ls.bw[j] = s.tp.LinkBandwidth(j*int(kSub)-1, j*int(kSub))
 	}
-	ls.solve = ls.solveSegment
+	ls.prepare, ls.solve = ls.prepareSegment, ls.solveSegment
 	ls.lb1 = make([]float64, L)
 	for g := range ls.lb1 {
 		ls.lb1[g] = ls.groupFloor(g)
@@ -257,18 +284,17 @@ func (ls *levelState) stageOptions() recursive.Options {
 }
 
 // segment returns the memoized partition solution for groups [lo, hi),
-// solving it on first touch: one full topology-aware recursive search on the
-// stage sub-machine. Shared across every boundary set — and, via the memo,
-// across the branch-and-bound and oracle paths of the same Partition call.
+// filling it on first touch. Shared across every boundary set — and, via the
+// memo, across the branch-and-bound and oracle paths of the same Partition
+// call.
 func (ls *levelState) segment(lo, hi int) *segment {
 	at := lo*ls.W + hi
 	if sg := ls.segs[at]; sg != nil {
 		return sg
 	}
-	sg := &segment{}
+	sg := ls.fill(lo, hi)
 	ls.segs[at] = sg
-	ls.s.stats.Segments++
-	sg.plan, sg.cost, sg.err = ls.solve(lo, hi)
+	ls.filled++
 	ls.est[at], ls.stale = sg.cost, true
 	if sg.err != nil {
 		ls.est[at] = math.Inf(1)
@@ -276,29 +302,68 @@ func (ls *levelState) segment(lo, hi int) *segment {
 	return sg
 }
 
-// solveSegment extracts, coarsens, searches and prices groups [lo, hi).
-func (ls *levelState) solveSegment(lo, hi int) (*plan.Plan, float64, error) {
+// fill solves groups [lo, hi): one full topology-aware recursive search on the
+// stage sub-machine — unless an earlier segment of this level had the same
+// structural key, whose solution it then shares (a hit). Only complete
+// solutions enter the classes: a failure names its own groups and the walk
+// collects reasons by message, and a degraded plan is no proven optimum.
+func (ls *levelState) fill(lo, hi int) *segment {
+	key, pr, err := ls.prepare(ls.keyBuf[:0], lo, hi)
+	ls.keyBuf = key
+	defer pr.span.End()
+	if err != nil {
+		ls.s.stats.Segments++
+		return &segment{err: err}
+	}
+	if sg := ls.classes[string(key)]; sg != nil {
+		ls.hits++
+		pr.span.SetInt("memo_hit", 1)
+		if memoAudit != nil {
+			memoAudit(ls, pr, sg)
+		}
+		return sg
+	}
+	ls.s.stats.Segments++
+	sg := &segment{}
+	sg.plan, sg.cost, sg.err = ls.solve(pr)
+	if sg.err == nil && !sg.plan.Degraded {
+		if ls.classes == nil {
+			ls.classes = make(map[string]*segment)
+		}
+		ls.classes[string(key)] = sg
+	}
+	return sg
+}
+
+// prepareSegment extracts and coarsens groups [lo, hi) and appends the
+// coarsening's structural key (coarsen.Coarse.AppendStructKey) to key.
+func (ls *levelState) prepareSegment(key []byte, lo, hi int) ([]byte, stageProblem, error) {
+	pr := stageProblem{lo: lo, hi: hi}
 	sub, err := ls.s.extract(lo, hi)
 	if err != nil {
-		return nil, 0, err
+		return key, pr, err
 	}
-	ssp := ls.trace.Child("hybrid.segment")
-	ssp.SetInt("lo", int64(lo))
-	ssp.SetInt("hi", int64(hi))
-	defer ssp.End()
-	csp := ssp.Child("coarsen")
-	co, err := coarsen.CoarsenSub(ls.s.c, sub)
+	pr.span = ls.trace.Child("hybrid.segment")
+	pr.span.SetInt("lo", int64(lo))
+	pr.span.SetInt("hi", int64(hi))
+	csp := pr.span.Child("coarsen")
+	pr.co, err = coarsen.CoarsenSub(ls.s.c, sub)
 	if err == nil {
-		csp.SetInt("groups", int64(len(co.Groups)))
+		csp.SetInt("groups", int64(len(pr.co.Groups)))
 	}
 	csp.End()
 	if err != nil {
-		return nil, 0, fmt.Errorf("groups [%d,%d) on %d GPUs: %w", lo, hi, ls.kSub, err)
+		return key, pr, fmt.Errorf("groups [%d,%d) on %d GPUs: %w", lo, hi, ls.kSub, err)
 	}
+	return pr.co.AppendStructKey(key), pr, nil
+}
+
+// solveSegment searches and prices a prepared segment.
+func (ls *levelState) solveSegment(pr stageProblem) (*plan.Plan, float64, error) {
 	var inner recursive.SearchStats
 	ropts := ls.stageOptions()
-	ropts.Stats, ropts.Trace, ropts.Cancel = &inner, ssp, ls.s.opts.Cancel
-	p, err := recursive.Search(co, ls.kSub, ropts)
+	ropts.Stats, ropts.Trace, ropts.Cancel = &inner, pr.span, ls.s.opts.Cancel
+	p, err := recursive.Search(pr.co, ls.kSub, ropts)
 	if ls.subTopo.Hierarchical() {
 		ls.s.stats.DPSolves = satAdd(ls.s.stats.DPSolves, int64(inner.DPSolves))
 		ls.s.stats.LBQueries = satAdd(ls.s.stats.LBQueries, int64(inner.LBQueries))
@@ -307,10 +372,10 @@ func (ls *levelState) solveSegment(lo, hi int) (*plan.Plan, float64, error) {
 		ls.s.stats.DPSolves = satAdd(ls.s.stats.DPSolves, int64(ls.depth))
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("groups [%d,%d) on %d GPUs: %w", lo, hi, ls.kSub, err)
+		return nil, 0, fmt.Errorf("groups [%d,%d) on %d GPUs: %w", pr.lo, pr.hi, ls.kSub, err)
 	}
 	cost := recursive.CommTime(p, ls.subTopo)
-	ssp.SetFloat("cost", cost)
+	pr.span.SetFloat("cost", cost)
 	return p, cost, nil
 }
 
@@ -350,6 +415,7 @@ func (ls *levelState) run() {
 	}
 	ls.trace.SetInt("seed_rounds", int64(rounds))
 	ls.trace.SetInt("segments", ls.s.stats.Segments-solved)
+	ls.trace.SetInt("segment_hits", ls.hits)
 	if !open && rounds == 0 && !ls.s.cancelled {
 		ls.trace.SetInt("skipped", 1) // an earlier level's best cut it before any solve
 	}
@@ -360,12 +426,12 @@ func (ls *levelState) run() {
 
 // seed is the lazy shortest-path phase. Each round reads the estimate-optimal
 // boundary set off the cost-to-go table, solves its unsolved segments and
-// offers its exact cost; a round solves at least one segment, so the loop ends:
-// when that set is already fully solved (the level's optimum up to float ties,
-// which the walk settles), when no set can stay within the bar (open = false,
-// the walk has nothing to find), or when every set crosses a failed segment
-// (the walk collects the reasons). The first round's set is what a cancelled
-// search ships.
+// offers its exact cost; a round fills at least one segment (by a solve or a
+// memo hit), so the loop ends: when that set is already fully solved (the
+// level's optimum up to float ties, which the walk settles), when no set can
+// stay within the bar (open = false, the walk has nothing to find), or when
+// every set crosses a failed segment (the walk collects the reasons). The first
+// round's set is what a cancelled search ships.
 func (ls *levelState) seed() (rounds int, open bool) {
 	set := make([]int, ls.S-1)
 	for {
@@ -381,11 +447,13 @@ func (ls *levelState) seed() (rounds int, open bool) {
 			b = ls.next[j*ls.W+b]
 			set[j] = b
 		}
-		solved := ls.s.stats.Segments
+		// Memo hits fill slots without a search, so progress is counted in
+		// filled slots, not in Stats.Segments.
+		filled := ls.filled
 		if cost, ok := ls.leafCost(set); ok {
 			ls.offer(set, cost)
 		}
-		if ls.s.stats.Segments == solved {
+		if ls.filled == filled {
 			return rounds, true
 		}
 		rounds++
