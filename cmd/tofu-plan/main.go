@@ -127,15 +127,15 @@ func main() {
 	if st := s.Search; st.Orderings > 0 {
 		fmt.Printf("ordering search: %d orderings (%d costed, %d tree nodes expanded, %d pruned)\n",
 			st.Orderings, st.Leaves, st.Expanded, st.Pruned)
-		fmt.Printf("  dp steps: %d shared+pruned vs %d flat enumeration (%.1fx less), %d bound queries\n",
-			st.DPSolves, st.FlatDPSolves, float64(st.FlatDPSolves)/float64(max(st.DPSolves, 1)), st.LBQueries)
+		fmt.Printf("  dp steps: %d shared+pruned (%d more replayed) vs %d flat enumeration (%.1fx less), %d bound queries\n",
+			st.DPSolves, st.Replays, st.FlatDPSolves, float64(st.FlatDPSolves)/float64(max(st.DPSolves, 1)), st.LBQueries)
 	}
 	if h := s.Hybrid; h != nil {
 		st := h.Stats
 		fmt.Printf("hybrid search: level %d, %d stages of %d workers (%d boundary sets, %d costed, %d pruned)\n",
 			h.Level, len(h.Stages), h.Stages[0].Workers, st.BoundarySets, st.Leaves, st.Pruned)
-		fmt.Printf("  dp solves: %d memoized+pruned vs %d flat enumeration (%.1fx less), %d bound queries\n",
-			st.DPSolves, st.FlatDPSolves,
+		fmt.Printf("  dp solves: %d memoized+pruned (%d more replayed) vs %d flat enumeration (%.1fx less), %d bound queries\n",
+			st.DPSolves, st.Replays, st.FlatDPSolves,
 			float64(st.FlatDPSolves)/float64(max(st.DPSolves, 1)), st.LBQueries)
 		for i, stg := range h.Stages {
 			fmt.Printf("  stage %d: groups [%d,%d), %d steps, hand-off %.2f MB\n",

@@ -89,8 +89,10 @@ type Summary struct {
 	Memory memplan.Report
 	// SearchTime is the wall-clock cost of the search (Table 1's metric).
 	SearchTime time.Duration
-	// Search reports the topology-aware ordering search's effort (zero for
-	// flat machines and topology-blind searches).
+	// Search reports the search's effort: every counter of a topology-aware
+	// ordering search; only DPSolves and Replays for flat machines and
+	// topology-blind searches (Orderings is 0 there); zero for pipeline
+	// searches, whose effort is Hybrid.Stats.
 	Search recursive.SearchStats
 	// Hybrid is the joint pipeline-and-partition result when Options.Pipeline
 	// requested one: per-stage plans and execution structures. Plan then

@@ -296,7 +296,9 @@ func TestTableMemoBypassedByLazySlots(t *testing.T) {
 }
 
 // TestTableMemoConcurrent: solves racing on one PriceCache (run under -race)
-// return exactly what a serial, cache-less solve returns.
+// return exactly what a serial, cache-less solve returns. Then steps of one
+// Coarse racing on one StepMemo as well return it too, whichever of them
+// swept and whichever replayed.
 func TestTableMemoConcurrent(t *testing.T) {
 	m, err := models.Build(models.Config{Family: "wresnet", Depth: 50, Width: 2, Batch: 16})
 	if err != nil {
@@ -320,18 +322,41 @@ func TestTableMemoConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	for w := range got {
-		if errs[w] != nil {
-			t.Fatal(errs[w])
+	check := func(phase string) {
+		t.Helper()
+		for w := range got {
+			if errs[w] != nil {
+				t.Fatal(errs[w])
+			}
+			sameSearch(t, fmt.Sprintf("%s goroutine %d", phase, w), got[w], want)
+			if err := got[w].Materialize(); err != nil {
+				t.Fatal(err)
+			}
+			sameTables(t, fmt.Sprintf("%s goroutine %d", phase, w), got[w], want)
 		}
-		sameSearch(t, fmt.Sprintf("goroutine %d", w), got[w], want)
-		if err := got[w].Materialize(); err != nil {
-			t.Fatal(err)
-		}
-		sameTables(t, fmt.Sprintf("goroutine %d", w), got[w], want)
 	}
+	check("solve")
 	hits, misses, _ := cache.TableStats()
 	if hits == 0 || misses == 0 {
 		t.Errorf("table hits/misses = %d/%d: the solves did not share tables", hits, misses)
 	}
+
+	var memo StepMemo
+	for w := 0; w < workers; w++ {
+		p := problemFor(t, m, 2)
+		p.Coarse = serial.Coarse
+		p.Cache, p.Parallelism = cache, 2
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			pr, err := Prepare(p)
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			got[w], _, errs[w] = memo.Solve(pr)
+		}(w)
+	}
+	wg.Wait()
+	check("step memo")
 }

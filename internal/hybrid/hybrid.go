@@ -103,11 +103,13 @@ type Stats struct {
 	// actually ran (failed ones included) — at most the memo's O(L²)
 	// ceiling, and fewer by every segment the structural memo served.
 	Segments int64 `json:"segments"`
-	// DPSolves is the number of dp.Solve executions across all solved
-	// segments. FlatDPSolves is what exhaustive boundary enumeration without
-	// the segment memo would have run: boundary sets × stages × recursion
-	// depth, saturating.
+	// DPSolves is the number of DP sweeps run across all solved segments, and
+	// Replays the steps their step memos served instead (see
+	// recursive.SearchStats). FlatDPSolves is what exhaustive boundary
+	// enumeration without the segment memo would have run: boundary sets ×
+	// stages × recursion depth, saturating.
 	DPSolves     int64 `json:"dp_solves"`
+	Replays      int64 `json:"replays,omitempty"`
 	FlatDPSolves int64 `json:"flat_dp_solves"`
 	// LBQueries counts admissible lower-bound evaluations: the per-group
 	// dp.LowerBound table plus every read of a level's cost-to-go table.

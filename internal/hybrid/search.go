@@ -364,13 +364,10 @@ func (ls *levelState) solveSegment(pr stageProblem) (*plan.Plan, float64, error)
 	ropts := ls.stageOptions()
 	ropts.Stats, ropts.Trace, ropts.Cancel = &inner, pr.span, ls.s.opts.Cancel
 	p, err := recursive.Search(pr.co, ls.kSub, ropts)
-	if ls.subTopo.Hierarchical() {
-		ls.s.stats.DPSolves = satAdd(ls.s.stats.DPSolves, int64(inner.DPSolves))
-		ls.s.stats.LBQueries = satAdd(ls.s.stats.LBQueries, int64(inner.LBQueries))
-	} else {
-		// Flat sub-machine: one Solve per prime factor, no ordering search.
-		ls.s.stats.DPSolves = satAdd(ls.s.stats.DPSolves, int64(ls.depth))
-	}
+	// A flat sub-machine runs no ordering search and reports no bound queries.
+	ls.s.stats.DPSolves = satAdd(ls.s.stats.DPSolves, int64(inner.DPSolves))
+	ls.s.stats.Replays = satAdd(ls.s.stats.Replays, int64(inner.Replays))
+	ls.s.stats.LBQueries = satAdd(ls.s.stats.LBQueries, int64(inner.LBQueries))
 	if err != nil {
 		return nil, 0, fmt.Errorf("groups [%d,%d) on %d GPUs: %w", pr.lo, pr.hi, ls.kSub, err)
 	}

@@ -10,7 +10,9 @@ package recursive
 //     distinct factor prefix runs dp.Solve exactly once and all orderings
 //     passing through it reuse the result and the divided shapes. A machine
 //     whose levels factor into all 2s (every power-of-two cluster) collapses
-//     the entire search to one DP run per recursion depth.
+//     the entire search to one DP run per recursion depth — and a step whose
+//     sweep inputs repeat an earlier prefix's replays that sweep's result
+//     (dp.StepMemo) instead of sweeping again.
 //
 //  2. Admissible bounds. For a node with prefix P, every not-yet-placed
 //     factor f must eventually run a step whose δ is at least
@@ -50,10 +52,10 @@ import (
 	"tofu/internal/topo"
 )
 
-// SearchStats reports the effort of one topology-aware ordering search;
-// Options.Stats receives a copy when non-nil. The plan itself is
-// deterministic at any Parallelism; the node counters can vary slightly
-// with the expansion schedule when Parallelism > 1.
+// SearchStats reports the effort of one search; Options.Stats receives a
+// copy when non-nil (flat searches fill only DPSolves and Replays). The plan
+// itself is deterministic at any Parallelism; the node counters can vary
+// slightly with the expansion schedule when Parallelism > 1.
 type SearchStats struct {
 	// Orderings is the search-space size: every distinct factor-to-level
 	// ordering of the machine's pool.
@@ -64,10 +66,13 @@ type SearchStats struct {
 	// discarded because their admissible bound exceeded the incumbent.
 	Expanded int `json:"expanded"`
 	Pruned   int `json:"pruned"`
-	// DPSolves is the number of per-step DP executions actually run — one
-	// per distinct factor prefix reached. FlatDPSolves is what the flat
+	// DPSolves is the number of per-step DP sweeps actually run — at most
+	// one per distinct factor prefix reached. Replays counts the steps the
+	// step memo (dp.StepMemo) served instead, because an earlier step of the
+	// same search had identical sweep inputs. FlatDPSolves is what the flat
 	// enumeration would have run for the same space (orderings × depth).
 	DPSolves     int `json:"dp_solves"`
+	Replays      int `json:"replays,omitempty"`
 	FlatDPSolves int `json:"flat_dp_solves"`
 	// LBQueries counts admissible lower-bound evaluations (dp.LowerBound).
 	LBQueries int `json:"lb_queries"`
@@ -81,6 +86,15 @@ type SearchStats struct {
 	// byte-identical with or without a seed; only the effort counters move.
 	WarmStart bool    `json:"warm_start,omitempty"`
 	WarmCost  float64 `json:"warm_cost,omitempty"`
+}
+
+// countStep books one DP step, swept or replayed.
+func (st *SearchStats) countStep(replayed bool) {
+	if replayed {
+		st.Replays++
+	} else {
+		st.DPSolves++
+	}
 }
 
 // prefixState is the per-factor-prefix memo node: the DP result of the
@@ -102,6 +116,10 @@ type prefixState struct {
 	res    *dp.Result
 	shapes map[int]shape.Shape
 	err    error
+	// reuse is the evaluator carrier the prefix's own step was prepared
+	// with; each child's preparation starts from a copy, so an equal-factor
+	// child keeps the evaluators that are still exact at its shapes.
+	reuse dp.EvalReuse
 
 	// lastDelta maps factor -> the realized δ of that factor's most recent
 	// occurrence in this prefix. Shapes only shrink down a branch, so a
@@ -117,11 +135,12 @@ type prefixState struct {
 }
 
 // lbQuery is one (prefix, next factor) step, prepared once. prob is the
-// Problem prep holds; only the child prefix's computeStep touches either
-// after the once.
+// Problem prep holds and reuse its evaluator carrier; only the child
+// prefix's computeStep touches them after the once.
 type lbQuery struct {
 	once  sync.Once
 	prob  dp.Problem
+	reuse dp.EvalReuse
 	prep  *dp.Prepared
 	delta float64
 	err   error
@@ -166,6 +185,9 @@ type orderSearch struct {
 	// Parallelism > 1 their order follows the expansion schedule, like the
 	// SearchStats node counters.
 	trace *obs.Span
+	// memo replays a prefix step whose sweep repeats an earlier prefix's
+	// (it locks itself).
+	memo dp.StepMemo
 
 	mu        sync.Mutex
 	prefixes  map[string]*prefixState
@@ -289,8 +311,9 @@ func (s *orderSearch) memoDelta(key string, f int64) (float64, bool) {
 
 // computeStep runs one prefix's DP step: prepare it (or pick up the
 // preparation a bound query at the parent already made — it detects
-// infeasibility before any frontier sweep), sweep on those evaluators, then
-// divide the shapes for the prefixes below.
+// infeasibility before any frontier sweep), sweep on those evaluators unless
+// the step memo replays an earlier prefix's identical sweep, then divide the
+// shapes for the prefixes below.
 func (s *orderSearch) computeStep(ps *prefixState, st *obs.Span) {
 	par := ps.parent
 	if par.err != nil {
@@ -303,14 +326,18 @@ func (s *orderSearch) computeStep(ps *prefixState, st *obs.Span) {
 		return
 	}
 	q.prob.Trace = st
-	res, err := q.prep.Solve()
+	res, replayed, err := s.memo.Solve(q.prep)
 	if err != nil {
 		ps.err = err
 		return
 	}
 	s.mu.Lock()
-	s.stats.DPSolves++
+	s.stats.countStep(replayed)
 	s.mu.Unlock()
+	if replayed {
+		st.SetInt("replayed", 1)
+	}
+	ps.reuse = q.reuse
 	if ps.depth == len(s.pool) {
 		ps.err = divideShapes(s.c, par.shapes, res.VarCut, ps.factor, false)
 	} else {
@@ -334,6 +361,12 @@ func (s *orderSearch) computeStep(ps *prefixState, st *obs.Span) {
 // strategy gates are monotone), so the whole subtree still owing f is
 // infeasible. trace parents the preparation's "dp.pricing" span when this
 // call is the one that prepares.
+//
+// The preparation starts from a copy of the evaluator carrier the prefix's
+// own step was prepared with, so a factor equal to the prefix's last one
+// keeps every evaluator still exact at these shapes (dp.Problem.Reuse):
+// they are that step's shapes divided, the monotone condition reuse relies
+// on.
 func (s *orderSearch) lowerBoundFor(ps *prefixState, f int64, trace *obs.Span) *lbQuery {
 	ps.lbMu.Lock()
 	q, ok := ps.lb[f]
@@ -343,6 +376,7 @@ func (s *orderSearch) lowerBoundFor(ps *prefixState, f int64, trace *obs.Span) *
 	}
 	ps.lbMu.Unlock()
 	q.once.Do(func() {
+		q.reuse = ps.reuse
 		q.prob = dp.Problem{
 			Coarse:         s.c,
 			K:              f,
@@ -352,6 +386,7 @@ func (s *orderSearch) lowerBoundFor(ps *prefixState, f int64, trace *obs.Span) *
 			MaxStates:      s.opts.MaxStates,
 			Parallelism:    s.opts.Parallelism,
 			Cache:          s.cache,
+			Reuse:          &q.reuse,
 			Trace:          trace,
 			Cancel:         s.opts.Cancel,
 		}
@@ -806,6 +841,7 @@ func (s *orderSearch) run() (*winner, error) {
 		s.trace.SetInt("expanded", int64(s.stats.Expanded))
 		s.trace.SetInt("pruned", int64(s.stats.Pruned))
 		s.trace.SetInt("dp_solves", int64(s.stats.DPSolves))
+		s.trace.SetInt("replays", int64(s.stats.Replays))
 		s.trace.SetInt("leaves", int64(s.stats.Leaves))
 		s.trace.SetFloat("best_cost", s.bestCost)
 	}

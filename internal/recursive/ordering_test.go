@@ -91,9 +91,9 @@ func TestOrderingDifferentialByteIdentical(t *testing.T) {
 			if st.Orderings != flatStats.Orderings {
 				t.Errorf("%s/%s: tree sees %d orderings, flat %d", c.tp.Name, c.cfg, st.Orderings, flatStats.Orderings)
 			}
-			if st.DPSolves >= st.FlatDPSolves && st.FlatDPSolves > st.Orderings {
-				t.Errorf("%s/%s: prefix sharing saved nothing (%d dp solves vs %d flat)",
-					c.tp.Name, c.cfg, st.DPSolves, st.FlatDPSolves)
+			if steps := st.DPSolves + st.Replays; steps >= st.FlatDPSolves && st.FlatDPSolves > st.Orderings {
+				t.Errorf("%s/%s: prefix sharing saved nothing (%d dp steps vs %d flat)",
+					c.tp.Name, c.cfg, steps, st.FlatDPSolves)
 			}
 		}
 	}
@@ -174,18 +174,27 @@ func TestOrderingSpaceGuard(t *testing.T) {
 // 5x fewer DP steps than the flat enumeration would. The floor and the
 // orderings / flat-solve pins hold on the default pool (parallelism 0 =
 // GOMAXPROCS, which CI's -cpu 1,2,8 step varies) as well as at parallelism
-// 1, where the counter is exact and so also has a ceiling: a rise there is
-// a change of policy, not noise.
+// 1, where the counters are exact and so also have ceilings: a rise there
+// is a change of policy, not noise. The steps (swept or replayed) pin the
+// prefix sharing, the sweeps the step memo. So do the dense-table lookups the
+// search's preparations make at parallelism 1: an equal-factor child reuses
+// its parent step's evaluators, which look nothing up.
 func TestOrderingSearchEffort(t *testing.T) {
 	cases := []struct {
 		prof      string
 		cfg       models.Config
 		orderings int
-		dpSolves  int // ceiling at parallelism 1
+		steps     int // ceilings at parallelism 1: DP steps (one per distinct factor prefix),
+		dpSolves  int // the sweeps among them,
+		lookups   int // and dense-table lookups (PriceCache.TableStats hits + fills)
 	}{
-		{"cluster-2x8", models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}, 4, 4},
-		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 3, Width: 2048, Batch: 128}, 60, 6},
-		{"cluster-8x2x8", models.Config{Family: "mlp", Depth: 3, Width: 4096, Batch: 256}, 140, 7},
+		// All-2 pools, one prefix per depth: every step after the first
+		// replays its sweep. Before children started from their parent
+		// step's evaluators, the preparations looked up 596, 216 and 252
+		// tables.
+		{"cluster-2x8", models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}, 4, 4, 1, 149},
+		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 3, Width: 2048, Batch: 128}, 60, 6, 1, 36},
+		{"cluster-8x2x8", models.Config{Family: "mlp", Depth: 3, Width: 4096, Batch: 256}, 140, 7, 1, 36},
 	}
 	for _, c := range cases {
 		tp, err := topo.Profile(c.prof)
@@ -198,11 +207,18 @@ func TestOrderingSearchEffort(t *testing.T) {
 		}
 		for _, par := range []int{1, 0} {
 			var st SearchStats
-			if _, err := Partition(m.G, int64(tp.NumGPUs()), Options{Topology: &tp, Parallelism: par, Stats: &st}); err != nil {
+			cache := dp.NewPriceCache()
+			if _, err := Partition(m.G, int64(tp.NumGPUs()), Options{Topology: &tp, Parallelism: par, Stats: &st, Cache: cache}); err != nil {
 				t.Fatalf("%s par=%d: %v", c.prof, par, err)
 			}
-			if par == 1 && st.DPSolves > c.dpSolves {
-				t.Errorf("%s: %d dp solves, ceiling %d", c.prof, st.DPSolves, c.dpSolves)
+			steps := st.DPSolves + st.Replays
+			if par == 1 {
+				hits, fills, _ := cache.TableStats()
+				t.Logf("%s %s: %d dp sweeps, %d replayed, %d table lookups", c.prof, c.cfg, st.DPSolves, st.Replays, hits+fills)
+				if steps > c.steps || st.DPSolves > c.dpSolves || hits+fills > int64(c.lookups) {
+					t.Errorf("%s: %d dp steps, %d swept, and %d table lookups; ceilings %d, %d and %d",
+						c.prof, steps, st.DPSolves, hits+fills, c.steps, c.dpSolves, c.lookups)
+				}
 			}
 			if st.Orderings != c.orderings {
 				t.Errorf("%s par=%d: orderings = %d, want %d", c.prof, par, st.Orderings, c.orderings)
@@ -210,8 +226,9 @@ func TestOrderingSearchEffort(t *testing.T) {
 			if st.FlatDPSolves != c.orderings*len(topoPool(tp)) {
 				t.Errorf("%s par=%d: flat dp solves = %d, want %d", c.prof, par, st.FlatDPSolves, c.orderings*len(topoPool(tp)))
 			}
-			if tp.NumGPUs() >= 64 && st.DPSolves*5 > st.FlatDPSolves {
-				t.Errorf("%s par=%d: dp solves %d not >=5x below flat %d", c.prof, par, st.DPSolves, st.FlatDPSolves)
+			// On steps, so it bounds the sweeps too.
+			if tp.NumGPUs() >= 64 && steps*5 > st.FlatDPSolves {
+				t.Errorf("%s par=%d: dp steps %d not >=5x below flat %d", c.prof, par, steps, st.FlatDPSolves)
 			}
 		}
 	}
@@ -417,7 +434,7 @@ func TestOrderingSearchSupersedesBlockFallback(t *testing.T) {
 	if best > blockBest*(1+1e-9) {
 		t.Errorf("full-space optimum %g worse than block-fallback best %g", best, blockBest)
 	}
-	if st.DPSolves*5 > st.FlatDPSolves {
-		t.Errorf("dp solves %d not >=5x below flat %d over the full space", st.DPSolves, st.FlatDPSolves)
+	if steps := st.DPSolves + st.Replays; steps*5 > st.FlatDPSolves {
+		t.Errorf("dp steps %d not >=5x below flat %d over the full space", steps, st.FlatDPSolves)
 	}
 }

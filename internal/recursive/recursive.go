@@ -80,14 +80,16 @@ type Options struct {
 	// either way; this is the differential-test oracle and the
 	// before/after benchmark baseline, not a production mode.
 	TopoExhaustive bool
-	// Stats, when non-nil, receives the ordering-search effort counters of
-	// a topology-aware Partition call (untouched in flat mode).
+	// Stats, when non-nil, receives the search-effort counters: all of them
+	// for a topology-aware Partition call, only DPSolves and Replays in flat
+	// mode (Orderings stays 0 there).
 	Stats *SearchStats
 	// Trace, if non-nil, records the search's span tree under the given
 	// parent: "coarsen", per-factor "recursive.step" spans (each wrapping
-	// its dp.Solve), and in topology-aware mode the "order.search" tree
-	// with per-prefix expansion and prune spans. nil (the default) records
-	// nothing and costs nothing; spans never influence the chosen plan.
+	// its dp.Solve, or marked replayed=1 when the step memo served it), and
+	// in topology-aware mode the "order.search" tree with per-prefix
+	// expansion and prune spans. nil (the default) records nothing and costs
+	// nothing; spans never influence the chosen plan.
 	Trace *obs.Span
 	// Cancel, if non-nil, is polled at every factor step and
 	// branch-and-bound expansion. When it trips, the topology-aware
@@ -282,7 +284,11 @@ func search(c *coarsen.Coarse, k int64, opts Options) (*winner, error) {
 	if cache == nil {
 		cache = dp.NewPriceCache()
 	}
-	w, err := runSteps(g, c, k, factors, nil, opts, cache, nil)
+	var stats SearchStats
+	w, err := runSteps(g, c, k, factors, nil, opts, cache, &stats)
+	if opts.Stats != nil {
+		*opts.Stats = stats
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -296,10 +302,10 @@ func search(c *coarsen.Coarse, k int64, opts Options) (*winner, error) {
 
 // runSteps runs the per-factor DP sequence — the body of the recursive
 // algorithm. levels, when non-nil, annotates each step with the interconnect
-// level its communication crosses. nSolves, when non-nil, counts the DP
-// executions (the flat enumeration's search-effort metric).
+// level its communication crosses. stats, when non-nil, counts the sweeps run
+// and replayed (DPSolves, Replays).
 func runSteps(g *graph.Graph, c *coarsen.Coarse, k int64, factors []int64, levels []int,
-	opts Options, cache *dp.PriceCache, nSolves *int) (*winner, error) {
+	opts Options, cache *dp.PriceCache, stats *SearchStats) (*winner, error) {
 
 	// Current (progressively divided) shape of every tensor — clones owned by
 	// this search and divided in place below.
@@ -309,8 +315,10 @@ func runSteps(g *graph.Graph, c *coarsen.Coarse, k int64, factors []int64, level
 	w := &winner{plan: p, results: make([]*dp.Result, 0, len(factors)), final: shapes}
 	mult := int64(1)
 	// Consecutive equal-factor steps reuse unchanged slot evaluators (same
-	// Coarse, DType and filter throughout — see dp.Problem.Reuse).
+	// Coarse, DType and filter throughout — see dp.Problem.Reuse), and a step
+	// whose sweep repeats an earlier one's replays it.
 	reuse := &dp.EvalReuse{}
+	var memo dp.StepMemo
 	for i, ki := range factors {
 		if opts.Cancel.Cancelled() {
 			// A partial factor chain multiplies to less than k — not a plan.
@@ -324,7 +332,7 @@ func runSteps(g *graph.Graph, c *coarsen.Coarse, k int64, factors []int64, level
 		if levels != nil {
 			st.SetInt("level", int64(levels[i]))
 		}
-		res, err := dp.Solve(&dp.Problem{
+		pr, err := dp.Prepare(&dp.Problem{
 			Coarse:         c,
 			K:              ki,
 			Shapes:         shapes,
@@ -337,12 +345,20 @@ func runSteps(g *graph.Graph, c *coarsen.Coarse, k int64, factors []int64, level
 			Trace:          st,
 			Cancel:         opts.Cancel,
 		})
+		var res *dp.Result
+		replayed := false
+		if err == nil {
+			res, replayed, err = memo.Solve(pr)
+		}
+		if replayed {
+			st.SetInt("replayed", 1)
+		}
 		st.End()
 		if err != nil {
 			return nil, fmt.Errorf("recursive: step %d (x%d): %w", len(p.Steps)+1, ki, err)
 		}
-		if nSolves != nil {
-			*nSolves++
+		if stats != nil {
+			stats.countStep(replayed)
 		}
 		step := &plan.Step{
 			K:          ki,
@@ -441,7 +457,7 @@ func partitionTopoFlat(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topol
 			levels[i] = fl.level
 		}
 		stats.FlatDPSolves += len(ord)
-		w, err := runSteps(g, c, k, factors, levels, opts, cache, &stats.DPSolves)
+		w, err := runSteps(g, c, k, factors, levels, opts, cache, &stats)
 		if err != nil {
 			if cancel.IsCancellation(err) {
 				// A cancelled chain is not an infeasible one: keep it out of
