@@ -8,7 +8,7 @@
 //	tofu-serve [-addr :8080] [-cache-size 128] [-cache-bytes N] [-pool N]
 //	           [-queue-depth 64] [-sync-wait 2s] [-parallel N]
 //	           [-drain-timeout 30s] [-store DIR] [-store-fsync]
-//	           [-tenant-quota N] [-sweep manifest.json] [-sweep-interval 250ms]
+//	           [-tenant-quota N]
 //	           [-search-deadline D] [-search-watchdog D] [-degraded-policy serve|fail]
 //	           [-faultfs SPEC] [-log-format text|json] [-pprof]
 //
@@ -25,9 +25,9 @@
 // -store layers a persistent content-addressed plan store under the in-memory
 // LRU: plans computed by any replica sharing DIR are served from disk (after
 // checksum and digest verification) instead of re-searched, across restarts.
-// -sweep precomputes a fleet manifest's plans in the background using idle
-// capacity only; user traffic always takes priority. -tenant-quota bounds the
-// concurrent searches any one Tofu-Tenant header may hold (429 beyond it).
+// The daemon never scans DIR: an entry is read when a request for its digest
+// misses the LRU. -tenant-quota bounds the concurrent searches any one
+// Tofu-Tenant header may hold (429 beyond it).
 //
 // Every request and finished search is logged structurally via log/slog
 // (trace id, digest, cache outcome, tenant, duration); -log-format json
@@ -96,10 +96,6 @@ func main() {
 		"what to do with deadline-stopped incumbents: serve (with a Tofu-Degraded header) or fail (503)")
 	faultSpec := flag.String("faultfs", "",
 		"store fault-injection spec for chaos testing, e.g. 'read:*.plan:corrupt:3' (empty = off)")
-	sweepPath := flag.String("sweep", "",
-		"fleet manifest JSON to precompute in the background on idle capacity")
-	sweepInterval := flag.Duration("sweep-interval", 250*time.Millisecond,
-		"idle-poll cadence of the manifest sweeper")
 	logFormat := flag.String("log-format", "text",
 		"structured log format: text (logfmt-style) or json")
 	pprofOn := flag.Bool("pprof", false,
@@ -161,21 +157,6 @@ func main() {
 		Logger:          logger,
 	})
 
-	var sweeper *service.Sweeper
-	if *sweepPath != "" {
-		data, err := os.ReadFile(*sweepPath)
-		if err != nil {
-			fatal(err)
-		}
-		reqs, digests, err := service.ParseManifest(data)
-		if err != nil {
-			fatal(fmt.Errorf("sweep manifest %s: %w", *sweepPath, err))
-		}
-		sweeper = svc.StartSweeper(reqs, digests, *sweepInterval)
-		logger.Info("sweeping manifest on idle capacity",
-			"entries", len(reqs), "interval", sweepInterval.String())
-	}
-
 	mux := svc.Handler()
 	if *pprofOn {
 		root := http.NewServeMux()
@@ -233,9 +214,6 @@ func main() {
 		return
 	}
 
-	if sweeper != nil {
-		sweeper.Stop()
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

@@ -51,7 +51,7 @@ type strat struct {
 // Header is the part of a serialized plan the serving tier reads after
 // verifying it: which request it answers, for how many workers, whether the
 // search was cut short, and the realized ordering (factor and interconnect
-// level per step) that seeds neighboring searches and the store's index.
+// level per step) that the store records in each entry's header.
 type Header struct {
 	Digest   string
 	Workers  int64

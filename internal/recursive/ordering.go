@@ -79,13 +79,6 @@ type SearchStats struct {
 	// BestCost is the winning bandwidth-weighted communication time Σ δ/B
 	// in seconds.
 	BestCost float64 `json:"best_cost"`
-	// WarmStart reports that Options.WarmStart supplied a valid, feasible
-	// seed ordering whose cost (WarmCost) primed the incumbent before any
-	// tree expansion — pruning fires from the first pop instead of waiting
-	// for the naive dive's (often looser) cost. The chosen plan is
-	// byte-identical with or without a seed; only the effort counters move.
-	WarmStart bool    `json:"warm_start,omitempty"`
-	WarmCost  float64 `json:"warm_cost,omitempty"`
 }
 
 // countStep books one DP step, swept or replayed.
@@ -150,7 +143,7 @@ type lbQuery struct {
 // its accumulated weighted cost and admissible total bound. Nodes are LAZY:
 // a child is pushed with its parent's evaluated state and the parent's bound
 // as a provisional priority, and runs its own DP step only when popped — so
-// a strong incumbent (a warm-start seed, or an early leaf) prunes whole
+// a strong incumbent (the dive, or an early leaf) prunes whole
 // subtrees before their prefix DP ever runs, instead of after.
 type obNode struct {
 	steps  []factorLevel
@@ -295,8 +288,8 @@ func (s *orderSearch) prefixFor(parent *prefixState, key string, f int64) *prefi
 // monotonicity the lastDelta gate relies on (a descendant's shapes divide
 // this prefix's shapes, so its strategy set only shrinks while Lemma 1
 // keeps the pricing), it lower-bounds placing f anywhere deeper. That makes
-// it the tightest admissible per-step gate available; a warm-start seed
-// plants exactly these states along the winning chain before the first pop.
+// it the tightest admissible per-step gate available; the dive plants
+// exactly these states along its chain before the first pop.
 func (s *orderSearch) memoDelta(key string, f int64) (float64, bool) {
 	var buf [64]byte // a peek builds its key on the stack; only a new prefix keeps one
 	ck := appendChildKey(buf[:0], key, f)
@@ -429,9 +422,9 @@ func (s *orderSearch) offerLeaf(steps []factorLevel, ranks []uint8, cost float64
 }
 
 // offerLocked applies the incumbent update rule (strict improvement, then
-// rank-lex tie-break) under s.mu. Seeding paths (dive, warm start) share it
-// with offerLeaf so a seed can never displace an equal-cost lex-smaller
-// ordering the tree finds later.
+// rank-lex tie-break) under s.mu. The dive shares it with offerLeaf so its
+// seed can never displace an equal-cost lex-smaller ordering the tree finds
+// later.
 func (s *orderSearch) offerLocked(steps []factorLevel, ranks []uint8, cost float64) {
 	if !s.bestSet || cost < s.bestCost ||
 		(cost == s.bestCost && lexLess(ranks, s.bestRanks)) {
@@ -630,11 +623,12 @@ func (s *orderSearch) children(n *obNode, ps *prefixState, g, bound float64, rem
 	return out
 }
 
-// dive evaluates the naive hierarchy-following ordering (the pool itself,
-// the rank-lex-first leaf) to seed the incumbent before any best-first
-// expansion; its prefix states are the ones the tree reuses first. The leaf
-// count is left to the tree walk, which revisits this ordering through
-// shared prefixes at zero DP cost.
+// dive walks the naive hierarchy-following ordering (the pool itself, the
+// rank-lex-first leaf) through the memoized prefix chain and offers its cost
+// to the incumbent before any best-first expansion; its prefix states are the
+// ones the tree reuses first. The dive never counts as a leaf: the tree walk
+// revisits this ordering through shared prefixes at zero DP cost, so the
+// final plan is the tree's choice either way.
 func (s *orderSearch) dive() {
 	ranks := make([]uint8, 0, len(s.pool))
 	for i := range s.uniq {
@@ -642,7 +636,21 @@ func (s *orderSearch) dive() {
 			ranks = append(ranks, uint8(i))
 		}
 	}
-	s.seedOrdering(s.pool, ranks)
+	ps := s.rootPS
+	key := ""
+	g := 0.0
+	for _, fl := range s.pool {
+		key = childKey(key, fl.f)
+		ps = s.prefixFor(ps, key, fl.f)
+		if ps.err != nil {
+			s.addErr(ps.err)
+			return
+		}
+		g += ps.res.CommBytes / s.tp.LevelBandwidth(fl.level)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.offerLocked(s.pool, ranks, g)
 }
 
 // pruneSpan records one branch-and-bound prune as an instant span.
@@ -656,62 +664,6 @@ func (s *orderSearch) pruneSpan(key string, bound float64) {
 	pr.End()
 }
 
-// seedOrdering walks one complete ordering through the (memoized) prefix
-// chain and offers its cost to the incumbent, returning that cost and
-// whether the whole chain was feasible. Seeds never count as leaves; the
-// tree walk re-offers the same ordering through shared prefixes at zero DP
-// cost, so the final plan is the tree's choice either way.
-func (s *orderSearch) seedOrdering(order []factorLevel, ranks []uint8) (float64, bool) {
-	ps := s.rootPS
-	key := ""
-	g := 0.0
-	for _, fl := range order {
-		key = childKey(key, fl.f)
-		ps = s.prefixFor(ps, key, fl.f)
-		if ps.err != nil {
-			s.addErr(ps.err)
-			return 0, false
-		}
-		g += ps.res.CommBytes / s.tp.LevelBandwidth(fl.level)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.offerLocked(order, ranks, g)
-	return g, true
-}
-
-// warmOrder validates Options.WarmStart against the pool: the seed must be
-// a permutation of exactly the machine's (factor, level) multiset. An
-// invalid seed is ignored (the caller falls back to the naive dive) — seeds
-// are advisory; they can never change the plan, only the search effort.
-func (s *orderSearch) warmOrder() ([]factorLevel, []uint8, bool) {
-	w := s.opts.WarmStart
-	if len(w) != len(s.pool) {
-		return nil, nil, false
-	}
-	rem := make([]int, len(s.counts))
-	copy(rem, s.counts)
-	order := make([]factorLevel, len(w))
-	ranks := make([]uint8, len(w))
-	for i, ws := range w {
-		fl := factorLevel{f: ws.Factor, level: ws.Level}
-		found := false
-		for j, u := range s.uniq {
-			if u == fl && rem[j] > 0 {
-				rem[j]--
-				order[i] = fl
-				ranks[i] = uint8(j)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, nil, false
-		}
-	}
-	return order, ranks, true
-}
-
 // run drains the branch-and-bound tree and assembles the winning plan.
 func (s *orderSearch) run() (*winner, error) {
 	s.trace = s.opts.Trace.Child("order.search")
@@ -719,23 +671,7 @@ func (s *orderSearch) run() (*winner, error) {
 	s.stats.Orderings = multinomial(s.counts)
 	s.stats.FlatDPSolves = s.stats.Orderings * len(s.pool)
 
-	// Seed the incumbent: the warm-start ordering when one is supplied and
-	// valid (its prefix chain is the one a neighboring request already found
-	// to win), then always the naive hierarchy-following dive — the
-	// incumbent keeps whichever is better, so a poor seed can only waste its
-	// own chain's DP steps, never add any elsewhere.
-	if order, ranks, ok := s.warmOrder(); ok {
-		warm := s.trace.Child("order.seed")
-		warm.SetStr("kind", "warm")
-		if cost, feasible := s.seedOrdering(order, ranks); feasible {
-			s.mu.Lock()
-			s.stats.WarmStart = true
-			s.stats.WarmCost = cost
-			s.mu.Unlock()
-			warm.SetFloat("cost", cost)
-		}
-		warm.End()
-	}
+	// Seed the incumbent with the naive hierarchy-following dive.
 	dive := s.trace.Child("order.seed")
 	dive.SetStr("kind", "dive")
 	s.dive()
@@ -766,8 +702,7 @@ func (s *orderSearch) run() (*winner, error) {
 		// Pop up to par surviving nodes and evaluate them concurrently;
 		// their shared prefix work dedupes through the once-guarded memos.
 		// A node whose provisional bound already exceeds the incumbent dies
-		// here, BEFORE its DP step runs — with a warm-started incumbent this
-		// fires from the very first expansion round.
+		// here, BEFORE its DP step runs.
 		batch = batch[:0]
 		for len(batch) < par && pq.Len() > 0 {
 			if s.opts.Cancel.Cancelled() {
@@ -780,7 +715,7 @@ func (s *orderSearch) run() (*winner, error) {
 			if !prune && len(n.steps) > 0 {
 				// Re-bound against the CURRENT memo state before paying
 				// for the node's DP step: realized δs learned since this
-				// node was pushed (the warm-start chain above all) often
+				// node was pushed (the dive's chain above all) often
 				// lift the parent-scope bound past the incumbent. All the
 				// ingredients are memoized, so this costs map lookups.
 				rem = s.remaining(rem, n.ranks[:len(n.ranks)-1])

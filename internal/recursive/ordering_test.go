@@ -169,32 +169,39 @@ func TestOrderingSpaceGuard(t *testing.T) {
 	}
 }
 
-// TestOrderingSearchEffort locks in the acceptance numbers: on the 3-level
-// 64- and 128-GPU clusters the prefix-shared branch-and-bound runs at least
-// 5x fewer DP steps than the flat enumeration would. The floor and the
-// orderings / flat-solve pins hold on the default pool (parallelism 0 =
-// GOMAXPROCS, which CI's -cpu 1,2,8 step varies) as well as at parallelism
-// 1, where the counters are exact and so also have ceilings: a rise there
-// is a change of policy, not noise. The steps (swept or replayed) pin the
-// prefix sharing, the sweeps the step memo. So do the dense-table lookups the
-// search's preparations make at parallelism 1: an equal-factor child reuses
-// its parent step's evaluators, which look nothing up.
+// TestOrderingSearchEffort locks in the acceptance numbers: on the 3- and
+// 4-level clusters of 64 GPUs and more the prefix-shared branch-and-bound
+// runs at least 5x fewer DP steps than the flat enumeration would. The
+// floor, the orderings / flat-solve pins and the branch-and-bound node
+// counts (expanded and pruned, exact at any pool size because pruning is
+// strict and the incumbent is the dive's before the first pop) hold on the
+// default pool (parallelism 0 = GOMAXPROCS, which CI's -cpu 1,2,8 step
+// varies) as well as at parallelism 1, where the step counters are exact
+// too and so also have ceilings: a rise there is a change of policy, not
+// noise. The steps (swept or replayed) pin the prefix sharing, the sweeps
+// the step memo. So do the dense-table lookups the search's preparations
+// make at parallelism 1: an equal-factor child reuses its parent step's
+// evaluators, which look nothing up.
 func TestOrderingSearchEffort(t *testing.T) {
 	cases := []struct {
-		prof      string
-		cfg       models.Config
-		orderings int
-		steps     int // ceilings at parallelism 1: DP steps (one per distinct factor prefix),
-		dpSolves  int // the sweeps among them,
-		lookups   int // and dense-table lookups (PriceCache.TableStats hits + fills)
+		prof             string
+		cfg              models.Config
+		orderings        int
+		expanded, pruned int // exact: branch-and-bound nodes expanded and pruned
+		steps            int // ceilings at parallelism 1: DP steps (one per distinct factor prefix),
+		dpSolves         int // the sweeps among them,
+		lookups          int // and dense-table lookups (PriceCache.TableStats hits + fills)
 	}{
 		// All-2 pools, one prefix per depth: every step after the first
 		// replays its sweep. Before children started from their parent
 		// step's evaluators, the preparations looked up 596, 216 and 252
 		// tables.
-		{"cluster-2x8", models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}, 4, 4, 1, 149},
-		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 3, Width: 2048, Batch: 128}, 60, 6, 1, 36},
-		{"cluster-8x2x8", models.Config{Family: "mlp", Depth: 3, Width: 4096, Batch: 256}, 140, 7, 1, 36},
+		{"cluster-2x8", models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}, 4, 10, 0, 4, 1, 149},
+		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 3, Width: 2048, Batch: 128}, 60, 129, 0, 6, 1, 36},
+		{"cluster-8x2x8", models.Config{Family: "mlp", Depth: 3, Width: 4096, Batch: 256}, 140, 308, 0, 7, 1, 36},
+		// The two 4-level profiles, the only ones here where pruning fires.
+		{"cluster-2x4x2x12", models.Config{Family: "transformer", Depth: 2, Width: 1536, Batch: 24}, 1260, 676, 801, 34, 3, 2276},
+		{"cluster-2x8x2x8", models.Config{Family: "mlp", Depth: 3, Width: 3072, Batch: 48}, 1120, 225, 312, 8, 2, 44},
 	}
 	for _, c := range cases {
 		tp, err := topo.Profile(c.prof)
@@ -214,11 +221,15 @@ func TestOrderingSearchEffort(t *testing.T) {
 			steps := st.DPSolves + st.Replays
 			if par == 1 {
 				hits, fills, _ := cache.TableStats()
-				t.Logf("%s %s: %d dp sweeps, %d replayed, %d table lookups", c.prof, c.cfg, st.DPSolves, st.Replays, hits+fills)
+				t.Logf("%s %s: %d orderings, %d expanded, %d pruned, %d dp sweeps, %d replayed, %d table lookups", c.prof, c.cfg, st.Orderings, st.Expanded, st.Pruned, st.DPSolves, st.Replays, hits+fills)
 				if steps > c.steps || st.DPSolves > c.dpSolves || hits+fills > int64(c.lookups) {
 					t.Errorf("%s: %d dp steps, %d swept, and %d table lookups; ceilings %d, %d and %d",
 						c.prof, steps, st.DPSolves, hits+fills, c.steps, c.dpSolves, c.lookups)
 				}
+			}
+			if st.Expanded != c.expanded || st.Pruned != c.pruned {
+				t.Errorf("%s par=%d: expanded %d, pruned %d; want %d and %d",
+					c.prof, par, st.Expanded, st.Pruned, c.expanded, c.pruned)
 			}
 			if st.Orderings != c.orderings {
 				t.Errorf("%s par=%d: orderings = %d, want %d", c.prof, par, st.Orderings, c.orderings)

@@ -62,18 +62,6 @@ type Options struct {
 	// placement, and the hierarchical-naive baseline of the cross-topology
 	// experiments.
 	TopologyNaive bool
-	// WarmStart, when non-empty, seeds the topology-aware branch-and-bound
-	// incumbent with a candidate ordering — typically
-	// WarmOrderFromSteps(topology, neighbor plan's steps), the best cached
-	// plan of a neighboring request re-priced on this machine. The seed's
-	// prefix chain is costed first (real DP steps, shared with the tree),
-	// and its cost primes the incumbent so pruning fires from the first
-	// expansion. The chosen plan is byte-identical with or without a seed:
-	// pruning is strict and ties still break by the exhaustive
-	// enumeration's lex order. Invalid seeds (not a permutation of the
-	// machine's factor-to-level pool) are ignored. Flat searches ignore
-	// WarmStart entirely.
-	WarmStart []WarmStep
 	// TopoExhaustive forces the topology-aware search onto the flat
 	// ordering enumeration (one full recursive DP per ordering) instead of
 	// the branch-and-bound prefix tree. The chosen plan is byte-identical

@@ -59,7 +59,7 @@ func TestColdPlansPinned(t *testing.T) {
 		}
 		for _, par := range pars {
 			cache := dp.NewPriceCache()
-			val, err := computeWarm(nr, digest, par, cache, nil, nil, nil)
+			val, err := compute(nr, digest, par, cache, nil, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", c.request, err)
 			}

@@ -299,172 +299,3 @@ func TestTenantQuotaOverHTTP(t *testing.T) {
 		t.Fatalf("other tenant: %d, want 202", code)
 	}
 }
-
-// TestSweeperDrainsManifestWhenIdle: the sweeper precomputes every manifest
-// entry, but only via idle capacity — while a user search holds the service
-// busy, the sweeper stays out entirely.
-func TestSweeperDrainsManifestWhenIdle(t *testing.T) {
-	gate := make(chan struct{})
-	busy := make(chan struct{}, 1)
-	s := New(Config{
-		Workers: 1, QueueDepth: 16,
-		Compute: func(r Request) ([]byte, error) {
-			if r.Model.Width == 999 { // the user's search
-				busy <- struct{}{}
-				<-gate
-			}
-			return []byte("swept-" + r.Model.Family), nil
-		},
-	})
-	defer s.Shutdown(context.Background())
-
-	manifest := []byte(`{"format":"tofu-fleet-manifest-v1","requests":[
-		{"model":{"family":"mlp","depth":4,"width":256,"batch":64}},
-		{"model":{"family":"rnn","depth":2,"width":256,"batch":16}}]}`)
-	reqs, digests, err := ParseManifest(manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Occupy the only worker with user traffic before the sweeper starts.
-	userReq := Request{Model: models.Config{Family: "mlp", Depth: 4, Width: 999, Batch: 64}}
-	nr, err := userReq.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ud, err := nr.digestNormalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	uj, _, err := s.Submit(nr, ud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-busy
-
-	sw := s.StartSweeper(reqs, digests, time.Millisecond)
-	defer sw.Stop()
-	time.Sleep(50 * time.Millisecond)
-	if done, _ := sw.Done(); done != 0 {
-		t.Fatalf("sweeper made progress (%d) while the service was busy", done)
-	}
-	if m := s.Metrics(); m.SweepDone != 0 {
-		t.Fatalf("sweep_done = %d while busy", m.SweepDone)
-	}
-
-	close(gate)
-	<-uj.Done()
-	// The sweeper marks an entry resolved when it submits the search; the
-	// sweep_done metric lands when the search finishes. Wait for the latter.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if m := s.Metrics(); m.SweepDone == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			done, total := sw.Done()
-			m := s.Metrics()
-			t.Fatalf("sweep stalled: resolved %d/%d, done=%d failed=%d", done, total, m.SweepDone, m.SweepFailed)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if done, total := sw.Done(); done != total {
-		t.Fatalf("sweeper resolved %d/%d entries", done, total)
-	}
-	for _, d := range digests {
-		if _, ok := s.Lookup(d); !ok {
-			t.Errorf("manifest digest %s not cached after sweep", d)
-		}
-	}
-	if m := s.Metrics(); m.SweepFailed != 0 {
-		t.Fatalf("sweep_failed = %d, want 0", m.SweepFailed)
-	}
-}
-
-func TestParseManifestStrict(t *testing.T) {
-	good := `{"format":"tofu-fleet-manifest-v1","requests":[
-		{"model":{"family":"mlp","depth":4,"width":256,"batch":64}},
-		{"model":{"family":"mlp","depth":4,"width":256,"batch":64},"hw":"dgx1"}]}`
-	reqs, digests, err := ParseManifest([]byte(good))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) != 2 || len(digests) != 2 || digests[0] == digests[1] {
-		t.Fatalf("parsed %d reqs, digests %v", len(reqs), digests)
-	}
-	bad := map[string]string{
-		"wrong-format":  `{"format":"v0","requests":[{"model":{"family":"mlp","depth":4,"width":256,"batch":64}}]}`,
-		"no-requests":   `{"format":"tofu-fleet-manifest-v1","requests":[]}`,
-		"unknown-field": `{"format":"tofu-fleet-manifest-v1","requests":[],"extra":1}`,
-		"bad-request":   `{"format":"tofu-fleet-manifest-v1","requests":[{"model":{"family":"gpt"}}]}`,
-		"duplicate": `{"format":"tofu-fleet-manifest-v1","requests":[
-			{"model":{"family":"mlp","depth":4,"width":256,"batch":64}},
-			{"model":{"family":"mlp","depth":4,"width":256,"batch":64},"workers":8}]}`,
-		"trailing": `{"format":"tofu-fleet-manifest-v1","requests":[{"model":{"family":"mlp","depth":4,"width":256,"batch":64}}]} {}`,
-	}
-	for name, body := range bad {
-		if _, _, err := ParseManifest([]byte(body)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-// TestWarmStartViaNeighborIndex: after answering a model on one machine, a
-// request for the same model on a different machine is warm-started from
-// the neighbor's ordering — and still serves exactly the bytes a cold
-// one-shot search produces.
-func TestWarmStartViaNeighborIndex(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer s.Shutdown(context.Background())
-
-	model := models.Config{Family: "rnn", Depth: 2, Width: 1500, Batch: 64}
-	computeVia(t, s, Request{Model: model, HW: "dgx1"})
-	if m := s.Metrics(); m.SearchWarmStarted != 0 {
-		t.Fatalf("first search warm-started (%d) with an empty index", m.SearchWarmStarted)
-	}
-
-	req2 := Request{Model: model, HW: "cluster-2x8"}
-	_, served := computeVia(t, s, req2)
-	if m := s.Metrics(); m.SearchWarmStarted != 1 {
-		t.Fatalf("search_warm_started = %d, want 1", m.SearchWarmStarted)
-	}
-	cold, err := ComputePlan(req2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(served, cold) {
-		t.Fatal("warm-started service plan differs from the cold one-shot plan")
-	}
-}
-
-// TestNeighborIndexBootScan: a fresh service over a populated store knows
-// the fleet's plans without having computed any.
-func TestNeighborIndexBootScan(t *testing.T) {
-	dir := t.TempDir()
-	st1, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := New(Config{Workers: 1, Store: st1})
-	model := models.Config{Family: "rnn", Depth: 2, Width: 1500, Batch: 64}
-	computeVia(t, a, Request{Model: model, HW: "dgx1"})
-	if err := a.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	st2, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := New(Config{Workers: 1, Store: st2})
-	defer b.Shutdown(context.Background())
-	if got := b.neighbors.models(); len(got) != 1 {
-		t.Fatalf("boot scan indexed %v, want 1 model bucket", got)
-	}
-	// The boot-scanned neighbor warm-starts the first search of this
-	// process's life.
-	computeVia(t, b, Request{Model: model, HW: "cluster-2x8"})
-	if m := b.Metrics(); m.SearchWarmStarted != 1 {
-		t.Fatalf("search_warm_started = %d, want 1 (from boot-scanned index)", m.SearchWarmStarted)
-	}
-}

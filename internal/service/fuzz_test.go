@@ -65,54 +65,3 @@ func FuzzParseRequest(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParseManifest drives the fleet-manifest decoder with arbitrary bytes.
-// Anything it accepts must yield one digest per request, every digest
-// well-formed and pairwise distinct, and re-marshaling the parsed requests
-// into a fresh manifest must parse back to the same digest list — so a
-// sweeper restarted from a rewritten manifest resolves the same fleet. Seed
-// corpus: single- and multi-entry manifests plus rejected shapes under
-// testdata/fuzz.
-func FuzzParseManifest(f *testing.F) {
-	f.Add([]byte(`{"format":"tofu-fleet-manifest-v1","requests":[{"model":{"family":"mlp","depth":4,"width":64,"batch":8}}]}`))
-	f.Add([]byte(`{"format":"tofu-fleet-manifest-v1","requests":[{"model":{"family":"mlp","depth":4,"width":64,"batch":8},"hw":"dgx1"},{"model":{"family":"rnn","depth":2,"width":128,"batch":16},"workers":4}]}`))
-	f.Add([]byte(`{"format":"v0","requests":[{"model":{"family":"mlp","depth":4,"width":64,"batch":8}}]}`))                                                                               // wrong format
-	f.Add([]byte(`{"format":"tofu-fleet-manifest-v1","requests":[]}`))                                                                                                                    // empty fleet
-	f.Add([]byte(`{"format":"tofu-fleet-manifest-v1","requests":[{"model":{"family":"mlp","depth":4,"width":64,"batch":8}},{"model":{"family":"mlp","depth":4,"width":64,"batch":8}}]}`)) // duplicate
-	f.Fuzz(func(t *testing.T, data []byte) {
-		reqs, digests, err := service.ParseManifest(data)
-		if err != nil {
-			return
-		}
-		if len(reqs) == 0 || len(reqs) != len(digests) {
-			t.Fatalf("accepted manifest: %d requests, %d digests", len(reqs), len(digests))
-		}
-		seen := make(map[string]bool, len(digests))
-		for i, d := range digests {
-			if !strings.HasPrefix(d, "sha256:") || len(d) != len("sha256:")+64 {
-				t.Fatalf("malformed digest %q", d)
-			}
-			if seen[d] {
-				t.Fatalf("duplicate digest %s survived parsing", d)
-			}
-			seen[d] = true
-			got, err := reqs[i].Digest()
-			if err != nil || got != d {
-				t.Fatalf("request %d digest mismatch: %q vs %q (%v)", i, got, d, err)
-			}
-		}
-		out, err := json.Marshal(service.Manifest{Format: service.ManifestFormat, Requests: reqs})
-		if err != nil {
-			t.Fatalf("accepted manifest does not re-marshal: %v", err)
-		}
-		_, d2, err := service.ParseManifest(out)
-		if err != nil {
-			t.Fatalf("re-marshaled manifest rejected: %v\n%s", err, out)
-		}
-		for i := range digests {
-			if d2[i] != digests[i] {
-				t.Fatalf("digest %d changed across round trip: %s became %s", i, digests[i], d2[i])
-			}
-		}
-	})
-}

@@ -27,15 +27,13 @@ type Metrics struct {
 
 	// Ordering-search effort, summed over topology-aware searches: the
 	// candidate spaces seen, branch-and-bound nodes expanded (search
-	// steps) and pruned, DP steps run, the DP steps a flat enumeration
-	// would have run instead, and how many searches started from a
-	// neighbor-seeded incumbent.
+	// steps) and pruned, DP steps computed (swept or replayed by the step
+	// memo), and the DP steps a flat enumeration would have run instead.
 	searchOrderings   atomic.Int64
 	searchSteps       atomic.Int64
 	searchPruned      atomic.Int64
 	searchDPSteps     atomic.Int64
 	searchDPStepsFlat atomic.Int64
-	searchWarm        atomic.Int64
 
 	// Anytime-search outcomes: searches whose deadline stopped them with an
 	// incumbent (degraded), searches cancelled before any incumbent existed,
@@ -50,10 +48,8 @@ type Metrics struct {
 	storeServed  atomic.Int64
 	storeBadPlan atomic.Int64
 
-	// Per-tenant quota rejections and speculative-sweep completions.
+	// Per-tenant quota rejections.
 	tenantRejected atomic.Int64
-	sweepDone      atomic.Int64
-	sweepFailed    atomic.Int64
 
 	mu     sync.Mutex
 	lat    [latWindow]time.Duration
@@ -68,11 +64,10 @@ func (m *Metrics) observeOrderingSearch(st recursive.SearchStats) {
 	m.searchOrderings.Add(int64(st.Orderings))
 	m.searchSteps.Add(int64(st.Expanded))
 	m.searchPruned.Add(int64(st.Pruned))
-	m.searchDPSteps.Add(int64(st.DPSolves))
+	// A step the step memo replayed is still a step: counting sweeps alone
+	// would make the family incomparable with search_dp_steps_flat.
+	m.searchDPSteps.Add(int64(st.DPSolves + st.Replays))
 	m.searchDPStepsFlat.Add(int64(st.FlatDPSolves))
-	if st.WarmStart {
-		m.searchWarm.Add(1)
-	}
 }
 
 func (m *Metrics) observeSearch(d time.Duration) {
@@ -148,10 +143,8 @@ type Snapshot struct {
 	StoreBadPlan     int64 `json:"store_bad_plan"`
 	StorePutErrors   int64 `json:"store_put_errors"`
 	// TenantRejected counts per-tenant quota 429s (before global
-	// backpressure); Sweep* count speculative-precompute completions.
+	// backpressure).
 	TenantRejected int64 `json:"tenant_rejected"`
-	SweepDone      int64 `json:"sweep_done"`
-	SweepFailed    int64 `json:"sweep_failed"`
 	// Pricing* report the cross-request pricing-reuse layer: resident model
 	// buckets, per-slot pricing hits vs builds across all searches, and
 	// bucket-level model hits vs creations, and the dense slot-table memo's
@@ -167,15 +160,13 @@ type Snapshot struct {
 	PricingTableBytes int64 `json:"pricing_table_bytes"`
 	// Search* report cumulative topology-aware ordering-search effort: the
 	// candidate orderings examined, branch-and-bound nodes expanded (search
-	// steps) and pruned, DP steps actually run, what a flat enumeration
-	// would have cost, and how many searches were warm-started from a
-	// neighboring cached plan.
+	// steps) and pruned, DP steps computed (swept, or replayed by the step
+	// memo) and what a flat enumeration would have cost.
 	SearchOrderings   int64 `json:"search_orderings"`
 	SearchSteps       int64 `json:"search_steps"`
 	SearchPruned      int64 `json:"search_pruned"`
 	SearchDPSteps     int64 `json:"search_dp_steps"`
 	SearchDPStepsFlat int64 `json:"search_dp_steps_flat"`
-	SearchWarmStarted int64 `json:"search_warm_started"`
 	// SearchDegraded counts searches the deadline stopped with a served
 	// incumbent; SearchCancelled counts searches cancelled before any
 	// incumbent existed; DeadlineRejected counts deadline-bounded requests

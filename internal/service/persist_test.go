@@ -3,21 +3,23 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"tofu/internal/models"
 	"tofu/internal/plan"
-	"tofu/internal/recursive"
 	"tofu/internal/store"
 )
 
 // TestSearchResultVerifiedOnce drives run's single verification through the
 // Compute seam: the one plan.Verify on the seam's bytes decides whether a
 // result is degraded, and its header is what persist writes into the store
-// entry and the warm-start neighbor index. Three searches — a plan, a
-// degraded plan, bytes that are no plan — each compute exactly once.
+// entry. Three searches — a plan, a degraded plan, bytes that are no plan —
+// each compute exactly once.
 func TestSearchResultVerifiedOnce(t *testing.T) {
 	planFor := func(digest string, degraded bool) []byte {
 		raw, err := json.Marshal(plan.Export{
@@ -67,8 +69,8 @@ func TestSearchResultVerifiedOnce(t *testing.T) {
 		return j
 	}
 
-	// A plan: cached, stored under the header's workers and ordering, and
-	// indexed as a warm-start neighbor of its model.
+	// A plan: cached, and stored under its model digest and the header's
+	// workers and ordering.
 	if j := search(1, good); j.Degraded() {
 		t.Fatal("complete plan marked degraded")
 	}
@@ -83,11 +85,6 @@ func TestSearchResultVerifiedOnce(t *testing.T) {
 	if wantSteps := []store.Step{{Factor: 4, Level: 1}, {Factor: 2, Level: 0}}; meta.Workers != 8 ||
 		meta.ModelDigest != md || !reflect.DeepEqual(meta.Steps, wantSteps) {
 		t.Fatalf("store header %+v, want workers 8, model %s, steps %v", meta, md, wantSteps)
-	}
-	wantWarm := []recursive.WarmStep{{Factor: 4, Level: 1}, {Factor: 2, Level: 0}}
-	if got := s.neighbors.byModel[md]; len(got) != 1 || got[0].digest != good || got[0].workers != 8 ||
-		!reflect.DeepEqual(got[0].steps, wantWarm) {
-		t.Fatalf("neighbor index %+v, want one entry for %s with %v", got, good, wantWarm)
 	}
 	if _, ok := s.Lookup(good); !ok {
 		t.Fatal("complete plan missing from the cache")
@@ -110,9 +107,6 @@ func TestSearchResultVerifiedOnce(t *testing.T) {
 	}
 	if puts := st.Stats().Puts; puts != 1 {
 		t.Fatalf("store puts = %d, want 1 (only the complete plan)", puts)
-	}
-	if got := s.neighbors.models(); !reflect.DeepEqual(got, []string{md}) {
-		t.Fatalf("neighbor index buckets %v, want only %s", got, md)
 	}
 	for depth := 1; depth <= 3; depth++ {
 		if computes[depth] != 1 {
@@ -147,6 +141,67 @@ func TestSearchResultVerifiedOnce(t *testing.T) {
 	}
 	if snap := b.Metrics(); snap.StoreServed != 1 || snap.StoreBadPlan != 1 {
 		t.Fatalf("metrics %+v, want StoreServed=1 StoreBadPlan=1", snap)
+	}
+}
+
+// storeEntryV1 is a FormatV1 entry exactly as the service wrote it before
+// the store headers' model_digest and steps lost their last reader: a
+// two-step plan of mlp-1-256@64 on 8 workers, answering digest 35.
+const storeEntryV1 = `{"format":"tofu-plan-store-v1","digest":"sha256:0000000000000000000000000000000000000000000000000000000000000023","model_digest":"df0b2ba914ee760b799dc9bbb9e31c549e7386c8d46f6c162fbc3170ddd0fd28","workers":8,"steps":[{"factor":4,"level":1},{"factor":2,"level":0}],"plan_sha256":"a371dcefc86a4874a29da08bfe289b3818923f192230608cb257e03271b21fd3","plan_bytes":293}
+{"digest":"sha256:0000000000000000000000000000000000000000000000000000000000000023","workers":8,"steps":[{"ways":4,"multiplier":1,"comm_bytes":3,"level":1,"tensor_cut":null,"op_strategy":null},{"ways":2,"multiplier":4,"comm_bytes":5,"tensor_cut":null,"op_strategy":null}],"total_comm_bytes":8}`
+
+// TestStoreFormatV1Compat: the store format did not move. An entry written
+// by an older replica serves without a quarantine, and persist writes the
+// same request's entry byte for byte as that replica did.
+func TestStoreFormatV1Compat(t *testing.T) {
+	digest := testDigest(35)
+	entry := strings.TrimPrefix(digest, plan.DigestPrefix) + ".plan"
+	_, payload, ok := strings.Cut(storeEntryV1, "\n")
+	if !ok {
+		t.Fatal("entry literal has no header line")
+	}
+	req := Request{Model: models.Config{Family: "mlp", Depth: 1, Width: 256, Batch: 64}}
+
+	old := t.TempDir()
+	if err := os.WriteFile(filepath.Join(old, entry), []byte(storeEntryV1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(old, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(Config{Workers: 1, Store: st, Compute: func(Request) ([]byte, error) {
+		t.Error("a stored plan was searched again")
+		return nil, nil
+	}})
+	defer a.Shutdown(context.Background())
+	if val, ok := a.Lookup(digest); !ok || string(val) != payload {
+		t.Fatalf("Lookup of an older entry = %q, %v", val, ok)
+	}
+	if m := a.Metrics(); m.StoreCorrupt != 0 || m.StoreQuarantined != 0 || m.StoreServed != 1 {
+		t.Fatalf("metrics %+v, want StoreCorrupt=0 StoreQuarantined=0 StoreServed=1", m)
+	}
+
+	fresh := t.TempDir()
+	st2, err := store.Open(fresh, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := New(Config{Workers: 1, Store: st2, Compute: func(Request) ([]byte, error) { return []byte(payload), nil }})
+	defer b.Shutdown(context.Background())
+	j, _, err := b.Submit(req, digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, jerr, timedOut := b.Wait(context.Background(), j, 5*time.Second); jerr != nil || timedOut {
+		t.Fatalf("search: %v (timedOut=%v)", jerr, timedOut)
+	}
+	got, err := os.ReadFile(filepath.Join(fresh, entry))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != storeEntryV1 {
+		t.Fatalf("persist wrote\n%s\nwant\n%s", got, storeEntryV1)
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -88,6 +89,28 @@ func TestPricingReuseAcrossRequests(t *testing.T) {
 	}
 }
 
+// TestSearchDPStepsCountsReplays: search_dp_steps counts DP steps, swept or
+// replayed by the step memo, so it stays comparable with
+// search_dp_steps_flat. The all-2 cluster-2x8 pool has one prefix per depth:
+// its four steps are one sweep and three replays.
+func TestSearchDPStepsCountsReplays(t *testing.T) {
+	s := New(Config{Workers: 1, Parallelism: 1})
+	defer s.Shutdown(context.Background())
+	runReal(t, s, Request{Model: models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}, HW: "cluster-2x8"})
+	m := s.Metrics()
+	if m.SearchOrderings != 4 || m.SearchDPSteps != 4 || m.SearchDPStepsFlat != 16 {
+		t.Fatalf("search orderings/dp_steps/dp_steps_flat = %d/%d/%d, want 4/4/16",
+			m.SearchOrderings, m.SearchDPSteps, m.SearchDPStepsFlat)
+	}
+	var prom strings.Builder
+	if err := s.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prom.String(), "\ntofu_search_dp_steps_total 4\n") {
+		t.Fatal("tofu_search_dp_steps_total is not 4 in the Prometheus exposition")
+	}
+}
+
 // TestPricingCachesBounded: the per-model LRU evicts the least recently
 // used bucket and keeps its hit counters in the aggregate.
 func TestPricingCachesBounded(t *testing.T) {
@@ -124,7 +147,7 @@ func TestPricingCachesRetireTableStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := computeWarm(nr, "", 1, p.For(nr.Model), nil, nil, nil); err != nil {
+	if _, err := compute(nr, "", 1, p.For(nr.Model), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses, bytes := p.TableStats()

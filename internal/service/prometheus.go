@@ -33,8 +33,6 @@ func (s *Service) WritePrometheus(w io.Writer) error {
 	counter("tofu_requests_tenant_rejected_total", "Requests bounced by per-tenant quota.", snap.TenantRejected)
 	counter("tofu_jobs_done_total", "Searches completed successfully.", snap.JobsDone)
 	counter("tofu_jobs_failed_total", "Searches that errored.", snap.JobsFailed)
-	counter("tofu_sweep_done_total", "Speculative manifest sweeps completed.", snap.SweepDone)
-	counter("tofu_sweep_failed_total", "Speculative manifest sweeps that errored.", snap.SweepFailed)
 
 	gauge("tofu_searches_in_flight", "Searches running right now.", float64(snap.InFlight))
 	gauge("tofu_queue_len", "Queued-but-not-running search jobs.", float64(snap.QueueLen))
@@ -66,9 +64,8 @@ func (s *Service) WritePrometheus(w io.Writer) error {
 	counter("tofu_search_orderings_total", "Candidate factor-to-level orderings examined.", snap.SearchOrderings)
 	counter("tofu_search_steps_total", "Branch-and-bound nodes expanded.", snap.SearchSteps)
 	counter("tofu_search_pruned_total", "Branch-and-bound nodes pruned.", snap.SearchPruned)
-	counter("tofu_search_dp_steps_total", "DP steps actually run.", snap.SearchDPSteps)
+	counter("tofu_search_dp_steps_total", "DP steps computed, swept or replayed.", snap.SearchDPSteps)
 	counter("tofu_search_dp_steps_flat_total", "DP steps a flat enumeration would have run.", snap.SearchDPStepsFlat)
-	counter("tofu_search_warm_started_total", "Searches seeded from a neighboring cached plan.", snap.SearchWarmStarted)
 	counter("tofu_search_degraded_total", "Searches stopped by their deadline with a served incumbent.", snap.SearchDegraded)
 	counter("tofu_search_cancelled_total", "Searches cancelled before any incumbent existed.", snap.SearchCancelled)
 	counter("tofu_requests_deadline_rejected_total", "Deadline-bounded requests refused at admission.", snap.DeadlineRejected)

@@ -265,20 +265,18 @@ func ComputePlan(r Request, parallelism int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return computeWarm(nr, digest, parallelism, nil, nil, nil, nil)
+	return compute(nr, digest, parallelism, nil, nil, nil)
 }
 
-// computeWarm is ComputePlan for a request the caller has already
-// normalized and digested — the worker-pool hot path. pricing, when
-// non-nil, supplies the model's shared pricing cache; warm, when non-nil,
-// seeds the branch-and-bound incumbent with a neighboring plan's ordering.
-// Chosen plans are byte-identical with or without either (seeds and caches
-// change search effort, never content); stats, when non-nil, receives the
-// ordering-search effort. tok, when non-nil, bounds the search — a tripped
-// token yields a degraded incumbent (or a cancellation error).
-func computeWarm(nr Request, digest string, parallelism int,
-	pricing *dp.PriceCache, stats *recursive.SearchStats, warm []recursive.WarmStep,
-	tok *cancel.Token) ([]byte, error) {
+// compute is ComputePlan for a request the caller has already normalized
+// and digested — the worker-pool hot path. pricing, when non-nil, supplies
+// the model's shared pricing cache; chosen plans are byte-identical with or
+// without it (caches change search effort, never content). stats, when
+// non-nil, receives the ordering-search effort. tok, when non-nil, bounds
+// the search — a tripped token yields a degraded incumbent (or a
+// cancellation error).
+func compute(nr Request, digest string, parallelism int,
+	pricing *dp.PriceCache, stats *recursive.SearchStats, tok *cancel.Token) ([]byte, error) {
 
 	m, err := models.Build(nr.Model)
 	if err != nil {
@@ -288,7 +286,6 @@ func computeWarm(nr Request, digest string, parallelism int,
 	opts.Search.Parallelism = parallelism
 	opts.Search.Cache = pricing
 	opts.Search.Stats = stats
-	opts.Search.WarmStart = warm
 	opts.Cancel = tok
 	sum, err := core.Partition(m.G, nr.Workers, opts)
 	if err != nil {

@@ -72,10 +72,8 @@ type Job struct {
 	id     string
 	digest string
 	req    Request
-	// tenant is the quota bucket holding a slot for this job ("" = none);
-	// sweep marks speculative-precompute work for the metrics split.
+	// tenant is the quota bucket holding a slot for this job ("" = none).
 	tenant string
-	sweep  bool
 
 	// done closes when the search finishes (either way); val/err/degraded
 	// are only read after done.
@@ -184,9 +182,8 @@ type Config struct {
 	CacheBytes int64
 	// Store, when set, layers a persistent content-addressed plan store
 	// under the LRU: misses fall through to it (bytes verified against the
-	// request digest before serving), finished searches write through to
-	// it, and its entries seed the warm-start neighbor index at boot.
-	// Replicas sharing one store directory serve each other's plans.
+	// request digest before serving) and finished searches write through to
+	// it. Replicas sharing one store directory serve each other's plans.
 	Store *store.Store
 	// TenantQuota bounds each tenant's queued-plus-running jobs
 	// (0 = no per-tenant limit). Tenants over quota get ErrTenantQuota
@@ -282,37 +279,24 @@ type Service struct {
 	tenants   map[string]int  // tenant -> queued-plus-running jobs
 	seq       int64
 
-	neighbors *neighborIndex
-
 	queue chan *Job
 	wg    sync.WaitGroup
 }
 
-// New starts a service and its worker pool. A configured store is scanned
-// once here so the warm-start neighbor index starts with everything the
-// fleet already computed.
+// New starts a service and its worker pool. A configured store is not read
+// here: entries are read, verified and quarantined lazily, one per Lookup.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:       cfg,
-		cache:     NewCacheBytes(cfg.CacheSize, cfg.CacheBytes),
-		pricing:   NewPricingCaches(cfg.PricingCacheSize),
-		metrics:   &Metrics{},
-		started:   time.Now(),
-		inflight:  make(map[string]*Job),
-		jobs:      make(map[string]*Job),
-		tenants:   make(map[string]int),
-		neighbors: newNeighborIndex(),
-		queue:     make(chan *Job, cfg.QueueDepth),
-	}
-	if cfg.Store != nil {
-		// Corrupt entries are quarantined inside the scan; a scan error
-		// (unreadable directory) degrades to an empty index, not a crash —
-		// the store is an accelerator, never a dependency.
-		_ = cfg.Store.Scan(func(meta store.Meta, _ []byte) error { //tofu:allow-errdrop boot scan is best-effort; the callback never errors
-			s.neighbors.add(meta.ModelDigest, meta.Digest, meta.Workers, warmStepsFromMeta(meta))
-			return nil
-		})
+		cfg:      cfg,
+		cache:    NewCacheBytes(cfg.CacheSize, cfg.CacheBytes),
+		pricing:  NewPricingCaches(cfg.PricingCacheSize),
+		metrics:  &Metrics{},
+		started:  time.Now(),
+		inflight: make(map[string]*Job),
+		jobs:     make(map[string]*Job),
+		tenants:  make(map[string]int),
+		queue:    make(chan *Job, cfg.QueueDepth),
 	}
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -335,7 +319,7 @@ func (s *Service) Lookup(digest string) ([]byte, bool) {
 	if s.cfg.Store == nil {
 		return nil, false
 	}
-	meta, val, err := s.cfg.Store.Get(digest)
+	_, val, err := s.cfg.Store.Get(digest)
 	if err != nil {
 		return nil, false
 	}
@@ -346,7 +330,6 @@ func (s *Service) Lookup(digest string) ([]byte, bool) {
 		return nil, false
 	}
 	s.cache.Put(digest, val)
-	s.neighbors.add(meta.ModelDigest, meta.Digest, meta.Workers, warmStepsFromMeta(meta))
 	s.metrics.hits.Add(1)
 	s.metrics.storeServed.Add(1)
 	return val, true
@@ -369,7 +352,7 @@ const (
 // ErrShuttingDown. The caller must have Normalized the request (digest must
 // be its Digest).
 func (s *Service) Submit(req Request, digest string) (job *Job, kind SubmitKind, err error) {
-	return s.submit(req, digest, "", false)
+	return s.SubmitTenant(req, digest, "")
 }
 
 // SubmitTenant is Submit under a tenant's quota: when Config.TenantQuota is
@@ -378,10 +361,6 @@ func (s *Service) Submit(req Request, digest string) (job *Job, kind SubmitKind,
 // consulted, so one tenant's burst cannot read as fleet-wide backpressure.
 // Joining an in-flight search is always free: the work already exists.
 func (s *Service) SubmitTenant(req Request, digest, tenant string) (job *Job, kind SubmitKind, err error) {
-	return s.submit(req, digest, tenant, false)
-}
-
-func (s *Service) submit(req Request, digest, tenant string, sweep bool) (job *Job, kind SubmitKind, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -408,7 +387,6 @@ func (s *Service) submit(req Request, digest, tenant string, sweep bool) (job *J
 		digest:  digest,
 		req:     req,
 		tenant:  tenant,
-		sweep:   sweep,
 		done:    make(chan struct{}),
 		token:   cancel.New(),
 		state:   JobQueued,
@@ -580,30 +558,23 @@ func (s *Service) run(j *Job) {
 		defer stop()
 	}
 
-	compute := s.cfg.Compute
+	search := s.cfg.Compute
 	if s.cfg.ComputeCancel != nil {
-		compute = func(r Request) ([]byte, error) { return s.cfg.ComputeCancel(r, j.token) }
+		search = func(r Request) ([]byte, error) { return s.cfg.ComputeCancel(r, j.token) }
 	}
-	if compute == nil {
+	if search == nil {
 		// The submission path already normalized the request and computed
 		// its digest; skip both on the worker. The search shares the
-		// model's pricing bucket across requests, seeds its incumbent from
-		// the best neighboring cached plan (same model, elsewhere in the
-		// fleet — seeds change search effort, never plan bytes), and
-		// reports its effort into /metrics.
-		compute = func(r Request) ([]byte, error) {
-			var warm []recursive.WarmStep
-			md, mdErr := modelDigest(r.Model)
-			if mdErr == nil && r.Topology != nil {
-				warm = s.neighbors.seedFor(md, j.digest, r.Workers, *r.Topology)
-			}
+		// model's pricing bucket across requests and reports its effort
+		// into /metrics.
+		search = func(r Request) ([]byte, error) {
 			var st recursive.SearchStats
-			val, err := computeWarm(r, j.digest, s.cfg.Parallelism, s.pricing.For(r.Model), &st, warm, j.token)
+			val, err := compute(r, j.digest, s.cfg.Parallelism, s.pricing.For(r.Model), &st, j.token)
 			s.metrics.observeOrderingSearch(st)
 			return val, err
 		}
 	}
-	val, err := compute(j.req)
+	val, err := search(j.req)
 	elapsed := time.Since(start)
 	s.metrics.observeSearch(elapsed)
 	s.metrics.inFlight.Add(-1)
@@ -631,10 +602,10 @@ func (s *Service) run(j *Job) {
 
 	if lg := s.cfg.Logger; lg != nil {
 		if err != nil {
-			lg.Warn("search failed", "job", j.id, "digest", j.digest, "sweep", j.sweep,
+			lg.Warn("search failed", "job", j.id, "digest", j.digest,
 				"dur_ms", float64(elapsed.Microseconds())/1e3, "err", err.Error())
 		} else {
-			lg.Info("search done", "job", j.id, "digest", j.digest, "sweep", j.sweep,
+			lg.Info("search done", "job", j.id, "digest", j.digest,
 				"dur_ms", float64(elapsed.Microseconds())/1e3, "plan_bytes", len(val), "degraded", degraded)
 		}
 	}
@@ -646,14 +617,8 @@ func (s *Service) run(j *Job) {
 			s.cache.Put(j.digest, val)
 		}
 		s.metrics.jobsDone.Add(1)
-		if j.sweep {
-			s.metrics.sweepDone.Add(1)
-		}
 	} else {
 		s.metrics.jobsFail.Add(1)
-		if j.sweep {
-			s.metrics.sweepFailed.Add(1)
-		}
 	}
 	if j.tenant != "" {
 		if s.tenants[j.tenant]--; s.tenants[j.tenant] <= 0 {
@@ -673,17 +638,15 @@ func (s *Service) run(j *Job) {
 }
 
 // persist writes a finished, verified plan through to the persistent store
-// (when configured) and feeds the warm-start neighbor index. Both are
-// best-effort accelerators: run's verification guards against a Compute seam
-// returning non-plan bytes, and a store write failure costs the fleet a
-// future recompute, not this request.
+// (when configured). The store is a best-effort accelerator: run's
+// verification guards against a Compute seam returning non-plan bytes, and a
+// store write failure costs the fleet a future recompute, not this request.
 func (s *Service) persist(j *Job, val []byte, hdr plan.Header) {
-	md, err := modelDigest(j.req.Model)
-	if err != nil {
+	if s.cfg.Store == nil {
 		return
 	}
-	s.neighbors.add(md, j.digest, hdr.Workers, warmStepsFromHeader(hdr))
-	if s.cfg.Store == nil {
+	md, err := modelDigest(j.req.Model)
+	if err != nil {
 		return
 	}
 	_ = s.cfg.Store.Put(store.Meta{ //tofu:allow-errdrop the store counts its own put failures; a failed write costs a future recompute, not this request
@@ -692,6 +655,16 @@ func (s *Service) persist(j *Job, val []byte, hdr plan.Header) {
 		Workers:     hdr.Workers,
 		Steps:       storeStepsFromHeader(hdr),
 	}, val)
+}
+
+// storeStepsFromHeader extracts a verified plan's realized ordering in the
+// store's header form.
+func storeStepsFromHeader(h plan.Header) []store.Step {
+	out := make([]store.Step, len(h.Steps))
+	for i, st := range h.Steps {
+		out[i] = store.Step{Factor: st.Ways, Level: st.Level}
+	}
+	return out
 }
 
 func (s *Service) retainFinishedLocked(j *Job) {
@@ -787,8 +760,6 @@ func (s *Service) Metrics() Snapshot {
 		StoreBadPlan:      s.metrics.storeBadPlan.Load(),
 		StorePutErrors:    st.PutErrors,
 		TenantRejected:    s.metrics.tenantRejected.Load(),
-		SweepDone:         s.metrics.sweepDone.Load(),
-		SweepFailed:       s.metrics.sweepFailed.Load(),
 		PricingModels:     s.pricing.Models(),
 		PricingModelCap:   s.cfg.PricingCacheSize,
 		PricingHits:       ph,
@@ -803,7 +774,6 @@ func (s *Service) Metrics() Snapshot {
 		SearchPruned:      s.metrics.searchPruned.Load(),
 		SearchDPSteps:     s.metrics.searchDPSteps.Load(),
 		SearchDPStepsFlat: s.metrics.searchDPStepsFlat.Load(),
-		SearchWarmStarted: s.metrics.searchWarm.Load(),
 		SearchDegraded:    s.metrics.searchDegraded.Load(),
 		SearchCancelled:   s.metrics.searchCancelled.Load(),
 		DeadlineRejected:  s.metrics.deadlineInfeasible.Load(),

@@ -2,10 +2,9 @@
 // serving layer's in-memory LRU: one file per request digest, written
 // atomically, checksummed on every read, quarantined (never trusted, never
 // fatal) on corruption. Replicas sharing a store directory — and restarts of
-// a single daemon — serve each other's plans as warm bytes, and the entry
-// header carries enough of the plan's shape (model digest, worker count,
-// realized factor-to-level steps) for the warm-start neighbor index to be
-// rebuilt from a directory scan without parsing any plan JSON.
+// a single daemon — serve each other's plans as warm bytes. Nothing scans the
+// directory: an entry is read only when a request for its digest misses the
+// LRU.
 package store
 
 import (
@@ -21,17 +20,17 @@ import (
 // FormatV1 names the on-disk entry format this package reads and writes.
 const FormatV1 = "tofu-plan-store-v1"
 
-// Step is one realized factor-to-level placement of the stored plan — the
-// seed material for warm-starting a neighboring search (the serving layer
-// maps it onto recursive.WarmStep).
+// Step is one realized factor-to-level placement of the stored plan
+// (provenance; kept so FormatV1 entries stay byte-identical).
 type Step struct {
 	Factor int64 `json:"factor"`
 	Level  int   `json:"level"`
 }
 
-// Meta is the entry header: everything the neighbor index needs, plus the
+// Meta is the entry header: the plan's identity and provenance, plus the
 // checksum fields that let a reader reject torn or tampered entries without
-// parsing the plan payload.
+// parsing the plan payload. ReadEntry rejects unknown fields, so no field may
+// be dropped without a new format tag.
 type Meta struct {
 	// Format must be FormatV1.
 	Format string `json:"format"`
@@ -39,13 +38,14 @@ type Meta struct {
 	// hex>") — the store key. The payload's own embedded digest is verified
 	// against it again at serve time via plan.Verify.
 	Digest string `json:"digest"`
-	// ModelDigest buckets entries by model (the pricing-cache key's hex
-	// form): neighbors for warm starts are drawn from the same bucket.
+	// ModelDigest is the model's pricing-cache key in hex form (provenance;
+	// kept so FormatV1 entries stay byte-identical).
 	ModelDigest string `json:"model_digest,omitempty"`
 	// Workers is the plan's worker count.
 	Workers int64 `json:"workers"`
-	// Steps is the plan's realized ordering, innermost first. Empty for
-	// plans that never ran the topology-aware search.
+	// Steps is the plan's realized ordering, innermost first (provenance;
+	// kept so FormatV1 entries stay byte-identical). Empty for plans with no
+	// steps.
 	Steps []Step `json:"steps,omitempty"`
 	// PlanSHA256 is the hex sha256 of the payload bytes; PlanBytes their
 	// exact length. Both must match or the entry is corrupt.

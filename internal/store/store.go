@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -192,26 +191,18 @@ func (s *Store) Get(digest string) (Meta, []byte, error) {
 		s.misses.Add(1)
 		return Meta{}, nil, fmt.Errorf("store: %w", err)
 	}
-	meta, payload, err := s.readVerified(path, data, digest)
-	if err != nil {
-		s.misses.Add(1)
-		return Meta{}, nil, err
-	}
-	s.hits.Add(1)
-	return meta, payload, nil
-}
-
-// readVerified parses an entry file's bytes and checks that it answers the
-// digest its filename promises, quarantining on any defect.
-func (s *Store) readVerified(path string, data []byte, digest string) (Meta, []byte, error) {
+	// The entry must parse and answer the digest its filename promises;
+	// any defect quarantines it.
 	meta, payload, err := ReadEntry(data)
 	if err == nil && meta.Digest != digest {
 		err = fmt.Errorf("store: entry %s carries digest %s", filepath.Base(path), meta.Digest)
 	}
 	if err != nil {
 		s.quarantine(path)
+		s.misses.Add(1)
 		return Meta{}, nil, fmt.Errorf("%w (quarantined: %v)", ErrNotFound, err)
 	}
+	s.hits.Add(1)
 	return meta, payload, nil
 }
 
@@ -239,40 +230,6 @@ func (s *Store) quarantine(path string) {
 		return
 	}
 	s.quarantined.Add(1)
-}
-
-// Scan walks every entry in the store in digest order, verifying each and
-// quarantining corrupt ones, and calls fn with the healthy entries — the
-// boot-time path that rebuilds the in-memory neighbor index from a shared
-// directory. fn returning an error stops the scan.
-func (s *Store) Scan(fn func(Meta, []byte) error) error {
-	names, err := s.opts.FS.Glob(filepath.Join(s.dir, "*.plan"))
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	sort.Strings(names)
-	for _, path := range names {
-		base := strings.TrimSuffix(filepath.Base(path), ".plan")
-		digest := plan.DigestPrefix + base
-		if plan.ValidateDigest(digest) != nil {
-			// Not one of ours (temp files don't match the glob, but a
-			// stray file could); leave it alone.
-			continue
-		}
-		data, err := s.opts.FS.ReadFile(path)
-		if err != nil {
-			// Raced with a concurrent quarantine or delete; skip.
-			continue
-		}
-		meta, payload, err := s.readVerified(path, data, digest)
-		if err != nil {
-			continue
-		}
-		if err := fn(meta, payload); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Stats is the store's counter snapshot for /metrics.

@@ -188,49 +188,6 @@ func TestStoreWrongDigestContent(t *testing.T) {
 	}
 }
 
-func TestStoreScan(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := byte(10); b < 13; b++ {
-		if err := s.Put(testMeta(digestFor(b)), []byte{b}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One corrupt entry and one stray file must both be skipped.
-	bad := filepath.Join(dir, strings.Repeat("ff", 32)+".plan")
-	if err := os.WriteFile(bad, []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "README.plan"), []byte("hi"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var seen []string
-	err = s.Scan(func(m Meta, payload []byte) error {
-		seen = append(seen, m.Digest)
-		if len(payload) != 1 {
-			t.Errorf("scan payload %q", payload)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 3 {
-		t.Fatalf("scan saw %v, want 3 healthy entries", seen)
-	}
-	for i := 1; i < len(seen); i++ {
-		if seen[i-1] >= seen[i] {
-			t.Errorf("scan out of digest order: %v", seen)
-		}
-	}
-	if st := s.Stats(); st.Corrupt != 1 {
-		t.Errorf("corrupt counter %d, want 1 (the garbage entry)", st.Corrupt)
-	}
-}
-
 // scriptedSuffixFS hands out temp suffixes from a script, then real ones: the
 // seam a test needs to make two writers draw the same name.
 type scriptedSuffixFS struct {

@@ -240,8 +240,8 @@ func Cluster8x2x8Topology() Topology {
 // four dual-socket nodes with twelve GPUs per socket complex, racks joined
 // by an oversubscribed spine. The fourth (spine) level plus the mixed
 // factor pool (12 = 3·2·2 alongside the 2s and a 4) makes this the
-// deepest ordering space in the library — the regime the warm-started
-// branch-and-bound is aimed at.
+// deepest ordering space in the library, and one of the two profiles where
+// the ordering branch-and-bound prunes.
 func Cluster2x4x2x12Topology() Topology {
 	hw := DefaultHW()
 	hw.NumGPUs = 192
