@@ -63,6 +63,12 @@ func (v *Var) String() string {
 // partition strategy; its cost is priced once and multiplied.
 type Slot struct {
 	Ops []*graph.Node
+	// In and Out are the variables of the representative's inputs, in operand
+	// order, and of its output. Every instance reads and writes the same ones:
+	// instances share their representative's shapes, so timestep merging has
+	// joined their operands position by position.
+	In  []*Var
+	Out *Var
 	// Desc is the representative operator's TDL description, captured
 	// during coarsening (which describes every node anyway) so downstream
 	// passes skip the registry lookup.
@@ -98,29 +104,30 @@ type Group struct {
 	LiveAfter []*Var
 }
 
-// Coarse is the coarsened view of a training graph. Vars is a dense index:
+// Coarse is the coarsened view of a training graph, or of a contiguous
+// segment of another coarsening's groups (Segment). Vars is a dense index:
 // Vars[i].ID == i, so a variable's ID addresses per-variable side tables
 // (the DP's cut-dim alphabets and packed state digits) directly.
 //
 // A Coarse is built count-then-fill: every list it holds — variable members,
-// slot operators, the groups' slot and variable lists — is a window of one
-// exactly-sized slab per element type, and the variables, groups and slots
-// themselves sit in one slab each, so the number of allocations does not
-// depend on the size of the graph.
+// slot operators and operands, the groups' slot and variable lists — is a
+// window of one exactly-sized slab per element type, and the variables,
+// groups and slots themselves sit in one slab each, so the number of
+// allocations does not depend on the size of the graph.
 type Coarse struct {
+	// G is the graph the operators and tensors belong to: the coarsened graph
+	// itself, or for a segment the whole graph the segment was cut from.
 	G      *graph.Graph
 	Vars   []*Var
 	Groups []*Group
-	varOf  []*Var // tensor ID -> var
-	// facts is what coarsening looked up about G's nodes; CoarsenSub reads
-	// it to coarsen extractions of G without looking anything up again.
-	facts nodeFacts
+	// facts is what coarsening looked up about G's nodes; Segment reads it
+	// to coarsen segments of G without looking anything up again.
+	facts *nodeFacts
 }
 
 // nodeFacts is everything coarsening needs to know about the nodes of a
 // graph beyond its structure. desc, cell and price are dense by node ID;
-// cellSig, nsig and prices are tables of the root graph the facts were first
-// computed for, shared unchanged by every extraction's facts.
+// cellSig, nsig and prices are tables over the whole graph.
 type nodeFacts struct {
 	// desc is each node's TDL description.
 	desc []*tdl.OpDesc
@@ -251,11 +258,6 @@ func appendShape(buf []byte, s shape.Shape) []byte {
 	return append(buf, ')')
 }
 
-// VarOf returns the variable owning a tensor.
-//
-//tofu:hotpath allocation-free by PR 3; enforced by tofu-vet/hotalloc
-func (c *Coarse) VarOf(t *graph.Tensor) *Var { return c.varOf[t.ID] }
-
 // MaxFrontier returns the maximum number of variables simultaneously live
 // across a group boundary — the DP's state width. The paper's linearity
 // claim (MLP/CNN/RNN coarsen to chains) shows up here as a small constant.
@@ -315,12 +317,8 @@ func (c *Coarse) AppendStructKey(buf []byte) []byte {
 			buf = binary.AppendUvarint(buf, uint64(len(s.Sig)))
 			buf = append(buf, s.Sig...)
 			buf = binary.AppendUvarint(buf, uint64(len(s.Ops)))
-			rep := s.Rep()
-			buf = binary.AppendUvarint(buf, uint64(len(rep.Inputs)))
-			for _, in := range rep.Inputs {
-				buf = binary.AppendUvarint(buf, uint64(c.varOf[in.ID].ID))
-			}
-			buf = binary.AppendUvarint(buf, uint64(c.varOf[rep.Output.ID].ID))
+			buf = appendVarIDs(buf, s.In)
+			buf = binary.AppendUvarint(buf, uint64(s.Out.ID))
 		}
 		buf = appendVarIDs(buf, grp.NewVars)
 		buf = appendVarIDs(buf, grp.LiveAfter)
@@ -348,96 +346,271 @@ func Coarsen(g *graph.Graph) (*Coarse, error) {
 	if err != nil {
 		return nil, err
 	}
-	return coarsen(g, facts)
+	fr := wholeGraph(g, &facts)
+	return coarsen(g, &facts, &fr)
 }
 
-// CoarsenSub coarsens sub.G, an extraction of parent.G (graph.Subgraph), and
-// returns exactly what Coarsen(sub.G) would. It is the same algorithm; only
-// the node facts come from the parent's through sub.NodeID — a clone keeps
-// its original's operator, attributes, shapes, unroll tag and timestep — and
-// the validation Subgraph has just done is not repeated. The pipeline search
-// coarsens O(L²) overlapping segments of one graph this way.
-func CoarsenSub(parent *Coarse, sub *graph.Subgraphed) (*Coarse, error) {
-	n := len(sub.NodeID)
-	ints := make([]int32, 2*n)
-	facts := parent.facts // the root's tables, shared
-	facts.desc, facts.cell, facts.price = make([]*tdl.OpDesc, n), ints[:n:n], ints[n:]
-	copyFacts(&facts, &parent.facts, sub.NodeID)
-	return coarsen(sub.G, facts)
+// wholeGraph is the frame of a whole graph: local numbers are IDs.
+func wholeGraph(g *graph.Graph, facts *nodeFacts) frame {
+	return frame{nodes: g.Nodes, tensors: g.Tensors, cell: facts.cell, cellSig: facts.cellSig, nsig: facts.nsig}
 }
 
-// copyFacts fills dst's per-node facts from src's through the ID map.
+// Segment coarsens the subgraph of c.G induced by the operators of c's groups
+// [lo, hi) and returns exactly what Coarsen would return for that subgraph
+// extracted with graph.Subgraph — the same variables, groups, slots and
+// structural key — except that it clones nothing: operators and tensors are
+// c.G's own, so a segment's plan tables come out in c.G's IDs. Like an
+// extraction it numbers the segment's operators in ascending ID and their
+// tensors at first sight (inputs, then the output), treats a producer outside
+// the segment as absent and counts only the segment's readers of a tensor.
+//
+// The cost follows the segment, not c.G: node facts are c's, read by node
+// ID, and every table indexed by c.G's IDs lives in sc, which the call leaves
+// as it found it. sc must not be shared between concurrent calls; c itself is
+// only read, so one coarsening serves concurrent segments, one scratch each.
+// The pipeline search coarsens O(L²) overlapping segments of one graph this
+// way.
+func (c *Coarse) Segment(lo, hi int, sc *SegmentScratch) (*Coarse, error) {
+	if lo < 0 || hi > len(c.Groups) || lo >= hi {
+		return nil, fmt.Errorf("coarsen: segment [%d,%d) out of range for %d groups", lo, hi, len(c.Groups))
+	}
+	fr := sc.load(c, lo, hi)
+	seg, err := coarsen(c.G, c.facts, fr)
+	sc.clear(c.facts, fr)
+	return seg, err
+}
+
+// SegmentScratch is the working memory of Segment: maps from a graph's
+// node, tensor, unroll-cell and signature numbers to a segment's, sized on
+// first use and zero again after every call, and the segment's lists, which
+// grow to the largest segment seen.
+type SegmentScratch struct {
+	node, tensor, cell, sig []int32
+	ids                     []int32
+	fr                      frame
+}
+
+// frame is the numbering one coarsening works in: a whole graph, where a
+// node's or tensor's local number is its ID, or a segment, numbered locally.
+type frame struct {
+	// nodes and tensors list the frame's operators and tensors by local number.
+	nodes   []*graph.Node
+	tensors []*graph.Tensor
+	// node and tensor map an ID to its local number plus one (0: outside the
+	// frame), and reads counts a local tensor's readers inside the frame; all
+	// three are nil for a whole graph.
+	node, tensor, reads []int32
+	// cell is each local node's unroll cell (-1 outside any unrolled loop),
+	// cellSig a cell's signature, dense in [0, nsig) — nodeFacts' numbering
+	// for a whole graph, renumbered at first sight for a segment.
+	cell, cellSig []int32
+	nsig          int
+	// spare backs a segment coarsening's working tables (take) and outlives
+	// it; nil for a whole graph, whose tables are allocated afresh.
+	spare []int32
+	used  int
+}
+
+// load builds the frame of c's groups [lo, hi) in sc, sizing sc's maps to
+// c.G first.
 //
 //tofu:hotpath once per segment coarsening; enforced by tofu-vet/hotalloc
-func copyFacts(dst, src *nodeFacts, nodeID []int) {
-	for i, id := range nodeID {
-		dst.desc[i] = src.desc[id]
-		dst.cell[i] = src.cell[id]
-		dst.price[i] = src.price[id]
+func (sc *SegmentScratch) load(c *Coarse, lo, hi int) *frame {
+	f := c.facts
+	if len(sc.node) != len(c.G.Nodes) || len(sc.tensor) != len(c.G.Tensors) ||
+		len(sc.cell) != len(f.cellSig) || len(sc.sig) != f.nsig {
+		sc.node, sc.tensor = make([]int32, len(c.G.Nodes)), make([]int32, len(c.G.Tensors))
+		sc.cell, sc.sig = make([]int32, len(f.cellSig)), make([]int32, f.nsig)
+	}
+	fr := &sc.fr
+	fr.node, fr.tensor = sc.node, sc.tensor
+	sc.ids = sc.ids[:0]
+	for _, grp := range c.Groups[lo:hi] {
+		for _, s := range grp.Slots {
+			for _, n := range s.Ops {
+				sc.ids = append(sc.ids, int32(n.ID))
+			}
+		}
+	}
+	slices.Sort(sc.ids)
+	fr.nodes = fr.nodes[:0]
+	for _, id := range sc.ids {
+		fr.nodes = append(fr.nodes, c.G.Nodes[id])
+	}
+	fr.tensors, fr.reads = fr.tensors[:0], fr.reads[:0]
+	fr.cell, fr.cellSig, fr.nsig, fr.used = fr.cell[:0], fr.cellSig[:0], 0, 0
+	for i, n := range fr.nodes {
+		sc.node[n.ID] = int32(i + 1)
+		for _, in := range n.Inputs {
+			if sc.tensor[in.ID] == 0 {
+				fr.tensors, fr.reads = append(fr.tensors, in), append(fr.reads, 0)
+				sc.tensor[in.ID] = int32(len(fr.tensors))
+			}
+			fr.reads[sc.tensor[in.ID]-1]++
+		}
+		fr.tensors, fr.reads = append(fr.tensors, n.Output), append(fr.reads, 0)
+		sc.tensor[n.Output.ID] = int32(len(fr.tensors))
+		cell := f.cell[n.ID]
+		if cell >= 0 {
+			if sc.cell[cell] == 0 {
+				sig := f.cellSig[cell]
+				if sc.sig[sig] == 0 {
+					fr.nsig++
+					sc.sig[sig] = int32(fr.nsig)
+				}
+				fr.cellSig = append(fr.cellSig, sc.sig[sig]-1)
+				sc.cell[cell] = int32(len(fr.cellSig))
+			}
+			cell = sc.cell[cell] - 1
+		}
+		fr.cell = append(fr.cell, cell)
+	}
+	return fr
+}
+
+// clear zeroes every map entry load set.
+//
+//tofu:hotpath once per segment coarsening; enforced by tofu-vet/hotalloc
+func (sc *SegmentScratch) clear(f *nodeFacts, fr *frame) {
+	for _, n := range fr.nodes {
+		sc.node[n.ID] = 0
+		if cell := f.cell[n.ID]; cell >= 0 {
+			sc.cell[cell], sc.sig[f.cellSig[cell]] = 0, 0
+		}
+	}
+	for _, t := range fr.tensors {
+		sc.tensor[t.ID] = 0
 	}
 }
 
-// coarsen is the coarsening algorithm over a valid graph (node and tensor
-// IDs are positions, producers precede consumers) and its node facts.
-func coarsen(g *graph.Graph, facts nodeFacts) (*Coarse, error) {
-	nT, nN := len(g.Tensors), len(g.Nodes)
-	parents := make([]int32, nT+nN)
+// take returns n zeroed int32s of working memory: allocated for a whole
+// graph, carved from the spare slab for a segment — a slab later segments
+// reuse, grown when one needs more.
+//
+//tofu:hotpath part of every coarsening
+func (f *frame) take(n int) []int32 {
+	if f.tensor == nil {
+		return make([]int32, n)
+	}
+	if f.used+n > len(f.spare) {
+		f.spare, f.used = make([]int32, max(2*len(f.spare), n)), 0
+	}
+	s := f.spare[f.used : f.used+n : f.used+n]
+	f.used += n
+	clear(s)
+	return s
+}
+
+// local returns a tensor's local number.
+//
+//tofu:hotpath part of every coarsening
+func (f *frame) local(t *graph.Tensor) int {
+	if f.tensor == nil {
+		return t.ID
+	}
+	return int(f.tensor[t.ID]) - 1
+}
+
+// before returns the local number of node m when the frame holds it ahead of
+// local node i, and -1 otherwise — the links an extraction keeps. A whole
+// graph holds every node and keeps every link.
+//
+//tofu:hotpath part of every coarsening
+func (f *frame) before(m *graph.Node, i int) int {
+	if f.node == nil {
+		return m.ID
+	}
+	if j := int(f.node[m.ID]) - 1; j < i {
+		return j
+	}
+	return -1
+}
+
+// fwd returns the local number of local node i's forward node (n.FwdOf), or
+// -1 when it has none in the frame.
+//
+//tofu:hotpath part of every coarsening
+func (f *frame) fwd(n *graph.Node, i int) int {
+	if n.FwdOf == nil {
+		return -1
+	}
+	return f.before(n.FwdOf, i)
+}
+
+// readers counts a tensor's reads by the frame's operators.
+//
+//tofu:hotpath part of every coarsening
+func (f *frame) readers(t *graph.Tensor) int {
+	if f.tensor == nil {
+		return len(t.Consumers)
+	}
+	return int(f.reads[f.tensor[t.ID]-1])
+}
+
+// coarsen is the coarsening algorithm over a frame of a valid graph
+// (producers precede consumers) and the graph's node facts, read by node ID.
+func coarsen(g *graph.Graph, facts *nodeFacts, fr *frame) (*Coarse, error) {
+	nT, nN := len(fr.tensors), len(fr.nodes)
+	parents := fr.take(nT + nN)
 	// --- tensor variables: union-find over tensors --------------------
 	tuf := newUF(parents[:nT:nT])
 
 	// Element-wise coalescing: inputs and output of an element-wise op share
 	// a partition.
 	ewNode := make([]bool, nN)
-	for i, n := range g.Nodes {
-		if !facts.desc[i].IsElementwise() {
+	for i, n := range fr.nodes {
+		if !facts.desc[n.ID].IsElementwise() {
 			continue
 		}
 		ewNode[i] = true
 		for _, in := range n.Inputs {
 			if in.Shape.Equal(n.Output.Shape) {
-				tuf.union(in.ID, n.Output.ID)
+				tuf.union(fr.local(in), fr.local(n.Output))
 			}
 		}
 	}
 
 	// Timestep merging: structurally identical ops across timesteps share
 	// slots; their same-position tensors share variables.
-	leader := slotLeaders(g, &facts)
-	for i, n := range g.Nodes {
+	leader := slotLeaders(fr)
+	for i, n := range fr.nodes {
 		if int(leader[i]) == i {
 			continue
 		}
-		rep := g.Nodes[leader[i]]
+		rep := fr.nodes[leader[i]]
 		for p := range n.Inputs {
 			if n.Inputs[p].Shape.Equal(rep.Inputs[p].Shape) {
-				tuf.union(n.Inputs[p].ID, rep.Inputs[p].ID)
+				tuf.union(fr.local(n.Inputs[p]), fr.local(rep.Inputs[p]))
 			}
 		}
-		tuf.union(n.Output.ID, rep.Output.ID)
+		tuf.union(fr.local(n.Output), fr.local(rep.Output))
 	}
 
 	c := &Coarse{G: g, facts: facts}
-	if err := buildVars(c, tuf); err != nil {
+	varOf, err := buildVars(c, fr, tuf)
+	if err != nil {
 		return nil, err
 	}
 
 	// --- operator groups: union-find over nodes -------------------------
 	nuf := newUF(parents[nT:])
 	// Backward ops join their forward op.
-	for _, n := range g.Nodes {
-		if n.FwdOf != nil {
-			nuf.union(n.ID, n.FwdOf.ID)
+	for i, n := range fr.nodes {
+		if j := fr.fwd(n, i); j >= 0 {
+			nuf.union(i, j)
 		}
 	}
 	// Optimizer updates join the group producing their gradient input, so a
 	// weight variable's whole lifetime (forward use, gradient, update) is
 	// decided in one DP step — the paper's weight tensor groups.
-	for _, n := range g.Nodes {
+	for i, n := range fr.nodes {
 		if n.Op != "sgd_update" && n.Op != "adam_update" {
 			continue
 		}
 		if len(n.Inputs) >= 2 && n.Inputs[1].Producer != nil {
-			nuf.union(n.ID, n.Inputs[1].Producer.ID)
+			if j := fr.before(n.Inputs[1].Producer, i); j >= 0 {
+				nuf.union(i, j)
+			}
 		}
 	}
 	// Timestep slot members join.
@@ -454,36 +627,36 @@ func coarsen(g *graph.Graph, facts nodeFacts) (*Coarse, error) {
 	// one group, exploding the within-group combinatorial search. Tensor
 	// *variables* still merge across all element-wise edges above, which is
 	// what collapses the skip chain into a single decision.
-	for i, n := range g.Nodes {
-		if !ewNode[i] || n.FwdOf != nil || n.GradAgg {
+	for i, n := range fr.nodes {
+		if !ewNode[i] || fr.fwd(n, i) >= 0 || n.GradAgg {
 			continue
 		}
 		for _, in := range n.Inputs {
 			p := in.Producer
-			if p == nil || len(in.Consumers) != 1 {
+			if p == nil || fr.readers(in) != 1 {
 				continue
 			}
-			if ewNode[p.ID] && p.FwdOf == nil && !p.GradAgg {
-				nuf.union(n.ID, p.ID)
+			if j := fr.before(p, i); j >= 0 && ewNode[j] && fr.fwd(p, j) < 0 && !p.GradAgg {
+				nuf.union(i, j)
 			}
 		}
 	}
 
-	buildGroups(c, nuf, leader)
+	buildGroups(c, fr, nuf, leader, varOf)
 	return c, nil
 }
 
 // slotLeaders groups UnrollTag'd nodes into per-structural-position slots
-// and returns, dense by node ID, the first node of each node's slot (the
-// node itself outside any slot, and for a slot of one). The slot key is
+// and returns, dense by local node number, the first node of each node's slot
+// (the node itself outside any slot, and for a slot of one). The slot key is
 // (signature id — tag, op and attributes, see nodeFacts — and ordinal among
 // same-signature ops in the same timestep, which is the node's rank within
 // its cell); instances whose shapes disagree with the slot's first node are
 // left unmerged.
 //
 //tofu:hotpath once per coarsening; enforced by tofu-vet/hotalloc
-func slotLeaders(g *graph.Graph, f *nodeFacts) []int32 {
-	nN := len(g.Nodes)
+func slotLeaders(f *frame) []int32 {
+	nN := len(f.nodes)
 	unrolled := 0
 	for _, c := range f.cell {
 		if c >= 0 {
@@ -494,7 +667,7 @@ func slotLeaders(g *graph.Graph, f *nodeFacts) []int32 {
 	// signature s's slots begin in first (a signature has at most as many
 	// slots as nodes); rank[c] counts cell c's nodes seen so far; first[k]
 	// is slot k's first node, plus one.
-	ints := make([]int32, nN+f.nsig+1+len(f.cellSig)+unrolled)
+	ints := f.take(nN + f.nsig + 1 + len(f.cellSig) + unrolled)
 	leader, ints := ints[:nN:nN], ints[nN:]
 	start, ints := ints[:f.nsig+1], ints[f.nsig+1:]
 	rank, first := ints[:len(f.cellSig)], ints[len(f.cellSig):]
@@ -506,7 +679,7 @@ func slotLeaders(g *graph.Graph, f *nodeFacts) []int32 {
 	for s := 0; s < f.nsig; s++ {
 		start[s+1] += start[s]
 	}
-	for i, n := range g.Nodes {
+	for i, n := range f.nodes {
 		leader[i] = int32(i)
 		c := f.cell[i]
 		if c < 0 {
@@ -516,7 +689,7 @@ func slotLeaders(g *graph.Graph, f *nodeFacts) []int32 {
 		rank[c]++
 		if first[k] == 0 {
 			first[k] = int32(i) + 1
-		} else if rep := first[k] - 1; sameSignature(g.Nodes[rep], n) {
+		} else if rep := first[k] - 1; sameSignature(f.nodes[rep], n) {
 			// Keep only shape-consistent instances merged.
 			leader[i] = rep
 		}
@@ -538,17 +711,18 @@ func sameSignature(a, b *graph.Node) bool {
 
 // buildVars materializes the variables from the tensor union-find, numbered
 // by their first member tensor: one pass counts the classes and their sizes,
-// the next fills one slab of variables and one of member lists.
-func buildVars(c *Coarse, tuf uf) error {
-	g := c.G
-	nT := len(g.Tensors)
+// the next fills one slab of variables and one of member lists. It returns
+// the variable index of every local tensor.
+func buildVars(c *Coarse, fr *frame, tuf uf) ([]int32, error) {
+	nT := len(fr.tensors)
 	// varOfRoot[r] is the variable of the class rooted at tensor r, plus
-	// one; size[v] variable v's member count.
-	ints := make([]int32, 2*nT)
-	varOfRoot, size := ints[:nT], ints[nT:]
+	// one; size[v] variable v's member count; varOf[i] local tensor i's
+	// variable.
+	ints := fr.take(3 * nT)
+	varOfRoot, size, varOf := ints[:nT], ints[nT:2*nT], ints[2*nT:]
 	nVars := 0
-	for _, t := range g.Tensors {
-		r := tuf.find(t.ID)
+	for i := range fr.tensors {
+		r := tuf.find(i)
 		if varOfRoot[r] == 0 {
 			nVars++
 			varOfRoot[r] = int32(nVars)
@@ -557,58 +731,57 @@ func buildVars(c *Coarse, tuf uf) error {
 	}
 	vars := make([]Var, nVars)
 	members := make([]*graph.Tensor, nT)
-	ptrs := make([]*Var, nVars+nT)
-	c.Vars, c.varOf = ptrs[:nVars:nVars], ptrs[nVars:]
-	if bad := fillVars(c, tuf, vars, members, varOfRoot, size); bad != nil {
-		v := c.varOf[bad.ID]
-		return fmt.Errorf("coarsen: variable %v merged mismatched shapes %v vs %v (tensor %v)",
-			v, v.Shape, bad.Shape, bad)
+	c.Vars = make([]*Var, nVars)
+	if bad := fillVars(c, fr, tuf, vars, members, varOfRoot, size, varOf); bad >= 0 {
+		v, t := c.Vars[varOf[bad]], fr.tensors[bad]
+		return nil, fmt.Errorf("coarsen: variable %v merged mismatched shapes %v vs %v (tensor %v)",
+			v, v.Shape, t.Shape, t)
 	}
-	return nil
+	return varOf, nil
 }
 
-// fillVars is buildVars' fill pass. It returns the first tensor whose shape
-// disagrees with its variable's, nil when there is none.
+// fillVars is buildVars' fill pass. It returns the local number of the first
+// tensor whose shape disagrees with its variable's, -1 when there is none.
 //
 //tofu:hotpath once per coarsening; enforced by tofu-vet/hotalloc
-func fillVars(c *Coarse, tuf uf, vars []Var, members []*graph.Tensor, varOfRoot, size []int32) *graph.Tensor {
+func fillVars(c *Coarse, fr *frame, tuf uf, vars []Var, members []*graph.Tensor, varOfRoot, size, varOf []int32) int {
 	for i := range vars {
 		v := &vars[i]
 		v.ID, v.First, v.Last = i, -1, -1
 		v.Tensors, members = members[:0:size[i]], members[size[i]:]
 		c.Vars[i] = v
 	}
-	for _, t := range c.G.Tensors {
-		v := &vars[varOfRoot[tuf.find(t.ID)]-1]
-		c.varOf[t.ID] = v
+	for i, t := range fr.tensors {
+		vi := varOfRoot[tuf.find(i)] - 1
+		v := &vars[vi]
+		varOf[i] = vi
 		if len(v.Tensors) == 0 {
 			v.Shape = t.Shape
 		} else if !v.Shape.Equal(t.Shape) {
-			return t
+			return i
 		}
 		v.Tensors = append(v.Tensors, t)
 		if t.Kind == graph.Weight {
 			v.HasWeight = true
 		}
 	}
-	return nil
+	return -1
 }
 
 // buildGroups materializes groups from the node union-find, ordered by
 // earliest member node, slices each into slots ordered by their first node,
 // and computes variable liveness (First/Last group references). Nodes are
-// visited in ID order throughout, so a group or slot is met first at its
-// earliest member and lists fill in ID order with nothing to sort.
-func buildGroups(c *Coarse, nuf uf, leader []int32) {
-	g := c.G
-	nN := len(g.Nodes)
+// visited in local order throughout, so a group or slot is met first at its
+// earliest member and lists fill in that order with nothing to sort.
+func buildGroups(c *Coarse, fr *frame, nuf uf, leader, varOf []int32) {
+	nN := len(fr.nodes)
 	// groupOfRoot[r] is the group of the class rooted at node r, plus one;
 	// groupOf[i] node i's group; slots[gi] group gi's slot count; ops[l]
 	// the operator count and slotOf[l] the index of the slot led by node l.
-	ints := make([]int32, 5*nN)
+	ints := fr.take(5 * nN)
 	groupOfRoot, groupOf, slots, ops, slotOf := ints[:nN], ints[nN:2*nN], ints[2*nN:3*nN], ints[3*nN:4*nN], ints[4*nN:]
-	nGroups, nSlots := 0, 0
-	for i := range g.Nodes {
+	nGroups, nSlots, nIn := 0, 0, 0
+	for i, n := range fr.nodes {
 		r := nuf.find(i)
 		if groupOfRoot[r] == 0 {
 			nGroups++
@@ -618,6 +791,7 @@ func buildGroups(c *Coarse, nuf uf, leader []int32) {
 		if int(leader[i]) == i {
 			slots[groupOf[i]]++
 			nSlots++
+			nIn += len(n.Inputs)
 		}
 		ops[leader[i]]++
 	}
@@ -627,12 +801,13 @@ func buildGroups(c *Coarse, nuf uf, leader []int32) {
 	slotSlab := make([]Slot, nSlots)
 	slotPtrs := make([]*Slot, nSlots)
 	opSlab := make([]*graph.Node, nN)
-	fillGroups(c, groups, slotSlab, slotPtrs, opSlab, leader, groupOf, slots, ops, slotOf)
+	inSlab := make([]*Var, nIn)
+	fillGroups(c, fr, groups, slotSlab, slotPtrs, opSlab, inSlab, varOf, leader, groupOf, slots, ops, slotOf)
 
 	// Per-group variable lists. Count first: vars[gi] distinct variables
 	// touched (which also fixes every variable's First/Last), then how many
 	// start at each group and how many stay live across each boundary.
-	counts := make([]int32, len(c.Vars)+3*nGroups)
+	counts := fr.take(len(c.Vars) + 3*nGroups)
 	seen, counts := counts[:len(c.Vars)], counts[len(c.Vars):]
 	touched, fresh, live := counts[:nGroups], counts[nGroups:2*nGroups], counts[2*nGroups:]
 	total := countGroupVars(c, seen, touched, fresh, live)
@@ -641,11 +816,12 @@ func buildGroups(c *Coarse, nuf uf, leader []int32) {
 	fillGroupVars(c, make([]*Var, total), seen, touched, fresh, live)
 }
 
-// fillGroups lays out the groups, their slots and the slots' operators.
+// fillGroups lays out the groups, their slots and the slots' operators and
+// operands.
 //
 //tofu:hotpath once per coarsening; enforced by tofu-vet/hotalloc
-func fillGroups(c *Coarse, groups []Group, slotSlab []Slot, slotPtrs []*Slot, opSlab []*graph.Node,
-	leader, groupOf, slots, ops, slotOf []int32) {
+func fillGroups(c *Coarse, fr *frame, groups []Group, slotSlab []Slot, slotPtrs []*Slot, opSlab []*graph.Node,
+	inSlab []*Var, varOf, leader, groupOf, slots, ops, slotOf []int32) {
 
 	for gi := range groups {
 		grp := &groups[gi]
@@ -654,15 +830,20 @@ func fillGroups(c *Coarse, groups []Group, slotSlab []Slot, slotPtrs []*Slot, op
 		c.Groups[gi] = grp
 	}
 	next := 0
-	for i, n := range c.G.Nodes {
+	for i, n := range fr.nodes {
 		l := leader[i]
 		if int(l) == i {
 			s := &slotSlab[next]
 			slotOf[i] = int32(next)
 			next++
 			s.Ops, opSlab = opSlab[:0:ops[i]], opSlab[ops[i]:]
-			s.Desc = c.facts.desc[i]
-			s.Sig = c.facts.prices[c.facts.price[i]]
+			s.In, inSlab = inSlab[:len(n.Inputs):len(n.Inputs)], inSlab[len(n.Inputs):]
+			for p, in := range n.Inputs {
+				s.In[p] = c.Vars[varOf[fr.local(in)]]
+			}
+			s.Out = c.Vars[varOf[fr.local(n.Output)]]
+			s.Desc = c.facts.desc[n.ID]
+			s.Sig = c.facts.prices[c.facts.price[n.ID]]
 			grp := &groups[groupOf[i]]
 			grp.Slots = append(grp.Slots, s)
 		}
@@ -672,10 +853,11 @@ func fillGroups(c *Coarse, groups []Group, slotSlab []Slot, slotPtrs []*Slot, op
 }
 
 // countGroupVars stamps, group by group, the variables the group's
-// operators touch: touched[gi] counts them, the variables' First/Last are
-// set, and fresh[gi] / live[gi] count the variables starting at group gi /
-// live across the boundary after it. It returns the three lists' total
-// length over all groups.
+// operators touch — its slots' operands, which every instance of a slot
+// shares: touched[gi] counts them, the variables' First/Last are set, and
+// fresh[gi] / live[gi] count the variables starting at group gi / live across
+// the boundary after it. It returns the three lists' total length over all
+// groups.
 //
 //tofu:hotpath once per coarsening; enforced by tofu-vet/hotalloc
 func countGroupVars(c *Coarse, seen, touched, fresh, live []int32) int {
@@ -683,12 +865,10 @@ func countGroupVars(c *Coarse, seen, touched, fresh, live []int32) int {
 	for gi, grp := range c.Groups {
 		stamp := int32(gi + 1)
 		for _, s := range grp.Slots {
-			for _, n := range s.Ops {
-				for _, in := range n.Inputs {
-					touch(c.varOf[in.ID], gi, stamp, seen, touched)
-				}
-				touch(c.varOf[n.Output.ID], gi, stamp, seen, touched)
+			for _, v := range s.In {
+				touch(v, gi, stamp, seen, touched)
 			}
+			touch(s.Out, gi, stamp, seen, touched)
 		}
 		total += int(touched[gi])
 	}
@@ -732,17 +912,15 @@ func fillGroupVars(c *Coarse, slab []*Var, seen, touched, fresh, live []int32) {
 		grp.LiveAfter, slab = slab[:0:live[gi]], slab[live[gi]:]
 		stamp := base + int32(gi+1) // past every stamp of the count pass
 		for _, s := range grp.Slots {
-			for _, n := range s.Ops {
-				for _, in := range n.Inputs {
-					if v := c.varOf[in.ID]; seen[v.ID] != stamp {
-						seen[v.ID] = stamp
-						grp.Vars = append(grp.Vars, v)
-					}
-				}
-				if v := c.varOf[n.Output.ID]; seen[v.ID] != stamp {
+			for _, v := range s.In {
+				if seen[v.ID] != stamp {
 					seen[v.ID] = stamp
 					grp.Vars = append(grp.Vars, v)
 				}
+			}
+			if v := s.Out; seen[v.ID] != stamp {
+				seen[v.ID] = stamp
+				grp.Vars = append(grp.Vars, v)
 			}
 		}
 		slices.SortFunc(grp.Vars, byVarID)

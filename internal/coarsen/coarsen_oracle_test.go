@@ -8,11 +8,36 @@ import (
 	"tofu/internal/tdl"
 )
 
-// This file is the append-and-map coarsening the count-then-fill builder
-// replaced (PR 15), kept verbatim as the differential oracle: slot and group
-// membership gathered in maps and grown by append, one object per variable,
-// group and slot, lists ordered by sorting. It carries no node facts and no
-// pricing signatures.
+// This file holds the two differential oracles of the production coarsening.
+//
+// CoarsenSub is how segments were coarsened before Segment: extract the
+// segment with graph.Subgraph, then coarsen the clone with the node facts of
+// the graph it was cut from.
+//
+// coarsenReference is the append-and-map coarsening the count-then-fill
+// builder replaced, kept verbatim: slot and group membership gathered
+// in maps and grown by append, one object per variable, group and slot, lists
+// ordered by sorting. It carries no node facts, no pricing signatures and no
+// slot operands.
+
+// CoarsenSub coarsens sub.G, an extraction of parent.G (graph.Subgraph), and
+// returns exactly what Coarsen(sub.G) would: the same algorithm over the whole
+// clone, with the node facts copied from the parent's through sub.NodeID — a
+// clone keeps its original's operator, attributes, shapes, unroll tag and
+// timestep.
+func CoarsenSub(parent *Coarse, sub *graph.Subgraphed) (*Coarse, error) {
+	n := len(sub.NodeID)
+	ints := make([]int32, 2*n)
+	facts := *parent.facts // the root's tables, shared
+	facts.desc, facts.cell, facts.price = make([]*tdl.OpDesc, n), ints[:n:n], ints[n:]
+	for i, id := range sub.NodeID {
+		facts.desc[i] = parent.facts.desc[id]
+		facts.cell[i] = parent.facts.cell[id]
+		facts.price[i] = parent.facts.price[id]
+	}
+	fr := wholeGraph(sub.G, &facts)
+	return coarsen(sub.G, &facts, &fr)
+}
 
 // refDescribe looks up every node's description and interns the (UnrollTag,
 // Op, attributes) signature of the unrolled ones (-1 elsewhere).
@@ -84,7 +109,8 @@ func coarsenReference(g *graph.Graph) (*Coarse, error) {
 	}
 
 	// Materialize variables.
-	c := &Coarse{G: g, varOf: make([]*Var, len(g.Tensors))}
+	c := &Coarse{G: g}
+	varOf := make([]*Var, len(g.Tensors))
 	roots := make([]*Var, len(g.Tensors))
 	for _, t := range g.Tensors {
 		r := tuf.find(t.ID)
@@ -102,7 +128,7 @@ func coarsenReference(g *graph.Graph) (*Coarse, error) {
 		if t.Kind == graph.Weight {
 			v.HasWeight = true
 		}
-		c.varOf[t.ID] = v
+		varOf[t.ID] = v
 	}
 
 	// --- operator groups: union-find over nodes -------------------------
@@ -153,7 +179,7 @@ func coarsenReference(g *graph.Graph) (*Coarse, error) {
 		}
 	}
 
-	refBuildGroups(c, g, nuf, slots, desc)
+	refBuildGroups(c, g, nuf, slots, desc, varOf)
 	return c, nil
 }
 
@@ -210,7 +236,7 @@ func refBuildSlots(g *graph.Graph, sig []int32) [][]*graph.Node {
 // buildGroups materializes groups from the node union-find, orders them by
 // earliest member node, slices each into slots, and computes variable
 // liveness (First/Last group references).
-func refBuildGroups(c *Coarse, g *graph.Graph, nuf *refUF, slots [][]*graph.Node, desc []*tdl.OpDesc) {
+func refBuildGroups(c *Coarse, g *graph.Graph, nuf *refUF, slots [][]*graph.Node, desc []*tdl.OpDesc, varOf []*Var) {
 	members := make([][]*graph.Node, len(g.Nodes)) // union root -> members
 	for _, n := range g.Nodes {
 		r := nuf.find(n.ID)
@@ -269,13 +295,13 @@ func refBuildGroups(c *Coarse, g *graph.Graph, nuf *refUF, slots [][]*graph.Node
 			group.Slots = append(group.Slots, s)
 			for _, n := range s.Ops {
 				for _, in := range n.Inputs {
-					v := c.varOf[in.ID]
+					v := varOf[in.ID]
 					if seen[v.ID] != gi+1 {
 						seen[v.ID] = gi + 1
 						group.Vars = append(group.Vars, v)
 					}
 				}
-				v := c.varOf[n.Output.ID]
+				v := varOf[n.Output.ID]
 				if seen[v.ID] != gi+1 {
 					seen[v.ID] = gi + 1
 					group.Vars = append(group.Vars, v)

@@ -1,8 +1,11 @@
 package coarsen
 
 import (
+	"bytes"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"tofu/internal/graph"
@@ -51,8 +54,8 @@ func TestWeightGradHistoryShareVariable(t *testing.T) {
 		if w.Grad == nil {
 			continue
 		}
-		wv := c.VarOf(w)
-		gv := c.VarOf(w.Grad)
+		wv := varOf(c, w)
+		gv := varOf(c, w.Grad)
 		if wv != gv {
 			t.Errorf("weight %v and its gradient are in different variables", w)
 		}
@@ -64,7 +67,7 @@ func TestWeightGradHistoryShareVariable(t *testing.T) {
 	for _, ten := range m.G.Tensors {
 		if ten.Kind == graph.OptState {
 			base := findWeight(m.G, ten.Name)
-			if base != nil && c.VarOf(ten) != c.VarOf(base) {
+			if base != nil && varOf(c, ten) != varOf(c, base) {
 				t.Errorf("optimizer state %v split from its weight", ten)
 			}
 		}
@@ -92,7 +95,7 @@ func TestElementwiseCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All four tensors share one variable; all three ops share one group.
-	if c.VarOf(x) != c.VarOf(a) || c.VarOf(a) != c.VarOf(b) || c.VarOf(b) != c.VarOf(cdf) {
+	if varOf(c, x) != varOf(c, a) || varOf(c, a) != varOf(c, b) || varOf(c, b) != varOf(c, cdf) {
 		t.Fatal("element-wise chain must share one variable")
 	}
 	if len(c.Groups) != 1 {
@@ -111,10 +114,10 @@ func TestNonElementwiseBreaksCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.VarOf(a) == c.VarOf(b) {
+	if varOf(c, a) == varOf(c, b) {
 		t.Fatal("matmul must not merge its input and output variables")
 	}
-	if c.VarOf(b) != c.VarOf(cdf) {
+	if varOf(c, b) != varOf(c, cdf) {
 		t.Fatal("relu after matmul should merge with matmul output")
 	}
 }
@@ -211,7 +214,7 @@ func TestGroupLivenessWellFormed(t *testing.T) {
 			vars[v.ID] = true
 		}
 		for _, s := range g.Slots {
-			if !vars[c.VarOf(s.Rep().Output).ID] {
+			if !vars[varOf(c, s.Rep().Output).ID] {
 				t.Fatalf("group %d missing its slot output var", g.ID)
 			}
 		}
@@ -227,7 +230,7 @@ func TestVarBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := c.VarOf(x)
+	v := varOf(c, x)
 	if v.Bytes() != 2*4*4*4 {
 		t.Fatalf("Bytes = %d (members %d)", v.Bytes(), len(v.Tensors))
 	}
@@ -449,12 +452,220 @@ func groupIndex(c *Coarse) []int {
 	return groupOf
 }
 
-// TestCoarsenSubAllocsBounded is the segment coarsening's allocation
-// ceiling, a + b·groups with b = 0: a constant number of slabs whatever the
-// segment holds (18 today), where the append-and-map builder allocated
-// several objects per group, slot and variable (7523 on the whole WResNet).
-func TestCoarsenSubAllocsBounded(t *testing.T) {
-	const ceiling = 20
+// TestSegmentViewMatchesCoarsenSub: for every contiguous group interval of a
+// small instance of each benchmark family (a grid on WResNet, whose smallest
+// instance has 283 groups) and of three graphs built to tell a segment from
+// the whole graph (segmentEdges), the segment view is the oracle's
+// coarsening of the extracted subgraph read through the extraction's ID
+// maps: the same variables with the same members, First and Last, the same
+// groups and variable lists, the same slots with the same operators,
+// operands, descriptions and signatures, and the same structural key bytes.
+// One scratch serves every interval, so each call must leave it clean. A
+// segment of a segment view, over the view's groups, is coarsened the same
+// way.
+func TestSegmentViewMatchesCoarsenSub(t *testing.T) {
+	graphs := segmentEdges()
+	for _, cfg := range segmentModels {
+		m, err := models.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, namedGraph{cfg.Family, m.G})
+	}
+	for _, ng := range graphs {
+		name, g := ng.name, ng.g
+		root, err := Coarsen(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groupOf := groupIndex(root)
+		L := len(root.Groups)
+		stride := 1
+		if name == "wresnet" {
+			stride = L / 24
+		}
+		var sc SegmentScratch
+		for lo := 0; lo < L; lo += stride {
+			for hi := L; hi > lo; hi -= stride {
+				sub, err := g.Subgraph(func(n *graph.Node) bool {
+					return groupOf[n.ID] >= lo && groupOf[n.ID] < hi
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := CoarsenSub(root, sub)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := root.Segment(lo, hi, &sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.G != g {
+					t.Fatalf("%s groups [%d,%d): the view belongs to another graph", name, lo, hi)
+				}
+				toRoot := func(t *graph.Tensor) *graph.Tensor { return g.Tensors[sub.TensorID[t.ID]] }
+				toRootOp := func(n *graph.Node) *graph.Node { return g.Nodes[sub.NodeID[n.ID]] }
+				if diff := diffMapped(got, want, toRoot, toRootOp); diff != "" {
+					t.Fatalf("%s groups [%d,%d): the view differs from CoarsenSub: %s", name, lo, hi, diff)
+				}
+				if len(got.Groups) < 2 {
+					continue
+				}
+				// The view's groups, less its first, as a segment of the view.
+				inner := groupIndex(got)
+				sub, err = g.Subgraph(func(n *graph.Node) bool {
+					return groupOf[n.ID] >= lo && groupOf[n.ID] < hi && inner[n.ID] >= 1
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, err = CoarsenSub(root, sub); err != nil {
+					t.Fatal(err)
+				}
+				if got, err = got.Segment(1, len(got.Groups), &sc); err != nil {
+					t.Fatal(err)
+				}
+				if diff := diffMapped(got, want, toRoot, toRootOp); diff != "" {
+					t.Fatalf("%s groups [%d,%d): a segment of the view differs from CoarsenSub: %s", name, lo, hi, diff)
+				}
+			}
+		}
+		for _, tab := range [][]int32{sc.node, sc.tensor, sc.cell, sc.sig} {
+			if slices.ContainsFunc(tab, func(x int32) bool { return x != 0 }) {
+				t.Fatalf("%s: Segment left its scratch dirty", name)
+			}
+		}
+	}
+}
+
+// namedGraph is a graph a test coarsens, with a name for its messages.
+type namedGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+// segmentEdges are three graphs on which a segment's coarsening is not the
+// whole graph's restricted to it:
+//   - "fan-out": relu's output feeds tanh and, past tanh's group, a matmul;
+//     in the segment of the first two groups tanh is relu's only reader, so
+//     the two element-wise operators coalesce there and nowhere else;
+//   - "feed": tanh reads relu's output in a segment that leaves relu out
+//     but starts with another element-wise operator, which an absent
+//     producer must not be mistaken for;
+//   - "late-link": a forward link (FwdOf) points at a later operator; the
+//     whole graph groups the two, an extraction drops the link.
+func segmentEdges() []namedGraph {
+	fan := graph.New()
+	a := fan.Apply("relu", nil, fan.Input("x", shape.Of(8, 8)))
+	fan.Apply("matmul", nil, fan.Apply("tanh", nil, a), fan.Weight("w1", shape.Of(8, 8)))
+	fan.Apply("matmul", nil, a, fan.Weight("w2", shape.Of(8, 8)))
+
+	feed := graph.New()
+	p := feed.Apply("relu", nil, feed.Input("x", shape.Of(8, 8)))
+	feed.Apply("matmul", nil, p, feed.Weight("w", shape.Of(8, 8)))
+	feed.Apply("sigmoid", nil, feed.Input("x2", shape.Of(8, 8)))
+	feed.Apply("tanh", nil, p)
+
+	late := graph.New()
+	x := late.Input("x", shape.Of(8, 8))
+	first := late.Apply("matmul", nil, x, late.Weight("w1", shape.Of(8, 8)))
+	second := late.Apply("matmul", nil, x, late.Weight("w2", shape.Of(8, 8)))
+	first.Producer.FwdOf = second.Producer
+	return []namedGraph{{"fan-out", fan}, {"feed", feed}, {"late-link", late}}
+}
+
+// TestSegmentViewConcurrent: segments only read the coarsening they are cut
+// from, so goroutines with a scratch each may coarsen segments of one root at
+// once and get the serial keys (run it under -race).
+func TestSegmentViewConcurrent(t *testing.T) {
+	m, err := models.Build(segmentModels[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := Coarsen(m.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	L := len(root.Groups)
+	keys := func(sc *SegmentScratch) ([]string, error) {
+		var out []string
+		for lo := 0; lo < L; lo++ {
+			for hi := lo + 1; hi <= L; hi++ {
+				seg, err := root.Segment(lo, hi, sc)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, string(seg.AppendStructKey(nil)))
+			}
+		}
+		return out, nil
+	}
+	want, err := keys(&SegmentScratch{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]string, 4)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = keys(&SegmentScratch{})
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil || !slices.Equal(got[i], want) {
+			t.Fatalf("goroutine %d: error %v, keys equal to the serial ones: %v", i, errs[i], slices.Equal(got[i], want))
+		}
+	}
+}
+
+// diffMapped names the first difference between a segment view and a
+// coarsening of the same operators whose tensors and nodes the view's are
+// the images of under the two maps, "" when there is none.
+func diffMapped(view, c *Coarse, tensor func(*graph.Tensor) *graph.Tensor, node func(*graph.Node) *graph.Node) string {
+	if len(view.Vars) != len(c.Vars) || len(view.Groups) != len(c.Groups) {
+		return fmt.Sprintf("%d vars and %d groups vs %d and %d", len(view.Vars), len(view.Groups), len(c.Vars), len(c.Groups))
+	}
+	sameIDs := func(x, y []*Var) bool {
+		return slices.EqualFunc(x, y, func(v, w *Var) bool { return v.ID == w.ID })
+	}
+	for i, v := range view.Vars {
+		w := c.Vars[i]
+		if v.ID != w.ID || !v.Shape.Equal(w.Shape) || v.HasWeight != w.HasWeight || v.First != w.First || v.Last != w.Last ||
+			!slices.EqualFunc(v.Tensors, w.Tensors, func(a, b *graph.Tensor) bool { return a == tensor(b) }) {
+			return fmt.Sprintf("var %d: %v [%d,%d] vs %v [%d,%d]", i, v, v.First, v.Last, w, w.First, w.Last)
+		}
+	}
+	for i, g := range view.Groups {
+		h := c.Groups[i]
+		if g.ID != h.ID || !sameIDs(g.Vars, h.Vars) || !sameIDs(g.NewVars, h.NewVars) || !sameIDs(g.LiveAfter, h.LiveAfter) {
+			return fmt.Sprintf("group %d: variable lists", i)
+		}
+		if !slices.EqualFunc(g.Slots, h.Slots, func(s, r *Slot) bool {
+			return s.Desc == r.Desc && s.Sig == r.Sig && sameIDs(s.In, r.In) && s.Out.ID == r.Out.ID &&
+				slices.EqualFunc(s.Ops, r.Ops, func(a, b *graph.Node) bool { return a == node(b) })
+		}) {
+			return fmt.Sprintf("group %d: slots", i)
+		}
+	}
+	if !bytes.Equal(view.AppendStructKey(nil), c.AppendStructKey(nil)) {
+		return "structural key"
+	}
+	return ""
+}
+
+// TestSegmentViewAllocs is the segment view's allocation ceiling: with a warm
+// scratch a segment costs the same constant number of objects whatever it
+// holds (12: the Coarse, its ten slabs and the element-wise flags; its other
+// working tables come from the scratch), and what they weigh follows the
+// segment, not its graph — a one-group segment allocates the same bytes in an
+// MLP of any depth.
+func TestSegmentViewAllocs(t *testing.T) {
+	const objects = 12
 	for _, cfg := range segmentModels {
 		m, err := models.Build(cfg)
 		if err != nil {
@@ -464,28 +675,69 @@ func TestCoarsenSubAllocsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		groupOf := groupIndex(root)
 		L := len(root.Groups)
+		var sc SegmentScratch
 		for _, hi := range []int{1, L / 2, L} {
-			sub, err := m.G.Subgraph(func(n *graph.Node) bool { return groupOf[n.ID] < hi })
-			if err != nil {
-				t.Fatal(err)
-			}
 			allocs := testing.AllocsPerRun(10, func() {
-				if _, err := CoarsenSub(root, sub); err != nil {
+				if _, err := root.Segment(0, hi, &sc); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if allocs > ceiling {
-				t.Errorf("%s groups [0,%d): %v allocations, ceiling %d", cfg.Family, hi, allocs, ceiling)
+			if allocs != objects {
+				t.Errorf("%s groups [0,%d): %v allocations, want %d", cfg.Family, hi, allocs, objects)
 			}
+		}
+	}
+
+	var key []byte
+	var weight uint64
+	for _, depth := range []int{2, 8, 32} {
+		m, err := models.Build(models.Config{Family: "mlp", Depth: depth, Width: 64, Batch: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := Coarsen(m.G)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sc SegmentScratch
+		seg, err := root.Segment(0, 1, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := bytesPerRun(100, func() {
+			if _, err := root.Segment(0, 1, &sc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if k := seg.AppendStructKey(nil); key == nil {
+			key, weight = k, b
+		} else if !bytes.Equal(k, key) {
+			t.Fatalf("mlp-%d: the first group is another problem than in mlp-2", depth)
+		} else if b != weight {
+			t.Errorf("mlp-%d: the first group allocates %d bytes, %d in mlp-2", depth, b, weight)
 		}
 	}
 }
 
-// BenchmarkCoarsenSub coarsens the middle half of each family's groups — a
-// typical pipeline segment — from the root's node facts. Run with -benchmem.
-func BenchmarkCoarsenSub(b *testing.B) {
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes
+// allocated by one call of f, after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// BenchmarkSegmentView coarsens the middle half of each family's groups — a
+// typical pipeline segment — as a view of the root coarsening, with a warm
+// scratch. Run with -benchmem.
+func BenchmarkSegmentView(b *testing.B) {
 	for _, cfg := range []models.Config{
 		{Family: "mlp", Depth: 8, Width: 256, Batch: 64},
 		{Family: "rnn", Depth: 2, Width: 1024, Batch: 64},
@@ -499,16 +751,12 @@ func BenchmarkCoarsenSub(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		groupOf := groupIndex(root)
 		L := len(root.Groups)
-		sub, err := m.G.Subgraph(func(n *graph.Node) bool { return groupOf[n.ID] >= L/4 && groupOf[n.ID] < 3*L/4 })
-		if err != nil {
-			b.Fatal(err)
-		}
+		var sc SegmentScratch
 		b.Run(cfg.Family, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := CoarsenSub(root, sub); err != nil {
+				if _, err := root.Segment(L/4, 3*L/4, &sc); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -518,14 +766,17 @@ func BenchmarkCoarsenSub(b *testing.B) {
 
 // diffCoarse names the first difference between two coarsenings of one
 // graph ("" when there is none), comparing variables and operators by ID and
-// the slots' carried descriptions and pricing signatures.
+// the slots' carried descriptions, pricing signatures and operands.
 func diffCoarse(a, b *Coarse) string {
 	if diff := diffStructure(a, b); diff != "" {
 		return diff
 	}
 	for i, g := range a.Groups {
-		if !slices.EqualFunc(g.Slots, b.Groups[i].Slots, func(s, r *Slot) bool { return s.Sig == r.Sig }) {
-			return fmt.Sprintf("group %d: slot pricing signatures", i)
+		if !slices.EqualFunc(g.Slots, b.Groups[i].Slots, func(s, r *Slot) bool {
+			return s.Sig == r.Sig && s.Out.ID == r.Out.ID &&
+				slices.EqualFunc(s.In, r.In, func(v, w *Var) bool { return v.ID == w.ID })
+		}) {
+			return fmt.Sprintf("group %d: slot pricing signatures or operands", i)
 		}
 	}
 	return ""
@@ -558,10 +809,17 @@ func diffStructure(a, b *Coarse) string {
 			return fmt.Sprintf("group %d: slots", i)
 		}
 	}
-	if !sameVars(a.varOf, b.varOf) {
-		return "tensor-to-variable map"
-	}
 	return ""
+}
+
+// varOf returns the variable of c that t is a member of, nil when none is.
+func varOf(c *Coarse, t *graph.Tensor) *Var {
+	for _, v := range c.Vars {
+		if slices.Contains(v.Tensors, t) {
+			return v
+		}
+	}
+	return nil
 }
 
 func identity(n int) []int {

@@ -110,10 +110,9 @@ type Summary struct {
 }
 
 // Partition runs the full Tofu pipeline on a training graph for k workers.
+// The graph is validated once, by the coarsening both searches start from;
+// an invalid graph fails with a "core: " error before any search runs.
 func Partition(g *graph.Graph, k int64, opts Options) (*Summary, error) {
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	if opts.Pipeline != nil {
 		return partitionHybrid(g, k, opts)
 	}
@@ -138,7 +137,7 @@ func Partition(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 	start := time.Now()
 	co, err := recursive.Coarsen(g, search.Trace)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	p, err := recursive.PartitionCoarse(co, k, search)
 	if err != nil {
@@ -184,7 +183,7 @@ func partitionHybrid(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 	start := time.Now()
 	co, err := recursive.Coarsen(g, opts.Trace)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	res, err := hybrid.PartitionCoarse(co, k, hybrid.Options{
 		Topology:    opts.Topology,

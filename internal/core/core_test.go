@@ -118,6 +118,8 @@ func TestSubMachinePlanGetsBlindLayout(t *testing.T) {
 	}
 }
 
+// TestPartitionValidatesGraph: a corrupt graph is a "core: " error on the
+// flat and on the pipeline path alike.
 func TestPartitionValidatesGraph(t *testing.T) {
 	m, err := models.MLP(1, 64, 8)
 	if err != nil {
@@ -125,8 +127,16 @@ func TestPartitionValidatesGraph(t *testing.T) {
 	}
 	// Corrupt the graph: break topological order.
 	m.G.Nodes[0], m.G.Nodes[len(m.G.Nodes)-1] = m.G.Nodes[len(m.G.Nodes)-1], m.G.Nodes[0]
-	if _, err := Partition(m.G, 2, DefaultOptions()); err == nil {
-		t.Fatal("expected validation error")
+	cl := topo.Cluster2x8Topology()
+	pipelined := DefaultOptions()
+	pipelined.Topology, pipelined.Pipeline = &cl, &PipelineSpec{}
+	for _, c := range []struct {
+		k    int64
+		opts Options
+	}{{2, DefaultOptions()}, {int64(cl.NumGPUs()), pipelined}} {
+		if _, err := Partition(m.G, c.k, c.opts); err == nil || !strings.HasPrefix(err.Error(), "core: graph: ") {
+			t.Errorf("pipeline %v: err = %v, want a core: validation error", c.opts.Pipeline != nil, err)
+		}
 	}
 }
 

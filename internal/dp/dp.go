@@ -116,9 +116,10 @@ func (p *Problem) parallelism() int {
 type Result struct {
 	// VarCut maps coarsened-variable ID to the chosen cut dimension.
 	VarCut map[int]int
-	// TensorCut expands VarCut to every member tensor ID — dense by tensor
-	// ID, -1 for uncut tensors. It, OpStrategy and OpComm are nil until
-	// Materialize fills them.
+	// TensorCut expands VarCut to every member tensor ID — dense by the IDs
+	// of the coarsening's graph (Coarse.G: for a segment, the whole graph it
+	// was cut from), -1 for uncut tensors and tensors outside the coarsening.
+	// It, OpStrategy and OpComm are nil until Materialize fills them.
 	TensorCut []int
 	// OpStrategy is the chosen partition strategy per node ID (dense); an
 	// empty Axis marks nodes without one.
@@ -403,25 +404,25 @@ func prepareSlotEvals(p *Problem) (*slotSet, error) {
 	errs := make([]error, len(ranges))
 	runChunks(ranges, func(w, lo, hi int) {
 		sc := evalScratch{curIn: make([]shape.Shape, maxIn)}
-		rebuilt, lists := 0, 0
+		rebuilt, touched, ins := 0, 0, 0
 		for i := lo; i < hi; i++ {
 			if i < len(prev) && prev[i].slot == slots[i] && prev[i].reusable(p, alphas, &sc) {
 				ss.ordered[i] = prev[i]
 				continue
 			}
-			// An evaluator lists its inputs' variables and the distinct
-			// ones (vars), and an index per entry of either (ints).
-			nIn, nTouched := touchedVars(p.Coarse, slots[i].Rep())
+			// An evaluator lists the slot's distinct variables (vars), and an
+			// index per entry of that list and per input (ints).
 			rebuilt++
-			lists += nIn + nTouched
+			touched += touchedVars(slots[i])
+			ins += len(slots[i].In)
 		}
 		if rebuilt == 0 {
 			return
 		}
 		slabs := evalSlabs{
 			evs:  make([]slotEval, rebuilt),
-			vars: make([]*coarsen.Var, lists),
-			ints: make([]int, lists),
+			vars: make([]*coarsen.Var, touched),
+			ints: make([]int, touched+ins),
 		}
 		sc.sizeForBuild(maxIn, maxSig)
 		for i := lo; i < hi; i++ {

@@ -60,7 +60,10 @@ func buildAlphas(p *Problem) ([]varAlpha, error) {
 			}
 		}
 		if len(a.dims) == 0 {
-			return nil, fmt.Errorf("dp: variable %v shape %v has no dimension divisible by %d", v, s, p.K)
+			// Name a member tensor too: variable IDs are the coarsening's own,
+			// tensor IDs the graph's (for a segment, the whole graph's).
+			return nil, fmt.Errorf("dp: variable %v (tensor %v) shape %v has no dimension divisible by %d",
+				v, v.Tensors[0], s, p.K)
 		}
 		alphas[v.ID] = a
 	}

@@ -3,11 +3,11 @@ package dp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 
 	"tofu/internal/coarsen"
-	"tofu/internal/graph"
 	"tofu/internal/partition"
 	"tofu/internal/shape"
 )
@@ -115,26 +115,18 @@ type evalSlabs struct {
 	ints []int
 }
 
-// touchedVars counts what an evaluator for rep lists: its inputs, and the
-// distinct variables among its inputs' and its output's.
+// touchedVars counts the distinct variables among a slot's operands — the
+// variable list an evaluator for it lays out.
 //
 //tofu:hotpath count pass of prepareSlotEvals; enforced by tofu-vet/hotalloc
-func touchedVars(c *coarsen.Coarse, rep *graph.Node) (nIn, nTouched int) {
-	out := c.VarOf(rep.Output)
-	nTouched = 1
-	for i, in := range rep.Inputs {
-		v := c.VarOf(in)
-		fresh := v != out
-		for _, earlier := range rep.Inputs[:i] {
-			if c.VarOf(earlier) == v {
-				fresh = false
-			}
-		}
-		if fresh {
-			nTouched++
+func touchedVars(s *coarsen.Slot) int {
+	n := 1
+	for i, v := range s.In {
+		if v != s.Out && !slices.Contains(s.In[:i], v) {
+			n++
 		}
 	}
-	return len(rep.Inputs), nTouched
+	return n
 }
 
 func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch, slabs *evalSlabs) (*slotEval, error) {
@@ -142,16 +134,14 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch
 	ev := &slabs.evs[0]
 	slabs.evs = slabs.evs[1:]
 	ev.slot, ev.mult, ev.alphas = s, float64(len(s.Ops)), alphas
+	ev.inVars, ev.outVar = s.In, s.Out
 
 	nIn := len(rep.Inputs)
 	sc.curIn = grow(sc.curIn, nIn)
 	curIn := sc.curIn
-	ev.inVars, slabs.vars = slabs.vars[:nIn:nIn], slabs.vars[nIn:]
 	for i, in := range rep.Inputs {
 		curIn[i] = p.Shapes[in.ID]
-		ev.inVars[i] = p.Coarse.VarOf(in)
 	}
-	ev.outVar = p.Coarse.VarOf(rep.Output)
 	curOut := p.Shapes[rep.Output.ID]
 
 	desc := s.Desc

@@ -3,7 +3,6 @@ package hybrid
 import (
 	"fmt"
 
-	"tofu/internal/coarsen"
 	"tofu/internal/graph"
 	"tofu/internal/graphgen"
 	"tofu/internal/partition"
@@ -19,6 +18,12 @@ import (
 // kSub workers divide only that stage's tensors). It polls no cancellation:
 // the work is bounded by the S winning stages, and a degraded incumbent must
 // still ship as a complete plan.
+//
+// A stage's plan is materialized on its segment view, whose tables come out
+// in full-graph IDs — the combined plan's steps as they are. Execution needs
+// a graph of the stage's own, so only here is a segment extracted
+// (graph.Subgraph), and the stage plan gathers its tables through the
+// extraction's ID maps.
 func (s *search) assemble(ls *levelState) (*Result, error) {
 	L := len(s.c.Groups)
 	bounds := make([]int, 0, ls.S+1)
@@ -41,22 +46,25 @@ func (s *search) assemble(ls *levelState) (*Result, error) {
 			// Unreachable: the winning set's segments all solved feasibly.
 			return nil, sg.err
 		}
+		co, err := s.c.Segment(lo, hi, &s.scratch)
+		if err != nil {
+			// Unreachable: the segment's fill coarsened the same groups.
+			return nil, fmt.Errorf("hybrid: stage %d: %w", si, err)
+		}
 		// The cost-only plan may be shared with the segment's whole memo
 		// class — winners included — and Materialize fills steps in place.
-		p := ownSteps(sg.plan)
-		sub, err := s.extract(lo, hi)
-		if err != nil {
-			// Unreachable while segment memoizes its extraction.
-			return nil, err
-		}
-		co, err := coarsen.CoarsenSub(s.c, sub)
-		if err != nil {
-			// Unreachable: the segment's fill coarsened the same extraction.
+		full := ownSteps(sg.plan)
+		if err := recursive.Materialize(co, full, ls.stageOptions()); err != nil {
 			return nil, fmt.Errorf("hybrid: stage %d: %w", si, err)
 		}
-		if err := recursive.Materialize(co, p, ls.stageOptions()); err != nil {
-			return nil, fmt.Errorf("hybrid: stage %d: %w", si, err)
+		sub, err := s.g.Subgraph(func(n *graph.Node) bool {
+			gi := s.groupOf[n.ID]
+			return gi >= lo && gi < hi
+		})
+		if err != nil {
+			return nil, fmt.Errorf("hybrid: extracting groups [%d,%d): %w", lo, hi, err)
 		}
+		p := stagePlan(full, sub)
 		sh, err := graphgen.Generate(sub.G, p, s.opts.Gen)
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: stage %d graph generation: %w", si, err)
@@ -85,19 +93,23 @@ func (s *search) assemble(ls *levelState) (*Result, error) {
 		// A stage whose own search ran out of budget taints the whole
 		// assembly: the combined plan is only as proven as its weakest stage.
 		combined.Degraded = combined.Degraded || p.Degraded
-		for _, st := range p.Steps {
-			combined.Steps = append(combined.Steps,
-				remapStep(st, sub, len(s.g.Tensors), len(s.g.Nodes), si))
+		// Tensors and nodes outside the stage stay uncut and strategy-less,
+		// exactly like tensors a flat step never references. VarCut is
+		// dropped: its keys are variable IDs of the stage's own coarsening,
+		// which name nothing in the full graph — the stage plans keep theirs.
+		for _, st := range full.Steps {
+			st.VarCut, st.Stage = nil, si
+			combined.Steps = append(combined.Steps, st)
 		}
 		// A tensor touched by several stages (a shared weight) keeps its
 		// earliest stage's shard shape — FinalShapes on the combined plan is
 		// informational; execution reads the per-stage plans.
-		for tid, origID := range sub.TensorID {
-			if _, ok := combined.FinalShapes[origID]; ok {
+		for _, id := range sub.TensorID {
+			if _, ok := combined.FinalShapes[id]; ok {
 				continue
 			}
-			if fs, ok := p.FinalShapes[tid]; ok {
-				combined.FinalShapes[origID] = fs.Clone()
+			if fs, ok := full.FinalShapes[id]; ok {
+				combined.FinalShapes[id] = fs.Clone()
 			}
 		}
 	}
@@ -109,39 +121,35 @@ func (s *search) assemble(ls *levelState) (*Result, error) {
 	return res, nil
 }
 
-// remapStep lifts one stage-local step into full-graph IDs through the
-// extraction's identity maps. Tensors and nodes outside the stage stay
-// uncut/strategy-less, exactly like tensors a flat step never references.
-// VarCut is dropped: its keys are variable IDs of the stage's own coarsening,
-// which name nothing in the full graph — the stage plans keep theirs.
-func remapStep(st *plan.Step, sub *graph.Subgraphed, nTensors, nNodes, stage int) *plan.Step {
-	out := &plan.Step{
-		K:          st.K,
-		Multiplier: st.Multiplier,
-		CommBytes:  st.CommBytes,
-		Level:      st.Level,
-		States:     st.States,
-		Configs:    st.Configs,
-		Stage:      stage,
-		TensorCut:  make([]int, nTensors),
-		OpStrategy: make([]partition.Strategy, nNodes),
-		OpComm:     make([]partition.Parts, nNodes),
+// stagePlan is the stage-local copy of a plan materialized on a segment view:
+// every dense table and the final shapes gathered from full-graph IDs into
+// the extraction's through its ID maps, everything else — VarCut included —
+// as the search left it.
+func stagePlan(full *plan.Plan, sub *graph.Subgraphed) *plan.Plan {
+	p := *full
+	steps := make([]plan.Step, len(full.Steps))
+	p.Steps = make([]*plan.Step, len(full.Steps))
+	for i, st := range full.Steps {
+		steps[i] = *st
+		local := &steps[i]
+		local.TensorCut = make([]int, len(sub.TensorID))
+		for tid, id := range sub.TensorID {
+			local.TensorCut[tid] = st.TensorCut[id]
+		}
+		local.OpStrategy = make([]partition.Strategy, len(sub.NodeID))
+		local.OpComm = make([]partition.Parts, len(sub.NodeID))
+		for nid, id := range sub.NodeID {
+			local.OpStrategy[nid], local.OpComm[nid] = st.OpStrategy[id], st.OpComm[id]
+		}
+		p.Steps[i] = local
 	}
-	for i := range out.TensorCut {
-		out.TensorCut[i] = -1
-	}
-	for tid, d := range st.TensorCut {
-		if d >= 0 {
-			out.TensorCut[sub.TensorID[tid]] = d
+	p.FinalShapes = make(map[int]shape.Shape, len(sub.TensorID))
+	for tid, id := range sub.TensorID {
+		if fs, ok := full.FinalShapes[id]; ok {
+			p.FinalShapes[tid] = fs
 		}
 	}
-	for nid := range st.OpStrategy {
-		out.OpStrategy[sub.NodeID[nid]] = st.OpStrategy[nid]
-	}
-	for nid := range st.OpComm {
-		out.OpComm[sub.NodeID[nid]] = st.OpComm[nid]
-	}
-	return out
+	return &p
 }
 
 // ownSteps returns a copy of a cost-only plan with steps of its own, for

@@ -67,9 +67,11 @@ type Options struct {
 	Stats *Stats
 	// Trace, if non-nil, records the joint search's span tree: "coarsen",
 	// per-candidate-level "hybrid.level" spans, and under each a
-	// "hybrid.segment" span per memoized segment (wrapping its coarsening and
-	// its full recursive search, or marked memo_hit=1 when the structural
-	// memo served it). A level span carries seed_rounds (seed rounds
+	// "hybrid.segment" span per memoized segment. A segment span wraps the
+	// segment's whole preparation — its coarsening, a view of the root's
+	// (coarsen.Coarse.Segment, a "coarsen" child), and its structural key —
+	// and then its full recursive search, or is marked memo_hit=1 when the
+	// structural memo served it. A level span carries seed_rounds (seed rounds
 	// started), segments (solved at that level), segment_hits (served by the
 	// memo) and skipped=1 when an earlier level's best cut it before any
 	// solve. nil records nothing and costs nothing; spans never influence the
@@ -196,8 +198,7 @@ func PartitionCoarse(c *coarsen.Coarse, k int64, opts Options) (*Result, error) 
 	if cache == nil {
 		cache = dp.NewPriceCache()
 	}
-	s := &search{g: g, c: c, tp: *tp, opts: opts, cache: cache,
-		subs: make(map[segKey]*graph.Subgraphed)}
+	s := &search{g: g, c: c, tp: *tp, opts: opts, cache: cache}
 	s.buildGroupOf()
 	s.buildHandoffs()
 
@@ -260,8 +261,9 @@ type search struct {
 	// b-1 and b), for b in [1, L-1] — level-independent.
 	xb []float64
 
-	// subs memoizes segment extractions (shared across candidate levels).
-	subs map[segKey]*graph.Subgraphed
+	// scratch is the working memory every segment coarsening (Segment)
+	// borrows; the boundary search is serial.
+	scratch coarsen.SegmentScratch
 
 	stats   Stats
 	errs    []error
@@ -271,8 +273,6 @@ type search struct {
 	// any — ships as a degraded plan.
 	cancelled bool
 }
-
-type segKey struct{ lo, hi int }
 
 func (s *search) buildGroupOf() {
 	s.groupOf = make([]int, len(s.g.Nodes))
@@ -322,23 +322,6 @@ func (s *search) buildHandoffs() {
 		run += diff[b]
 		s.xb[b] = run
 	}
-}
-
-// extract returns the memoized subgraph of groups [lo, hi).
-func (s *search) extract(lo, hi int) (*graph.Subgraphed, error) {
-	key := segKey{lo, hi}
-	if sub, ok := s.subs[key]; ok {
-		return sub, nil
-	}
-	sub, err := s.g.Subgraph(func(n *graph.Node) bool {
-		gi := s.groupOf[n.ID]
-		return gi >= lo && gi < hi
-	})
-	if err != nil {
-		return nil, fmt.Errorf("hybrid: extracting groups [%d,%d): %w", lo, hi, err)
-	}
-	s.subs[key] = sub
-	return sub, nil
 }
 
 func (s *search) addErr(err error) {

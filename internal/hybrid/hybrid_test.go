@@ -3,15 +3,21 @@ package hybrid_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"tofu/internal/cancel"
+	"tofu/internal/coarsen"
+	"tofu/internal/graph"
 	"tofu/internal/hybrid"
 	"tofu/internal/models"
 	"tofu/internal/obs"
 	"tofu/internal/plan"
+	"tofu/internal/recursive"
+	"tofu/internal/shape"
 	"tofu/internal/topo"
 )
 
@@ -350,6 +356,115 @@ func TestHybridInfeasible(t *testing.T) {
 	} else if n := strings.Count(want.Error(), "\n"); n < 10 ||
 		!strings.Contains(want.Error(), "on 8 GPUs") || !strings.Contains(want.Error(), "on 16 GPUs") {
 		t.Errorf("indivisible model: %d reasons, want at least 10 across both stage sub-machines:\n%v", n, want)
+	}
+}
+
+// TestHybridStagePlansMatchExtraction: a stage plan is materialized on its
+// segment view and gathered into the extracted stage graph's IDs. It must be
+// exactly what materializing the stage's decisions on the extracted graph's
+// own coarsening gives: the same JSON bytes (every step's tensor cuts,
+// strategies and itemized communication) and the same final shapes.
+func TestHybridStagePlansMatchExtraction(t *testing.T) {
+	for _, c := range diffCases {
+		tp, err := topo.Profile(c.prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := models.Build(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := hybrid.Partition(m.G, int64(tp.NumGPUs()), hybrid.Options{Topology: &tp, Level: c.level, Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", c.prof, err)
+		}
+		for si, stg := range res.Stages {
+			co, err := coarsen.Coarsen(stg.G)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := *stg.Plan
+			want.FinalShapes, want.Steps = nil, make([]*plan.Step, len(stg.Plan.Steps))
+			for i, st := range stg.Plan.Steps {
+				want.Steps[i] = &plan.Step{K: st.K, Multiplier: st.Multiplier, VarCut: st.VarCut, CommBytes: st.CommBytes,
+					Level: st.Level, States: st.States, Configs: st.Configs}
+			}
+			if err := recursive.Materialize(co, &want, recursive.Options{Parallelism: 1}); err != nil {
+				t.Fatalf("%s stage %d: %v", c.prof, si, err)
+			}
+			if !bytes.Equal(planBytes(t, stg.Plan), planBytes(t, &want)) {
+				t.Errorf("%s stage %d: the stage plan differs from its extraction's materialization", c.prof, si)
+			}
+			if len(stg.Plan.FinalShapes) != len(want.FinalShapes) {
+				t.Fatalf("%s stage %d: %d final shapes, want %d", c.prof, si, len(stg.Plan.FinalShapes), len(want.FinalShapes))
+			}
+			for tid, s := range want.FinalShapes {
+				if !stg.Plan.FinalShapes[tid].Equal(s) {
+					t.Errorf("%s stage %d: tensor %d ends at %v, want %v", c.prof, si, tid, stg.Plan.FinalShapes[tid], s)
+				}
+			}
+		}
+	}
+}
+
+// TestHybridInfeasibleNamesRootTensors: pipeline segments are coarsened as
+// views of the whole graph, so an infeasibility reason cites the whole
+// graph's tensors. In a six-layer chain whose fourth weight is 63×63, every
+// two-stage pipeline on 2×8 GPUs has a stage that cannot halve it. Every
+// tensor the reasons cite is the graph's tensor of that ID — same name, same
+// shape as reported — and splits along none of its dimensions the reported
+// number of ways, also in segments that do not start at group 0, where an
+// extracted subgraph would have numbered its tensors differently. The pruned
+// search reports the exhaustive walk's reasons.
+func TestHybridInfeasibleNamesRootTensors(t *testing.T) {
+	g := graph.New()
+	h := g.Input("x", shape.Of(64, 64))
+	for l, w := range []shape.Shape{shape.Of(64, 64), shape.Of(64, 64), shape.Of(64, 63), shape.Of(63, 63),
+		shape.Of(63, 64), shape.Of(64, 64)} {
+		h = g.Apply("relu", nil, g.Apply("matmul", nil, h, g.Weight(fmt.Sprintf("w%d", l), w)))
+	}
+	tp, err := topo.Profile("cluster-2x8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := int64(tp.NumGPUs())
+	_, got := hybrid.Partition(g, k, hybrid.Options{Topology: &tp, Parallelism: 1})
+	_, want := hybrid.Partition(g, k, hybrid.Options{Topology: &tp, Parallelism: 1, Exhaustive: true})
+	if got == nil || want == nil || got.Error() != want.Error() {
+		t.Fatalf("search reports\n%v\nexhaustive walk reports\n%v", got, want)
+	}
+	segment := regexp.MustCompile(`^  groups \[(\d+),\d+\) on \d+ GPUs: `)
+	cite := regexp.MustCompile(`\(tensor (\S+#(\d+))\) shape (\S+) has no dimension divisible by (\d+)`)
+	lo, cited, inner := -1, 0, 0
+	// A segment's reason starts a line; an ordering search's joined reasons
+	// continue it on the lines below.
+	for _, line := range strings.Split(want.Error(), "\n")[1:] {
+		if m := segment.FindStringSubmatch(line); m != nil {
+			lo, _ = strconv.Atoi(m[1])
+		}
+		for _, m := range cite.FindAllStringSubmatch(line, -1) {
+			id, _ := strconv.Atoi(m[2])
+			ways, _ := strconv.ParseInt(m[4], 10, 64)
+			if id >= len(g.Tensors) {
+				t.Fatalf("reason cites tensor %d of a %d-tensor graph: %s", id, len(g.Tensors), line)
+			}
+			ten := g.Tensors[id]
+			if ten.String() != m[1] || ten.Shape.String() != m[3] {
+				t.Fatalf("reason cites %s at shape %s, the graph's tensor %d is %v: %s", m[1], m[3], id, ten, line)
+			}
+			for d := 0; d < ten.Shape.Rank(); d++ {
+				if ten.Shape.CanSplit(d, ways) {
+					t.Fatalf("reason says %v splits along no dimension %d ways, dimension %d does: %s", ten, ways, d, line)
+				}
+			}
+			cited++
+			if lo > 0 {
+				inner++
+			}
+		}
+	}
+	if cited == 0 || inner == 0 {
+		t.Fatalf("%d reasons cite a tensor, %d of them in a segment past group 0:\n%v", cited, inner, want)
 	}
 }
 

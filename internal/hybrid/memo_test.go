@@ -130,16 +130,11 @@ func segmentKeys(t *testing.T, g *graph.Graph, maxLen int) (keys, sigs map[[2]in
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &search{g: g, c: c, subs: make(map[segKey]*graph.Subgraphed)}
-	s.buildGroupOf()
+	var sc coarsen.SegmentScratch
 	keys, sigs = make(map[[2]int]string), make(map[[2]int]string)
 	for lo := range c.Groups {
 		for hi := lo + 1; hi <= len(c.Groups) && hi-lo <= maxLen; hi++ {
-			sub, err := s.extract(lo, hi)
-			if err != nil {
-				t.Fatal(err)
-			}
-			co, err := coarsen.CoarsenSub(c, sub)
+			co, err := c.Segment(lo, hi, &sc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -88,8 +88,8 @@ type segment struct {
 type stageProblem struct {
 	lo, hi int
 	co     *coarsen.Coarse
-	// span is the segment's "hybrid.segment" span (nil when tracing is off or
-	// the extraction failed); fill ends it.
+	// span is the segment's "hybrid.segment" span (nil when tracing is off);
+	// fill ends it.
 	span *obs.Span
 }
 
@@ -215,10 +215,10 @@ func (ls *levelState) bar() float64 {
 }
 
 // groupFloor computes the admissible per-group cost floor: for coarsened
-// group g, extract the single-group subgraph, coarsen it, and sum
-// dp.LowerBound over the sub-machine's (factor, level) pool weighted by each
-// level's bandwidth. Soundness: a single-group extraction severs every
-// cross-group tensor union, so its coarsened variables refine any enclosing
+// group g, coarsen the single-group segment, and sum dp.LowerBound over the
+// sub-machine's (factor, level) pool weighted by each level's bandwidth.
+// Soundness: a single-group segment severs every cross-group tensor union,
+// so its coarsened variables refine any enclosing
 // segment's — per-slot dense-table minima can only drop — and slots never
 // span groups, so summing groupwise floors under-counts the segment's
 // LowerBound, which itself under-counts the true per-factor DP cost at the
@@ -229,17 +229,19 @@ func (ls *levelState) bar() float64 {
 // fewer sharding constraints): its floor is +Inf, and the reason surfaces
 // from the segment solves.
 func (ls *levelState) groupFloor(g int) float64 {
-	sub, err := ls.s.extract(g, g+1)
+	co, err := ls.s.c.Segment(g, g+1, &ls.s.scratch)
 	if err != nil {
 		return math.Inf(1)
 	}
-	co, err := coarsen.CoarsenSub(ls.s.c, sub)
-	if err != nil {
-		return math.Inf(1)
+	n := 0
+	for _, v := range co.Vars {
+		n += len(v.Tensors)
 	}
-	shapes := make(map[int]shape.Shape, len(sub.G.Tensors))
-	for _, t := range sub.G.Tensors {
-		shapes[t.ID] = t.Shape
+	shapes := make(map[int]shape.Shape, n)
+	for _, v := range co.Vars {
+		for _, t := range v.Tensors {
+			shapes[t.ID] = t.Shape
+		}
 	}
 	total := 0.0
 	// One LowerBound per distinct prime factor, shared across the levels it
@@ -335,19 +337,16 @@ func (ls *levelState) fill(lo, hi int) *segment {
 	return sg
 }
 
-// prepareSegment extracts and coarsens groups [lo, hi) and appends the
-// coarsening's structural key (coarsen.Coarse.AppendStructKey) to key.
+// prepareSegment coarsens groups [lo, hi) as a view of the root coarsening
+// and appends its structural key (coarsen.Coarse.AppendStructKey) to key.
 func (ls *levelState) prepareSegment(key []byte, lo, hi int) ([]byte, stageProblem, error) {
 	pr := stageProblem{lo: lo, hi: hi}
-	sub, err := ls.s.extract(lo, hi)
-	if err != nil {
-		return key, pr, err
-	}
 	pr.span = ls.trace.Child("hybrid.segment")
 	pr.span.SetInt("lo", int64(lo))
 	pr.span.SetInt("hi", int64(hi))
 	csp := pr.span.Child("coarsen")
-	pr.co, err = coarsen.CoarsenSub(ls.s.c, sub)
+	var err error
+	pr.co, err = ls.s.c.Segment(lo, hi, &ls.s.scratch)
 	if err == nil {
 		csp.SetInt("groups", int64(len(pr.co.Groups)))
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tofu/internal/coarsen"
-	"tofu/internal/graph"
 	"tofu/internal/models"
 	"tofu/internal/plan"
 	"tofu/internal/topo"
@@ -47,8 +46,8 @@ func jsonOf(t *testing.T, p *plan.Plan) []byte {
 }
 
 // TestSearchMaterializeMatchesPartition: on the segments the pipeline search
-// partitions — contiguous group intervals of each family, coarsened from the
-// root's node facts — and on flat and hierarchical stage machines, the plan
+// partitions — contiguous group intervals of each family, segment views of
+// the root coarsening — and on flat and hierarchical stage machines, the plan
 // Search returns is cost-only, and Materialize, which knows nothing of the
 // search but the plan, completes it into exactly what PartitionCoarse builds
 // from the evaluators its solves left behind: the same JSON bytes and the
@@ -64,26 +63,13 @@ func TestSearchMaterializeMatchesPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		groupOf := make([]int, len(m.G.Nodes))
-		for gi, grp := range root.Groups {
-			for _, s := range grp.Slots {
-				for _, n := range s.Ops {
-					groupOf[n.ID] = gi
-				}
-			}
-		}
 		L := len(root.Groups)
+		var sc coarsen.SegmentScratch
 		stride := max(1, L/5) // a grid of intervals that keeps the whole graph
 		feasible, tried := 0, 0
 		for lo := 0; lo < L; lo += stride {
 			for hi := L; hi > lo; hi -= stride {
-				sub, err := m.G.Subgraph(func(n *graph.Node) bool {
-					return groupOf[n.ID] >= lo && groupOf[n.ID] < hi
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				co, err := coarsen.CoarsenSub(root, sub)
+				co, err := root.Segment(lo, hi, &sc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -160,12 +146,13 @@ func TestDivideShapesCheckReportsWhatDividingWould(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := p.Steps[0].VarCut
-	if err := divideShapes(c, cloneShapes(m.G, nil), cut, 2, false); err != nil {
+	if err := divideShapes(c, cloneShapes(c, nil), cut, 2, false); err != nil {
 		t.Fatalf("checking the step's own division: %v", err)
 	}
 	// Make two cut tensors indivisible along their cut.
 	var bad []int
-	shapes := cloneShapes(m.G, nil)
+	dimOf := make(map[int]int) // bad tensor -> its cut dimension
+	shapes := cloneShapes(c, nil)
 	for _, v := range c.Vars {
 		dim, ok := cut[v.ID]
 		if !ok {
@@ -175,6 +162,7 @@ func TestDivideShapesCheckReportsWhatDividingWould(t *testing.T) {
 			if len(bad) < 2 {
 				shapes[tn.ID][dim] = 7
 				bad = append(bad, tn.ID)
+				dimOf[tn.ID] = dim
 			}
 		}
 	}
@@ -187,7 +175,7 @@ func TestDivideShapesCheckReportsWhatDividingWould(t *testing.T) {
 		t.Fatal("the check accepted an indivisible shape")
 	}
 	for _, tid := range bad {
-		if shapes[tid][cut[c.VarOf(m.G.Tensors[tid]).ID]] != 7 {
+		if shapes[tid][dimOf[tid]] != 7 {
 			t.Fatal("the check divided a shape")
 		}
 	}
@@ -196,7 +184,7 @@ func TestDivideShapesCheckReportsWhatDividingWould(t *testing.T) {
 		t.Fatalf("check reports %q, dividing reports %q", checked, divided)
 	}
 	want := fmt.Sprintf("recursive: splitting tensor %d: shape: dim %d extent 7 not divisible by 2",
-		lowest, cut[c.VarOf(m.G.Tensors[lowest]).ID])
+		lowest, dimOf[lowest])
 	if checked.Error() != want {
 		t.Fatalf("check reports %q, want %q", checked, want)
 	}

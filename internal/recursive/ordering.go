@@ -45,7 +45,6 @@ import (
 	"tofu/internal/cancel"
 	"tofu/internal/coarsen"
 	"tofu/internal/dp"
-	"tofu/internal/graph"
 	"tofu/internal/obs"
 	"tofu/internal/plan"
 	"tofu/internal/shape"
@@ -157,7 +156,6 @@ type obNode struct {
 
 // orderSearch carries one branch-and-bound run.
 type orderSearch struct {
-	g     *graph.Graph
 	c     *coarsen.Coarse
 	k     int64
 	tp    topo.Topology
@@ -215,11 +213,11 @@ func (c *errCollector) add(err error) {
 	}
 }
 
-func newOrderSearch(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology,
+func newOrderSearch(c *coarsen.Coarse, k int64, tp topo.Topology,
 	opts Options, cache *dp.PriceCache, pool []factorLevel) *orderSearch {
 
 	s := &orderSearch{
-		g: g, c: c, k: k, tp: tp, opts: opts, cache: cache,
+		c: c, k: k, tp: tp, opts: opts, cache: cache,
 		prefixes: map[string]*prefixState{},
 	}
 	// pool arrives in canonical order (topoPool); collapse runs into
@@ -236,28 +234,32 @@ func newOrderSearch(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology
 
 	// Root: original shapes, cloned into one slab the per-prefix divisions
 	// never touch (each child clones again before dividing).
-	s.rootPS = &prefixState{shapes: cloneShapes(g, nil), lb: map[int64]*lbQuery{}}
+	s.rootPS = &prefixState{shapes: cloneShapes(c, nil), lb: map[int64]*lbQuery{}}
 	s.prefixes[""] = s.rootPS
 	return s
 }
 
-// cloneShapes copies every tensor's current shape (src nil = the graph's
-// original shapes) into a fresh slab-backed map safe to divide in place.
-func cloneShapes(g *graph.Graph, src map[int]shape.Shape) map[int]shape.Shape {
-	total := 0
-	for _, t := range g.Tensors {
-		total += t.Shape.Rank()
+// cloneShapes copies the current shape of every tensor of c's variables (src
+// nil = the original shapes) into a fresh slab-backed map safe to divide in
+// place.
+func cloneShapes(c *coarsen.Coarse, src map[int]shape.Shape) map[int]shape.Shape {
+	total, n := 0, 0
+	for _, v := range c.Vars {
+		total += v.Shape.Rank() * len(v.Tensors)
+		n += len(v.Tensors)
 	}
 	slab := make([]int64, 0, total)
-	out := make(map[int]shape.Shape, len(g.Tensors))
-	for _, t := range g.Tensors {
-		cur := shape.Shape(t.Shape)
-		if src != nil {
-			cur = src[t.ID]
+	out := make(map[int]shape.Shape, n)
+	for _, v := range c.Vars {
+		for _, t := range v.Tensors {
+			cur := shape.Shape(t.Shape)
+			if src != nil {
+				cur = src[t.ID]
+			}
+			start := len(slab)
+			slab = append(slab, cur...)
+			out[t.ID] = shape.Shape(slab[start:len(slab):len(slab)])
 		}
-		start := len(slab)
-		slab = append(slab, cur...)
-		out[t.ID] = shape.Shape(slab[start:len(slab):len(slab)])
 	}
 	return out
 }
@@ -334,7 +336,7 @@ func (s *orderSearch) computeStep(ps *prefixState, st *obs.Span) {
 	if ps.depth == len(s.pool) {
 		ps.err = divideShapes(s.c, par.shapes, res.VarCut, ps.factor, false)
 	} else {
-		ps.shapes = cloneShapes(s.g, par.shapes)
+		ps.shapes = cloneShapes(s.c, par.shapes)
 		ps.err = divideShapes(s.c, ps.shapes, res.VarCut, ps.factor, true)
 	}
 	if ps.err != nil {

@@ -431,7 +431,7 @@ func TestOrderingSearchSupersedesBlockFallback(t *testing.T) {
 			factors[i] = fl.f
 			levels[i] = fl.level
 		}
-		pb, err := runSteps(m.G, c, k, factors, levels, Options{}, cache, nil)
+		pb, err := runSteps(c, k, factors, levels, Options{}, cache, nil)
 		if err != nil {
 			continue
 		}

@@ -173,7 +173,7 @@ func fill(c *coarsen.Coarse, w *winner, opts Options) error {
 	p := w.plan
 	shapes := w.final
 	if shapes == nil {
-		shapes = cloneShapes(c.G, nil)
+		shapes = cloneShapes(c, nil)
 	}
 	cache := opts.Cache
 	for i, st := range p.Steps {
@@ -240,7 +240,6 @@ func divideShapes(c *coarsen.Coarse, shapes map[int]shape.Shape, varCut map[int]
 
 // search is the engine dispatch behind Search and PartitionCoarse.
 func search(c *coarsen.Coarse, k int64, opts Options) (*winner, error) {
-	g := c.G
 	if k < 1 {
 		return nil, fmt.Errorf("recursive: worker count %d invalid", k)
 	}
@@ -250,7 +249,7 @@ func search(c *coarsen.Coarse, k int64, opts Options) (*winner, error) {
 				opts.Topology.Name, got, k)
 		}
 		if opts.Topology.Hierarchical() && opts.Factors == nil {
-			return partitionTopo(g, c, k, *opts.Topology, opts)
+			return partitionTopo(c, k, *opts.Topology, opts)
 		}
 	}
 	factors := opts.Factors
@@ -273,7 +272,7 @@ func search(c *coarsen.Coarse, k int64, opts Options) (*winner, error) {
 		cache = dp.NewPriceCache()
 	}
 	var stats SearchStats
-	w, err := runSteps(g, c, k, factors, nil, opts, cache, &stats)
+	w, err := runSteps(c, k, factors, nil, opts, cache, &stats)
 	if opts.Stats != nil {
 		*opts.Stats = stats
 	}
@@ -292,12 +291,12 @@ func search(c *coarsen.Coarse, k int64, opts Options) (*winner, error) {
 // algorithm. levels, when non-nil, annotates each step with the interconnect
 // level its communication crosses. stats, when non-nil, counts the sweeps run
 // and replayed (DPSolves, Replays).
-func runSteps(g *graph.Graph, c *coarsen.Coarse, k int64, factors []int64, levels []int,
+func runSteps(c *coarsen.Coarse, k int64, factors []int64, levels []int,
 	opts Options, cache *dp.PriceCache, stats *SearchStats) (*winner, error) {
 
 	// Current (progressively divided) shape of every tensor — clones owned by
 	// this search and divided in place below.
-	shapes := cloneShapes(g, nil)
+	shapes := cloneShapes(c, nil)
 
 	p := &plan.Plan{K: k}
 	w := &winner{plan: p, results: make([]*dp.Result, 0, len(factors)), final: shapes}
@@ -390,14 +389,14 @@ type factorLevel struct {
 // layout and TopoExhaustive the flat one-DP-run-per-ordering enumeration,
 // both of which choose byte-identical plans to the tree wherever they
 // apply.
-func partitionTopo(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology, opts Options) (*winner, error) {
+func partitionTopo(c *coarsen.Coarse, k int64, tp topo.Topology, opts Options) (*winner, error) {
 	cache := opts.Cache
 	if cache == nil {
 		cache = dp.NewPriceCache()
 	}
 	pool := topoPool(tp)
 	if opts.TopologyNaive || len(pool) <= 1 {
-		return partitionTopoFlat(g, c, k, tp, opts, cache)
+		return partitionTopoFlat(c, k, tp, opts, cache)
 	}
 	// Fail loudly on pathological machines instead of searching for hours
 	// (or, as the retired 96-ordering cap did, silently truncating the
@@ -409,9 +408,9 @@ func partitionTopo(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology,
 			tp.Name, maxOrderingSpace)
 	}
 	if opts.TopoExhaustive {
-		return partitionTopoFlat(g, c, k, tp, opts, cache)
+		return partitionTopoFlat(c, k, tp, opts, cache)
 	}
-	return newOrderSearch(g, c, k, tp, opts, cache, pool).run()
+	return newOrderSearch(c, k, tp, opts, cache, pool).run()
 }
 
 // partitionTopoFlat is the pre-branch-and-bound search: enumerate every
@@ -419,7 +418,7 @@ func partitionTopo(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology,
 // orderings drop out of the search, but their distinct reasons are
 // aggregated so a fully infeasible topology reports every way it failed,
 // not just the first.
-func partitionTopoFlat(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topology,
+func partitionTopoFlat(c *coarsen.Coarse, k int64, tp topo.Topology,
 	opts Options, cache *dp.PriceCache) (*winner, error) {
 
 	orderings := topoOrderings(tp, opts.TopologyNaive)
@@ -445,7 +444,7 @@ func partitionTopoFlat(g *graph.Graph, c *coarsen.Coarse, k int64, tp topo.Topol
 			levels[i] = fl.level
 		}
 		stats.FlatDPSolves += len(ord)
-		w, err := runSteps(g, c, k, factors, levels, opts, cache, &stats)
+		w, err := runSteps(c, k, factors, levels, opts, cache, &stats)
 		if err != nil {
 			if cancel.IsCancellation(err) {
 				// A cancelled chain is not an infeasible one: keep it out of
