@@ -148,8 +148,12 @@ type nodeFacts struct {
 	prices []string
 }
 
-// describeNodes computes the node facts of a root graph: one registry
-// lookup per node, and the interning of unroll cells and pricing signatures.
+// describeNodes computes the node facts of a root graph: the interning of
+// unroll cells and pricing signatures, and one registry lookup per node
+// outside an unrolled loop and per unroll signature. A description depends
+// only on the operator and its attributes, both part of the signature, so
+// every later node of a signature takes the pointer the registry returned
+// for its first.
 func describeNodes(g *graph.Graph) (nodeFacts, error) {
 	type sigKey struct {
 		tag, op string
@@ -168,23 +172,33 @@ func describeNodes(g *graph.Graph) (nodeFacts, error) {
 	// lastOf[sig] is the last node priced under the signature, plus one:
 	// the timesteps of an unrolled operator repeat its shapes, so most
 	// nodes take their predecessor's pricing signature without building it.
+	// descOf[sig] is the signature's description.
 	var lastOf []int32
+	var descOf []*tdl.OpDesc
 	var buf []byte
 	for i, n := range g.Nodes {
-		d, err := g.Describe(n)
-		if err != nil {
-			return nodeFacts{}, fmt.Errorf("coarsen: %v: %w", n, err)
-		}
-		f.desc[i] = d
 		f.cell[i] = -1
 		ak := tdl.MakeAttrsKey(n.Attrs)
+		sk := sigKey{tag: n.UnrollTag, op: n.Op, attrs: ak}
+		sig, interned := int32(0), false
 		if n.UnrollTag != "" {
-			sk := sigKey{tag: n.UnrollTag, op: n.Op, attrs: ak}
-			sig, ok := sigs[sk]
-			if !ok {
+			sig, interned = sigs[sk]
+		}
+		if interned {
+			f.desc[i] = descOf[sig]
+		} else {
+			d, err := g.Describe(n)
+			if err != nil {
+				return nodeFacts{}, fmt.Errorf("coarsen: %v: %w", n, err)
+			}
+			f.desc[i] = d
+		}
+		if n.UnrollTag != "" {
+			if !interned {
 				sig = int32(len(sigs))
 				sigs[sk] = sig
 				lastOf = append(lastOf, 0)
+				descOf = append(descOf, f.desc[i])
 			}
 			ck := cellKey{sig: sig, ts: n.Timestep}
 			cell, ok := cells[ck]

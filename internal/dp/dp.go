@@ -46,7 +46,11 @@ type Problem struct {
 	Coarse *coarsen.Coarse
 	K      int64
 	// Shapes maps tensor ID to its current shape at this recursive step;
-	// it gates which dimensions may still be cut.
+	// it gates which dimensions may still be cut. Only each variable's
+	// first member (v.Tensors[0].ID) is read, once per preparation: a step
+	// divides a variable's members alike, so they share one shape, and a
+	// table with one entry per variable (what recursive keeps) serves as
+	// well as a full per-tensor map.
 	Shapes map[int]shape.Shape
 	DType  shape.DType
 	// StrategyFilter, if non-nil, restricts the operator strategies the

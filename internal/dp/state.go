@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"tofu/internal/coarsen"
+	"tofu/internal/shape"
 )
 
 // This file implements the packed frontier-state encoding. A DP state at the
@@ -23,7 +24,9 @@ import (
 // dimensions (ascending) the variable's shape can still be split along for
 // this step's K, plus the inverse digit lookup.
 type varAlpha struct {
-	v *coarsen.Var
+	// shape is the variable's current shape — every member's — as the
+	// problem's Shapes gave it; slot evaluators read operand shapes here.
+	shape shape.Shape
 	// dims lists the cuttable dimensions, ascending; a state digit d means
 	// "cut along dims[d]".
 	dims []int
@@ -32,14 +35,16 @@ type varAlpha struct {
 }
 
 // buildAlphas enumerates per-variable alphabets (cuttable dimensions at this
-// step), indexed by variable ID. Unreferenced variables keep a nil alphabet.
-// Every dims and digitOf is a window of one backing array each.
+// step), indexed by variable ID, reading each variable's shape from p.Shapes
+// once. Unreferenced variables keep a nil alphabet. Every dims and digitOf is
+// a window of one backing array each.
 func buildAlphas(p *Problem) ([]varAlpha, error) {
 	alphas := make([]varAlpha, len(p.Coarse.Vars))
 	ranks := 0
 	for _, v := range p.Coarse.Vars {
 		if v.First >= 0 {
-			ranks += p.Shapes[v.Tensors[0].ID].Rank()
+			alphas[v.ID].shape = p.Shapes[v.Tensors[0].ID]
+			ranks += alphas[v.ID].shape.Rank()
 		}
 	}
 	dims := make([]int, ranks)
@@ -48,9 +53,10 @@ func buildAlphas(p *Problem) ([]varAlpha, error) {
 		if v.First < 0 {
 			continue // never referenced by an operator
 		}
-		s := p.Shapes[v.Tensors[0].ID]
+		a := &alphas[v.ID]
+		s := a.shape
 		rank := s.Rank()
-		a := varAlpha{v: v, dims: dims[:0:rank], digitOf: digits[:rank:rank]}
+		a.dims, a.digitOf = dims[:0:rank], digits[:rank:rank]
 		dims, digits = dims[rank:], digits[rank:]
 		for d := 0; d < rank; d++ {
 			a.digitOf[d] = -1
@@ -65,7 +71,6 @@ func buildAlphas(p *Problem) ([]varAlpha, error) {
 			return nil, fmt.Errorf("dp: variable %v (tensor %v) shape %v has no dimension divisible by %d",
 				v, v.Tensors[0], s, p.K)
 		}
-		alphas[v.ID] = a
 	}
 	return alphas, nil
 }

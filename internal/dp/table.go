@@ -136,13 +136,13 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch
 	ev.slot, ev.mult, ev.alphas = s, float64(len(s.Ops)), alphas
 	ev.inVars, ev.outVar = s.In, s.Out
 
-	nIn := len(rep.Inputs)
+	nIn := len(s.In)
 	sc.curIn = grow(sc.curIn, nIn)
 	curIn := sc.curIn
-	for i, in := range rep.Inputs {
-		curIn[i] = p.Shapes[in.ID]
+	for i, v := range s.In {
+		curIn[i] = alphas[v.ID].shape
 	}
-	curOut := p.Shapes[rep.Output.ID]
+	curOut := alphas[s.Out.ID].shape
 
 	desc := s.Desc
 	if desc == nil {
@@ -344,9 +344,8 @@ func (ev *slotEval) reusable(p *Problem, alphas []varAlpha, sc *evalScratch) boo
 			}
 		}
 	}
-	rep := ev.slot.Rep()
 	desc := ev.slot.Desc
-	curOut := p.Shapes[rep.Output.ID]
+	curOut := alphas[ev.outVar.ID].shape
 	var curIn []shape.Shape
 	for _, st := range ev.priced.Strategies {
 		if st.Kind == partition.SplitOutput {
@@ -359,10 +358,10 @@ func (ev *slotEval) reusable(p *Problem, alphas []varAlpha, sc *evalScratch) boo
 			return false
 		}
 		if curIn == nil {
-			sc.curIn = grow(sc.curIn, len(rep.Inputs))
+			sc.curIn = grow(sc.curIn, len(ev.inVars))
 			curIn = sc.curIn
-			for i, in := range rep.Inputs {
-				curIn[i] = p.Shapes[in.ID]
+			for i, v := range ev.inVars {
+				curIn[i] = alphas[v.ID].shape
 			}
 		}
 		ext, err := partition.ReduceExtent(desc, curIn, st.Axis)

@@ -114,7 +114,8 @@ type Stats struct {
 	Replays      int64 `json:"replays,omitempty"`
 	FlatDPSolves int64 `json:"flat_dp_solves"`
 	// LBQueries counts admissible lower-bound evaluations: the per-group
-	// dp.LowerBound table plus every read of a level's cost-to-go table.
+	// dp.LowerBound table (one query per group and distinct factor, shared by
+	// every candidate level) plus every read of a level's cost-to-go table.
 	LBQueries int64 `json:"lb_queries"`
 	// BestCost is the winning modeled communication time in seconds:
 	// Σ per-stage bandwidth-weighted comm + Σ boundary hand-offs.
@@ -198,7 +199,7 @@ func PartitionCoarse(c *coarsen.Coarse, k int64, opts Options) (*Result, error) 
 	if cache == nil {
 		cache = dp.NewPriceCache()
 	}
-	s := &search{g: g, c: c, tp: *tp, opts: opts, cache: cache}
+	s := &search{g: g, c: c, tp: *tp, opts: opts, cache: cache, floors: make([]groupBounds, len(c.Groups))}
 	s.buildGroupOf()
 	s.buildHandoffs()
 
@@ -264,6 +265,8 @@ type search struct {
 	// scratch is the working memory every segment coarsening (Segment)
 	// borrows; the boundary search is serial.
 	scratch coarsen.SegmentScratch
+	// floors[g] is what every level's groupFloor shares of group g.
+	floors []groupBounds
 
 	stats   Stats
 	errs    []error

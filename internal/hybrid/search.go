@@ -216,7 +216,10 @@ func (ls *levelState) bar() float64 {
 
 // groupFloor computes the admissible per-group cost floor: for coarsened
 // group g, coarsen the single-group segment, and sum dp.LowerBound over the
-// sub-machine's (factor, level) pool weighted by each level's bandwidth.
+// sub-machine's (factor, level) pool weighted by each level's bandwidth. The
+// coarsening and each factor's bound are level-independent, so the search
+// computes them once for all candidate levels (search.groupBound); only the
+// weighting, summed in pool order, is this level's.
 // Soundness: a single-group segment severs every cross-group tensor union,
 // so its coarsened variables refine any enclosing
 // segment's — per-slot dense-table minima can only drop — and slots never
@@ -229,48 +232,79 @@ func (ls *levelState) bar() float64 {
 // fewer sharding constraints): its floor is +Inf, and the reason surfaces
 // from the segment solves.
 func (ls *levelState) groupFloor(g int) float64 {
-	co, err := ls.s.c.Segment(g, g+1, &ls.s.scratch)
-	if err != nil {
+	gb := ls.s.groupSegment(g)
+	if gb.err != nil {
 		return math.Inf(1)
 	}
-	n := 0
-	for _, v := range co.Vars {
-		n += len(v.Tensors)
-	}
-	shapes := make(map[int]shape.Shape, n)
-	for _, v := range co.Vars {
-		for _, t := range v.Tensors {
-			shapes[t.ID] = t.Shape
-		}
-	}
 	total := 0.0
-	// One LowerBound per distinct prime factor, shared across the levels it
-	// appears at; a factor's floor is charged once per pool entry at that
-	// entry's bandwidth.
-	perF := make(map[int64]float64)
+	// A factor's floor is charged once per pool entry at that entry's
+	// bandwidth.
 	for li := 0; li < ls.level; li++ {
 		for _, f := range recursive.Factorize(ls.s.tp.Levels[li].GroupSize) {
-			lb, ok := perF[f]
-			if !ok {
-				ls.s.stats.LBQueries++
-				lb, err = dp.LowerBound(&dp.Problem{
-					Coarse:      co,
-					K:           f,
-					Shapes:      shapes,
-					DType:       ls.s.opts.DType,
-					MaxStates:   ls.s.opts.MaxStates,
-					Parallelism: ls.s.opts.Parallelism,
-					Cache:       ls.s.cache,
-				})
-				if err != nil {
-					return math.Inf(1)
-				}
-				perF[f] = lb
+			lb, err := ls.s.groupBound(gb, f)
+			if err != nil {
+				return math.Inf(1)
 			}
 			total += lb / ls.s.tp.Levels[li].Bandwidth
 		}
 	}
 	return total
+}
+
+// groupBounds is what the group floors of one search know of a coarsened
+// group: its single-group segment and that segment's dp.LowerBound per prime
+// factor asked so far.
+type groupBounds struct {
+	co     *coarsen.Coarse
+	err    error
+	shapes map[int]shape.Shape
+	bounds []factorBound
+}
+
+// factorBound is one memoized dp.LowerBound of a group's segment.
+type factorBound struct {
+	f   int64
+	lb  float64
+	err error
+}
+
+// groupSegment returns group g's bounds, coarsening its single-group segment
+// on first use.
+func (s *search) groupSegment(g int) *groupBounds {
+	gb := &s.floors[g]
+	if gb.co == nil && gb.err == nil {
+		gb.co, gb.err = s.c.Segment(g, g+1, &s.scratch)
+		if gb.err == nil {
+			// One original shape per variable (see dp.Problem.Shapes).
+			gb.shapes = make(map[int]shape.Shape, len(gb.co.Vars))
+			for _, v := range gb.co.Vars {
+				gb.shapes[v.Tensors[0].ID] = v.Shape
+			}
+		}
+	}
+	return gb
+}
+
+// groupBound returns the LowerBound of gb's segment for factor f, computing
+// it — one bound query — the first time any level asks.
+func (s *search) groupBound(gb *groupBounds, f int64) (float64, error) {
+	for _, b := range gb.bounds {
+		if b.f == f {
+			return b.lb, b.err
+		}
+	}
+	s.stats.LBQueries++
+	lb, err := dp.LowerBound(&dp.Problem{
+		Coarse:      gb.co,
+		K:           f,
+		Shapes:      gb.shapes,
+		DType:       s.opts.DType,
+		MaxStates:   s.opts.MaxStates,
+		Parallelism: s.opts.Parallelism,
+		Cache:       s.cache,
+	})
+	gb.bounds = append(gb.bounds, factorBound{f: f, lb: lb, err: err})
+	return lb, err
 }
 
 // stageOptions are the recursive-search options every stage of this level

@@ -66,7 +66,9 @@ func (s *Step) Delta() float64 { return s.CommBytes }
 type Plan struct {
 	K     int64
 	Steps []*Step
-	// FinalShapes maps tensor ID to its per-worker shard shape.
+	// FinalShapes maps tensor ID to its per-worker shard shape. The search
+	// fills it with the members of one coarsened variable aliasing one
+	// shape, so its shapes are read-only: clone one before changing it.
 	FinalShapes map[int]shape.Shape
 	// Digest, when set, is the content digest ("sha256:<hex>") of the
 	// canonical request that produced this plan — the partition service's

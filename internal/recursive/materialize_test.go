@@ -3,6 +3,7 @@ package recursive
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"tofu/internal/coarsen"
@@ -131,13 +132,26 @@ func TestSearchMaterializeMatchesPartition(t *testing.T) {
 
 // TestDivideShapesCheckReportsWhatDividingWould: the clone-free check a
 // complete ordering makes of its last division fails exactly when dividing
-// in place would, with the same text — the lowest failing tensor ID's.
+// in place would, with the same text — the one a division of every member
+// tensor in ID order meets first, which names the lowest member tensor ID of
+// the indivisible variables. The shape table has one entry per variable, so
+// the test makes two cut variables indivisible. It runs on a segment view,
+// which lists a variable's members at first sight rather than by ID: in the
+// whole-graph view of this MLP, the loss gradient's variable lists the
+// softmax output ahead of the lower-numbered labels. One of the two
+// variables is such a one, and the other's members all lie above its lowest,
+// so the reported ID is that variable's lowest member and not its first.
 func TestDivideShapesCheckReportsWhatDividingWould(t *testing.T) {
 	m, err := models.Build(segmentModels[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := coarsen.Coarsen(m.G)
+	root, err := coarsen.Coarsen(m.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc coarsen.SegmentScratch
+	c, err := root.Segment(0, len(root.Groups), &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,33 +163,41 @@ func TestDivideShapesCheckReportsWhatDividingWould(t *testing.T) {
 	if err := divideShapes(c, cloneShapes(c, nil), cut, 2, false); err != nil {
 		t.Fatalf("checking the step's own division: %v", err)
 	}
-	// Make two cut tensors indivisible along their cut.
-	var bad []int
-	dimOf := make(map[int]int) // bad tensor -> its cut dimension
-	shapes := cloneShapes(c, nil)
-	for _, v := range c.Vars {
-		dim, ok := cut[v.ID]
-		if !ok {
-			continue
-		}
+	lowestOf := func(v *coarsen.Var) int {
+		id := v.Tensors[0].ID
 		for _, tn := range v.Tensors {
-			if len(bad) < 2 {
-				shapes[tn.ID][dim] = 7
-				bad = append(bad, tn.ID)
-				dimOf[tn.ID] = dim
-			}
+			id = min(id, tn.ID)
+		}
+		return id
+	}
+	var unsorted, above *coarsen.Var
+	for _, v := range c.Vars {
+		if _, ok := cut[v.ID]; ok && unsorted == nil && lowestOf(v) < v.Tensors[0].ID {
+			unsorted = v
 		}
 	}
-	if len(bad) != 2 {
-		t.Fatalf("found %d cut tensors", len(bad))
+	if unsorted == nil {
+		t.Fatal("no cut variable lists a member below its first")
 	}
-	lowest := min(bad[0], bad[1])
+	for _, v := range c.Vars {
+		if _, ok := cut[v.ID]; ok && v != unsorted && lowestOf(v) > lowestOf(unsorted) {
+			above = v
+			break
+		}
+	}
+	if above == nil {
+		t.Fatal("no second cut variable above the first")
+	}
+	shapes := cloneShapes(c, nil)
+	for _, v := range []*coarsen.Var{unsorted, above} {
+		shapes[v.Tensors[0].ID][cut[v.ID]] = 7
+	}
 	checked := divideShapes(c, shapes, cut, 2, false)
 	if checked == nil {
 		t.Fatal("the check accepted an indivisible shape")
 	}
-	for _, tid := range bad {
-		if shapes[tid][dimOf[tid]] != 7 {
+	for _, v := range []*coarsen.Var{unsorted, above} {
+		if shapes[v.Tensors[0].ID][cut[v.ID]] != 7 {
 			t.Fatal("the check divided a shape")
 		}
 	}
@@ -184,8 +206,43 @@ func TestDivideShapesCheckReportsWhatDividingWould(t *testing.T) {
 		t.Fatalf("check reports %q, dividing reports %q", checked, divided)
 	}
 	want := fmt.Sprintf("recursive: splitting tensor %d: shape: dim %d extent 7 not divisible by 2",
-		lowest, dimOf[lowest])
+		lowestOf(unsorted), cut[unsorted.ID])
 	if checked.Error() != want {
 		t.Fatalf("check reports %q, want %q", checked, want)
+	}
+}
+
+// TestCloneShapesAllocatesPerVariable: the search's shape table holds one
+// shape per coarsened variable, not one per tensor. rnn-2-8192@256 coarsens
+// its 2 022 tensors into 19 variables; a clone of its table allocates for 19
+// entries (a per-tensor table allocated over 100 KB).
+func TestCloneShapesAllocatesPerVariable(t *testing.T) {
+	m, err := models.Build(models.Config{Family: "rnn", Depth: 2, Width: 8192, Batch: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := coarsen.Coarsen(m.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Vars) != 19 || len(m.G.Tensors) != 2022 {
+		t.Fatalf("%d variables over %d tensors, want 19 over 2022", len(c.Vars), len(m.G.Tensors))
+	}
+	root := cloneShapes(c, nil)
+	if len(root) != len(c.Vars) {
+		t.Fatalf("table has %d entries for %d variables", len(root), len(c.Vars))
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		cloneShapes(c, root)
+	}
+	runtime.ReadMemStats(&after)
+	perVar := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(len(c.Vars))
+	t.Logf("cloneShapes allocates %.0f bytes per variable", perVar)
+	if perVar > 256 {
+		t.Errorf("cloneShapes allocates %.0f bytes per variable, ceiling 256", perVar)
 	}
 }

@@ -90,10 +90,11 @@ func (st *SearchStats) countStep(replayed bool) {
 }
 
 // prefixState is the per-factor-prefix memo node: the DP result of the
-// prefix's last step and the tensor shapes after it, computed exactly once
-// however many orderings share the prefix. A complete prefix (depth = the
-// pool's length) has nothing below it to solve, so it only checks that its
-// last division is possible and keeps no shape table.
+// prefix's last step and the variable shapes after it (one per coarsened
+// variable, cloneShapes), computed exactly once however many orderings share
+// the prefix. A complete prefix (depth = the pool's length) has nothing below
+// it to solve, so it only checks that its last division is possible and keeps
+// no shape table.
 type prefixState struct {
 	once   sync.Once
 	parent *prefixState
@@ -237,31 +238,6 @@ func newOrderSearch(c *coarsen.Coarse, k int64, tp topo.Topology,
 	s.rootPS = &prefixState{shapes: cloneShapes(c, nil), lb: map[int64]*lbQuery{}}
 	s.prefixes[""] = s.rootPS
 	return s
-}
-
-// cloneShapes copies the current shape of every tensor of c's variables (src
-// nil = the original shapes) into a fresh slab-backed map safe to divide in
-// place.
-func cloneShapes(c *coarsen.Coarse, src map[int]shape.Shape) map[int]shape.Shape {
-	total, n := 0, 0
-	for _, v := range c.Vars {
-		total += v.Shape.Rank() * len(v.Tensors)
-		n += len(v.Tensors)
-	}
-	slab := make([]int64, 0, total)
-	out := make(map[int]shape.Shape, n)
-	for _, v := range c.Vars {
-		for _, t := range v.Tensors {
-			cur := shape.Shape(t.Shape)
-			if src != nil {
-				cur = src[t.ID]
-			}
-			start := len(slab)
-			slab = append(slab, cur...)
-			out[t.ID] = shape.Shape(slab[start:len(slab):len(slab)])
-		}
-	}
-	return out
 }
 
 // prefixFor returns the memoized state for parent's prefix extended by

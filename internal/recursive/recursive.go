@@ -161,14 +161,15 @@ type winner struct {
 	// results[i] is the solve behind plan.Steps[i], evaluators attached; nil
 	// when only the plan survives.
 	results []*dp.Result
-	// final is the shape table after the last step, when the engine divided
-	// one all the way down the winning chain anyway (flat chains).
+	// final is the per-variable shape table (cloneShapes) after the last
+	// step, when the engine divided one all the way down the winning chain
+	// anyway (flat chains).
 	final map[int]shape.Shape
 }
 
 // fill gives every step of w.plan its dense tables — from the step's retained
 // result, or by pricing its VarCut at the shapes divided so far — and the
-// plan its FinalShapes.
+// plan its FinalShapes, the per-variable table expanded to every member.
 func fill(c *coarsen.Coarse, w *winner, opts Options) error {
 	p := w.plan
 	shapes := w.final
@@ -206,13 +207,58 @@ func fill(c *coarsen.Coarse, w *winner, opts Options) error {
 			}
 		}
 	}
-	p.FinalShapes = shapes
+	p.FinalShapes = memberShapes(c, shapes)
 	return nil
 }
 
-// divideShapes divides every cut tensor's shape k ways along its variable's
-// cut — in place when apply is set, otherwise only checking that it could
-// be. The error is the one a pass in tensor-ID order would meet first.
+// cloneShapes copies the current shape of every variable of c (src nil = the
+// original shapes) into a fresh slab-backed table safe to divide in place.
+// The table has one entry per variable, keyed by its first member
+// (v.Tensors[0].ID): every step divides a variable's members alike, so they
+// share one shape at every step (see dp.Problem.Shapes).
+func cloneShapes(c *coarsen.Coarse, src map[int]shape.Shape) map[int]shape.Shape {
+	total := 0
+	for _, v := range c.Vars {
+		total += v.Shape.Rank()
+	}
+	slab := make([]int64, 0, total)
+	out := make(map[int]shape.Shape, len(c.Vars))
+	for _, v := range c.Vars {
+		id := v.Tensors[0].ID
+		cur := v.Shape
+		if src != nil {
+			cur = src[id]
+		}
+		start := len(slab)
+		slab = append(slab, cur...)
+		out[id] = shape.Shape(slab[start:len(slab):len(slab)])
+	}
+	return out
+}
+
+// memberShapes expands a per-variable shape table to every member tensor of
+// c's variables. Members alias their variable's shape, so the result is
+// read-only.
+func memberShapes(c *coarsen.Coarse, shapes map[int]shape.Shape) map[int]shape.Shape {
+	n := 0
+	for _, v := range c.Vars {
+		n += len(v.Tensors)
+	}
+	out := make(map[int]shape.Shape, n)
+	for _, v := range c.Vars {
+		s := shapes[v.Tensors[0].ID]
+		for _, t := range v.Tensors {
+			out[t.ID] = s
+		}
+	}
+	return out
+}
+
+// divideShapes divides every cut variable's shape in a per-variable table
+// (cloneShapes) k ways along its cut — in place when apply is set, otherwise
+// only checking that it could be. The error names the lowest member tensor
+// ID of any variable that cannot be divided: what a pass dividing every
+// member tensor in ID order would meet first.
 func divideShapes(c *coarsen.Coarse, shapes map[int]shape.Shape, varCut map[int]int, k int64, apply bool) error {
 	bad, badErr := -1, error(nil)
 	for _, v := range c.Vars {
@@ -220,14 +266,18 @@ func divideShapes(c *coarsen.Coarse, shapes map[int]shape.Shape, varCut map[int]
 		if !ok {
 			continue
 		}
+		var err error
+		if s := shapes[v.Tensors[0].ID]; apply {
+			err = s.SplitInPlace(dim, k)
+		} else if !s.CanSplit(dim, k) {
+			_, err = s.Split(dim, k)
+		}
+		if err == nil {
+			continue
+		}
+		// A segment's variables list members in first-sight order, not by ID.
 		for _, t := range v.Tensors {
-			var err error
-			if s := shapes[t.ID]; apply {
-				err = s.SplitInPlace(dim, k)
-			} else if !s.CanSplit(dim, k) {
-				_, err = s.Split(dim, k)
-			}
-			if err != nil && (bad < 0 || t.ID < bad) {
+			if bad < 0 || t.ID < bad {
 				bad, badErr = t.ID, err
 			}
 		}
@@ -294,8 +344,8 @@ func search(c *coarsen.Coarse, k int64, opts Options) (*winner, error) {
 func runSteps(c *coarsen.Coarse, k int64, factors []int64, levels []int,
 	opts Options, cache *dp.PriceCache, stats *SearchStats) (*winner, error) {
 
-	// Current (progressively divided) shape of every tensor — clones owned by
-	// this search and divided in place below.
+	// Current (progressively divided) shape of every variable — clones owned
+	// by this search and divided in place below.
 	shapes := cloneShapes(c, nil)
 
 	p := &plan.Plan{K: k}
@@ -364,7 +414,7 @@ func runSteps(c *coarsen.Coarse, k int64, factors []int64, levels []int,
 
 		// Divide shapes along the chosen cuts for the next step. The table
 		// holds clones made above, so dividing in place is safe and spares
-		// a fresh shape per (tensor, step).
+		// a fresh shape per (variable, step).
 		if err := divideShapes(c, shapes, res.VarCut, ki, true); err != nil {
 			return nil, err
 		}

@@ -6,7 +6,13 @@ import (
 	"fmt"
 	"testing"
 
+	"tofu/internal/coarsen"
+	"tofu/internal/core"
 	"tofu/internal/dp"
+	"tofu/internal/graph"
+	"tofu/internal/models"
+	"tofu/internal/plan"
+	"tofu/internal/shape"
 )
 
 // coldPlans pins the plan JSON of the repository benchmark's twelve cold
@@ -73,6 +79,80 @@ func TestColdPlansPinned(t *testing.T) {
 				t.Logf("%s: pricings %d hit / %d built; tables %d hit / %d filled (%s shared), %.2f MB resident",
 					c.request, ph, pm, th, tm, percent(th, th+tm), float64(tb)/1e6)
 			}
+		}
+	}
+}
+
+// TestFinalShapesMatchTensorDivision: the search keeps one shape per
+// coarsened variable and expands it to the members only for the finished
+// plan. On the twelve cold cases, and on every stage of the pipelined ones,
+// each tensor's FinalShapes entry equals its original shape divided by every
+// step's TensorCut, tensor by tensor (the oracle below knows nothing of
+// variables), and the members of every variable of the graph's own
+// coarsening share one shape after every step — the property the
+// per-variable table rests on.
+func TestFinalShapesMatchTensorDivision(t *testing.T) {
+	for _, c := range coldPlans {
+		nr, err := ParseRequest([]byte(c.request))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := models.Build(nr.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := nr.PipelineOptions()
+		opts.Search.Parallelism = 1
+		sum, err := core.Partition(m.G, nr.Workers, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.request, err)
+		}
+		if sum.Hybrid == nil {
+			checkFinalShapes(t, c.request, m.G, sum.Plan)
+			continue
+		}
+		for si, stg := range sum.Hybrid.Stages {
+			checkFinalShapes(t, fmt.Sprintf("%s stage %d", c.request, si), stg.G, stg.Plan)
+		}
+	}
+}
+
+// checkFinalShapes holds p.FinalShapes to the per-tensor division of g's
+// tensors by p's steps, and checks that the members of each of g's
+// coarsened variables share a shape after every step.
+func checkFinalShapes(t *testing.T, name string, g *graph.Graph, p *plan.Plan) {
+	t.Helper()
+	co, err := coarsen.Coarsen(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := make([]shape.Shape, len(g.Tensors))
+	for i, tn := range g.Tensors {
+		cur[i] = tn.Shape.Clone()
+	}
+	for si, st := range p.Steps {
+		for i := range cur {
+			if d := st.TensorCut[i]; d >= 0 {
+				if cur[i], err = cur[i].Split(d, st.K); err != nil {
+					t.Fatalf("%s: step %d: tensor %d: %v", name, si+1, i, err)
+				}
+			}
+		}
+		for _, v := range co.Vars {
+			for _, tn := range v.Tensors[1:] {
+				if !cur[tn.ID].Equal(cur[v.Tensors[0].ID]) {
+					t.Fatalf("%s: after step %d, tensor %d is %v but its variable's first member %d is %v",
+						name, si+1, tn.ID, cur[tn.ID], v.Tensors[0].ID, cur[v.Tensors[0].ID])
+				}
+			}
+		}
+	}
+	if len(p.FinalShapes) != len(g.Tensors) {
+		t.Fatalf("%s: %d final shapes for %d tensors", name, len(p.FinalShapes), len(g.Tensors))
+	}
+	for i, want := range cur {
+		if got, ok := p.FinalShapes[i]; !ok || !got.Equal(want) {
+			t.Fatalf("%s: tensor %d ends at %v, dividing it step by step gives %v", name, i, got, want)
 		}
 	}
 }
