@@ -31,7 +31,7 @@ func TestChaosCorruptReadsZeroServerErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// CacheSize 1 forces LRU churn, so most lookups reach the store.
-	_, cl, srv := startServer(t, service.Config{
+	_, srv := startServer(t, service.Config{
 		CacheSize: 1, Workers: 2, QueueDepth: 32, SyncWait: 30 * time.Second, Store: st,
 	})
 
@@ -77,10 +77,7 @@ func TestChaosCorruptReadsZeroServerErrors(t *testing.T) {
 	if fired := inj.Fired(); fired[0] == 0 {
 		t.Fatal("no corrupt read was ever injected; the test exercised nothing")
 	}
-	snap, err := cl.Metrics(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := getMetrics(t, srv.URL)
 	if snap.StoreCorrupt == 0 || snap.StoreQuarantined == 0 {
 		t.Errorf("metrics: StoreCorrupt=%d StoreQuarantined=%d, want both > 0",
 			snap.StoreCorrupt, snap.StoreQuarantined)

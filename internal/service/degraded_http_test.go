@@ -1,6 +1,8 @@
 package service_test
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -47,7 +49,7 @@ var degradedBody = `{"model":{"family":"mlp","depth":4,"width":256,"batch":64}}`
 // metrics count it.
 func TestDegradedServePolicy(t *testing.T) {
 	val := degradedExport(t)
-	svc, cl, srv := startServer(t, service.Config{
+	svc, srv := startServer(t, service.Config{
 		SyncWait: 30 * time.Second,
 		ComputeCancel: func(r service.Request, tok *cancel.Token) ([]byte, error) {
 			return val, nil
@@ -67,7 +69,7 @@ func TestDegradedServePolicy(t *testing.T) {
 		t.Fatalf("served %q", body)
 	}
 
-	// The incumbent is recoverable by digest (the async client's path),
+	// The incumbent is recoverable by digest (an async caller's path),
 	// still marked, and still not planted in the cache.
 	digest := resp.Header.Get("Tofu-Digest")
 	gresp, err := http.Get(srv.URL + "/v1/plans/" + digest)
@@ -83,11 +85,7 @@ func TestDegradedServePolicy(t *testing.T) {
 	if _, ok := svc.Lookup(digest); ok {
 		t.Fatal("degraded plan entered the cache")
 	}
-	snap, err := cl.Metrics(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.SearchDegraded != 1 {
+	if snap := getMetrics(t, srv.URL); snap.SearchDegraded != 1 {
 		t.Fatalf("SearchDegraded = %d, want 1", snap.SearchDegraded)
 	}
 }
@@ -97,7 +95,7 @@ func TestDegradedServePolicy(t *testing.T) {
 // queue (and so the deadline math) looks better.
 func TestDegradedFailPolicy(t *testing.T) {
 	val := degradedExport(t)
-	_, _, srv := startServer(t, service.Config{
+	_, srv := startServer(t, service.Config{
 		SyncWait:       30 * time.Second,
 		DegradedPolicy: service.DegradedFail,
 		ComputeCancel: func(r service.Request, tok *cancel.Token) ([]byte, error) {
@@ -118,7 +116,7 @@ func TestDegradedFailPolicy(t *testing.T) {
 // TestCancelledSearch503: a search cancelled before any incumbent existed
 // is transient load, not a bad request — 503 + Retry-After, never 422.
 func TestCancelledSearch503(t *testing.T) {
-	_, _, srv := startServer(t, service.Config{
+	_, srv := startServer(t, service.Config{
 		SyncWait: 30 * time.Second,
 		ComputeCancel: func(r service.Request, tok *cancel.Token) ([]byte, error) {
 			return nil, cancel.Reason(cancel.ErrDeadline, "cancelled before any ordering completed")
@@ -142,7 +140,7 @@ func TestCancelledSearch503(t *testing.T) {
 func TestDeadlineAdmission503(t *testing.T) {
 	var calls atomic.Int64
 	gate := make(chan struct{})
-	svc, _, srv := startServer(t, service.Config{
+	svc, srv := startServer(t, service.Config{
 		Workers: 1, QueueDepth: 8, SyncWait: 30 * time.Second,
 		ComputeCancel: func(r service.Request, tok *cancel.Token) ([]byte, error) {
 			if calls.Add(1) > 1 {
@@ -216,11 +214,64 @@ func degradedExportOptimal(t *testing.T, workers int64) []byte {
 	return raw
 }
 
+// TestCacheRecheckSkipsDegradedJob: when Submit's cache re-check finds the
+// digest cached, the job it hands back carries the cached optimum. An older
+// degraded job for the same digest is still retained and must not stand in
+// for it — its caller would get the incumbent marked degraded, or a 503
+// under -degraded-policy fail.
+func TestCacheRecheckSkipsDegradedJob(t *testing.T) {
+	degraded, optimal := degradedExport(t), degradedExportOptimal(t, 8)
+	var calls atomic.Int64
+	svc := service.New(service.Config{
+		Compute: func(service.Request) ([]byte, error) {
+			if calls.Add(1) == 1 {
+				return degraded, nil
+			}
+			return optimal, nil
+		},
+	})
+	defer svc.Shutdown(context.Background())
+	req, err := service.Request{Model: smallModel}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, err := req.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func() (*service.Job, service.SubmitKind) {
+		t.Helper()
+		j, kind, err := svc.Submit(req, digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		return j, kind
+	}
+
+	if j, _ := submit(); !j.Degraded() {
+		t.Fatal("first search: want the degraded incumbent")
+	}
+	if j, kind := submit(); kind != service.SubmitNew || j.Degraded() {
+		t.Fatalf("second search: kind %v degraded %v, want a new optimal search", kind, j.Degraded())
+	}
+	cached, ok := svc.Lookup(digest)
+	if !ok {
+		t.Fatal("the optimal plan was not cached")
+	}
+	j, kind := submit()
+	val, jerr := j.Result()
+	if kind != service.SubmitCached || j.Degraded() || jerr != nil || !bytes.Equal(val, cached) {
+		t.Fatalf("cache re-check: kind %v degraded %v err %v, bytes %q; want SubmitCached with the cached %q",
+			kind, j.Degraded(), jerr, val, cached)
+	}
+}
+
 // TestJobStatusCarriesDegraded: the async API surfaces the marker so a
 // polling client can tell an incumbent from an optimum.
 func TestJobStatusCarriesDegraded(t *testing.T) {
 	val := degradedExport(t)
-	_, cl, srv := startServer(t, service.Config{
+	_, srv := startServer(t, service.Config{
 		SyncWait: time.Nanosecond, // force the async flip
 		ComputeCancel: func(r service.Request, tok *cancel.Token) ([]byte, error) {
 			time.Sleep(10 * time.Millisecond)
@@ -238,7 +289,7 @@ func TestJobStatusCarriesDegraded(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st, err := cl.Job(t.Context(), acc.Job)
+		st, err := jobStatus(t.Context(), srv.URL, acc.Job)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,9 @@ package service_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,11 +14,11 @@ import (
 	"time"
 
 	"tofu"
+	"tofu/internal/plan"
 	"tofu/internal/service"
-	"tofu/internal/service/client"
 )
 
-func startServer(t *testing.T, cfg service.Config) (*service.Service, *client.Client, *httptest.Server) {
+func startServer(t *testing.T, cfg service.Config) (*service.Service, *httptest.Server) {
 	t.Helper()
 	svc := service.New(cfg)
 	srv := httptest.NewServer(svc.Handler())
@@ -25,7 +28,103 @@ func startServer(t *testing.T, cfg service.Config) (*service.Service, *client.Cl
 		defer cancel()
 		_ = svc.Shutdown(ctx)
 	})
-	return svc, client.New(srv.URL), srv
+	return svc, srv
+}
+
+// roundTrip sends one request and returns the status and the whole body.
+func roundTrip(ctx context.Context, method, url string, body []byte) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, raw, err
+}
+
+// partition is what any HTTP caller does: POST /v1/partition, and on a 202
+// poll GET /v1/jobs/{id} until the job is done, then GET /v1/plans/{digest}.
+// The served plan must carry the digest of the request it answers
+// (plan.ReadJSONExpect), whichever path served it.
+func partition(ctx context.Context, base string, r service.Request) (plan.Export, []byte, error) {
+	nr, err := r.Normalize()
+	if err != nil {
+		return plan.Export{}, nil, err
+	}
+	digest, err := nr.Digest()
+	if err != nil {
+		return plan.Export{}, nil, err
+	}
+	body, err := json.Marshal(nr)
+	if err != nil {
+		return plan.Export{}, nil, err
+	}
+	code, raw, err := roundTrip(ctx, http.MethodPost, base+"/v1/partition", body)
+	if err != nil {
+		return plan.Export{}, nil, err
+	}
+	if code == http.StatusAccepted {
+		var acc service.Accepted
+		if err := json.Unmarshal(raw, &acc); err != nil {
+			return plan.Export{}, nil, fmt.Errorf("parsing 202: %w", err)
+		}
+		for {
+			st, err := jobStatus(ctx, base, acc.Job)
+			if err != nil {
+				return plan.Export{}, nil, err
+			}
+			if st.State == service.JobFailed {
+				return plan.Export{}, nil, fmt.Errorf("search failed: %s", st.Error)
+			}
+			if st.State == service.JobDone {
+				break
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if code, raw, err = roundTrip(ctx, http.MethodGet, base+"/v1/plans/"+digest, nil); err != nil {
+			return plan.Export{}, nil, err
+		}
+	}
+	if code != http.StatusOK {
+		return plan.Export{}, nil, fmt.Errorf("HTTP %d: %s", code, raw)
+	}
+	ex, err := plan.ReadJSONExpect(bytes.NewReader(raw), digest)
+	return ex, raw, err
+}
+
+// jobStatus is GET /v1/jobs/{id}.
+func jobStatus(ctx context.Context, base, id string) (service.Status, error) {
+	code, raw, err := roundTrip(ctx, http.MethodGet, base+"/v1/jobs/"+id, nil)
+	if err != nil {
+		return service.Status{}, err
+	}
+	if code != http.StatusOK {
+		return service.Status{}, fmt.Errorf("job %s: HTTP %d: %s", id, code, raw)
+	}
+	var st service.Status
+	err = json.Unmarshal(raw, &st)
+	return st, err
+}
+
+// getMetrics decodes GET /metrics strictly: a key the Snapshot does not
+// define fails the test.
+func getMetrics(t *testing.T, base string) service.Snapshot {
+	t.Helper()
+	code, raw, err := roundTrip(t.Context(), http.MethodGet, base+"/metrics", nil)
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("GET /metrics: HTTP %d, %v", code, err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var snap service.Snapshot
+	if err := dec.Decode(&snap); err != nil {
+		t.Fatalf("GET /metrics does not decode as a Snapshot: %v", err)
+	}
+	return snap
 }
 
 var smallModel = tofu.ModelConfig{Family: "mlp", Depth: 4, Width: 256, Batch: 64}
@@ -34,15 +133,15 @@ var smallModel = tofu.ModelConfig{Family: "mlp", Depth: 4, Width: 256, Batch: 64
 // the daemon (cold, then from cache) is byte-identical to a fresh
 // tofu.PartitionWithOptions run for the same request.
 func TestServedPlanByteIdentical(t *testing.T) {
-	_, cl, _ := startServer(t, service.Config{SyncWait: 30 * time.Second})
+	_, srv := startServer(t, service.Config{SyncWait: 30 * time.Second})
 	ctx := context.Background()
 	req := service.Request{Model: smallModel}
 
-	ex, cold, err := cl.Partition(ctx, req)
+	ex, cold, err := partition(ctx, srv.URL, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, warm, err := cl.Partition(ctx, req)
+	_, warm, err := partition(ctx, srv.URL, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +184,7 @@ func TestServedPlanByteIdentical(t *testing.T) {
 // TestConcurrentIdenticalRequestsOneSearch drives the 64-concurrent
 // acceptance criterion through the real HTTP stack and the real search.
 func TestConcurrentIdenticalRequestsOneSearch(t *testing.T) {
-	svc, cl, _ := startServer(t, service.Config{Workers: 2, SyncWait: 30 * time.Second})
+	svc, srv := startServer(t, service.Config{Workers: 2, SyncWait: 30 * time.Second})
 	ctx := context.Background()
 	req := service.Request{Model: smallModel}
 
@@ -97,7 +196,7 @@ func TestConcurrentIdenticalRequestsOneSearch(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			_, raw, err := cl.Partition(ctx, req)
+			_, raw, err := partition(ctx, srv.URL, req)
 			bodies[i], errs[i] = raw, err
 		}(i)
 	}
@@ -120,11 +219,11 @@ func TestConcurrentIdenticalRequestsOneSearch(t *testing.T) {
 }
 
 func TestHTTPStatusCodes(t *testing.T) {
-	_, cl, srv := startServer(t, service.Config{SyncWait: 30 * time.Second})
+	_, srv := startServer(t, service.Config{SyncWait: 30 * time.Second})
 	ctx := context.Background()
 
-	if err := cl.Health(ctx); err != nil {
-		t.Fatal(err)
+	if code, body, err := roundTrip(ctx, http.MethodGet, srv.URL+"/healthz", nil); err != nil || code != http.StatusOK {
+		t.Fatalf("healthz: HTTP %d %s, %v", code, body, err)
 	}
 
 	// Malformed and invalid requests are 400s.
@@ -169,31 +268,30 @@ func TestHTTPStatusCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cl.Partition(ctx, req); err != nil {
+	if _, _, err := partition(ctx, srv.URL, req); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cl.Plan(ctx, digest); err != nil {
+	code, raw, err := roundTrip(ctx, http.MethodGet, srv.URL+"/v1/plans/"+digest, nil)
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("GET plan by digest: HTTP %d, %v", code, err)
+	}
+	if _, err := plan.ReadJSONExpect(bytes.NewReader(raw), digest); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.JobsDone != 1 || snap.CacheLen != 1 {
+	if snap := getMetrics(t, srv.URL); snap.JobsDone != 1 || snap.CacheLen != 1 {
 		t.Fatalf("metrics after one search: %+v", snap)
 	}
 }
 
 // TestAsyncFlipOverHTTP forces the 202 path with a nanosecond sync budget;
-// the client transparently polls the job and fetches the plan by digest.
+// the caller polls the job and fetches the plan by digest.
 func TestAsyncFlipOverHTTP(t *testing.T) {
-	svc, cl, _ := startServer(t, service.Config{SyncWait: time.Nanosecond})
+	svc, srv := startServer(t, service.Config{SyncWait: time.Nanosecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	cl.PollInterval = 5 * time.Millisecond
 
 	req := service.Request{Model: tofu.ModelConfig{Family: "mlp", Depth: 6, Width: 512, Batch: 64}}
-	ex, _, err := cl.Partition(ctx, req)
+	ex, _, err := partition(ctx, srv.URL, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +299,7 @@ func TestAsyncFlipOverHTTP(t *testing.T) {
 		t.Fatalf("workers = %d, want 8", ex.Workers)
 	}
 	// The flip really happened: the job index knows the job, and the search
-	// ran exactly once even though the client took the poll path.
+	// ran exactly once even though the caller took the poll path.
 	if m := svc.Metrics(); m.JobsDone != 1 {
 		t.Fatalf("jobs done = %d, want 1", m.JobsDone)
 	}
@@ -209,7 +307,7 @@ func TestAsyncFlipOverHTTP(t *testing.T) {
 
 // TestDrainingHealthz verifies the shutdown surface the load balancer sees.
 func TestDrainingHealthz(t *testing.T) {
-	svc, _, srv := startServer(t, service.Config{SyncWait: time.Second})
+	svc, srv := startServer(t, service.Config{SyncWait: time.Second})
 	if err := svc.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}

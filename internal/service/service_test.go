@@ -78,6 +78,26 @@ func submitAndWait(t *testing.T, s *Service, req Request, digest string, wait ti
 	return val, jerr
 }
 
+// TestWaitFinishedJobNeverFlips: Wait on a finished job returns its result
+// however short the budget. A select between the closed done channel and an
+// expired timer would flip some calls to the async 202 — and the synthetic
+// cached job of Submit's re-check is not in the job index, so its caller
+// could not even poll it.
+func TestWaitFinishedJobNeverFlips(t *testing.T) {
+	s := New(Config{Compute: func(Request) ([]byte, error) { return []byte("plan-bytes"), nil }})
+	defer s.Shutdown(context.Background())
+	j, _, err := s.Submit(Request{Model: models.Config{Family: "mlp", Depth: 4, Width: 256, Batch: 64}}, testDigest(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	for i := 0; i < 1000; i++ {
+		if val, err, timedOut := s.Wait(context.Background(), j, time.Nanosecond); timedOut || err != nil || string(val) != "plan-bytes" {
+			t.Fatalf("call %d: Wait on a finished job = %q, %v, timedOut %v", i, val, err, timedOut)
+		}
+	}
+}
+
 // TestSingleflightCoalesces is the acceptance criterion: 64 concurrent
 // identical requests trigger exactly one search, and every waiter gets the
 // same bytes.

@@ -31,18 +31,6 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# wait_addr LOG: poll a replica's log for the announce line, print the addr.
-wait_addr() {
-  local addr=""
-  for _ in $(seq 1 50); do
-    addr=$(sed -n 's/.*listening on \([0-9.:]*\) .*/\1/p' "$1" | head -1)
-    [ -n "$addr" ] && break
-    sleep 0.2
-  done
-  [ -n "$addr" ] || { echo "replica never announced an address" >&2; cat "$1" >&2; exit 1; }
-  echo "$addr"
-}
-
 # post ADDR BODY: POST a partition request, print the status code, never fail
 # the shell — status assertions happen in check().
 post() {
@@ -67,8 +55,8 @@ BODY3='{"model":{"family":"mlp","depth":4,"width":256,"batch":16}}'
 A_PID=$!
 "$BIN" -addr 127.0.0.1:0 -store "$STORE_DIR" -faultfs 'read:*.plan:corrupt:2' >"$LOG_B" 2>&1 &
 B_PID=$!
-ADDR_A=$(wait_addr "$LOG_A")
-ADDR_B=$(wait_addr "$LOG_B")
+ADDR_A=$(scripts/wait-addr.sh "$LOG_A")
+ADDR_B=$(scripts/wait-addr.sh "$LOG_B")
 echo "replica A (clean) on $ADDR_A, replica B (corrupt reads) on $ADDR_B, store $STORE_DIR"
 
 # A computes a plan into the shared store; B's first lookup of the same
