@@ -113,13 +113,18 @@ func checkReader(t *testing.T, name string, raw []byte) {
 	if !reflect.DeepEqual(ex, ref) {
 		t.Fatalf("%s: ReadJSON and the reference disagree:\n got %+v\nwant %+v", name, ex, ref)
 	}
-	want := plan.Header{Digest: ref.Digest, Workers: ref.Workers, Degraded: ref.Degraded, Steps: make([]plan.StepHeader, len(ref.Steps))}
-	for i, s := range ref.Steps {
-		want.Steps[i] = plan.StepHeader{Ways: s.Ways, Level: s.Level}
-	}
-	if !reflect.DeepEqual(hdr, want) {
+	if want := headerOf(ref); !reflect.DeepEqual(hdr, want) {
 		t.Fatalf("%s: Verify header %+v, want %+v", name, hdr, want)
 	}
+}
+
+// headerOf is the Header an Export implies.
+func headerOf(ex plan.Export) plan.Header {
+	h := plan.Header{Digest: ex.Digest, Workers: ex.Workers, Degraded: ex.Degraded, Steps: make([]plan.StepHeader, len(ex.Steps))}
+	for i, s := range ex.Steps {
+		h.Steps[i] = plan.StepHeader{Ways: s.Ways, Level: s.Level}
+	}
+	return h
 }
 
 func firstDiff(a, b []byte) int {
@@ -358,11 +363,21 @@ func (w *countingWriter) Write(b []byte) (int, error) {
 }
 
 // BenchmarkPlanCodec measures the three codec entry points on the
-// benchmark's largest flat plan and on a pipelined one.
+// benchmark's largest flat plan and on a pipelined one, and the two readers
+// on the plans a store hit reads: the smallest, median, 75th-percentile and
+// largest of the repository benchmark's 256 serve-churn plans (9.4, 23, 342
+// and 684 KB).
 func BenchmarkPlanCodec(b *testing.B) {
-	for _, c := range []struct{ name, body string }{
-		{"rnn-10-8192@128", coldCases[0][3]},
-		{"rnn-2-1024@64+pipeline", coldCases[2][3]},
+	for _, c := range []struct {
+		name, body string
+		encode     bool
+	}{
+		{"rnn-10-8192@128", coldCases[0][3], true},
+		{"rnn-2-1024@64+pipeline", coldCases[2][3], true},
+		{"churn-min-9k", `{"model":{"family":"mlp","depth":2,"width":512,"batch":64}}`, false},
+		{"churn-p50-23k", `{"model":{"family":"mlp","depth":6,"width":384,"batch":64},"hw":"dgx1"}`, false},
+		{"churn-p75-342k", `{"model":{"family":"rnn","depth":1,"width":384,"batch":64}}`, false},
+		{"churn-max-684k", `{"model":{"family":"rnn","depth":1,"width":2048,"batch":128},"hw":"cluster-4x2x8"}`, false},
 	} {
 		p := searchPlan(b, c.body)
 		var buf bytes.Buffer
@@ -381,7 +396,9 @@ func BenchmarkPlanCodec(b *testing.B) {
 				}
 			})
 		}
-		run("encode", func() error { var out bytes.Buffer; return p.WriteJSON(&out) })
+		if c.encode {
+			run("encode", func() error { var out bytes.Buffer; return p.WriteJSON(&out) })
+		}
 		run("verify", func() error { _, err := plan.Verify(raw, p.Digest); return err })
 		run("read", func() error { _, err := plan.ReadJSONExpect(bytes.NewReader(raw), p.Digest); return err })
 	}

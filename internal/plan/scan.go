@@ -471,16 +471,22 @@ func (s *scanner) cuts() map[string]int {
 	var prev []byte
 	n := 0
 	s.expect('{')
-	for first := true; s.more(&first, '}'); n++ {
-		k := s.id(prev, "tensor")
-		d := s.narrow()
-		if d < 0 {
-			s.failStep("tensor %s: invalid cut dim %d", k, d)
+	for first := true; s.more(&first, '}'); {
+		for next := true; next; n++ {
+			k, d, ok := s.cutEntry(prev)
+			if !ok {
+				k = s.id(prev, "tensor")
+				d = s.narrow()
+				if d < 0 {
+					s.failStep("tensor %s: invalid cut dim %d", k, d)
+				}
+			}
+			if m != nil && s.err == nil {
+				m[string(k)] = d
+			}
+			prev = k
+			next = s.entrySep()
 		}
-		if m != nil && s.err == nil {
-			m[string(k)] = d
-		}
-		prev = k
 	}
 	s.nCut = n
 	return m
@@ -500,16 +506,191 @@ func (s *scanner) strategies() map[string]strat {
 	var prev []byte
 	n := 0
 	s.expect('{')
-	for first := true; s.more(&first, '}'); n++ {
-		k := s.id(prev, "node")
-		st := s.strategy(k)
-		if m != nil && s.err == nil {
-			m[string(k)] = st
+	for first := true; s.more(&first, '}'); {
+		for next := true; next; n++ {
+			k, st, ok := s.strategyEntry(prev)
+			if !ok {
+				k = s.id(prev, "node")
+				st = s.strategy(k)
+			}
+			if m != nil && s.err == nil {
+				m[string(k)] = st
+			}
+			prev = k
+			next = s.entrySep()
 		}
-		prev = k
 	}
 	s.nStrat = n
 	return m
+}
+
+// The entry fast path. cuts and strategies first match each entry against
+// the exact bytes WriteJSON writes for it — a fixed run of key, colon and
+// indentation is one comparison, not a token at a time — and make, in the
+// same step, every check the token scanner makes on that entry: a canonical
+// ID sorting after the previous one, the dim range, a known kind, a plain
+// non-empty axis. A match consumes the entry and the whitespace after it,
+// exactly as the token scanner would, and yields the same values. At the
+// first byte that differs the fast path returns false with s.i unmoved, and
+// the token scanner takes the entry from its first byte: it stays the only
+// grammar and the only source of error messages (DESIGN.md, "Plan codec").
+const (
+	fastOutput = "{\n          \"kind\": \"output\",\n          \"axis\": \""
+	fastReduce = "{\n          \"kind\": \"reduce\",\n          \"axis\": \""
+	fastDim    = ",\n          \"dim\": "
+	fastClose  = "\n        }"
+)
+
+// cutEntry is the fast path for one tensor_cut entry: `"<id>": <dim>`, the
+// dim followed by the ',' or newline WriteJSON writes after it.
+//
+//tofu:hotpath
+func (s *scanner) cutEntry(prev []byte) (k []byte, d int, ok bool) {
+	b := s.b
+	k, j := fastID(b, s.i, prev)
+	if k == nil {
+		return nil, 0, false
+	}
+	if d, j = fastUint(b, j); j < 0 || j >= len(b) || (b[j] != ',' && b[j] != '\n') {
+		return nil, 0, false
+	}
+	s.i = j
+	s.ws()
+	return k, d, true
+}
+
+// strategyEntry is the fast path for one op_strategy entry: `"<id>": ` and
+// one of the three objects WriteJSON writes — an output split without dim
+// (dim 0) or with a non-negative one, a reduction with its dim (-1). Both
+// kinds are six letters, so one length covers both templates. Only a
+// scanner building maps copies the axis out.
+//
+//tofu:hotpath
+func (s *scanner) strategyEntry(prev []byte) (k []byte, st strat, ok bool) {
+	b := s.b
+	k, j := fastID(b, s.i, prev)
+	if k == nil || len(b)-j < len(fastOutput) {
+		return nil, st, false
+	}
+	switch string(b[j : j+len(fastOutput)]) {
+	case fastOutput:
+		st.Kind = "output"
+	case fastReduce:
+		st.Kind = "reduce"
+	default:
+		return nil, st, false
+	}
+	j += len(fastOutput)
+	a := j
+	for ; j < len(b) && b[j] != '"'; j++ {
+		// Printable ASCII without escapes: the bytes str calls plain.
+		if c := b[j]; c < 0x20 || c >= 0x80 || c == '\\' {
+			return nil, st, false
+		}
+	}
+	axis := b[a:j]
+	if len(axis) == 0 || j == len(b) {
+		return nil, st, false
+	}
+	j++
+	if t := b[j:]; len(t) >= len(fastDim) && string(t[:len(fastDim)]) == fastDim {
+		j += len(fastDim)
+		neg := j < len(b) && b[j] == '-'
+		if neg {
+			j++
+		}
+		if st.Dim, j = fastUint(b, j); j < 0 {
+			return nil, st, false
+		}
+		if neg {
+			st.Dim = -st.Dim
+		}
+		if st.Kind == "output" && st.Dim < 0 {
+			return nil, st, false
+		}
+	}
+	if t := b[j:]; len(t) < len(fastClose) || string(t[:len(fastClose)]) != fastClose {
+		return nil, st, false
+	}
+	if s.full {
+		st.Axis = string(axis)
+	}
+	s.i = j + len(fastClose)
+	s.ws()
+	return k, st, true
+}
+
+// entrySep is more's comma case for the separator WriteJSON writes between
+// two entries, ",\n        ": it consumes that and the whitespace after it
+// and reports whether it did, matching the indentation in one comparison.
+// Anything else — the closing brace, other whitespace, an error — is left
+// to more.
+//
+//tofu:hotpath
+func (s *scanner) entrySep() bool {
+	const sep = ",\n        "
+	if t := s.b[s.i:]; s.err != nil || len(t) < len(sep) || string(t[:len(sep)]) != sep {
+		return false
+	}
+	s.i += len(sep)
+	s.ws()
+	return true
+}
+
+// fastID matches `"<id>": ` at b[i:] for a canonical ID of at most 18
+// digits (so it is below MaxInt64) sorting strictly after prev in
+// decimal-string order, as id requires. It returns the ID's bytes and the
+// offset after the colon's space, or nil.
+//
+//tofu:hotpath
+func fastID(b []byte, i int, prev []byte) ([]byte, int) {
+	if i >= len(b) || b[i] != '"' {
+		return nil, 0
+	}
+	i++
+	j := i
+	for end := min(len(b), i+18); j < end && b[j]-'0' <= 9; j++ {
+	}
+	// An empty ID sorts after nothing, so k[0] exists past the order check.
+	k := b[i:j]
+	if !sortsAfter(k, prev) || (k[0] == '0' && len(k) > 1) || len(b)-j < 3 || string(b[j:j+3]) != "\": " {
+		return nil, 0
+	}
+	return k, j + 3
+}
+
+// sortsAfter is bytes.Compare(prev, k) < 0, inline: IDs are a few bytes, and
+// consecutive ones usually differ in the first few.
+//
+//tofu:hotpath
+func sortsAfter(k, prev []byte) bool {
+	for i := 0; i < len(prev) && i < len(k); i++ {
+		if prev[i] != k[i] {
+			return prev[i] < k[i]
+		}
+	}
+	return len(prev) < len(k)
+}
+
+// fastUint matches a non-negative integer of at most 9 digits (so it fits
+// any int) without a leading zero at b[i:], and returns it and the offset
+// after it, or -1 for that offset. The caller matches the byte that follows
+// against WriteJSON's bytes, which rules out a tenth digit, a fraction or
+// an exponent.
+//
+//tofu:hotpath
+func fastUint(b []byte, i int) (int, int) {
+	if i >= len(b) || b[i]-'0' > 9 {
+		return 0, -1
+	}
+	if b[i] == '0' {
+		return 0, i + 1
+	}
+	n, j := 0, i
+	for end := min(len(b), i+9); j < end && b[j]-'0' <= 9; j++ {
+		n = n*10 + int(b[j]-'0')
+	}
+	return n, j
 }
 
 // strategy scans one node's strategy object and audits it: a known kind, a

@@ -90,44 +90,59 @@ func TestStoreCorruptReadQuarantines(t *testing.T) {
 // TestQuarantineCapBoundsForensics feeds the same entry path a repeating
 // corruption: the store keeps at most maxQuarantinePerEntry .corrupt.<n>
 // specimens and deletes further corrupt copies outright, so a bad disk
-// region can never grow the directory without bound.
+// region can never grow the directory without bound — also when the store's
+// directory name holds glob metacharacters.
 func TestQuarantineCapBoundsForensics(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := digestFor(8)
-	path := filepath.Join(dir, strings.TrimPrefix(d, "sha256:")+".plan")
-	rounds := maxQuarantinePerEntry + 3
-	for i := 0; i < rounds; i++ {
-		if err := s.Put(testMeta(d), []byte(fmt.Sprintf("payload %d", i))); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw[len(raw)/2] ^= 0xff
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := s.Get(d); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("round %d: want ErrNotFound, got %v", i, err)
-		}
-		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("round %d: corrupt entry still in serving path", i)
-		}
-	}
-	kept, _ := filepath.Glob(path + ".corrupt.*")
-	if len(kept) != maxQuarantinePerEntry {
-		t.Errorf("quarantine files = %d, want capped at %d", len(kept), maxQuarantinePerEntry)
-	}
-	st := s.Stats()
-	if st.Corrupt != int64(rounds) {
-		t.Errorf("Corrupt = %d, want %d (every detection counts)", st.Corrupt, rounds)
-	}
-	if st.Quarantined != int64(maxQuarantinePerEntry) {
-		t.Errorf("Quarantined = %d, want %d (only kept specimens count)", st.Quarantined, maxQuarantinePerEntry)
+	for _, name := range []string{"plans", "plans[a]", "*?"} {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), name)
+			s, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := digestFor(8)
+			path := filepath.Join(dir, strings.TrimPrefix(d, "sha256:")+".plan")
+			rounds := maxQuarantinePerEntry + 3
+			for i := 0; i < rounds; i++ {
+				if err := s.Put(testMeta(d), []byte(fmt.Sprintf("payload %d", i))); err != nil {
+					t.Fatal(err)
+				}
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw[len(raw)/2] ^= 0xff
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := s.Get(d); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("round %d: want ErrNotFound, got %v", i, err)
+				}
+				if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("round %d: corrupt entry still in serving path", i)
+				}
+			}
+			// Counted by name, not by glob: the directory name is literal.
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := 0
+			for _, e := range entries {
+				if strings.HasPrefix(e.Name(), filepath.Base(path)+".corrupt.") {
+					kept++
+				}
+			}
+			if kept != maxQuarantinePerEntry {
+				t.Errorf("quarantine files = %d, want capped at %d", kept, maxQuarantinePerEntry)
+			}
+			st := s.Stats()
+			if st.Corrupt != int64(rounds) {
+				t.Errorf("Corrupt = %d, want %d (every detection counts)", st.Corrupt, rounds)
+			}
+			if st.Quarantined != int64(maxQuarantinePerEntry) {
+				t.Errorf("Quarantined = %d, want %d (only kept specimens count)", st.Quarantined, maxQuarantinePerEntry)
+			}
+		})
 	}
 }

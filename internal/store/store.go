@@ -219,7 +219,7 @@ func (s *Store) quarantine(path string) {
 	if _, err := s.opts.FS.Stat(path); err != nil {
 		return
 	}
-	if kept, err := s.opts.FS.Glob(path + ".corrupt.*"); err == nil && len(kept) >= maxQuarantinePerEntry {
+	if kept, err := s.opts.FS.Glob(globQuote(path) + ".corrupt.*"); err == nil && len(kept) >= maxQuarantinePerEntry {
 		_ = s.opts.FS.Remove(path) //tofu:allow-errdrop best-effort cap enforcement; a survivor is re-quarantined on the next read
 		return
 	}
@@ -230,6 +230,25 @@ func (s *Store) quarantine(path string) {
 		return
 	}
 	s.quarantined.Add(1)
+}
+
+// globQuote escapes the glob metacharacters in a literal path, so a store
+// rooted at a directory named like "plans[a]" counts its own quarantine
+// files and no one else's: '*', '?' and '[' each become a one-character
+// class, and a backslash is escaped where it is not the path separator.
+func globQuote(path string) string {
+	var b strings.Builder
+	for _, c := range path {
+		switch {
+		case c == '*' || c == '?' || c == '[':
+			b.WriteString("[" + string(c) + "]")
+		case c == '\\' && filepath.Separator != '\\':
+			b.WriteString(`\\`)
+		default:
+			b.WriteRune(c)
+		}
+	}
+	return b.String()
 }
 
 // Stats is the store's counter snapshot for /metrics.

@@ -289,3 +289,32 @@ func TestStoreSharedDirReplicas(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkStoreGet measures a store hit — read the entry file, parse its
+// header, checksum the payload — on the median and the largest plan size
+// of the repository benchmark's 256 serve-churn plans (23 and 684 KB). The
+// payload's content does not matter to Get; its size does.
+func BenchmarkStoreGet(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		size int
+	}{{"23k", 23_000}, {"684k", 684_000}} {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := Open(b.TempDir(), Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			d := digestFor(9)
+			if err := s.Put(testMeta(d), bytes.Repeat([]byte("x"), c.size)); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(c.size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := s.Get(d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
