@@ -306,14 +306,12 @@ func search(c *coarsen.Coarse, k int64, opts Options) (*winner, error) {
 	if factors == nil {
 		factors = Factorize(k)
 	}
-	prod := int64(1)
 	for _, f := range factors {
 		if f < 2 {
 			return nil, fmt.Errorf("recursive: factor %d invalid", f)
 		}
-		prod *= f
 	}
-	if prod != k {
+	if !FactorsMultiplyTo(factors, k) {
 		return nil, fmt.Errorf("recursive: factors %v do not multiply to %d", factors, k)
 	}
 
@@ -625,6 +623,20 @@ func multisetPerms(pool []factorLevel) [][]factorLevel {
 	}
 	dfs()
 	return out
+}
+
+// FactorsMultiplyTo reports whether factors multiply to exactly k. The
+// running product is never formed past k, so factors whose product wraps
+// int64 (2305843009213693953 × 8 = 8 mod 2^64) do not pass.
+func FactorsMultiplyTo(factors []int64, k int64) bool {
+	prod := int64(1)
+	for _, f := range factors {
+		if f < 1 || prod > k/f {
+			return false
+		}
+		prod *= f
+	}
+	return prod == k
 }
 
 // Factorize decomposes k into its prime factors in non-increasing order

@@ -1,6 +1,7 @@
 package recursive
 
 import (
+	"strings"
 	"testing"
 
 	"tofu/internal/models"
@@ -176,6 +177,35 @@ func TestPartitionErrors(t *testing.T) {
 	}
 	if _, err := Partition(m.G, 4, Options{Factors: []int64{4, 1}}); err == nil {
 		t.Error("expected invalid-factor error")
+	}
+	// 2305843009213693953 × 8 wraps int64 to 8: the product must be checked,
+	// not formed.
+	_, err = Partition(m.G, 8, Options{Factors: []int64{2305843009213693953, 8}})
+	if err == nil || !strings.Contains(err.Error(), "do not multiply to 8") {
+		t.Errorf("wrapping factor product: err = %v, want a factor-product error", err)
+	}
+}
+
+func TestFactorsMultiplyTo(t *testing.T) {
+	for _, c := range []struct {
+		factors []int64
+		k       int64
+		want    bool
+	}{
+		{nil, 1, true},
+		{[]int64{2, 2, 2}, 8, true},
+		{[]int64{3, 2, 2}, 12, true},
+		{[]int64{2, 2}, 8, false},
+		{[]int64{2, 2, 2, 2}, 8, false},
+		{[]int64{2305843009213693953, 8}, 8, false},                  // wraps to 8
+		{[]int64{8, 2305843009213693953}, 8, false},                  // either order
+		{[]int64{4611686018427387904, 2, 2}, 0, false},               // wraps to 0
+		{[]int64{3037000499, 3037000499}, 9223372030926249001, true}, // near MaxInt64
+		{[]int64{2, 2}, -4, false},
+	} {
+		if got := FactorsMultiplyTo(c.factors, c.k); got != c.want {
+			t.Errorf("FactorsMultiplyTo(%v, %d) = %v, want %v", c.factors, c.k, got, c.want)
+		}
 	}
 }
 

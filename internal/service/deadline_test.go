@@ -138,6 +138,25 @@ func TestDeadlineForPrecedence(t *testing.T) {
 	}
 }
 
+// TestDeadlineMsBound: the largest deadline_ms a time.Duration holds is
+// accepted and stays a positive budget; one more millisecond would wrap
+// negative (read as unbounded) and is rejected by Normalize.
+func TestDeadlineMsBound(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1,
+		Compute: func(Request) ([]byte, error) { return nil, nil }})
+	defer s.Shutdown(context.Background())
+	r, err := Request{Model: deadlineModel, DeadlineMs: 9223372036854}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := s.DeadlineFor(r); d <= 0 || d/time.Millisecond != 9223372036854 {
+		t.Errorf("largest deadline_ms: budget %v", d)
+	}
+	if _, err := (Request{Model: deadlineModel, DeadlineMs: 9223372036855}).Normalize(); err == nil {
+		t.Error("deadline_ms 9223372036855 accepted; it wraps to a negative budget")
+	}
+}
+
 // TestCheckDeadlineAdmission: once the queue's estimated wait provably
 // exceeds a request's whole budget, the submission is refused up front
 // with ErrDeadlineInfeasible; unbounded requests and empty-evidence

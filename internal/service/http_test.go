@@ -231,6 +231,8 @@ func TestHTTPStatusCodes(t *testing.T) {
 		"not-json":      `{`,
 		"unknown-field": `{"model":{"family":"mlp","depth":4,"width":256,"batch":64},"bogus":true}`,
 		"bad-family":    `{"model":{"family":"gpt","depth":4,"width":256,"batch":64}}`,
+		"factors-wrap":  `{"model":{"family":"mlp","depth":4,"width":256,"batch":64},"workers":8,"factors":[2305843009213693953,8]}`,
+		"deadline-wrap": `{"model":{"family":"mlp","depth":4,"width":256,"batch":64},"deadline_ms":9223372036855}`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/partition", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -244,12 +245,62 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// logSink is a mutex-guarded log destination. The access-log record is
+// written after the handler returns, which can be after the client has read
+// a Content-Length-framed body: the test must not read the buffer while
+// the server writes it, and must wait for the record.
+type logSink struct {
+	mu    sync.Mutex
+	buf   bytes.Buffer
+	wrote chan struct{} // capacity 1: a pending "something was written"
+}
+
+func newLogSink() *logSink { return &logSink{wrote: make(chan struct{}, 1)} }
+
+func (s *logSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	n, err := s.buf.Write(p)
+	s.mu.Unlock()
+	select {
+	case s.wrote <- struct{}{}:
+	default:
+	}
+	return n, err
+}
+
+// record returns the first decoded log record whose msg is msg, waiting up
+// to timeout for it to be written, and the log as read on the last attempt.
+func (s *logSink) record(msg string, timeout time.Duration) (map[string]any, string) {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		s.mu.Lock()
+		text := s.buf.String()
+		s.mu.Unlock()
+		dec := json.NewDecoder(strings.NewReader(text))
+		for {
+			var rec map[string]any
+			if err := dec.Decode(&rec); err != nil {
+				break
+			}
+			if rec["msg"] == msg {
+				return rec, text
+			}
+		}
+		select {
+		case <-s.wrote:
+		case <-timer.C:
+			return nil, text
+		}
+	}
+}
+
 // TestStructuredRequestLog checks the slog access log carries the trace
 // id, digest and cache outcome, and that the trace id is echoed to the
 // client.
 func TestStructuredRequestLog(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewJSONHandler(&buf, nil))
+	sink := newLogSink()
+	logger := slog.New(slog.NewJSONHandler(sink, nil))
 	_, srv := startServer(t, service.Config{SyncWait: 30 * time.Second, Logger: logger})
 
 	body := strings.NewReader(`{"model":{"family":"mlp","depth":4,"width":256,"batch":64}}`)
@@ -272,19 +323,9 @@ func TestStructuredRequestLog(t *testing.T) {
 		t.Fatal("no Tofu-Trace-Id response header")
 	}
 
-	var reqRec map[string]any
-	dec := json.NewDecoder(&buf)
-	for {
-		var rec map[string]any
-		if err := dec.Decode(&rec); err != nil {
-			break
-		}
-		if rec["msg"] == "request" {
-			reqRec = rec
-		}
-	}
+	reqRec, text := sink.record("request", 10*time.Second)
 	if reqRec == nil {
-		t.Fatalf("no request record in log:\n%s", buf.String())
+		t.Fatalf("no request record in log:\n%s", text)
 	}
 	if reqRec["id"] != traceID {
 		t.Fatalf("log trace id %v != header %q", reqRec["id"], traceID)

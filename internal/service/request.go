@@ -13,6 +13,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
+	"time"
 
 	"tofu/internal/cancel"
 	"tofu/internal/core"
@@ -64,6 +67,10 @@ type Request struct {
 	// different budgets may legitimately produce different plans.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
 }
+
+// maxDeadlineMs is the largest deadline_ms a time.Duration can hold. A
+// larger one would wrap negative in DeadlineFor and read as unbounded.
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
 
 // PipelineRequest is the wire form of the hybrid-search knobs that change
 // the chosen plan. Simulation-side settings (micro-batch counts) and
@@ -138,19 +145,22 @@ func (r Request) Normalize() (Request, error) {
 	if r.MaxStates < 0 {
 		return Request{}, fmt.Errorf("service: invalid max_states %d", r.MaxStates)
 	}
+	if len(r.Factors) == 0 {
+		// "factors":[] asks for no split, which is what omitting them means
+		// on one worker (the only count they multiply to): one digest.
+		r.Factors = nil
+	}
 	if r.Factors != nil {
-		prod := int64(1)
 		for _, f := range r.Factors {
 			if f < 2 {
 				return Request{}, fmt.Errorf("service: invalid factor %d", f)
 			}
-			prod *= f
 		}
-		if prod != r.Workers {
+		if !recursive.FactorsMultiplyTo(r.Factors, r.Workers) {
 			return Request{}, fmt.Errorf("service: factors %v do not multiply to %d", r.Factors, r.Workers)
 		}
 	}
-	if r.DeadlineMs < 0 {
+	if r.DeadlineMs < 0 || r.DeadlineMs > maxDeadlineMs {
 		return Request{}, fmt.Errorf("service: invalid deadline_ms %d", r.DeadlineMs)
 	}
 	if r.TopologyNaive && r.Topology == nil {
@@ -171,28 +181,6 @@ func (r Request) Normalize() (Request, error) {
 	return r, nil
 }
 
-// digestForm is the canonical content hashed into the digest. Every field
-// that can change the chosen plan is present (explicitly, including zero
-// values — omitempty here would make "absent" and "default" hash alike only
-// by accident); anything that cannot (search parallelism, generation and
-// memory-planner options, the serving configuration) is absent by
-// construction.
-type digestForm struct {
-	Model         json.RawMessage `json:"model"`
-	Workers       int64           `json:"workers"`
-	Topology      json.RawMessage `json:"topology"`
-	MaxStates     int             `json:"max_states"`
-	Factors       []int64         `json:"factors"`
-	TopologyNaive bool            `json:"topology_naive"`
-	// Pipeline and DeadlineMs are the omitempty exceptions: both post-date
-	// the digest format, so they fold into the hash only when present —
-	// every pre-existing request keeps its digest byte-for-byte. A deadline
-	// belongs in the digest because a degraded incumbent is a different
-	// answer than the proven optimum.
-	Pipeline   *PipelineRequest `json:"pipeline,omitempty"`
-	DeadlineMs int64            `json:"deadline_ms,omitempty"`
-}
-
 // Digest returns the stable content digest ("sha256:<64 hex>") of the
 // request — the plan cache key, the /v1/plans path component, and the
 // digest WriteJSON embeds in served plans.
@@ -206,35 +194,85 @@ func (r Request) Digest() (string, error) {
 
 // digestNormalized hashes a request that is already in normalized form —
 // the per-request hot path, where ParseRequest has normalized once and a
-// second pass would be pure waste.
+// second pass would be pure waste. The form is appended into a stack buffer
+// that holds every built-in profile's request; a larger inline machine
+// spills to the heap.
+//
+//tofu:hotpath
 func (nr Request) digestNormalized() (string, error) {
-	mj, err := nr.Model.CanonicalJSON()
+	var buf [768]byte
+	body, err := nr.appendDigestForm(buf[:0])
 	if err != nil {
-		return "", fmt.Errorf("service: %w", err)
-	}
-	tj := json.RawMessage("null")
-	if nr.Topology != nil {
-		b, err := nr.Topology.CanonicalJSON()
-		if err != nil {
-			return "", fmt.Errorf("service: %w", err)
-		}
-		tj = b
-	}
-	body, err := json.Marshal(digestForm{
-		Model:         mj,
-		Workers:       nr.Workers,
-		Topology:      tj,
-		MaxStates:     nr.MaxStates,
-		Factors:       nr.Factors,
-		TopologyNaive: nr.TopologyNaive,
-		Pipeline:      nr.Pipeline,
-		DeadlineMs:    nr.DeadlineMs,
-	})
-	if err != nil {
-		return "", fmt.Errorf("service: %w", err)
+		return "", err
 	}
 	sum := sha256.Sum256(body)
-	return plan.DigestPrefix + hex.EncodeToString(sum[:]), nil
+	var out [len(plan.DigestPrefix) + 2*sha256.Size]byte
+	n := copy(out[:], plan.DigestPrefix)
+	hex.Encode(out[n:], sum[:])
+	return string(out[:]), nil
+}
+
+// appendDigestForm appends the canonical content the digest hashes: one
+// compact JSON object whose keys, in order, are model, workers, topology
+// (null on a flat machine), max_states, factors (null when unset),
+// topology_naive, and — only when set, so requests that predate them keep
+// their digests — pipeline and deadline_ms. Every field that can change the
+// chosen plan is present; nothing that cannot (search parallelism, the
+// serving configuration) is. The bytes are exactly what encoding/json writes
+// for that object (the test oracle, digest_test.go): the model and machine
+// come from json.Marshal and are already compact, the rest are integers and
+// booleans.
+//
+//tofu:hotpath
+func (nr Request) appendDigestForm(b []byte) ([]byte, error) {
+	mj, err := nr.Model.CanonicalJSON()
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err) //tofu:allow-hotalloc cold error path; a normalized request has a valid model
+	}
+	b = append(b, `{"model":`...)
+	b = append(b, mj...)
+	b = append(b, `,"workers":`...)
+	b = strconv.AppendInt(b, nr.Workers, 10)
+	b = append(b, `,"topology":`...)
+	if nr.Topology == nil {
+		b = append(b, "null"...)
+	} else {
+		tj, err := nr.Topology.CanonicalJSON()
+		if err != nil {
+			return nil, fmt.Errorf("service: %w", err) //tofu:allow-hotalloc cold error path; a normalized request has a valid machine
+		}
+		b = append(b, tj...)
+	}
+	b = append(b, `,"max_states":`...)
+	b = strconv.AppendInt(b, int64(nr.MaxStates), 10)
+	b = append(b, `,"factors":`...)
+	if nr.Factors == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, f := range nr.Factors {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, f, 10)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"topology_naive":`...)
+	b = strconv.AppendBool(b, nr.TopologyNaive)
+	if nr.Pipeline != nil {
+		b = append(b, `,"pipeline":{`...)
+		if nr.Pipeline.Level != 0 {
+			b = append(b, `"level":`...)
+			b = strconv.AppendInt(b, int64(nr.Pipeline.Level), 10)
+		}
+		b = append(b, '}')
+	}
+	if nr.DeadlineMs != 0 {
+		b = append(b, `,"deadline_ms":`...)
+		b = strconv.AppendInt(b, nr.DeadlineMs, 10)
+	}
+	return append(b, '}'), nil
 }
 
 // PipelineOptions maps a normalized request onto the pipeline knobs a

@@ -98,11 +98,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // writePlan serves the cached bytes verbatim — no re-encoding, so the wire
-// form is byte-identical to a fresh search's WriteJSON output.
+// form is byte-identical to a fresh search's WriteJSON output. The length
+// is declared: net/http would otherwise chunk-encode every plan and spend
+// a third socket write on the terminating chunk (headers and body are two).
 func writePlan(w http.ResponseWriter, digest string, val []byte, source string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Tofu-Digest", digest)
-	w.Header().Set("Tofu-Source", source) // "cache" | "search" | "coalesced"
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(val)))
+	h.Set("Tofu-Digest", digest)
+	h.Set("Tofu-Source", source) // "cache" | "search" | "coalesced"
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(val) //tofu:allow-errdrop the response is already committed; a write error means the client is gone
 }

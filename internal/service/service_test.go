@@ -437,6 +437,9 @@ func TestParseRequestStrict(t *testing.T) {
 		"workers-mismatch": `{"model":{"family":"mlp","depth":4,"width":256,"batch":64},"hw":"dgx1","workers":4}`,
 		"trailing-data":    `{"model":{"family":"mlp","depth":4,"width":256,"batch":64}} {"x":1}`,
 		"naive-flat":       `{"model":{"family":"mlp","depth":4,"width":256,"batch":64},"topology_naive":true}`,
+		"factors-wrap":     `{"model":{"family":"mlp","depth":4,"width":256,"batch":64},"workers":8,"factors":[2305843009213693953,8]}`,
+		"deadline-wraps":   `{"model":{"family":"mlp","depth":4,"width":256,"batch":64},"deadline_ms":9223372036855}`,
+		"deadline-neg":     `{"model":{"family":"mlp","depth":4,"width":256,"batch":64},"deadline_ms":-1}`,
 	} {
 		if _, err := ParseRequest([]byte(body)); err == nil {
 			t.Errorf("%s: expected error", name)

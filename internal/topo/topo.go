@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -338,6 +339,10 @@ func (t Topology) Validate() error {
 		}
 		if l.Bandwidth <= 0 {
 			return fmt.Errorf("topo: topology %q level %d (%s): bandwidth %g invalid", t.Name, i, l.Name, l.Bandwidth)
+		}
+		if prod > math.MaxInt64/l.GroupSize {
+			// A wrapped product could equal HW.NumGPUs: [2305843009213693953, 8] is 8.
+			return fmt.Errorf("topo: topology %q: product of level group sizes overflows at level %d (%s)", t.Name, i, l.Name)
 		}
 		prod *= l.GroupSize
 	}

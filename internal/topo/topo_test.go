@@ -63,6 +63,16 @@ func TestReadTopologyRejectsInvalid(t *testing.T) {
 	if _, err := ReadTopology(&buf); err == nil {
 		t.Error("NumGPUs mismatch must fail validation")
 	}
+
+	// Group sizes whose product wraps int64 to NumGPUs.
+	wrap := DefaultTopology()
+	wrap.Levels = []Level{
+		{Name: "a", GroupSize: 2305843009213693953, Bandwidth: wrap.HW.P2PBandwidth},
+		{Name: "b", GroupSize: 8, Bandwidth: 1e9, Network: true},
+	}
+	if err := wrap.Validate(); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Errorf("wrapping group-size product: err = %v, want an overflow error", err)
+	}
 }
 
 func TestFlatViewMatchesDefaultHW(t *testing.T) {
