@@ -13,12 +13,6 @@
 //	go run ./cmd/tofu-vet -json ./...     # machine-readable diagnostics
 //	go run ./cmd/tofu-vet -list           # analyzer inventory
 //
-// As a go vet tool (the unitchecker protocol: go vet hands the tool a
-// .cfg file per package, with gc export data for its imports):
-//
-//	go build -o /tmp/tofu-vet ./cmd/tofu-vet
-//	go vet -vettool=/tmp/tofu-vet ./...
-//
 // Exit status: 0 clean, 1 operational error, 2 diagnostics reported.
 package main
 
@@ -38,10 +32,6 @@ import (
 	"tofu/internal/analysis/nodeterm"
 )
 
-// version participates in go vet's action cache key (-V=full); bump it when
-// analyzer behavior changes so cached clean verdicts are invalidated.
-const version = "tofu-vet-2"
-
 func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ctxpoll.Analyzer,
@@ -53,22 +43,6 @@ func analyzers() []*analysis.Analyzer {
 }
 
 func main() {
-	// go vet probes the tool's identity before using it.
-	if len(os.Args) == 2 && strings.HasPrefix(os.Args[1], "-V") {
-		fmt.Printf("%s version %s\n", os.Args[0], version)
-		return
-	}
-	// go vet asks the tool to enumerate its analyzer flags as JSON; we expose
-	// none to cmd/go (options exist only in standalone mode).
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	// go vet invocation: the sole argument is a *.cfg JSON file.
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(vettool(os.Args[1]))
-	}
-
 	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Usage = func() {

@@ -118,13 +118,6 @@ func (p *Pass) CalleeFunc(call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// CalleePkgFunc reports whether call invokes <pkgPath>.<name> as a
-// package-level function.
-func (p *Pass) CalleePkgFunc(call *ast.CallExpr, pkgPath, name string) bool {
-	f := p.CalleeFunc(call)
-	return f != nil && f.Pkg() != nil && f.Pkg().Path() == pkgPath && f.Name() == name && f.Type().(*types.Signature).Recv() == nil
-}
-
 // IsBuiltin reports whether the call invokes the named builtin (append, make,
 // ...), respecting shadowing via the type checker.
 func (p *Pass) IsBuiltin(call *ast.CallExpr, name string) bool {

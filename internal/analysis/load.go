@@ -141,25 +141,6 @@ func checkPackage(fset *token.FileSet, imp types.Importer, importPath, dir strin
 	}, nil
 }
 
-// CheckFiles type-checks one package from an explicit file list and export
-// data maps — the `go vet -vettool` path, where cmd/go supplies both the
-// files and the import-path -> export-data resolution (importMap handles
-// vendoring; identity when empty).
-func CheckFiles(importPath, dir string, goFiles []string, importMap, exports map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if mapped, ok := importMap[path]; ok {
-			path = mapped
-		}
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("analysis: no export data for %q", path)
-		}
-		return os.Open(f)
-	})
-	return checkPackage(fset, imp, importPath, dir, goFiles)
-}
-
 // LoadDir type-checks a single directory of Go files as one package whose
 // imports are all resolvable through `go list -export` (stdlib, for the
 // analysistest fixtures). modDir anchors the go invocation inside a module.

@@ -61,9 +61,6 @@ type PipelineSpec struct {
 	// micro-batch per stage when the batch divides evenly, else 1). The
 	// chosen plan does not depend on it.
 	MicroBatches int
-	// Exhaustive disables branch-and-bound pruning (differential oracle;
-	// plans are byte-identical either way).
-	Exhaustive bool
 }
 
 // topology resolves the effective machine.
@@ -193,7 +190,6 @@ func partitionHybrid(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 		Parallelism: opts.Search.Parallelism,
 		Gen:         opts.Gen,
 		Cache:       opts.Search.Cache,
-		Exhaustive:  opts.Pipeline.Exhaustive,
 		Stats:       &st,
 		Trace:       opts.Trace,
 		Cancel:      opts.Cancel,

@@ -579,37 +579,3 @@ func (e *Evaluator) Total(assign map[int]int) (float64, error) {
 func (e *Evaluator) Result(assign map[int]int) (*Result, error) {
 	return priceAssignment(e.p.Coarse, e.evals, assign)
 }
-
-// SlotCost reports one slot's contribution to an Evaluate run (debugging and
-// the Figure 10 breakdowns).
-type SlotCost struct {
-	Op       string
-	Mult     float64
-	Cost     float64
-	Strategy partition.Strategy
-}
-
-// SlotCosts itemizes Evaluate by slot, in group order, building the
-// evaluators through the same pooled path as Solve.
-func SlotCosts(p *Problem, varCut map[int]int) ([]SlotCost, error) {
-	sl, err := prepareSlotEvals(p)
-	if err != nil {
-		return nil, err
-	}
-	var out []SlotCost
-	for gi := range p.Coarse.Groups {
-		for _, ev := range sl.byGroup[gi] {
-			si, cost, err := ev.best(varCut)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, SlotCost{
-				Op:       ev.slot.Rep().String(),
-				Mult:     ev.mult,
-				Cost:     cost,
-				Strategy: ev.priced.Strategies[si],
-			})
-		}
-	}
-	return out, nil
-}

@@ -37,9 +37,6 @@ type Opts struct {
 	SearchDeadline time.Duration
 }
 
-// DefaultOpts is the full-fidelity configuration.
-func DefaultOpts() Opts { return Opts{FlatBudget: 20 * time.Second} }
-
 // Table1 reproduces "Time to search for the best partition for 8 workers"
 // (WResNet-152 and RNN-10): the original DP is inapplicable to non-linear
 // fine-grained graphs, the coarsened-but-flat DP explodes, recursion

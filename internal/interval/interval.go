@@ -116,14 +116,6 @@ func (iv Interval) clone() Interval {
 	return out
 }
 
-// AddConst returns iv + k (Figure 4, row 1).
-func (iv Interval) AddConst(k float64) Interval {
-	out := iv.clone()
-	out.CLo += k
-	out.CHi += k
-	return out
-}
-
 // MulConst returns iv × k (Figure 4, row 2). Negative k swaps the endpoints.
 func (iv Interval) MulConst(k float64) Interval {
 	out := iv.clone()
@@ -138,14 +130,6 @@ func (iv Interval) MulConst(k float64) Interval {
 		out.CLo, out.CHi = out.CHi, out.CLo
 	}
 	return out
-}
-
-// DivConst returns iv / k (Figure 4, row 3).
-func (iv Interval) DivConst(k float64) (Interval, error) {
-	if k == 0 {
-		return Interval{}, errors.New("interval: division by zero")
-	}
-	return iv.MulConst(1 / k), nil
 }
 
 // Add returns iv + o (Figure 4, row 4).
@@ -202,24 +186,6 @@ func (iv Interval) AsConst() (float64, bool) {
 		return 0, false
 	}
 	return iv.CLo, true
-}
-
-// IsWhole reports whether the interval is exactly [0, X_sym] for the single
-// symbol sym (all other coefficients zero): the worker needs the full extent.
-func (iv Interval) IsWhole(sym int) bool {
-	for i := range iv.Lo {
-		if iv.Lo[i] != 0 {
-			return false
-		}
-		want := 0.0
-		if i == sym {
-			want = 1.0
-		}
-		if iv.Hi[i] != want {
-			return false
-		}
-	}
-	return iv.CLo == 0 && iv.CHi == 0
 }
 
 // Coeff returns (lo, hi) coefficients of symbol i.

@@ -34,7 +34,10 @@ func TestFigure4Arithmetic(t *testing.T) {
 	x := mustVar(t, sp, "x")
 
 	// (x + 2): [2, X+2]
-	s := x.AddConst(2)
+	s, err := x.Add(Const(sp, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	lo, hi, _ := s.Concretize([]float64{8})
 	if lo != 2 || hi != 10 {
 		t.Fatalf("x+2 over X=8 = [%g,%g]", lo, hi)
@@ -47,24 +50,14 @@ func TestFigure4Arithmetic(t *testing.T) {
 		t.Fatalf("3x over X=8 = [%g,%g]", lo, hi)
 	}
 
-	// (x / 2): [0, X/2]
-	d, err := x.DivConst(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi, _ = d.Concretize([]float64{8})
-	if lo != 0 || hi != 4 {
-		t.Fatalf("x/2 over X=8 = [%g,%g]", lo, hi)
-	}
-
 	// interval + interval
-	sum, err := x.Add(x.AddConst(1))
+	sum, err := x.Add(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lo, hi, _ = sum.Concretize([]float64{8})
-	if lo != 1 || hi != 17 {
-		t.Fatalf("x + (x+1) over X=8 = [%g,%g]", lo, hi)
+	if lo != 2 || hi != 18 {
+		t.Fatalf("x + (x+2) over X=8 = [%g,%g]", lo, hi)
 	}
 }
 
@@ -86,7 +79,10 @@ func TestSubSwapsEndpoints(t *testing.T) {
 func TestNegativeScaleSwapsEndpoints(t *testing.T) {
 	sp := NewSpace("x")
 	x := mustVar(t, sp, "x")
-	n := x.MulConst(-1).AddConst(5) // 5 - x: [5-X, 5]
+	n, err := x.MulConst(-1).Add(Const(sp, 5)) // 5 - x: [5-X, 5]
+	if err != nil {
+		t.Fatal(err)
+	}
 	lo, hi, _ := n.Concretize([]float64{3})
 	if lo != 2 || hi != 5 {
 		t.Fatalf("5-x over X=3 = [%g,%g], want [2,5]", lo, hi)
@@ -108,14 +104,6 @@ func TestNonAffineMul(t *testing.T) {
 	_, hi, _ := got.Concretize([]float64{2})
 	if hi != 8 {
 		t.Fatalf("x*[4,4] upper = %g, want 8", hi)
-	}
-}
-
-func TestDivByZero(t *testing.T) {
-	sp := NewSpace("x")
-	x := mustVar(t, sp, "x")
-	if _, err := x.DivConst(0); err == nil {
-		t.Fatal("expected division-by-zero error")
 	}
 }
 
@@ -143,11 +131,8 @@ func TestSpanWorkerShares(t *testing.T) {
 func TestIsWholeAndDepends(t *testing.T) {
 	sp := NewSpace("i", "j")
 	i := mustVar(t, sp, "i")
-	if !i.IsWhole(0) {
-		t.Error("fresh variable must be whole over its own symbol")
-	}
-	if i.IsWhole(1) {
-		t.Error("variable i is not whole over j")
+	if lo, hi, _ := i.Concretize([]float64{5, 7}); lo != 0 || hi != 5 {
+		t.Errorf("fresh variable must be whole over its own symbol: [%g,%g], want [0,5]", lo, hi)
 	}
 	if !i.DependsOn(0) || i.DependsOn(1) {
 		t.Error("dependence bookkeeping wrong")
@@ -237,7 +222,7 @@ func closeEnough(a, b float64) bool {
 func TestString(t *testing.T) {
 	sp := NewSpace("x")
 	x := mustVar(t, sp, "x")
-	if got := x.AddConst(2).String(); got == "" {
+	if got := x.MulConst(2).String(); got == "" {
 		t.Fatal("String should render something")
 	}
 	if got := Const(sp, 0).String(); got != "[0, 0]" {

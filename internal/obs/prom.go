@@ -104,23 +104,6 @@ func ParsePromText(r io.Reader) ([]PromFamily, error) {
 	return fams, nil
 }
 
-// ValidateExposition is ParsePromText returning only the verdict and the
-// total sample count — the CI smoke check.
-func ValidateExposition(r io.Reader) (int, error) {
-	fams, err := ParsePromText(r)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, f := range fams {
-		n += f.Samples
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("obs: prom: exposition has no samples")
-	}
-	return n, nil
-}
-
 // parsePromComment splits "# TYPE name type" / "# HELP name docstring".
 func parsePromComment(line string) (kind, name, rest string, ok bool) {
 	fields := strings.Fields(line)

@@ -105,30 +105,3 @@ func fetchBytes(reg Region, d int, w, k int64, ext, elemSize float64) float64 {
 	}
 	return math.Max(0, need-local) * elemSize
 }
-
-// BestStrategy returns the cheapest applicable strategy for the given cuts,
-// or an error when no strategy is applicable (e.g. no dimension divides k).
-func BestStrategy(sp *Spec, k int64, inCuts []Cut, outCut Cut) (Strategy, Breakdown, error) {
-	var (
-		best     Strategy
-		bestBD   Breakdown
-		found    bool
-		bestCost = math.Inf(1)
-	)
-	for _, s := range Enumerate(sp.Desc) {
-		if !sp.Applicable(s, k) {
-			continue
-		}
-		bd, err := Cost(sp, s, k, inCuts, outCut)
-		if err != nil {
-			continue
-		}
-		if bd.Total < bestCost {
-			best, bestBD, bestCost, found = s, bd, bd.Total, true
-		}
-	}
-	if !found {
-		return Strategy{}, Breakdown{}, fmt.Errorf("partition: no applicable strategy for %s at k=%d", sp.Desc.Name, k)
-	}
-	return best, bestBD, nil
-}

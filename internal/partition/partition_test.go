@@ -218,37 +218,20 @@ func TestBestStrategyPrefersReduce(t *testing.T) {
 	// A tall-thin matmul where S_B >> S_C: output reduction must win when
 	// inputs are aligned for it.
 	sp := matmulSpec(t, 64, 8192, 64) // A 64x8192, B 8192x64, C 64x64
-	s, bd, err := BestStrategy(sp, 2, []Cut{{1}, {0}}, Cut{0})
+	p, err := Price(sp, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Kind != SplitReduce {
-		t.Fatalf("best strategy = %v (cost %g), want output reduction", s, bd.Total)
+	si, cost := p.Best([]Cut{{1}, {0}}, Cut{0})
+	if s := p.Strategies[si]; s.Kind != SplitReduce {
+		t.Fatalf("best strategy = %v (cost %g), want output reduction", s, cost)
 	}
 }
 
 func TestBestStrategyNoOption(t *testing.T) {
 	// All extents are primes > k: nothing divides.
-	sp := matmulSpec(t, 7, 11, 13)
-	if _, _, err := BestStrategy(sp, 4, []Cut{{0}, {0}}, Cut{0}); err == nil {
+	if _, err := Price(matmulSpec(t, 7, 11, 13), 4, nil); err == nil {
 		t.Fatal("expected no-applicable-strategy error")
-	}
-}
-
-func TestOutputRegion(t *testing.T) {
-	sp := matmulSpec(t, 128, 256, 512)
-	row := findStrategy(t, Enumerate(sp.Desc), SplitOutput, "i")
-	reg := OutputRegion(sp, row, 4, 1)
-	if reg[0].Lo != 32 || reg[0].Hi != 64 {
-		t.Errorf("worker1 row slab = %v", reg[0])
-	}
-	if reg[1].Lo != 0 || reg[1].Hi != 512 {
-		t.Errorf("worker1 col range = %v", reg[1])
-	}
-	red := findStrategy(t, Enumerate(sp.Desc), SplitReduce, "k")
-	reg = OutputRegion(sp, red, 4, 1)
-	if reg[0].Size() != 128 || reg[1].Size() != 512 {
-		t.Errorf("reduce-split output should be full-size, got %v", reg)
 	}
 }
 

@@ -36,18 +36,6 @@ func (r Region) Elems() float64 {
 	return n
 }
 
-// Frac returns the fraction of the full tensor the region covers.
-func (r Region) Frac(s Shapelike) float64 {
-	f := 1.0
-	for i, d := range r {
-		f *= d.Size() / float64(s.Dim(i))
-	}
-	return f
-}
-
-// Shapelike decouples Region helpers from the concrete shape type.
-type Shapelike interface{ Dim(i int) int64 }
-
 // InputRegions runs the interval analysis (Sec 4.2) for worker w of k under
 // the given strategy and returns, per operator input, the bounding box of the
 // region that worker must read. This is the information Fig 2's stripe
@@ -169,22 +157,4 @@ func (ev *regionEval) eval(split int, k, w int64) {
 		}
 		ev.regs[ad.Slot] = Range{Lo: lo, Hi: hi}
 	}
-}
-
-// OutputRegion returns the slab of the output tensor worker w of k produces
-// under the strategy: its 1/k share along OutDim for SplitOutput, the whole
-// (partial) output for SplitReduce.
-func OutputRegion(sp *Spec, s Strategy, k, w int64) Region {
-	reg := make(Region, sp.OutShape.Rank())
-	for d := 0; d < sp.OutShape.Rank(); d++ {
-		reg[d] = Range{Lo: 0, Hi: float64(sp.OutShape.Dim(d))}
-	}
-	if s.Kind == SplitOutput {
-		ext := float64(sp.OutShape.Dim(s.OutDim))
-		reg[s.OutDim] = Range{
-			Lo: float64(w) / float64(k) * ext,
-			Hi: float64(w+1) / float64(k) * ext,
-		}
-	}
-	return reg
 }

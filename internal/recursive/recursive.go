@@ -290,10 +290,13 @@ func divideShapes(c *coarsen.Coarse, shapes map[int]shape.Shape, varCut map[int]
 
 // search is the engine dispatch behind Search and PartitionCoarse.
 func search(c *coarsen.Coarse, k int64, opts Options) (*winner, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("recursive: worker count %d invalid", k)
+	if k < 1 || k > topo.MaxGPUs {
+		return nil, fmt.Errorf("recursive: worker count %d outside [1, %d]", k, topo.MaxGPUs)
 	}
 	if opts.Topology != nil {
+		if err := opts.Topology.Validate(); err != nil {
+			return nil, fmt.Errorf("recursive: %w", err)
+		}
 		if got := int64(opts.Topology.NumGPUs()); got != k {
 			return nil, fmt.Errorf("recursive: topology %q has %d GPUs, want %d workers",
 				opts.Topology.Name, got, k)

@@ -7,6 +7,7 @@ import (
 	"tofu/internal/models"
 	"tofu/internal/partition"
 	"tofu/internal/shape"
+	"tofu/internal/topo"
 )
 
 func TestFactorize(t *testing.T) {
@@ -183,6 +184,22 @@ func TestPartitionErrors(t *testing.T) {
 	_, err = Partition(m.G, 8, Options{Factors: []int64{2305843009213693953, 8}})
 	if err == nil || !strings.Contains(err.Error(), "do not multiply to 8") {
 		t.Errorf("wrapping factor product: err = %v, want a factor-product error", err)
+	}
+	// Worker counts beyond topo.MaxGPUs never reach the trial division that
+	// factors them: this one is prime.
+	_, err = Partition(m.G, 9223372036854775783, Options{})
+	if err == nil || !strings.Contains(err.Error(), "outside [1, 1048576]") {
+		t.Errorf("prime k beyond MaxGPUs: err = %v, want a worker-count error", err)
+	}
+	// Neither do group sizes whose product wraps int64 to k.
+	wrap := topo.DGX1Topology()
+	wrap.Levels = []topo.Level{
+		{Name: "a", GroupSize: 2305843009213693953, Bandwidth: wrap.HW.P2PBandwidth},
+		{Name: "b", GroupSize: 8, Bandwidth: 1e9, Network: true},
+	}
+	_, err = Partition(m.G, 8, Options{Topology: &wrap})
+	if err == nil || !strings.Contains(err.Error(), "group size 2305843009213693953 outside") {
+		t.Errorf("wrapping machine: err = %v, want a group-size error", err)
 	}
 }
 

@@ -30,18 +30,25 @@ func degradedPlanJSON(t *testing.T) []byte {
 
 var deadlineModel = models.Config{Family: "mlp", Depth: 4, Width: 256, Batch: 64}
 
+// awaitCancel is a search that honors its job's cancellation token: it takes
+// the job from jobs (the test sends it after Submit) and polls the token
+// until it trips.
+func awaitCancel(jobs <-chan *Job) ([]byte, error) {
+	tok := (<-jobs).token
+	for !tok.Cancelled() {
+		time.Sleep(time.Millisecond)
+	}
+	return nil, tok.Err()
+}
+
 // TestWatchdogCancelsWedgedSearch: a compute that never returns on its own
 // must be unwedged by the watchdog's trip of the job token; the job fails
 // with a cancellation error and the cancelled counter moves.
 func TestWatchdogCancelsWedgedSearch(t *testing.T) {
+	jobs := make(chan *Job, 1)
 	s := New(Config{
 		Workers: 1, QueueDepth: 4, Watchdog: 20 * time.Millisecond,
-		ComputeCancel: func(r Request, tok *cancel.Token) ([]byte, error) {
-			for !tok.Cancelled() {
-				time.Sleep(time.Millisecond)
-			}
-			return nil, tok.Err()
-		},
+		Compute: func(Request) ([]byte, error) { return awaitCancel(jobs) },
 	})
 	defer s.Shutdown(context.Background())
 
@@ -49,6 +56,7 @@ func TestWatchdogCancelsWedgedSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	jobs <- j
 	_, jerr, timedOut := s.Wait(context.Background(), j, 5*time.Second)
 	if timedOut {
 		t.Fatal("watchdog never unwedged the search")
@@ -70,7 +78,7 @@ func TestDegradedPlanServedNotCached(t *testing.T) {
 	want := degradedPlanJSON(t)
 	s := New(Config{
 		Workers: 1, QueueDepth: 4,
-		ComputeCancel: func(r Request, tok *cancel.Token) ([]byte, error) {
+		Compute: func(r Request) ([]byte, error) {
 			computes++
 			return want, nil
 		},
@@ -224,19 +232,19 @@ func waitUntil(t *testing.T, cond func() bool) {
 func TestShutdownCancelsWedgedJob(t *testing.T) {
 	t.Run("honors-token", func(t *testing.T) {
 		started := make(chan struct{})
+		jobs := make(chan *Job, 1)
 		s := New(Config{
 			Workers: 1, QueueDepth: 2, ShutdownGrace: 5 * time.Second,
-			ComputeCancel: func(r Request, tok *cancel.Token) ([]byte, error) {
+			Compute: func(Request) ([]byte, error) {
 				close(started)
-				for !tok.Cancelled() {
-					time.Sleep(time.Millisecond)
-				}
-				return nil, tok.Err()
+				return awaitCancel(jobs)
 			},
 		})
-		if _, _, err := s.Submit(Request{Model: deadlineModel}, testDigest(40)); err != nil {
+		j, _, err := s.Submit(Request{Model: deadlineModel}, testDigest(40))
+		if err != nil {
 			t.Fatal(err)
 		}
+		jobs <- j
 		<-started
 		ctx, cancelCtx := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		defer cancelCtx()
@@ -253,7 +261,7 @@ func TestShutdownCancelsWedgedJob(t *testing.T) {
 		wedge := make(chan struct{})
 		s := New(Config{
 			Workers: 1, QueueDepth: 2, ShutdownGrace: 50 * time.Millisecond,
-			ComputeCancel: func(r Request, tok *cancel.Token) ([]byte, error) {
+			Compute: func(Request) ([]byte, error) {
 				close(started)
 				<-wedge // a seam bug: the token is never consulted
 				return nil, nil

@@ -51,7 +51,7 @@ func TestDegradedServePolicy(t *testing.T) {
 	val := degradedExport(t)
 	svc, srv := startServer(t, service.Config{
 		SyncWait: 30 * time.Second,
-		ComputeCancel: func(r service.Request, tok *cancel.Token) ([]byte, error) {
+		Compute: func(r service.Request) ([]byte, error) {
 			return val, nil
 		},
 	})
@@ -98,7 +98,7 @@ func TestDegradedFailPolicy(t *testing.T) {
 	_, srv := startServer(t, service.Config{
 		SyncWait:       30 * time.Second,
 		DegradedPolicy: service.DegradedFail,
-		ComputeCancel: func(r service.Request, tok *cancel.Token) ([]byte, error) {
+		Compute: func(r service.Request) ([]byte, error) {
 			return val, nil
 		},
 	})
@@ -118,7 +118,7 @@ func TestDegradedFailPolicy(t *testing.T) {
 func TestCancelledSearch503(t *testing.T) {
 	_, srv := startServer(t, service.Config{
 		SyncWait: 30 * time.Second,
-		ComputeCancel: func(r service.Request, tok *cancel.Token) ([]byte, error) {
+		Compute: func(r service.Request) ([]byte, error) {
 			return nil, cancel.Reason(cancel.ErrDeadline, "cancelled before any ordering completed")
 		},
 	})
@@ -142,7 +142,7 @@ func TestDeadlineAdmission503(t *testing.T) {
 	gate := make(chan struct{})
 	svc, srv := startServer(t, service.Config{
 		Workers: 1, QueueDepth: 8, SyncWait: 30 * time.Second,
-		ComputeCancel: func(r service.Request, tok *cancel.Token) ([]byte, error) {
+		Compute: func(r service.Request) ([]byte, error) {
 			if calls.Add(1) > 1 {
 				<-gate // every search after the first wedges until cleanup
 			}
@@ -273,7 +273,7 @@ func TestJobStatusCarriesDegraded(t *testing.T) {
 	val := degradedExport(t)
 	_, srv := startServer(t, service.Config{
 		SyncWait: time.Nanosecond, // force the async flip
-		ComputeCancel: func(r service.Request, tok *cancel.Token) ([]byte, error) {
+		Compute: func(r service.Request) ([]byte, error) {
 			time.Sleep(10 * time.Millisecond)
 			return val, nil
 		},

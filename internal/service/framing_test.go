@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"tofu/internal/cancel"
 	"tofu/internal/service"
 	"tofu/internal/store"
 )
@@ -80,7 +79,7 @@ func TestPlanResponsesFramed(t *testing.T) {
 	release := make(chan struct{})
 	svc, srv := startServer(t, service.Config{
 		Workers: 1, SyncWait: 30 * time.Second, CacheSize: 1, Store: st,
-		ComputeCancel: func(r service.Request, _ *cancel.Token) ([]byte, error) {
+		Compute: func(r service.Request) ([]byte, error) {
 			<-release
 			return service.ComputePlan(r, 1)
 		},
@@ -116,7 +115,7 @@ func TestPlanResponsesFramed(t *testing.T) {
 	val := degradedExport(t)
 	_, dsrv := startServer(t, service.Config{
 		SyncWait: 30 * time.Second,
-		ComputeCancel: func(service.Request, *cancel.Token) ([]byte, error) {
+		Compute: func(service.Request) ([]byte, error) {
 			return val, nil
 		},
 	})

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tofu/internal/service"
+	"tofu/internal/topo"
 )
 
 // FuzzParseRequest drives the wire-request decoder with arbitrary bytes.
@@ -19,7 +20,8 @@ import (
 // machine's group sizes multiply to the worker count in exact arithmetic,
 // and an accepted deadline is a time.Duration without wrapping. The bytes
 // the digest hashes must equal what encoding/json writes for the digest
-// form (the oracle in digest_test.go). Seed corpus: bare, profile-backed
+// form (the oracle in digest_test.go). An accepted worker count is within
+// topo.MaxGPUs. Seed corpus: bare, profile-backed
 // and inline-machine requests under testdata/fuzz.
 func FuzzParseRequest(f *testing.F) {
 	f.Add([]byte(`{"model":{"family":"mlp","depth":4,"width":64,"batch":8},"workers":4}`))
@@ -37,10 +39,15 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add([]byte(`{"model":{"family":"mlp","depth":4,"width":64,"batch":8},"workers":8,"factors":[2,4]}`))
 	f.Add([]byte(`{"model":{"family":"mlp","depth":4,"width":64,"batch":8},"workers":1,"factors":[]}`)) // empty factors
 	f.Add([]byte(`{"model":{"family":"mlp","depth":4,"width":64,"batch":8},"hw":"dgx1","max_states":3,"topology_naive":true,"deadline_ms":7}`))
+	f.Add([]byte(`{"model":{"family":"mlp","depth":4,"width":64,"batch":8},"workers":9223372036854775783}`)) // prime, beyond MaxGPUs
+	f.Add([]byte(`{"model":{"family":"mlp","depth":4,"width":64,"batch":8},"topology":` + giantTopology + `}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := service.ParseRequest(data)
 		if err != nil {
 			return
+		}
+		if r.Workers < 1 || r.Workers > topo.MaxGPUs {
+			t.Fatalf("accepted worker count %d outside [1, %d]", r.Workers, topo.MaxGPUs)
 		}
 		if r.Factors != nil {
 			prod := big.NewInt(1)

@@ -218,6 +218,11 @@ func TestConcurrentIdenticalRequestsOneSearch(t *testing.T) {
 	}
 }
 
+// giantTopology is a well-formed machine of 2 × 1073741823 GPUs, far beyond
+// topo.MaxGPUs.
+const giantTopology = `{"name":"giant","hw":{"num_gpus":2147483646,"p2p_bandwidth":1e9},` +
+	`"levels":[{"name":"a","group_size":2,"bandwidth":1e9},{"name":"b","group_size":1073741823,"bandwidth":1e8,"network":true}]}`
+
 func TestHTTPStatusCodes(t *testing.T) {
 	_, srv := startServer(t, service.Config{SyncWait: 30 * time.Second})
 	ctx := context.Background()
@@ -233,6 +238,9 @@ func TestHTTPStatusCodes(t *testing.T) {
 		"bad-family":    `{"model":{"family":"gpt","depth":4,"width":256,"batch":64}}`,
 		"factors-wrap":  `{"model":{"family":"mlp","depth":4,"width":256,"batch":64},"workers":8,"factors":[2305843009213693953,8]}`,
 		"deadline-wrap": `{"model":{"family":"mlp","depth":4,"width":256,"batch":64},"deadline_ms":9223372036855}`,
+		// Beyond topo.MaxGPUs; the search would trial-divide for minutes.
+		"workers-prime":  `{"model":{"family":"mlp","depth":4,"width":256,"batch":64},"workers":9223372036854775783}`,
+		"topology-giant": `{"model":{"family":"mlp","depth":4,"width":256,"batch":64},"topology":` + giantTopology + `}`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/partition", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -217,9 +217,6 @@ func (s *Service) run(j *Job) {
 	}
 
 	search := s.cfg.Compute
-	if s.cfg.ComputeCancel != nil {
-		search = func(r Request) ([]byte, error) { return s.cfg.ComputeCancel(r, j.token) }
-	}
 	if search == nil {
 		// The submission path already normalized the request and computed
 		// its digest; skip both on the worker. The search shares the

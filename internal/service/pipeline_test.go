@@ -142,7 +142,7 @@ func TestPipelineRequestValidation(t *testing.T) {
 	if opts.Pipeline == nil || opts.Pipeline.Level != 2 {
 		t.Fatalf("pipeline spec not mapped: %+v", opts.Pipeline)
 	}
-	if opts.Pipeline.Exhaustive || opts.Pipeline.MicroBatches != 0 {
-		t.Fatalf("wire request set effort/simulation knobs: %+v", opts.Pipeline)
+	if opts.Pipeline.MicroBatches != 0 {
+		t.Fatalf("wire request set the simulation knob: %+v", opts.Pipeline)
 	}
 }

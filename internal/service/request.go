@@ -139,8 +139,8 @@ func (r Request) Normalize() (Request, error) {
 	if r.Workers == 0 {
 		r.Workers = 8
 	}
-	if r.Workers < 1 {
-		return Request{}, fmt.Errorf("service: invalid worker count %d", r.Workers)
+	if r.Workers < 1 || r.Workers > topo.MaxGPUs {
+		return Request{}, fmt.Errorf("service: worker count %d outside [1, %d]", r.Workers, topo.MaxGPUs)
 	}
 	if r.MaxStates < 0 {
 		return Request{}, fmt.Errorf("service: invalid max_states %d", r.MaxStates)

@@ -86,10 +86,6 @@ type Config struct {
 	// Compute overrides the search itself — the test seam. nil means
 	// ComputePlan.
 	Compute func(Request) ([]byte, error)
-	// ComputeCancel is Compute with the job's cancellation token — the seam
-	// for tests that exercise deadlines, the watchdog and the drain path.
-	// Takes precedence over Compute when both are set.
-	ComputeCancel func(Request, *cancel.Token) ([]byte, error)
 	// DefaultDeadline bounds every search that does not carry its own
 	// deadline_ms (0 = unbounded). Requests with deadline_ms keep theirs.
 	DefaultDeadline time.Duration

@@ -184,23 +184,3 @@ func (s Shape) String() string {
 	buf = append(buf, ')')
 	return string(buf)
 }
-
-// HumanBytes formats a byte count the way the paper's tables do (GB with one
-// decimal, MB below 1 GB).
-func HumanBytes(b int64) string {
-	const (
-		kb = 1 << 10
-		mb = 1 << 20
-		gb = 1 << 30
-	)
-	switch {
-	case b >= gb:
-		return fmt.Sprintf("%.1fGB", float64(b)/float64(gb))
-	case b >= mb:
-		return fmt.Sprintf("%.1fMB", float64(b)/float64(mb))
-	case b >= kb:
-		return fmt.Sprintf("%.1fKB", float64(b)/float64(kb))
-	default:
-		return fmt.Sprintf("%dB", b)
-	}
-}

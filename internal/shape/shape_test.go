@@ -106,20 +106,3 @@ func TestString(t *testing.T) {
 		t.Errorf("scalar String = %q", got)
 	}
 }
-
-func TestHumanBytes(t *testing.T) {
-	cases := []struct {
-		in   int64
-		want string
-	}{
-		{512, "512B"},
-		{2 << 10, "2.0KB"},
-		{3 << 20, "3.0MB"},
-		{4509715661, "4.2GB"},
-	}
-	for _, c := range cases {
-		if got := HumanBytes(c.in); got != c.want {
-			t.Errorf("HumanBytes(%d) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}

@@ -12,7 +12,7 @@ import (
 // fallthrough.
 func TestStandardRegistryClassifiesIntentionally(t *testing.T) {
 	for _, op := range tdl.Std.Names() {
-		if !HasKernelClass(op) {
+		if _, ok := kernelClasses[op]; !ok {
 			t.Errorf("op %q has no explicit kernel class (classified by fallthrough as %v)",
 				op, Classify(op))
 		}
@@ -29,17 +29,12 @@ func TestAttentionOpsAreMatmulClass(t *testing.T) {
 	}
 }
 
-func TestCustomOpFallbackAndRegistration(t *testing.T) {
-	// Unregistered custom ops still classify by prefix...
+func TestCustomOpFallback(t *testing.T) {
+	// Custom ops outside the table classify by prefix.
 	if got := Classify("matmul_custom_variant"); got != ClassMatmul {
 		t.Errorf("prefix fallback broken: %v", got)
 	}
 	if got := Classify("my_fancy_elementwise"); got != ClassMemBound {
 		t.Errorf("default fallback broken: %v", got)
-	}
-	// ...and an explicit registration overrides the fallback.
-	RegisterKernelClass("my_custom_contraction", ClassMatmul)
-	if got := Classify("my_custom_contraction"); got != ClassMatmul {
-		t.Errorf("registered class ignored: %v", got)
 	}
 }

@@ -133,16 +133,6 @@ func (d *OpDesc) AllAccesses() []TaggedAccess {
 	return out
 }
 
-// AxisNames returns all axis names (output then reduce), for building the
-// symbolic interval space.
-func (d *OpDesc) AxisNames() []string {
-	names := append([]string(nil), d.OutAxes...)
-	for _, r := range d.reduceAxes {
-		names = append(names, r.Name)
-	}
-	return names
-}
-
 // validate checks the structural rules of TDL and caches derived facts.
 func (d *OpDesc) validate() error {
 	if d.validated {

@@ -250,9 +250,6 @@ func (a *Access) String() string {
 // Num is a scalar constant.
 type Num struct{ V float64 }
 
-// Lit builds a scalar constant expression.
-func Lit(v float64) *Num { return &Num{V: v} }
-
 func (n *Num) isScalar()                                    {}
 func (n *Num) accesses(underReduce bool, _ *[]TaggedAccess) {}
 func (n *Num) String() string                               { return fmt.Sprintf("%g", n.V) }
@@ -305,12 +302,6 @@ func Mul(l, r Scalar) *Bin { return &Bin{Op: OpMul, L: l, R: r} }
 
 // Div builds l / r.
 func Div(l, r Scalar) *Bin { return &Bin{Op: OpDiv, L: l, R: r} }
-
-// Max2 builds max(l, r).
-func Max2(l, r Scalar) *Bin { return &Bin{Op: OpMax, L: l, R: r} }
-
-// Min2 builds min(l, r).
-func Min2(l, r Scalar) *Bin { return &Bin{Op: OpMin, L: l, R: r} }
 
 func (b *Bin) isScalar() {}
 func (b *Bin) accesses(underReduce bool, out *[]TaggedAccess) {

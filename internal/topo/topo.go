@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"strings"
@@ -19,8 +18,7 @@ import (
 
 // HW describes a flat simulated machine: the per-GPU compute parameters plus
 // one uniform peer link. It survives the topology refactor as the per-GPU
-// half of a Topology (and as the single-level compatibility view, see
-// Topology.Flat).
+// half of a Topology.
 type HW struct {
 	NumGPUs     int   `json:"num_gpus"`
 	GPUMemBytes int64 `json:"gpu_mem_bytes"`
@@ -105,6 +103,12 @@ type Topology struct {
 	// as one flat level at HW.P2PBandwidth.
 	Levels []Level `json:"levels"`
 }
+
+// MaxGPUs bounds every machine and worker count the partitioner accepts, 4096
+// times the largest built-in profile. It keeps outside input from reaching
+// the search's trial-division factorization with an astronomically large
+// count, and the product of level group sizes from overflowing.
+const MaxGPUs = 1 << 20
 
 // FlatTopology wraps a flat machine into a single-level topology — the
 // compatibility path for HW-typed callers.
@@ -332,19 +336,21 @@ func (t Topology) Validate() error {
 	if len(t.Levels) == 0 {
 		return fmt.Errorf("topo: topology %q has no levels", t.Name)
 	}
+	if t.HW.NumGPUs < 1 || t.HW.NumGPUs > MaxGPUs {
+		return fmt.Errorf("topo: topology %q: num_gpus %d outside [1, %d]", t.Name, t.HW.NumGPUs, MaxGPUs)
+	}
 	prod := int64(1)
 	for i, l := range t.Levels {
-		if l.GroupSize < 1 {
-			return fmt.Errorf("topo: topology %q level %d (%s): group size %d invalid", t.Name, i, l.Name, l.GroupSize)
+		if l.GroupSize < 1 || l.GroupSize > MaxGPUs {
+			return fmt.Errorf("topo: topology %q level %d (%s): group size %d outside [1, %d]", t.Name, i, l.Name, l.GroupSize, MaxGPUs)
 		}
 		if l.Bandwidth <= 0 {
 			return fmt.Errorf("topo: topology %q level %d (%s): bandwidth %g invalid", t.Name, i, l.Name, l.Bandwidth)
 		}
-		if prod > math.MaxInt64/l.GroupSize {
-			// A wrapped product could equal HW.NumGPUs: [2305843009213693953, 8] is 8.
-			return fmt.Errorf("topo: topology %q: product of level group sizes overflows at level %d (%s)", t.Name, i, l.Name)
+		// Both factors are at most MaxGPUs, so the product cannot wrap.
+		if prod *= l.GroupSize; prod > MaxGPUs {
+			return fmt.Errorf("topo: topology %q: more than %d GPUs at level %d (%s)", t.Name, MaxGPUs, i, l.Name)
 		}
-		prod *= l.GroupSize
 	}
 	if int64(t.HW.NumGPUs) != prod {
 		return fmt.Errorf("topo: topology %q: HW.NumGPUs %d != product of level group sizes %d",
@@ -367,17 +373,6 @@ func (t Topology) NumGPUs() int {
 		prod *= l.GroupSize
 	}
 	return int(prod)
-}
-
-// Flat returns the HW-compatible view: the whole machine behind one link at
-// the innermost bandwidth. For single-level topologies this IS the machine.
-func (t Topology) Flat() HW {
-	hw := t.HW
-	hw.NumGPUs = t.NumGPUs()
-	if len(t.Levels) > 0 {
-		hw.P2PBandwidth = t.Levels[0].Bandwidth
-	}
-	return hw
 }
 
 // LevelBandwidth prices a transfer crossing level l; out-of-range indices

@@ -64,20 +64,41 @@ func TestReadTopologyRejectsInvalid(t *testing.T) {
 		t.Error("NumGPUs mismatch must fail validation")
 	}
 
-	// Group sizes whose product wraps int64 to NumGPUs.
-	wrap := DefaultTopology()
-	wrap.Levels = []Level{
-		{Name: "a", GroupSize: 2305843009213693953, Bandwidth: wrap.HW.P2PBandwidth},
-		{Name: "b", GroupSize: 8, Bandwidth: 1e9, Network: true},
-	}
-	if err := wrap.Validate(); err == nil || !strings.Contains(err.Error(), "overflows") {
-		t.Errorf("wrapping group-size product: err = %v, want an overflow error", err)
+	// Machines beyond MaxGPUs, among them group sizes whose product wraps
+	// int64 to NumGPUs ([2305843009213693953, 8] is 8).
+	for _, c := range []struct {
+		gpus  int
+		sizes []int64
+		frag  string
+	}{
+		{8, []int64{2305843009213693953, 8}, "group size 2305843009213693953 outside"},
+		{1 << 31, []int64{2, 1073741823}, "num_gpus 2147483648 outside"},
+		{2, []int64{2, 1073741823}, "group size 1073741823 outside"},
+		{8, []int64{1 << 10, 1 << 11}, "more than 1048576 GPUs at level 1"},
+		{MaxGPUs, []int64{1 << 10, 1 << 10}, ""},
+	} {
+		big := DefaultTopology()
+		big.HW.NumGPUs = c.gpus
+		big.Levels = []Level{
+			{Name: "a", GroupSize: c.sizes[0], Bandwidth: big.HW.P2PBandwidth},
+			{Name: "b", GroupSize: c.sizes[1], Bandwidth: 1e9, Network: true},
+		}
+		err := big.Validate()
+		if c.frag == "" {
+			if err != nil {
+				t.Errorf("%v: a machine of exactly MaxGPUs must validate: %v", c.sizes, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), c.frag) {
+			t.Errorf("%v (num_gpus %d): err = %v, want %q", c.sizes, c.gpus, err, c.frag)
+		}
 	}
 }
 
 func TestFlatViewMatchesDefaultHW(t *testing.T) {
 	tp := DefaultTopology()
-	if got, want := tp.Flat(), DefaultHW(); got != want {
+	flat := tp.HW
+	flat.NumGPUs, flat.P2PBandwidth = tp.NumGPUs(), tp.Levels[0].Bandwidth
+	if got, want := flat, DefaultHW(); got != want {
 		t.Fatalf("default topology flat view diverged:\n%+v\n%+v", got, want)
 	}
 	if tp.Hierarchical() {
