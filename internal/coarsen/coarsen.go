@@ -21,6 +21,7 @@ package coarsen
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -361,7 +362,7 @@ func Coarsen(g *graph.Graph) (*Coarse, error) {
 		return nil, err
 	}
 	fr := wholeGraph(g, &facts)
-	return coarsen(g, &facts, &fr)
+	return coarsen(g, &facts, &fr, &slabs{})
 }
 
 // wholeGraph is the frame of a whole graph: local numbers are IDs.
@@ -383,13 +384,30 @@ func wholeGraph(g *graph.Graph, facts *nodeFacts) frame {
 // as it found it. sc must not be shared between concurrent calls; c itself is
 // only read, so one coarsening serves concurrent segments, one scratch each.
 // The pipeline search coarsens O(L²) overlapping segments of one graph this
-// way.
+// way. The result owns its storage: its Coarse, variables, groups, slots and
+// lists are allocated for it (twelve objects, whatever the segment holds).
 func (c *Coarse) Segment(lo, hi int, sc *SegmentScratch) (*Coarse, error) {
+	return c.segment(lo, hi, sc, &slabs{})
+}
+
+// SegmentTransient is Segment with the result's storage borrowed from sc: the
+// Coarse, its variables, groups and slots and every list they hold are sc's
+// slabs, which a warm scratch reuses without allocating. The result is valid
+// until the next Segment or SegmentTransient call on sc, which overwrites it;
+// in particular it must not itself be segmented with sc. What a search
+// computes from it (costs, cost-only plans, materialized tables in c.G's IDs)
+// names no variable, group or slot by pointer and outlives it.
+func (c *Coarse) SegmentTransient(lo, hi int, sc *SegmentScratch) (*Coarse, error) {
+	return c.segment(lo, hi, sc, &sc.out)
+}
+
+// segment coarsens c's groups [lo, hi) into out.
+func (c *Coarse) segment(lo, hi int, sc *SegmentScratch, out *slabs) (*Coarse, error) {
 	if lo < 0 || hi > len(c.Groups) || lo >= hi {
 		return nil, fmt.Errorf("coarsen: segment [%d,%d) out of range for %d groups", lo, hi, len(c.Groups))
 	}
 	fr := sc.load(c, lo, hi)
-	seg, err := coarsen(c.G, c.facts, fr)
+	seg, err := coarsen(c.G, c.facts, fr, out)
 	sc.clear(c.facts, fr)
 	return seg, err
 }
@@ -397,11 +415,48 @@ func (c *Coarse) Segment(lo, hi int, sc *SegmentScratch) (*Coarse, error) {
 // SegmentScratch is the working memory of Segment: maps from a graph's
 // node, tensor, unroll-cell and signature numbers to a segment's, sized on
 // first use and zero again after every call, and the segment's lists, which
-// grow to the largest segment seen.
+// grow to the largest segment seen. out is what SegmentTransient returns.
 type SegmentScratch struct {
 	node, tensor, cell, sig []int32
-	ids                     []int32
-	fr                      frame
+	// member is a bitmap over node IDs that load marks a segment's operators
+	// in, and clears as it lists them.
+	member []uint64
+	fr     frame
+	out    slabs
+}
+
+// slabs is the storage one coarsening fills: the Coarse, the variable, group
+// and slot slabs, the slab of each list type they hold (variable members,
+// slot operators and operands, the groups' variable lists, and the pointer
+// lists Coarse.Vars, Coarse.Groups and Group.Slots are windows of), and the
+// element-wise flags it works with. An owned coarsening starts from empty
+// slabs and allocates each at its exact size; a transient segment reuses the
+// scratch's, grown to the largest segment seen.
+type slabs struct {
+	coarse    *Coarse
+	vars      []Var
+	varPtrs   []*Var
+	members   []*graph.Tensor
+	groups    []Group
+	groupPtrs []*Group
+	slots     []Slot
+	slotPtrs  []*Slot
+	ops       []*graph.Node
+	operands  []*Var
+	varLists  []*Var
+	ew        []bool
+}
+
+// resize returns s resliced to n zeroed elements, or a fresh slice when s is
+// too short: exactly n for the empty slabs of an owned coarsening, at least
+// twice the old capacity for a scratch's.
+func resize[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // frame is the numbering one coarsening works in: a whole graph, where a
@@ -426,7 +481,10 @@ type frame struct {
 }
 
 // load builds the frame of c's groups [lo, hi) in sc, sizing sc's maps to
-// c.G first.
+// c.G first. It lists the segment's operators in ascending ID without
+// sorting: it marks them in sc.member, then reads the marks back word by word
+// over the span between the smallest and the largest ID, clearing each word
+// as it goes — O(operators + span/64).
 //
 //tofu:hotpath once per segment coarsening; enforced by tofu-vet/hotalloc
 func (sc *SegmentScratch) load(c *Coarse, lo, hi int) *frame {
@@ -435,21 +493,25 @@ func (sc *SegmentScratch) load(c *Coarse, lo, hi int) *frame {
 		len(sc.cell) != len(f.cellSig) || len(sc.sig) != f.nsig {
 		sc.node, sc.tensor = make([]int32, len(c.G.Nodes)), make([]int32, len(c.G.Tensors))
 		sc.cell, sc.sig = make([]int32, len(f.cellSig)), make([]int32, f.nsig)
+		sc.member = make([]uint64, (len(c.G.Nodes)+63)/64)
 	}
 	fr := &sc.fr
 	fr.node, fr.tensor = sc.node, sc.tensor
-	sc.ids = sc.ids[:0]
+	first, last := len(c.G.Nodes), -1
 	for _, grp := range c.Groups[lo:hi] {
 		for _, s := range grp.Slots {
 			for _, n := range s.Ops {
-				sc.ids = append(sc.ids, int32(n.ID))
+				sc.member[n.ID>>6] |= 1 << (n.ID & 63)
+				first, last = min(first, n.ID), max(last, n.ID)
 			}
 		}
 	}
-	slices.Sort(sc.ids)
 	fr.nodes = fr.nodes[:0]
-	for _, id := range sc.ids {
-		fr.nodes = append(fr.nodes, c.G.Nodes[id])
+	for w := first >> 6; w <= last>>6; w++ {
+		for x := sc.member[w]; x != 0; x &= x - 1 {
+			fr.nodes = append(fr.nodes, c.G.Nodes[w<<6|bits.TrailingZeros64(x)])
+		}
+		sc.member[w] = 0
 	}
 	fr.tensors, fr.reads = fr.tensors[:0], fr.reads[:0]
 	fr.cell, fr.cellSig, fr.nsig, fr.used = fr.cell[:0], fr.cellSig[:0], 0, 0
@@ -563,7 +625,8 @@ func (f *frame) readers(t *graph.Tensor) int {
 
 // coarsen is the coarsening algorithm over a frame of a valid graph
 // (producers precede consumers) and the graph's node facts, read by node ID.
-func coarsen(g *graph.Graph, facts *nodeFacts, fr *frame) (*Coarse, error) {
+// It writes its result into out.
+func coarsen(g *graph.Graph, facts *nodeFacts, fr *frame, out *slabs) (*Coarse, error) {
 	nT, nN := len(fr.tensors), len(fr.nodes)
 	parents := fr.take(nT + nN)
 	// --- tensor variables: union-find over tensors --------------------
@@ -571,7 +634,8 @@ func coarsen(g *graph.Graph, facts *nodeFacts, fr *frame) (*Coarse, error) {
 
 	// Element-wise coalescing: inputs and output of an element-wise op share
 	// a partition.
-	ewNode := make([]bool, nN)
+	out.ew = resize(out.ew, nN)
+	ewNode := out.ew
 	for i, n := range fr.nodes {
 		if !facts.desc[n.ID].IsElementwise() {
 			continue
@@ -600,8 +664,12 @@ func coarsen(g *graph.Graph, facts *nodeFacts, fr *frame) (*Coarse, error) {
 		tuf.union(fr.local(n.Output), fr.local(rep.Output))
 	}
 
-	c := &Coarse{G: g, facts: facts}
-	varOf, err := buildVars(c, fr, tuf)
+	if out.coarse == nil {
+		out.coarse = new(Coarse)
+	}
+	c := out.coarse
+	*c = Coarse{G: g, facts: facts}
+	varOf, err := buildVars(c, fr, tuf, out)
 	if err != nil {
 		return nil, err
 	}
@@ -656,7 +724,7 @@ func coarsen(g *graph.Graph, facts *nodeFacts, fr *frame) (*Coarse, error) {
 		}
 	}
 
-	buildGroups(c, fr, nuf, leader, varOf)
+	buildGroups(c, fr, nuf, leader, varOf, out)
 	return c, nil
 }
 
@@ -727,7 +795,7 @@ func sameSignature(a, b *graph.Node) bool {
 // by their first member tensor: one pass counts the classes and their sizes,
 // the next fills one slab of variables and one of member lists. It returns
 // the variable index of every local tensor.
-func buildVars(c *Coarse, fr *frame, tuf uf) ([]int32, error) {
+func buildVars(c *Coarse, fr *frame, tuf uf, out *slabs) ([]int32, error) {
 	nT := len(fr.tensors)
 	// varOfRoot[r] is the variable of the class rooted at tensor r, plus
 	// one; size[v] variable v's member count; varOf[i] local tensor i's
@@ -743,10 +811,10 @@ func buildVars(c *Coarse, fr *frame, tuf uf) ([]int32, error) {
 		}
 		size[varOfRoot[r]-1]++
 	}
-	vars := make([]Var, nVars)
-	members := make([]*graph.Tensor, nT)
-	c.Vars = make([]*Var, nVars)
-	if bad := fillVars(c, fr, tuf, vars, members, varOfRoot, size, varOf); bad >= 0 {
+	out.vars, out.members = resize(out.vars, nVars), resize(out.members, nT)
+	out.varPtrs = resize(out.varPtrs, nVars)
+	c.Vars = out.varPtrs
+	if bad := fillVars(c, fr, tuf, out.vars, out.members, varOfRoot, size, varOf); bad >= 0 {
 		v, t := c.Vars[varOf[bad]], fr.tensors[bad]
 		return nil, fmt.Errorf("coarsen: variable %v merged mismatched shapes %v vs %v (tensor %v)",
 			v, v.Shape, t.Shape, t)
@@ -787,7 +855,7 @@ func fillVars(c *Coarse, fr *frame, tuf uf, vars []Var, members []*graph.Tensor,
 // and computes variable liveness (First/Last group references). Nodes are
 // visited in local order throughout, so a group or slot is met first at its
 // earliest member and lists fill in that order with nothing to sort.
-func buildGroups(c *Coarse, fr *frame, nuf uf, leader, varOf []int32) {
+func buildGroups(c *Coarse, fr *frame, nuf uf, leader, varOf []int32, out *slabs) {
 	nN := len(fr.nodes)
 	// groupOfRoot[r] is the group of the class rooted at node r, plus one;
 	// groupOf[i] node i's group; slots[gi] group gi's slot count; ops[l]
@@ -810,13 +878,11 @@ func buildGroups(c *Coarse, fr *frame, nuf uf, leader, varOf []int32) {
 		ops[leader[i]]++
 	}
 
-	groups := make([]Group, nGroups)
-	c.Groups = make([]*Group, nGroups)
-	slotSlab := make([]Slot, nSlots)
-	slotPtrs := make([]*Slot, nSlots)
-	opSlab := make([]*graph.Node, nN)
-	inSlab := make([]*Var, nIn)
-	fillGroups(c, fr, groups, slotSlab, slotPtrs, opSlab, inSlab, varOf, leader, groupOf, slots, ops, slotOf)
+	out.groups, out.groupPtrs = resize(out.groups, nGroups), resize(out.groupPtrs, nGroups)
+	out.slots, out.slotPtrs = resize(out.slots, nSlots), resize(out.slotPtrs, nSlots)
+	out.ops, out.operands = resize(out.ops, nN), resize(out.operands, nIn)
+	c.Groups = out.groupPtrs
+	fillGroups(c, fr, out.groups, out.slots, out.slotPtrs, out.ops, out.operands, varOf, leader, groupOf, slots, ops, slotOf)
 
 	// Per-group variable lists. Count first: vars[gi] distinct variables
 	// touched (which also fixes every variable's First/Last), then how many
@@ -827,7 +893,8 @@ func buildGroups(c *Coarse, fr *frame, nuf uf, leader, varOf []int32) {
 	total := countGroupVars(c, seen, touched, fresh, live)
 	// Variables never referenced by any op (dangling tensors) live nowhere;
 	// they are dropped from the DP by construction.
-	fillGroupVars(c, make([]*Var, total), seen, touched, fresh, live)
+	out.varLists = resize(out.varLists, total)
+	fillGroupVars(c, out.varLists, seen, touched, fresh, live)
 }
 
 // fillGroups lays out the groups, their slots and the slots' operators and

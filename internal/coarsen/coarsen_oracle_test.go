@@ -36,7 +36,7 @@ func CoarsenSub(parent *Coarse, sub *graph.Subgraphed) (*Coarse, error) {
 		facts.price[i] = parent.facts.price[id]
 	}
 	fr := wholeGraph(sub.G, &facts)
-	return coarsen(sub.G, &facts, &fr)
+	return coarsen(sub.G, &facts, &fr, &slabs{})
 }
 
 // refDescribe looks up every node's description and interns the (UnrollTag,

@@ -536,6 +536,9 @@ func TestSegmentViewMatchesCoarsenSub(t *testing.T) {
 				t.Fatalf("%s: Segment left its scratch dirty", name)
 			}
 		}
+		if slices.ContainsFunc(sc.member, func(x uint64) bool { return x != 0 }) {
+			t.Fatalf("%s: Segment left its member bitmap dirty", name)
+		}
 	}
 }
 
@@ -716,6 +719,70 @@ func TestSegmentViewAllocs(t *testing.T) {
 			t.Fatalf("mlp-%d: the first group is another problem than in mlp-2", depth)
 		} else if b != weight {
 			t.Errorf("mlp-%d: the first group allocates %d bytes, %d in mlp-2", depth, b, weight)
+		}
+	}
+}
+
+// TestSegmentViewTransient: for every interval of an MLP, an RNN and a
+// transformer, the scratch-backed view (SegmentTransient) is the owned one
+// (Segment): the same variables, groups, slots and operands and the same
+// structural key bytes. A warm scratch coarsens a transient view without
+// allocating, whatever the interval, while the owned path keeps its twelve
+// objects. An owned view is still intact after later transient calls on the
+// same scratch: it shares none of its storage.
+func TestSegmentViewTransient(t *testing.T) {
+	const owned, transient = 12, 0
+	for _, cfg := range segmentModels[:3] {
+		m, err := models.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := Coarsen(m.G)
+		if err != nil {
+			t.Fatal(err)
+		}
+		L := len(root.Groups)
+		var sc SegmentScratch
+		var prev *Coarse
+		var prevKey []byte
+		for lo := 0; lo < L; lo++ {
+			for hi := lo + 1; hi <= L; hi++ {
+				want, err := root.Segment(lo, hi, &sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := root.SegmentTransient(lo, hi, &sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got == want || got.G != want.G {
+					t.Fatalf("%s groups [%d,%d): the transient view is the owned one or belongs to another graph", cfg.Family, lo, hi)
+				}
+				if diff := diffCoarse(got, want); diff != "" {
+					t.Fatalf("%s groups [%d,%d): transient and owned views differ: %s", cfg.Family, lo, hi, diff)
+				}
+				if !bytes.Equal(got.AppendStructKey(nil), want.AppendStructKey(nil)) {
+					t.Fatalf("%s groups [%d,%d): transient and owned views key apart", cfg.Family, lo, hi)
+				}
+				if prev != nil && !bytes.Equal(prev.AppendStructKey(nil), prevKey) {
+					t.Fatalf("%s groups [%d,%d): a transient call changed the previous interval's owned view", cfg.Family, lo, hi)
+				}
+				prev, prevKey = want, want.AppendStructKey(nil)
+				if allocs := testing.AllocsPerRun(5, func() {
+					if _, err := root.SegmentTransient(lo, hi, &sc); err != nil {
+						t.Fatal(err)
+					}
+				}); allocs > transient {
+					t.Fatalf("%s groups [%d,%d): a warm transient view costs %v allocations, ceiling %d", cfg.Family, lo, hi, allocs, transient)
+				}
+				if allocs := testing.AllocsPerRun(5, func() {
+					if _, err := root.Segment(lo, hi, &sc); err != nil {
+						t.Fatal(err)
+					}
+				}); allocs != owned {
+					t.Fatalf("%s groups [%d,%d): an owned view costs %v allocations, want %d", cfg.Family, lo, hi, allocs, owned)
+				}
+			}
 		}
 	}
 }

@@ -46,7 +46,9 @@ func (s *search) assemble(ls *levelState) (*Result, error) {
 			// Unreachable: the winning set's segments all solved feasibly.
 			return nil, sg.err
 		}
-		co, err := s.c.Segment(lo, hi, &s.scratch)
+		// A transient view: Materialize's tables name c.G's tensors and
+		// nodes, not the view's variables, so they outlive it.
+		co, err := s.c.SegmentTransient(lo, hi, &s.scratch)
 		if err != nil {
 			// Unreachable: the segment's fill coarsened the same groups.
 			return nil, fmt.Errorf("hybrid: stage %d: %w", si, err)

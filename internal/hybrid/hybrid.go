@@ -68,10 +68,10 @@ type Options struct {
 	// Trace, if non-nil, records the joint search's span tree: "coarsen",
 	// per-candidate-level "hybrid.level" spans, and under each a
 	// "hybrid.segment" span per memoized segment. A segment span wraps the
-	// segment's whole preparation — its coarsening, a view of the root's
-	// (coarsen.Coarse.Segment, a "coarsen" child), and its structural key —
-	// and then its full recursive search, or is marked memo_hit=1 when the
-	// structural memo served it. A level span carries seed_rounds (seed rounds
+	// segment's whole preparation — its coarsening, a transient view of the
+	// root's (coarsen.Coarse.SegmentTransient, a "coarsen" child), and its
+	// structural key — and then its full recursive search, or is marked
+	// memo_hit=1 when the structural memo served it. A level span carries seed_rounds (seed rounds
 	// started), segments (solved at that level), segment_hits (served by the
 	// memo) and skipped=1 when an earlier level's best cut it before any
 	// solve. nil records nothing and costs nothing; spans never influence the
@@ -262,8 +262,9 @@ type search struct {
 	// b-1 and b), for b in [1, L-1] — level-independent.
 	xb []float64
 
-	// scratch is the working memory every segment coarsening (Segment)
-	// borrows; the boundary search is serial.
+	// scratch is the working memory every segment coarsening borrows, and it
+	// holds the one transient segment view alive at a time; the boundary
+	// search is serial.
 	scratch coarsen.SegmentScratch
 	// floors[g] is what every level's groupFloor shares of group g.
 	floors []groupBounds

@@ -608,3 +608,41 @@ func TestHybridCancelledInsideSeed(t *testing.T) {
 			refused, rounds)
 	}
 }
+
+// BenchmarkPartitionCoarse times the joint search alone — PartitionCoarse on
+// a coarsening made once, a fresh price cache per op — on the four
+// cold-hybrid benchmark cases (bench/workloads/cold-hybrid.json) at
+// Parallelism 1, so a change below core can be timed without the repository
+// benchmark: go test -run '^$' -bench PartitionCoarse -cpu 1 ./internal/hybrid
+func BenchmarkPartitionCoarse(b *testing.B) {
+	for _, c := range []struct {
+		prof string
+		cfg  models.Config
+	}{
+		{"cluster-2x4x2x12", models.Config{Family: "mlp", Depth: 4, Width: 384, Batch: 48}},
+		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 8, Width: 256, Batch: 64}},
+		{"cluster-4x2x8", models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}},
+		{"cluster-2x8", models.Config{Family: "transformer", Depth: 2, Width: 1024, Batch: 64}},
+	} {
+		tp, err := topo.Profile(c.prof)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := models.Build(c.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		co, err := recursive.Coarsen(m.G, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.cfg.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := hybrid.PartitionCoarse(co, int64(tp.NumGPUs()), hybrid.Options{Topology: &tp, Parallelism: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -8,7 +8,11 @@ import (
 	"slices"
 	"testing"
 
+	"tofu/internal/dp"
+	"tofu/internal/models"
 	"tofu/internal/plan"
+	"tofu/internal/recursive"
+	"tofu/internal/topo"
 )
 
 // synthLevel is one candidate level of a synthetic boundary problem: S stages
@@ -44,11 +48,20 @@ type synthOutcome struct {
 // through the levelState.prepare/solve seam; only the segment solver, its key
 // and the topology-derived inputs are stand-ins.
 func runSynth(xb []float64, levels []synthLevel, exhaustive bool) synthOutcome {
+	return runSynthWith(xb, levels, exhaustive, nil)
+}
+
+// runSynthWith is runSynth with a hook that sees each level state before its
+// search runs (nil: none).
+func runSynthWith(xb []float64, levels []synthLevel, exhaustive bool, hook func(*levelState)) synthOutcome {
 	s := &search{xb: xb, opts: Options{Exhaustive: exhaustive}}
 	out := synthOutcome{level: -1}
 	var best *levelState
 	for i, lv := range levels {
 		ls := synthLevelState(s, i, lv, &out.searches)
+		if hook != nil {
+			hook(ls)
+		}
 		best = ls.contend(best)
 		out.hits += ls.hits
 	}
@@ -377,5 +390,163 @@ func TestLazySearchSkipsBeatenLevel(t *testing.T) {
 	if out.level != 0 || out.stats.Segments != alone {
 		t.Errorf("dearer second level: winner %d, %d segments solved, want level 0 and %d (the first level's alone)",
 			out.level, out.stats.Segments, alone)
+	}
+}
+
+// refreshAudit checks a level's cost-to-go table against a from-scratch
+// recomputation before every segment fill and once when the level's search
+// ends: the entries at boundaries above dirty must equal it bit for bit, and
+// — dirty being -1 right after a refresh — every entry once the table was
+// refreshed. est only changes when a fill completes, so every refresh's
+// table is compared before anything it read can move again.
+type refreshAudit struct {
+	fail func(format string, args ...any)
+	// full counts comparisons of a refreshed table, partial those of a table
+	// with solves pending, rows the entries compared.
+	full, partial, rows int64
+}
+
+// watch wraps ls's prepare seam so that the audit runs before every fill.
+func (a *refreshAudit) watch(ls *levelState) {
+	prepare := ls.prepare
+	ls.prepare = func(key []byte, lo, hi int) ([]byte, stageProblem, error) {
+		a.check(ls)
+		return prepare(key, lo, hi)
+	}
+}
+
+// check compares ls.togo and ls.next with togoFromScratch.
+func (a *refreshAudit) check(ls *levelState) {
+	togo, next := togoFromScratch(ls)
+	L, W, S := ls.W-1, ls.W, ls.S
+	if ls.dirty < 0 {
+		a.full++
+	} else {
+		a.partial++
+	}
+	for j := 0; j < S; j++ {
+		// Boundary j sits in [j, L-(S-j)]; boundary 0 only at 0.
+		for b := max(j, ls.dirty+1); b <= min(L-(S-j), j*L); b++ {
+			a.rows++
+			at := j*W + b
+			if math.Float64bits(ls.togo[at]) != math.Float64bits(togo[at]) || (j < S-1 && ls.next[at] != next[at]) {
+				a.fail("level %d, state (%d, %d), dirty %d: togo %v next %d, from scratch %v next %d",
+					ls.level, j, b, ls.dirty, ls.togo[at], ls.next[at], togo[at], next[at])
+				return
+			}
+		}
+	}
+}
+
+// togoFromScratch is the cost-to-go table and its argmin recomputed whole
+// from the level's current estimates, dividing every hand-off inline.
+func togoFromScratch(ls *levelState) ([]float64, []int) {
+	L, W, S := ls.W-1, ls.W, ls.S
+	togo, next := make([]float64, S*W), make([]int, S*W)
+	for b := S - 1; b < L; b++ {
+		togo[(S-1)*W+b] = ls.est[b*W+L]
+	}
+	for j := S - 2; j >= 0; j-- {
+		for b := j; b <= min(L-(S-j), j*L); b++ {
+			best, arg := math.Inf(1), b+1
+			for nb := b + 1; nb <= L-(S-j-1); nb++ {
+				if v := ls.est[b*W+nb] + ls.s.xb[nb]/ls.bw[j+1] + togo[(j+1)*W+nb]; v < best {
+					best, arg = v, nb
+				}
+			}
+			togo[j*W+b], next[j*W+b] = best, arg
+		}
+	}
+	return togo, next
+}
+
+// TestLazySearchRefreshExact holds the incremental refresh — only the
+// boundaries at or below the largest lo solved since the last refresh are
+// recomputed, and hand-offs come from the level's divided-once table — to the
+// whole-table recomputation, bit for bit in togo and in its argmin next, after
+// every refresh: on every synthetic instance of
+// TestLazySearchMatchesExhaustive and on the four cold-hybrid benchmark cases
+// (every candidate level, driven as PartitionCoarse drives them, with effort
+// counters equal to Partition's).
+//
+// Mutation log — applied alone to search.go with the hybrid tests re-run:
+//
+//	smallest lo  refresh only b ≤ the smallest lo solved since the last
+//	             refresh (dirty = min instead of max): killed here on the
+//	             synthetic instances and on the cold-hybrid cases.
+func TestLazySearchRefreshExact(t *testing.T) {
+	const n = 6000
+	rng, crng := rand.New(rand.NewSource(17)), rand.New(rand.NewSource(18))
+	var synth refreshAudit
+	for i := 0; i < n; i++ {
+		xb, levels, _ := synthInstance(rng, crng)
+		synth.fail = func(format string, args ...any) {
+			t.Fatalf("instance %d: "+format, append([]any{i}, args...)...)
+		}
+		var states []*levelState
+		runSynthWith(xb, levels, false, func(ls *levelState) {
+			synth.watch(ls)
+			states = append(states, ls)
+		})
+		for _, ls := range states {
+			synth.check(ls)
+		}
+	}
+	t.Logf("synthetic: %d refreshed tables and %d with solves pending compared, %d entries", synth.full, synth.partial, synth.rows)
+	if synth.full == 0 || synth.partial == 0 {
+		t.Errorf("synthetic instances compared %d refreshed tables and %d pending ones", synth.full, synth.partial)
+	}
+
+	for _, c := range []struct {
+		prof string
+		cfg  models.Config
+	}{ // bench/workloads/cold-hybrid.json
+		{"cluster-2x4x2x12", models.Config{Family: "mlp", Depth: 4, Width: 384, Batch: 48}},
+		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 8, Width: 256, Batch: 64}},
+		{"cluster-4x2x8", models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}},
+		{"cluster-2x8", models.Config{Family: "transformer", Depth: 2, Width: 1024, Batch: 64}},
+	} {
+		tp, err := topo.Profile(c.prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := models.Build(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		co, err := recursive.Coarsen(m.G, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want Stats
+		opts := Options{Topology: &tp, Parallelism: 1, Stats: &want}
+		if _, err := PartitionCoarse(co, int64(tp.NumGPUs()), opts); err != nil {
+			t.Fatalf("%s %s: %v", c.prof, c.cfg, err)
+		}
+		a := refreshAudit{fail: func(format string, args ...any) {
+			t.Fatalf("%s %s: "+format, append([]any{c.prof, c.cfg}, args...)...)
+		}}
+		s := &search{g: co.G, c: co, tp: tp, opts: opts, cache: dp.NewPriceCache(), floors: make([]groupBounds, len(co.Groups))}
+		s.buildGroupOf()
+		s.buildHandoffs()
+		var best *levelState
+		for level := 1; level < len(tp.Levels); level++ {
+			ls, err := s.newLevelState(level)
+			if err != nil {
+				continue // more stages than groups
+			}
+			a.watch(ls)
+			best = ls.contend(best)
+			a.check(ls)
+		}
+		got := s.stats
+		got.Level, got.Stages, got.BestCost = want.Level, want.Stages, want.BestCost
+		if got != want {
+			t.Errorf("%s %s: the audited search's effort %+v, PartitionCoarse's %+v", c.prof, c.cfg, got, want)
+		}
+		t.Logf("%s %s: %d refreshed tables and %d with solves pending compared, %d entries", c.prof, c.cfg, a.full, a.partial, a.rows)
+		if a.full == 0 {
+			t.Errorf("%s %s: no refreshed table compared", c.prof, c.cfg)
+		}
 	}
 }

@@ -51,11 +51,15 @@ type levelState struct {
 	classes      map[string]*segment
 	keyBuf       []byte
 	filled, hits int64
+	// hand[j*W+b] is the hand-off term xb[b]/bw[j] of boundary j at group gap
+	// b, divided once per level; refresh, leafCost and dfs all read it.
+	hand []float64
 	// togo[j*W+b] is the cost-to-go table H and next its argmin (see
-	// refresh); stale marks a solve since the last refresh.
+	// refresh); dirty is the largest boundary b whose entries a solve since
+	// the last refresh can have moved, -1 when the table is current.
 	togo  []float64
 	next  []int
-	stale bool
+	dirty int
 	// seen[j*W+prev] is the prefix cost of the completed dfs visit to state
 	// (j, prev), +Inf before one — the dominance cut's memo.
 	seen []float64
@@ -87,7 +91,8 @@ type segment struct {
 // level had that key.
 type stageProblem struct {
 	lo, hi int
-	co     *coarsen.Coarse
+	// co is the segment's transient coarsening (prepareSegment).
+	co *coarsen.Coarse
 	// span is the segment's "hybrid.segment" span (nil when tracing is off);
 	// fill ends it.
 	span *obs.Span
@@ -159,33 +164,49 @@ func (ls *levelState) initTables() {
 			ls.est[lo*ls.W+hi] = sum
 		}
 	}
+	ls.hand = make([]float64, ls.S*ls.W)
+	for j := 1; j < ls.S; j++ {
+		for b := 1; b < L; b++ {
+			ls.hand[j*ls.W+b] = ls.s.xb[b] / ls.bw[j]
+		}
+	}
 	ls.togo, ls.next = make([]float64, ls.S*ls.W), make([]int, ls.S*ls.W)
 	ls.seen = make([]float64, ls.S*ls.W)
 	for i := range ls.seen {
 		ls.seen[i] = math.Inf(1)
 	}
-	ls.stale, ls.prior = true, math.Inf(1)
+	ls.dirty, ls.prior = L, math.Inf(1)
 }
 
-// refresh recomputes the cost-to-go table backward over the (stage, boundary)
-// DAG: togo[j][b] is the cheapest completion once boundary j sits at b —
-// remaining segments at their estimates, hand-offs exact — and next[j][b] the
-// position of boundary j+1 attaining it (the smallest on ties). Estimates are
-// admissible, so togo never exceeds a true completion's cost, and it is at
+// refresh brings the cost-to-go table up to date backward over the (stage,
+// boundary) DAG: togo[j][b] is the cheapest completion once boundary j sits at
+// b — remaining segments at their estimates, hand-offs exact — and next[j][b]
+// the position of boundary j+1 attaining it (the smallest on ties). Estimates
+// are admissible, so togo never exceeds a true completion's cost, and it is at
 // least the group-floor suffix plus any hand-off floor, being a minimum over
-// the completions those bound. O(S·L²) flops, run only after a new solve.
+// the completions those bound.
+//
+// Only rows b ≤ dirty are recomputed. An entry at b reads estimates of
+// segments starting at b and entries at later boundaries, so solving [lo, hi)
+// can move entries at b ≤ lo and no others; the rows above dirty hold what a
+// full recomputation would write, in the same bits. A recomputed row scans
+// every nb in ascending order with a strict comparison, exactly as a full
+// recomputation does, so its ties still resolve to the smallest nb. A refresh
+// after solves starting at lo costs O(S·lo·L) flops, O(S·L²) at most.
 func (ls *levelState) refresh() {
-	L, W, S := ls.W-1, ls.W, ls.S
-	ls.stale = false
-	for b := S - 1; b < L; b++ {
+	L, W, S, top := ls.W-1, ls.W, ls.S, ls.dirty
+	ls.dirty = -1
+	for b := S - 1; b <= min(L-1, top); b++ {
 		ls.togo[(S-1)*W+b] = ls.est[b*W+L]
 	}
 	for j := S - 2; j >= 0; j-- {
+		hand, after := ls.hand[(j+1)*W:(j+2)*W], ls.togo[(j+1)*W:(j+2)*W]
 		// Boundary j sits in [j, L-(S-j)]; "boundary 0" is the graph's start.
-		for b := j; b <= min(L-(S-j), j*L); b++ {
+		for b := j; b <= min(L-(S-j), j*L, top); b++ {
+			est := ls.est[b*W : (b+1)*W]
 			best, arg := math.Inf(1), b+1
 			for nb := b + 1; nb <= L-(S-j-1); nb++ {
-				if v := ls.est[b*W+nb] + ls.s.xb[nb]/ls.bw[j+1] + ls.togo[(j+1)*W+nb]; v < best {
+				if v := est[nb] + hand[nb] + after[nb]; v < best {
 					best, arg = v, nb
 				}
 			}
@@ -197,7 +218,7 @@ func (ls *levelState) refresh() {
 // h reads the cost-to-go of state (j, b), refreshing the table first if a
 // segment was solved since.
 func (ls *levelState) h(j, b int) float64 {
-	if ls.stale {
+	if ls.dirty >= 0 {
 		ls.refresh()
 	}
 	ls.s.stats.LBQueries++
@@ -269,7 +290,8 @@ type factorBound struct {
 }
 
 // groupSegment returns group g's bounds, coarsening its single-group segment
-// on first use.
+// on first use. The floors keep their segments for the whole search, so these
+// views own their storage (coarsen.Coarse.Segment).
 func (s *search) groupSegment(g int) *groupBounds {
 	gb := &s.floors[g]
 	if gb.co == nil && gb.err == nil {
@@ -331,7 +353,7 @@ func (ls *levelState) segment(lo, hi int) *segment {
 	sg := ls.fill(lo, hi)
 	ls.segs[at] = sg
 	ls.filled++
-	ls.est[at], ls.stale = sg.cost, true
+	ls.est[at], ls.dirty = sg.cost, max(ls.dirty, lo)
 	if sg.err != nil {
 		ls.est[at] = math.Inf(1)
 	}
@@ -372,7 +394,10 @@ func (ls *levelState) fill(lo, hi int) *segment {
 }
 
 // prepareSegment coarsens groups [lo, hi) as a view of the root coarsening
-// and appends its structural key (coarsen.Coarse.AppendStructKey) to key.
+// and appends its structural key (coarsen.Coarse.AppendStructKey) to key. The
+// view is transient (coarsen.Coarse.SegmentTransient): the search's scratch
+// holds it until the next segment coarsening, and fill is done with it by
+// then — a solve keeps only the cost and the cost-only plan.
 func (ls *levelState) prepareSegment(key []byte, lo, hi int) ([]byte, stageProblem, error) {
 	pr := stageProblem{lo: lo, hi: hi}
 	pr.span = ls.trace.Child("hybrid.segment")
@@ -380,7 +405,7 @@ func (ls *levelState) prepareSegment(key []byte, lo, hi int) ([]byte, stageProbl
 	pr.span.SetInt("hi", int64(hi))
 	csp := pr.span.Child("coarsen")
 	var err error
-	pr.co, err = ls.s.c.Segment(lo, hi, &ls.s.scratch)
+	pr.co, err = ls.s.c.SegmentTransient(lo, hi, &ls.s.scratch)
 	if err == nil {
 		csp.SetInt("groups", int64(len(pr.co.Groups)))
 	}
@@ -502,7 +527,7 @@ func (ls *levelState) leafCost(set []int) (float64, bool) {
 			ls.s.addErr(sg.err)
 			return 0, false
 		}
-		g = g + sg.cost + ls.s.xb[b]/ls.bw[j]
+		g = g + sg.cost + ls.hand[j*ls.W+b]
 		prev = b
 	}
 	last := ls.segment(prev, L)
@@ -535,7 +560,7 @@ func (ls *levelState) dfs(j, prev int, g float64, chosen []int) {
 	ls.s.stats.Expanded++
 	L := ls.W - 1
 	for b := prev + 1; b <= L-(ls.S-j) && !ls.s.cancelled; b++ {
-		hb := ls.s.xb[b] / ls.bw[j]
+		hb := ls.hand[j*ls.W+b]
 		if bound && g+ls.est[prev*ls.W+b]+hb+ls.h(j, b) > ls.bar() {
 			ls.s.stats.Pruned++
 			continue
