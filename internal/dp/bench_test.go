@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"fmt"
 	"testing"
 
 	"tofu/internal/models"
@@ -10,7 +11,11 @@ import (
 // step, ordering-tree node and pipeline segment: group-plan build, group-cost
 // tables and the frontier sweep. Pricing and the per-slot tables are warm
 // (EvalReuse and PriceCache filled by one untimed Solve) and the pool is
-// serial, so ns/config is the kernel's own cost per (state × combination).
+// serial. ns/config divides by the exhaustive sweep's (state × combination)
+// pairs, so it stays comparable across the incumbent bound: it is the
+// kernel's own cost per pair where the bound does not engage, and the
+// bounded solve's cost per pair it stands in for where it does; swept/op is
+// the pairs the bounded sweep visited.
 func BenchmarkSolveSweep(b *testing.B) {
 	for _, cfg := range []models.Config{
 		{Family: "transformer", Depth: 4, Width: 1024, Batch: 16},
@@ -26,6 +31,12 @@ func BenchmarkSolveSweep(b *testing.B) {
 			p.Parallelism = 1
 			p.Cache = NewPriceCache()
 			p.Reuse = &EvalReuse{}
+			p.bound = boundOff
+			full, err := Solve(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p.bound = boundGated
 			res, err := Solve(p)
 			if err != nil {
 				b.Fatal(err)
@@ -38,8 +49,9 @@ func BenchmarkSolveSweep(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(res.Configs), "ns/config")
-			b.ReportMetric(float64(res.Configs), "configs/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(full.Configs), "ns/config")
+			b.ReportMetric(float64(full.Configs), "configs/op")
+			b.ReportMetric(float64(res.Configs), "swept/op")
 		})
 	}
 }
@@ -84,5 +96,42 @@ func BenchmarkSolveWarm(b *testing.B) {
 			p.Reuse, p.Cache = nil, NewPriceCache()
 			p.Cache.tableBudget = 0
 		})
+	}
+}
+
+// BenchmarkBoundGate is the measurement behind the incumbent bound's gate
+// (bound.go): one warm Solve per case with the bound off and forced on,
+// whatever the gate says. The chain and residual families sit at a
+// pair-to-beam ratio near 1, the transformers near 100.
+func BenchmarkBoundGate(b *testing.B) {
+	for _, cfg := range []models.Config{
+		{Family: "mlp", Depth: 4, Width: 384, Batch: 48},
+		{Family: "rnn", Depth: 10, Width: 8192, Batch: 128},
+		{Family: "wresnet", Depth: 152, Width: 10, Batch: 8},
+		{Family: "transformer", Depth: 1, Width: 64, Batch: 8},
+		{Family: "transformer", Depth: 4, Width: 1024, Batch: 16},
+	} {
+		m, err := models.Build(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := problemFor(b, m, 2)
+		p.Parallelism = 1
+		pr, err := Prepare(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mode := range []boundMode{boundOff, boundForced} {
+			b.Run(fmt.Sprintf("%s/%s", cfg, boundModes[mode]), func(b *testing.B) {
+				p.bound = mode
+				var res *Result
+				for i := 0; i < b.N; i++ {
+					if res, err = pr.Solve(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(res.Configs), "configs/op")
+			})
+		}
 	}
 }

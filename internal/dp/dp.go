@@ -61,6 +61,9 @@ type Problem struct {
 	// blocks fanning one tensor into Q/K/V — can explode the exact state
 	// space; with a bound, only the cheapest MaxStates states survive each
 	// step (beam search: near-optimal in practice, no optimality proof).
+	// An exact solve prunes its sweep instead with an incumbent bound
+	// (bound.go) when the frontiers are wide, which changes no result; a
+	// beam turns that bound off.
 	MaxStates int
 	// Parallelism is the number of worker goroutines evaluating the
 	// frontier sweep's (state × strategy-combination) expansions and the
@@ -96,6 +99,10 @@ type Problem struct {
 	// the recursive layer above turns into its own best incumbent. A nil
 	// token (the default) costs one pointer comparison per group.
 	Cancel *cancel.Token
+
+	// bound is the incumbent bound's test seam (bound.go); the zero value,
+	// boundGated, is the only setting outside this package's tests.
+	bound boundMode
 }
 
 // EvalReuse is the cross-step evaluator carrier; see Problem.Reuse.
@@ -277,7 +284,9 @@ func Solve(p *Problem) (*Result, error) {
 
 // Solve sweeps the frontier over the prepared evaluators and back-tracks the
 // cheapest assignment. The Result carries the assignment, its cost and the
-// effort counters; see Result.Materialize for the dense tables.
+// effort counters; see Result.Materialize for the dense tables. An exact
+// solve over wide frontiers cuts the states the incumbent bound rules out
+// (bound.go): the same assignment and cost, fewer States and Configs.
 func (pr *Prepared) Solve() (*Result, error) {
 	p, sl := pr.p, pr.sl
 	c := p.Coarse
@@ -292,6 +301,9 @@ func (pr *Prepared) Solve() (*Result, error) {
 	// byte-identical for every Parallelism setting.
 	res := &Result{VarCut: make(map[int]int, len(c.Vars)), c: c, evals: sl.ordered}
 	sw := newSweeper(p, sl)
+	if sw.bound {
+		sw.seed(c.Groups, sl.byGroup)
+	}
 	// back[gi] is all backtracking reads of the frontier after group gi.
 	type backPtrs struct{ parent, combo []int32 }
 	back := make([]backPtrs, len(c.Groups))
@@ -322,6 +334,9 @@ func (pr *Prepared) Solve() (*Result, error) {
 		}
 		if p.MaxStates > 0 && next.live > p.MaxStates {
 			sw.idxs = next.prune(p.MaxStates, sw.idxs)
+		}
+		if sw.bound {
+			sw.cut(next, sw.floor[gi+1])
 		}
 		back[gi] = backPtrs{next.parent, next.combo}
 		prev = next
@@ -359,6 +374,10 @@ func (pr *Prepared) Solve() (*Result, error) {
 
 	sp.SetInt("states", int64(res.States))
 	sp.SetInt("configs", int64(res.Configs))
+	if sw.bound {
+		sp.SetFloat("incumbent", sw.incumbent)
+		sp.SetInt("bound_pruned", int64(sw.pruned))
+	}
 	sp.SetFloat("comm_bytes", res.CommBytes)
 	return res, nil
 }

@@ -122,6 +122,9 @@ func TestPreparedSolveBuildsNothing(t *testing.T) {
 		{Family: "mlp", Depth: 4, Width: 64, Batch: 16},
 		{Family: "rnn", Depth: 2, Width: 64, Batch: 16},
 		{Family: "wresnet", Depth: 50, Width: 1, Batch: 4},
+		// Wide enough for the incumbent bound, whose floors and dive digits
+		// share the sweeper's slabs.
+		{Family: "transformer", Depth: 1, Width: 64, Batch: 8},
 	} {
 		m, err := models.Build(cfg)
 		if err != nil {

@@ -86,6 +86,16 @@ type sweeper struct {
 	// backs is what is left of the back-pointer slab (see backPtrs).
 	backs []int32
 
+	// The incumbent bound (bound.go), sized only when it engages: floor[g]
+	// is the floor on groups g.. (floor[len(groups)] = 0), dive the greedy
+	// dive's digits by variable ID, incumbent the dive's cost and pruned the
+	// states the bound has dropped.
+	bound     bool
+	floor     []float64
+	dive      []uint8
+	incumbent float64
+	pruned    int
+
 	// out aliases a dense next frontier's arrays as worker 0's candidates.
 	out       cands
 	work      []workBuf
@@ -134,10 +144,15 @@ func newSweeper(p *Problem, sl *slotSet) *sweeper {
 	c := p.Coarse
 
 	// Count pass: the widest frontier and group, and every dense boundary's
-	// state count, are known from the coarsening and the alphabets.
+	// state count, are known from the coarsening and the alphabets — and
+	// so is what the sweep and a boundBeam-wide beam would pair, which the
+	// incumbent bound's gate weighs.
 	var live, fresh, slots, terms int // maxima over groups
 	var nC, offs, states int          // maxima over groups, each <= presizeLimit
 	backs := 2                        // back-pointer entries: the initial state's, then every dense boundary's
+	var pairs, beamPairs int64        // predicted (state × combination) pairs, exhaustive and beamed
+	before := int64(1)                // states before the group
+	diveable := true                  // every group's combinations fit presizeLimit: the dive enumerates them
 	for gi, g := range c.Groups {
 		live, fresh = max(live, len(g.LiveAfter)), max(fresh, len(g.NewVars))
 		evs := sl.byGroup[gi]
@@ -147,16 +162,27 @@ func newSweeper(p *Problem, sl *slotSet) *sweeper {
 			t += len(ev.tvars)
 		}
 		terms = max(terms, t)
-		if n := s.span(g.NewVars); n <= presizeLimit {
+		n := s.span(g.NewVars)
+		if n <= presizeLimit {
 			nC = max(nC, n)
 			if n*len(evs) <= presizeLimit {
 				offs = max(offs, n*len(evs))
 			}
 		}
-		if n := s.span(g.LiveAfter); n <= presizeLimit {
-			states = max(states, n)
-			backs += 2 * n
+		diveable = diveable && n <= presizeLimit
+		pairs += before * int64(n)
+		beamPairs += min(before, boundBeam) * int64(n)
+		after := s.span(g.LiveAfter)
+		if after <= presizeLimit {
+			states = max(states, after)
+			backs += 2 * after
 		}
+		before = int64(after)
+	}
+	s.bound = p.MaxStates == 0 && diveable && p.bound.engages(pairs, beamPairs)
+	var floors, dives int
+	if s.bound {
+		floors, dives = len(c.Groups)+1, len(c.Vars)
 	}
 
 	// Fill pass: one slab per element type, each array a window whose
@@ -180,15 +206,17 @@ func newSweeper(p *Problem, sl *slotSet) *sweeper {
 	}
 	s.combos.radix, s.combos.stride = i64[:0:fresh], i64[fresh:fresh:2*fresh]
 
-	costs := make([]float64, 2*states)
+	costs := make([]float64, 2*states+floors)
 	s.fr[0].cost, s.fr[1].cost = costs[:0:states], costs[states:states:2*states]
+	s.floor = costs[2*states:]
 	s.plans, s.terms = make([]slotPlan, 0, slots), make([]slotTerm, 0, terms)
 	s.touched = make([]bool, 0, live)
 	s.work = make([]workBuf, s.workers)
-	dg := make([]uint8, s.workers*live)
+	dg := make([]uint8, s.workers*live+dives)
 	for w := range s.work {
 		s.work[w].dg, dg = dg[:0:live], dg[live:]
 	}
+	s.dive = dg
 
 	first := &s.fr[1]
 	first.lay.size, first.lay.dense = 1, true

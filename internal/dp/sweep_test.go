@@ -202,14 +202,12 @@ func randomGraph(rng *rand.Rand) *graph.Graph {
 	return g
 }
 
-// sameSearch asserts got is bit-identical to the reference in everything the
-// sweep decides.
-func sameSearch(t *testing.T, name string, got, want *Result) {
+// sameOptimum asserts got chose the reference's assignment at a
+// bit-identical cost.
+func sameOptimum(t *testing.T, name string, got, want *Result) {
 	t.Helper()
-	if math.Float64bits(got.CommBytes) != math.Float64bits(want.CommBytes) ||
-		got.States != want.States || got.Configs != want.Configs {
-		t.Fatalf("%s: (cost, states, configs) = (%v, %d, %d), reference (%v, %d, %d)",
-			name, got.CommBytes, got.States, got.Configs, want.CommBytes, want.States, want.Configs)
+	if math.Float64bits(got.CommBytes) != math.Float64bits(want.CommBytes) {
+		t.Fatalf("%s: cost %v, reference %v", name, got.CommBytes, want.CommBytes)
 	}
 	if len(got.VarCut) != len(want.VarCut) {
 		t.Fatalf("%s: %d variables cut, reference %d", name, len(got.VarCut), len(want.VarCut))
@@ -221,8 +219,31 @@ func sameSearch(t *testing.T, name string, got, want *Result) {
 	}
 }
 
-// checkSweep runs the kernel against the reference on one coarsened graph:
-// exact and both beams, each at every pool size.
+// sameSearch asserts got is bit-identical to the reference in everything the
+// sweep decides, effort counters included.
+func sameSearch(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	sameOptimum(t, name, got, want)
+	if got.States != want.States || got.Configs != want.Configs {
+		t.Fatalf("%s: (states, configs) = (%d, %d), reference (%d, %d)",
+			name, got.States, got.Configs, want.States, want.Configs)
+	}
+}
+
+// noMoreEffort asserts got explored no more states and configurations than
+// the reference.
+func noMoreEffort(t *testing.T, name string, got, want *Result) {
+	t.Helper()
+	if got.States > want.States || got.Configs > want.Configs {
+		t.Fatalf("%s: (states, configs) = (%d, %d), above the reference's (%d, %d)",
+			name, got.States, got.Configs, want.States, want.Configs)
+	}
+}
+
+// checkSweep runs the kernel against the reference on one coarsened graph,
+// under every beam and at every pool size: with the incumbent bound off the
+// sweep must match the reference exactly, effort counters included; with
+// it as Solve runs it, in its optimum, at no more effort.
 func checkSweep(t *testing.T, name string, base *Problem, beams []int) {
 	t.Helper()
 	for _, beam := range beams {
@@ -233,24 +254,41 @@ func checkSweep(t *testing.T, name string, base *Problem, beams []int) {
 			t.Fatalf("%s beam %d: reference: %v", name, beam, err)
 		}
 		for _, par := range []int{1, 2, 8} {
-			p := *base
-			p.MaxStates, p.Parallelism = beam, par
-			got, err := Solve(&p)
-			if err != nil {
-				t.Fatalf("%s beam %d parallelism %d: %v", name, beam, par, err)
+			for _, mode := range []boundMode{boundOff, boundGated} {
+				p := *base
+				p.MaxStates, p.Parallelism, p.bound = beam, par, mode
+				got, err := Solve(&p)
+				if err != nil {
+					t.Fatalf("%s beam %d parallelism %d bound %s: %v", name, beam, par, boundModes[mode], err)
+				}
+				at := fmt.Sprintf("%s k=%d beam %d parallelism %d bound %s", name, base.K, beam, par, boundModes[mode])
+				if mode == boundOff {
+					sameSearch(t, at, got, want)
+				} else {
+					sameOptimum(t, at, got, want)
+					noMoreEffort(t, at, got, want)
+				}
 			}
-			sameSearch(t, fmt.Sprintf("%s k=%d beam %d parallelism %d", name, base.K, beam, par), got, want)
 		}
 	}
 }
 
-// TestSweepMatchesReference is the differential oracle for the group-table
-// kernel: on every benchmark family, a graph wide enough for byte-keyed
-// frontiers and 240 seeded random graphs, at K 2 and 3, exact and beamed (64
-// and 512, which exercise prune), at pool sizes 1, 2 and 8, Solve returns
-// bit-identical CommBytes, VarCut, States and Configs to sweepReference.
-func TestSweepMatchesReference(t *testing.T) {
+// sweepCase is one coarsened graph of the sweep oracles and the beams it is
+// swept under.
+type sweepCase struct {
+	name  string
+	p     *Problem
+	beams []int
+}
+
+// sweepCases are the sweep oracles' graphs: every benchmark family at two
+// factors, exact and beamed (64 and 512, which exercise prune), a graph wide
+// enough for byte-keyed frontiers, a narrower fan at K 3 and 240 seeded
+// random graphs at K 2 and 3.
+func sweepCases(t *testing.T) []sweepCase {
+	t.Helper()
 	beams := []int{0, 64, 512}
+	var cases []sweepCase
 	for _, c := range []struct {
 		cfg models.Config
 		ks  []int64
@@ -267,7 +305,7 @@ func TestSweepMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range c.ks {
-			checkSweep(t, c.cfg.String(), problemFor(t, m, k), beams)
+			cases = append(cases, sweepCase{c.cfg.String(), problemFor(t, m, k), beams})
 		}
 	}
 
@@ -277,15 +315,28 @@ func TestSweepMatchesReference(t *testing.T) {
 	if w := wide.Coarse.MaxFrontier(); w < 17 {
 		t.Fatalf("fan graph frontier is %d variables wide, want >= 17 (> denseStateLimit states)", w)
 	}
-	checkSweep(t, "fan-17", wide, []int{0, 2, 64, 512})
-	checkSweep(t, "fan-7", graphProblem(t, fanGraph(7), 3), beams)
+	cases = append(cases,
+		sweepCase{"fan-17", wide, []int{0, 2, 64, 512}},
+		sweepCase{"fan-7", graphProblem(t, fanGraph(7), 3), beams})
 
 	rng := rand.New(rand.NewSource(12))
 	for i := 0; i < 240; i++ {
 		g := randomGraph(rng)
 		for _, k := range []int64{2, 3} {
-			checkSweep(t, fmt.Sprintf("random-%d", i), graphProblem(t, g, k), []int{0, 3})
+			cases = append(cases, sweepCase{fmt.Sprintf("random-%d", i), graphProblem(t, g, k), []int{0, 3}})
 		}
+	}
+	return cases
+}
+
+// TestSweepMatchesReference is the differential oracle for the group-table
+// kernel: on every sweepCases graph, exact and beamed, at pool sizes 1, 2
+// and 8, Solve returns bit-identical CommBytes, VarCut, States and Configs
+// to sweepReference with the incumbent bound off, and the same CommBytes and
+// VarCut at no more States or Configs with it on.
+func TestSweepMatchesReference(t *testing.T) {
+	for _, c := range sweepCases(t) {
+		checkSweep(t, c.name, c.p, c.beams)
 	}
 }
 
@@ -297,7 +348,11 @@ func TestSweepLazySlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Lazy slots count 0 towards the incumbent bound's floors, so it prunes
+	// less here than on the tabled solve: the effort counters are compared
+	// with the bound off.
 	p := problemFor(t, m, 2)
+	p.bound = boundOff
 	tabled := solveDense(t, p)
 	p.Reuse = &EvalReuse{}
 	if _, err := Solve(p); err != nil {
@@ -309,9 +364,16 @@ func TestSweepLazySlots(t *testing.T) {
 		}
 	}
 	for _, par := range []int{1, 8} {
-		p.Parallelism = par
-		got := solveDense(t, p)
-		sameSearch(t, fmt.Sprintf("lazy slots, parallelism %d", par), got, tabled)
-		sameTables(t, fmt.Sprintf("lazy slots, parallelism %d", par), got, tabled)
+		for _, mode := range []boundMode{boundOff, boundForced} {
+			p.Parallelism, p.bound = par, mode
+			got := solveDense(t, p)
+			at := fmt.Sprintf("lazy slots, parallelism %d, bound %s", par, boundModes[mode])
+			if mode == boundOff {
+				sameSearch(t, at, got, tabled)
+			} else {
+				sameOptimum(t, at, got, tabled)
+			}
+			sameTables(t, at, got, tabled)
+		}
 	}
 }
