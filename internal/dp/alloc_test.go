@@ -14,8 +14,8 @@ import (
 // allocated three objects per slot either way).
 func TestPrepareSlotEvalsAllocs(t *testing.T) {
 	const (
-		warmCeiling    = 12 // alphabets (3), slot list, slotSet, ordered, byGroup, chunk ranges and errors, the worker closure and its shape scratch
-		rebuildCeiling = 18 // the above, three slabs, three more scratch buffers
+		warmCeiling    = 10 // alphabets (3), slot list, slotSet, ordered, byGroup, chunk ranges and errors, the worker closure
+		rebuildCeiling = 16 // the above, three slabs, three scratch buffers
 	)
 	for _, cfg := range []models.Config{
 		{Family: "mlp", Depth: 4, Width: 64, Batch: 16},

@@ -77,15 +77,14 @@ type Problem struct {
 	// over the same model (see PriceCache).
 	Cache *PriceCache
 	// Reuse, if non-nil, carries prepared slot evaluators between
-	// consecutive Solve calls over the same Coarse (the recursive driver's
-	// factor steps). A slot's evaluator — its restricted pricing and dense
-	// cost table — is reused when the step's K matches, its touched
-	// variables' alphabets are unchanged and every surviving strategy still
-	// passes the current-shape gate. That test is sound because shapes only
-	// shrink across steps and the factors are prime, so a once-dropped
-	// strategy can never become applicable again (K prime dividing ext/m
-	// implies K divides ext). Callers must keep Coarse, DType and
-	// StrategyFilter fixed across the Solves sharing one Reuse.
+	// consecutive preparations over the same Coarse (the recursive search's
+	// factor steps). A slot's evaluator — its surviving strategies and dense
+	// cost table — is reused when the step's K matches and its touched
+	// variables' alphabets are unchanged. That is exact at any shapes: the
+	// current-shape gate is a function of K and the operands' alphabets
+	// (admits), and so is the table, so a fresh build would be identical.
+	// Callers must keep Coarse, DType and StrategyFilter fixed across the
+	// preparations sharing one Reuse.
 	Reuse *EvalReuse
 	// Trace, if non-nil, is the parent of a "dp.pricing" span per Prepare
 	// (slot-evaluator preparation, whoever asks for it — a solve or a bound
@@ -105,7 +104,8 @@ type Problem struct {
 	bound boundMode
 }
 
-// EvalReuse is the cross-step evaluator carrier; see Problem.Reuse.
+// EvalReuse is the cross-step evaluator carrier: the K and slot set of the
+// last preparation made with it. See Problem.Reuse.
 type EvalReuse struct {
 	k   int64
 	set *slotSet
@@ -234,7 +234,9 @@ func priceAssignment(c *coarsen.Coarse, evals []*slotEval, varCut map[int]int) (
 // Prepared is a Problem with its slot evaluators built: the per-variable
 // alphabets and every slot's dense cost table. Preparation is the part of a
 // step that a bound query and a solve share, so a search that bounds first
-// and solves later prepares once and does both on the same evaluators.
+// and solves later prepares once and does both on the same evaluators; a
+// StepMemo goes further and shares one slot set between the steps of a
+// search with equal K and alphabets.
 type Prepared struct {
 	p  *Problem
 	sl *slotSet
@@ -383,7 +385,9 @@ func (pr *Prepared) Solve() (*Result, error) {
 }
 
 // slotSet is every prepared slot evaluator of a problem, plus the
-// per-variable alphabets their tables are indexed by.
+// per-variable alphabets their tables are indexed by. Of the step's shapes it
+// keeps only the alphabets, so it is the same for every step with equal K
+// and alphabets (StepMemo).
 type slotSet struct {
 	alphas []varAlpha
 	// ordered lists evaluators in group/slot order; byGroup slices the same
@@ -426,10 +430,9 @@ func prepareSlotEvals(p *Problem) (*slotSet, error) {
 	ranges := chunkRanges(nil, p.parallelism(), nSlots)
 	errs := make([]error, len(ranges))
 	runChunks(ranges, func(w, lo, hi int) {
-		sc := evalScratch{curIn: make([]shape.Shape, maxIn)}
 		rebuilt, touched, ins := 0, 0, 0
 		for i := lo; i < hi; i++ {
-			if i < len(prev) && prev[i].slot == slots[i] && prev[i].reusable(p, alphas, &sc) {
+			if i < len(prev) && prev[i].slot == slots[i] && prev[i].reusable(alphas) {
 				ss.ordered[i] = prev[i]
 				continue
 			}
@@ -447,7 +450,7 @@ func prepareSlotEvals(p *Problem) (*slotSet, error) {
 			vars: make([]*coarsen.Var, touched),
 			ints: make([]int, touched+ins),
 		}
-		sc.sizeForBuild(maxIn, maxSig)
+		sc := newEvalScratch(maxIn, maxSig)
 		for i := lo; i < hi; i++ {
 			if ss.ordered[i] != nil {
 				continue

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"tofu/internal/coarsen"
-	"tofu/internal/shape"
 )
 
 // This file implements the packed frontier-state encoding. A DP state at the
@@ -23,10 +22,11 @@ import (
 // varAlpha is one variable's cut-dimension alphabet at the current step: the
 // dimensions (ascending) the variable's shape can still be split along for
 // this step's K, plus the inverse digit lookup.
+//
+// An alphabet is all a preparation keeps of the step's shapes: the strategy
+// gate reads it (admits), and two steps with equal K and alphabets prepare
+// identical slot sets (StepMemo.Prepare).
 type varAlpha struct {
-	// shape is the variable's current shape — every member's — as the
-	// problem's Shapes gave it; slot evaluators read operand shapes here.
-	shape shape.Shape
 	// dims lists the cuttable dimensions, ascending; a state digit d means
 	// "cut along dims[d]".
 	dims []int
@@ -34,17 +34,23 @@ type varAlpha struct {
 	digitOf []int8
 }
 
+// cuttable reports whether the alphabet lists dimension d.
+//
+//tofu:hotpath the strategy gate; enforced by tofu-vet/hotalloc
+func (a *varAlpha) cuttable(d int) bool {
+	return d >= 0 && d < len(a.digitOf) && a.digitOf[d] >= 0
+}
+
 // buildAlphas enumerates per-variable alphabets (cuttable dimensions at this
-// step), indexed by variable ID, reading each variable's shape from p.Shapes
-// once. Unreferenced variables keep a nil alphabet. Every dims and digitOf is
-// a window of one backing array each.
+// step), indexed by variable ID, from each variable's shape in p.Shapes.
+// Unreferenced variables keep a nil alphabet. Every dims and digitOf is a
+// window of one backing array each.
 func buildAlphas(p *Problem) ([]varAlpha, error) {
 	alphas := make([]varAlpha, len(p.Coarse.Vars))
 	ranks := 0
 	for _, v := range p.Coarse.Vars {
 		if v.First >= 0 {
-			alphas[v.ID].shape = p.Shapes[v.Tensors[0].ID]
-			ranks += alphas[v.ID].shape.Rank()
+			ranks += p.Shapes[v.Tensors[0].ID].Rank()
 		}
 	}
 	dims := make([]int, ranks)
@@ -54,7 +60,7 @@ func buildAlphas(p *Problem) ([]varAlpha, error) {
 			continue // never referenced by an operator
 		}
 		a := &alphas[v.ID]
-		s := a.shape
+		s := p.Shapes[v.Tensors[0].ID]
 		rank := s.Rank()
 		a.dims, a.digitOf = dims[:0:rank], digits[:rank:rank]
 		dims, digits = dims[rank:], digits[rank:]

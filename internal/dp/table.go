@@ -10,6 +10,7 @@ import (
 	"tofu/internal/coarsen"
 	"tofu/internal/partition"
 	"tofu/internal/shape"
+	"tofu/internal/tdl"
 )
 
 // tableLimit bounds the per-slot dense cost tables; slots whose touched
@@ -89,21 +90,22 @@ type slotTable struct {
 // evalScratch is the working memory one pool worker reuses across the slot
 // evaluators it builds; nothing in it outlives a newSlotEval call.
 type evalScratch struct {
-	curIn  []shape.Shape
 	inCuts []partition.Cut
 	keep   []bool
 	key    []byte
 }
 
-// sizeForBuild readies the scratch — whose curIn already holds maxIn shapes,
-// all the reuse test needs — for building evaluators of slots of up to maxIn
-// inputs whose carried signatures are up to maxSig bytes: inCuts exactly,
-// keep and key with room for the strategy count and the table-key tail of
-// every registered operator (a longer one grows them like any append).
-func (sc *evalScratch) sizeForBuild(maxIn, maxSig int) {
-	sc.inCuts = make([]partition.Cut, maxIn)
-	sc.keep = make([]bool, 16)
-	sc.key = make([]byte, 0, maxSig+128)
+// newEvalScratch sizes a scratch for building evaluators of slots of up to
+// maxIn inputs whose carried signatures are up to maxSig bytes: inCuts
+// exactly, keep and key with room for the strategy count and the table-key
+// tail of every registered operator (a longer one grows them like any
+// append).
+func newEvalScratch(maxIn, maxSig int) evalScratch {
+	return evalScratch{
+		inCuts: make([]partition.Cut, maxIn),
+		keep:   make([]bool, 16),
+		key:    make([]byte, 0, maxSig+128),
+	}
 }
 
 // evalSlabs is the storage of the evaluators one pool worker rebuilds in one
@@ -136,14 +138,6 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch
 	ev.slot, ev.mult, ev.alphas = s, float64(len(s.Ops)), alphas
 	ev.inVars, ev.outVar = s.In, s.Out
 
-	nIn := len(s.In)
-	sc.curIn = grow(sc.curIn, nIn)
-	curIn := sc.curIn
-	for i, v := range s.In {
-		curIn[i] = alphas[v.ID].shape
-	}
-	curOut := alphas[s.Out.ID].shape
-
 	desc := s.Desc
 	if desc == nil {
 		var err error
@@ -153,11 +147,12 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch
 		}
 	}
 	// Price at ORIGINAL shapes (see Problem); gate applicability on the
-	// CURRENT shapes, where earlier steps may have exhausted a dimension.
-	// The full pricing (every strategy applicable at original shapes) is
-	// step-invariant, so it is memoized in the cache — the Spec only
-	// materializes on a miss; the per-step strategy filter and
-	// current-shape gate become a mask over its strategies.
+	// CURRENT shapes, where earlier steps may have exhausted a dimension —
+	// read off the step's alphabets (admits). The full pricing (every
+	// strategy applicable at original shapes) is step-invariant, so it is
+	// memoized in the cache — the Spec only materializes on a miss; the
+	// per-step strategy filter and the gate become a mask over its
+	// strategies.
 	sc.key = slotKey(sc.key, s.Sig, p.K, p.DType)
 	full, err := p.Cache.priced(sc.key, func() (*partition.Priced, error) {
 		origIn := make([]shape.Shape, len(rep.Inputs))
@@ -174,22 +169,9 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch
 	if err != nil {
 		return nil, fmt.Errorf("dp: pricing %v: %w", rep, err)
 	}
-	gate := func(st partition.Strategy) bool {
-		if p.StrategyFilter != nil && !p.StrategyFilter(st) {
-			return false
-		}
-		if st.Kind == partition.SplitOutput {
-			return curOut.CanSplit(st.OutDim, p.K)
-		}
-		ext, err := partition.ReduceExtent(desc, curIn, st.Axis)
-		if err != nil {
-			return false
-		}
-		return ext >= p.K && ext%p.K == 0
-	}
 	sc.keep = grow(sc.keep, len(full.Strategies))
 	for si, st := range full.Strategies {
-		sc.keep[si] = gate(st)
+		sc.keep[si] = (p.StrategyFilter == nil || p.StrategyFilter(st)) && admits(desc, s, alphas, p.K, st)
 	}
 	size := ev.layout(slabs)
 	if size > tableLimit {
@@ -201,7 +183,7 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch
 		return ev, nil
 	}
 	sc.key = ev.tableKey(sc.key, sc.keep)
-	sc.inCuts = grow(sc.inCuts, nIn)
+	sc.inCuts = grow(sc.inCuts, len(s.In))
 	t, err := p.Cache.table(sc.key, size, func() (*slotTable, error) {
 		return ev.fill(full, sc.keep, size, sc.inCuts)
 	})
@@ -210,6 +192,36 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch
 	}
 	ev.priced, ev.costT, ev.bestT, ev.minCost = t.priced, t.costT, t.bestT, t.minCost
 	return ev, nil
+}
+
+// admits reports whether strategy st of a slot passes the current-shape
+// gate: whether the step's shapes still divide its partitioned extent into K
+// equal parts. The gate is read off the alphabets, because it is a function
+// of them. An output split on d needs d cuttable on the output variable:
+// shape.CanSplit(d, K), the alphabet's own test. A reduce split needs its
+// extent to be a multiple of K, at least K: for an extent bound to an input's
+// dimension that is the same test on that input's variable, so alphabet
+// membership again, and a constant extent never changes. So a slot's
+// surviving strategies depend only on K and its operands' alphabets (given
+// the Coarse, dtype and strategy filter), which is what lets StepMemo share
+// one preparation between steps with equal alphabets.
+//
+//tofu:hotpath once per strategy per built evaluator; enforced by tofu-vet/hotalloc
+func admits(desc *tdl.OpDesc, s *coarsen.Slot, alphas []varAlpha, k int64, st partition.Strategy) bool {
+	if st.Kind == partition.SplitOutput {
+		return alphas[s.Out.ID].cuttable(st.OutDim)
+	}
+	for _, ra := range desc.ReduceAxes() {
+		if ra.Name != st.Axis {
+			continue
+		}
+		if ra.Extent.Input == "" {
+			return ra.Extent.Const >= k && ra.Extent.Const%k == 0
+		}
+		i := desc.InputIndex(ra.Extent.Input)
+		return i >= 0 && i < len(s.In) && alphas[s.In[i].ID].cuttable(ra.Extent.Dim)
+	}
+	return false
 }
 
 // layout lays out the touched-variable cross-product — tvars, tstride,
@@ -324,48 +336,16 @@ func (ev *slotEval) fill(full *partition.Priced, keep []bool, size int, inCuts [
 	return t, nil
 }
 
-// reusable reports whether this evaluator — built at an earlier recursive
-// step with the same K — is still exact at the current step: every touched
-// variable's alphabet is unchanged and every surviving strategy still
-// passes the current-shape gate. Because shapes only shrink and K is
-// prime, the gate is monotone (a dropped strategy can never revive), so
-// these two checks imply the freshly-built evaluator would be identical.
-// See Problem.Reuse.
-func (ev *slotEval) reusable(p *Problem, alphas []varAlpha, sc *evalScratch) bool {
+// reusable reports whether this evaluator, built at an earlier step with the
+// same K, is exact under alphas: whether every touched variable's alphabet
+// is unchanged. The evaluator's strategies (admits), table layout and
+// entries are functions of K and those alphabets, so a fresh build would be
+// identical. See Problem.Reuse.
+//
+//tofu:hotpath once per carried slot per preparation; enforced by tofu-vet/hotalloc
+func (ev *slotEval) reusable(alphas []varAlpha) bool {
 	for _, v := range ev.tvars {
-		pd := ev.alphas[v.ID].dims
-		cd := alphas[v.ID].dims
-		if len(pd) != len(cd) {
-			return false
-		}
-		for i := range pd {
-			if pd[i] != cd[i] {
-				return false
-			}
-		}
-	}
-	desc := ev.slot.Desc
-	curOut := alphas[ev.outVar.ID].shape
-	var curIn []shape.Shape
-	for _, st := range ev.priced.Strategies {
-		if st.Kind == partition.SplitOutput {
-			if !curOut.CanSplit(st.OutDim, p.K) {
-				return false
-			}
-			continue
-		}
-		if desc == nil {
-			return false
-		}
-		if curIn == nil {
-			sc.curIn = grow(sc.curIn, len(ev.inVars))
-			curIn = sc.curIn
-			for i, v := range ev.inVars {
-				curIn[i] = alphas[v.ID].shape
-			}
-		}
-		ext, err := partition.ReduceExtent(desc, curIn, st.Axis)
-		if err != nil || ext < p.K || ext%p.K != 0 {
+		if !slices.Equal(ev.alphas[v.ID].dims, alphas[v.ID].dims) {
 			return false
 		}
 	}

@@ -5,8 +5,10 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"tofu/internal/coarsen"
 	"tofu/internal/graph"
 	"tofu/internal/models"
 	"tofu/internal/partition"
@@ -147,35 +149,43 @@ func TestEvalReuseMatchesFresh(t *testing.T) {
 	sameTables(t, "reused step", got, want)
 }
 
-// TestStepMemoMatch pins what the step memo treats as identical sweep inputs.
-// Two preparations of one problem through one PriceCache match, and the
-// replay equals the sweep while owning its VarCut and this step's evaluators;
-// a division that drops a cut dimension, another K and another MaxStates do
-// not match. The match allocates nothing. A lazily priced slot matches only
-// its own evaluator. With the table budget at 0 every
-// table is filled for its evaluator alone: a chain still replays through the
-// evaluators EvalReuse carries, and a freshly prepared step never matches.
+// TestStepMemoMatch pins what the step memo shares. Two preparations of one
+// problem through one memo share a slot set, and the second solve replays
+// the first while owning its VarCut; a division that drops a cut dimension
+// and another K prepare anew, and another MaxStates shares the set but
+// sweeps. Building a key and a hit allocate only the hit's Prepared. The
+// memo refuses a second coarsening, a transient segment at the address of
+// the first included. With the table budget at 0, so that no table is
+// shared by key, a chain still replays through the shared set.
 func TestStepMemoMatch(t *testing.T) {
 	const s = 12
 	g := graph.New()
 	g.Apply("matmul", nil, g.Input("x", shape.Of(s, s)), g.Input("w", shape.Of(s, s)))
 	base := graphProblem(t, g, 2)
 	base.Cache = NewPriceCache()
-	prepare := func(tweak func(*Problem)) *Prepared {
+	var memo StepMemo
+	prepare := func(tweak func(*Problem)) (*Prepared, bool) {
 		t.Helper()
 		p := *base
 		p.Shapes = maps.Clone(base.Shapes)
 		if tweak != nil {
 			tweak(&p)
 		}
-		pr, err := Prepare(&p)
+		pr, hit, err := memo.Prepare(&p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pr
+		return pr, hit
 	}
-	var memo StepMemo
-	first, again := prepare(nil), prepare(nil)
+	first, hit := prepare(nil)
+	if hit {
+		t.Fatal("the first preparation is a hit")
+	}
+	again, hit := prepare(nil)
+	if !hit || again.sl != first.sl || again.p == first.p {
+		t.Fatalf("a second preparation of one problem: hit %v, shared set %v, own problem %v",
+			hit, again.sl == first.sl, again.p != first.p)
+	}
 	want, replayed, err := memo.Solve(first)
 	if err != nil || replayed {
 		t.Fatalf("first solve: replayed %v, %v", replayed, err)
@@ -189,9 +199,6 @@ func TestStepMemoMatch(t *testing.T) {
 		t.Error("the replay shares the recorded VarCut")
 	}
 	delete(got.VarCut, -1)
-	if &got.evals[0] != &again.sl.ordered[0] {
-		t.Error("the replay is not on its own step's evaluators")
-	}
 	if err := got.Materialize(); err != nil {
 		t.Fatal(err)
 	}
@@ -199,30 +206,26 @@ func TestStepMemoMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameTables(t, "replay", got, want)
-	if allocs := testing.AllocsPerRun(100, func() { sameSweep(first, again) }); allocs != 0 {
-		t.Errorf("the match allocates %v objects", allocs)
+	key := make([]byte, 0, 64)
+	if allocs := testing.AllocsPerRun(100, func() { key, _ = appendStepKey(key[:0], again.p) }); allocs != 0 {
+		t.Errorf("building a key allocates %v objects", allocs)
 	}
-	lazyA, lazyB := prepare(nil), prepare(nil)
-	for _, pr := range []*Prepared{lazyA, lazyB} {
-		for _, ev := range pr.sl.ordered {
-			ev.costT, ev.bestT, ev.memo = nil, nil, map[int]slotBest{}
-		}
-	}
-	if sameSweep(lazyA, lazyB) || !sameSweep(lazyA, &Prepared{p: lazyB.p, sl: lazyA.sl}) {
-		t.Error("a lazily priced slot must match its own evaluator and no other")
+	if allocs := testing.AllocsPerRun(100, func() { memo.Prepare(again.p) }); allocs != 1 {
+		t.Errorf("a hit allocates %v objects, want 1 (its Prepared)", allocs)
 	}
 
 	for _, tc := range []struct {
 		name  string
 		tweak func(*Problem)
+		hit   bool
 	}{
-		{"x's dim 0 exhausted by a division", func(p *Problem) { p.Shapes[0] = shape.Of(3, s) }},
-		{"K 3", func(p *Problem) { p.K = 3 }},
-		{"MaxStates 1", func(p *Problem) { p.MaxStates = 1 }},
+		{"x's dim 0 exhausted by a division", func(p *Problem) { p.Shapes[0] = shape.Of(3, s) }, false},
+		{"K 3", func(p *Problem) { p.K = 3 }, false},
+		{"MaxStates 1", func(p *Problem) { p.MaxStates = 1 }, true},
 	} {
-		pr := prepare(tc.tweak)
-		if sameSweep(first, pr) {
-			t.Errorf("%s: matches the base step", tc.name)
+		pr, hit := prepare(tc.tweak)
+		if hit != tc.hit || (pr.sl == first.sl) != tc.hit {
+			t.Errorf("%s: hit %v, shares the base set %v; want %v", tc.name, hit, pr.sl == first.sl, tc.hit)
 		}
 		if _, replayed, err := memo.Solve(pr); err != nil || replayed {
 			t.Errorf("%s: replayed %v, %v", tc.name, replayed, err)
@@ -234,21 +237,35 @@ func TestStepMemoMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := problemFor(t, m, 2)
+	if _, _, err := memo.Prepare(p); err == nil {
+		t.Error("a memo prepared a step on a second coarsening")
+	}
+	var sc coarsen.SegmentScratch
+	var seg StepMemo
+	for i, iv := range [][2]int{{0, 2}, {1, 3}} {
+		c, err := p.Coarse.SegmentTransient(iv[0], iv[1], &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := *p
+		q.Coarse = c
+		if _, _, err := seg.Prepare(&q); (err == nil) != (i == 0) {
+			t.Errorf("segment %v into one scratch: %v", iv, err)
+		}
+	}
+
 	p.Cache, p.Reuse = NewPriceCache(), &EvalReuse{}
 	p.Cache.tableBudget = 0
 	var chain StepMemo
 	replays := 0
 	for step := 1; step <= 3; step++ {
 		fresh := *p
-		fresh.Reuse = nil
+		fresh.Reuse, fresh.Cache = nil, nil
 		freshPr, err := Prepare(&fresh)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if chain.lookup(freshPr) != nil {
-			t.Errorf("step %d: a freshly prepared step matches a recorded one", step)
-		}
-		pr, err := Prepare(p)
+		pr, _, err := chain.Prepare(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,5 +294,46 @@ func TestStepMemoMatch(t *testing.T) {
 	}
 	if _, _, bytes := p.Cache.TableStats(); bytes != 0 || replays != 2 {
 		t.Errorf("budget 0: %d table bytes retained, %d of steps 2-3 replayed; want none and both", bytes, replays)
+	}
+}
+
+// TestStepMemoConcurrentPrepare: preparations of one key racing on one memo
+// build it once — exactly one caller misses — and every caller gets the
+// same slot set, bound to its own Problem.
+func TestStepMemoConcurrentPrepare(t *testing.T) {
+	m, err := models.Build(models.Config{Family: "mlp", Depth: 3, Width: 96, Batch: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := problemFor(t, m, 2)
+	base.Cache = NewPriceCache()
+	var memo StepMemo
+	const callers = 16
+	prepared := make([]*Prepared, callers)
+	hits := make([]bool, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := *base
+			var err error
+			if prepared[i], hits[i], err = memo.Prepare(&p); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	misses := 0
+	for i, pr := range prepared {
+		if !hits[i] {
+			misses++
+		}
+		if pr.sl != prepared[0].sl || pr.p == prepared[(i+1)%callers].p {
+			t.Fatalf("caller %d: shares the set %v, own problem %v", i, pr.sl == prepared[0].sl, pr.p != prepared[(i+1)%callers].p)
+		}
+	}
+	if misses != 1 {
+		t.Fatalf("%d of %d racing callers built the preparation", misses, callers)
 	}
 }

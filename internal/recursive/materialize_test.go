@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tofu/internal/coarsen"
+	"tofu/internal/dp"
 	"tofu/internal/models"
 	"tofu/internal/plan"
 	"tofu/internal/topo"
@@ -127,6 +128,68 @@ func TestSearchMaterializeMatchesPartition(t *testing.T) {
 			t.Errorf("%s: no interval was feasible on any machine", cfg.Family)
 		}
 		t.Logf("%s: %d of %d searches feasible", cfg.Family, feasible, tried)
+	}
+}
+
+// TestSegmentScratchSearchesMatchOwned: segments coarsened one after another
+// into one SegmentScratch share the address of their Coarse, so anything a
+// search memoizes past its own end could serve the next segment the last
+// one's steps. Every window of one to three groups of each family, slid
+// along the graph, coarsened into one scratch and searched back to back
+// through one price cache, must plan exactly what its owned segment view
+// plans, on a flat and a hierarchical stage machine at parallelism 1 and 8.
+// Windows of one length mostly have as many variables with the same
+// alphabets, so a step memo that outlived its search would match.
+func TestSegmentScratchSearchesMatchOwned(t *testing.T) {
+	for _, cfg := range segmentModels {
+		m, err := models.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root, err := coarsen.Coarsen(m.G)
+		if err != nil {
+			t.Fatal(err)
+		}
+		L := len(root.Groups)
+		for _, tp := range stageMachines() {
+			for _, par := range []int{1, 8} {
+				var scratch, own coarsen.SegmentScratch
+				cache := dp.NewPriceCache()
+				for w := 1; w <= 3; w++ {
+					for lo := 0; lo+w <= L; lo++ {
+						iv := [2]int{lo, lo + w}
+						name := fmt.Sprintf("%s groups [%d,%d) on %s parallelism %d", cfg.Family, iv[0], iv[1], tp.Name, par)
+						plan := func(c *coarsen.Coarse, cache *dp.PriceCache) ([]byte, error) {
+							opts := Options{Topology: &tp, Parallelism: par, Cache: cache}
+							p, err := Search(c, 4, opts)
+							if err != nil {
+								return nil, err
+							}
+							if err := Materialize(c, p, opts); err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							return jsonOf(t, p), nil
+						}
+						owned, err := root.Segment(iv[0], iv[1], &own)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, werr := plan(owned, nil)
+						transient, err := root.SegmentTransient(iv[0], iv[1], &scratch)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, gerr := plan(transient, cache)
+						if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+							t.Fatalf("%s: the scratch-backed segment fails with %v, the owned one with %v", name, gerr, werr)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("%s: searched after another segment in one scratch, it plans differently from its owned view", name)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -177,9 +177,11 @@ type orderSearch struct {
 	// Parallelism > 1 their order follows the expansion schedule, like the
 	// SearchStats node counters.
 	trace *obs.Span
-	// memo replays a prefix step whose sweep repeats an earlier prefix's
-	// (it locks itself).
-	memo dp.StepMemo
+	// memo shares the preparation of a step whose factor and alphabets
+	// repeat an earlier one's and replays its sweep (it locks itself);
+	// prepareHits counts the shared preparations, under mu.
+	memo        dp.StepMemo
+	prepareHits int
 
 	mu        sync.Mutex
 	prefixes  map[string]*prefixState
@@ -331,13 +333,14 @@ func (s *orderSearch) computeStep(ps *prefixState, st *obs.Span) {
 // with factor f can ever run at or below this prefix (divisibility and
 // strategy gates are monotone), so the whole subtree still owing f is
 // infeasible. trace parents the preparation's "dp.pricing" span when this
-// call is the one that prepares.
+// call is the one that prepares; when the search's step memo shares an
+// earlier prefix's preparation instead, there is no pricing span, and a
+// trace other than the search's own is marked prepare_hit=1.
 //
-// The preparation starts from a copy of the evaluator carrier the prefix's
-// own step was prepared with, so a factor equal to the prefix's last one
-// keeps every evaluator still exact at these shapes (dp.Problem.Reuse):
-// they are that step's shapes divided, the monotone condition reuse relies
-// on.
+// A preparation the memo does not share starts from a copy of the evaluator
+// carrier the prefix's own step was prepared with, so a factor equal to the
+// prefix's last one keeps every evaluator whose touched alphabets are
+// unchanged (dp.Problem.Reuse).
 func (s *orderSearch) lowerBoundFor(ps *prefixState, f int64, trace *obs.Span) *lbQuery {
 	ps.lbMu.Lock()
 	q, ok := ps.lb[f]
@@ -361,11 +364,18 @@ func (s *orderSearch) lowerBoundFor(ps *prefixState, f int64, trace *obs.Span) *
 			Trace:          trace,
 			Cancel:         s.opts.Cancel,
 		}
-		if q.prep, q.err = dp.Prepare(&q.prob); q.err == nil {
+		var hit bool
+		if q.prep, hit, q.err = s.memo.Prepare(&q.prob); q.err == nil {
 			q.delta = q.prep.LowerBound()
+		}
+		if hit && trace != s.trace {
+			trace.SetInt("prepare_hit", 1)
 		}
 		s.mu.Lock()
 		s.stats.LBQueries++
+		if hit {
+			s.prepareHits++
+		}
 		s.mu.Unlock()
 	})
 	return q
@@ -755,6 +765,7 @@ func (s *orderSearch) run() (*winner, error) {
 		s.trace.SetInt("pruned", int64(s.stats.Pruned))
 		s.trace.SetInt("dp_solves", int64(s.stats.DPSolves))
 		s.trace.SetInt("replays", int64(s.stats.Replays))
+		s.trace.SetInt("prepare_hits", int64(s.prepareHits))
 		s.trace.SetInt("leaves", int64(s.stats.Leaves))
 		s.trace.SetFloat("best_cost", s.bestCost)
 	}

@@ -352,9 +352,10 @@ func runSteps(c *coarsen.Coarse, k int64, factors []int64, levels []int,
 	p := &plan.Plan{K: k}
 	w := &winner{plan: p, results: make([]*dp.Result, 0, len(factors)), final: shapes}
 	mult := int64(1)
-	// Consecutive equal-factor steps reuse unchanged slot evaluators (same
-	// Coarse, DType and filter throughout — see dp.Problem.Reuse), and a step
-	// whose sweep repeats an earlier one's replays it.
+	// A step whose factor and alphabets repeat an earlier step's shares its
+	// preparation and replays its sweep (dp.StepMemo); consecutive
+	// equal-factor steps otherwise reuse unchanged slot evaluators (same
+	// Coarse, DType and filter throughout — see dp.Problem.Reuse).
 	reuse := &dp.EvalReuse{}
 	var memo dp.StepMemo
 	for i, ki := range factors {
@@ -370,7 +371,7 @@ func runSteps(c *coarsen.Coarse, k int64, factors []int64, levels []int,
 		if levels != nil {
 			st.SetInt("level", int64(levels[i]))
 		}
-		pr, err := dp.Prepare(&dp.Problem{
+		pr, prepHit, err := memo.Prepare(&dp.Problem{
 			Coarse:         c,
 			K:              ki,
 			Shapes:         shapes,
@@ -387,6 +388,9 @@ func runSteps(c *coarsen.Coarse, k int64, factors []int64, levels []int,
 		replayed := false
 		if err == nil {
 			res, replayed, err = memo.Solve(pr)
+		}
+		if prepHit {
+			st.SetInt("prepare_hit", 1)
 		}
 		if replayed {
 			st.SetInt("replayed", 1)
