@@ -24,9 +24,12 @@ import (
 // finished dense slot tables (table.go) under the slot key extended by
 // everything else their contents depend on (slotEval.tableKey), so each
 // distinct table is filled once however many slots, factor steps, pipeline
-// segments, lower-bound queries or requests ask for it. Tables are immutable
-// once filled and a retained table is bit-identical to one filled on the
-// spot, so what the memo holds can change a search's speed, never its plan.
+// segments or lower-bound queries ask for it. Tables are immutable once
+// filled and a retained table is bit-identical to one filled on the spot, so
+// what the memo holds can change a search's speed, never its plan.
+//
+// A search makes its own cache and drops it when done, unless its caller
+// passes one in (the paper-artifact experiments share one across cells).
 //
 // The zero value is not usable; call NewPriceCache. A nil *PriceCache is a
 // valid "no caching" sentinel. All methods are safe for concurrent use.
@@ -40,7 +43,7 @@ type PriceCache struct {
 	tableBudget int64
 
 	// hits/misses count priced() lookups that found an existing entry vs
-	// ones that created it — the service's cross-request reuse metric.
+	// ones that created it (a miss is exactly one new entry).
 	// tableHits/tableMisses count table() lookups the same way.
 	hits, misses           atomic.Int64
 	tableHits, tableMisses atomic.Int64
@@ -136,16 +139,6 @@ func (c *PriceCache) Stats() (hits, misses int64) {
 		return 0, 0
 	}
 	return c.hits.Load(), c.misses.Load()
-}
-
-// Len reports how many distinct slot pricings the cache holds.
-func (c *PriceCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }
 
 // slotKey is the key a pricing is memoized under: the slot's structural

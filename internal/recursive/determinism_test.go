@@ -62,7 +62,7 @@ func TestParallelSearchDeterminism(t *testing.T) {
 					t.Errorf("parallelism %d with shared cache diverged from serial plan", par)
 				}
 			}
-			if cache.Len() == 0 {
+			if _, built := cache.Stats(); built == 0 {
 				t.Error("shared cache was never populated")
 			}
 		})

@@ -8,7 +8,6 @@ import (
 
 	"tofu/internal/coarsen"
 	"tofu/internal/core"
-	"tofu/internal/dp"
 	"tofu/internal/graph"
 	"tofu/internal/models"
 	"tofu/internal/plan"
@@ -46,9 +45,7 @@ var coldPlans = []struct{ request, sha256 string }{
 }
 
 // TestColdPlansPinned plans the twelve cold cases at search parallelism 1, 2
-// and 8 (1 only under -short) and checks each plan's sha256. With -v it also
-// logs how much of the slot-table work each case shares (EXPERIMENTS.md,
-// "Slot-table memo").
+// and 8 (1 only under -short) and checks each plan's sha256.
 func TestColdPlansPinned(t *testing.T) {
 	pars := []int{1, 2, 8}
 	if testing.Short() {
@@ -64,20 +61,13 @@ func TestColdPlansPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, par := range pars {
-			cache := dp.NewPriceCache()
-			val, err := compute(nr, digest, par, cache, nil, nil)
+			val, err := compute(nr, digest, par, nil, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", c.request, err)
 			}
 			sum := sha256.Sum256(val)
 			if got := hex.EncodeToString(sum[:]); got != c.sha256 {
 				t.Errorf("%s at parallelism %d: plan sha256 %s, pinned %s", c.request, par, got, c.sha256)
-			}
-			if par == 1 {
-				ph, pm := cache.Stats()
-				th, tm, tb := cache.TableStats()
-				t.Logf("%s: pricings %d hit / %d built; tables %d hit / %d filled (%s shared), %.2f MB resident",
-					c.request, ph, pm, th, tm, percent(th, th+tm), float64(tb)/1e6)
 			}
 		}
 	}
@@ -155,11 +145,4 @@ func checkFinalShapes(t *testing.T, name string, g *graph.Graph, p *plan.Plan) {
 			t.Fatalf("%s: tensor %d ends at %v, dividing it step by step gives %v", name, i, got, want)
 		}
 	}
-}
-
-func percent(part, whole int64) string {
-	if whole == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1f %%", 100*float64(part)/float64(whole))
 }

@@ -219,12 +219,11 @@ func (s *Service) run(j *Job) {
 	search := s.cfg.Compute
 	if search == nil {
 		// The submission path already normalized the request and computed
-		// its digest; skip both on the worker. The search shares the
-		// model's pricing bucket across requests and reports its effort
-		// into /metrics.
+		// its digest; skip both on the worker. The search reports its
+		// effort into /metrics.
 		search = func(r Request) ([]byte, error) {
 			var st recursive.SearchStats
-			val, err := compute(r, j.digest, s.cfg.Parallelism, s.pricing.For(r.Model), &st, j.token)
+			val, err := compute(r, j.digest, s.cfg.Parallelism, &st, j.token)
 			s.metrics.observeOrderingSearch(st)
 			return val, err
 		}

@@ -138,16 +138,6 @@ type Snapshot struct {
 	StoreBadPlan     int64 `json:"store_bad_plan" prom:"tofu_store_bad_plan_total,counter" help:"Checksum-valid store entries rejected by plan verification."`
 	StorePutErrors   int64 `json:"store_put_errors" prom:"tofu_store_put_errors_total,counter" help:"Persistent-store write-through failures."`
 	TenantRejected   int64 `json:"tenant_rejected" prom:"tofu_requests_tenant_rejected_total,counter" help:"Requests bounced by per-tenant quota."`
-	// Pricing* report the cross-request pricing-reuse layer.
-	PricingModels     int   `json:"pricing_models" prom:"tofu_pricing_models,gauge" help:"Model buckets resident in the pricing-reuse cache."`
-	PricingModelCap   int   `json:"pricing_model_cap" prom:"tofu_pricing_models_cap,gauge" help:"Model bucket capacity of the pricing-reuse cache."`
-	PricingHits       int64 `json:"pricing_hits" prom:"tofu_pricing_hits_total,counter" help:"Per-slot pricing cache hits across all searches."`
-	PricingMisses     int64 `json:"pricing_misses" prom:"tofu_pricing_misses_total,counter" help:"Per-slot pricing cache builds across all searches."`
-	PricingModelHits  int64 `json:"pricing_model_hits" prom:"tofu_pricing_model_hits_total,counter" help:"Pricing bucket-level model hits."`
-	PricingModelMiss  int64 `json:"pricing_model_misses" prom:"tofu_pricing_model_misses_total,counter" help:"Pricing bucket-level model creations."`
-	PricingTableHits  int64 `json:"pricing_table_hits" prom:"tofu_pricing_table_hits_total,counter" help:"Dense slot-table memo reuses across all searches."`
-	PricingTableMiss  int64 `json:"pricing_table_misses" prom:"tofu_pricing_table_misses_total,counter" help:"Dense slot tables filled across all searches."`
-	PricingTableBytes int64 `json:"pricing_table_bytes" prom:"tofu_pricing_table_bytes,gauge" help:"Bytes of dense slot tables resident in the pricing-reuse cache."`
 	// Search* report cumulative topology-aware ordering-search effort and
 	// the anytime outcomes of every search.
 	SearchOrderings   int64 `json:"search_orderings" prom:"tofu_search_orderings_total,counter" help:"Candidate factor-to-level orderings examined."`
@@ -172,8 +162,6 @@ func (s *Service) Metrics() Snapshot {
 // snapshot assembles a Snapshot around one read of the latency window, so
 // WritePrometheus's summary legs and quantile fields agree.
 func (s *Service) snapshot(lat latencyStats) Snapshot {
-	ph, pm, mh, mm := s.pricing.PricingStats()
-	th, tm, tb := s.pricing.TableStats()
 	var st store.Stats
 	if s.cfg.Store != nil {
 		st = s.cfg.Store.Stats()
@@ -202,15 +190,6 @@ func (s *Service) snapshot(lat latencyStats) Snapshot {
 		StoreBadPlan:      s.metrics.storeBadPlan.Load(),
 		StorePutErrors:    st.PutErrors,
 		TenantRejected:    s.metrics.tenantRejected.Load(),
-		PricingModels:     s.pricing.Models(),
-		PricingModelCap:   s.cfg.PricingCacheSize,
-		PricingHits:       ph,
-		PricingMisses:     pm,
-		PricingModelHits:  mh,
-		PricingModelMiss:  mm,
-		PricingTableHits:  th,
-		PricingTableMiss:  tm,
-		PricingTableBytes: tb,
 		SearchOrderings:   s.metrics.searchOrderings.Load(),
 		SearchSteps:       s.metrics.searchSteps.Load(),
 		SearchPruned:      s.metrics.searchPruned.Load(),

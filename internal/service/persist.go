@@ -1,6 +1,10 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+
+	"tofu/internal/models"
 	"tofu/internal/plan"
 	"tofu/internal/store"
 )
@@ -53,6 +57,18 @@ func (s *Service) persist(j *Job, val []byte, hdr plan.Header) {
 		Workers:     hdr.Workers,
 		Steps:       storeStepsFromHeader(hdr),
 	}, val)
+}
+
+// modelDigest is the store header's model_digest: the hex sha256 of the
+// model config's canonical JSON (the same canonical form the request digest
+// hashes).
+func modelDigest(cfg models.Config) (string, error) {
+	mj, err := cfg.CanonicalJSON()
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(mj)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // storeStepsFromHeader extracts a verified plan's realized ordering in the

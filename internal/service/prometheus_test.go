@@ -29,9 +29,6 @@ var wantJSONKeys = []string{
 	"store_enabled", "store_puts", "store_hits", "store_misses",
 	"store_corrupt", "store_quarantined", "store_served", "store_bad_plan",
 	"store_put_errors", "tenant_rejected",
-	"pricing_models", "pricing_model_cap", "pricing_hits", "pricing_misses",
-	"pricing_model_hits", "pricing_model_misses", "pricing_table_hits",
-	"pricing_table_misses", "pricing_table_bytes",
 	"search_orderings", "search_steps", "search_pruned", "search_dp_steps",
 	"search_dp_steps_flat", "search_degraded", "search_cancelled",
 	"deadline_rejected", "search_p50_ms", "search_p99_ms", "uptime_sec",
@@ -63,15 +60,6 @@ var wantFamilies = []string{
 	"tofu_store_bad_plan_total counter",
 	"tofu_store_put_errors_total counter",
 	"tofu_requests_tenant_rejected_total counter",
-	"tofu_pricing_models gauge",
-	"tofu_pricing_models_cap gauge",
-	"tofu_pricing_hits_total counter",
-	"tofu_pricing_misses_total counter",
-	"tofu_pricing_model_hits_total counter",
-	"tofu_pricing_model_misses_total counter",
-	"tofu_pricing_table_hits_total counter",
-	"tofu_pricing_table_misses_total counter",
-	"tofu_pricing_table_bytes gauge",
 	"tofu_search_orderings_total counter",
 	"tofu_search_steps_total counter",
 	"tofu_search_pruned_total counter",

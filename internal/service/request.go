@@ -19,7 +19,6 @@ import (
 
 	"tofu/internal/cancel"
 	"tofu/internal/core"
-	"tofu/internal/dp"
 	"tofu/internal/models"
 	"tofu/internal/plan"
 	"tofu/internal/recursive"
@@ -303,18 +302,16 @@ func ComputePlan(r Request, parallelism int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compute(nr, digest, parallelism, nil, nil, nil)
+	return compute(nr, digest, parallelism, nil, nil)
 }
 
 // compute is ComputePlan for a request the caller has already normalized
-// and digested — the worker-pool hot path. pricing, when non-nil, supplies
-// the model's shared pricing cache; chosen plans are byte-identical with or
-// without it (caches change search effort, never content). stats, when
-// non-nil, receives the ordering-search effort. tok, when non-nil, bounds
-// the search — a tripped token yields a degraded incumbent (or a
-// cancellation error).
+// and digested — the worker-pool hot path. Like every search, it prices
+// with a cache of its own that dies with it. stats, when non-nil, receives
+// the ordering-search effort. tok, when non-nil, bounds the search — a
+// tripped token yields a degraded incumbent (or a cancellation error).
 func compute(nr Request, digest string, parallelism int,
-	pricing *dp.PriceCache, stats *recursive.SearchStats, tok *cancel.Token) ([]byte, error) {
+	stats *recursive.SearchStats, tok *cancel.Token) ([]byte, error) {
 
 	m, err := models.Build(nr.Model)
 	if err != nil {
@@ -322,7 +319,6 @@ func compute(nr Request, digest string, parallelism int,
 	}
 	opts := nr.PipelineOptions()
 	opts.Search.Parallelism = parallelism
-	opts.Search.Cache = pricing
 	opts.Search.Stats = stats
 	opts.Cancel = tok
 	sum, err := core.Partition(m.G, nr.Workers, opts)

@@ -79,10 +79,6 @@ type Config struct {
 	SyncWait time.Duration
 	// Parallelism is each search's DP worker count (0 = GOMAXPROCS).
 	Parallelism int
-	// PricingCacheSize bounds the cross-request pricing-reuse LRU to this
-	// many distinct models (default 32). Warm requests for a cached model —
-	// at any worker count or topology — skip most of the symbolic pricing.
-	PricingCacheSize int
 	// Compute overrides the search itself — the test seam. nil means
 	// ComputePlan.
 	Compute func(Request) ([]byte, error)
@@ -121,9 +117,6 @@ func (c Config) withDefaults() Config {
 	if c.SyncWait <= 0 {
 		c.SyncWait = 2 * time.Second
 	}
-	if c.PricingCacheSize <= 0 {
-		c.PricingCacheSize = 32
-	}
 	if c.DegradedPolicy == "" {
 		c.DegradedPolicy = DegradedServe
 	}
@@ -140,7 +133,6 @@ func (c Config) withDefaults() Config {
 type Service struct {
 	cfg     Config
 	cache   *Cache
-	pricing *PricingCaches
 	metrics *Metrics
 	started time.Time
 	reqSeq  atomic.Int64 // access-log trace-id counter
@@ -165,7 +157,6 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:      cfg,
 		cache:    NewCacheBytes(cfg.CacheSize, cfg.CacheBytes),
-		pricing:  NewPricingCaches(cfg.PricingCacheSize),
 		metrics:  &Metrics{},
 		started:  time.Now(),
 		inflight: make(map[string]*Job),

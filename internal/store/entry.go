@@ -38,8 +38,8 @@ type Meta struct {
 	// hex>") — the store key. The payload's own embedded digest is verified
 	// against it again at serve time via plan.Verify.
 	Digest string `json:"digest"`
-	// ModelDigest is the model's pricing-cache key in hex form (provenance;
-	// kept so FormatV1 entries stay byte-identical).
+	// ModelDigest is the hex sha256 of the model config's canonical JSON
+	// (provenance; kept so FormatV1 entries stay byte-identical).
 	ModelDigest string `json:"model_digest,omitempty"`
 	// Workers is the plan's worker count.
 	Workers int64 `json:"workers"`

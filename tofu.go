@@ -184,8 +184,8 @@ func PlanDigest(c ModelConfig, k int64, opts PipelineOptions) (string, error) {
 		TopologyNaive: opts.Search.TopologyNaive,
 	}
 	if opts.Pipeline != nil {
-		// Only the stage level reaches the digest: micro-batch counts and the
-		// exhaustive oracle change simulation or effort, never plan bytes.
+		// Only the stage level reaches the digest: micro-batch counts change
+		// simulation, never plan bytes.
 		req.Pipeline = &service.PipelineRequest{Level: opts.Pipeline.Level}
 	}
 	if b := opts.Cancel.Budget(); b > 0 {
