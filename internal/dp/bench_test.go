@@ -10,10 +10,10 @@ import (
 // BenchmarkSolveSweep times the part of Solve that repeats at every recursive
 // step, ordering-tree node and pipeline segment: group-plan build, group-cost
 // tables and the frontier sweep. Pricing and the per-slot tables are warm
-// (EvalReuse and PriceCache filled by one untimed Solve) and the pool is
-// serial. ns/config divides by the exhaustive sweep's (state × combination)
-// pairs, so it stays comparable across the incumbent bound: it is the
-// kernel's own cost per pair where the bound does not engage, and the
+// (one untimed Prepare, whose Prepared every timed Solve runs on) and the
+// pool is serial. ns/config divides by the exhaustive sweep's (state ×
+// combination) pairs, so it stays comparable across the incumbent bound: it
+// is the kernel's own cost per pair where the bound does not engage, and the
 // bounded solve's cost per pair it stands in for where it does; swept/op is
 // the pairs the bounded sweep visited.
 func BenchmarkSolveSweep(b *testing.B) {
@@ -30,21 +30,24 @@ func BenchmarkSolveSweep(b *testing.B) {
 			p := problemFor(b, m, 2)
 			p.Parallelism = 1
 			p.Cache = NewPriceCache()
-			p.Reuse = &EvalReuse{}
+			pr, err := Prepare(p)
+			if err != nil {
+				b.Fatal(err)
+			}
 			p.bound = boundOff
-			full, err := Solve(p)
+			full, err := pr.Solve()
 			if err != nil {
 				b.Fatal(err)
 			}
 			p.bound = boundGated
-			res, err := Solve(p)
+			res, err := pr.Solve()
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Solve(p); err != nil {
+				if _, err := pr.Solve(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -57,11 +60,9 @@ func BenchmarkSolveSweep(b *testing.B) {
 }
 
 // BenchmarkSolveWarm times one Solve whose slot tables are already filled,
-// three ways: carried by EvalReuse (no lookups at all), found in the
-// PriceCache table memo (one key build and two map lookups per slot), and
-// refilled from the cached pricings (a table memo with no budget: what
-// every warm Solve without EvalReuse cost before the memo). The gap between the first two is
-// what EvalReuse still buys.
+// two ways: found in the PriceCache table memo (one key build and two map
+// lookups per slot), and refilled from the cached pricings (a table memo
+// with no budget: what every warm Solve cost before the memo).
 func BenchmarkSolveWarm(b *testing.B) {
 	for _, cfg := range []models.Config{
 		{Family: "wresnet", Depth: 152, Width: 10, Batch: 8},
@@ -90,10 +91,9 @@ func BenchmarkSolveWarm(b *testing.B) {
 				}
 			})
 		}
-		run("reuse", func() { p.Reuse = &EvalReuse{} })
-		run("memo", func() { p.Reuse = nil })
+		run("memo", func() {})
 		run("refill", func() {
-			p.Reuse, p.Cache = nil, NewPriceCache()
+			p.Cache = NewPriceCache()
 			p.Cache.tableBudget = 0
 		})
 	}

@@ -76,15 +76,10 @@ type Problem struct {
 	// calls — across recursive factor steps and across baseline variants
 	// over the same model (see PriceCache).
 	Cache *PriceCache
-	// Reuse, if non-nil, carries prepared slot evaluators between
-	// consecutive preparations over the same Coarse (the recursive search's
-	// factor steps). A slot's evaluator — its surviving strategies and dense
-	// cost table — is reused when the step's K matches and its touched
-	// variables' alphabets are unchanged. That is exact at any shapes: the
-	// current-shape gate is a function of K and the operands' alphabets
-	// (admits), and so is the table, so a fresh build would be identical.
-	// Callers must keep Coarse, DType and StrategyFilter fixed across the
-	// preparations sharing one Reuse.
+	// Reuse is the retired cross-step evaluator carrier; a StepMemo shares
+	// preparations between the steps of a search instead.
+	//
+	// Deprecated: has no effect; only bench/ names it, and ROADMAP item 1 deletes it.
 	Reuse *EvalReuse
 	// Trace, if non-nil, is the parent of a "dp.pricing" span per Prepare
 	// (slot-evaluator preparation, whoever asks for it — a solve or a bound
@@ -104,12 +99,10 @@ type Problem struct {
 	bound boundMode
 }
 
-// EvalReuse is the cross-step evaluator carrier: the K and slot set of the
-// last preparation made with it. See Problem.Reuse.
-type EvalReuse struct {
-	k   int64
-	set *slotSet
-}
+// EvalReuse is the retired cross-step evaluator carrier.
+//
+// Deprecated: has no effect; only bench/ names it, and ROADMAP item 1 deletes it.
+type EvalReuse struct{}
 
 // parallelism resolves the effective worker count.
 func (p *Problem) parallelism() int {
@@ -243,12 +236,11 @@ type Prepared struct {
 }
 
 // Prepare builds p's slot evaluators (fanned out across the worker pool —
-// slots are independent), keeping those p.Reuse carries from the previous
-// step. A "dp.pricing" span under p.Trace measures it and attributes the
-// price-cache traffic it caused; under parallel sibling solves the
-// shared-cache deltas are approximate, which is fine for display. An error
-// reports genuine infeasibility: some variable has no dimension divisible by
-// K, or some slot no applicable strategy.
+// slots are independent). A "dp.pricing" span under p.Trace measures it and
+// attributes the price-cache traffic it caused; under parallel sibling solves
+// the shared-cache deltas are approximate, which is fine for display. An
+// error reports genuine infeasibility: some variable has no dimension
+// divisible by K, or some slot no applicable strategy.
 //
 // The Prepared keeps p, not a copy: Solve reads p.MaxStates, p.Parallelism,
 // p.Cancel and p.Trace when it runs, so a caller that prepared under one span
@@ -397,11 +389,9 @@ type slotSet struct {
 }
 
 // prepareSlotEvals builds every slot's evaluator and dense cost table,
-// fanning the pricing analyses across the worker pool. Each worker decides
-// first which of its slots keep the previous step's evaluator (Problem.Reuse)
-// and counts what the others need, then builds those in three exactly-sized
-// slabs — evaluators, variable lists, index lists. A reused evaluator costs
-// nothing here: slabs are never sized for work that is skipped.
+// fanning the pricing analyses across the worker pool. Each worker counts
+// first what its slots need, then builds them in three exactly-sized slabs —
+// evaluators, variable lists, index lists.
 func prepareSlotEvals(p *Problem) (*slotSet, error) {
 	alphas, err := buildAlphas(p)
 	if err != nil {
@@ -423,38 +413,23 @@ func prepareSlotEvals(p *Problem) (*slotSet, error) {
 			maxIn, maxSig = max(maxIn, len(s.Rep().Inputs)), max(maxSig, len(s.Sig))
 		}
 	}
-	var prev []*slotEval
-	if p.Reuse != nil && p.Reuse.k == p.K && p.Reuse.set != nil {
-		prev = p.Reuse.set.ordered
-	}
 	ranges := chunkRanges(nil, p.parallelism(), nSlots)
 	errs := make([]error, len(ranges))
 	runChunks(ranges, func(w, lo, hi int) {
-		rebuilt, touched, ins := 0, 0, 0
+		// An evaluator lists the slot's distinct variables (vars), and an
+		// index per entry of that list and per input (ints).
+		touched, ins := 0, 0
 		for i := lo; i < hi; i++ {
-			if i < len(prev) && prev[i].slot == slots[i] && prev[i].reusable(alphas) {
-				ss.ordered[i] = prev[i]
-				continue
-			}
-			// An evaluator lists the slot's distinct variables (vars), and an
-			// index per entry of that list and per input (ints).
-			rebuilt++
 			touched += touchedVars(slots[i])
 			ins += len(slots[i].In)
 		}
-		if rebuilt == 0 {
-			return
-		}
 		slabs := evalSlabs{
-			evs:  make([]slotEval, rebuilt),
+			evs:  make([]slotEval, hi-lo),
 			vars: make([]*coarsen.Var, touched),
 			ints: make([]int, touched+ins),
 		}
 		sc := newEvalScratch(maxIn, maxSig)
 		for i := lo; i < hi; i++ {
-			if ss.ordered[i] != nil {
-				continue
-			}
 			if ss.ordered[i], errs[w] = newSlotEval(p, slots[i], alphas, &sc, &slabs); errs[w] != nil {
 				return
 			}
@@ -464,10 +439,6 @@ func prepareSlotEvals(p *Problem) (*slotSet, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if p.Reuse != nil {
-		p.Reuse.k = p.K
-		p.Reuse.set = ss
 	}
 	return ss, nil
 }

@@ -36,12 +36,12 @@ func sameTables(t *testing.T, name string, got, want *Result) {
 }
 
 // TestMaterializeMatchesEvaluate walks every benchmark family down its factor
-// steps, with and without cross-step evaluator reuse. At each step the tables
-// a solved Result materializes from the evaluators it was solved on must equal
-// what Evaluate prices for the same assignment from freshly built evaluators —
-// the two ways a search fills a winner's step — materializing again must
-// change nothing, and the per-slot costs materialize sums must agree with the
-// cost the sweep accumulated group table by group table.
+// steps. At each step the tables a solved Result materializes from the
+// evaluators it was solved on must equal what Evaluate prices for the same
+// assignment from freshly built evaluators — the two ways a search fills a
+// winner's step — materializing again must change nothing, and the per-slot
+// costs materialize sums must agree with the cost the sweep accumulated group
+// table by group table.
 func TestMaterializeMatchesEvaluate(t *testing.T) {
 	for _, tc := range []struct {
 		cfg     models.Config
@@ -56,56 +56,51 @@ func TestMaterializeMatchesEvaluate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, withReuse := range []bool{false, true} {
-			p := problemFor(t, m, 0)
-			p.Cache = NewPriceCache()
-			if withReuse {
-				p.Reuse = &EvalReuse{}
+		p := problemFor(t, m, 0)
+		p.Cache = NewPriceCache()
+		for step, k := range tc.factors {
+			name := fmt.Sprintf("%s step %d (x%d)", tc.cfg.Family, step+1, k)
+			p.K = k
+			res, err := Solve(p)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			for step, k := range tc.factors {
-				name := fmt.Sprintf("%s step %d (x%d) reuse=%v", tc.cfg.Family, step+1, k, withReuse)
-				p.K = k
-				res, err := Solve(p)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if res.TensorCut != nil || res.OpStrategy != nil || res.OpComm != nil {
-					t.Fatalf("%s: Solve filled dense tables nobody asked for", name)
-				}
-				total, err := res.materialize()
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if math.Abs(total-res.CommBytes) > 1e-9*math.Abs(res.CommBytes) {
-					t.Fatalf("%s: slots sum to %v, the sweep found %v", name, total, res.CommBytes)
-				}
-				tc0, st0, oc0 := &res.TensorCut[0], &res.OpStrategy[0], &res.OpComm[0]
-				if err := res.Materialize(); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if &res.TensorCut[0] != tc0 || &res.OpStrategy[0] != st0 || &res.OpComm[0] != oc0 {
-					t.Fatalf("%s: materializing twice rebuilt the tables", name)
-				}
+			if res.TensorCut != nil || res.OpStrategy != nil || res.OpComm != nil {
+				t.Fatalf("%s: Solve filled dense tables nobody asked for", name)
+			}
+			total, err := res.materialize()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if math.Abs(total-res.CommBytes) > 1e-9*math.Abs(res.CommBytes) {
+				t.Fatalf("%s: slots sum to %v, the sweep found %v", name, total, res.CommBytes)
+			}
+			tc0, st0, oc0 := &res.TensorCut[0], &res.OpStrategy[0], &res.OpComm[0]
+			if err := res.Materialize(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if &res.TensorCut[0] != tc0 || &res.OpStrategy[0] != st0 || &res.OpComm[0] != oc0 {
+				t.Fatalf("%s: materializing twice rebuilt the tables", name)
+			}
 
-				// Evaluate builds its own evaluators: no Reuse, a cold cache.
-				q := *p
-				q.Reuse, q.Cache = nil, NewPriceCache()
-				want, err := Evaluate(&q, res.VarCut)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				sameTables(t, name, res, want)
-				if math.Float64bits(want.CommBytes) != math.Float64bits(total) {
-					t.Fatalf("%s: Evaluate prices %v, materialize summed %v", name, want.CommBytes, total)
-				}
+			// Evaluate builds its own evaluators from a cold cache.
+			q := *p
+			q.Cache = NewPriceCache()
+			want, err := Evaluate(&q, res.VarCut)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			sameTables(t, name, res, want)
+			if math.Float64bits(want.CommBytes) != math.Float64bits(total) {
+				t.Fatalf("%s: Evaluate prices %v, materialize summed %v", name, want.CommBytes, total)
+			}
 
-				for tid, dim := range res.TensorCut {
-					if dim < 0 {
-						continue
-					}
-					if err := p.Shapes[tid].SplitInPlace(dim, k); err != nil {
-						t.Fatal(err)
-					}
+			for tid, dim := range res.TensorCut {
+				if dim < 0 {
+					continue
+				}
+				if err := p.Shapes[tid].SplitInPlace(dim, k); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}

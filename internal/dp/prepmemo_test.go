@@ -54,7 +54,7 @@ func TestPreparedMemoMatchesFresh(t *testing.T) {
 			return fmt.Errorf("the hit is bound to another step's Problem")
 		}
 		q := *p
-		q.Reuse, q.Cache, q.Trace, q.Cancel, q.Parallelism = nil, nil, nil, nil, 1
+		q.Cache, q.Trace, q.Cancel, q.Parallelism = nil, nil, nil, 1
 		fresh, err := dp.Prepare(&q)
 		if err != nil {
 			return fmt.Errorf("a fresh preparation fails: %v", err)

@@ -109,8 +109,7 @@ var prepareAudit func(p *Problem, hit *Prepared)
 // Prepare returns p's preparation and whether it shares the slot set of an
 // earlier step of the search (a hit: no pricing work and no "dp.pricing"
 // span). A hit is bound to p, so a Solve on it reads p's MaxStates,
-// Parallelism, Cancel and Trace, and it leaves the shared set in p.Reuse
-// just as a build would.
+// Parallelism, Cancel and Trace.
 func (m *StepMemo) Prepare(p *Problem) (pr *Prepared, hit bool, err error) {
 	var buf [256]byte // a key is one byte per variable while no rank exceeds 7
 	key, ok := appendStepKey(buf[:0], p)
@@ -145,9 +144,6 @@ func (m *StepMemo) Prepare(p *Problem) (pr *Prepared, hit bool, err error) {
 	})
 	if built || e.err != nil {
 		return pr, !built, e.err
-	}
-	if p.Reuse != nil {
-		p.Reuse.k, p.Reuse.set = p.K, e.sl
 	}
 	pr = &Prepared{p: p, sl: e.sl}
 	if prepareAudit != nil {

@@ -31,7 +31,7 @@ type refState struct {
 // VarCut, States and Configs.
 func sweepReference(p *Problem) (*Result, error) {
 	q := *p
-	q.Reuse, q.Trace = nil, nil
+	q.Trace = nil
 	sl, err := prepareSlotEvals(&q)
 	if err != nil {
 		return nil, err
@@ -341,8 +341,9 @@ func TestSweepMatchesReference(t *testing.T) {
 }
 
 // TestSweepLazySlots forces the lazily priced path (no dense slot table,
-// which no model reaches on its own) on every other slot and checks the
-// kernel still matches both the reference and the fully tabled solve.
+// which no model reaches on its own) on every other slot of one preparation,
+// checks that sweeps on it still match the fully tabled solve, and checks
+// that the lazy path really priced something.
 func TestSweepLazySlots(t *testing.T) {
 	m, err := models.Build(models.Config{Family: "transformer", Depth: 1, Width: 64, Batch: 8})
 	if err != nil {
@@ -354,19 +355,27 @@ func TestSweepLazySlots(t *testing.T) {
 	p := problemFor(t, m, 2)
 	p.bound = boundOff
 	tabled := solveDense(t, p)
-	p.Reuse = &EvalReuse{}
-	if _, err := Solve(p); err != nil {
+	pr, err := Prepare(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, ev := range p.Reuse.set.ordered {
+	var blanked []*slotEval
+	for i, ev := range pr.sl.ordered {
 		if i%2 == 0 {
 			ev.costT, ev.bestT, ev.memo = nil, nil, map[int]slotBest{}
+			blanked = append(blanked, ev)
 		}
 	}
 	for _, par := range []int{1, 8} {
 		for _, mode := range []boundMode{boundOff, boundForced} {
 			p.Parallelism, p.bound = par, mode
-			got := solveDense(t, p)
+			got, err := pr.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Materialize(); err != nil {
+				t.Fatal(err)
+			}
 			at := fmt.Sprintf("lazy slots, parallelism %d, bound %s", par, boundModes[mode])
 			if mode == boundOff {
 				sameSearch(t, at, got, tabled)
@@ -375,5 +384,12 @@ func TestSweepLazySlots(t *testing.T) {
 			}
 			sameTables(t, at, got, tabled)
 		}
+	}
+	priced := 0
+	for _, ev := range blanked {
+		priced += len(ev.memo)
+	}
+	if priced == 0 {
+		t.Fatalf("no blanked slot priced lazily (%d blanked): the sweeps never took the lazy path", len(blanked))
 	}
 }

@@ -336,22 +336,6 @@ func (ev *slotEval) fill(full *partition.Priced, keep []bool, size int, inCuts [
 	return t, nil
 }
 
-// reusable reports whether this evaluator, built at an earlier step with the
-// same K, is exact under alphas: whether every touched variable's alphabet
-// is unchanged. The evaluator's strategies (admits), table layout and
-// entries are functions of K and those alphabets, so a fresh build would be
-// identical. See Problem.Reuse.
-//
-//tofu:hotpath once per carried slot per preparation; enforced by tofu-vet/hotalloc
-func (ev *slotEval) reusable(alphas []varAlpha) bool {
-	for _, v := range ev.tvars {
-		if !slices.Equal(ev.alphas[v.ID].dims, alphas[v.ID].dims) {
-			return false
-		}
-	}
-	return true
-}
-
 // price runs the legacy per-call pricing for one digit cross-product index:
 // decode the index into per-position cuts and take the cheapest strategy.
 // The returned cost is pre-multiplied by the slot multiplicity.

@@ -90,65 +90,6 @@ func TestTablesMatchDirectPricing(t *testing.T) {
 	}
 }
 
-// TestEvalReuseMatchesFresh drives two consecutive equal-factor steps the
-// way the recursive driver does — solve, divide shapes, solve again — and
-// checks the reused evaluators produce exactly the fresh ones' result.
-func TestEvalReuseMatchesFresh(t *testing.T) {
-	m, err := models.RNN(2, 512, 32, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	step := func(reuse *EvalReuse, shapes map[int]shape.Shape) *Result {
-		t.Helper()
-		p := problemFor(t, m, 2)
-		p.Shapes = shapes
-		p.Reuse = reuse
-		return solveDense(t, p)
-	}
-	divide := func(shapes map[int]shape.Shape, res *Result) map[int]shape.Shape {
-		t.Helper()
-		next := make(map[int]shape.Shape, len(shapes))
-		for tid, s := range shapes {
-			next[tid] = s.Clone()
-		}
-		for tid, dim := range res.TensorCut {
-			if dim < 0 {
-				continue
-			}
-			if err := next[tid].SplitInPlace(dim, 2); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return next
-	}
-	orig := func() map[int]shape.Shape {
-		shapes := make(map[int]shape.Shape, len(m.G.Tensors))
-		for _, ten := range m.G.Tensors {
-			shapes[ten.ID] = ten.Shape.Clone()
-		}
-		return shapes
-	}
-
-	reuse := &EvalReuse{}
-	r1 := step(reuse, orig())
-	divided := divide(orig(), r1)
-	got := step(reuse, divided)
-
-	fresh1 := step(nil, orig())
-	want := step(nil, divide(orig(), fresh1))
-
-	if got.CommBytes != want.CommBytes || got.States != want.States || got.Configs != want.Configs {
-		t.Fatalf("reused step: (cost, states, configs) = (%g, %d, %d), fresh = (%g, %d, %d)",
-			got.CommBytes, got.States, got.Configs, want.CommBytes, want.States, want.Configs)
-	}
-	for id, dim := range want.VarCut {
-		if got.VarCut[id] != dim {
-			t.Fatalf("reused step cut var %d along %d, fresh chose %d", id, got.VarCut[id], dim)
-		}
-	}
-	sameTables(t, "reused step", got, want)
-}
-
 // TestStepMemoMatch pins what the step memo shares. Two preparations of one
 // problem through one memo share a slot set, and the second solve replays
 // the first while owning its VarCut; a division that drops a cut dimension
@@ -254,13 +195,13 @@ func TestStepMemoMatch(t *testing.T) {
 		}
 	}
 
-	p.Cache, p.Reuse = NewPriceCache(), &EvalReuse{}
+	p.Cache = NewPriceCache()
 	p.Cache.tableBudget = 0
 	var chain StepMemo
 	replays := 0
 	for step := 1; step <= 3; step++ {
 		fresh := *p
-		fresh.Reuse, fresh.Cache = nil, nil
+		fresh.Cache = nil
 		freshPr, err := Prepare(&fresh)
 		if err != nil {
 			t.Fatal(err)

@@ -109,10 +109,6 @@ type prefixState struct {
 	res    *dp.Result
 	shapes map[int]shape.Shape
 	err    error
-	// reuse is the evaluator carrier the prefix's own step was prepared
-	// with; each child's preparation starts from a copy, so an equal-factor
-	// child keeps the evaluators that are still exact at its shapes.
-	reuse dp.EvalReuse
 
 	// lastDelta maps factor -> the realized δ of that factor's most recent
 	// occurrence in this prefix. Shapes only shrink down a branch, so a
@@ -128,12 +124,11 @@ type prefixState struct {
 }
 
 // lbQuery is one (prefix, next factor) step, prepared once. prob is the
-// Problem prep holds and reuse its evaluator carrier; only the child
-// prefix's computeStep touches them after the once.
+// Problem prep holds; only the child prefix's computeStep touches it after
+// the once.
 type lbQuery struct {
 	once  sync.Once
 	prob  dp.Problem
-	reuse dp.EvalReuse
 	prep  *dp.Prepared
 	delta float64
 	err   error
@@ -310,7 +305,6 @@ func (s *orderSearch) computeStep(ps *prefixState, st *obs.Span) {
 	if replayed {
 		st.SetInt("replayed", 1)
 	}
-	ps.reuse = q.reuse
 	if ps.depth == len(s.pool) {
 		ps.err = divideShapes(s.c, par.shapes, res.VarCut, ps.factor, false)
 	} else {
@@ -336,11 +330,6 @@ func (s *orderSearch) computeStep(ps *prefixState, st *obs.Span) {
 // call is the one that prepares; when the search's step memo shares an
 // earlier prefix's preparation instead, there is no pricing span, and a
 // trace other than the search's own is marked prepare_hit=1.
-//
-// A preparation the memo does not share starts from a copy of the evaluator
-// carrier the prefix's own step was prepared with, so a factor equal to the
-// prefix's last one keeps every evaluator whose touched alphabets are
-// unchanged (dp.Problem.Reuse).
 func (s *orderSearch) lowerBoundFor(ps *prefixState, f int64, trace *obs.Span) *lbQuery {
 	ps.lbMu.Lock()
 	q, ok := ps.lb[f]
@@ -350,7 +339,6 @@ func (s *orderSearch) lowerBoundFor(ps *prefixState, f int64, trace *obs.Span) *
 	}
 	ps.lbMu.Unlock()
 	q.once.Do(func() {
-		q.reuse = ps.reuse
 		q.prob = dp.Problem{
 			Coarse:         s.c,
 			K:              f,
@@ -360,7 +348,6 @@ func (s *orderSearch) lowerBoundFor(ps *prefixState, f int64, trace *obs.Span) *
 			MaxStates:      s.opts.MaxStates,
 			Parallelism:    s.opts.Parallelism,
 			Cache:          s.cache,
-			Reuse:          &q.reuse,
 			Trace:          trace,
 			Cancel:         s.opts.Cancel,
 		}

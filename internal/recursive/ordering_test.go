@@ -180,8 +180,7 @@ func TestOrderingSpaceGuard(t *testing.T) {
 // too and so also have ceilings: a rise there is a change of policy, not
 // noise. The steps (swept or replayed) pin the prefix sharing, the sweeps
 // the step memo. So do the dense-table lookups the search's preparations
-// make at parallelism 1: an equal-factor child reuses its parent step's
-// evaluators, which look nothing up.
+// make at parallelism 1: a preparation the step memo shares looks nothing up.
 func TestOrderingSearchEffort(t *testing.T) {
 	cases := []struct {
 		prof             string
@@ -195,18 +194,17 @@ func TestOrderingSearchEffort(t *testing.T) {
 		// All-2 pools, one prefix per depth: every step after the first
 		// replays its sweep. A preparation whose factor and alphabets repeat
 		// an earlier prefix's shares its slot set and looks up no table
-		// (dp.StepMemo.Prepare); the others keep each evaluator whose
-		// touched alphabets the parent step left unchanged
-		// (dp.Problem.Reuse). With neither, these preparations looked up
-		// 596, 216 and 252 tables.
+		// (dp.StepMemo.Prepare); the others look up every slot's table.
+		// Without the memo, these preparations looked up 596, 216 and 252
+		// tables.
 		{"cluster-2x8", models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}, 4, 10, 0, 4, 1, 149},
 		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 3, Width: 2048, Batch: 128}, 60, 129, 0, 6, 1, 36},
 		{"cluster-8x2x8", models.Config{Family: "mlp", Depth: 3, Width: 4096, Batch: 256}, 140, 308, 0, 7, 1, 36},
 		// The two 4-level profiles, the only ones here where pruning fires.
 		// The transformer's 34 preparations are 3 distinct ones repeated:
 		// before they were shared, it looked up 2 276 tables.
-		{"cluster-2x4x2x12", models.Config{Family: "transformer", Depth: 2, Width: 1536, Batch: 24}, 1260, 676, 801, 34, 3, 371},
-		{"cluster-2x8x2x8", models.Config{Family: "mlp", Depth: 3, Width: 3072, Batch: 48}, 1120, 225, 312, 8, 2, 44},
+		{"cluster-2x4x2x12", models.Config{Family: "transformer", Depth: 2, Width: 1536, Batch: 24}, 1260, 676, 801, 34, 3, 396},
+		{"cluster-2x8x2x8", models.Config{Family: "mlp", Depth: 3, Width: 3072, Batch: 48}, 1120, 225, 312, 8, 2, 72},
 	}
 	for _, c := range cases {
 		tp, err := topo.Profile(c.prof)

@@ -353,10 +353,7 @@ func runSteps(c *coarsen.Coarse, k int64, factors []int64, levels []int,
 	w := &winner{plan: p, results: make([]*dp.Result, 0, len(factors)), final: shapes}
 	mult := int64(1)
 	// A step whose factor and alphabets repeat an earlier step's shares its
-	// preparation and replays its sweep (dp.StepMemo); consecutive
-	// equal-factor steps otherwise reuse unchanged slot evaluators (same
-	// Coarse, DType and filter throughout — see dp.Problem.Reuse).
-	reuse := &dp.EvalReuse{}
+	// preparation and replays its sweep (dp.StepMemo).
 	var memo dp.StepMemo
 	for i, ki := range factors {
 		if opts.Cancel.Cancelled() {
@@ -380,7 +377,6 @@ func runSteps(c *coarsen.Coarse, k int64, factors []int64, levels []int,
 			MaxStates:      opts.MaxStates,
 			Parallelism:    opts.Parallelism,
 			Cache:          cache,
-			Reuse:          reuse,
 			Trace:          st,
 			Cancel:         opts.Cancel,
 		})
