@@ -18,7 +18,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 	"time"
 
 	"tofu/internal/experiments"
@@ -40,9 +39,7 @@ func main() {
 		"write a pprof heap profile (after a final GC) to this file at exit")
 	flag.Parse()
 
-	// stopProfile is idempotent and runs on every exit path: fatalf below
-	// calls it before os.Exit, so a failing run still writes a valid profile.
-	stopProfile := func() {}
+	stopCPUProfile := func() {}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -51,42 +48,40 @@ func main() {
 		if err := pprof.StartCPUProfile(f); err != nil {
 			log.Fatal(err)
 		}
-		var once sync.Once
-		stopProfile = func() {
-			once.Do(func() {
-				pprof.StopCPUProfile()
-				if err := f.Close(); err != nil {
-					log.Print(err)
-				}
-			})
+		stopCPUProfile = func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				log.Print(err)
+			}
 		}
-		defer stopProfile()
 	}
-	// The heap profile follows the same idempotent every-exit-path pattern.
-	writeHeapProfile := func() {}
-	if *memProfile != "" {
-		var once sync.Once
-		writeHeapProfile = func() {
-			once.Do(func() {
-				f, err := os.Create(*memProfile)
-				if err != nil {
-					log.Print(err)
-					return
-				}
-				runtime.GC() // count only live heap, as `go test -memprofile` does
-				if err := pprof.WriteHeapProfile(f); err != nil {
-					log.Print(err)
-				}
-				if err := f.Close(); err != nil {
-					log.Print(err)
-				}
-			})
+	writeHeapProfile := func() {
+		if *memProfile == "" {
+			return
 		}
-		defer writeHeapProfile()
+		f, err := os.Create(*memProfile)
+		if err != nil {
+			log.Print(err)
+			return
+		}
+		runtime.GC() // count only live heap, as `go test -memprofile` does
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			log.Print(err)
+		}
+		if err := f.Close(); err != nil {
+			log.Print(err)
+		}
 	}
-	fatalf := func(format string, args ...any) {
+	// finish writes both profiles. It runs on every exit path: deferred on
+	// success, and from fatalf before os.Exit, which skips deferred calls,
+	// so a failing run still writes valid profiles.
+	finish := func() {
 		writeHeapProfile()
-		stopProfile()
+		stopCPUProfile()
+	}
+	defer finish()
+	fatalf := func(format string, args ...any) {
+		finish()
 		log.Fatalf(format, args...)
 	}
 
@@ -96,37 +91,19 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	type driver struct {
-		name string
-		run  func() (string, error)
-	}
-	drivers := []driver{
-		{"table1", func() (string, error) { return experiments.Table1(opts, tp) }},
-		{"table2", func() (string, error) { return experiments.Table2(opts) }},
-		{"table3", func() (string, error) { return experiments.Table3(opts, tp) }},
-		{"fig8", func() (string, error) { return experiments.Figure8(opts, tp) }},
-		{"fig9", func() (string, error) { return experiments.Figure9(opts, tp) }},
-		{"fig10", func() (string, error) { return experiments.Figure10(opts, tp) }},
-		{"fig11", func() (string, error) { return experiments.Figure11(opts) }},
-		{"ablations", func() (string, error) { return experiments.Ablations(opts, tp) }},
-		{"crosstopo", func() (string, error) { return experiments.CrossTopology(opts, tp) }},
-		{"orderings", func() (string, error) { return experiments.Orderings(opts, tp) }},
-		{"hybrid", func() (string, error) { return experiments.Hybrid(opts, tp) }},
-	}
-
 	ran := false
-	for _, d := range drivers {
-		if *exp != "all" && *exp != d.name {
+	for _, d := range experiments.Drivers(opts, tp) {
+		if *exp != "all" && *exp != d.Name {
 			continue
 		}
 		ran = true
 		start := time.Now()
-		out, err := d.run()
+		out, err := d.Run()
 		if err != nil {
-			fatalf("%s: %v", d.name, err)
+			fatalf("%s: %v", d.Name, err)
 		}
 		fmt.Println(out)
-		fmt.Printf("[%s completed in %v]\n\n", d.name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s completed in %v]\n\n", d.Name, time.Since(start).Round(time.Millisecond))
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)

@@ -22,14 +22,15 @@ var (
 )
 
 // TestDocIdentifiersResolve checks that every backticked pkg.Name in
-// DESIGN.md, README.md, bench/README.md and the skill notes, with pkg the
-// tofu package or a package under internal/ and Name exported, names a
-// declaration of that package (a method counts) — so deleting or renaming
-// an API fails here until the prose follows. In the three READMEs and
-// DESIGN.md it also resolves every backticked Test*, Benchmark* or Fuzz*
-// name to a function of some _test.go file, and every backticked span that
-// is a file path ending .go, .json, .sh, .md or .yml to a repository file
-// (the skill notes also name files that are gone, on purpose).
+// DESIGN.md, EXPERIMENTS.md, README.md, bench/README.md and the skill
+// notes, with pkg the tofu package or a package under internal/ and Name
+// exported, names a declaration of that package (a method counts) — so
+// deleting or renaming an API fails here until the prose follows. In all
+// but the skill notes it also resolves every backticked Test*, Benchmark*
+// or Fuzz* name to a function of some _test.go file, and every backticked
+// span that is a file path ending .go, .json, .sh, .md or .yml to a
+// repository file (the skill notes also name files that are gone, on
+// purpose).
 func TestDocIdentifiersResolve(t *testing.T) {
 	decls := packageDecls(t)
 	tests, files := repoTestsAndFiles(t)
@@ -37,7 +38,7 @@ func TestDocIdentifiersResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refDocs := []string{"DESIGN.md", "README.md", "bench/README.md"}
+	refDocs := []string{"DESIGN.md", "EXPERIMENTS.md", "README.md", "bench/README.md"}
 	for i, doc := range append(refDocs, skills...) {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -63,6 +64,21 @@ func TestDocIdentifiersResolve(t *testing.T) {
 			if repoPath.MatchString(span[1]) && !pathResolves(files, span[1]) {
 				t.Errorf("%s: `%s` is no repository file", doc, span[1])
 			}
+		}
+	}
+}
+
+// TestDocSizeBudget keeps the two long documents to what they describe:
+// EXPERIMENTS.md holds the paper artifacts, the current ledger and one line
+// per PR, and DESIGN.md the design as it stands. Their history is in git.
+func TestDocSizeBudget(t *testing.T) {
+	for doc, limit := range map[string]int{"EXPERIMENTS.md": 800, "DESIGN.md": 1000} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(raw), "\n"); n >= limit {
+			t.Errorf("%s has %d lines; keep it under %d", doc, n, limit)
 		}
 	}
 }

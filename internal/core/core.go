@@ -24,7 +24,8 @@ import (
 
 // Options configure the pipeline.
 type Options struct {
-	// Search forwards to the recursive partitioner.
+	// Search forwards to the recursive partitioner; leave its Trace and
+	// Cancel nil, Partition sets them from the two fields below.
 	Search recursive.Options
 	// Gen toggles the Sec 6 graph-generation optimizations.
 	Gen graphgen.Options
@@ -86,10 +87,10 @@ type Summary struct {
 	Memory memplan.Report
 	// SearchTime is the wall-clock cost of the search (Table 1's metric).
 	SearchTime time.Duration
-	// Search reports the search's effort: every counter of a topology-aware
-	// ordering search; only DPSolves and Replays for flat machines and
-	// topology-blind searches (Orderings is 0 there); zero for pipeline
-	// searches, whose effort is Hybrid.Stats.
+	// Search reports the search's effort: every counter of an ordering
+	// search, TopologyNaive's one-ordering search included; only DPSolves
+	// and Replays when none runs (flat machine, explicit factors, k unequal
+	// to the GPU count); zero for pipelines, whose effort is Hybrid.Stats.
 	Search recursive.SearchStats
 	// Hybrid is the joint pipeline-and-partition result when Options.Pipeline
 	// requested one: per-stage plans and execution structures. Plan then
@@ -110,6 +111,9 @@ type Summary struct {
 // The graph is validated once, by the coarsening both searches start from;
 // an invalid graph fails with a "core: " error before any search runs.
 func Partition(g *graph.Graph, k int64, opts Options) (*Summary, error) {
+	if opts.Search.Trace != nil || opts.Search.Cancel != nil {
+		return nil, fmt.Errorf("core: set the trace and the cancel token via Options.Trace and Options.Cancel, not Search")
+	}
 	if opts.Pipeline != nil {
 		return partitionHybrid(g, k, opts)
 	}
@@ -124,12 +128,7 @@ func Partition(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 	if search.Stats == nil {
 		search.Stats = &recursive.SearchStats{}
 	}
-	if search.Trace == nil {
-		search.Trace = opts.Trace
-	}
-	if search.Cancel == nil {
-		search.Cancel = opts.Cancel
-	}
+	search.Trace, search.Cancel = opts.Trace, opts.Cancel
 	// Coarsen once: the search and the summary below read the same Coarse.
 	start := time.Now()
 	co, err := recursive.Coarsen(g, search.Trace)

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"tofu/internal/cancel"
 	"tofu/internal/graph"
 	"tofu/internal/models"
+	"tofu/internal/obs"
 	"tofu/internal/partition"
 	"tofu/internal/recursive"
 	"tofu/internal/sim"
@@ -157,6 +159,55 @@ func TestPartitionRejectsMisnumberedTensors(t *testing.T) {
 		m.G.Tensors = corrupt(m.G.Tensors)
 		if _, err := Partition(m.G, 2, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "tensor") {
 			t.Errorf("misnumbered tensors: err = %v, want a validation error", err)
+		}
+	}
+}
+
+// TestTraceAndCancelComeFromOptions: Options.Trace and Options.Cancel reach
+// the tensor search and the pipeline search alike, and the Search-level
+// copies of both are rejected on both paths rather than preferred on one
+// and ignored on the other.
+func TestTraceAndCancelComeFromOptions(t *testing.T) {
+	m, err := models.MLP(2, 64, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := topo.Cluster2x8Topology()
+	pipelined := DefaultOptions()
+	pipelined.Topology, pipelined.Pipeline = &cl, &PipelineSpec{}
+	for _, c := range []struct {
+		k    int64
+		opts Options
+	}{{8, DefaultOptions()}, {int64(cl.NumGPUs()), pipelined}} {
+		path := "tensor"
+		if c.opts.Pipeline != nil {
+			path = "pipeline"
+		}
+		for _, set := range []func(o *Options){
+			func(o *Options) { o.Search.Trace = obs.NewSpan("search") },
+			func(o *Options) { o.Search.Cancel = cancel.New() },
+		} {
+			o := c.opts
+			set(&o)
+			if _, err := Partition(m.G, c.k, o); err == nil || !strings.Contains(err.Error(), "Options.Trace and Options.Cancel") {
+				t.Errorf("%s: Search-level trace or token: err = %v, want a core: rejection", path, err)
+			}
+		}
+
+		o := c.opts
+		o.Trace = obs.NewSpan("partition")
+		if _, err := Partition(m.G, c.k, o); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if kids := o.Trace.Children(); len(kids) == 0 || kids[0].Name() != "coarsen" {
+			t.Errorf("%s: Options.Trace recorded %d children, want the coarsen span first", path, len(kids))
+		}
+
+		o = c.opts
+		o.Cancel = cancel.New()
+		o.Cancel.Cancel(cancel.NewReason("stop"))
+		if _, err := Partition(m.G, c.k, o); !cancel.IsCancellation(err) {
+			t.Errorf("%s: pre-cancelled Options.Cancel: err = %v, want a cancellation", path, err)
 		}
 	}
 }

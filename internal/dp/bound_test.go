@@ -89,8 +89,8 @@ func tieHeavy(pr *Prepared, rng *rand.Rand) {
 // tie-heavy tables over random and fan graphs, where ties, zero-cost optima
 // and rounding put optimal-path states right at the cut. Dropping the slack,
 // cutting with the floor of the group just swept (F[g] for F[g+1]) or
-// cutting states that reach the limit exactly each fail it; EXPERIMENTS.md,
-// "Bound-pruned sweep", has the log.
+// cutting states that reach the limit exactly each fail it (the log is in
+// EXPERIMENTS.md as of commit 2cd84ab, "Bound-pruned sweep").
 func TestBoundedSweepMatchesExhaustive(t *testing.T) {
 	for _, c := range sweepCases(t) {
 		for _, beam := range c.beams {

@@ -11,7 +11,33 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"tofu/internal/topo"
 )
+
+// Driver is one artifact of tofu-bench's -exp flag: its name and its run.
+type Driver struct {
+	Name string
+	Run  func() (string, error)
+}
+
+// Drivers lists every artifact driver in the order tofu-bench prints them,
+// bound to o and the machine tp.
+func Drivers(o Opts, tp topo.Topology) []Driver {
+	return []Driver{
+		{"table1", func() (string, error) { return Table1(o, tp) }},
+		{"table2", func() (string, error) { return Table2(o) }},
+		{"table3", func() (string, error) { return Table3(o, tp) }},
+		{"fig8", func() (string, error) { return Figure8(o, tp) }},
+		{"fig9", func() (string, error) { return Figure9(o, tp) }},
+		{"fig10", func() (string, error) { return Figure10(o, tp) }},
+		{"fig11", func() (string, error) { return Figure11(o) }},
+		{"ablations", func() (string, error) { return Ablations(o, tp) }},
+		{"crosstopo", func() (string, error) { return CrossTopology(o, tp) }},
+		{"orderings", func() (string, error) { return Orderings(o, tp) }},
+		{"hybrid", func() (string, error) { return Hybrid(o, tp) }},
+	}
+}
 
 // table renders rows with aligned columns.
 type table struct {

@@ -407,7 +407,7 @@ func TestOrderingSearchSupersedesBlockFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := weightedComm(p, tp)
+	best := CommTime(p, tp)
 
 	if st.Orderings != 180 {
 		t.Fatalf("orderings = %d, want 180", st.Orderings)
@@ -438,7 +438,7 @@ func TestOrderingSearchSupersedesBlockFallback(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if cost := weightedComm(pb.plan, tp); blockBest < 0 || cost < blockBest {
+		if cost := CommTime(pb.plan, tp); blockBest < 0 || cost < blockBest {
 			blockBest = cost
 		}
 	}
@@ -450,5 +450,42 @@ func TestOrderingSearchSupersedesBlockFallback(t *testing.T) {
 	}
 	if steps := st.DPSolves + st.Replays; steps*5 > st.FlatDPSolves {
 		t.Errorf("dp steps %d not >=5x below flat %d over the full space", steps, st.FlatDPSolves)
+	}
+}
+
+// TestSearchStatsByMode pins which counters each search mode fills. Only a
+// search that runs no ordering search reports Orderings 0: a flat machine,
+// or a hierarchical one with explicit Factors. A TopologyNaive search on a
+// hierarchical machine costs its one hierarchy-following ordering, so it
+// reports that ordering as costed and expanded, with one flat-DP step per
+// factor of the pool.
+func TestSearchStatsByMode(t *testing.T) {
+	m, err := models.Build(models.Config{Family: "mlp", Depth: 4, Width: 256, Batch: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := topo.Cluster2x8Topology()
+	flat := topo.DefaultTopology()
+	for _, c := range []struct {
+		name  string
+		opts  Options
+		want  SearchStats // without the step counters and BestCost
+		steps int         // DPSolves + Replays
+	}{
+		{"naive", Options{Topology: &cl, TopologyNaive: true},
+			SearchStats{Orderings: 1, Leaves: 1, Expanded: 1, FlatDPSolves: 4}, 4},
+		{"factors", Options{Topology: &cl, Factors: []int64{4, 4}}, SearchStats{}, 2},
+		{"flat", Options{Topology: &flat}, SearchStats{}, 3},
+	} {
+		var st SearchStats
+		c.opts.Parallelism, c.opts.Stats = 1, &st
+		if _, err := Partition(m.G, int64(c.opts.Topology.NumGPUs()), c.opts); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		steps := st.DPSolves + st.Replays
+		st.DPSolves, st.Replays, st.BestCost = 0, 0, 0
+		if st != c.want || steps != c.steps {
+			t.Errorf("%s: stats %+v with %d dp steps, want %+v with %d", c.name, st, steps, c.want, c.steps)
+		}
 	}
 }

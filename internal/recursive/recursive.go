@@ -69,8 +69,8 @@ type Options struct {
 	// before/after benchmark baseline, not a production mode.
 	TopoExhaustive bool
 	// Stats, when non-nil, receives the search-effort counters: all of them
-	// for a topology-aware Partition call, only DPSolves and Replays in flat
-	// mode (Orderings stays 0 there).
+	// on a hierarchical Topology (a TopologyNaive search reports its one
+	// ordering), only DPSolves and Replays in flat mode (Orderings 0).
 	Stats *SearchStats
 	// Trace, if non-nil, records the search's span tree under the given
 	// parent: "coarsen", per-factor "recursive.step" spans (each wrapping
@@ -507,7 +507,7 @@ func partitionTopoFlat(c *coarsen.Coarse, k int64, tp topo.Topology,
 			continue
 		}
 		stats.Leaves++
-		cost := weightedComm(w.plan, tp)
+		cost := CommTime(w.plan, tp)
 		if best == nil || cost < bestCost {
 			best, bestCost = w, cost
 		}
@@ -532,15 +532,9 @@ func partitionTopoFlat(c *coarsen.Coarse, k int64, tp topo.Topology,
 // not a byte count. The hybrid pipeline search prices each stage's sub-plan
 // with it on the stage sub-machine.
 func CommTime(p *plan.Plan, tp topo.Topology) float64 {
-	return weightedComm(p, tp)
-}
-
-// weightedComm is the topology objective: per-step communication divided by
-// the bandwidth of the level it crosses — a time, not a byte count.
-func weightedComm(p *plan.Plan, topo topo.Topology) float64 {
 	t := 0.0
 	for _, s := range p.Steps {
-		t += s.CommBytes / topo.LevelBandwidth(s.Level)
+		t += s.CommBytes / tp.LevelBandwidth(s.Level)
 	}
 	return t
 }

@@ -65,7 +65,7 @@ func TestTopologyAwareNeverWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if weightedComm(awarePlan, tp) > weightedComm(naivePlan, tp) {
+		if CommTime(awarePlan, tp) > CommTime(naivePlan, tp) {
 			t.Errorf("%s: aware weighted comm exceeds naive", tp.Name)
 		}
 	}

@@ -15,8 +15,8 @@ import (
 )
 
 // coldPlans pins the plan JSON of the repository benchmark's twelve cold
-// cases (bench/workloads/cold-*.json) by sha256 — the list EXPERIMENTS.md has
-// carried unchanged since PR 12. Search-speed work must keep every byte.
+// cases (bench/workloads/cold-*.json) by sha256. Search-speed work must keep
+// every byte.
 var coldPlans = []struct{ request, sha256 string }{
 	{`{"model":{"family":"wresnet","depth":50,"width":4,"batch":32}}`,
 		"c192214581df687ae6104a00376d970f97aa793d4bd74689211d0146172cc56a"},

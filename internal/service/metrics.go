@@ -60,7 +60,7 @@ type Metrics struct {
 
 func (m *Metrics) observeOrderingSearch(st recursive.SearchStats) {
 	if st.Orderings == 0 {
-		return // flat machine or topology-blind search
+		return // no ordering search: a flat machine or explicit factors
 	}
 	m.searchOrderings.Add(int64(st.Orderings))
 	m.searchSteps.Add(int64(st.Expanded))
