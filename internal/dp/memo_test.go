@@ -297,8 +297,8 @@ func TestTableMemoBypassedByLazySlots(t *testing.T) {
 
 // TestTableMemoConcurrent: solves racing on one PriceCache (run under -race)
 // return exactly what a serial, cache-less solve returns. Then steps of one
-// Coarse racing on one StepMemo as well return it too, whichever of them
-// swept and whichever replayed.
+// Coarse solved through one StepMemo return it too, the first swept and the
+// rest replayed.
 func TestTableMemoConcurrent(t *testing.T) {
 	m, err := models.Build(models.Config{Family: "wresnet", Depth: 50, Width: 2, Batch: 16})
 	if err != nil {
@@ -346,17 +346,14 @@ func TestTableMemoConcurrent(t *testing.T) {
 		p := problemFor(t, m, 2)
 		p.Coarse = serial.Coarse
 		p.Cache, p.Parallelism = cache, 2
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pr, err := Prepare(p)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			got[w], _, errs[w] = memo.Solve(pr)
-		}(w)
+		pr, _, err := memo.Prepare(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var replayed bool
+		if got[w], replayed, errs[w] = memo.Solve(pr); replayed != (w > 0) {
+			t.Errorf("step %d: replayed = %v", w, replayed)
+		}
 	}
-	wg.Wait()
 	check("step memo")
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"maps"
-	"sync"
 
 	"tofu/internal/coarsen"
 	"tofu/internal/graph"
@@ -33,24 +32,21 @@ import (
 // A memo serves one search: one Coarse, one DType and one strategy filter,
 // which its keys do not name. It refuses a second coarsening (bind), so a
 // memo cannot outlive a segment whose scratch-backed Coarse the next segment
-// reuses. The zero value is an empty memo, safe for concurrent use. Failed
-// sweeps are not recorded. Failed preparations are, their errors being
-// functions of the key too, except where no key can be built: a variable
-// with an empty alphabet, whose error names the shape that emptied it, is
-// prepared outside the memo.
+// reuses. The zero value is an empty memo. A memo is not safe for concurrent
+// use: each search calls its own from one goroutine. Failed sweeps are not
+// recorded. Failed preparations are, their errors being functions of the key
+// too, except where no key can be built: a variable with an empty alphabet,
+// whose error names the shape that emptied it, is prepared outside the memo.
 type StepMemo struct {
-	mu       sync.Mutex
 	scope    coarseScope
-	prepared map[string]*preparedStep
+	prepared map[string]preparedStep
 	swept    []sweptStep
 }
 
-// preparedStep is one distinct preparation; the first caller for its key
-// builds it and concurrent ones wait, as in PriceCache.
+// preparedStep is one distinct preparation: its slot set, or why it failed.
 type preparedStep struct {
-	once sync.Once
-	sl   *slotSet
-	err  error
+	sl  *slotSet
+	err error
 }
 
 // sweptStep is one distinct sweep — a prepared slot set swept under a
@@ -85,7 +81,6 @@ func scopeOf(c *coarsen.Coarse) coarseScope {
 }
 
 // bind ties the memo to c on first use and refuses any other coarsening.
-// The caller holds m.mu.
 func (m *StepMemo) bind(c *coarsen.Coarse) error {
 	sc := scopeOf(c)
 	if m.scope.c == nil {
@@ -113,43 +108,34 @@ var prepareAudit func(p *Problem, hit *Prepared)
 func (m *StepMemo) Prepare(p *Problem) (pr *Prepared, hit bool, err error) {
 	var buf [256]byte // a key is one byte per variable while no rank exceeds 7
 	key, ok := appendStepKey(buf[:0], p)
-	m.mu.Lock()
 	if err := m.bind(p.Coarse); err != nil {
-		m.mu.Unlock()
 		return nil, false, err
 	}
-	var e *preparedStep
-	if ok {
-		if e = m.prepared[string(key)]; e == nil {
-			if m.prepared == nil {
-				m.prepared = map[string]*preparedStep{}
-			}
-			e = &preparedStep{}
-			m.prepared[string(key)] = e
-		}
-	}
-	m.mu.Unlock()
-	if e == nil {
+	if !ok {
 		// An empty alphabet, whose error Prepare reports with the shape that
 		// emptied it, or a rank beyond the key's bit set.
 		pr, err = Prepare(p)
 		return pr, false, err
 	}
-	built := false
-	e.once.Do(func() {
-		built = true
-		if pr, e.err = Prepare(p); e.err == nil {
-			e.sl = pr.sl
+	if e, ok := m.prepared[string(key)]; ok {
+		if e.err != nil {
+			return nil, true, e.err
 		}
-	})
-	if built || e.err != nil {
-		return pr, !built, e.err
+		pr = &Prepared{p: p, sl: e.sl}
+		if prepareAudit != nil {
+			prepareAudit(p, pr)
+		}
+		return pr, true, nil
 	}
-	pr = &Prepared{p: p, sl: e.sl}
-	if prepareAudit != nil {
-		prepareAudit(p, pr)
+	e := preparedStep{}
+	if pr, e.err = Prepare(p); e.err == nil {
+		e.sl = pr.sl
 	}
-	return pr, true, nil
+	if m.prepared == nil {
+		m.prepared = map[string]preparedStep{}
+	}
+	m.prepared[string(key)] = e
+	return pr, false, e.err
 }
 
 // appendStepKey appends p's preparation key to buf: K, then the alphabet of
@@ -200,17 +186,13 @@ func (m *StepMemo) Solve(pr *Prepared) (res *Result, replayed bool, err error) {
 	if res, err = pr.Solve(); err != nil {
 		return nil, false, err
 	}
-	m.mu.Lock()
 	m.swept = append(m.swept, sweptStep{pr.sl, pr.p.MaxStates, res})
-	m.mu.Unlock()
 	return res, false, nil
 }
 
 // lookup returns the recorded result of a sweep on pr's slot set under pr's
 // MaxStates, or nil.
 func (m *StepMemo) lookup(pr *Prepared) *Result {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, st := range m.swept {
 		if st.sl == pr.sl && st.maxStates == pr.p.MaxStates {
 			return st.res

@@ -5,7 +5,6 @@ import (
 	"maps"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"tofu/internal/coarsen"
@@ -235,46 +234,5 @@ func TestStepMemoMatch(t *testing.T) {
 	}
 	if _, _, bytes := p.Cache.TableStats(); bytes != 0 || replays != 2 {
 		t.Errorf("budget 0: %d table bytes retained, %d of steps 2-3 replayed; want none and both", bytes, replays)
-	}
-}
-
-// TestStepMemoConcurrentPrepare: preparations of one key racing on one memo
-// build it once — exactly one caller misses — and every caller gets the
-// same slot set, bound to its own Problem.
-func TestStepMemoConcurrentPrepare(t *testing.T) {
-	m, err := models.Build(models.Config{Family: "mlp", Depth: 3, Width: 96, Batch: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := problemFor(t, m, 2)
-	base.Cache = NewPriceCache()
-	var memo StepMemo
-	const callers = 16
-	prepared := make([]*Prepared, callers)
-	hits := make([]bool, callers)
-	var wg sync.WaitGroup
-	for i := range callers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p := *base
-			var err error
-			if prepared[i], hits[i], err = memo.Prepare(&p); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	misses := 0
-	for i, pr := range prepared {
-		if !hits[i] {
-			misses++
-		}
-		if pr.sl != prepared[0].sl || pr.p == prepared[(i+1)%callers].p {
-			t.Fatalf("caller %d: shares the set %v, own problem %v", i, pr.sl == prepared[0].sl, pr.p != prepared[(i+1)%callers].p)
-		}
-	}
-	if misses != 1 {
-		t.Fatalf("%d of %d racing callers built the preparation", misses, callers)
 	}
 }

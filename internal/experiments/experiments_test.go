@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"regexp"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +25,7 @@ func quickDrivers(par int) []Driver {
 
 // render runs the drivers and prints them the way tofu-bench does, each
 // artifact followed by its "[name]" line, with the wall clock masked.
-func render(t *testing.T, drivers []Driver, par int) string {
+func render(t *testing.T, drivers []Driver) string {
 	t.Helper()
 	var sb strings.Builder
 	for _, d := range drivers {
@@ -36,19 +35,17 @@ func render(t *testing.T, drivers []Driver, par int) string {
 		}
 		fmt.Fprintf(&sb, "%s\n[%s]\n\n", out, d.Name)
 	}
-	return maskWallClock(sb.String(), par)
+	return maskWallClock(sb.String())
 }
 
 // TestPaperArtifactsPinned holds every quick artifact to the golden file,
-// byte for byte outside the wall-clock cells, serially and on four workers
-// (where the golden file gets the same mask as the run). To re-record after
-// a deliberate change, copy the masked output this test logs on a mismatch
-// into testdata/quick.golden.
+// byte for byte outside the wall-clock cells, serially and on four workers.
+// To re-record after a deliberate change, copy the masked output this test
+// logs on a mismatch into testdata/quick.golden.
 func TestPaperArtifactsPinned(t *testing.T) {
-	golden := readGolden(t)
+	want := readGolden(t)
 	for _, par := range []int{1, 4} {
-		want := maskWallClock(golden, par)
-		if got := render(t, quickDrivers(par), par); got != want {
+		if got := render(t, quickDrivers(par)); got != want {
 			line, g, w := firstDiff(got, want)
 			t.Errorf("parallelism %d: artifacts differ from %s at line %d:\n got: %q\nwant: %q", par, goldenPath, line, g, w)
 			t.Logf("masked output at parallelism %d:\n%s", par, got)
@@ -87,7 +84,7 @@ func pinArtifact(t *testing.T, name string) {
 		if d.Name != name {
 			continue
 		}
-		if got := render(t, []Driver{d}, 1); got != want {
+		if got := render(t, []Driver{d}); got != want {
 			line, g, w := firstDiff(got, want)
 			t.Errorf("%s differs from its section of %s at line %d:\n got: %q\nwant: %q", name, goldenPath, line, g, w)
 		}
@@ -123,13 +120,10 @@ func firstDiff(got, want string) (int, string, string) {
 }
 
 // The wall-clock cells: Table 1's timed rows, the engine times of the
-// ordering table and the hybrid search time. Above one worker the ordering
-// table's node counters follow the expansion schedule (SearchStats), so
-// they are masked there too.
+// ordering table and the hybrid search time.
 var (
 	timedRows    = map[string]bool{"DP with coarsening": true, "Using recursion (Tofu)": true}
 	timedColumns = map[string]bool{"b&b": true, "flat enum": true, "speedup": true, "search": true}
-	scheduleCols = map[string]bool{"costed": true, "pruned": true}
 	ruleLine     = regexp.MustCompile(`^-+(  -+)*$`)
 	dashRun      = regexp.MustCompile(`-+`)
 )
@@ -137,7 +131,7 @@ var (
 // maskWallClock replaces every wall-clock cell of out's tables with "~" and
 // re-renders each table it touched, so that table's padding follows the
 // masked cells rather than the timing text.
-func maskWallClock(out string, par int) string {
+func maskWallClock(out string) string {
 	lines := strings.Split(out, "\n")
 	var res []string
 	for i := 0; i < len(lines); i++ {
@@ -165,11 +159,10 @@ func maskWallClock(out string, par int) string {
 		for ; end < len(lines) && lines[end] != ""; end++ {
 			tab.add(cells(lines[end])...)
 		}
-		masked, sched := false, par != 1 && slices.Contains(tab.header, "costed")
+		masked := false
 		for _, r := range tab.rows {
 			for j := range r {
-				h := tab.header[j]
-				if (j > 0 && timedRows[r[0]]) || timedColumns[h] || (sched && scheduleCols[h]) {
+				if (j > 0 && timedRows[r[0]]) || timedColumns[tab.header[j]] {
 					r[j], masked = "~", true
 				}
 			}

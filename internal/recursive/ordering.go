@@ -36,11 +36,8 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"tofu/internal/cancel"
 	"tofu/internal/coarsen"
@@ -52,9 +49,9 @@ import (
 )
 
 // SearchStats reports the effort of one search; Options.Stats receives a
-// copy when non-nil (flat searches fill only DPSolves and Replays). The plan
-// itself is deterministic at any Parallelism; the node counters can vary
-// slightly with the expansion schedule when Parallelism > 1.
+// copy when non-nil (flat searches fill only DPSolves and Replays). One
+// goroutine walks the tree, so every counter, like the plan, is the same at
+// any Parallelism.
 type SearchStats struct {
 	// Orderings is the search-space size: every distinct factor-to-level
 	// ordering of the machine's pool.
@@ -96,15 +93,9 @@ func (st *SearchStats) countStep(replayed bool) {
 // it to solve, so it only checks that its last division is possible and keeps
 // no shape table.
 type prefixState struct {
-	once   sync.Once
 	parent *prefixState
 	factor int64
 	depth  int
-	// done flips after the once body returns; readers that merely want to
-	// PEEK at an already-computed sibling's δ (the memo gate in boundAt)
-	// check it instead of entering once.Do, which would block on — or worse,
-	// run — a DP step the peek was trying to avoid.
-	done atomic.Bool
 
 	res    *dp.Result
 	shapes map[int]shape.Shape
@@ -119,15 +110,12 @@ type prefixState struct {
 	// lb memoizes the prepared step per candidate next factor at these
 	// shapes: its LowerBound for the bound queries, and the evaluators the
 	// child prefix's Solve then runs on.
-	lbMu sync.Mutex
-	lb   map[int64]*lbQuery
+	lb map[int64]*lbQuery
 }
 
 // lbQuery is one (prefix, next factor) step, prepared once. prob is the
-// Problem prep holds; only the child prefix's computeStep touches it after
-// the once.
+// Problem prep holds; the child prefix's computeStep sets its Trace.
 type lbQuery struct {
-	once  sync.Once
 	prob  dp.Problem
 	prep  *dp.Prepared
 	delta float64
@@ -168,17 +156,15 @@ type orderSearch struct {
 	rootPS *prefixState
 
 	// trace is the "order.search" span (nil when tracing is off). Expand,
-	// prune, seed and per-prefix solve spans attach flat under it; at
-	// Parallelism > 1 their order follows the expansion schedule, like the
-	// SearchStats node counters.
+	// prune, seed and per-prefix solve spans attach flat under it, in the
+	// walk's order.
 	trace *obs.Span
 	// memo shares the preparation of a step whose factor and alphabets
-	// repeat an earlier one's and replays its sweep (it locks itself);
-	// prepareHits counts the shared preparations, under mu.
+	// repeat an earlier one's and replays its sweep; prepareHits counts the
+	// shared preparations.
 	memo        dp.StepMemo
 	prepareHits int
 
-	mu        sync.Mutex
 	prefixes  map[string]*prefixState
 	bestSet   bool
 	bestCost  float64
@@ -194,7 +180,7 @@ type orderSearch struct {
 
 // errCollector deduplicates infeasibility reasons by message; both search
 // engines report through it so a fully infeasible topology reads the same
-// either way. Not safe for concurrent use — callers hold their own lock.
+// either way.
 type errCollector struct {
 	seen map[string]struct{}
 	errs []error
@@ -240,20 +226,15 @@ func newOrderSearch(c *coarsen.Coarse, k int64, tp topo.Topology,
 // prefixFor returns the memoized state for parent's prefix extended by
 // factor f, running its DP step on first use.
 func (s *orderSearch) prefixFor(parent *prefixState, key string, f int64) *prefixState {
-	s.mu.Lock()
-	ps, ok := s.prefixes[key]
-	if !ok {
-		ps = &prefixState{parent: parent, factor: f, depth: parent.depth + 1, lb: map[int64]*lbQuery{}}
-		s.prefixes[key] = ps
+	if ps, ok := s.prefixes[key]; ok {
+		return ps
 	}
-	s.mu.Unlock()
-	ps.once.Do(func() {
-		st := s.trace.Child("order.prefix")
-		st.SetStr("prefix", key)
-		s.computeStep(ps, st)
-		st.End()
-		ps.done.Store(true)
-	})
+	ps := &prefixState{parent: parent, factor: f, depth: parent.depth + 1, lb: map[int64]*lbQuery{}}
+	st := s.trace.Child("order.prefix")
+	st.SetStr("prefix", key)
+	s.computeStep(ps, st)
+	st.End()
+	s.prefixes[key] = ps
 	return ps
 }
 
@@ -267,11 +248,8 @@ func (s *orderSearch) prefixFor(parent *prefixState, key string, f int64) *prefi
 // exactly these states along its chain before the first pop.
 func (s *orderSearch) memoDelta(key string, f int64) (float64, bool) {
 	var buf [64]byte // a peek builds its key on the stack; only a new prefix keeps one
-	ck := appendChildKey(buf[:0], key, f)
-	s.mu.Lock()
-	ps := s.prefixes[string(ck)]
-	s.mu.Unlock()
-	if ps == nil || !ps.done.Load() || ps.err != nil || ps.res == nil {
+	ps := s.prefixes[string(appendChildKey(buf[:0], key, f))]
+	if ps == nil || ps.err != nil || ps.res == nil {
 		return 0, false
 	}
 	return ps.res.CommBytes, true
@@ -299,9 +277,7 @@ func (s *orderSearch) computeStep(ps *prefixState, st *obs.Span) {
 		ps.err = err
 		return
 	}
-	s.mu.Lock()
 	s.stats.countStep(replayed)
-	s.mu.Unlock()
 	if replayed {
 		st.SetInt("replayed", 1)
 	}
@@ -331,40 +307,33 @@ func (s *orderSearch) computeStep(ps *prefixState, st *obs.Span) {
 // earlier prefix's preparation instead, there is no pricing span, and a
 // trace other than the search's own is marked prepare_hit=1.
 func (s *orderSearch) lowerBoundFor(ps *prefixState, f int64, trace *obs.Span) *lbQuery {
-	ps.lbMu.Lock()
-	q, ok := ps.lb[f]
-	if !ok {
-		q = &lbQuery{}
-		ps.lb[f] = q
+	if q, ok := ps.lb[f]; ok {
+		return q
 	}
-	ps.lbMu.Unlock()
-	q.once.Do(func() {
-		q.prob = dp.Problem{
-			Coarse:         s.c,
-			K:              f,
-			Shapes:         ps.shapes,
-			DType:          s.opts.DType,
-			StrategyFilter: s.opts.StrategyFilter,
-			MaxStates:      s.opts.MaxStates,
-			Parallelism:    s.opts.Parallelism,
-			Cache:          s.cache,
-			Trace:          trace,
-			Cancel:         s.opts.Cancel,
-		}
-		var hit bool
-		if q.prep, hit, q.err = s.memo.Prepare(&q.prob); q.err == nil {
-			q.delta = q.prep.LowerBound()
-		}
-		if hit && trace != s.trace {
-			trace.SetInt("prepare_hit", 1)
-		}
-		s.mu.Lock()
-		s.stats.LBQueries++
-		if hit {
-			s.prepareHits++
-		}
-		s.mu.Unlock()
-	})
+	q := &lbQuery{prob: dp.Problem{
+		Coarse:         s.c,
+		K:              f,
+		Shapes:         ps.shapes,
+		DType:          s.opts.DType,
+		StrategyFilter: s.opts.StrategyFilter,
+		MaxStates:      s.opts.MaxStates,
+		Parallelism:    s.opts.Parallelism,
+		Cache:          s.cache,
+		Trace:          trace,
+		Cancel:         s.opts.Cancel,
+	}}
+	ps.lb[f] = q
+	var hit bool
+	if q.prep, hit, q.err = s.memo.Prepare(&q.prob); q.err == nil {
+		q.delta = q.prep.LowerBound()
+	}
+	if hit && trace != s.trace {
+		trace.SetInt("prepare_hit", 1)
+	}
+	s.stats.LBQueries++
+	if hit {
+		s.prepareHits++
+	}
 	return q
 }
 
@@ -386,21 +355,12 @@ func (s *orderSearch) shouldPrune(bound float64) bool {
 	return s.bestSet && bound > s.bestCost+pruneSlack(s.bestCost)
 }
 
-// offerLeaf considers a complete feasible ordering for the incumbent. Ties
-// keep the rank-lexicographically smallest ordering — exactly the first one
-// the exhaustive enumeration (strict-improvement scan in lex order) keeps.
-func (s *orderSearch) offerLeaf(steps []factorLevel, ranks []uint8, cost float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Leaves++
-	s.offerLocked(steps, ranks, cost)
-}
-
-// offerLocked applies the incumbent update rule (strict improvement, then
-// rank-lex tie-break) under s.mu. The dive shares it with offerLeaf so its
-// seed can never displace an equal-cost lex-smaller ordering the tree finds
-// later.
-func (s *orderSearch) offerLocked(steps []factorLevel, ranks []uint8, cost float64) {
+// offer considers a complete feasible ordering for the incumbent. Ties keep
+// the rank-lexicographically smallest ordering — exactly the first one the
+// exhaustive enumeration (strict-improvement scan in lex order) keeps — so
+// the dive's seed can never displace an equal-cost lex-smaller ordering the
+// tree finds later.
+func (s *orderSearch) offer(steps []factorLevel, ranks []uint8, cost float64) {
 	if !s.bestSet || cost < s.bestCost ||
 		(cost == s.bestCost && lexLess(ranks, s.bestRanks)) {
 		s.bestSet = true
@@ -411,8 +371,6 @@ func (s *orderSearch) offerLocked(steps []factorLevel, ranks []uint8, cost float
 }
 
 func (s *orderSearch) addErr(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if cancel.IsCancellation(err) {
 		// A cancelled prefix is not an infeasible one: a search that was
 		// stopped proved nothing about the topology. Keep the reason out of
@@ -526,7 +484,8 @@ func (s *orderSearch) process(n *obNode) []*obNode {
 		}
 		g = n.gPar + ps.res.CommBytes/s.tp.LevelBandwidth(fl.level)
 		if len(n.steps) == len(s.pool) {
-			s.offerLeaf(n.steps, n.ranks, g)
+			s.stats.Leaves++
+			s.offer(n.steps, n.ranks, g)
 			return nil
 		}
 	}
@@ -536,15 +495,12 @@ func (s *orderSearch) process(n *obNode) []*obNode {
 		s.addErr(err)
 		return nil
 	}
-	s.mu.Lock()
 	if s.shouldPrune(bound) {
 		s.stats.Pruned++
-		s.mu.Unlock()
 		s.pruneSpan(n.key, bound)
 		return nil
 	}
 	s.stats.Expanded++
-	s.mu.Unlock()
 	if s.trace.Enabled() {
 		ex := s.trace.Child("order.expand")
 		ex.SetStr("prefix", n.key)
@@ -623,9 +579,7 @@ func (s *orderSearch) dive() {
 		}
 		g += ps.res.CommBytes / s.tp.LevelBandwidth(fl.level)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.offerLocked(s.pool, ranks, g)
+	s.offer(s.pool, ranks, g)
 }
 
 // pruneSpan records one branch-and-bound prune as an instant span.
@@ -652,85 +606,38 @@ func (s *orderSearch) run() (*winner, error) {
 	s.dive()
 	dive.End()
 
-	par := s.opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 	pq := &nodeHeap{{key: "", par: s.rootPS}}
 	heap.Init(pq)
-	// Round scratch, reused: the popped batch, its children, and the
-	// remaining-pair counts of the pop-time re-bound.
-	var (
-		batch    []*obNode
-		children [][]*obNode
-		rem      []int
-	)
+	var rem []int // the pop-time re-bound's remaining-pair counts, reused
 	for pq.Len() > 0 {
-		// Deadline poll, once per expansion round: a tripped token stops
-		// the walk here and ships the incumbent as a degraded plan.
+		// Deadline poll, once per pop: a tripped token stops the walk here
+		// and ships the incumbent as a degraded plan.
 		if s.opts.Cancel.Cancelled() {
-			s.mu.Lock()
 			s.cancelled = true
-			s.mu.Unlock()
 			break
 		}
-		// Pop up to par surviving nodes and evaluate them concurrently;
-		// their shared prefix work dedupes through the once-guarded memos.
 		// A node whose provisional bound already exceeds the incumbent dies
 		// here, BEFORE its DP step runs.
-		batch = batch[:0]
-		for len(batch) < par && pq.Len() > 0 {
-			if s.opts.Cancel.Cancelled() {
-				break
+		n := heap.Pop(pq).(*obNode)
+		prune := s.shouldPrune(n.bound)
+		if !prune && len(n.steps) > 0 {
+			// Re-bound against the CURRENT memo state before paying for the
+			// node's DP step: realized δs learned since this node was pushed
+			// (the dive's chain above all) often lift the parent-scope bound
+			// past the incumbent. All the ingredients are memoized, so this
+			// costs map lookups.
+			rem = s.remaining(rem, n.ranks[:len(n.ranks)-1])
+			if b, err := s.boundAt(n.par, n.parKey, n.gPar, rem); err == nil {
+				prune = s.shouldPrune(b)
 			}
-			n := heap.Pop(pq).(*obNode)
-			s.mu.Lock()
-			prune := s.shouldPrune(n.bound)
-			s.mu.Unlock()
-			if !prune && len(n.steps) > 0 {
-				// Re-bound against the CURRENT memo state before paying
-				// for the node's DP step: realized δs learned since this
-				// node was pushed (the dive's chain above all) often
-				// lift the parent-scope bound past the incumbent. All the
-				// ingredients are memoized, so this costs map lookups.
-				rem = s.remaining(rem, n.ranks[:len(n.ranks)-1])
-				b, err := s.boundAt(n.par, n.parKey, n.gPar, rem)
-				if err == nil {
-					s.mu.Lock()
-					prune = s.shouldPrune(b)
-					s.mu.Unlock()
-				}
-			}
-			if prune {
-				s.mu.Lock()
-				s.stats.Pruned++
-				s.mu.Unlock()
-				s.pruneSpan(n.key, n.bound)
-				continue
-			}
-			batch = append(batch, n)
 		}
-		if cap(children) < len(batch) {
-			children = make([][]*obNode, par)
+		if prune {
+			s.stats.Pruned++
+			s.pruneSpan(n.key, n.bound)
+			continue
 		}
-		children = children[:len(batch)]
-		if len(batch) == 1 {
-			children[0] = s.process(batch[0])
-		} else {
-			var wg sync.WaitGroup
-			for i, n := range batch {
-				wg.Add(1)
-				go func(i int, n *obNode) {
-					defer wg.Done()
-					children[i] = s.process(n)
-				}(i, n)
-			}
-			wg.Wait()
-		}
-		for _, cs := range children {
-			for _, c := range cs {
-				heap.Push(pq, c)
-			}
+		for _, c := range s.process(n) {
+			heap.Push(pq, c)
 		}
 	}
 
@@ -818,9 +725,7 @@ func (s *orderSearch) buildPlan() (*winner, error) {
 	mult := int64(1)
 	for _, fl := range s.bestSteps {
 		key = childKey(key, fl.f)
-		s.mu.Lock()
 		ps := s.prefixes[key]
-		s.mu.Unlock()
 		if ps == nil || ps.err != nil || ps.res == nil {
 			return nil, fmt.Errorf("recursive: internal: winning prefix %q lost", key)
 		}

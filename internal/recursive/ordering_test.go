@@ -171,25 +171,23 @@ func TestOrderingSpaceGuard(t *testing.T) {
 
 // TestOrderingSearchEffort locks in the acceptance numbers: on the 3- and
 // 4-level clusters of 64 GPUs and more the prefix-shared branch-and-bound
-// runs at least 5x fewer DP steps than the flat enumeration would. The
-// floor, the orderings / flat-solve pins and the branch-and-bound node
-// counts (expanded and pruned, exact at any pool size because pruning is
-// strict and the incumbent is the dive's before the first pop) hold on the
-// default pool (parallelism 0 = GOMAXPROCS, which CI's -cpu 1,2,8 step
-// varies) as well as at parallelism 1, where the step counters are exact
-// too and so also have ceilings: a rise there is a change of policy, not
-// noise. The steps (swept or replayed) pin the prefix sharing, the sweeps
-// the step memo. So do the dense-table lookups the search's preparations
-// make at parallelism 1: a preparation the step memo shares looks nothing up.
+// runs at least 5x fewer DP steps than the flat enumeration would. One
+// goroutine walks the tree and only each step's sweep and pricing use the
+// pool, so the leaves costed and the nodes expanded and pruned are exact,
+// and the DP steps, sweeps and table lookups have ceilings, at every
+// parallelism: a rise is a change of policy, not noise. The steps (swept or
+// replayed) pin the prefix sharing, the sweeps the step memo, and the
+// dense-table lookups the preparations: one the step memo shares looks
+// nothing up.
 func TestOrderingSearchEffort(t *testing.T) {
 	cases := []struct {
-		prof             string
-		cfg              models.Config
-		orderings        int
-		expanded, pruned int // exact: branch-and-bound nodes expanded and pruned
-		steps            int // ceilings at parallelism 1: DP steps (one per distinct factor prefix),
-		dpSolves         int // the sweeps among them,
-		lookups          int // and dense-table lookups (PriceCache.TableStats hits + fills)
+		prof                     string
+		cfg                      models.Config
+		orderings                int
+		leaves, expanded, pruned int // exact: orderings costed, branch-and-bound nodes expanded and pruned
+		steps                    int // ceilings: DP steps (one per distinct factor prefix),
+		dpSolves                 int // the sweeps among them,
+		lookups                  int // and dense-table lookups (PriceCache.TableStats hits + fills)
 	}{
 		// All-2 pools, one prefix per depth: every step after the first
 		// replays its sweep. A preparation whose factor and alphabets repeat
@@ -197,14 +195,16 @@ func TestOrderingSearchEffort(t *testing.T) {
 		// (dp.StepMemo.Prepare); the others look up every slot's table.
 		// Without the memo, these preparations looked up 596, 216 and 252
 		// tables.
-		{"cluster-2x8", models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}, 4, 10, 0, 4, 1, 149},
-		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 3, Width: 2048, Batch: 128}, 60, 129, 0, 6, 1, 36},
-		{"cluster-8x2x8", models.Config{Family: "mlp", Depth: 3, Width: 4096, Batch: 256}, 140, 308, 0, 7, 1, 36},
-		// The two 4-level profiles, the only ones here where pruning fires.
+		{"cluster-2x8", models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}, 4, 4, 10, 0, 4, 1, 149},
+		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 3, Width: 2048, Batch: 128}, 60, 60, 129, 0, 6, 1, 36},
+		{"cluster-8x2x8", models.Config{Family: "mlp", Depth: 3, Width: 4096, Batch: 256}, 140, 140, 308, 0, 7, 1, 36},
+		// Where pruning fires: the two 4-level profiles, and the mixed
+		// factors of dgx2's two levels.
 		// The transformer's 34 preparations are 3 distinct ones repeated:
 		// before they were shared, it looked up 2 276 tables.
-		{"cluster-2x4x2x12", models.Config{Family: "transformer", Depth: 2, Width: 1536, Batch: 24}, 1260, 676, 801, 34, 3, 396},
-		{"cluster-2x8x2x8", models.Config{Family: "mlp", Depth: 3, Width: 3072, Batch: 48}, 1120, 225, 312, 8, 2, 72},
+		{"cluster-2x4x2x12", models.Config{Family: "transformer", Depth: 2, Width: 1536, Batch: 24}, 1260, 63, 676, 801, 34, 3, 396},
+		{"cluster-2x8x2x8", models.Config{Family: "mlp", Depth: 3, Width: 3072, Batch: 48}, 1120, 16, 225, 312, 8, 2, 72},
+		{"dgx2", models.Config{Family: "rnn", Depth: 2, Width: 3000, Batch: 64}, 12, 6, 23, 6, 4, 2, 298},
 	}
 	for _, c := range cases {
 		tp, err := topo.Profile(c.prof)
@@ -215,24 +215,23 @@ func TestOrderingSearchEffort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range []int{1, 0} {
+		for _, par := range []int{1, 2, 8} {
 			var st SearchStats
 			cache := dp.NewPriceCache()
 			if _, err := Partition(m.G, int64(tp.NumGPUs()), Options{Topology: &tp, Parallelism: par, Stats: &st, Cache: cache}); err != nil {
 				t.Fatalf("%s par=%d: %v", c.prof, par, err)
 			}
 			steps := st.DPSolves + st.Replays
-			if par == 1 {
-				hits, fills, _ := cache.TableStats()
-				t.Logf("%s %s: %d orderings, %d expanded, %d pruned, %d dp sweeps, %d replayed, %d table lookups", c.prof, c.cfg, st.Orderings, st.Expanded, st.Pruned, st.DPSolves, st.Replays, hits+fills)
-				if steps > c.steps || st.DPSolves > c.dpSolves || hits+fills > int64(c.lookups) {
-					t.Errorf("%s: %d dp steps, %d swept, and %d table lookups; ceilings %d, %d and %d",
-						c.prof, steps, st.DPSolves, hits+fills, c.steps, c.dpSolves, c.lookups)
-				}
+			hits, fills, _ := cache.TableStats()
+			t.Logf("%s %s par=%d: %d orderings, %d leaves, %d expanded, %d pruned, %d dp sweeps, %d replayed, %d table lookups",
+				c.prof, c.cfg, par, st.Orderings, st.Leaves, st.Expanded, st.Pruned, st.DPSolves, st.Replays, hits+fills)
+			if steps > c.steps || st.DPSolves > c.dpSolves || hits+fills > int64(c.lookups) {
+				t.Errorf("%s par=%d: %d dp steps, %d swept, and %d table lookups; ceilings %d, %d and %d",
+					c.prof, par, steps, st.DPSolves, hits+fills, c.steps, c.dpSolves, c.lookups)
 			}
-			if st.Expanded != c.expanded || st.Pruned != c.pruned {
-				t.Errorf("%s par=%d: expanded %d, pruned %d; want %d and %d",
-					c.prof, par, st.Expanded, st.Pruned, c.expanded, c.pruned)
+			if st.Leaves != c.leaves || st.Expanded != c.expanded || st.Pruned != c.pruned {
+				t.Errorf("%s par=%d: %d leaves, expanded %d, pruned %d; want %d, %d and %d",
+					c.prof, par, st.Leaves, st.Expanded, st.Pruned, c.leaves, c.expanded, c.pruned)
 			}
 			if st.Orderings != c.orderings {
 				t.Errorf("%s par=%d: orderings = %d, want %d", c.prof, par, st.Orderings, c.orderings)

@@ -9,9 +9,10 @@ import (
 	"tofu/internal/obs"
 )
 
-// traceCases are the five benchmark searches the trace-determinism tests
-// sweep: flat DP, topology-aware ordering search on two machines, and the
-// joint pipeline search — every traced subsystem.
+// traceCases are the benchmark searches the trace-determinism tests sweep:
+// flat DP, topology-aware ordering search on three machines (the RNN's prunes
+// branch-and-bound nodes on dgx1 and cluster-2x8), and the joint pipeline
+// search — every traced subsystem.
 var traceCases = []struct {
 	name     string
 	cfg      tofu.ModelConfig
@@ -22,6 +23,8 @@ var traceCases = []struct {
 	{"rnn-flat", tofu.ModelConfig{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}, "", false},
 	{"wresnet-flat", tofu.ModelConfig{Family: "wresnet", Depth: 50, Width: 2, Batch: 8}, "", false},
 	{"mlp-topo", tofu.ModelConfig{Family: "mlp", Depth: 4, Width: 1024, Batch: 16}, "cluster-2x8", false},
+	{"rnn-topo-dgx1", tofu.ModelConfig{Family: "rnn", Depth: 2, Width: 1500, Batch: 64}, "dgx1", false},
+	{"rnn-topo-cluster", tofu.ModelConfig{Family: "rnn", Depth: 2, Width: 1500, Batch: 64}, "cluster-2x8", false},
 	{"mlp-pipeline", tofu.ModelConfig{Family: "mlp", Depth: 4, Width: 256, Batch: 64}, "cluster-4x2x8", true},
 }
 
@@ -85,19 +88,21 @@ func TestTracedPlansByteIdentical(t *testing.T) {
 
 // TestTraceStructureDeterministic checks the span tree's shape — names,
 // parent edges, sibling order, counts; never timestamps — is identical
-// across serial runs. (At parallelism > 1 the expansion schedule may
-// reorder children, the same contract SearchStats has.)
+// across runs and across search parallelism: the serial structure again at
+// 1, 2, 4 and 8, the same contract SearchStats has.
 func TestTraceStructureDeterministic(t *testing.T) {
 	for _, tc := range traceCases {
 		t.Run(tc.name, func(t *testing.T) {
 			r1 := tofu.NewTraceSpan("test")
 			tracePlanBytes(t, tc, 1, r1)
 			r1.End()
-			r2 := tofu.NewTraceSpan("test")
-			tracePlanBytes(t, tc, 1, r2)
-			r2.End()
-			if s1, s2 := r1.Structure(), r2.Structure(); s1 != s2 {
-				t.Fatalf("span structure differs across serial runs:\n%s\nvs\n%s", s1, s2)
+			for _, par := range []int{1, 2, 4, 8} {
+				r2 := tofu.NewTraceSpan("test")
+				tracePlanBytes(t, tc, par, r2)
+				r2.End()
+				if s1, s2 := r1.Structure(), r2.Structure(); s1 != s2 {
+					t.Fatalf("span structure at parallelism %d differs from the serial run's:\n%s\nvs\n%s", par, s1, s2)
+				}
 			}
 			// The op coarsens its graph once, whichever engine searches it
 			// (pipeline segments coarsen their own subgraphs further down).
