@@ -124,6 +124,9 @@ type Coarse struct {
 	// facts is what coarsening looked up about G's nodes; Segment reads it
 	// to coarsen segments of G without looking anything up again.
 	facts *nodeFacts
+	// whole marks the coarsening of a whole graph (Coarsen), the only kind
+	// Segment views.
+	whole bool
 }
 
 // nodeFacts is everything coarsening needs to know about the nodes of a
@@ -379,13 +382,19 @@ func wholeGraph(g *graph.Graph, facts *nodeFacts) frame {
 // tensors at first sight (inputs, then the output), treats a producer outside
 // the segment as absent and counts only the segment's readers of a tensor.
 //
-// The cost follows the segment, not c.G: node facts are c's, read by node
-// ID, and every table indexed by c.G's IDs lives in sc, which the call leaves
-// as it found it. sc must not be shared between concurrent calls; c itself is
-// only read, so one coarsening serves concurrent segments, one scratch each.
-// The pipeline search coarsens O(L²) overlapping segments of one graph this
-// way. The result owns its storage: its Coarse, variables, groups, slots and
-// lists are allocated for it (twelve objects, whatever the segment holds).
+// When c is a whole graph's coarsening and the interval keeps c's groups and
+// slots, the segment is a view of c (see view.go): c's groups and slots with
+// only the variables that reach outside the interval split again. Every other
+// interval, and every segment of a segment, is coarsened afresh over a frame
+// of the segment's operators (the fallback). The cost follows the segment,
+// not c.G: node facts are c's, read by node ID, and every table indexed by
+// c.G's IDs lives in sc, which the call leaves as it found it — apart from
+// the view index of c, built on sc's first segment of c. sc must not be
+// shared between concurrent calls; c itself is only read, so one coarsening
+// serves concurrent segments, one scratch each. The pipeline search coarsens
+// O(L²) overlapping segments of one graph this way. The result owns its
+// storage: its Coarse, variables, groups, slots and lists are allocated for
+// it (twelve objects, whatever the segment holds).
 func (c *Coarse) Segment(lo, hi int, sc *SegmentScratch) (*Coarse, error) {
 	return c.segment(lo, hi, sc, &slabs{})
 }
@@ -401,10 +410,17 @@ func (c *Coarse) SegmentTransient(lo, hi int, sc *SegmentScratch) (*Coarse, erro
 	return c.segment(lo, hi, sc, &sc.out)
 }
 
+// Viewed reports whether the last Segment or SegmentTransient call on sc
+// returned a view of its coarsening rather than coarsening a frame.
+func (sc *SegmentScratch) Viewed() bool { return sc.viewed }
+
 // segment coarsens c's groups [lo, hi) into out.
 func (c *Coarse) segment(lo, hi int, sc *SegmentScratch, out *slabs) (*Coarse, error) {
 	if lo < 0 || hi > len(c.Groups) || lo >= hi {
 		return nil, fmt.Errorf("coarsen: segment [%d,%d) out of range for %d groups", lo, hi, len(c.Groups))
+	}
+	if sc.viewed = c.whole && sc.index(c).viewed(lo, hi); sc.viewed {
+		return sc.view(c, lo, hi, out), nil
 	}
 	fr := sc.load(c, lo, hi)
 	seg, err := coarsen(c.G, c.facts, fr, out)
@@ -412,10 +428,13 @@ func (c *Coarse) segment(lo, hi int, sc *SegmentScratch, out *slabs) (*Coarse, e
 	return seg, err
 }
 
-// SegmentScratch is the working memory of Segment: maps from a graph's
-// node, tensor, unroll-cell and signature numbers to a segment's, sized on
-// first use and zero again after every call, and the segment's lists, which
-// grow to the largest segment seen. out is what SegmentTransient returns.
+// SegmentScratch is the working memory of Segment. For the fallback: maps
+// from a graph's node, tensor, unroll-cell and signature numbers to a
+// segment's, sized on first use and zero again after every call. For views:
+// the index of the root last viewed and the tables a view works in, keyed by
+// that root's variables and tensors and zero again after every call. And the
+// segment's lists, which grow to the largest segment seen: out is what
+// SegmentTransient returns.
 type SegmentScratch struct {
 	node, tensor, cell, sig []int32
 	// member is a bitmap over node IDs that load marks a segment's operators
@@ -423,15 +442,31 @@ type SegmentScratch struct {
 	member []uint64
 	fr     frame
 	out    slabs
+
+	ix viewIndex
+	// vvar maps a root variable to its segment variable plus one, or to -1
+	// when the view splits it; vtensor maps a member of a split variable to
+	// its part plus one; parent is the union-find over the split variables'
+	// member positions (-1 elsewhere).
+	vvar, vtensor, parent []int32
+	// intact and splits list the root variables the view keeps whole and
+	// splits, xs the split ones' members, parts the pieces they split into;
+	// counts backs the variable-list counts.
+	intact, splits []int32
+	xs             []member
+	parts          []part
+	counts         []int32
+	viewed         bool
 }
 
 // slabs is the storage one coarsening fills: the Coarse, the variable, group
 // and slot slabs, the slab of each list type they hold (variable members,
 // slot operators and operands, the groups' variable lists, and the pointer
 // lists Coarse.Vars, Coarse.Groups and Group.Slots are windows of), and the
-// element-wise flags it works with. An owned coarsening starts from empty
-// slabs and allocates each at its exact size; a transient segment reuses the
-// scratch's, grown to the largest segment seen.
+// element-wise flags a frame coarsening works with or the variable order a
+// view works with. An owned coarsening starts from empty slabs and allocates
+// each at its exact size; a transient segment reuses the scratch's, grown to
+// the largest segment seen.
 type slabs struct {
 	coarse    *Coarse
 	vars      []Var
@@ -445,6 +480,7 @@ type slabs struct {
 	operands  []*Var
 	varLists  []*Var
 	ew        []bool
+	order     []uint64
 }
 
 // resize returns s resliced to n zeroed elements, or a fresh slice when s is
@@ -457,6 +493,15 @@ func resize[T any](s []T, n int) []T {
 	s = s[:n]
 	clear(s)
 	return s
+}
+
+// grow is resize for a slab its filler overwrites in full: it keeps what a
+// reused slab holds.
+func grow[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
+	}
+	return s[:n]
 }
 
 // frame is the numbering one coarsening works in: a whole graph, where a
@@ -668,7 +713,7 @@ func coarsen(g *graph.Graph, facts *nodeFacts, fr *frame, out *slabs) (*Coarse, 
 		out.coarse = new(Coarse)
 	}
 	c := out.coarse
-	*c = Coarse{G: g, facts: facts}
+	*c = Coarse{G: g, facts: facts, whole: fr.node == nil}
 	varOf, err := buildVars(c, fr, tuf, out)
 	if err != nil {
 		return nil, err

@@ -68,14 +68,17 @@ type Options struct {
 	// Trace, if non-nil, records the joint search's span tree: "coarsen",
 	// per-candidate-level "hybrid.level" spans, and under each a
 	// "hybrid.segment" span per memoized segment. A segment span wraps the
-	// segment's whole preparation — its coarsening, a transient view of the
-	// root's (coarsen.Coarse.SegmentTransient, a "coarsen" child), and its
-	// structural key — and then its full recursive search, or is marked
-	// memo_hit=1 when the structural memo served it. A level span carries seed_rounds (seed rounds
-	// started), segments (solved at that level), segment_hits (served by the
-	// memo) and skipped=1 when an earlier level's best cut it before any
-	// solve. nil records nothing and costs nothing; spans never influence the
-	// chosen plan.
+	// segment's whole preparation — its coarsening (coarsen.Coarse.
+	// SegmentTransient, a "coarsen" child with view=1 when the segment is a
+	// view of the root's groups, 0 when its frame was coarsened afresh) and
+	// its structural key — and then its full recursive search, or is marked
+	// memo_hit=1 when the structural memo served it. A level span carries
+	// seed_rounds (seed rounds started), segments (solved at that level),
+	// segment_hits (served by the memo) and skipped=1 when an earlier level's
+	// best cut it before any solve. A "hybrid.assemble" span (stages: the
+	// winner's stage count) wraps materializing the winning stages. nil
+	// records nothing and costs nothing; spans never influence the chosen
+	// plan.
 	Trace *obs.Span
 	// Cancel, if non-nil, is polled at every seed round and boundary-tree node
 	// and plumbed into each segment's recursive search. On a tripped token the
@@ -174,7 +177,6 @@ func Partition(g *graph.Graph, k int64, opts Options) (*Result, error) {
 // PartitionCoarse is Partition over an already coarsened graph (c.G): the
 // search alone, with no "coarsen" span of its own.
 func PartitionCoarse(c *coarsen.Coarse, k int64, opts Options) (*Result, error) {
-	g := c.G
 	tp := opts.Topology
 	if tp == nil {
 		return nil, fmt.Errorf("hybrid: a topology is required")
@@ -199,9 +201,10 @@ func PartitionCoarse(c *coarsen.Coarse, k int64, opts Options) (*Result, error) 
 	if cache == nil {
 		cache = dp.NewPriceCache()
 	}
-	s := &search{g: g, c: c, tp: *tp, opts: opts, cache: cache, floors: make([]groupBounds, len(c.Groups))}
-	s.buildGroupOf()
-	s.buildHandoffs()
+	s, err := newSearch(c, *tp, opts, cache)
+	if err != nil {
+		return nil, err
+	}
 
 	levels := []int{opts.Level}
 	if opts.Level == 0 {
@@ -237,7 +240,10 @@ func PartitionCoarse(c *coarsen.Coarse, k int64, opts Options) (*Result, error) 
 	s.stats.Level = bestLS.level
 	s.stats.Stages = bestLS.S
 	s.stats.BestCost = bestLS.bestCost
+	asp := opts.Trace.Child("hybrid.assemble")
+	asp.SetInt("stages", int64(bestLS.S))
 	res, err := s.assemble(bestLS)
+	asp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -246,6 +252,27 @@ func PartitionCoarse(c *coarsen.Coarse, k int64, opts Options) (*Result, error) 
 		*opts.Stats = s.stats
 	}
 	return res, nil
+}
+
+// frameSegments, when set (tests only), makes every segment of a search a
+// frame coarsening rather than a view of the root's: the search cuts its
+// segments from a segment of the root spanning every group, and coarsen views
+// only a whole graph's coarsening.
+var frameSegments bool
+
+// newSearch sets up the level-independent state of a search over c.
+func newSearch(c *coarsen.Coarse, tp topo.Topology, opts Options, cache *dp.PriceCache) (*search, error) {
+	s := &search{g: c.G, c: c, tp: tp, opts: opts, cache: cache, floors: make([]groupBounds, len(c.Groups))}
+	if frameSegments {
+		whole, err := c.Segment(0, len(c.Groups), &s.scratch)
+		if err != nil {
+			return nil, err
+		}
+		s.c = whole
+	}
+	s.buildGroupOf()
+	s.buildHandoffs()
+	return s, nil
 }
 
 // search holds the level-independent state of one Partition call.
@@ -262,9 +289,9 @@ type search struct {
 	// b-1 and b), for b in [1, L-1] — level-independent.
 	xb []float64
 
-	// scratch is the working memory every segment coarsening borrows, and it
-	// holds the one transient segment view alive at a time; the boundary
-	// search is serial.
+	// scratch is the working memory every segment coarsening borrows: it
+	// indexes the root coarsening once, on the first segment, and holds the
+	// one transient segment alive at a time; the boundary search is serial.
 	scratch coarsen.SegmentScratch
 	// floors[g] is what every level's groupFloor shares of group g.
 	floors []groupBounds
