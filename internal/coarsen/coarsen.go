@@ -21,7 +21,6 @@ package coarsen
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"slices"
 	"strconv"
 
@@ -121,12 +120,9 @@ type Coarse struct {
 	G      *graph.Graph
 	Vars   []*Var
 	Groups []*Group
-	// facts is what coarsening looked up about G's nodes; Segment reads it
-	// to coarsen segments of G without looking anything up again.
+	// facts is what Coarsen looked up about G's nodes. A segment has none:
+	// only a whole graph's coarsening is segmented.
 	facts *nodeFacts
-	// whole marks the coarsening of a whole graph (Coarsen), the only kind
-	// Segment views.
-	whole bool
 }
 
 // nodeFacts is everything coarsening needs to know about the nodes of a
@@ -364,34 +360,27 @@ func Coarsen(g *graph.Graph) (*Coarse, error) {
 	if err != nil {
 		return nil, err
 	}
-	fr := wholeGraph(g, &facts)
-	return coarsen(g, &facts, &fr, &slabs{})
+	return coarsen(g, &facts)
 }
 
-// wholeGraph is the frame of a whole graph: local numbers are IDs.
-func wholeGraph(g *graph.Graph, facts *nodeFacts) frame {
-	return frame{nodes: g.Nodes, tensors: g.Tensors, cell: facts.cell, cellSig: facts.cellSig, nsig: facts.nsig}
-}
-
-// Segment coarsens the subgraph of c.G induced by the operators of c's groups
-// [lo, hi) and returns exactly what Coarsen would return for that subgraph
-// extracted with graph.Subgraph — the same variables, groups, slots and
-// structural key — except that it clones nothing: operators and tensors are
-// c.G's own, so a segment's plan tables come out in c.G's IDs. Like an
-// extraction it numbers the segment's operators in ascending ID and their
-// tensors at first sight (inputs, then the output), treats a producer outside
-// the segment as absent and counts only the segment's readers of a tensor.
+// Segment returns the segment of c's groups [lo, hi), the coarsening a
+// pipeline stage holding those groups is searched on. It is a view of c (see
+// view.go): c's groups and slots, with every variable that reaches outside
+// the interval split into the pieces the interval's own tensor unions join.
+// It clones nothing: operators and tensors are c.G's own, so a segment's plan
+// tables come out in c.G's IDs. Like a coarsening of the extracted subgraph
+// (graph.Subgraph) it numbers variables at the first sight of a member
+// (operators in ascending ID, inputs then output) and counts only the
+// segment's operators; where that coarsening keeps c's groups and slots, the
+// segment is it exactly.
 //
-// When c is a whole graph's coarsening and the interval keeps c's groups and
-// slots, the segment is a view of c (see view.go): c's groups and slots with
-// only the variables that reach outside the interval split again. Every other
-// interval, and every segment of a segment, is coarsened afresh over a frame
-// of the segment's operators (the fallback). The cost follows the segment,
-// not c.G: node facts are c's, read by node ID, and every table indexed by
-// c.G's IDs lives in sc, which the call leaves as it found it — apart from
-// the view index of c, built on sc's first segment of c. sc must not be
+// c must be a whole graph's coarsening (Coarsen): a segment of a segment is
+// refused, as is a graph past the view's size limit (orderLimit). The cost
+// follows the segment, not c.G: every table indexed by c.G's IDs lives in
+// sc, which the call leaves as it found it — apart from the view index of
+// c, built on sc's first segment of c. sc must not be
 // shared between concurrent calls; c itself is only read, so one coarsening
-// serves concurrent segments, one scratch each. The pipeline search coarsens
+// serves concurrent segments, one scratch each. The pipeline search cuts
 // O(L²) overlapping segments of one graph this way. The result owns its
 // storage: its Coarse, variables, groups, slots and lists are allocated for
 // it (twelve objects, whatever the segment holds).
@@ -402,47 +391,35 @@ func (c *Coarse) Segment(lo, hi int, sc *SegmentScratch) (*Coarse, error) {
 // SegmentTransient is Segment with the result's storage borrowed from sc: the
 // Coarse, its variables, groups and slots and every list they hold are sc's
 // slabs, which a warm scratch reuses without allocating. The result is valid
-// until the next Segment or SegmentTransient call on sc, which overwrites it;
-// in particular it must not itself be segmented with sc. What a search
-// computes from it (costs, cost-only plans, materialized tables in c.G's IDs)
-// names no variable, group or slot by pointer and outlives it.
+// until the next Segment or SegmentTransient call on sc, which overwrites it.
+// What a search computes from it (costs, cost-only plans, materialized tables
+// in c.G's IDs) names no variable, group or slot by pointer and outlives it.
 func (c *Coarse) SegmentTransient(lo, hi int, sc *SegmentScratch) (*Coarse, error) {
 	return c.segment(lo, hi, sc, &sc.out)
 }
 
-// Viewed reports whether the last Segment or SegmentTransient call on sc
-// returned a view of its coarsening rather than coarsening a frame.
-func (sc *SegmentScratch) Viewed() bool { return sc.viewed }
-
-// segment coarsens c's groups [lo, hi) into out.
+// segment views c's groups [lo, hi) into out.
 func (c *Coarse) segment(lo, hi int, sc *SegmentScratch, out *slabs) (*Coarse, error) {
+	if c.facts == nil {
+		return nil, fmt.Errorf("coarsen: segment [%d,%d) of a segment: only a whole graph's coarsening is segmented", lo, hi)
+	}
 	if lo < 0 || hi > len(c.Groups) || lo >= hi {
 		return nil, fmt.Errorf("coarsen: segment [%d,%d) out of range for %d groups", lo, hi, len(c.Groups))
 	}
-	if sc.viewed = c.whole && sc.index(c).viewed(lo, hi); sc.viewed {
-		return sc.view(c, lo, hi, out), nil
+	if sc.ix.root != c {
+		if err := sc.index(c); err != nil {
+			return nil, err
+		}
 	}
-	fr := sc.load(c, lo, hi)
-	seg, err := coarsen(c.G, c.facts, fr, out)
-	sc.clear(c.facts, fr)
-	return seg, err
+	return sc.view(c, lo, hi, out), nil
 }
 
-// SegmentScratch is the working memory of Segment. For the fallback: maps
-// from a graph's node, tensor, unroll-cell and signature numbers to a
-// segment's, sized on first use and zero again after every call. For views:
-// the index of the root last viewed and the tables a view works in, keyed by
-// that root's variables and tensors and zero again after every call. And the
-// segment's lists, which grow to the largest segment seen: out is what
+// SegmentScratch is the working memory of Segment: the view index of the
+// root last segmented, the tables a view works in — keyed by that root's
+// variables and tensors, and zero again after every call — and the segment's
+// lists, which grow to the largest segment seen: out is what
 // SegmentTransient returns.
 type SegmentScratch struct {
-	node, tensor, cell, sig []int32
-	// member is a bitmap over node IDs that load marks a segment's operators
-	// in, and clears as it lists them.
-	member []uint64
-	fr     frame
-	out    slabs
-
 	ix viewIndex
 	// vvar maps a root variable to its segment variable plus one, or to -1
 	// when the view splits it; vtensor maps a member of a split variable to
@@ -456,17 +433,16 @@ type SegmentScratch struct {
 	xs             []member
 	parts          []part
 	counts         []int32
-	viewed         bool
+	out            slabs
 }
 
-// slabs is the storage one coarsening fills: the Coarse, the variable, group
-// and slot slabs, the slab of each list type they hold (variable members,
-// slot operators and operands, the groups' variable lists, and the pointer
-// lists Coarse.Vars, Coarse.Groups and Group.Slots are windows of), and the
-// element-wise flags a frame coarsening works with or the variable order a
-// view works with. An owned coarsening starts from empty slabs and allocates
-// each at its exact size; a transient segment reuses the scratch's, grown to
-// the largest segment seen.
+// slabs is the storage one view fills: the Coarse, the variable, group and
+// slot slabs, the slab of each list type they hold (variable members, slot
+// operators and operands, the groups' variable lists, and the pointer lists
+// Coarse.Vars, Coarse.Groups and Group.Slots are windows of), and the order
+// the view numbers its variables in. An owned segment starts from empty slabs
+// and allocates each at its exact size; a transient one reuses the scratch's,
+// grown to the largest segment seen.
 type slabs struct {
 	coarse    *Coarse
 	vars      []Var
@@ -479,13 +455,11 @@ type slabs struct {
 	ops       []*graph.Node
 	operands  []*Var
 	varLists  []*Var
-	ew        []bool
 	order     []uint64
 }
 
 // resize returns s resliced to n zeroed elements, or a fresh slice when s is
-// too short: exactly n for the empty slabs of an owned coarsening, at least
-// twice the old capacity for a scratch's.
+// too short: at least twice the old capacity.
 func resize[T any](s []T, n int) []T {
 	if s == nil || cap(s) < n {
 		return make([]T, n, max(n, 2*cap(s)))
@@ -496,7 +470,7 @@ func resize[T any](s []T, n int) []T {
 }
 
 // grow is resize for a slab its filler overwrites in full: it keeps what a
-// reused slab holds.
+// reused slab holds. An empty slab grows to exactly n.
 func grow[T any](s []T, n int) []T {
 	if s == nil || cap(s) < n {
 		return make([]T, n, max(n, 2*cap(s)))
@@ -504,217 +478,47 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// frame is the numbering one coarsening works in: a whole graph, where a
-// node's or tensor's local number is its ID, or a segment, numbered locally.
-type frame struct {
-	// nodes and tensors list the frame's operators and tensors by local number.
-	nodes   []*graph.Node
-	tensors []*graph.Tensor
-	// node and tensor map an ID to its local number plus one (0: outside the
-	// frame), and reads counts a local tensor's readers inside the frame; all
-	// three are nil for a whole graph.
-	node, tensor, reads []int32
-	// cell is each local node's unroll cell (-1 outside any unrolled loop),
-	// cellSig a cell's signature, dense in [0, nsig) — nodeFacts' numbering
-	// for a whole graph, renumbered at first sight for a segment.
-	cell, cellSig []int32
-	nsig          int
-	// spare backs a segment coarsening's working tables (take) and outlives
-	// it; nil for a whole graph, whose tables are allocated afresh.
-	spare []int32
-	used  int
-}
-
-// load builds the frame of c's groups [lo, hi) in sc, sizing sc's maps to
-// c.G first. It lists the segment's operators in ascending ID without
-// sorting: it marks them in sc.member, then reads the marks back word by word
-// over the span between the smallest and the largest ID, clearing each word
-// as it goes — O(operators + span/64).
-//
-//tofu:hotpath once per segment coarsening; enforced by tofu-vet/hotalloc
-func (sc *SegmentScratch) load(c *Coarse, lo, hi int) *frame {
-	f := c.facts
-	if len(sc.node) != len(c.G.Nodes) || len(sc.tensor) != len(c.G.Tensors) ||
-		len(sc.cell) != len(f.cellSig) || len(sc.sig) != f.nsig {
-		sc.node, sc.tensor = make([]int32, len(c.G.Nodes)), make([]int32, len(c.G.Tensors))
-		sc.cell, sc.sig = make([]int32, len(f.cellSig)), make([]int32, f.nsig)
-		sc.member = make([]uint64, (len(c.G.Nodes)+63)/64)
-	}
-	fr := &sc.fr
-	fr.node, fr.tensor = sc.node, sc.tensor
-	first, last := len(c.G.Nodes), -1
-	for _, grp := range c.Groups[lo:hi] {
-		for _, s := range grp.Slots {
-			for _, n := range s.Ops {
-				sc.member[n.ID>>6] |= 1 << (n.ID & 63)
-				first, last = min(first, n.ID), max(last, n.ID)
-			}
-		}
-	}
-	fr.nodes = fr.nodes[:0]
-	for w := first >> 6; w <= last>>6; w++ {
-		for x := sc.member[w]; x != 0; x &= x - 1 {
-			fr.nodes = append(fr.nodes, c.G.Nodes[w<<6|bits.TrailingZeros64(x)])
-		}
-		sc.member[w] = 0
-	}
-	fr.tensors, fr.reads = fr.tensors[:0], fr.reads[:0]
-	fr.cell, fr.cellSig, fr.nsig, fr.used = fr.cell[:0], fr.cellSig[:0], 0, 0
-	for i, n := range fr.nodes {
-		sc.node[n.ID] = int32(i + 1)
-		for _, in := range n.Inputs {
-			if sc.tensor[in.ID] == 0 {
-				fr.tensors, fr.reads = append(fr.tensors, in), append(fr.reads, 0)
-				sc.tensor[in.ID] = int32(len(fr.tensors))
-			}
-			fr.reads[sc.tensor[in.ID]-1]++
-		}
-		fr.tensors, fr.reads = append(fr.tensors, n.Output), append(fr.reads, 0)
-		sc.tensor[n.Output.ID] = int32(len(fr.tensors))
-		cell := f.cell[n.ID]
-		if cell >= 0 {
-			if sc.cell[cell] == 0 {
-				sig := f.cellSig[cell]
-				if sc.sig[sig] == 0 {
-					fr.nsig++
-					sc.sig[sig] = int32(fr.nsig)
-				}
-				fr.cellSig = append(fr.cellSig, sc.sig[sig]-1)
-				sc.cell[cell] = int32(len(fr.cellSig))
-			}
-			cell = sc.cell[cell] - 1
-		}
-		fr.cell = append(fr.cell, cell)
-	}
-	return fr
-}
-
-// clear zeroes every map entry load set.
-//
-//tofu:hotpath once per segment coarsening; enforced by tofu-vet/hotalloc
-func (sc *SegmentScratch) clear(f *nodeFacts, fr *frame) {
-	for _, n := range fr.nodes {
-		sc.node[n.ID] = 0
-		if cell := f.cell[n.ID]; cell >= 0 {
-			sc.cell[cell], sc.sig[f.cellSig[cell]] = 0, 0
-		}
-	}
-	for _, t := range fr.tensors {
-		sc.tensor[t.ID] = 0
-	}
-}
-
-// take returns n zeroed int32s of working memory: allocated for a whole
-// graph, carved from the spare slab for a segment — a slab later segments
-// reuse, grown when one needs more.
-//
-//tofu:hotpath part of every coarsening
-func (f *frame) take(n int) []int32 {
-	if f.tensor == nil {
-		return make([]int32, n)
-	}
-	if f.used+n > len(f.spare) {
-		f.spare, f.used = make([]int32, max(2*len(f.spare), n)), 0
-	}
-	s := f.spare[f.used : f.used+n : f.used+n]
-	f.used += n
-	clear(s)
-	return s
-}
-
-// local returns a tensor's local number.
-//
-//tofu:hotpath part of every coarsening
-func (f *frame) local(t *graph.Tensor) int {
-	if f.tensor == nil {
-		return t.ID
-	}
-	return int(f.tensor[t.ID]) - 1
-}
-
-// before returns the local number of node m when the frame holds it ahead of
-// local node i, and -1 otherwise — the links an extraction keeps. A whole
-// graph holds every node and keeps every link.
-//
-//tofu:hotpath part of every coarsening
-func (f *frame) before(m *graph.Node, i int) int {
-	if f.node == nil {
-		return m.ID
-	}
-	if j := int(f.node[m.ID]) - 1; j < i {
-		return j
-	}
-	return -1
-}
-
-// fwd returns the local number of local node i's forward node (n.FwdOf), or
-// -1 when it has none in the frame.
-//
-//tofu:hotpath part of every coarsening
-func (f *frame) fwd(n *graph.Node, i int) int {
-	if n.FwdOf == nil {
-		return -1
-	}
-	return f.before(n.FwdOf, i)
-}
-
-// readers counts a tensor's reads by the frame's operators.
-//
-//tofu:hotpath part of every coarsening
-func (f *frame) readers(t *graph.Tensor) int {
-	if f.tensor == nil {
-		return len(t.Consumers)
-	}
-	return int(f.reads[f.tensor[t.ID]-1])
-}
-
-// coarsen is the coarsening algorithm over a frame of a valid graph
-// (producers precede consumers) and the graph's node facts, read by node ID.
-// It writes its result into out.
-func coarsen(g *graph.Graph, facts *nodeFacts, fr *frame, out *slabs) (*Coarse, error) {
-	nT, nN := len(fr.tensors), len(fr.nodes)
-	parents := fr.take(nT + nN)
+// coarsen is the coarsening algorithm over a valid graph (producers precede
+// consumers, node and tensor IDs are their positions) and its node facts.
+func coarsen(g *graph.Graph, facts *nodeFacts) (*Coarse, error) {
+	nT, nN := len(g.Tensors), len(g.Nodes)
+	parents := make([]int32, nT+nN)
 	// --- tensor variables: union-find over tensors --------------------
 	tuf := newUF(parents[:nT:nT])
 
 	// Element-wise coalescing: inputs and output of an element-wise op share
 	// a partition.
-	out.ew = resize(out.ew, nN)
-	ewNode := out.ew
-	for i, n := range fr.nodes {
-		if !facts.desc[n.ID].IsElementwise() {
+	ewNode := make([]bool, nN)
+	for i, n := range g.Nodes {
+		if !facts.desc[i].IsElementwise() {
 			continue
 		}
 		ewNode[i] = true
 		for _, in := range n.Inputs {
 			if in.Shape.Equal(n.Output.Shape) {
-				tuf.union(fr.local(in), fr.local(n.Output))
+				tuf.union(in.ID, n.Output.ID)
 			}
 		}
 	}
 
 	// Timestep merging: structurally identical ops across timesteps share
 	// slots; their same-position tensors share variables.
-	leader := slotLeaders(fr)
-	for i, n := range fr.nodes {
+	leader := slotLeaders(g, facts)
+	for i, n := range g.Nodes {
 		if int(leader[i]) == i {
 			continue
 		}
-		rep := fr.nodes[leader[i]]
+		rep := g.Nodes[leader[i]]
 		for p := range n.Inputs {
 			if n.Inputs[p].Shape.Equal(rep.Inputs[p].Shape) {
-				tuf.union(fr.local(n.Inputs[p]), fr.local(rep.Inputs[p]))
+				tuf.union(n.Inputs[p].ID, rep.Inputs[p].ID)
 			}
 		}
-		tuf.union(fr.local(n.Output), fr.local(rep.Output))
+		tuf.union(n.Output.ID, rep.Output.ID)
 	}
 
-	if out.coarse == nil {
-		out.coarse = new(Coarse)
-	}
-	c := out.coarse
-	*c = Coarse{G: g, facts: facts, whole: fr.node == nil}
-	varOf, err := buildVars(c, fr, tuf, out)
+	c := &Coarse{G: g, facts: facts}
+	varOf, err := buildVars(c, tuf)
 	if err != nil {
 		return nil, err
 	}
@@ -722,22 +526,20 @@ func coarsen(g *graph.Graph, facts *nodeFacts, fr *frame, out *slabs) (*Coarse, 
 	// --- operator groups: union-find over nodes -------------------------
 	nuf := newUF(parents[nT:])
 	// Backward ops join their forward op.
-	for i, n := range fr.nodes {
-		if j := fr.fwd(n, i); j >= 0 {
-			nuf.union(i, j)
+	for i, n := range g.Nodes {
+		if n.FwdOf != nil {
+			nuf.union(i, n.FwdOf.ID)
 		}
 	}
 	// Optimizer updates join the group producing their gradient input, so a
 	// weight variable's whole lifetime (forward use, gradient, update) is
 	// decided in one DP step — the paper's weight tensor groups.
-	for i, n := range fr.nodes {
+	for i, n := range g.Nodes {
 		if n.Op != "sgd_update" && n.Op != "adam_update" {
 			continue
 		}
 		if len(n.Inputs) >= 2 && n.Inputs[1].Producer != nil {
-			if j := fr.before(n.Inputs[1].Producer, i); j >= 0 {
-				nuf.union(i, j)
-			}
+			nuf.union(i, n.Inputs[1].Producer.ID)
 		}
 	}
 	// Timestep slot members join.
@@ -754,36 +556,36 @@ func coarsen(g *graph.Graph, facts *nodeFacts, fr *frame, out *slabs) (*Coarse, 
 	// one group, exploding the within-group combinatorial search. Tensor
 	// *variables* still merge across all element-wise edges above, which is
 	// what collapses the skip chain into a single decision.
-	for i, n := range fr.nodes {
-		if !ewNode[i] || fr.fwd(n, i) >= 0 || n.GradAgg {
+	for i, n := range g.Nodes {
+		if !ewNode[i] || n.FwdOf != nil || n.GradAgg {
 			continue
 		}
 		for _, in := range n.Inputs {
 			p := in.Producer
-			if p == nil || fr.readers(in) != 1 {
+			if p == nil || len(in.Consumers) != 1 {
 				continue
 			}
-			if j := fr.before(p, i); j >= 0 && ewNode[j] && fr.fwd(p, j) < 0 && !p.GradAgg {
-				nuf.union(i, j)
+			if ewNode[p.ID] && p.FwdOf == nil && !p.GradAgg {
+				nuf.union(i, p.ID)
 			}
 		}
 	}
 
-	buildGroups(c, fr, nuf, leader, varOf, out)
+	buildGroups(c, nuf, leader, varOf)
 	return c, nil
 }
 
 // slotLeaders groups UnrollTag'd nodes into per-structural-position slots
-// and returns, dense by local node number, the first node of each node's slot
-// (the node itself outside any slot, and for a slot of one). The slot key is
-// (signature id — tag, op and attributes, see nodeFacts — and ordinal among
+// and returns, dense by node ID, the first node of each node's slot (the node
+// itself outside any slot, and for a slot of one). The slot key is (signature
+// id — tag, op and attributes, see nodeFacts — and ordinal among
 // same-signature ops in the same timestep, which is the node's rank within
 // its cell); instances whose shapes disagree with the slot's first node are
 // left unmerged.
 //
 //tofu:hotpath once per coarsening; enforced by tofu-vet/hotalloc
-func slotLeaders(f *frame) []int32 {
-	nN := len(f.nodes)
+func slotLeaders(g *graph.Graph, f *nodeFacts) []int32 {
+	nN := len(g.Nodes)
 	unrolled := 0
 	for _, c := range f.cell {
 		if c >= 0 {
@@ -794,7 +596,7 @@ func slotLeaders(f *frame) []int32 {
 	// signature s's slots begin in first (a signature has at most as many
 	// slots as nodes); rank[c] counts cell c's nodes seen so far; first[k]
 	// is slot k's first node, plus one.
-	ints := f.take(nN + f.nsig + 1 + len(f.cellSig) + unrolled)
+	ints := make([]int32, nN+f.nsig+1+len(f.cellSig)+unrolled)
 	leader, ints := ints[:nN:nN], ints[nN:]
 	start, ints := ints[:f.nsig+1], ints[f.nsig+1:]
 	rank, first := ints[:len(f.cellSig)], ints[len(f.cellSig):]
@@ -806,7 +608,7 @@ func slotLeaders(f *frame) []int32 {
 	for s := 0; s < f.nsig; s++ {
 		start[s+1] += start[s]
 	}
-	for i, n := range f.nodes {
+	for i, n := range g.Nodes {
 		leader[i] = int32(i)
 		c := f.cell[i]
 		if c < 0 {
@@ -816,7 +618,7 @@ func slotLeaders(f *frame) []int32 {
 		rank[c]++
 		if first[k] == 0 {
 			first[k] = int32(i) + 1
-		} else if rep := first[k] - 1; sameSignature(f.nodes[rep], n) {
+		} else if rep := first[k] - 1; sameSignature(g.Nodes[rep], n) {
 			// Keep only shape-consistent instances merged.
 			leader[i] = rep
 		}
@@ -839,16 +641,15 @@ func sameSignature(a, b *graph.Node) bool {
 // buildVars materializes the variables from the tensor union-find, numbered
 // by their first member tensor: one pass counts the classes and their sizes,
 // the next fills one slab of variables and one of member lists. It returns
-// the variable index of every local tensor.
-func buildVars(c *Coarse, fr *frame, tuf uf, out *slabs) ([]int32, error) {
-	nT := len(fr.tensors)
+// the variable index of every tensor.
+func buildVars(c *Coarse, tuf uf) ([]int32, error) {
+	nT := len(c.G.Tensors)
 	// varOfRoot[r] is the variable of the class rooted at tensor r, plus
-	// one; size[v] variable v's member count; varOf[i] local tensor i's
-	// variable.
-	ints := fr.take(3 * nT)
+	// one; size[v] variable v's member count; varOf[i] tensor i's variable.
+	ints := make([]int32, 3*nT)
 	varOfRoot, size, varOf := ints[:nT], ints[nT:2*nT], ints[2*nT:]
 	nVars := 0
-	for i := range fr.tensors {
+	for i := range nT {
 		r := tuf.find(i)
 		if varOfRoot[r] == 0 {
 			nVars++
@@ -856,29 +657,27 @@ func buildVars(c *Coarse, fr *frame, tuf uf, out *slabs) ([]int32, error) {
 		}
 		size[varOfRoot[r]-1]++
 	}
-	out.vars, out.members = resize(out.vars, nVars), resize(out.members, nT)
-	out.varPtrs = resize(out.varPtrs, nVars)
-	c.Vars = out.varPtrs
-	if bad := fillVars(c, fr, tuf, out.vars, out.members, varOfRoot, size, varOf); bad >= 0 {
-		v, t := c.Vars[varOf[bad]], fr.tensors[bad]
+	c.Vars = make([]*Var, nVars)
+	if bad := fillVars(c, tuf, make([]Var, nVars), make([]*graph.Tensor, nT), varOfRoot, size, varOf); bad >= 0 {
+		v, t := c.Vars[varOf[bad]], c.G.Tensors[bad]
 		return nil, fmt.Errorf("coarsen: variable %v merged mismatched shapes %v vs %v (tensor %v)",
 			v, v.Shape, t.Shape, t)
 	}
 	return varOf, nil
 }
 
-// fillVars is buildVars' fill pass. It returns the local number of the first
-// tensor whose shape disagrees with its variable's, -1 when there is none.
+// fillVars is buildVars' fill pass. It returns the ID of the first tensor
+// whose shape disagrees with its variable's, -1 when there is none.
 //
 //tofu:hotpath once per coarsening; enforced by tofu-vet/hotalloc
-func fillVars(c *Coarse, fr *frame, tuf uf, vars []Var, members []*graph.Tensor, varOfRoot, size, varOf []int32) int {
+func fillVars(c *Coarse, tuf uf, vars []Var, members []*graph.Tensor, varOfRoot, size, varOf []int32) int {
 	for i := range vars {
 		v := &vars[i]
 		v.ID, v.First, v.Last = i, -1, -1
 		v.Tensors, members = members[:0:size[i]], members[size[i]:]
 		c.Vars[i] = v
 	}
-	for i, t := range fr.tensors {
+	for i, t := range c.G.Tensors {
 		vi := varOfRoot[tuf.find(i)] - 1
 		v := &vars[vi]
 		varOf[i] = vi
@@ -898,17 +697,17 @@ func fillVars(c *Coarse, fr *frame, tuf uf, vars []Var, members []*graph.Tensor,
 // buildGroups materializes groups from the node union-find, ordered by
 // earliest member node, slices each into slots ordered by their first node,
 // and computes variable liveness (First/Last group references). Nodes are
-// visited in local order throughout, so a group or slot is met first at its
+// visited in ID order throughout, so a group or slot is met first at its
 // earliest member and lists fill in that order with nothing to sort.
-func buildGroups(c *Coarse, fr *frame, nuf uf, leader, varOf []int32, out *slabs) {
-	nN := len(fr.nodes)
+func buildGroups(c *Coarse, nuf uf, leader, varOf []int32) {
+	nN := len(c.G.Nodes)
 	// groupOfRoot[r] is the group of the class rooted at node r, plus one;
 	// groupOf[i] node i's group; slots[gi] group gi's slot count; ops[l]
 	// the operator count and slotOf[l] the index of the slot led by node l.
-	ints := fr.take(5 * nN)
+	ints := make([]int32, 5*nN)
 	groupOfRoot, groupOf, slots, ops, slotOf := ints[:nN], ints[nN:2*nN], ints[2*nN:3*nN], ints[3*nN:4*nN], ints[4*nN:]
 	nGroups, nSlots, nIn := 0, 0, 0
-	for i, n := range fr.nodes {
+	for i, n := range c.G.Nodes {
 		r := nuf.find(i)
 		if groupOfRoot[r] == 0 {
 			nGroups++
@@ -923,30 +722,27 @@ func buildGroups(c *Coarse, fr *frame, nuf uf, leader, varOf []int32, out *slabs
 		ops[leader[i]]++
 	}
 
-	out.groups, out.groupPtrs = resize(out.groups, nGroups), resize(out.groupPtrs, nGroups)
-	out.slots, out.slotPtrs = resize(out.slots, nSlots), resize(out.slotPtrs, nSlots)
-	out.ops, out.operands = resize(out.ops, nN), resize(out.operands, nIn)
-	c.Groups = out.groupPtrs
-	fillGroups(c, fr, out.groups, out.slots, out.slotPtrs, out.ops, out.operands, varOf, leader, groupOf, slots, ops, slotOf)
+	c.Groups = make([]*Group, nGroups)
+	fillGroups(c, make([]Group, nGroups), make([]Slot, nSlots), make([]*Slot, nSlots), make([]*graph.Node, nN),
+		make([]*Var, nIn), varOf, leader, groupOf, slots, ops, slotOf)
 
 	// Per-group variable lists. Count first: vars[gi] distinct variables
 	// touched (which also fixes every variable's First/Last), then how many
 	// start at each group and how many stay live across each boundary.
-	counts := fr.take(len(c.Vars) + 3*nGroups)
+	counts := make([]int32, len(c.Vars)+3*nGroups)
 	seen, counts := counts[:len(c.Vars)], counts[len(c.Vars):]
 	touched, fresh, live := counts[:nGroups], counts[nGroups:2*nGroups], counts[2*nGroups:]
 	total := countGroupVars(c, seen, touched, fresh, live)
 	// Variables never referenced by any op (dangling tensors) live nowhere;
 	// they are dropped from the DP by construction.
-	out.varLists = resize(out.varLists, total)
-	fillGroupVars(c, out.varLists, seen, touched, fresh, live)
+	fillGroupVars(c, make([]*Var, total), seen, touched, fresh, live)
 }
 
 // fillGroups lays out the groups, their slots and the slots' operators and
 // operands.
 //
 //tofu:hotpath once per coarsening; enforced by tofu-vet/hotalloc
-func fillGroups(c *Coarse, fr *frame, groups []Group, slotSlab []Slot, slotPtrs []*Slot, opSlab []*graph.Node,
+func fillGroups(c *Coarse, groups []Group, slotSlab []Slot, slotPtrs []*Slot, opSlab []*graph.Node,
 	inSlab []*Var, varOf, leader, groupOf, slots, ops, slotOf []int32) {
 
 	for gi := range groups {
@@ -956,7 +752,7 @@ func fillGroups(c *Coarse, fr *frame, groups []Group, slotSlab []Slot, slotPtrs 
 		c.Groups[gi] = grp
 	}
 	next := 0
-	for i, n := range fr.nodes {
+	for i, n := range c.G.Nodes {
 		l := leader[i]
 		if int(l) == i {
 			s := &slotSlab[next]
@@ -965,9 +761,9 @@ func fillGroups(c *Coarse, fr *frame, groups []Group, slotSlab []Slot, slotPtrs 
 			s.Ops, opSlab = opSlab[:0:ops[i]], opSlab[ops[i]:]
 			s.In, inSlab = inSlab[:len(n.Inputs):len(n.Inputs)], inSlab[len(n.Inputs):]
 			for p, in := range n.Inputs {
-				s.In[p] = c.Vars[varOf[fr.local(in)]]
+				s.In[p] = c.Vars[varOf[in.ID]]
 			}
-			s.Out = c.Vars[varOf[fr.local(n.Output)]]
+			s.Out = c.Vars[varOf[n.Output.ID]]
 			s.Desc = c.facts.desc[n.ID]
 			s.Sig = c.facts.prices[c.facts.price[n.ID]]
 			grp := &groups[groupOf[i]]

@@ -35,8 +35,7 @@ func CoarsenSub(parent *Coarse, sub *graph.Subgraphed) (*Coarse, error) {
 		facts.cell[i] = parent.facts.cell[id]
 		facts.price[i] = parent.facts.price[id]
 	}
-	fr := wholeGraph(sub.G, &facts)
-	return coarsen(sub.G, &facts, &fr, &slabs{})
+	return coarsen(sub.G, &facts)
 }
 
 // refDescribe looks up every node's description and interns the (UnrollTag,

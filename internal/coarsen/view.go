@@ -2,32 +2,22 @@ package coarsen
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"tofu/internal/graph"
 )
 
-// A segment of a whole graph's coarsening is, for most group intervals, the
-// root's groups [lo, hi) with the root's slots: cutting the graph only severs
-// variables. Such a segment is built as a view (SegmentScratch.view): the
-// root's groups and slots are copied, every root variable the interval holds
-// whole keeps its members, and only the variables that reach outside it are
-// split again, by the tensor unions the segment's own operators make.
-// Variables are then numbered at first sight in ascending operator ID, as a
-// frame coarsening numbers them, so the view is that coarsening exactly.
-//
-// The intervals whose grouping differs from the root's go through the frame
-// (load and coarsen). viewIndex.fallback marks them, once per root; the causes
-// are:
-//   - a cut through unrolled cells: an operator's slot is keyed by its rank
-//     among its cell's same-signature operators, and the rank counts only
-//     the operators present, so slot leaders can change;
-//   - a forward element-wise edge whose other readers all lie outside the
-//     interval: the segment reads the tensor once, and the coalescing rule
-//     (a single reader) joins two groups the root keeps apart;
-//   - a forward link (FwdOf) to a later operator, which a frame drops (an
-//     optimizer update's other link, to its gradient's producer, always
-//     points back: a valid graph lists producers first).
+// A segment of a whole graph's coarsening is a view of it
+// (SegmentScratch.view): the root's groups [lo, hi) with the root's slots.
+// Cutting the graph only severs variables, so every root variable the
+// interval holds whole keeps its members, and only the variables that reach
+// outside it are split again, by the tensor unions the interval's own slots
+// make: an element-wise operator's same-shaped operands with its output, a
+// timestep instance's operands with its slot leader's. Variables are then
+// numbered at first sight in ascending operator ID, as Coarsen numbers an
+// extracted graph's; where that coarsening keeps the root's groups and slots,
+// the view is it exactly.
 
 // viewIndex is what viewing segments of one whole-graph coarsening needs. A
 // scratch builds it on its first segment of that root and keeps it until it
@@ -49,9 +39,6 @@ type viewIndex struct {
 	// members, in group order; per group only those that joined two classes
 	// of the group's own unions.
 	edges []edge
-	// fallback has bit lo*(L+1)+hi set when groups [lo, hi) coarsen as a
-	// frame into other groups or slots than the root's.
-	fallback []uint64
 }
 
 // edge is one tensor union: the members at positions a and b, joined by an
@@ -77,29 +64,37 @@ type part struct {
 }
 
 // The view sorts its variables by keys that pack where a variable is first
-// seen above its entry in the list of whole variables and parts; a graph too
-// large for the packing is never viewed.
+// seen above its entry in the list of whole variables and parts.
 const orderBits = 24
+
+// orderLimit refuses a graph too large for the order keys: an entry must fit
+// in orderBits, so nTensors stays below 2^orderBits, and a sighting in the
+// other bits, so the operand positions (sights) stay below 2^(64-orderBits).
+func orderLimit(nTensors int, sights int64) error {
+	if nTensors >= 1<<orderBits || sights >= 1<<(64-orderBits) {
+		return fmt.Errorf("coarsen: a graph of %d tensors and %d operand positions is past the segment view's limit of 2^%d and 2^%d",
+			nTensors, sights, orderBits, 64-orderBits)
+	}
+	return nil
+}
 
 func byMemberSight(a, b member) int { return cmp.Compare(a.key, b.key) }
 
-// index returns the view index of root c, building it when sc last viewed
-// another coarsening.
-func (sc *SegmentScratch) index(c *Coarse) *viewIndex {
-	if sc.ix.root != c {
-		sc.vvar, sc.vtensor = make([]int32, len(c.Vars)), make([]int32, len(c.G.Tensors))
-		sc.ix.build(c, sc.vtensor)
-		sc.parent = make([]int32, len(sc.ix.members))
-		sc.ix.buildEdges(c, sc.vtensor, sc.parent)
-		sc.ix.buildFallback(c)
+// index builds the view index of root c and sizes the tables a view of it
+// works in, or refuses a graph past orderLimit.
+func (sc *SegmentScratch) index(c *Coarse) error {
+	stride := int64(1)
+	for _, n := range c.G.Nodes {
+		stride = max(stride, int64(len(n.Inputs)+1))
 	}
-	return &sc.ix
-}
-
-// viewed reports whether ix serves groups [lo, hi) as a view.
-func (ix *viewIndex) viewed(lo, hi int) bool {
-	b := lo*(len(ix.root.Groups)+1) + hi
-	return ix.fallback[b>>6]&(1<<(b&63)) == 0
+	if err := orderLimit(len(c.G.Tensors), int64(len(c.G.Nodes))*stride); err != nil {
+		return err
+	}
+	sc.vvar, sc.vtensor = make([]int32, len(c.Vars)), make([]int32, len(c.G.Tensors))
+	sc.ix.build(c, stride, sc.vtensor)
+	sc.parent = make([]int32, len(sc.ix.members))
+	sc.ix.buildEdges(c, sc.vtensor, sc.parent)
+	return nil
 }
 
 // has reports whether node n belongs to groups [lo, hi).
@@ -108,9 +103,9 @@ func (ix *viewIndex) has(n *graph.Node, lo, hi int) bool {
 	return g >= lo && g < hi
 }
 
-// sight returns where a frame of groups [lo, hi) first sees t — at its
-// producer, or else at its lowest reader, at the first operand position that
-// reads it — and -1 when no operator of the frame touches t.
+// sight returns where groups [lo, hi) first see t — at its producer, or
+// else at its lowest reader, at the first operand position that reads it —
+// and -1 when no operator of the interval touches t.
 //
 //tofu:hotpath part of every view
 func (ix *viewIndex) sight(t *graph.Tensor, lo, hi int) int64 {
@@ -136,9 +131,9 @@ func (ix *viewIndex) sight(t *graph.Tensor, lo, hi int) int64 {
 // build indexes root c's nodes and variables: every node's group, and each
 // variable's members in first-sight order. It leaves at[t.ID] the position
 // of tensor t in members plus one (0 for an unreferenced tensor).
-func (ix *viewIndex) build(c *Coarse, at []int32) {
+func (ix *viewIndex) build(c *Coarse, stride int64, at []int32) {
 	g := c.G
-	*ix = viewIndex{root: c, stride: 1}
+	*ix = viewIndex{root: c, stride: stride}
 	ix.groupOf = make([]int32, len(g.Nodes))
 	for gi, grp := range c.Groups {
 		for _, s := range grp.Slots {
@@ -147,12 +142,8 @@ func (ix *viewIndex) build(c *Coarse, at []int32) {
 			}
 		}
 	}
-	for _, n := range g.Nodes {
-		ix.stride = max(ix.stride, int64(len(n.Inputs)+1))
-	}
-
 	// Every member of a referenced variable is touched by some operator, so
-	// walking the operators in ID order sees each once, in frame order. at
+	// walking the operators in ID order sees each once, in sighting order. at
 	// holds -(v+1) for an unseen member of variable v.
 	nV := len(c.Vars)
 	ints := make([]int32, 2*nV+1)
@@ -254,185 +245,11 @@ func (ix *viewIndex) buildEdges(c *Coarse, at, parent []int32) {
 	}
 }
 
-// buildFallback marks the intervals a view cannot serve (see the causes
-// above), each cause as rectangles of (lo, hi).
-func (ix *viewIndex) buildFallback(c *Coarse) {
-	L := len(c.Groups)
-	W := L + 1
-	ix.fallback = make([]uint64, (W*W+63)/64)
-	paint := func(lo0, lo1, hi0, hi1 int) {
-		for lo := lo0; lo <= lo1; lo++ {
-			for hi := max(hi0, lo+1); hi <= hi1; hi++ {
-				b := lo*W + hi
-				ix.fallback[b>>6] |= 1 << (b & 63)
-			}
-		}
-	}
-	if len(c.G.Tensors) >= 1<<orderBits || int64(len(c.G.Nodes))*ix.stride >= 1<<(64-orderBits) {
-		paint(0, L-1, 1, L)
-		return
-	}
-	ew := func(n *graph.Node) bool {
-		return c.facts.desc[n.ID].IsElementwise() && n.FwdOf == nil && !n.GradAgg
-	}
-	for _, n := range c.G.Nodes {
-		gi := int(ix.groupOf[n.ID])
-		// A frame keeps only links to earlier operators: every interval
-		// holding a later link's group loses it.
-		if n.FwdOf != nil && n.FwdOf.ID > n.ID {
-			paint(0, gi, gi+1, L)
-		}
-		if !ew(n) {
-			continue
-		}
-		for _, in := range n.Inputs {
-			p := in.Producer
-			if p == nil || !ew(p) || ix.groupOf[p.ID] == int32(gi) {
-				continue
-			}
-			// The root did not coalesce p and n, so in has another reader;
-			// an interval holding both groups and none of those readers
-			// coalesces them.
-			a, b := min(gi, int(ix.groupOf[p.ID])), max(gi, int(ix.groupOf[p.ID]))
-			below, above, reads := -1, L, 0
-			for _, r := range in.Consumers {
-				switch rg := int(ix.groupOf[r.ID]); {
-				case r == n:
-					reads++
-				case rg < a:
-					below = max(below, rg)
-				case rg > b:
-					above = min(above, rg)
-				default:
-					reads = 2 // a reader present whenever both groups are
-				}
-			}
-			if reads == 1 {
-				paint(below+1, a, b+1, above)
-			}
-		}
-	}
-	ix.leaderFallback(c, paint)
-}
-
-// leaderFallback paints the intervals whose slot leaders differ from the
-// root's. An unrolled operator's slot depends only on which of its
-// signature's operators are present, and an interval holds a contiguous run
-// of the groups those operators lie in. So per signature it replays the
-// slot assignment of slotLeaders on every proper run of its groups, and
-// paints the intervals that hold exactly that run where a leader moves.
-func (ix *viewIndex) leaderFallback(c *Coarse, paint func(lo0, lo1, hi0, hi1 int)) {
-	f, L := c.facts, len(c.Groups)
-	if f.nsig == 0 {
-		return
-	}
-	// ops lists each signature's operators in ID order: signature s's are
-	// ops[at[s]:at[s+1]]. leader maps a node to its root slot's first
-	// operator, rankOf a group to its position among a signature's groups,
-	// rank counts a cell's operators replayed, and first[k] is the rank-k
-	// slot's first operator plus one.
-	n := len(f.cell)
-	ints := make([]int32, 2*(f.nsig+1)+3*n+L+len(f.cellSig))
-	at, fill, ints := ints[:f.nsig+1], ints[f.nsig+1:2*f.nsig+2], ints[2*f.nsig+2:]
-	ops, leader, first, ints := ints[:n], ints[n:2*n], ints[2*n:3*n], ints[3*n:]
-	rankOf, rank := ints[:L], ints[L:]
-	for _, cell := range f.cell {
-		if cell >= 0 {
-			at[f.cellSig[cell]+1]++
-		}
-	}
-	for s := range f.nsig {
-		at[s+1] += at[s]
-		fill[s] = at[s]
-	}
-	for id, cell := range f.cell {
-		if cell >= 0 {
-			s := f.cellSig[cell]
-			ops[fill[s]] = int32(id)
-			fill[s]++
-		}
-	}
-	for _, grp := range c.Groups {
-		for _, s := range grp.Slots {
-			for _, op := range s.Ops {
-				leader[op.ID] = int32(s.Ops[0].ID)
-			}
-		}
-	}
-	var groups []int
-	for s := range f.nsig {
-		sops := ops[at[s]:at[s+1]]
-		groups = groups[:0]
-		for _, id := range sops {
-			if gi := ix.groupOf[id]; rankOf[gi] == 0 {
-				rankOf[gi] = 1
-				groups = append(groups, int(gi))
-			}
-		}
-		slices.Sort(groups)
-		for i, gi := range groups {
-			rankOf[gi] = int32(i)
-		}
-		m := len(groups)
-		for a := 0; a < m; a++ {
-			for b := a; b < m; b++ {
-				if (a == 0 && b == m-1) || ix.leadersKept(f, sops, leader, rankOf, int32(a), int32(b), rank, first) {
-					continue
-				}
-				lo0, hi1 := 0, L
-				if a > 0 {
-					lo0 = groups[a-1] + 1
-				}
-				if b < m-1 {
-					hi1 = groups[b+1]
-				}
-				paint(lo0, groups[a], groups[b]+1, hi1)
-			}
-		}
-		for _, gi := range groups {
-			rankOf[gi] = 0
-		}
-	}
-}
-
-// leadersKept replays slotLeaders on the operators of one signature whose
-// groups are the a-th to b-th of its groups, and reports whether each keeps
-// its root slot leader. It leaves rank and first zero.
-func (ix *viewIndex) leadersKept(f *nodeFacts, ops, leader, rankOf []int32, a, b int32, rank, first []int32) bool {
-	kept, top := true, int32(0)
-	for _, id := range ops {
-		if r := rankOf[ix.groupOf[id]]; r < a || r > b {
-			continue
-		}
-		cell := f.cell[id]
-		k := rank[cell]
-		rank[cell]++
-		top = max(top, k+1)
-		lead := id
-		if first[k] == 0 {
-			first[k] = id + 1
-		} else if rep := first[k] - 1; f.price[rep] == f.price[id] {
-			// One signature shares op and attributes, so equal pricing
-			// signatures are equal shapes: sameSignature.
-			lead = rep
-		}
-		if lead != leader[id] {
-			kept = false
-			break
-		}
-	}
-	for _, id := range ops {
-		rank[f.cell[id]] = 0
-	}
-	clear(first[:top])
-	return kept
-}
-
 // view builds the segment of root c's groups [lo, hi) into out from c's
-// groups, slots and variables; ix.viewed(lo, hi) must hold. The variables
-// the interval holds whole keep their members; those reaching outside it are
-// split (split). The result is numbered like a frame coarsening: a variable
-// at the first sight of its first member, its members in sighting order. A
+// groups, slots and variables; sc.ix must be c's index. The variables the
+// interval holds whole keep their members; those reaching outside it are
+// split (split). A variable is numbered at the first sight of its first
+// member, its members listed in sighting order. A
 // transient view (out is sc.out) shares the slots' operator lists with c and
 // the whole variables' member lists with the index; an owned one copies them.
 //
@@ -481,7 +298,7 @@ func (sc *SegmentScratch) view(c *Coarse, lo, hi int, out *slabs) *Coarse {
 		out.coarse = new(Coarse)
 	}
 	seg := out.coarse
-	*seg = Coarse{G: c.G, facts: c.facts}
+	*seg = Coarse{G: c.G}
 	out.vars, out.varPtrs = grow(out.vars, len(order)), grow(out.varPtrs, len(order))
 	out.members = grow(out.members, members)
 	seg.Vars = out.varPtrs
@@ -527,9 +344,9 @@ func (sc *SegmentScratch) view(c *Coarse, lo, hi int, out *slabs) *Coarse {
 	return seg
 }
 
-// split splits the root variables in sc.splits as a frame of groups
-// [lo, hi) does: their members the frame touches, joined by the unions of
-// the frame's groups (one run of ix.edges). It appends the members to sc.xs,
+// split splits the root variables in sc.splits by groups [lo, hi): their
+// members the interval's operators touch, joined by the unions of the
+// interval's groups (one run of ix.edges). It appends the members to sc.xs,
 // each variable's in sighting order, and the parts they form to sc.parts,
 // each variable's in the order of their first members.
 //

@@ -69,8 +69,7 @@ type Options struct {
 	// per-candidate-level "hybrid.level" spans, and under each a
 	// "hybrid.segment" span per memoized segment. A segment span wraps the
 	// segment's whole preparation — its coarsening (coarsen.Coarse.
-	// SegmentTransient, a "coarsen" child with view=1 when the segment is a
-	// view of the root's groups, 0 when its frame was coarsened afresh) and
+	// SegmentTransient, a "coarsen" child carrying its group count) and
 	// its structural key — and then its full recursive search, or is marked
 	// memo_hit=1 when the structural memo served it. A level span carries
 	// seed_rounds (seed rounds started), segments (solved at that level),
@@ -201,10 +200,7 @@ func PartitionCoarse(c *coarsen.Coarse, k int64, opts Options) (*Result, error) 
 	if cache == nil {
 		cache = dp.NewPriceCache()
 	}
-	s, err := newSearch(c, *tp, opts, cache)
-	if err != nil {
-		return nil, err
-	}
+	s := newSearch(c, *tp, opts, cache)
 
 	levels := []int{opts.Level}
 	if opts.Level == 0 {
@@ -254,25 +250,12 @@ func PartitionCoarse(c *coarsen.Coarse, k int64, opts Options) (*Result, error) 
 	return res, nil
 }
 
-// frameSegments, when set (tests only), makes every segment of a search a
-// frame coarsening rather than a view of the root's: the search cuts its
-// segments from a segment of the root spanning every group, and coarsen views
-// only a whole graph's coarsening.
-var frameSegments bool
-
 // newSearch sets up the level-independent state of a search over c.
-func newSearch(c *coarsen.Coarse, tp topo.Topology, opts Options, cache *dp.PriceCache) (*search, error) {
+func newSearch(c *coarsen.Coarse, tp topo.Topology, opts Options, cache *dp.PriceCache) *search {
 	s := &search{g: c.G, c: c, tp: tp, opts: opts, cache: cache, floors: make([]groupBounds, len(c.Groups))}
-	if frameSegments {
-		whole, err := c.Segment(0, len(c.Groups), &s.scratch)
-		if err != nil {
-			return nil, err
-		}
-		s.c = whole
-	}
 	s.buildGroupOf()
 	s.buildHandoffs()
-	return s, nil
+	return s
 }
 
 // search holds the level-independent state of one Partition call.

@@ -394,11 +394,11 @@ func (ls *levelState) fill(lo, hi int) *segment {
 }
 
 // prepareSegment coarsens groups [lo, hi) of the root coarsening — a view of
-// the root's groups where the interval keeps them — and appends its
-// structural key (coarsen.Coarse.AppendStructKey) to key. The segment is
-// transient (coarsen.Coarse.SegmentTransient): the search's scratch holds it
-// until the next segment coarsening, and fill is done with it by then — a
-// solve keeps only the cost and the cost-only plan.
+// the root's groups — and appends its structural key
+// (coarsen.Coarse.AppendStructKey) to key. The segment is transient
+// (coarsen.Coarse.SegmentTransient): the search's scratch holds it until the
+// next segment coarsening, and fill is done with it by then — a solve keeps
+// only the cost and the cost-only plan.
 func (ls *levelState) prepareSegment(key []byte, lo, hi int) ([]byte, stageProblem, error) {
 	pr := stageProblem{lo: lo, hi: hi}
 	pr.span = ls.trace.Child("hybrid.segment")
@@ -409,11 +409,6 @@ func (ls *levelState) prepareSegment(key []byte, lo, hi int) ([]byte, stageProbl
 	pr.co, err = ls.s.c.SegmentTransient(lo, hi, &ls.s.scratch)
 	if err == nil {
 		csp.SetInt("groups", int64(len(pr.co.Groups)))
-		view := int64(0)
-		if ls.s.scratch.Viewed() {
-			view = 1
-		}
-		csp.SetInt("view", view)
 	}
 	csp.End()
 	if err != nil {
