@@ -6,15 +6,6 @@ import (
 	"slices"
 )
 
-// SetReplayAudit installs f as the replay audit (nil removes it), for the
-// step-memo audit in the external test package.
-func SetReplayAudit(f func(pr *Prepared, replay *Result)) { replayAudit = f }
-
-// SetPrepareAudit installs f as the audit of shared preparations (nil
-// removes it), for the prepared-step memo oracle in the external test
-// package.
-func SetPrepareAudit(f func(p *Problem, hit *Prepared)) { prepareAudit = f }
-
 // ProblemOf returns the Problem pr is bound to.
 func ProblemOf(pr *Prepared) *Problem { return pr.p }
 

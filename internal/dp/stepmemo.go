@@ -93,14 +93,6 @@ func (m *StepMemo) bind(c *coarsen.Coarse) error {
 	return nil
 }
 
-// replayAudit, when set (tests only), sees every replay: the step's own
-// Prepared and the Result the memo returned for it.
-var replayAudit func(pr *Prepared, replay *Result)
-
-// prepareAudit, when set (tests only), sees every preparation the memo
-// shared: the caller's Problem and the Prepared it got back.
-var prepareAudit func(p *Problem, hit *Prepared)
-
 // Prepare returns p's preparation and whether it shares the slot set of an
 // earlier step of the search (a hit: no pricing work and no "dp.pricing"
 // span). A hit is bound to p, so a Solve on it reads p's MaxStates,
@@ -121,11 +113,7 @@ func (m *StepMemo) Prepare(p *Problem) (pr *Prepared, hit bool, err error) {
 		if e.err != nil {
 			return nil, true, e.err
 		}
-		pr = &Prepared{p: p, sl: e.sl}
-		if prepareAudit != nil {
-			prepareAudit(p, pr)
-		}
-		return pr, true, nil
+		return &Prepared{p: p, sl: e.sl}, true, nil
 	}
 	e := preparedStep{}
 	if pr, e.err = Prepare(p); e.err == nil {
@@ -174,14 +162,9 @@ func appendStepKey(buf []byte, p *Problem) (key []byte, ok bool) {
 // Materialize fills the tables from this step. Only preparations that share
 // a slot set (Prepare) replay each other.
 func (m *StepMemo) Solve(pr *Prepared) (res *Result, replayed bool, err error) {
-	rec := m.lookup(pr)
-	if rec != nil {
-		res = &Result{VarCut: maps.Clone(rec.VarCut), CommBytes: rec.CommBytes, States: rec.States,
-			Configs: rec.Configs, c: pr.p.Coarse, evals: pr.sl.ordered}
-		if replayAudit != nil {
-			replayAudit(pr, res)
-		}
-		return res, true, nil
+	if rec := m.lookup(pr); rec != nil {
+		return &Result{VarCut: maps.Clone(rec.VarCut), CommBytes: rec.CommBytes, States: rec.States,
+			Configs: rec.Configs, c: pr.p.Coarse, evals: pr.sl.ordered}, true, nil
 	}
 	if res, err = pr.Solve(); err != nil {
 		return nil, false, err

@@ -1,32 +1,37 @@
 package dp_test
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"testing"
 
+	"tofu/internal/coarsen"
 	"tofu/internal/dp"
 	"tofu/internal/hybrid"
 	"tofu/internal/models"
 	"tofu/internal/recursive"
+	"tofu/internal/shape"
 	"tofu/internal/topo"
 )
 
-// TestStepMemoAudit sweeps every step the step memo replays again, on the
-// step's own preparation, and compares the sweep with the replay bit for bit:
-// VarCut, CommBytes, States and Configs. It runs the twelve cold benchmark
-// cases (bench/workloads/cold-*.json), a grid of small models on five
-// machines, and searches where the memo must miss: a batch that turns odd
-// mid-chain, factor-3 against factor-2 steps, and a beam bound. Every replay a
-// search reports is audited.
-func TestStepMemoAudit(t *testing.T) {
-	type auditCase struct {
+// TestStepMemoMatchesFresh runs, for every candidate ordering of a case's
+// factors, the recursive chain of steps (recursive.Search with those Factors,
+// one step memo per chain) and compares every step with a fresh dp.Solve at
+// the step's divided shapes, with no price cache, bit for bit: VarCut,
+// CommBytes, States and Configs. Pipeline cases check each winning stage's
+// groups on the stage sub-machine's factors. It runs the twelve cold
+// benchmark cases (bench/workloads/cold-*.json), a grid of small models on
+// five machines, and searches where the memo must miss: a batch that turns
+// odd mid-chain, factor-3 against factor-2 steps, and a beam bound.
+func TestStepMemoMatchesFresh(t *testing.T) {
+	type memoCase struct {
 		cfg       models.Config
 		hw        string // "" = 8 flat workers
 		pipeline  bool
 		maxStates int
 	}
-	cases := []auditCase{
+	cases := []memoCase{
 		{cfg: models.Config{Family: "wresnet", Depth: 50, Width: 4, Batch: 32}},
 		{cfg: models.Config{Family: "wresnet", Depth: 152, Width: 10, Batch: 8}},
 		{cfg: models.Config{Family: "rnn", Depth: 10, Width: 8192, Batch: 128}},
@@ -46,96 +51,164 @@ func TestStepMemoAudit(t *testing.T) {
 			{Family: "rnn", Depth: 3, Width: 384, Batch: 96},
 			{Family: "transformer", Depth: 2, Width: 384, Batch: 96},
 		} {
-			cases = append(cases, auditCase{cfg: cfg, hw: hw})
+			cases = append(cases, memoCase{cfg: cfg, hw: hw})
 		}
 	}
+	for _, beam := range []int{4, 64} {
+		cases = append(cases, memoCase{cfg: models.Config{Family: "transformer", Depth: 2, Width: 384, Batch: 96}, hw: "cluster-4x2x8", maxStates: beam})
+	}
 
-	var audited int64
-	var fail func(format string, args ...any)
-	dp.SetReplayAudit(func(pr *dp.Prepared, replay *dp.Result) {
-		audited++
-		res, err := pr.Solve()
-		switch {
-		case err != nil:
-			fail("a replayed step's own sweep fails: %v", err)
-		case math.Float64bits(res.CommBytes) != math.Float64bits(replay.CommBytes):
-			fail("sweep costs %v, replay %v", res.CommBytes, replay.CommBytes)
-		case res.States != replay.States || res.Configs != replay.Configs:
-			fail("sweep (states, configs) = (%d, %d), replay (%d, %d)", res.States, res.Configs, replay.States, replay.Configs)
-		case !maps.Equal(res.VarCut, replay.VarCut):
-			fail("sweep and replay cut differently")
-		}
-	})
-	defer dp.SetReplayAudit(nil)
-
-	// run searches one case and returns the sweeps it ran and replayed.
-	run := func(c auditCase) (sweeps, replays int64) {
-		t.Helper()
+	replays := 0
+	for _, c := range cases {
 		m, err := models.Build(c.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		co, err := coarsen.Coarsen(m.G)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if c.hw == "" {
-			var st recursive.SearchStats
-			if _, err := recursive.Partition(m.G, 8, recursive.Options{MaxStates: c.maxStates, Parallelism: 1, Stats: &st}); err != nil {
-				t.Fatalf("%s: %v", c.cfg, err)
-			}
-			return int64(st.DPSolves), int64(st.Replays)
+			replays += checkOrderings(t, c.cfg.String(), co, recursive.Factorize(8), c.maxStates)
+			continue
 		}
 		tp, err := topo.Profile(c.hw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := int64(tp.NumGPUs())
-		if c.pipeline {
-			var st hybrid.Stats
-			if _, err := hybrid.Partition(m.G, k, hybrid.Options{Topology: &tp, MaxStates: c.maxStates, Parallelism: 1, Stats: &st}); err != nil {
-				t.Fatalf("%s on %s: %v", c.cfg, c.hw, err)
+		name := fmt.Sprintf("%s on %s", c.cfg, c.hw)
+		if !c.pipeline {
+			replays += checkOrderings(t, name, co, poolFactors(tp.Levels), c.maxStates)
+			continue
+		}
+		res, err := hybrid.PartitionCoarse(co, int64(tp.NumGPUs()), hybrid.Options{Topology: &tp, MaxStates: c.maxStates, Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var sc coarsen.SegmentScratch
+		for _, stg := range res.Stages {
+			seg, err := co.Segment(stg.Groups[0], stg.Groups[1], &sc)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return st.DPSolves, st.Replays
+			replays += checkOrderings(t, fmt.Sprintf("%s, groups %v", name, stg.Groups), seg, poolFactors(stg.Topo.Levels), c.maxStates)
 		}
-		var st recursive.SearchStats
-		if _, err := recursive.Partition(m.G, k, recursive.Options{Topology: &tp, MaxStates: c.maxStates, Parallelism: 1, Stats: &st}); err != nil {
-			t.Fatalf("%s on %s: %v", c.cfg, c.hw, err)
-		}
-		return int64(st.DPSolves), int64(st.Replays)
 	}
-	audit := func(c auditCase) (sweeps, replays int64) {
-		t.Helper()
-		fail = func(format string, args ...any) {
-			t.Errorf("%s on %q (pipeline %v, max states %d): "+format,
-				append([]any{c.cfg, c.hw, c.pipeline, c.maxStates}, args...)...)
-		}
-		before := audited
-		sweeps, replays = run(c)
-		if audited-before != replays {
-			t.Errorf("%s on %q: %d replays reported, %d audited", c.cfg, c.hw, replays, audited-before)
-		}
-		t.Logf("%s on %q (pipeline %v, max states %d): %d sweeps, %d replays audited",
-			c.cfg, c.hw, c.pipeline, c.maxStates, sweeps, replays)
-		return sweeps, replays
-	}
-	for _, c := range cases {
-		audit(c)
-	}
-	if audited == 0 {
-		t.Fatal("no replay audited")
+	if replays == 0 {
+		t.Fatal("no step replayed")
 	}
 
 	// Where the memo must miss. Batch 96 halves three times and every step
 	// after the first replays it; batch 90 turns odd after the first step
 	// cuts it, so the second step's alphabet changes and it sweeps.
-	if sweeps, _ := audit(auditCase{cfg: models.Config{Family: "mlp", Depth: 2, Width: 16, Batch: 96}}); sweeps != 1 {
-		t.Errorf("mlp-2-16@96: %d sweeps, want 1", sweeps)
+	sweeps := func(cfg models.Config, hw string) int {
+		t.Helper()
+		m, err := models.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := recursive.Options{Parallelism: 1, Stats: &recursive.SearchStats{}}
+		k := int64(8)
+		if hw != "" {
+			tp, err := topo.Profile(hw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Topology, k = &tp, int64(tp.NumGPUs())
+		}
+		if _, err := recursive.Partition(m.G, k, opts); err != nil {
+			t.Fatalf("%s on %q: %v", cfg, hw, err)
+		}
+		return opts.Stats.DPSolves
 	}
-	if sweeps, _ := audit(auditCase{cfg: models.Config{Family: "mlp", Depth: 2, Width: 16, Batch: 90}}); sweeps < 2 {
-		t.Errorf("mlp-2-16@90: %d sweeps; the step after the batch turned odd replayed", sweeps)
+	if n := sweeps(models.Config{Family: "mlp", Depth: 2, Width: 16, Batch: 96}, ""); n != 1 {
+		t.Errorf("mlp-2-16@96: %d sweeps, want 1", n)
+	}
+	if n := sweeps(models.Config{Family: "mlp", Depth: 2, Width: 16, Batch: 90}, ""); n < 2 {
+		t.Errorf("mlp-2-16@90: %d sweeps; the step after the batch turned odd replayed", n)
 	}
 	// A factor-3 step never replays a factor-2 sweep.
-	if sweeps, _ := audit(auditCase{cfg: models.Config{Family: "mlp", Depth: 3, Width: 384, Batch: 96}, hw: "cluster-2x4x2x12"}); sweeps < 2 {
-		t.Errorf("mlp-3-384@96 on cluster-2x4x2x12: %d sweeps for factors 3 and 2", sweeps)
+	if n := sweeps(models.Config{Family: "mlp", Depth: 3, Width: 384, Batch: 96}, "cluster-2x4x2x12"); n < 2 {
+		t.Errorf("mlp-3-384@96 on cluster-2x4x2x12: %d sweeps for factors 3 and 2", n)
 	}
-	for _, beam := range []int{4, 64} {
-		audit(auditCase{cfg: models.Config{Family: "transformer", Depth: 2, Width: 384, Batch: 96}, hw: "cluster-4x2x8", maxStates: beam})
+}
+
+// poolFactors lists a machine's recursive factors: every level's prime
+// factors, innermost level first.
+func poolFactors(levels []topo.Level) []int64 {
+	var out []int64
+	for _, lv := range levels {
+		out = append(out, recursive.Factorize(lv.GroupSize)...)
 	}
+	return out
+}
+
+// orderings lists the distinct permutations of factors.
+func orderings(factors []int64) [][]int64 {
+	if len(factors) <= 1 {
+		return [][]int64{factors}
+	}
+	var out [][]int64
+	seen := map[int64]bool{}
+	for i, f := range factors {
+		if seen[f] {
+			continue
+		}
+		seen[f] = true
+		rest := append(append([]int64(nil), factors[:i]...), factors[i+1:]...)
+		for _, tail := range orderings(rest) {
+			out = append(out, append([]int64{f}, tail...))
+		}
+	}
+	return out
+}
+
+// checkOrderings searches c once per distinct ordering of factors and holds
+// every step to a fresh dp.Solve at its shapes. It returns the replays the
+// chains reported.
+func checkOrderings(t *testing.T, name string, c *coarsen.Coarse, factors []int64, maxStates int) (replays int) {
+	t.Helper()
+	k := int64(1)
+	for _, f := range factors {
+		k *= f
+	}
+	chains := orderings(factors)
+	for _, ord := range chains {
+		var st recursive.SearchStats
+		p, err := recursive.Search(c, k, recursive.Options{Factors: ord, MaxStates: maxStates, Parallelism: 1, Stats: &st})
+		if err != nil {
+			continue // an ordering an indivisible shape rules out
+		}
+		if st.DPSolves+st.Replays != len(p.Steps) {
+			t.Errorf("%s, factors %v: %d sweeps and %d replays for %d steps", name, ord, st.DPSolves, st.Replays, len(p.Steps))
+		}
+		replays += st.Replays
+		shapes := make(map[int]shape.Shape, len(c.Vars))
+		for _, v := range c.Vars {
+			shapes[v.Tensors[0].ID] = v.Shape.Clone()
+		}
+		for i, step := range p.Steps {
+			fresh, err := dp.Solve(&dp.Problem{Coarse: c, K: step.K, Shapes: shapes, DType: shape.Float32, MaxStates: maxStates, Parallelism: 1})
+			switch {
+			case err != nil:
+				t.Fatalf("%s, factors %v, step %d: a fresh solve fails: %v", name, ord, i+1, err)
+			case math.Float64bits(fresh.CommBytes) != math.Float64bits(step.CommBytes):
+				t.Errorf("%s, factors %v, step %d: costs %v, fresh %v", name, ord, i+1, step.CommBytes, fresh.CommBytes)
+			case fresh.States != step.States || fresh.Configs != step.Configs:
+				t.Errorf("%s, factors %v, step %d: (states, configs) = (%d, %d), fresh (%d, %d)",
+					name, ord, i+1, step.States, step.Configs, fresh.States, fresh.Configs)
+			case !maps.Equal(fresh.VarCut, step.VarCut):
+				t.Errorf("%s, factors %v, step %d: cuts differently from a fresh solve", name, ord, i+1)
+			}
+			for _, v := range c.Vars {
+				if dim, ok := step.VarCut[v.ID]; ok {
+					if shapes[v.Tensors[0].ID], err = shapes[v.Tensors[0].ID].Split(dim, step.K); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%s: %d orderings of %v, %d replays", name, len(chains), factors, replays)
+	return replays
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tofu/internal/coarsen"
+	"tofu/internal/dp"
 	"tofu/internal/graph"
 	"tofu/internal/models"
 	"tofu/internal/plan"
@@ -15,17 +16,20 @@ import (
 	"tofu/internal/topo"
 )
 
-// TestSegmentMemoAudit solves every structural-memo hit again, from the hit
-// segment's own coarsening, and compares the result bit for bit with the class
-// solution that served it: cost, and per step K, Multiplier, Level, CommBytes,
-// States, Configs and VarCut. It runs on the four cold-hybrid benchmark cases
-// and on a grid of small models on every shipped multi-level cluster profile.
-func TestSegmentMemoAudit(t *testing.T) {
-	type auditCase struct {
+// TestSegmentMemoMatchesSearch fills every segment [lo, hi) of every
+// candidate level through the level's memo (levelState.segment) and compares
+// each with a direct recursive.Search of the same groups on a view of its
+// own, bit for bit: cost, and per step K, Multiplier, Level, CommBytes,
+// States, Configs and VarCut. Misses are checked as well as hits. It runs on
+// the four cold-hybrid benchmark cases and on a grid of small models on
+// every shipped multi-level cluster profile (not under -short), then checks
+// that the winning stages of a full search own their plans.
+func TestSegmentMemoMatchesSearch(t *testing.T) {
+	type memoCase struct {
 		prof string
 		cfg  models.Config
 	}
-	cases := []auditCase{ // bench/workloads/cold-hybrid.json
+	cases := []memoCase{ // bench/workloads/cold-hybrid.json
 		{"cluster-2x4x2x12", models.Config{Family: "mlp", Depth: 4, Width: 384, Batch: 48}},
 		{"cluster-4x2x8", models.Config{Family: "mlp", Depth: 8, Width: 256, Batch: 64}},
 		{"cluster-4x2x8", models.Config{Family: "rnn", Depth: 2, Width: 1024, Batch: 64}},
@@ -37,66 +41,88 @@ func TestSegmentMemoAudit(t *testing.T) {
 			{Family: "rnn", Depth: 3, Width: 384, Batch: 96},
 			{Family: "transformer", Depth: 2, Width: 384, Batch: 96},
 		} {
-			cases = append(cases, auditCase{prof, cfg})
+			cases = append(cases, memoCase{prof, cfg})
 		}
 	}
 
-	var audited, hits int
-	var fail func(format string, args ...any)
-	memoAudit = func(ls *levelState, pr stageProblem, class *segment) {
-		audited++
-		p, err := recursive.Search(pr.co, ls.kSub, ls.stageOptions())
-		if err != nil {
-			fail("groups [%d,%d) served from the memo, but its own search fails: %v", pr.lo, pr.hi, err)
-			return
-		}
-		if cost := recursive.CommTime(p, ls.subTopo); math.Float64bits(cost) != math.Float64bits(class.cost) {
-			fail("groups [%d,%d): own cost %v, memo %v", pr.lo, pr.hi, cost, class.cost)
-		}
-		if diff := stepsDiff(p, class.plan); diff != "" {
-			fail("groups [%d,%d): own plan and memo plan differ: %s", pr.lo, pr.hi, diff)
-		}
+	if testing.Short() {
+		cases = cases[:4]
 	}
-	defer func() { memoAudit = nil }()
-
 	for _, c := range cases {
-		tp, err := topo.Profile(c.prof)
+		t.Run(c.prof+"/"+c.cfg.String(), func(t *testing.T) {
+			t.Parallel()
+			checkSegmentMemo(t, c.prof, c.cfg)
+		})
+	}
+}
+
+// checkSegmentMemo is TestSegmentMemoMatchesSearch on one model and machine.
+func checkSegmentMemo(t *testing.T, prof string, cfg models.Config) {
+	tp, err := topo.Profile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := models.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := coarsen.Coarsen(m.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newSearch(co, tp, Options{Topology: &tp, Parallelism: 1}, dp.NewPriceCache())
+	var sc coarsen.SegmentScratch
+	hits, filled := int64(0), 0
+	for level := 1; level < len(tp.Levels); level++ {
+		ls, err := s.newLevelState(level)
 		if err != nil {
-			t.Fatal(err)
+			continue // more stages than groups
 		}
-		m, err := models.Build(c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fail = func(format string, args ...any) {
-			t.Errorf("%s %s: "+format, append([]any{c.prof, c.cfg}, args...)...)
-		}
-		before := audited
-		res, err := Partition(m.G, int64(tp.NumGPUs()), Options{Topology: &tp, Parallelism: 1})
-		if err != nil {
-			t.Fatalf("%s %s: %v", c.prof, c.cfg, err)
-		}
-		// Winning stages of one class were materialized from one memoized
-		// plan; each must own its plan and steps.
-		owned := make(map[*plan.Step]bool)
-		for si, stg := range res.Stages {
-			for _, st := range stg.Plan.Steps {
-				if owned[st] {
-					t.Errorf("%s %s: stage %d shares a plan step with an earlier stage", c.prof, c.cfg, si)
+		for lo := range co.Groups {
+			for hi := lo + 1; hi <= len(co.Groups); hi++ {
+				sg := ls.segment(lo, hi)
+				filled++
+				seg, err := co.Segment(lo, hi, &sc)
+				if err != nil {
+					t.Fatal(err)
 				}
-				owned[st] = true
+				p, err := recursive.Search(seg, ls.kSub, recursive.Options{Topology: &ls.subTopo, Parallelism: 1})
+				if (err == nil) != (sg.err == nil) {
+					t.Fatalf("level %d, groups [%d,%d): memo error %v, direct search's %v", level, lo, hi, sg.err, err)
+				}
+				if err != nil {
+					continue
+				}
+				if cost := recursive.CommTime(p, ls.subTopo); math.Float64bits(cost) != math.Float64bits(sg.cost) {
+					t.Errorf("level %d, groups [%d,%d): memo cost %v, direct search %v", level, lo, hi, sg.cost, cost)
+				}
+				if diff := stepsDiff(sg.plan, p); diff != "" {
+					t.Errorf("level %d, groups [%d,%d): memo plan and direct search differ: %s", level, lo, hi, diff)
+				}
 			}
 		}
-		t.Logf("%s %s: %d memo hits audited", c.prof, c.cfg, audited-before)
-		// A two-stage pipeline touches too few segments to repeat one; deeper
-		// pipelines over repeated MLP layers must hit.
-		if c.cfg.Family == "mlp" && c.prof != "cluster-2x8" && audited == before {
-			t.Errorf("%s %s: repeated MLP layers gave the memo no hit", c.prof, c.cfg)
-		}
-		hits += audited - before
+		hits += ls.hits
 	}
-	if hits == 0 {
-		t.Fatal("no memo hit audited")
+	t.Logf("%d segments checked, %d of them memo hits", filled, hits)
+	// Repeated MLP layers must share keys.
+	if cfg.Family == "mlp" && hits == 0 {
+		t.Error("repeated MLP layers gave the memo no hit")
+	}
+
+	// Winning stages of one class were materialized from one memoized plan;
+	// each must own its plan and steps.
+	res, err := PartitionCoarse(co, int64(tp.NumGPUs()), Options{Topology: &tp, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := make(map[*plan.Step]bool)
+	for si, stg := range res.Stages {
+		for _, st := range stg.Plan.Steps {
+			if owned[st] {
+				t.Errorf("stage %d shares a plan step with an earlier stage", si)
+			}
+			owned[st] = true
+		}
 	}
 }
 

@@ -98,10 +98,6 @@ type stageProblem struct {
 	span *obs.Span
 }
 
-// memoAudit, when set (tests only), sees every structural-memo hit: the level,
-// the hit segment's own stage problem and the class solution serving it.
-var memoAudit func(ls *levelState, pr stageProblem, class *segment)
-
 func (s *search) newLevelState(level int) (*levelState, error) {
 	L := len(s.c.Groups)
 	ls := &levelState{s: s, level: level}
@@ -376,9 +372,6 @@ func (ls *levelState) fill(lo, hi int) *segment {
 	if sg := ls.classes[string(key)]; sg != nil {
 		ls.hits++
 		pr.span.SetInt("memo_hit", 1)
-		if memoAudit != nil {
-			memoAudit(ls, pr, sg)
-		}
 		return sg
 	}
 	ls.s.stats.Segments++
