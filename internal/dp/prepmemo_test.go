@@ -2,14 +2,11 @@ package dp_test
 
 import (
 	"fmt"
-	"maps"
-	"math"
 	"testing"
 
 	"tofu/internal/coarsen"
 	"tofu/internal/dp"
 	"tofu/internal/graph"
-	"tofu/internal/hybrid"
 	"tofu/internal/models"
 	"tofu/internal/shape"
 	"tofu/internal/topo"
@@ -24,10 +21,11 @@ import (
 // under K 2 and 3 at every combination of five shapes per operand through one
 // memo: equal alphabets over different shapes must share, and alphabets that
 // differ only in which dimensions they list, or only in K, must not. Then it
-// walks the prefix tree of factor orderings of every TestOrderingSearchEffort
-// case and of the winning stages of the four cold-hybrid cases
-// (bench/workloads/cold-hybrid.json) through one memo per coarsening, as the
-// ordering search does, at Parallelism 1, 2 and 8.
+// walks (memoWalk) the prefix tree of factor orderings of every
+// TestOrderingSearchEffort case, and of every segment the hybrid search
+// searched on the four cold-hybrid cases (bench/workloads/cold-hybrid.json,
+// walkSegments), through one memo per coarsening, as the ordering search
+// does, at Parallelism 1, 2 and 8.
 func TestPreparedMemoMatchesFresh(t *testing.T) {
 	cases := []struct {
 		cfg      models.Config
@@ -69,7 +67,7 @@ func TestPreparedMemoMatchesFresh(t *testing.T) {
 			prepared++
 			if hit {
 				hits++
-				if err := matchesFresh(p, pr); err != nil {
+				if err := freshMatches(p, pr); err != nil {
 					t.Errorf("matmul shape grid, K=%d: %v", k, err)
 				}
 			}
@@ -93,135 +91,33 @@ func TestPreparedMemoMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		type problem struct {
-			c       *coarsen.Coarse
-			factors []int64
-		}
-		problems := []problem{{co, poolFactors(tp.Levels)}}
-		if c.pipeline {
-			res, err := hybrid.PartitionCoarse(co, int64(tp.NumGPUs()), hybrid.Options{Topology: &tp, Parallelism: 1})
-			if err != nil {
-				t.Fatalf("%s on %s: %v", c.cfg, c.hw, err)
-			}
-			problems = problems[:0]
-			for _, stg := range res.Stages {
-				seg, err := co.Segment(stg.Groups[0], stg.Groups[1], &coarsen.SegmentScratch{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				problems = append(problems, problem{seg, poolFactors(stg.Topo.Levels)})
-			}
-		}
 		for _, par := range []int{1, 2, 8} {
-			label := fmt.Sprintf("%s on %s (pipeline %v, parallelism %d)", c.cfg, c.hw, c.pipeline, par)
-			hits := 0
-			for _, pb := range problems {
-				var memo dp.StepMemo
-				w := prefixWalk{t: t, label: label, c: pb.c, memo: &memo, par: par, cache: dp.NewPriceCache()}
-				w.walk(pb.factors, originalShapes(pb.c))
-				hits += w.hits
+			w := memoWalk{t: t, label: fmt.Sprintf("%s on %s (pipeline %v, parallelism %d)", c.cfg, c.hw, c.pipeline, par), par: par}
+			if c.pipeline {
+				walkSegments(&w, co, tp)
+			} else {
+				w.run(co, poolFactors(tp.Levels))
 			}
-			t.Logf("%s: %d shared preparations checked", label, hits)
-			if hits == 0 {
-				t.Errorf("%s: the memo shared no preparation", label)
+			t.Logf("%s: %d shared preparations checked", w.label, w.hits)
+			if w.hits == 0 {
+				t.Errorf("%s: the memo shared no preparation", w.label)
 			}
 		}
 	}
 }
 
-// prefixWalk prepares and solves every prefix of every distinct ordering of
-// a factor multiset through one step memo, depth first — the steps the
-// ordering search's memo can see — and checks each shared preparation.
-type prefixWalk struct {
-	t     *testing.T
-	label string
-	c     *coarsen.Coarse
-	memo  *dp.StepMemo
-	par   int
-	cache *dp.PriceCache
-	hits  int
-}
-
-// walk takes every distinct next factor of rest at shapes, then recurses on
-// the shapes its step leaves.
-func (w *prefixWalk) walk(rest []int64, shapes map[int]shape.Shape) {
-	seen := map[int64]bool{}
-	for i, f := range rest {
-		if seen[f] {
-			continue
-		}
-		seen[f] = true
-		p := &dp.Problem{Coarse: w.c, K: f, Shapes: shapes, DType: shape.Float32, Parallelism: w.par, Cache: w.cache}
-		pr, hit, err := w.memo.Prepare(p)
-		if err != nil {
-			continue // an ordering an indivisible shape rules out
-		}
-		if hit {
-			w.hits++
-			if err := matchesFresh(p, pr); err != nil {
-				w.t.Errorf("%s, K=%d: %v", w.label, f, err)
-			}
-		}
-		res, _, err := w.memo.Solve(pr)
-		if err != nil {
-			w.t.Fatalf("%s, K=%d: %v", w.label, f, err)
-		}
-		next := make(map[int]shape.Shape, len(shapes))
-		for _, v := range w.c.Vars {
-			s := shapes[v.Tensors[0].ID]
-			if dim, ok := res.VarCut[v.ID]; ok {
-				if s, err = s.Split(dim, f); err != nil {
-					w.t.Fatal(err)
-				}
-			}
-			next[v.Tensors[0].ID] = s
-		}
-		w.walk(append(append([]int64(nil), rest[:i]...), rest[i+1:]...), next)
-	}
-}
-
-// originalShapes is the per-variable shape table of a fresh search.
-func originalShapes(c *coarsen.Coarse) map[int]shape.Shape {
-	out := make(map[int]shape.Shape, len(c.Vars))
-	for _, v := range c.Vars {
-		out[v.Tensors[0].ID] = v.Shape.Clone()
-	}
-	return out
-}
-
-// matchesFresh compares a shared preparation of p with a fresh one at p's own
-// shapes, without a price cache.
-func matchesFresh(p *dp.Problem, hit *dp.Prepared) error {
-	if dp.ProblemOf(hit) != p {
-		return fmt.Errorf("the hit is bound to another step's Problem")
-	}
+// freshMatches compares a shared preparation of p with a fresh one at p's own
+// shapes, without a price cache (hitMatches).
+func freshMatches(p *dp.Problem, hit *dp.Prepared) error {
 	q := *p
-	q.Cache, q.Trace, q.Cancel, q.Parallelism = nil, nil, nil, 1
+	q.Cache, q.Parallelism = nil, 1
 	fresh, err := dp.Prepare(&q)
 	if err != nil {
 		return fmt.Errorf("a fresh preparation fails: %v", err)
-	}
-	if err := dp.DiffPrepared(hit, fresh); err != nil {
-		return err
-	}
-	if got, want := hit.LowerBound(), fresh.LowerBound(); math.Float64bits(got) != math.Float64bits(want) {
-		return fmt.Errorf("LowerBound %v, fresh %v", got, want)
-	}
-	got, err := hit.Solve()
-	if err != nil {
-		return fmt.Errorf("the hit's solve fails: %v", err)
 	}
 	want, err := fresh.Solve()
 	if err != nil {
 		return fmt.Errorf("the fresh solve fails: %v", err)
 	}
-	switch {
-	case math.Float64bits(got.CommBytes) != math.Float64bits(want.CommBytes):
-		return fmt.Errorf("solves to %v, fresh %v", got.CommBytes, want.CommBytes)
-	case got.States != want.States || got.Configs != want.Configs:
-		return fmt.Errorf("(states, configs) = (%d, %d), fresh (%d, %d)", got.States, got.Configs, want.States, want.Configs)
-	case !maps.Equal(got.VarCut, want.VarCut):
-		return fmt.Errorf("cuts differently from the fresh preparation")
-	}
-	return nil
+	return hitMatches(p, hit, fresh, want)
 }

@@ -4,25 +4,28 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"strconv"
 	"testing"
 
 	"tofu/internal/coarsen"
 	"tofu/internal/dp"
 	"tofu/internal/hybrid"
 	"tofu/internal/models"
+	"tofu/internal/obs"
 	"tofu/internal/recursive"
 	"tofu/internal/shape"
 	"tofu/internal/topo"
 )
 
-// TestStepMemoMatchesFresh runs, for every candidate ordering of a case's
-// factors, the recursive chain of steps (recursive.Search with those Factors,
-// one step memo per chain) and compares every step with a fresh dp.Solve at
-// the step's divided shapes, with no price cache, bit for bit: VarCut,
-// CommBytes, States and Configs. Pipeline cases check each winning stage's
-// groups on the stage sub-machine's factors. It runs the twelve cold
-// benchmark cases (bench/workloads/cold-*.json), a grid of small models on
-// five machines, and searches where the memo must miss: a batch that turns
+// TestStepMemoMatchesFresh walks, for each case, the prefix tree of its
+// factor orderings through one step memo (memoWalk): every step the memo
+// prepares or solves, replayed or swept, is held to a fresh dp.Prepare and
+// dp.Solve at the step's divided shapes with no price cache, bit for bit, and
+// every complete ordering's recursive chain (recursive.Search with Factors,
+// one memo per chain) to the fresh solves along its path. Pipeline cases walk
+// every segment the hybrid search searched (walkSegments). It runs the twelve
+// cold benchmark cases (bench/workloads/cold-*.json), a grid of small models
+// on five machines, and searches where the memo must miss: a batch that turns
 // odd mid-chain, factor-3 against factor-2 steps, and a beam bound.
 func TestStepMemoMatchesFresh(t *testing.T) {
 	type memoCase struct {
@@ -68,31 +71,24 @@ func TestStepMemoMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		w := memoWalk{t: t, label: c.cfg.String(), maxStates: c.maxStates, par: 1, chains: true}
 		if c.hw == "" {
-			replays += checkOrderings(t, c.cfg.String(), co, recursive.Factorize(8), c.maxStates)
-			continue
-		}
-		tp, err := topo.Profile(c.hw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := fmt.Sprintf("%s on %s", c.cfg, c.hw)
-		if !c.pipeline {
-			replays += checkOrderings(t, name, co, poolFactors(tp.Levels), c.maxStates)
-			continue
-		}
-		res, err := hybrid.PartitionCoarse(co, int64(tp.NumGPUs()), hybrid.Options{Topology: &tp, MaxStates: c.maxStates, Parallelism: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var sc coarsen.SegmentScratch
-		for _, stg := range res.Stages {
-			seg, err := co.Segment(stg.Groups[0], stg.Groups[1], &sc)
+			w.run(co, recursive.Factorize(8))
+		} else {
+			tp, err := topo.Profile(c.hw)
 			if err != nil {
 				t.Fatal(err)
 			}
-			replays += checkOrderings(t, fmt.Sprintf("%s, groups %v", name, stg.Groups), seg, poolFactors(stg.Topo.Levels), c.maxStates)
+			w.label = fmt.Sprintf("%s on %s", c.cfg, c.hw)
+			if c.pipeline {
+				walkSegments(&w, co, tp)
+			} else {
+				w.run(co, poolFactors(tp.Levels))
+			}
 		}
+		t.Logf("%s (max states %d): %d steps, %d shared preparations, %d replays checked",
+			w.label, c.maxStates, w.steps, w.hits, w.replays)
+		replays += w.replays
 	}
 	if replays == 0 {
 		t.Fatal("no step replayed")
@@ -143,72 +139,238 @@ func poolFactors(levels []topo.Level) []int64 {
 	return out
 }
 
-// orderings lists the distinct permutations of factors.
-func orderings(factors []int64) [][]int64 {
-	if len(factors) <= 1 {
-		return [][]int64{factors}
+// memoWalk prepares and solves every prefix of every distinct ordering of a
+// factor multiset through one step memo and one price cache, depth first —
+// every step the ordering search's memo can see — and holds each step to a
+// fresh dp.Prepare at the step's own shapes with no price cache: both fail or
+// neither; a shared preparation (the hit StepMemo.Prepare reports) is bound to
+// the caller's Problem and matches the fresh one table for table, in
+// LowerBound and in its own sweep; every StepMemo.Solve, replayed or swept,
+// matches the fresh sweep in VarCut, CommBytes, States and Configs. With
+// chains set it also searches every complete ordering (recursive.Search with
+// those Factors: runSteps, one memo per chain) and holds each step of the
+// chain to the fresh solves along its path, and an ordering whose prefix
+// fresh fails must fail too. The walk divides the shapes along the fresh cuts.
+type memoWalk struct {
+	t         *testing.T
+	label     string
+	maxStates int
+	par       int
+	chains    bool
+
+	c     *coarsen.Coarse
+	memo  *dp.StepMemo
+	cache *dp.PriceCache
+	// steps, hits and replays count the steps checked, the shared
+	// preparations and the replayed sweeps among them.
+	steps, hits, replays int
+}
+
+// run walks c's prefix tree of factors on a fresh memo.
+func (w *memoWalk) run(c *coarsen.Coarse, factors []int64) {
+	w.t.Helper()
+	w.c, w.memo, w.cache = c, &dp.StepMemo{}, dp.NewPriceCache()
+	w.walk(nil, factors, originalShapes(c), nil)
+}
+
+// walk takes every distinct next factor of rest at shapes, the shapes the
+// steps of prefix leave; path holds those steps' fresh solves.
+func (w *memoWalk) walk(prefix, rest []int64, shapes map[int]shape.Shape, path []*dp.Result) {
+	w.t.Helper()
+	if len(rest) == 0 {
+		if w.chains {
+			w.chain(prefix, path)
+		}
+		return
 	}
-	var out [][]int64
 	seen := map[int64]bool{}
-	for i, f := range factors {
+	for i, f := range rest {
 		if seen[f] {
 			continue
 		}
 		seen[f] = true
-		rest := append(append([]int64(nil), factors[:i]...), factors[i+1:]...)
-		for _, tail := range orderings(rest) {
-			out = append(out, append([]int64{f}, tail...))
+		ord := append(prefix[:len(prefix):len(prefix)], f)
+		tail := append(append([]int64(nil), rest[:i]...), rest[i+1:]...)
+		at := fmt.Sprintf("%s, factors %v", w.label, ord)
+		p := &dp.Problem{Coarse: w.c, K: f, Shapes: shapes, DType: shape.Float32, MaxStates: w.maxStates, Parallelism: w.par, Cache: w.cache}
+		q := *p
+		q.Cache, q.Parallelism = nil, 1
+		fresh, ferr := dp.Prepare(&q)
+		pr, hit, err := w.memo.Prepare(p)
+		if (err == nil) != (ferr == nil) {
+			w.t.Fatalf("%s: preparation error %v, fresh %v", at, err, ferr)
 		}
+		if err != nil {
+			if w.chains {
+				w.infeasible(append(ord, tail...))
+			}
+			continue // an ordering an indivisible shape rules out
+		}
+		want, err := fresh.Solve()
+		if err != nil {
+			w.t.Fatalf("%s: a fresh solve fails: %v", at, err)
+		}
+		w.steps++
+		if hit {
+			w.hits++
+			if err := hitMatches(p, pr, fresh, want); err != nil {
+				w.t.Errorf("%s: shared preparation: %v", at, err)
+			}
+		}
+		got, replayed, err := w.memo.Solve(pr)
+		if err != nil {
+			w.t.Fatalf("%s: %v", at, err)
+		}
+		if replayed {
+			w.replays++
+		}
+		if err := resultMatches(got, want); err != nil {
+			w.t.Errorf("%s (shared %v, replayed %v): %v", at, hit, replayed, err)
+		}
+		next := maps.Clone(shapes)
+		for _, v := range w.c.Vars {
+			if dim, ok := want.VarCut[v.ID]; ok {
+				if next[v.Tensors[0].ID], err = shapes[v.Tensors[0].ID].Split(dim, f); err != nil {
+					w.t.Fatal(err)
+				}
+			}
+		}
+		w.walk(ord, tail, next, append(path[:len(path):len(path)], want))
 	}
-	return out
 }
 
-// checkOrderings searches c once per distinct ordering of factors and holds
-// every step to a fresh dp.Solve at its shapes. It returns the replays the
-// chains reported.
-func checkOrderings(t *testing.T, name string, c *coarsen.Coarse, factors []int64, maxStates int) (replays int) {
+// chain searches the ordering ord with its own memo and holds every step to
+// the fresh solves the walk took along it.
+func (w *memoWalk) chain(ord []int64, path []*dp.Result) {
+	w.t.Helper()
+	var st recursive.SearchStats
+	p, err := recursive.Search(w.c, product(ord), recursive.Options{Factors: ord, MaxStates: w.maxStates, Parallelism: w.par, Stats: &st})
+	if err != nil {
+		w.t.Fatalf("%s, factors %v: every fresh step succeeds, the search fails: %v", w.label, ord, err)
+	}
+	if len(p.Steps) != len(path) || st.DPSolves+st.Replays != len(path) {
+		w.t.Fatalf("%s, factors %v: %d steps (%d sweeps, %d replays) for %d factors", w.label, ord, len(p.Steps), st.DPSolves, st.Replays, len(path))
+	}
+	for i, step := range p.Steps {
+		got := &dp.Result{VarCut: step.VarCut, CommBytes: step.CommBytes, States: step.States, Configs: step.Configs}
+		if err := resultMatches(got, path[i]); step.K != ord[i] || err != nil {
+			w.t.Errorf("%s, factors %v, step %d (x%d): %v", w.label, ord, i+1, step.K, err)
+		}
+	}
+}
+
+// infeasible checks that a search of the ordering ord fails: one of its
+// prefixes fails to prepare fresh.
+func (w *memoWalk) infeasible(ord []int64) {
+	w.t.Helper()
+	if _, err := recursive.Search(w.c, product(ord), recursive.Options{Factors: ord, MaxStates: w.maxStates, Parallelism: w.par}); err == nil {
+		w.t.Errorf("%s, factors %v: a fresh step fails, the search succeeds", w.label, ord)
+	}
+}
+
+// walkSegments runs the hybrid search on co for tp under a trace and walks
+// (w.run) every segment it searched — each "hybrid.segment" span the
+// structural memo did not serve — at its level's stage sub-machine factors.
+// The searched segments must number the search's Stats.Segments, and the walk
+// must check at least as many steps as the search swept and replayed.
+func walkSegments(w *memoWalk, co *coarsen.Coarse, tp topo.Topology) {
+	w.t.Helper()
+	root := obs.NewSpan("test")
+	var st hybrid.Stats
+	if _, err := hybrid.PartitionCoarse(co, int64(tp.NumGPUs()), hybrid.Options{Topology: &tp, MaxStates: w.maxStates, Parallelism: w.par, Stats: &st, Trace: root}); err != nil {
+		w.t.Fatalf("%s: %v", w.label, err)
+	}
+	label := w.label
+	defer func() { w.label = label }()
+	var sc coarsen.SegmentScratch
+	searched := int64(0)
+	for _, lsp := range root.Children() {
+		if lsp.Name() != "hybrid.level" {
+			continue
+		}
+		level := spanInt(w.t, lsp, "level")
+		for _, sp := range lsp.Children() {
+			if sp.Name() != "hybrid.segment" || spanInt(w.t, sp, "memo_hit") == 1 {
+				continue
+			}
+			searched++
+			lo, hi := spanInt(w.t, sp, "lo"), spanInt(w.t, sp, "hi")
+			seg, err := co.Segment(int(lo), int(hi), &sc)
+			if err != nil {
+				continue // a segment the search could not coarsen either
+			}
+			w.label = fmt.Sprintf("%s, level %d, groups [%d,%d)", label, level, lo, hi)
+			w.run(seg, poolFactors(tp.Levels[:level]))
+		}
+	}
+	if searched != st.Segments {
+		w.t.Errorf("%s: %d segment spans searched, Stats.Segments %d", label, searched, st.Segments)
+	}
+	if ran := st.DPSolves + st.Replays; int64(w.steps) < ran {
+		w.t.Errorf("%s: the walk checked %d steps, the search ran %d", label, w.steps, ran)
+	}
+}
+
+// spanInt reads an integer attribute of a span, 0 when it is absent.
+func spanInt(t *testing.T, sp *obs.Span, key string) int64 {
 	t.Helper()
+	for _, a := range sp.Attrs() {
+		if a.Key == key {
+			v, err := strconv.ParseInt(a.Val, 10, 64)
+			if err != nil {
+				t.Fatalf("span %s: attribute %s=%q", sp.Name(), key, a.Val)
+			}
+			return v
+		}
+	}
+	return 0
+}
+
+func product(factors []int64) int64 {
 	k := int64(1)
 	for _, f := range factors {
 		k *= f
 	}
-	chains := orderings(factors)
-	for _, ord := range chains {
-		var st recursive.SearchStats
-		p, err := recursive.Search(c, k, recursive.Options{Factors: ord, MaxStates: maxStates, Parallelism: 1, Stats: &st})
-		if err != nil {
-			continue // an ordering an indivisible shape rules out
-		}
-		if st.DPSolves+st.Replays != len(p.Steps) {
-			t.Errorf("%s, factors %v: %d sweeps and %d replays for %d steps", name, ord, st.DPSolves, st.Replays, len(p.Steps))
-		}
-		replays += st.Replays
-		shapes := make(map[int]shape.Shape, len(c.Vars))
-		for _, v := range c.Vars {
-			shapes[v.Tensors[0].ID] = v.Shape.Clone()
-		}
-		for i, step := range p.Steps {
-			fresh, err := dp.Solve(&dp.Problem{Coarse: c, K: step.K, Shapes: shapes, DType: shape.Float32, MaxStates: maxStates, Parallelism: 1})
-			switch {
-			case err != nil:
-				t.Fatalf("%s, factors %v, step %d: a fresh solve fails: %v", name, ord, i+1, err)
-			case math.Float64bits(fresh.CommBytes) != math.Float64bits(step.CommBytes):
-				t.Errorf("%s, factors %v, step %d: costs %v, fresh %v", name, ord, i+1, step.CommBytes, fresh.CommBytes)
-			case fresh.States != step.States || fresh.Configs != step.Configs:
-				t.Errorf("%s, factors %v, step %d: (states, configs) = (%d, %d), fresh (%d, %d)",
-					name, ord, i+1, step.States, step.Configs, fresh.States, fresh.Configs)
-			case !maps.Equal(fresh.VarCut, step.VarCut):
-				t.Errorf("%s, factors %v, step %d: cuts differently from a fresh solve", name, ord, i+1)
-			}
-			for _, v := range c.Vars {
-				if dim, ok := step.VarCut[v.ID]; ok {
-					if shapes[v.Tensors[0].ID], err = shapes[v.Tensors[0].ID].Split(dim, step.K); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-		}
+	return k
+}
+
+// originalShapes is the per-variable shape table of a fresh search.
+func originalShapes(c *coarsen.Coarse) map[int]shape.Shape {
+	out := make(map[int]shape.Shape, len(c.Vars))
+	for _, v := range c.Vars {
+		out[v.Tensors[0].ID] = v.Shape.Clone()
 	}
-	t.Logf("%s: %d orderings of %v, %d replays", name, len(chains), factors, replays)
-	return replays
+	return out
+}
+
+// hitMatches compares a shared preparation of p with a fresh one at p's own
+// shapes, and the shared preparation's own sweep with the fresh sweep want.
+func hitMatches(p *dp.Problem, hit, fresh *dp.Prepared, want *dp.Result) error {
+	if dp.ProblemOf(hit) != p {
+		return fmt.Errorf("the hit is bound to another step's Problem")
+	}
+	if err := dp.DiffPrepared(hit, fresh); err != nil {
+		return err
+	}
+	if got, want := hit.LowerBound(), fresh.LowerBound(); math.Float64bits(got) != math.Float64bits(want) {
+		return fmt.Errorf("LowerBound %v, fresh %v", got, want)
+	}
+	got, err := hit.Solve()
+	if err != nil {
+		return fmt.Errorf("the hit's solve fails: %v", err)
+	}
+	return resultMatches(got, want)
+}
+
+// resultMatches compares a step's solve with a fresh one.
+func resultMatches(got, want *dp.Result) error {
+	switch {
+	case math.Float64bits(got.CommBytes) != math.Float64bits(want.CommBytes):
+		return fmt.Errorf("costs %v, fresh %v", got.CommBytes, want.CommBytes)
+	case got.States != want.States || got.Configs != want.Configs:
+		return fmt.Errorf("(states, configs) = (%d, %d), fresh (%d, %d)", got.States, got.Configs, want.States, want.Configs)
+	case !maps.Equal(got.VarCut, want.VarCut):
+		return fmt.Errorf("cuts differently from a fresh solve")
+	}
+	return nil
 }

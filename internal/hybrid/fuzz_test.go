@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tofu/internal/coarsen"
@@ -249,36 +250,71 @@ func (b *fuzzBuilder) block(code, m int, h *graph.Tensor) *graph.Tensor {
 		return b.apply("add", nil, b.apply("matmul", nil, t, b.square(d)), skip)
 	case 2: // fan-out into 2 to 11 branches, all computed before a chain
 		// joins them one at a time: an element-wise join would merge the
-		// branches into one variable, a product join keeps them live apart
-		n := 2 + b.r.pick(10)
-		b.desc += fmt.Sprintf(" fan(%d×%d)", n, d)
+		// branches into one variable, a product join keeps them live apart.
+		// The join's scores take their operands either way round: both are
+		// variables seen before, so only the operand IDs tell the two apart.
+		v := b.r.pick(20)
+		n, swap := 2+v%10, v >= 10
+		b.desc += fmt.Sprintf(" fan(%d×%d, swapped %v)", n, d, swap)
 		branches := make([]*graph.Tensor, n)
 		for i := range branches {
 			branches[i] = b.act(b.apply("matmul", nil, h, b.square(d)))
 		}
 		out := branches[0]
 		for _, br := range branches[1:] {
-			out = b.apply("matmul", nil, b.apply("matmul_nt", nil, out, br), br)
+			x, y := out, br
+			if swap {
+				x, y = br, out
+			}
+			out = b.apply("matmul", nil, b.apply("matmul_nt", nil, x, y), br)
 		}
 		return out
-	case 3: // a recurrent cell unrolled 2 or 3 times over shared weights
-		steps := 2 + b.r.pick(2)
+	case 3: // a recurrent cell unrolled 2 or 3 times over shared weights,
+		// its recurrence a matmul or a matmul_nt. With batch = width the
+		// recurrence may put the weight first, its state numbered before
+		// the weight: the product's operands then sit in the same table
+		// positions as the usual cell's and only the output position (the
+		// state) differs. A twin is a second cell over the same initial
+		// state and weights, unrolled the other number of times, the two
+		// final states added: one variable holds both cells' states, so
+		// twins of 2 then 3 steps and of 3 then 2 steps differ only in their
+		// slots' multiplicities.
+		v := b.r.pick(16)
+		steps, flip, rec, twin := 2+v%2, v/2%2 == 1 && b.batch == d, []string{"matmul", "matmul_nt"}[v/4%2], v >= 8
 		fresh := b.r.pick(2) == 1
-		b.desc += fmt.Sprintf(" cell(%d×%d, fresh inputs %v)", steps, d, fresh)
-		wx, wh := b.square(d), b.weight(d, d)
-		s := b.g.Input(fmt.Sprintf("s%d", m), shape.Of(b.batch, d))
-		for ts := 0; ts < steps; ts++ {
-			in := h
-			if fresh && ts > 0 {
-				in = b.g.Input(fmt.Sprintf("x%d.%d", m, ts), shape.Of(b.batch, d))
-			}
-			start := len(b.g.Nodes)
-			s = b.apply("tanh", nil, b.apply("add", nil, b.apply("matmul", nil, in, wx), b.apply("matmul", nil, s, wh)))
-			for _, n := range b.g.Nodes[start:] {
-				n.UnrollTag, n.Timestep = fmt.Sprintf("cell%d", m), ts
-			}
+		b.desc += fmt.Sprintf(" cell(%d×%d, fresh inputs %v, %s, weight first %v, twin %v)", steps, d, fresh, rec, flip, twin)
+		var s0 *graph.Tensor
+		if flip {
+			s0 = b.g.Input(fmt.Sprintf("s%d", m), shape.Of(b.batch, d))
 		}
-		return s
+		wx, wh := b.square(d), b.weight(d, d)
+		if !flip {
+			s0 = b.g.Input(fmt.Sprintf("s%d", m), shape.Of(b.batch, d))
+		}
+		unroll := func(tag string, steps int) *graph.Tensor {
+			s := s0
+			for ts := 0; ts < steps; ts++ {
+				in := h
+				if fresh && ts > 0 {
+					in = b.g.Input(fmt.Sprintf("x%s.%d", tag, ts), shape.Of(b.batch, d))
+				}
+				start := len(b.g.Nodes)
+				x, y := s, wh
+				if flip {
+					x, y = wh, s
+				}
+				s = b.apply("tanh", nil, b.apply("add", nil, b.apply("matmul", nil, in, wx), b.apply(rec, nil, x, y)))
+				for _, n := range b.g.Nodes[start:] {
+					n.UnrollTag, n.Timestep = "cell"+tag, ts
+				}
+			}
+			return s
+		}
+		out := unroll(fmt.Sprint(m), steps)
+		if twin {
+			out = b.apply("add", nil, out, unroll(fmt.Sprintf("%d.twin", m), 5-steps))
+		}
+		return out
 	case 4: // self-attention across the batch
 		b.desc += fmt.Sprintf(" attention(%d)", d)
 		q := b.apply("matmul", nil, h, b.square(d))
@@ -306,7 +342,7 @@ func (b *fuzzBuilder) block(code, m int, h *graph.Tensor) *graph.Tensor {
 // fuzzUse counts them.
 var fuzzLayers = [...]string{"table memo hits", "shared preparations", "replayed sweeps",
 	"segment memo hits", "segments the lazy search skipped", "bounded sweeps", "orderings pruned",
-	"brute-forced flat DPs", "hybrid searches"}
+	"brute-forced flat DPs", "hybrid searches", "segments sharing a structural key"}
 
 // fuzzUse counts what one input exercised, per fuzzLayers entry.
 type fuzzUse [len(fuzzLayers)]int64
@@ -377,9 +413,74 @@ func checkPartition(t *testing.T, in *fuzzInput) fuzzUse {
 	}
 	checkRecursive(t, c, in.tp, &use)
 	if in.tp.Hierarchical() && len(c.Groups) >= 2 {
+		checkSegmentKeys(t, c, &use)
 		checkHybrid(t, c, in.tp, &use)
 	}
 	return use
+}
+
+// checkSegmentKeys holds the structural key (coarsen.Coarse.AppendStructKey)
+// to the premise the segment memo shares a search on: segments with equal
+// keys read alike (searchView) — on every interval of groups, not only on
+// those whose searches happen to differ.
+func checkSegmentKeys(t *testing.T, c *coarsen.Coarse, use *fuzzUse) {
+	t.Helper()
+	type class struct {
+		lo, hi int
+		view   string
+	}
+	classes := map[string]class{}
+	var sc coarsen.SegmentScratch
+	for lo := range c.Groups {
+		for hi := lo + 1; hi <= len(c.Groups); hi++ {
+			seg, err := c.Segment(lo, hi, &sc)
+			if err != nil {
+				continue
+			}
+			key, view := string(seg.AppendStructKey(nil)), searchView(seg)
+			first, ok := classes[key]
+			if !ok {
+				classes[key] = class{lo, hi, view}
+				continue
+			}
+			use[9]++
+			if first.view != view {
+				t.Fatalf("groups [%d,%d) and [%d,%d) share a structural key but read differently:\n%s\n%s",
+					first.lo, first.hi, lo, hi, first.view, view)
+			}
+		}
+	}
+}
+
+// searchView spells out what dp.Prepare, Solve and LowerBound and
+// recursive.Search read of a coarsening, by variable position: which
+// variables an operator references and their shapes; per group, per slot the
+// signature, the multiplicity and the operand variables, then the variables
+// the group decides (NewVars) and its frontier (LiveAfter).
+func searchView(c *coarsen.Coarse) string {
+	var b strings.Builder
+	ids := func(vs []*coarsen.Var) []int {
+		out := make([]int, len(vs))
+		for i, v := range vs {
+			out[i] = v.ID
+		}
+		return out
+	}
+	for _, v := range c.Vars {
+		if v.First < 0 {
+			fmt.Fprintf(&b, "var %d unreferenced\n", v.ID)
+		} else {
+			fmt.Fprintf(&b, "var %d %v\n", v.ID, v.Shape)
+		}
+	}
+	for _, g := range c.Groups {
+		b.WriteString("group\n")
+		for _, sl := range g.Slots {
+			fmt.Fprintf(&b, "  %q x%d %v -> %d\n", sl.Sig, len(sl.Ops), ids(sl.In), sl.Out.ID)
+		}
+		fmt.Fprintf(&b, "  new %v live %v\n", ids(g.NewVars), ids(g.LiveAfter))
+	}
+	return b.String()
 }
 
 func distinctFactors(k int64) []int64 {
@@ -441,7 +542,7 @@ func checkFlatDP(t *testing.T, c *coarsen.Coarse, k int64, use *fuzzUse) {
 		t.Fatalf("flat DP at K=%d: cost %v, the exhaustive sweep's %v (same cuts %v)",
 			k, got.CommBytes, want.CommBytes, maps.Equal(got.VarCut, want.VarCut))
 	}
-	best, ok := bruteForce(t, &dp.Problem{Coarse: c, K: k, Shapes: originalShapes(c), DType: shape.Float32, Parallelism: 1})
+	best, ok := bruteForce(t, &dp.Problem{Coarse: c, K: k, Shapes: originalShapes(c), DType: shape.Float32, Parallelism: 1}, cache)
 	if !ok {
 		return
 	}
@@ -452,12 +553,20 @@ func checkFlatDP(t *testing.T, c *coarsen.Coarse, k int64, use *fuzzUse) {
 }
 
 // bruteForce prices every assignment of the coarse variables when there are
-// at most 4096 and returns the cheapest.
-func bruteForce(t *testing.T, p *dp.Problem) (float64, bool) {
+// at most 4096 and returns the cheapest. Each assignment is priced twice:
+// with no price cache, and through shared, the cache a solve of the same step
+// filled — every shared slot table must match a fresh one entry by entry.
+func bruteForce(t *testing.T, p *dp.Problem, shared *dp.PriceCache) (float64, bool) {
 	t.Helper()
 	ev, err := dp.NewEvaluator(p)
 	if err != nil {
 		t.Fatalf("brute force at K=%d: %v", p.K, err)
+	}
+	q := *p
+	q.Cache = shared
+	evc, err := dp.NewEvaluator(&q)
+	if err != nil {
+		t.Fatalf("brute force at K=%d, shared cache: %v", p.K, err)
 	}
 	var vars []int
 	space := 1
@@ -477,6 +586,9 @@ func bruteForce(t *testing.T, p *dp.Problem) (float64, bool) {
 			cost, err := ev.Total(assign)
 			if err != nil {
 				t.Fatalf("brute force at K=%d: %v", p.K, err)
+			}
+			if cc, err := evc.Total(assign); err != nil || math.Float64bits(cc) != math.Float64bits(cost) {
+				t.Fatalf("brute force at K=%d, cuts %v: %v through the shared price cache (error %v), %v without", p.K, assign, cc, err, cost)
 			}
 			best = math.Min(best, cost)
 			return
@@ -519,17 +631,12 @@ func checkRecursive(t *testing.T, c *coarsen.Coarse, tp topo.Topology, use *fuzz
 		t.Fatalf("filtered search on a shared cache: error %v, on its own cache %v (or the plans differ)", serr, oerr)
 	}
 
-	checkStepMemo(t, c, poolFactors(tp), use)
-	// Every chain of factors runs on a step memo of its own: check every
-	// ordering's, not only the winner's. The machine is feasible when one is.
-	feasible := false
-	for _, ord := range orderings(poolFactors(tp)) {
-		p, err := recursive.Search(c, k, recursive.Options{Factors: ord, Parallelism: 1})
-		checkChain(t, c, ord, p, err, fmt.Sprintf("factors %v", ord))
-		feasible = feasible || err == nil
-	}
-	if tp.Hierarchical() && (err == nil) != feasible {
-		t.Fatalf("ordering search: error %v, yet some ordering feasible: %v", err, feasible)
+	// Every chain of factors runs on a step memo of its own: the walk checks
+	// every ordering's, not only the winner's. The machine is feasible when
+	// one is.
+	chains := checkStepMemo(t, c, poolFactors(tp), use)
+	if tp.Hierarchical() && (err == nil) != (len(chains) > 0) {
+		t.Fatalf("ordering search: error %v, yet %d orderings feasible", err, len(chains))
 	}
 	if err != nil {
 		return
@@ -539,11 +646,11 @@ func checkRecursive(t *testing.T, c *coarsen.Coarse, tp topo.Topology, use *fuzz
 	use[5] += countAttr(span, "bound_pruned")
 	use[6] += int64(st.Pruned)
 	if ex != nil {
-		if diff := stepsDiff(got, ex); diff != "" {
+		if diff := hybrid.StepsDiff(got, ex); diff != "" {
 			t.Fatalf("ordering search and exhaustive enumeration differ: %s", diff)
 		}
 	}
-	checkChain(t, c, stepFactors(got), got, nil, "plan")
+	checkChain(t, got, chains, "plan")
 	reprice(t, c.G, got, "plan")
 
 	want := planBytes(t, got)
@@ -571,76 +678,104 @@ func checkRecursive(t *testing.T, c *coarsen.Coarse, tp topo.Topology, use *fuzz
 	}
 }
 
-// checkChain holds a recursive search on c with the given factors — its plan,
-// or err when it failed — to the same recursion with nothing shared between
-// steps: a fresh dp.Solve with no price cache per step, at the shapes the
-// steps before it leave. Both fail or neither, and the steps agree bit for bit.
-func checkChain(t *testing.T, c *coarsen.Coarse, factors []int64, p *plan.Plan, err error, what string) {
+// checkChain holds a searched plan's steps to the fresh chain of its step
+// factors that walkChains recorded: nothing shared between steps, a fresh
+// dp.Solve with no price cache per step at the shapes the steps before it
+// leave.
+func checkChain(t *testing.T, p *plan.Plan, chains map[string][]*dp.Result, what string) {
 	t.Helper()
-	shapes := originalShapes(c)
-	for i, f := range factors {
-		fresh, ferr := dp.Solve(&dp.Problem{Coarse: c, K: f, Shapes: shapes, DType: shape.Float32, Parallelism: 1})
-		if ferr != nil {
-			if err == nil {
-				t.Fatalf("%s: the search succeeds, a fresh solve of step %d (x%d) fails: %v", what, i+1, f, ferr)
-			}
-			return
-		}
-		if err == nil {
-			if diff := resultDiff(p.Steps[i], fresh); diff != "" {
-				t.Fatalf("%s, step %d (x%d) and a fresh solve at its shapes differ: %s", what, i+1, f, diff)
-			}
-		}
-		divide(t, c, shapes, &plan.Step{K: f, VarCut: fresh.VarCut})
+	ord := stepFactors(p)
+	fresh, ok := chains[fmt.Sprint(ord)]
+	if !ok {
+		t.Fatalf("%s: factors %v, an ordering no fresh chain takes", what, ord)
 	}
-	if err != nil {
-		t.Fatalf("%s: the search fails (%v), every fresh step succeeds", what, err)
+	for i, st := range p.Steps {
+		if diff := resultDiff(st, fresh[i]); diff != "" {
+			t.Fatalf("%s, step %d (x%d) and a fresh solve at its shapes differ: %s", what, i+1, st.K, diff)
+		}
 	}
 }
 
-// checkStepMemo walks every prefix of every distinct ordering of factors
-// through one dp.StepMemo, as the ordering search shares one, then tries
-// shape tables no search need reach: one variable's dimension stripped of a
-// factor, so that exactly one alphabet bit differs from the original shapes'
-// key. Each step is held to a fresh preparation (memoStep); the walk divides
-// the shapes along the fresh cuts.
-func checkStepMemo(t *testing.T, c *coarsen.Coarse, factors []int64, use *fuzzUse) {
-	t.Helper()
-	var memo dp.StepMemo
-	cache := dp.NewPriceCache()
-	step := func(f int64, shapes map[int]shape.Shape, at string) *dp.Result {
-		want, hit, replayed := memoStep(t, &memo, &dp.Problem{Coarse: c, K: f, Shapes: shapes, DType: shape.Float32, Parallelism: 1, Cache: cache}, at)
-		if hit {
-			use[1]++
-		}
-		if replayed {
-			use[2]++
-		}
-		return want
-	}
-	var walk func(prefix, rest []int64, shapes map[int]shape.Shape)
-	walk = func(prefix, rest []int64, shapes map[int]shape.Shape) {
-		seen := map[int64]bool{}
-		for i, f := range rest {
-			if seen[f] {
-				continue
-			}
-			seen[f] = true
-			at := append(prefix[:len(prefix):len(prefix)], f)
-			if want := step(f, shapes, fmt.Sprintf("factors %v", at)); want != nil {
-				next := maps.Clone(shapes)
-				divide(t, c, next, &plan.Step{K: f, VarCut: want.VarCut})
-				walk(at, append(append([]int64(nil), rest[:i]...), rest[i+1:]...), next)
-			}
-		}
-	}
-	walk(nil, factors, originalShapes(c))
+// chainWalk walks every prefix of every distinct ordering of a factor
+// multiset through one dp.StepMemo and price cache, as the ordering search
+// shares them, holding each step to a fresh preparation (memoStep) and
+// dividing the shapes along the fresh cuts. At each complete ordering it
+// searches the chain (recursive.Search with those Factors: runSteps, a memo of
+// its own) and holds its steps to the fresh solves along the path; an
+// ordering with a prefix no fresh step takes must fail.
+type chainWalk struct {
+	t     *testing.T
+	c     *coarsen.Coarse
+	memo  dp.StepMemo
+	cache *dp.PriceCache
+	use   *fuzzUse // nil: not counted
+	// chains holds the fresh solves of every complete ordering, by
+	// fmt.Sprint of its factors.
+	chains map[string][]*dp.Result
+}
 
-	k := int64(1)
-	for _, f := range factors {
-		k *= f
+// walkChains walks c's prefix tree of factors (chainWalk).
+func walkChains(t *testing.T, c *coarsen.Coarse, factors []int64, use *fuzzUse) *chainWalk {
+	t.Helper()
+	w := &chainWalk{t: t, c: c, cache: dp.NewPriceCache(), use: use, chains: map[string][]*dp.Result{}}
+	w.walk(nil, factors, originalShapes(c), nil)
+	return w
+}
+
+// step takes one step of K f at shapes through the memo.
+func (w *chainWalk) step(f int64, shapes map[int]shape.Shape, at string) *dp.Result {
+	w.t.Helper()
+	want, hit, replayed := memoStep(w.t, &w.memo, &dp.Problem{Coarse: w.c, K: f, Shapes: shapes, DType: shape.Float32, Parallelism: 1, Cache: w.cache}, at)
+	if w.use != nil && hit {
+		w.use[1]++
 	}
-	for _, f := range distinctFactors(k) {
+	if w.use != nil && replayed {
+		w.use[2]++
+	}
+	return want
+}
+
+func (w *chainWalk) walk(prefix, rest []int64, shapes map[int]shape.Shape, path []*dp.Result) {
+	w.t.Helper()
+	if len(rest) == 0 {
+		p, err := recursive.Search(w.c, product(prefix), recursive.Options{Factors: prefix, Parallelism: 1})
+		if err != nil {
+			w.t.Fatalf("factors %v: every fresh step succeeds, the search fails: %v", prefix, err)
+		}
+		w.chains[fmt.Sprint(prefix)] = path
+		checkChain(w.t, p, w.chains, fmt.Sprintf("factors %v", prefix))
+		return
+	}
+	seen := map[int64]bool{}
+	for i, f := range rest {
+		if seen[f] {
+			continue
+		}
+		seen[f] = true
+		at := append(prefix[:len(prefix):len(prefix)], f)
+		tail := append(append([]int64(nil), rest[:i]...), rest[i+1:]...)
+		want := w.step(f, shapes, fmt.Sprintf("factors %v", at))
+		if want == nil {
+			ord := append(at, tail...)
+			if _, err := recursive.Search(w.c, product(ord), recursive.Options{Factors: ord, Parallelism: 1}); err == nil {
+				w.t.Fatalf("factors %v: a fresh step of %v fails, the search succeeds", ord, at)
+			}
+			continue
+		}
+		next := maps.Clone(shapes)
+		divide(w.t, w.c, next, &plan.Step{K: f, VarCut: want.VarCut})
+		w.walk(at, tail, next, append(path[:len(path):len(path)], want))
+	}
+}
+
+// checkStepMemo walks the prefix tree of factors (walkChains), then tries
+// shape tables no search need reach on the same memo: one variable's
+// dimension stripped of a factor, so that exactly one alphabet bit differs
+// from the original shapes' key. It returns the walk's fresh chains.
+func checkStepMemo(t *testing.T, c *coarsen.Coarse, factors []int64, use *fuzzUse) map[string][]*dp.Result {
+	t.Helper()
+	w := walkChains(t, c, factors, use)
+	for _, f := range distinctFactors(product(factors)) {
 		for _, v := range c.Vars {
 			for d := range v.Shape.Rank() {
 				if !v.Shape.CanSplit(d, f) {
@@ -652,10 +787,11 @@ func checkStepMemo(t *testing.T, c *coarsen.Coarse, factors []int64, use *fuzzUs
 				}
 				shapes := originalShapes(c)
 				shapes[v.Tensors[0].ID] = s
-				step(f, shapes, fmt.Sprintf("K=%d with variable %d at %v", f, v.ID, s))
+				w.step(f, shapes, fmt.Sprintf("K=%d with variable %d at %v", f, v.ID, s))
 			}
 		}
 	}
+	return w.chains
 }
 
 // memoStep prepares and solves p through memo and, with no price cache,
@@ -706,25 +842,6 @@ func poolFactors(tp topo.Topology) []int64 {
 	var out []int64
 	for _, lv := range tp.Levels {
 		out = append(out, recursive.Factorize(lv.GroupSize)...)
-	}
-	return out
-}
-
-// orderings lists the distinct permutations of factors.
-func orderings(factors []int64) [][]int64 {
-	if len(factors) <= 1 {
-		return [][]int64{factors}
-	}
-	var out [][]int64
-	seen := map[int64]bool{}
-	for i, f := range factors {
-		if !seen[f] {
-			seen[f] = true
-			rest := append(append([]int64(nil), factors[:i]...), factors[i+1:]...)
-			for _, tail := range orderings(rest) {
-				out = append(out, append([]int64{f}, tail...))
-			}
-		}
 	}
 	return out
 }
@@ -884,14 +1001,14 @@ func comparePipeline(t *testing.T, what string, c *coarsen.Coarse, got *hybrid.R
 		if stg.Groups != [2]int{lo, hi} {
 			t.Fatalf("%s: stage %d holds groups %v, reference [%d,%d)", what, i, stg.Groups, lo, hi)
 		}
-		if diff := stepsDiff(stg.Plan, want.plans[i]); diff != "" {
+		if diff := hybrid.StepsDiff(stg.Plan, want.plans[i]); diff != "" {
 			t.Fatalf("%s: stage %d and the direct search of groups [%d,%d) differ: %s", what, i, lo, hi, diff)
 		}
 		seg, err := c.Segment(lo, hi, &coarsen.SegmentScratch{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkChain(t, seg, stepFactors(stg.Plan), stg.Plan, nil, fmt.Sprintf("%s, stage %d", what, i))
+		checkChain(t, stg.Plan, walkChains(t, seg, stepFactors(stg.Plan), nil).chains, fmt.Sprintf("%s, stage %d", what, i))
 		if hi < len(c.Groups) && (stg.HandoffBytes != xb[hi] || stg.HandoffBandwidth != want.bw[i+1]) {
 			t.Fatalf("%s: stage %d hands off %v B at %v B/s, reference %v at %v",
 				what, i, stg.HandoffBytes, stg.HandoffBandwidth, xb[hi], want.bw[i+1])
@@ -1035,28 +1152,10 @@ func handoffs(c *coarsen.Coarse) []float64 {
 	return xb
 }
 
-// stepsDiff names the first difference between two plans in what a search
-// decides — per step K, Multiplier, Level, VarCut, CommBytes, States and
-// Configs — or returns "".
-func stepsDiff(a, b *plan.Plan) string {
-	if a == nil || b == nil {
-		return "a missing plan"
+func product(factors []int64) int64 {
+	k := int64(1)
+	for _, f := range factors {
+		k *= f
 	}
-	if a.K != b.K || a.Degraded != b.Degraded || len(a.Steps) != len(b.Steps) {
-		return fmt.Sprintf("K %d/%d, degraded %v/%v, %d/%d steps", a.K, b.K, a.Degraded, b.Degraded, len(a.Steps), len(b.Steps))
-	}
-	for i, x := range a.Steps {
-		y := b.Steps[i]
-		switch {
-		case x.K != y.K || x.Multiplier != y.Multiplier || x.Level != y.Level:
-			return fmt.Sprintf("step %d: K, Multiplier or Level", i+1)
-		case math.Float64bits(x.CommBytes) != math.Float64bits(y.CommBytes):
-			return fmt.Sprintf("step %d: CommBytes %v/%v", i+1, x.CommBytes, y.CommBytes)
-		case x.States != y.States || x.Configs != y.Configs:
-			return fmt.Sprintf("step %d: States or Configs", i+1)
-		case !maps.Equal(x.VarCut, y.VarCut):
-			return fmt.Sprintf("step %d: VarCut", i+1)
-		}
-	}
-	return ""
+	return k
 }

@@ -22,8 +22,8 @@ import (
 // own, bit for bit: cost, and per step K, Multiplier, Level, CommBytes,
 // States, Configs and VarCut. Misses are checked as well as hits. It runs on
 // the four cold-hybrid benchmark cases and on a grid of small models on
-// every shipped multi-level cluster profile (not under -short), then checks
-// that the winning stages of a full search own their plans.
+// every shipped multi-level cluster profile, then checks that the winning
+// stages of a full search own their plans.
 func TestSegmentMemoMatchesSearch(t *testing.T) {
 	type memoCase struct {
 		prof string
@@ -38,15 +38,11 @@ func TestSegmentMemoMatchesSearch(t *testing.T) {
 	for _, prof := range []string{"cluster-2x8", "cluster-4x2x8", "cluster-2x4x2x12"} {
 		for _, cfg := range []models.Config{
 			{Family: "mlp", Depth: 6, Width: 384, Batch: 96},
-			{Family: "rnn", Depth: 3, Width: 384, Batch: 96},
-			{Family: "transformer", Depth: 2, Width: 384, Batch: 96},
+			{Family: "rnn", Depth: 2, Width: 384, Batch: 96},
+			{Family: "transformer", Depth: 1, Width: 384, Batch: 96},
 		} {
 			cases = append(cases, memoCase{prof, cfg})
 		}
-	}
-
-	if testing.Short() {
-		cases = cases[:4]
 	}
 	for _, c := range cases {
 		t.Run(c.prof+"/"+c.cfg.String(), func(t *testing.T) {
@@ -126,23 +122,27 @@ func checkSegmentMemo(t *testing.T, prof string, cfg models.Config) {
 	}
 }
 
-// stepsDiff names the first difference between two cost-only plans, "" when
-// they agree on everything a search decides.
+// stepsDiff names the first difference between two cost-only plans in what a
+// search decides — K, Degraded, and per step K, Multiplier, Level, VarCut,
+// CommBytes bits, States and Configs — or returns "".
 func stepsDiff(a, b *plan.Plan) string {
+	if a == nil || b == nil {
+		return "a missing plan"
+	}
 	if a.K != b.K || a.Degraded != b.Degraded || len(a.Steps) != len(b.Steps) {
-		return "plan K, Degraded or step count"
+		return fmt.Sprintf("K %d/%d, degraded %v/%v, %d/%d steps", a.K, b.K, a.Degraded, b.Degraded, len(a.Steps), len(b.Steps))
 	}
 	for i, x := range a.Steps {
 		y := b.Steps[i]
 		switch {
 		case x.K != y.K || x.Multiplier != y.Multiplier || x.Level != y.Level:
-			return "step K, Multiplier or Level"
+			return fmt.Sprintf("step %d: K, Multiplier or Level", i+1)
 		case math.Float64bits(x.CommBytes) != math.Float64bits(y.CommBytes):
-			return "step CommBytes"
+			return fmt.Sprintf("step %d: CommBytes %v/%v", i+1, x.CommBytes, y.CommBytes)
 		case x.States != y.States || x.Configs != y.Configs:
-			return "step States or Configs"
+			return fmt.Sprintf("step %d: States or Configs", i+1)
 		case !maps.Equal(x.VarCut, y.VarCut):
-			return "step VarCut"
+			return fmt.Sprintf("step %d: VarCut", i+1)
 		}
 	}
 	return ""
