@@ -23,12 +23,12 @@ import (
 	"tofu/internal/topo"
 )
 
-// FuzzPartition decodes its input into a small training graph and a machine
-// (decodeFuzzInput) and holds every layer that skips work on the strength of
-// a key or a bound — the table memo, the step memo's shared preparations and
-// replayed sweeps, the structural segment memo, the lazy boundary search, the
-// bounded sweep and the ordering branch-and-bound — to a reference that skips
-// nothing of the kind:
+// FuzzPartition decodes its input into a small training or forward graph and
+// a machine (decodeFuzzInput) and holds every layer that skips work on the
+// strength of a key or a bound — the table memo, the step memo's shared
+// preparations and replayed sweeps, the structural segment memo, the lazy
+// boundary search, the bounded sweep and the ordering branch-and-bound — to a
+// reference that skips nothing of the kind:
 //
 //   - flat DP: dp.Solve at each prime factor of the machine ≡ an exact sweep
 //     with no price cache and no incumbent bound (a frontier bound no
@@ -97,8 +97,11 @@ func (r *fuzzBytes) pick(n int) int {
 
 // decodeFuzzInput reads a machine (group sizes and a bandwidth per level), a
 // batch and an input width, then up to five motifs, and closes the forward
-// graph into a training graph: softmax cross-entropy, backward, optimizer.
-// An input whose operators do not fit together is an error (skipped).
+// graph into a training graph — softmax cross-entropy, backward, optimizer —
+// or, for one optimizer choice, leaves it a forward graph ending in the
+// softmax: a backward pass mirrors each forward variable in a gradient one,
+// and a forward graph is partitioned as well. An input whose operators do
+// not fit together is an error (skipped).
 func decodeFuzzInput(data []byte) (*fuzzInput, error) {
 	r := fuzzBytes(data)
 	sizes := fuzzMachines[r.pick(len(fuzzMachines))]
@@ -120,6 +123,13 @@ func decodeFuzzInput(data []byte) (*fuzzInput, error) {
 	classes := fuzzWidths[r.pick(len(fuzzWidths))]
 	logits := b.apply("matmul", nil, h, b.weight(width(h), classes))
 	probs := b.apply("softmax", nil, logits)
+	// The byte's parity picks the optimizer, as for the committed corpus
+	// entries, except 3 mod 4: a forward graph.
+	opt := []string{"sgd", "adam", "sgd", "none"}[r.pick(4)]
+	if opt == "none" {
+		b.desc += " (forward only)"
+		return &fuzzInput{g: b.g, tp: tp, desc: b.desc}, b.err
+	}
 	labels := b.g.Input("labels", shape.Of(b.batch, classes))
 	dLogits := b.apply("softmax_ce_grad", nil, probs, labels)
 	if b.err != nil {
@@ -128,7 +138,7 @@ func decodeFuzzInput(data []byte) (*fuzzInput, error) {
 	if err := b.g.Backward(map[*graph.Tensor]*graph.Tensor{logits: dLogits}, graph.AutodiffOptions{InPlaceAgg: true}); err != nil {
 		return nil, err
 	}
-	if err := b.g.ApplyOptimizer([]string{"sgd", "adam"}[r.pick(2)]); err != nil {
+	if err := b.g.ApplyOptimizer(opt); err != nil {
 		return nil, err
 	}
 	return &fuzzInput{g: b.g, tp: tp, desc: b.desc}, nil
@@ -332,9 +342,26 @@ func (b *fuzzBuilder) block(code, m int, h *graph.Tensor) *graph.Tensor {
 		seq := b.g.Input(fmt.Sprintf("seq%d", m), shape.Of(b.batch, steps, e))
 		y := b.act(b.apply("linear3d", nil, seq, b.weight(e, d)))
 		return b.apply("add", nil, h, b.apply("last_token", tdl.Attrs{"pos": steps - 1}, y))
-	default: // gated element-wise block
-		b.desc += fmt.Sprintf(" gate(%d)", d)
-		return b.apply("mul", nil, h, b.act(h))
+	default: // gated element-wise block, or a pair of equal products of one
+		// weight, each added into a product of its own weight — straight or
+		// crossed. The two orders differ only in which variable each of the
+		// equal products writes.
+		v := b.r.pick(9)
+		if v < 3 {
+			b.desc += fmt.Sprintf(" gate(%d)", d)
+			return b.apply("mul", nil, h, b.apply([]string{"relu", "tanh", "sigmoid"}[v], nil, h))
+		}
+		crossed := v >= 6
+		b.desc += fmt.Sprintf(" pair(%d, crossed %v)", d, crossed)
+		a := b.apply("matmul", nil, h, b.weight(d, d))
+		c := b.apply("matmul", nil, h, b.weight(d, d))
+		w := b.weight(d, d)
+		y1, y2 := b.apply("matmul", nil, h, w), b.apply("matmul", nil, h, w)
+		if crossed {
+			y1, y2 = y2, y1
+		}
+		z1, z2 := b.apply("add", nil, y1, a), b.apply("add", nil, y2, c)
+		return b.apply("matmul", nil, b.apply("matmul_nt", nil, z1, z2), z2)
 	}
 }
 
