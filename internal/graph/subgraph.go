@@ -22,8 +22,14 @@ type Subgraphed struct {
 // original ID order, so the clone satisfies the same producers-before-
 // consumers invariant Topo verifies. GradOf/Grad and FwdOf links survive
 // only when both endpoints are kept; control dependencies on dropped nodes
-// are dropped with them. The hybrid pipeline search uses this to solve each
-// contiguous stage of the coarsened graph as a standalone partition problem.
+// are dropped with them.
+//
+// Nothing in production extracts: a pipeline stage is planned on a view of
+// the root coarsening and executes over the whole graph
+// (graphgen.GenerateStage). An extraction is the reference a stage's
+// execution is held to — the stage as a graph of its own, its feeds made
+// explicit — and the frame of the coarsening oracles (CoarsenSub in
+// coarsen's tests).
 //
 // The extraction is built count-then-fill: one pass numbers the kept nodes
 // and the tensors they touch (inputs at first sight, then the output — clone
@@ -118,7 +124,7 @@ type extraction struct {
 // pairing survives when both tensors were extracted — the coarsening pass
 // reads it to group forward and backward operators.
 //
-//tofu:hotpath fill pass of every segment extraction; enforced by tofu-vet/hotalloc
+//tofu:hotpath fill pass of every extraction; enforced by tofu-vet/hotalloc
 func (x *extraction) fillTensors() {
 	for _, t := range x.g.Tensors {
 		if x.tmap[t.ID] == 0 {
@@ -149,7 +155,7 @@ func (x *extraction) fillTensors() {
 // cloned later (none in a graph that passes Topo) are dropped like links to
 // nodes that were not kept.
 //
-//tofu:hotpath fill pass of every segment extraction; enforced by tofu-vet/hotalloc
+//tofu:hotpath fill pass of every extraction; enforced by tofu-vet/hotalloc
 func (x *extraction) fillNodes() {
 	for _, n := range x.g.Nodes {
 		if x.nmap[n.ID] == 0 {

@@ -71,45 +71,66 @@ type OpShard struct {
 	OutByLevel   []float64
 }
 
-// Sharded is the per-worker execution structure for a k-way plan.
+// Sharded is the per-worker execution structure for a k-way plan over the
+// nodes of G it executes: all of them, or a pipeline stage's.
 type Sharded struct {
 	K    int64
 	G    *graph.Graph
 	Plan *plan.Plan
 	Opts Options
-	// Ops lists per-worker op shards in execution (topological) order.
+	// Ops lists per-worker op shards in execution order: the executed nodes
+	// in ascending ID, which is topological. A tensor the ops read but no op
+	// writes is a feed of the execution.
 	Ops []OpShard
-	// TensorShard is the per-worker shard bytes of each tensor, dense by
-	// tensor ID (G's tensor IDs are their positions, which Topo checks).
+	// TensorShard is the per-worker shard bytes of each tensor the ops read
+	// or write, dense by G's tensor ID (G's tensor IDs are their positions,
+	// which Topo checks); the entries of tensors no op touches are 0.
 	TensorShard []int64
 	// TotalFetchBytes/TotalOutBytes summarize per-worker communication.
 	TotalFetchBytes float64
 	TotalOutBytes   float64
 }
 
-// Generate builds the per-worker structure for a plan produced by the
-// recursive search (or by a heuristic baseline via dp.Evaluate).
+// Generate builds the per-worker structure of every node of g for a plan
+// produced by the recursive search (or by a heuristic baseline via
+// dp.Evaluate), after checking g's ID invariant (Graph.Topo).
 func Generate(g *graph.Graph, p *plan.Plan, opts Options) (*Sharded, error) {
+	if _, err := g.Topo(); err != nil {
+		return nil, err
+	}
+	return GenerateStage(g, p, opts, nil)
+}
+
+// GenerateStage builds the per-worker structure of the nodes of g that keep
+// selects (nil keeps every node) for a plan in g's IDs: a pipeline stage's
+// execution over the whole graph, with no copy of the stage. g must hold the
+// ID invariant Generate checks; a caller generating every stage of one graph
+// checks it once (coarsen.Coarsen has, for a coarsened graph).
+func GenerateStage(g *graph.Graph, p *plan.Plan, opts Options, keep func(*graph.Node) bool) (*Sharded, error) {
 	if p == nil || p.K < 1 {
 		return nil, fmt.Errorf("graphgen: invalid plan")
 	}
-	nodes, err := g.Topo()
-	if err != nil {
-		return nil, err
+	kept := len(g.Nodes)
+	if keep != nil {
+		kept = 0
+		for _, n := range g.Nodes {
+			if keep(n) {
+				kept++
+			}
+		}
 	}
 	sh := &Sharded{
 		K: p.K, G: g, Plan: p, Opts: opts,
-		Ops:         make([]OpShard, len(nodes)),
+		Ops:         make([]OpShard, kept),
 		TensorShard: make([]int64, len(g.Tensors)),
 	}
-	sh.fillTensorShards()
 	levels := 1
 	for _, s := range p.Steps {
 		if s.Level+1 > levels {
 			levels = s.Level + 1
 		}
 	}
-	sh.fillOps(nodes, levels)
+	sh.fillOps(keep, levels)
 	return sh, nil
 }
 
@@ -118,44 +139,56 @@ func Generate(g *graph.Graph, p *plan.Plan, opts Options) (*Sharded, error) {
 // and Generate allocates a constant number of objects.
 const shapeBufLen = 8
 
-// fillTensorShards sizes every tensor's per-worker shard: its final shape
-// when every step cuts it, the whole tensor otherwise.
+// tensorShard sizes t's per-worker shard: its final shape when every step
+// cuts it, the whole tensor otherwise. It returns the final shape too, and
+// whether the plan has one.
 //
-//tofu:hotpath one pass over the tensors of every cold op; enforced by tofu-vet/hotalloc
-func (sh *Sharded) fillTensorShards() {
+//tofu:hotpath part of fillOps
+func (sh *Sharded) tensorShard(t *graph.Tensor) (int64, shape.Shape, bool) {
 	p := sh.Plan
-	for i, t := range sh.G.Tensors {
-		fs, ok := p.FinalShapes[t.ID]
-		if !ok || !p.CutAtEveryStep(t.ID) {
-			// Unreferenced tensors stay whole on every worker.
-			sh.TensorShard[i] = t.Bytes()
-			continue
-		}
-		sh.TensorShard[i] = fs.Bytes(t.DType)
+	fs, ok := p.FinalShapes[t.ID]
+	if !ok || !p.CutAtEveryStep(t.ID) {
+		// Unreferenced tensors stay whole on every worker.
+		return t.Bytes(), fs, ok
 	}
+	return fs.Bytes(t.DType), fs, ok
 }
 
-// fillOps lays out one op shard per node, in order, with every shard's
-// per-level traffic carved from one slab.
+// fillOps lays out one op shard per kept node, in ID order, with every
+// shard's per-level traffic carved from one slab, and sizes the shard of
+// every tensor a kept node touches: an output at its producer, a feed at its
+// first reader (an entry still 0 is unsized; sizing a zero-byte tensor again
+// changes nothing).
 //
 //tofu:hotpath one pass over the nodes of every cold op; enforced by tofu-vet/hotalloc
-func (sh *Sharded) fillOps(nodes []*graph.Node, levels int) {
+func (sh *Sharded) fillOps(keep func(*graph.Node) bool, levels int) {
 	p, opts := sh.Plan, sh.Opts
 	kf := float64(p.K)
-	slab := make([]float64, 2*levels*len(nodes))
+	slab := make([]float64, 2*levels*len(sh.Ops))
 	shapes := make([]shape.Shape, 0, shapeBufLen)
-	for i, n := range nodes {
+	i := 0
+	for _, n := range sh.G.Nodes {
+		if keep != nil && !keep(n) {
+			continue
+		}
+		for _, in := range n.Inputs {
+			if sh.TensorShard[in.ID] == 0 {
+				sh.TensorShard[in.ID], _, _ = sh.tensorShard(in)
+			}
+		}
+		b, fs, ok := sh.tensorShard(n.Output)
+		sh.TensorShard[n.Output.ID] = b
 		os := &sh.Ops[i]
+		i++
 		os.Node = n
+		os.OutShard = n.Output.Shape
+		if ok {
+			os.OutShard = fs
+		}
 		os.FLOPs = graph.NodeFLOPs(n, &shapes) / kf
 		os.MemBytes = float64(graph.MemBytes(n)) / kf
 		os.FetchByLevel, slab = slab[:levels:levels], slab[levels:]
 		os.OutByLevel, slab = slab[:levels:levels], slab[levels:]
-		if fs, ok := p.FinalShapes[n.Output.ID]; ok {
-			os.OutShard = fs
-		} else {
-			os.OutShard = n.Output.Shape
-		}
 		// Kernel slab: divide along each step's *strategy* axis.
 		rows := 1.0
 		if n.Output.Shape.Rank() > 0 {

@@ -71,7 +71,9 @@ func loadColdCases() ([]coldCase, error) {
 }
 
 // executions lists what a case generates: the whole graph under the searched
-// plan, or every pipeline stage's subgraph under its stage plan.
+// plan, or under every pipeline stage's plan, which is in the whole graph's
+// IDs. (A stage's own execution, a subset of the nodes, is held to its
+// extraction's by the hybrid package's TestStageExecutionMatchesExtraction.)
 func executions(c coldCase) []struct {
 	g *graph.Graph
 	p *plan.Plan
@@ -85,15 +87,15 @@ func executions(c coldCase) []struct {
 	}
 	var out []exec
 	for _, stg := range c.sum.Hybrid.Stages {
-		out = append(out, exec{stg.Sharded.G, stg.Sharded.Plan})
+		out = append(out, exec{stg.G, stg.Plan})
 	}
 	return out
 }
 
 // TestGenerateMatchesOracle holds Generate and Single to the map-keyed
 // builders they replaced, field for field and float for float bit, on the
-// twelve cold cases at their searched plans (every stage of the pipelined
-// ones), under each graph-generation ablation toggle, and on the
+// twelve cold cases at their searched plans (every stage plan of the
+// pipelined ones), under each graph-generation ablation toggle, and on the
 // unpartitioned graphs.
 func TestGenerateMatchesOracle(t *testing.T) {
 	noMultiFetch, noSpread, noCtrl := graphgen.DefaultOptions(), graphgen.DefaultOptions(), graphgen.DefaultOptions()

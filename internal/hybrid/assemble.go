@@ -5,7 +5,6 @@ import (
 
 	"tofu/internal/graph"
 	"tofu/internal/graphgen"
-	"tofu/internal/partition"
 	"tofu/internal/plan"
 	"tofu/internal/recursive"
 	"tofu/internal/shape"
@@ -20,10 +19,8 @@ import (
 // still ship as a complete plan.
 //
 // A stage's plan is materialized on its segment view, whose tables come out
-// in full-graph IDs — the combined plan's steps as they are. Execution needs
-// a graph of the stage's own, so only here is a segment extracted
-// (graph.Subgraph), and the stage plan gathers its tables through the
-// extraction's ID maps.
+// in full-graph IDs, and its execution is generated over the stage's nodes of
+// the full graph: no stage is copied out, and no table is translated.
 func (s *search) assemble(ls *levelState) (*Result, error) {
 	L := len(s.c.Groups)
 	bounds := make([]int, 0, ls.S+1)
@@ -34,7 +31,7 @@ func (s *search) assemble(ls *levelState) (*Result, error) {
 	res := &Result{Level: ls.level, Cost: ls.bestCost}
 	combined := &plan.Plan{
 		K:           ls.kSub * int64(ls.S),
-		FinalShapes: make(map[int]shape.Shape),
+		FinalShapes: make(map[int]shape.Shape, len(s.g.Tensors)),
 	}
 	info := &plan.PipelineInfo{Level: ls.level}
 	for si := 0; si+1 < len(bounds); si++ {
@@ -55,19 +52,14 @@ func (s *search) assemble(ls *levelState) (*Result, error) {
 		}
 		// The cost-only plan may be shared with the segment's whole memo
 		// class — winners included — and Materialize fills steps in place.
-		full := ownSteps(sg.plan)
-		if err := recursive.Materialize(co, full, ls.stageOptions()); err != nil {
+		p := ownSteps(sg.plan)
+		if err := recursive.Materialize(co, p, ls.stageOptions()); err != nil {
 			return nil, fmt.Errorf("hybrid: stage %d: %w", si, err)
 		}
-		sub, err := s.g.Subgraph(func(n *graph.Node) bool {
+		sh, err := graphgen.GenerateStage(s.g, p, s.opts.Gen, func(n *graph.Node) bool {
 			gi := s.groupOf[n.ID]
 			return gi >= lo && gi < hi
 		})
-		if err != nil {
-			return nil, fmt.Errorf("hybrid: extracting groups [%d,%d): %w", lo, hi, err)
-		}
-		p := stagePlan(full, sub)
-		sh, err := graphgen.Generate(sub.G, p, s.opts.Gen)
 		if err != nil {
 			return nil, fmt.Errorf("hybrid: stage %d graph generation: %w", si, err)
 		}
@@ -80,8 +72,7 @@ func (s *search) assemble(ls *levelState) (*Result, error) {
 			Groups:           [2]int{lo, hi},
 			Workers:          ls.kSub,
 			Topo:             ls.subTopo,
-			G:                sub.G,
-			Sub:              sub,
+			G:                s.g,
 			Plan:             p,
 			Sharded:          sh,
 			HandoffBytes:     hb,
@@ -95,23 +86,24 @@ func (s *search) assemble(ls *levelState) (*Result, error) {
 		// A stage whose own search ran out of budget taints the whole
 		// assembly: the combined plan is only as proven as its weakest stage.
 		combined.Degraded = combined.Degraded || p.Degraded
-		// Tensors and nodes outside the stage stay uncut and strategy-less,
-		// exactly like tensors a flat step never references. VarCut is
-		// dropped: its keys are variable IDs of the stage's own coarsening,
-		// which name nothing in the full graph — the stage plans keep theirs.
-		for _, st := range full.Steps {
-			st.VarCut, st.Stage = nil, si
-			combined.Steps = append(combined.Steps, st)
+		// The combined plan's steps share the stage plan's tables. Tensors
+		// and nodes outside the stage stay uncut and strategy-less, exactly
+		// like tensors a flat step never references. VarCut is dropped: its
+		// keys are variable IDs of the stage's own coarsening, which name
+		// nothing in the full graph — the stage plans keep theirs.
+		steps := make([]plan.Step, len(p.Steps))
+		for i, st := range p.Steps {
+			steps[i] = *st
+			steps[i].VarCut, steps[i].Stage = nil, si
+			combined.Steps = append(combined.Steps, &steps[i])
 		}
 		// A tensor touched by several stages (a shared weight) keeps its
 		// earliest stage's shard shape — FinalShapes on the combined plan is
-		// informational; execution reads the per-stage plans.
-		for _, id := range sub.TensorID {
-			if _, ok := combined.FinalShapes[id]; ok {
-				continue
-			}
-			if fs, ok := full.FinalShapes[id]; ok {
-				combined.FinalShapes[id] = fs.Clone()
+		// informational; execution reads the per-stage plans. The shapes are
+		// read-only, so both plans share them.
+		for id, fs := range p.FinalShapes {
+			if _, ok := combined.FinalShapes[id]; !ok {
+				combined.FinalShapes[id] = fs
 			}
 		}
 	}
@@ -121,37 +113,6 @@ func (s *search) assemble(ls *levelState) (*Result, error) {
 	combined.Degraded = combined.Degraded || s.cancelled
 	res.Plan = combined
 	return res, nil
-}
-
-// stagePlan is the stage-local copy of a plan materialized on a segment view:
-// every dense table and the final shapes gathered from full-graph IDs into
-// the extraction's through its ID maps, everything else — VarCut included —
-// as the search left it.
-func stagePlan(full *plan.Plan, sub *graph.Subgraphed) *plan.Plan {
-	p := *full
-	steps := make([]plan.Step, len(full.Steps))
-	p.Steps = make([]*plan.Step, len(full.Steps))
-	for i, st := range full.Steps {
-		steps[i] = *st
-		local := &steps[i]
-		local.TensorCut = make([]int, len(sub.TensorID))
-		for tid, id := range sub.TensorID {
-			local.TensorCut[tid] = st.TensorCut[id]
-		}
-		local.OpStrategy = make([]partition.Strategy, len(sub.NodeID))
-		local.OpComm = make([]partition.Parts, len(sub.NodeID))
-		for nid, id := range sub.NodeID {
-			local.OpStrategy[nid], local.OpComm[nid] = st.OpStrategy[id], st.OpComm[id]
-		}
-		p.Steps[i] = local
-	}
-	p.FinalShapes = make(map[int]shape.Shape, len(sub.TensorID))
-	for tid, id := range sub.TensorID {
-		if fs, ok := full.FinalShapes[id]; ok {
-			p.FinalShapes[tid] = fs
-		}
-	}
-	return &p
 }
 
 // ownSteps returns a copy of a cost-only plan with steps of its own, for

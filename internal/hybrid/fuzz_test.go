@@ -43,6 +43,10 @@ import (
 //     Coarse.Segment), level and stage groups included;
 //   - every emitted step, re-priced op by op with partition.Cost from the
 //     graph, its materialized cuts and strategies, ≡ its CommBytes;
+//   - every pipeline stage's execution over the whole graph — its op and
+//     tensor shards, alias roots, memplan.Plan and sim.Run — ≡ its
+//     extraction's (checkStageExecution), alias chains and reads across
+//     stage edges included;
 //   - Parallelism 1, 2 and 8 give the same plan bytes and effort counters;
 //   - raising any level's bandwidth never raises the cost.
 //
@@ -369,7 +373,8 @@ func (b *fuzzBuilder) block(code, m int, h *graph.Tensor) *graph.Tensor {
 // fuzzUse counts them.
 var fuzzLayers = [...]string{"table memo hits", "shared preparations", "replayed sweeps",
 	"segment memo hits", "segments the lazy search skipped", "bounded sweeps", "orderings pruned",
-	"brute-forced flat DPs", "hybrid searches", "segments sharing a structural key"}
+	"brute-forced flat DPs", "hybrid searches", "segments sharing a structural key",
+	"in-place chains crossing a stage edge", "tensors read by two stages"}
 
 // fuzzUse counts what one input exercised, per fuzzLayers entry.
 type fuzzUse [len(fuzzLayers)]int64
@@ -399,7 +404,7 @@ func (c *fuzzCoverage) report(f *testing.F) {
 		return
 	}
 	for i, name := range fuzzLayers {
-		f.Logf("%-34s %3d of %d inputs, %d in all", name+":", c.per[i], c.inputs, c.total[i])
+		f.Logf("%-40s %3d of %d inputs, %d in all", name+":", c.per[i], c.inputs, c.total[i])
 	}
 	entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", "FuzzPartition"))
 	if err != nil || c.inputs != len(entries) {
@@ -945,6 +950,37 @@ func reprice(t *testing.T, g *graph.Graph, p *plan.Plan, what string) {
 	}
 }
 
+// stageEdges counts, over the stages of a pipeline plan, the outputs of
+// in-place aggregations that another stage reads (the aggregation's alias
+// chain crosses a stage edge) and the tensors that operators of two or more
+// stages read: the edges at which a stage's execution over the whole graph
+// must stop alias chains and reference counts.
+func stageEdges(res *hybrid.Result, use *fuzzUse) {
+	g := res.Stages[0].G
+	stageOf := make([]int, len(g.Nodes))
+	for si, stg := range res.Stages {
+		for _, op := range stg.Sharded.Ops {
+			stageOf[op.Node.ID] = si
+		}
+	}
+	for _, ten := range g.Tensors {
+		if p := ten.Producer; p != nil && p.InPlace {
+			for _, c := range ten.Consumers {
+				if stageOf[c.ID] != stageOf[p.ID] {
+					use[10]++
+					break
+				}
+			}
+		}
+		for _, c := range ten.Consumers {
+			if stageOf[c.ID] != stageOf[ten.Consumers[0].ID] {
+				use[11]++
+				break
+			}
+		}
+	}
+}
+
 // checkHybrid holds the pipeline search — every level on its own, then the
 // automatic choice among them — to pipelineReference, and the automatic
 // search to other Parallelism settings and faster links.
@@ -982,6 +1018,11 @@ func checkHybrid(t *testing.T, c *coarsen.Coarse, tp topo.Topology, use *fuzzUse
 	use[3] += countAttr(span, "memo_hit")
 	use[4] += intervals - countSpans(span, "hybrid.segment")
 	use[5] += countAttr(span, "bound_pruned")
+	for si, stg := range got.Stages {
+		// The batch only scales sim.Run's throughput.
+		checkStageExecution(t, c, stg, 1, fmt.Sprintf("hybrid stage %d", si))
+	}
+	stageEdges(got, use)
 
 	want := planBytes(t, got.Plan)
 	for _, par := range []int{2, 8} {
@@ -1040,7 +1081,8 @@ func comparePipeline(t *testing.T, what string, c *coarsen.Coarse, got *hybrid.R
 			t.Fatalf("%s: stage %d hands off %v B at %v B/s, reference %v at %v",
 				what, i, stg.HandoffBytes, stg.HandoffBandwidth, xb[hi], want.bw[i+1])
 		}
-		reprice(t, stg.G, stg.Plan, fmt.Sprintf("%s, stage %d", what, i))
+		sub, p := extractStage(t, c, stg)
+		reprice(t, sub.G, p, fmt.Sprintf("%s, stage %d", what, i))
 	}
 }
 

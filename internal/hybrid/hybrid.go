@@ -133,13 +133,17 @@ type Stage struct {
 	// Topo is the stage sub-machine (the machine's levels below the stage
 	// level).
 	Topo topo.Topology
-	// G is the extracted stage subgraph; Sub maps its IDs back to the full
-	// graph.
-	G   *graph.Graph
-	Sub *graph.Subgraphed
-	// Plan is the stage's partition plan in subgraph IDs; Sharded is its
-	// per-worker execution structure.
-	Plan    *plan.Plan
+	// G is the whole graph: a stage is its nodes in Groups, never a copy.
+	G *graph.Graph
+	// Plan is the stage's partition plan in G's IDs: its dense tables span
+	// the whole graph, uncut and strategy-less outside the stage, and the
+	// combined plan's steps share them. Its final shapes cover the tensors
+	// the stage's nodes touch, and its steps keep their VarCut, in variable
+	// IDs of the stage's segment view.
+	Plan *plan.Plan
+	// Sharded is the stage's per-worker execution structure: the stage's
+	// nodes of G in ascending ID; what they read and no stage node writes
+	// is a feed (graphgen.GenerateStage).
 	Sharded *graphgen.Sharded
 	// HandoffBytes is the tensor traffic crossing into the next stage each
 	// iteration (0 for the last stage); HandoffBandwidth is the per-GPU

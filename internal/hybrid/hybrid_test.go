@@ -360,10 +360,11 @@ func TestHybridInfeasible(t *testing.T) {
 }
 
 // TestHybridStagePlansMatchExtraction: a stage plan is materialized on its
-// segment view and gathered into the extracted stage graph's IDs. It must be
-// exactly what materializing the stage's decisions on the extracted graph's
-// own coarsening gives: the same JSON bytes (every step's tensor cuts,
-// strategies and itemized communication) and the same final shapes.
+// segment view, in the whole graph's IDs. Gathered into an extraction of the
+// stage (extractStage), it must be exactly what materializing the stage's
+// decisions on the extracted graph's own coarsening gives: the same JSON
+// bytes (every step's tensor cuts, strategies and itemized communication)
+// and the same final shapes.
 func TestHybridStagePlansMatchExtraction(t *testing.T) {
 	for _, c := range diffCases {
 		tp, err := topo.Profile(c.prof)
@@ -374,33 +375,39 @@ func TestHybridStagePlansMatchExtraction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := hybrid.Partition(m.G, int64(tp.NumGPUs()), hybrid.Options{Topology: &tp, Level: c.level, Parallelism: 1})
+		root, err := recursive.Coarsen(m.G, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := hybrid.PartitionCoarse(root, int64(tp.NumGPUs()), hybrid.Options{Topology: &tp, Level: c.level, Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", c.prof, err)
 		}
 		for si, stg := range res.Stages {
-			co, err := coarsen.Coarsen(stg.G)
+			sub, got := extractStage(t, root, stg)
+			co, err := coarsen.Coarsen(sub.G)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := *stg.Plan
-			want.FinalShapes, want.Steps = nil, make([]*plan.Step, len(stg.Plan.Steps))
-			for i, st := range stg.Plan.Steps {
+			want := *got
+			want.FinalShapes, want.Steps = nil, make([]*plan.Step, len(got.Steps))
+			for i, st := range got.Steps {
 				want.Steps[i] = &plan.Step{K: st.K, Multiplier: st.Multiplier, VarCut: st.VarCut, CommBytes: st.CommBytes,
 					Level: st.Level, States: st.States, Configs: st.Configs}
 			}
 			if err := recursive.Materialize(co, &want, recursive.Options{Parallelism: 1}); err != nil {
 				t.Fatalf("%s stage %d: %v", c.prof, si, err)
 			}
-			if !bytes.Equal(planBytes(t, stg.Plan), planBytes(t, &want)) {
+			if !bytes.Equal(planBytes(t, got), planBytes(t, &want)) {
 				t.Errorf("%s stage %d: the stage plan differs from its extraction's materialization", c.prof, si)
 			}
-			if len(stg.Plan.FinalShapes) != len(want.FinalShapes) {
-				t.Fatalf("%s stage %d: %d final shapes, want %d", c.prof, si, len(stg.Plan.FinalShapes), len(want.FinalShapes))
+			if len(got.FinalShapes) != len(want.FinalShapes) || len(stg.Plan.FinalShapes) != len(want.FinalShapes) {
+				t.Fatalf("%s stage %d: %d final shapes (%d gathered), want %d", c.prof, si,
+					len(stg.Plan.FinalShapes), len(got.FinalShapes), len(want.FinalShapes))
 			}
 			for tid, s := range want.FinalShapes {
-				if !stg.Plan.FinalShapes[tid].Equal(s) {
-					t.Errorf("%s stage %d: tensor %d ends at %v, want %v", c.prof, si, tid, stg.Plan.FinalShapes[tid], s)
+				if !got.FinalShapes[tid].Equal(s) {
+					t.Errorf("%s stage %d: tensor %d ends at %v, want %v", c.prof, si, sub.TensorID[tid], got.FinalShapes[tid], s)
 				}
 			}
 		}
@@ -502,32 +509,38 @@ func TestHybridCancelledIncumbentIsComplete(t *testing.T) {
 				res = got
 			}
 		}
-		checkCompletePlan(t, prof, res)
+		checkCompletePlan(t, prof, m.G, res)
 	}
 }
 
-// checkCompletePlan asserts a degraded result is a whole plan: every stage
-// has execution structures, final shapes and dense per-step tables, and the
-// combined plan verifies and reads back.
-func checkCompletePlan(t *testing.T, prof string, res *hybrid.Result) {
+// checkCompletePlan asserts a degraded result of partitioning g is a whole
+// plan: every stage has an execution structure, and its plan, gathered into
+// an extraction of the stage, final shapes and dense per-step tables for
+// every tensor and node of the extraction; the combined plan verifies and
+// reads back.
+func checkCompletePlan(t *testing.T, prof string, g *graph.Graph, res *hybrid.Result) {
 	t.Helper()
 	if len(res.Stages) < 2 {
 		t.Fatalf("%s: degraded plan has %d stages", prof, len(res.Stages))
 	}
+	root, err := recursive.Coarsen(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for si, stg := range res.Stages {
-		if stg.Sharded == nil || len(stg.Plan.FinalShapes) != len(stg.G.Tensors) {
+		sub, p := extractStage(t, root, stg)
+		if stg.Sharded == nil || len(p.FinalShapes) != len(sub.G.Tensors) {
 			t.Fatalf("%s stage %d: no execution structure or %d final shapes for %d tensors",
-				prof, si, len(stg.Plan.FinalShapes), len(stg.G.Tensors))
+				prof, si, len(p.FinalShapes), len(sub.G.Tensors))
 		}
 		prod := int64(1)
 		for i, st := range stg.Plan.Steps {
-			if len(st.TensorCut) != len(stg.G.Tensors) || len(st.OpStrategy) != len(stg.G.Nodes) ||
-				len(st.OpComm) != len(stg.G.Nodes) {
+			if len(st.TensorCut) != len(g.Tensors) || len(st.OpStrategy) != len(g.Nodes) || len(st.OpComm) != len(g.Nodes) {
 				t.Fatalf("%s stage %d step %d: dense tables (%d, %d, %d) for %d tensors and %d nodes", prof, si, i+1,
-					len(st.TensorCut), len(st.OpStrategy), len(st.OpComm), len(stg.G.Tensors), len(stg.G.Nodes))
+					len(st.TensorCut), len(st.OpStrategy), len(st.OpComm), len(g.Tensors), len(g.Nodes))
 			}
-			for _, n := range stg.G.Nodes {
-				if st.OpStrategy[n.ID].Axis == "" {
+			for _, n := range sub.G.Nodes {
+				if p.Steps[i].OpStrategy[n.ID].Axis == "" {
 					t.Fatalf("%s stage %d step %d: node %v has no strategy", prof, si, i+1, n)
 				}
 			}
@@ -597,7 +610,7 @@ func TestHybridCancelledInsideSeed(t *testing.T) {
 			continue // died in the walk or a later level: the older test's ground
 		}
 		rounds[levels[0]["seed_rounds"]]++
-		checkCompletePlan(t, "cluster-4x2x8", res)
+		checkCompletePlan(t, "cluster-4x2x8", m.G, res)
 		again, _, err := run(polls)
 		if err != nil || !bytes.Equal(planBytes(t, again.Plan), planBytes(t, res.Plan)) {
 			t.Fatalf("polls=%d: a second run with the same budget gave a different answer (err %v)", polls, err)

@@ -65,72 +65,86 @@ func inPlace(n *graph.Node, inPlaceAgg bool) bool {
 	}
 }
 
-// AliasRoots maps every tensor, dense by ID, to the ID of the root buffer of
-// its in-place alias chain: an in-place op's output shares its first input's
-// buffer, and the root is the original allocation. The memory planner
-// accounts buffers by root, and the swap engine uses the same map so alias
-// chains do not masquerade as distinct memory blocks.
-func AliasRoots(g *graph.Graph, inPlaceAgg bool) []int {
-	roots := make([]int, len(g.Tensors))
-	for i := range roots {
-		roots[i] = -1
-	}
-	for _, t := range g.Tensors {
-		rootOf(roots, t, inPlaceAgg)
-	}
+// AliasRoots maps every tensor an execution's ops touch, dense by ID, to
+// the ID of the root buffer of its in-place alias chain (-1 for a tensor no
+// op touches): an in-place op's output shares its first input's buffer, and
+// the root is the original allocation. A chain stops at the execution's
+// edge: a feed (a tensor no op writes) is a root, whoever produced it
+// outside. The memory planner accounts buffers by root, and the swap engine
+// uses the same map so alias chains do not masquerade as distinct memory
+// blocks.
+func AliasRoots(sh *graphgen.Sharded, inPlaceAgg bool) []int {
+	roots := make([]int, len(sh.G.Tensors))
+	trace(sh, inPlaceAgg, roots, nil)
 	return roots
-}
-
-// rootOf resolves t's root into roots (-1 = not yet resolved).
-func rootOf(roots []int, t *graph.Tensor, inPlaceAgg bool) int {
-	if r := roots[t.ID]; r >= 0 {
-		return r
-	}
-	r := t.ID
-	if t.Producer != nil && inPlace(t.Producer, inPlaceAgg) {
-		r = rootOf(roots, t.Producer.Inputs[0], inPlaceAgg)
-	}
-	roots[t.ID] = r
-	return r
 }
 
 func persistentKind(k graph.TensorKind) bool {
 	return k == graph.Weight || k == graph.OptState || k == graph.Input
 }
 
-// Plan sweeps one (representative) worker of a sharded execution. Its state
-// is dense by tensor ID: alias roots, external reference counts per root
-// buffer and which root buffers are live.
+// persistentFeed reports whether a feed stays resident for the whole
+// iteration: parameters, state and inputs, and every activation or gradient
+// produced outside the execution (a pipeline stage receives those as
+// inputs). A producer-less activation or gradient (a loss seed) is not.
+func persistentFeed(t *graph.Tensor) bool {
+	return persistentKind(t.Kind) ||
+		(t.Producer != nil && (t.Kind == graph.Activation || t.Kind == graph.Gradient))
+}
+
+// Plan sweeps one (representative) worker of a sharded execution — a whole
+// graph's, or a pipeline stage's over the whole graph: only the tensors its
+// ops touch are accounted, only its own ops consume, and what it reads but
+// does not write is a feed. Its state is dense by tensor ID: alias roots,
+// external reference counts per root buffer and which root buffers are live.
 func Plan(sh *graphgen.Sharded, opt Options) Report {
 	var rep Report
-	g := sh.G
-	for _, t := range g.Tensors {
-		if persistentKind(t.Kind) {
-			rep.PersistentBytes += sh.TensorShard[t.ID]
-		}
-	}
-	roots := AliasRoots(g, opt.InPlaceAggregation)
-	refs := make([]int, len(g.Tensors))
-	countRefs(g, roots, refs, opt.InPlaceAggregation)
-	sweep(sh, opt, roots, refs, make([]bool, len(g.Tensors)), &rep)
+	n := len(sh.G.Tensors)
+	roots, refs := make([]int, n), make([]int, n)
+	rep.PersistentBytes = trace(sh, opt.InPlaceAggregation, roots, refs)
+	sweep(sh, opt, roots, refs, make([]bool, n), &rep)
 	rep.PeakBytes = rep.PersistentBytes + rep.TransientPeak
 	return rep
 }
 
-// countRefs counts the external consumptions of every root buffer:
-// consumptions that extend the alias chain are internal and don't pin it.
+// trace walks the ops in order and resolves every touched tensor's alias
+// root into roots (-1 elsewhere): an input still unresolved when read is a
+// feed — its producer, if any, is not among the ops, which run producers
+// first — and roots itself. With refs non-nil it also counts each root
+// buffer's external consumptions (consumptions that extend the alias chain
+// are internal and don't pin it) and returns the persistent bytes: the
+// persistent feeds and persistent outputs, each once.
 //
-//tofu:hotpath one pass over the tensors of every memory plan; enforced by tofu-vet/hotalloc
-func countRefs(g *graph.Graph, roots, refs []int, inPlaceAgg bool) {
-	for _, t := range g.Tensors {
-		r := roots[t.ID]
-		for _, c := range t.Consumers {
-			if inPlace(c, inPlaceAgg) && c.Inputs[0] == t {
-				continue
+//tofu:hotpath one pass over the ops of every memory plan; enforced by tofu-vet/hotalloc
+func trace(sh *graphgen.Sharded, inPlaceAgg bool, roots, refs []int) int64 {
+	for i := range roots {
+		roots[i] = -1
+	}
+	var persistent int64
+	for i := range sh.Ops {
+		n := sh.Ops[i].Node
+		nInPlace := inPlace(n, inPlaceAgg)
+		for _, in := range n.Inputs {
+			if roots[in.ID] < 0 {
+				roots[in.ID] = in.ID
+				if persistentFeed(in) {
+					persistent += sh.TensorShard[in.ID]
+				}
 			}
-			refs[r]++
+			if refs != nil && !(nInPlace && in == n.Inputs[0]) {
+				refs[roots[in.ID]]++
+			}
+		}
+		out := n.Output
+		roots[out.ID] = out.ID
+		if nInPlace {
+			roots[out.ID] = roots[n.Inputs[0].ID]
+		}
+		if persistentKind(out.Kind) {
+			persistent += sh.TensorShard[out.ID]
 		}
 	}
+	return persistent
 }
 
 // sweep walks the ops in execution order, allocating each output buffer at
@@ -147,7 +161,7 @@ func sweep(sh *graphgen.Sharded, opt Options, roots, refs []int, live []bool, re
 		}
 	}
 	release := func(r int) {
-		if !opt.Reuse || persistentKind(sh.G.Tensors[r].Kind) || !live[r] {
+		if !opt.Reuse || !live[r] { // persistent buffers are never live
 			return
 		}
 		live[r] = false

@@ -124,12 +124,16 @@ func TestAliasRoots(t *testing.T) {
 	g.Nodes[len(g.Nodes)-1].GradAgg = true
 	g.Nodes[len(g.Nodes)-1].InPlace = true
 
-	roots := AliasRoots(g, true)
+	sh, err := graphgen.Single(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := AliasRoots(sh, true)
 	if roots[agg.ID] != s1.ID {
 		t.Fatalf("in-place aggregation output should alias its first input: %d vs %d",
 			roots[agg.ID], s1.ID)
 	}
-	rootsOff := AliasRoots(g, false)
+	rootsOff := AliasRoots(sh, false)
 	if rootsOff[agg.ID] != agg.ID {
 		t.Fatal("with aggregation aliasing off, the output is its own root")
 	}
@@ -143,7 +147,11 @@ func TestOptimizerUpdatesAliasWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots := AliasRoots(m.G, true)
+	sh, err := graphgen.Single(m.G)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := AliasRoots(sh, true)
 	for _, n := range m.G.Nodes {
 		if n.Op != "adam_update" {
 			continue

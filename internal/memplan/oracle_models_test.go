@@ -72,9 +72,11 @@ func loadColdCases() ([]coldCase, error) {
 	return out, nil
 }
 
-// shardeds lists the executions of a case the planner sweeps: the searched
-// plan's (every pipeline stage's, when pipelined) with MultiFetch on and
-// off, and the unpartitioned graph's.
+// shardeds lists the executions of a case the planner sweeps: the whole
+// graph's under the searched plan (under every pipeline stage's plan, when
+// pipelined) with MultiFetch on and off, and the unpartitioned graph's. A
+// stage's own execution, a subset of the nodes, is held to its extraction's
+// by the hybrid package's TestStageExecutionMatchesExtraction.
 func shardeds(tb testing.TB, c coldCase) []*graphgen.Sharded {
 	noMultiFetch := graphgen.DefaultOptions()
 	noMultiFetch.MultiFetch = false
@@ -90,8 +92,8 @@ func shardeds(tb testing.TB, c coldCase) []*graphgen.Sharded {
 		gen(graphgen.Generate(c.m.G, c.sum.Plan, noMultiFetch))
 	} else {
 		for _, stg := range c.sum.Hybrid.Stages {
-			gen(graphgen.Generate(stg.Sharded.G, stg.Sharded.Plan, graphgen.DefaultOptions()))
-			gen(graphgen.Generate(stg.Sharded.G, stg.Sharded.Plan, noMultiFetch))
+			gen(graphgen.Generate(stg.G, stg.Plan, graphgen.DefaultOptions()))
+			gen(graphgen.Generate(stg.G, stg.Plan, noMultiFetch))
 		}
 	}
 	gen(graphgen.Single(c.m.G))
@@ -116,7 +118,7 @@ func TestMemplanMatchesOracle(t *testing.T) {
 				}
 			}
 			for _, agg := range []bool{true, false} {
-				roots, ref := memplan.AliasRoots(sh.G, agg), memplan.AliasRootsReference(sh.G, agg)
+				roots, ref := memplan.AliasRoots(sh, agg), memplan.AliasRootsReference(sh.G, agg)
 				if len(roots) != len(ref) {
 					t.Fatalf("%s execution %d: %d roots, reference %d", c.name, i, len(roots), len(ref))
 				}

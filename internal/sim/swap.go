@@ -32,7 +32,7 @@ func RunSwap(sh *graphgen.Sharded, tp topo.Topology, batch int64) Result {
 
 	// In-place alias chains (gradient aggregation, optimizer updates) share
 	// one memory block; collapse them so the policy sees real buffers.
-	root := memplan.AliasRoots(sh.G, true)
+	root := memplan.AliasRoots(sh, true)
 
 	// Precompute every buffer's access sequence (op indices touching it).
 	uses := map[int][]int{}
