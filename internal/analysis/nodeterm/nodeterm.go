@@ -7,9 +7,9 @@
 //
 // Scope is annotation-driven: the analyzer only fires in packages whose
 // package doc carries //tofu:searchpath (internal/dp, internal/recursive,
-// internal/coarsen, internal/shape, internal/partition, internal/interval —
-// the import closure of the two entry points). Inside those packages it
-// flags:
+// internal/hybrid, internal/coarsen, internal/partition, internal/graph,
+// internal/plan, internal/shape, internal/obs — the search entry points and
+// what they import). Inside those packages it flags:
 //   - calls to time.Now / Since / Until / After / Tick / NewTimer / NewTicker
 //   - any import of math/rand or math/rand/v2
 //   - select statements with two or more channel cases (which ready channel

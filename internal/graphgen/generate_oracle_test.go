@@ -169,7 +169,8 @@ func generateReference(g *graph.Graph, p *plan.Plan, opts Options) (*referenceSh
 }
 
 // singleReference is the Single that PR 25 replaced, verbatim but for the
-// NodeFLOPs buffer argument.
+// NodeFLOPs buffer argument and the per-level traffic: one zero per level of
+// the stepless plan, as Generate lays it out.
 func singleReference(g *graph.Graph) (*referenceSharded, error) {
 	nodes, err := g.Topo()
 	if err != nil {
@@ -190,11 +191,13 @@ func singleReference(g *graph.Graph) (*referenceSharded, error) {
 			rows = float64(n.Output.Shape.Dim(0))
 		}
 		sh.Ops = append(sh.Ops, OpShard{
-			Node:       n,
-			OutShard:   n.Output.Shape,
-			KernelRows: rows,
-			FLOPs:      graph.NodeFLOPs(n, nil),
-			MemBytes:   float64(graph.MemBytes(n)),
+			Node:         n,
+			OutShard:     n.Output.Shape,
+			KernelRows:   rows,
+			FLOPs:        graph.NodeFLOPs(n, nil),
+			MemBytes:     float64(graph.MemBytes(n)),
+			FetchByLevel: []float64{0},
+			OutByLevel:   []float64{0},
 		})
 	}
 	return sh, nil

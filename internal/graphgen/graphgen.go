@@ -229,36 +229,10 @@ func (sh *Sharded) fillOps(keep func(*graph.Node) bool, levels int) {
 	}
 }
 
-// Single wraps an unpartitioned graph in the same structure (k = 1, no
-// communication) for the single-GPU baselines (Ideal, SmallBatch, Swap).
+// Single wraps an unpartitioned graph in the same structure for the
+// single-GPU baselines (Ideal, SmallBatch, Swap): Generate over the k = 1
+// plan with no steps, the trivial plan recursive.Partition returns for one
+// worker, so every tensor stays whole and nothing is communicated.
 func Single(g *graph.Graph) (*Sharded, error) {
-	nodes, err := g.Topo()
-	if err != nil {
-		return nil, err
-	}
-	sh := &Sharded{
-		K: 1, G: g,
-		Plan:        &plan.Plan{K: 1},
-		Opts:        DefaultOptions(),
-		Ops:         make([]OpShard, len(nodes)),
-		TensorShard: make([]int64, len(g.Tensors)),
-	}
-	for i, t := range g.Tensors {
-		sh.TensorShard[i] = t.Bytes()
-	}
-	shapes := make([]shape.Shape, 0, shapeBufLen)
-	for i, n := range nodes {
-		rows := 1.0
-		if n.Output.Shape.Rank() > 0 {
-			rows = float64(n.Output.Shape.Dim(0))
-		}
-		sh.Ops[i] = OpShard{
-			Node:       n,
-			OutShard:   n.Output.Shape,
-			KernelRows: rows,
-			FLOPs:      graph.NodeFLOPs(n, &shapes),
-			MemBytes:   float64(graph.MemBytes(n)),
-		}
-	}
-	return sh, nil
+	return Generate(g, &plan.Plan{K: 1}, DefaultOptions())
 }

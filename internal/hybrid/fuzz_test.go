@@ -13,6 +13,7 @@ import (
 	"tofu/internal/coarsen"
 	"tofu/internal/dp"
 	"tofu/internal/graph"
+	"tofu/internal/graphgen"
 	"tofu/internal/hybrid"
 	"tofu/internal/obs"
 	"tofu/internal/partition"
@@ -1009,7 +1010,7 @@ func checkHybrid(t *testing.T, c *coarsen.Coarse, tp topo.Topology, use *fuzzUse
 
 	span := obs.NewSpan("fuzz")
 	var st hybrid.Stats
-	got, err := hybrid.PartitionCoarse(c, k, hybrid.Options{Topology: &tp, Parallelism: 1, Stats: &st, Trace: span})
+	got, err := hybrid.PartitionCoarse(c, k, hybrid.Options{Topology: &tp, Parallelism: 1, Stats: &st, Trace: span, Gen: graphgen.DefaultOptions()})
 	comparePipeline(t, "hybrid", c, got, err, auto, xb)
 	if err != nil {
 		return

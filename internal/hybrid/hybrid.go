@@ -54,7 +54,10 @@ type Options struct {
 	// byte-identical at any setting (the boundary search itself is serial
 	// and deterministic).
 	Parallelism int
-	// Gen configures the per-stage execution structures (Sec 6 toggles).
+	// Gen configures the per-stage execution structures (Sec 6 toggles). Its
+	// zero value is the all-off ablation (no MultiFetch, ControlDeps or
+	// SpreadReduction); graphgen.DefaultOptions() is the real system, which
+	// core.DefaultOptions sets.
 	Gen graphgen.Options
 	// Cache shares priced strategy enumerations across segments and stages
 	// (nil = one fresh cache for this search; segments still share it).

@@ -63,12 +63,12 @@ func extractStage(t testing.TB, c *coarsen.Coarse, stg hybrid.Stage) (*graph.Sub
 }
 
 // stageGenOptions are the graph-generation settings a stage's execution is
-// checked under besides the one it was assembled with.
+// checked under besides the one it was assembled with (DefaultOptions).
 func stageGenOptions() []graphgen.Options {
 	noMultiFetch, noSpread := graphgen.DefaultOptions(), graphgen.DefaultOptions()
 	noMultiFetch.MultiFetch = false
 	noSpread.SpreadReduction = false
-	return []graphgen.Options{graphgen.DefaultOptions(), noMultiFetch, noSpread}
+	return []graphgen.Options{{}, noMultiFetch, noSpread}
 }
 
 // stageMemOptions are the memory planner settings a stage is swept under.
@@ -270,7 +270,7 @@ func TestStageExecutionMatchesExtraction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := hybrid.PartitionCoarse(co, int64(c.tp.NumGPUs()), hybrid.Options{Topology: &c.tp, Level: c.level, Parallelism: 1})
+		res, err := hybrid.PartitionCoarse(co, int64(c.tp.NumGPUs()), hybrid.Options{Topology: &c.tp, Level: c.level, Parallelism: 1, Gen: graphgen.DefaultOptions()})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

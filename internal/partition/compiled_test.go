@@ -1,85 +1,27 @@
 package partition
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
-	"tofu/internal/models"
 	"tofu/internal/shape"
 	"tofu/internal/tdl"
 )
 
-// benchmarkConfigs are the model configurations of the repository
-// benchmark's cold workloads (bench/workloads/cold-*.json).
-var benchmarkConfigs = []models.Config{
-	{Family: "wresnet", Depth: 50, Width: 4, Batch: 32},
-	{Family: "wresnet", Depth: 152, Width: 10, Batch: 8},
-	{Family: "rnn", Depth: 10, Width: 8192, Batch: 128},
-	{Family: "transformer", Depth: 4, Width: 1024, Batch: 16},
-	{Family: "rnn", Depth: 2, Width: 8192, Batch: 256},
-	{Family: "transformer", Depth: 2, Width: 1536, Batch: 24},
-	{Family: "transformer", Depth: 2, Width: 1024, Batch: 64},
-	{Family: "mlp", Depth: 3, Width: 3072, Batch: 48},
-	{Family: "mlp", Depth: 4, Width: 384, Batch: 48},
-	{Family: "mlp", Depth: 8, Width: 256, Batch: 64},
-	{Family: "rnn", Depth: 2, Width: 1024, Batch: 64},
-}
-
-// benchmarkSpecs returns one Spec per distinct (op, attrs, shapes) node of
-// the benchmark models.
-func benchmarkSpecs(t testing.TB) []*Spec {
-	t.Helper()
-	var specs []*Spec
-	seen := map[string]bool{}
-	for _, cfg := range benchmarkConfigs {
-		m, err := models.Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range m.G.Nodes {
-			ins := make([]shape.Shape, len(n.Inputs))
-			for i, in := range n.Inputs {
-				ins[i] = in.Shape
-			}
-			key := fmt.Sprint(n.Op, tdl.MakeAttrsKey(n.Attrs), ins, n.Output.Shape)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			d, err := m.G.Describe(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			specs = append(specs, &Spec{Desc: d, InShapes: ins, OutShape: n.Output.Shape, DType: shape.Float32})
-		}
-	}
-	return specs
-}
-
 // edgeSpecs exercise what the benchmark models do not: strided, offset,
 // reversed and dilated indices (fractional and negative coefficients,
 // constant offsets), opaque ":" dimensions, nested reductions, constant
-// reduce extents, and the signed-zero corners of the interval arithmetic.
+// reduce extents, and indices whose endpoints are signed zeros.
 func edgeSpecs(t testing.TB) []*Spec {
 	t.Helper()
 	i, j := tdl.Ax("i"), tdl.Ax("j")
-	// -i alone mentions every symbol and has the constant -0: the upper
-	// endpoint's +0 comes only from Interval.Add's zero accumulator.
+	// -i has the constant -0: both endpoints are signed zeros or negative.
 	negated, err := tdl.Describe("negated").In("x", 1).Out(i).Is(tdl.At("x", i.Times(-1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The same index beside an unmentioned symbol j: with a zero extent for i
-	// every mentioned addend is -0 and only j's +0·X makes the sum +0.
+	// The same index beside an unmentioned symbol j, with a zero extent for i.
 	negatedRow, err := tdl.Describe("negated_row").In("x", 1).Out(i, j).Is(tdl.At("x", i.Times(-1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two accesses of one input whose boxes differ (union), one of them at a
-	// constant index.
-	twice, err := tdl.Describe("twice").In("x", 2).Out(i, j).
-		Is(tdl.Add(tdl.At("x", i, j.PlusConst(3)), tdl.At("x", tdl.IdxConst(2), j.Times(0.5))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,52 +47,11 @@ func edgeSpecs(t testing.TB) []*Spec {
 		spec(t, "bmm", nil, shape.Of(16, 40, 56), shape.Of(16, 40, 64), shape.Of(16, 64, 56)),
 		{Desc: negated, InShapes: []shape.Shape{shape.Of(40)}, OutShape: shape.Of(40), DType: shape.Float32},
 		{Desc: negatedRow, InShapes: []shape.Shape{shape.Of(40)}, OutShape: shape.Of(0, 56), DType: shape.Float32},
-		{Desc: twice, InShapes: []shape.Shape{shape.Of(40, 56)}, OutShape: shape.Of(40, 56), DType: shape.Float32},
+		{Desc: twiceDesc(t), InShapes: []shape.Shape{shape.Of(40, 56)}, OutShape: shape.Of(40, 56), DType: shape.Float32},
 	}
 }
 
 var workerCounts = []int64{2, 3, 4, 5, 7, 8}
-
-// TestCompiledRegionsMatchReference holds the compiled region evaluator to
-// the symbolic execution it replaced (region_oracle_test.go), endpoint bit
-// for endpoint bit, for every strategy, worker count and worker.
-func TestCompiledRegionsMatchReference(t *testing.T) {
-	specs := append(benchmarkSpecs(t), edgeSpecs(t)...)
-	compared := 0
-	for _, sp := range specs {
-		for _, s := range Enumerate(sp.Desc) {
-			for _, k := range workerCounts {
-				for w := int64(0); w < k; w++ {
-					got, err := InputRegions(sp, s, k, w)
-					if err != nil {
-						t.Fatalf("%s %v k=%d w=%d: %v", sp.Desc.Name, s, k, w, err)
-					}
-					want, err := referenceInputRegions(sp, s, k, w)
-					if err != nil {
-						t.Fatalf("%s %v k=%d w=%d: reference: %v", sp.Desc.Name, s, k, w, err)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("%s: %d regions, want %d", sp.Desc.Name, len(got), len(want))
-					}
-					for i := range want {
-						if len(got[i]) != len(want[i]) {
-							t.Fatalf("%s input %d: rank %d, want %d", sp.Desc.Name, i, len(got[i]), len(want[i]))
-						}
-						for d := range want[i] {
-							g, r := got[i][d], want[i][d]
-							if math.Float64bits(g.Lo) != math.Float64bits(r.Lo) || math.Float64bits(g.Hi) != math.Float64bits(r.Hi) {
-								t.Errorf("%s %v %v k=%d w=%d input %d dim %d: [%v,%v) want [%v,%v)",
-									sp.Desc.Name, sp.InShapes, s, k, w, i, d, g.Lo, g.Hi, r.Lo, r.Hi)
-							}
-							compared++
-						}
-					}
-				}
-			}
-		}
-	}
-	t.Logf("%d specs, %d ranges compared", len(specs), compared)
-}
 
 // forEachCut calls fn with every combination of one cut dimension per input
 // and one for the output.
@@ -306,4 +207,17 @@ func BenchmarkPrice(b *testing.B) {
 			}
 		})
 	}
+}
+
+// twiceDesc reads one input at two accesses whose boxes differ, the later
+// one narrower and at a constant index: only their union holds both.
+func twiceDesc(t testing.TB) *tdl.OpDesc {
+	t.Helper()
+	i, j := tdl.Ax("i"), tdl.Ax("j")
+	d, err := tdl.Describe("twice").In("x", 2).Out(i, j).
+		Is(tdl.Add(tdl.At("x", i, j.PlusConst(3)), tdl.At("x", tdl.IdxConst(2), j.Times(0.5))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

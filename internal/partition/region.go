@@ -104,13 +104,10 @@ func (ev *regionEval) input(i int) Region {
 // partitioned: the split symbol ranges over the worker's share
 // [w/k·X, (w+1)/k·X], every other symbol over its full range [0, X] — the
 // paper's two analysis runs with ZV[u_b = 1/2] and ZV[l_b = 1/2, u_b = 1].
-//
-// Each float operation is the one the symbolic execution performs on the
-// same coefficient, in the same order — Interval.MulConst (scale, swap on a
-// negative coefficient), Interval.Add onto the zero accumulator, then
-// Interval.Concretize summing coefficient·extent ascending by symbol — so
-// the ranges are bit-identical to evaluating the index expressions through
-// package interval (region_oracle_test.go holds it to that).
+// Each access dimension sums coefficient·range per term (a negative
+// coefficient swaps the endpoints), is clipped to the input's extent and
+// widened into the input's bounding box. exact_oracle_test.go holds the
+// boxes to the indices the worker's iteration points actually read.
 //
 //tofu:hotpath once per (strategy, worker) of every pricing; enforced by tofu-vet/hotalloc
 func (ev *regionEval) eval(split int, k, w int64) {
@@ -128,18 +125,8 @@ func (ev *regionEval) eval(split int, k, w int64) {
 			if t.Coeff < 0 {
 				l, h = h, l
 			}
-			l += 0
-			h += 0
 			lo += l * ev.ext[t.Sym]
 			hi += h * ev.ext[t.Sym]
-		}
-		if ad.Sparse {
-			// Concretize also adds +0·X for every symbol the index does not
-			// mention. Extents are non-negative, so those addends are +0 and
-			// change nothing unless all the others are -0; one +0 at the end
-			// is the same sum.
-			lo += 0
-			hi += 0
 		}
 		lo = max(lo, 0)
 		extent := ev.dim[ad.Slot]

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"tofu/internal/graphgen"
 	"tofu/internal/hybrid"
 	"tofu/internal/memplan"
 	"tofu/internal/models"
@@ -74,7 +75,7 @@ func TestRunPipelineStagesDeterministic(t *testing.T) {
 		var want []byte
 		for _, par := range []int{1, 2, 8} {
 			res, err := hybrid.Partition(m.G, int64(tp.NumGPUs()), hybrid.Options{
-				Topology: &tp, Parallelism: par,
+				Topology: &tp, Parallelism: par, Gen: graphgen.DefaultOptions(),
 			})
 			if err != nil {
 				t.Fatalf("%s par %d: %v", prof, par, err)

@@ -32,8 +32,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"tofu/internal/interval"
 )
 
 // Reducer is a commutative, associative aggregation function; Tofu's
@@ -165,26 +163,6 @@ func (i Index) IsSingleAxis() (axis string, coeff float64, ok bool) {
 		return "", 0, false
 	}
 	return i.Terms[0].Axis, i.Terms[0].Coeff, true
-}
-
-// Eval evaluates the affine index expression in the symbolic interval
-// domain, given an environment mapping axis names to their intervals. This
-// is the "symbolic execution" of Sec 4.2 specialized to index expressions.
-func (i Index) Eval(sp *interval.Space, env map[string]interval.Interval) (interval.Interval, error) {
-	acc := interval.Const(sp, i.Const)
-	for _, t := range i.Terms {
-		iv, ok := env[t.Axis]
-		if !ok {
-			return interval.Interval{}, fmt.Errorf("tdl: unbound axis %q in index expression", t.Axis)
-		}
-		scaled := iv.MulConst(t.Coeff)
-		var err error
-		acc, err = acc.Add(scaled)
-		if err != nil {
-			return interval.Interval{}, err
-		}
-	}
-	return acc, nil
 }
 
 func (i Index) String() string {

@@ -46,12 +46,8 @@ type AccessDim struct {
 	Slot int
 	// Const is the constant offset of both endpoints.
 	Const float64
-	// Terms are the index expression's axis terms, ascending by symbol — the
-	// order Interval.Concretize sums them in.
+	// Terms are the index expression's axis terms, ascending by symbol.
 	Terms []SymTerm
-	// Sparse is set when some symbol has no term: each contributes +0·X to
-	// both endpoints (see partition's evaluator).
-	Sparse bool
 	// Point marks a constant index, which covers the single position
 	// [lo, lo+1) rather than an empty interval.
 	Point bool
@@ -140,11 +136,10 @@ func compileRegions(d *OpDesc) *RegionProgram {
 		for dim, ix := range ta.Access.Index {
 			slot := p.Offsets[ti] + dim
 			ad := AccessDim{
-				Slot:   slot,
-				Const:  ix.Const,
-				Sparse: len(ix.Terms) < nsym,
-				Full:   full[slot],
-				Union:  seen[ti],
+				Slot:  slot,
+				Const: ix.Const,
+				Full:  full[slot],
+				Union: seen[ti],
 			}
 			ad.Point = len(ix.Terms) == 0 && !ad.Full
 			start := len(terms)

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"tofu/internal/interval"
 )
 
 func conv1dDesc(t *testing.T) *OpDesc {
@@ -136,25 +134,6 @@ func TestIndexArithmetic(t *testing.T) {
 	}
 }
 
-func TestIndexEval(t *testing.T) {
-	sp := interval.NewSpace("x", "dx")
-	xv, _ := interval.Variable(sp, "x")
-	dv, _ := interval.Variable(sp, "dx")
-	env := map[string]interval.Interval{"x": xv, "dx": dv}
-	e := Ax("x").Plus(Ax("dx"))
-	iv, err := e.Eval(sp, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi, _ := iv.Concretize([]float64{10, 3})
-	if lo != 0 || hi != 13 {
-		t.Fatalf("x+dx over (10,3) = [%g,%g]", lo, hi)
-	}
-	if _, err := Ax("unbound").Eval(sp, env); err == nil {
-		t.Fatal("expected unbound-axis error")
-	}
-}
-
 // Property: Plus/Minus on Index behave like vector addition of coefficient
 // maps, for arbitrary coefficient choices.
 func TestQuickIndexLinear(t *testing.T) {
@@ -238,7 +217,7 @@ func TestRegionProgramConv1d(t *testing.T) {
 		if ad.Slot != i || !reflect.DeepEqual(ad.Terms, wantTerms[i]) {
 			t.Errorf("access dim %d: slot %d terms %+v", i, ad.Slot, ad.Terms)
 		}
-		if !ad.Sparse || ad.Point || ad.Full || ad.Union {
+		if ad.Point || ad.Full || ad.Union {
 			t.Errorf("access dim %d: flags %+v", i, ad)
 		}
 	}
@@ -264,7 +243,7 @@ func TestRegionProgramConv1d(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dims := row.Regions().Dims; !dims[0].Point || dims[1].Point || dims[1].Sparse {
+	if dims := row.Regions().Dims; !dims[0].Point || dims[1].Point {
 		t.Errorf("row0 dims = %+v", dims)
 	}
 }
