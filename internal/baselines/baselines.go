@@ -114,7 +114,7 @@ func runSingle(cfg models.Config, sys System, tp topo.Topology, fitMemory bool) 
 		if err != nil {
 			return Outcome{}, err
 		}
-		res := sim.Run(sh, tp, batch, memplan.DefaultOptions(),
+		res := sim.Run(sh, tp, batch, memplan.Plan(sh, memplan.DefaultOptions()),
 			sim.RunOptions{Replicas: tp.NumGPUs()})
 		out := Outcome{
 			System: sys, Model: m.Name, Batch: batch,
@@ -237,7 +237,7 @@ func runPartitioned(cfg models.Config, sys System, tp topo.Topology, so SearchOp
 		if err != nil {
 			return Outcome{}, err
 		}
-		res := sim.Run(sh, tp, batch, memplan.DefaultOptions(), sim.RunOptions{})
+		res := sim.Run(sh, tp, batch, memplan.Plan(sh, memplan.DefaultOptions()), sim.RunOptions{})
 		out := Outcome{
 			System: sys, Model: m.Name, Batch: batch,
 			Throughput: res.Throughput, IterSeconds: res.IterSeconds,

@@ -126,8 +126,8 @@ type Coarse struct {
 }
 
 // nodeFacts is everything coarsening needs to know about the nodes of a
-// graph beyond its structure. desc, cell and price are dense by node ID;
-// cellSig, nsig and prices are tables over the whole graph.
+// graph beyond its structure. desc, cell, price and leader are dense by node
+// ID; cellSig, nsig and prices are tables over the whole graph.
 type nodeFacts struct {
 	// desc is each node's TDL description.
 	desc []*tdl.OpDesc
@@ -140,6 +140,10 @@ type nodeFacts struct {
 	// price indexes prices with each node's structural pricing signature
 	// (appendPriceSig), which a Slot carries as Sig.
 	price []int32
+	// leader is the first node of each node's slot: the node itself outside
+	// any slot, for a slot of one, and for an instance whose shapes disagree
+	// with the slot's first node, which stays unmerged.
+	leader []int32
 
 	// cellSig maps a cell to its signature id, dense in [0, nsig).
 	cellSig []int32
@@ -148,83 +152,221 @@ type nodeFacts struct {
 	prices []string
 }
 
-// describeNodes computes the node facts of a root graph: the interning of
-// unroll cells and pricing signatures, and one registry lookup per node
-// outside an unrolled loop and per unroll signature. A description depends
-// only on the operator and its attributes, both part of the signature, so
-// every later node of a signature takes the pointer the registry returned
-// for its first.
+// describeNodes computes the node facts of a root graph in one walk in node
+// order. A node's signature — (UnrollTag, Op, attributes), numbered at first
+// sight, the unrolled ones in [0, nsig) — is found among the candidates of
+// its (tag, op) by looking the node's attributes up under each candidate
+// key's names (tdl.AttrsKey.Matches): only a new signature iterates them, to
+// build its key. The signature carries what the walk knows about its nodes:
+//
+//   - its attribute key and description, built and looked up once, at first
+//     sight (a description depends only on the operator and its attributes);
+//   - its cells, in a timestep index: a list sorted by timestep and searched
+//     from the cell last found, so timesteps walked forward or backward find
+//     theirs in a step, and memory follows the cells, not the timestep values;
+//   - its slots, chained by ordinal: the i-th node of a cell goes to the
+//     i-th, and leads it if it is the first;
+//   - one node per pricing signature spelled under it.
+//
+// A node takes the pricing signature of its slot's leader, or else of a node
+// of its signature with equal shapes; only a new one is spelled, from the
+// signature's key, and interned.
 func describeNodes(g *graph.Graph) (nodeFacts, error) {
-	type sigKey struct {
-		tag, op string
-		attrs   tdl.AttrsKey
-	}
-	type cellKey struct {
-		sig int32
-		ts  int
-	}
-	n := len(g.Nodes)
-	ints := make([]int32, 2*n)
-	f := nodeFacts{desc: make([]*tdl.OpDesc, n), cell: ints[:n:n], price: ints[n:]}
-	sigs := map[sigKey]int32{}
-	cells := map[cellKey]int32{}
-	prices := map[string]int32{}
-	// lastOf[sig] is the last node priced under the signature, plus one:
-	// the timesteps of an unrolled operator repeat its shapes, so most
-	// nodes take their predecessor's pricing signature without building it.
-	// descOf[sig] is the signature's description.
-	var lastOf []int32
-	var descOf []*tdl.OpDesc
-	var buf []byte
-	for i, n := range g.Nodes {
-		f.cell[i] = -1
-		ak := tdl.MakeAttrsKey(n.Attrs)
-		sk := sigKey{tag: n.UnrollTag, op: n.Op, attrs: ak}
-		sig, interned := int32(0), false
-		if n.UnrollTag != "" {
-			sig, interned = sigs[sk]
+	n, unrolled := len(g.Nodes), 0
+	for _, nd := range g.Nodes {
+		if nd.UnrollTag != "" {
+			unrolled++
 		}
-		if interned {
-			f.desc[i] = descOf[sig]
+	}
+	// One slab: the facts dense by node, then cellSig (a node opens at most
+	// one cell).
+	ints := make([]int32, 3*n+unrolled)
+	// A graph holds tens of signatures, and pricing signatures of a hundred
+	// bytes or so: the walk starts with room for that.
+	w := factWalk{g: g, first: map[tagOp]int32{}, sigs: make([]signature, 0, 16),
+		cells: make([]cellLink, 0, unrolled), prices: map[string]int32{}, buf: make([]byte, 0, 256)}
+	w.f = nodeFacts{desc: make([]*tdl.OpDesc, n), cell: ints[:n:n], price: ints[n : 2*n : 2*n],
+		leader: ints[2*n : 3*n : 3*n], cellSig: ints[3*n : 3*n]}
+	for i, nd := range g.Nodes {
+		if err := w.visit(i, nd); err != nil {
+			return nodeFacts{}, err
+		}
+	}
+	return w.f, nil
+}
+
+// factWalk is describeNodes' working state.
+type factWalk struct {
+	g *graph.Graph
+	f nodeFacts
+	// first maps a (tag, op) to its first candidate signature.
+	first map[tagOp]int32
+	sigs  []signature
+	cells []cellLink
+	// slots holds every signature's slots, chained by ordinal, and priced
+	// every signature's spelled nodes, chained latest first.
+	slots, priced []link
+	prices        map[string]int32
+	buf           []byte
+}
+
+// tagOp keys the candidate signatures of a node.
+type tagOp struct{ tag, op string }
+
+// signature is one (UnrollTag, Op, attributes) of the walked graph.
+type signature struct {
+	attrs tdl.AttrsKey
+	desc  *tdl.OpDesc
+	// next is the next candidate of the same (tag, op), -1 after the last.
+	next int32
+	// id is the unroll signature id, -1 outside unrolled loops.
+	id int32
+	// cell is where the next timestep search starts, the cell last found, -1
+	// before the first.
+	cell int32
+	// slot heads the signature's slots, priced the nodes whose pricing
+	// signatures were spelled under it, one per pricing signature; -1 before
+	// the first.
+	slot, priced int32
+}
+
+// cellLink is a cell's place in its signature's timestep index.
+type cellLink struct {
+	ts         int
+	prev, next int32 // neighbours in timestep order, -1 at the ends
+	last       int32 // the slot of the cell's latest node, -1 while empty
+}
+
+// link is a node in a list of w.slots or w.priced: a slot's first node, or a
+// node whose pricing signature was spelled, and the next link (-1 after the
+// last).
+type link struct{ node, next int32 }
+
+// visit records node i's facts.
+func (w *factWalk) visit(i int, n *graph.Node) error {
+	f := &w.f
+	s, err := w.signature(n)
+	if err != nil {
+		return err
+	}
+	f.desc[i], f.cell[i], f.leader[i] = s.desc, -1, int32(i)
+	if s.id >= 0 {
+		c := w.cell(s, n.Timestep)
+		f.cell[i] = c
+		if rep := w.slot(s, c, i); rep != i && sameSignature(w.g.Nodes[rep], n) {
+			f.leader[i], f.price[i] = int32(rep), f.price[rep]
+			return nil
+		}
+	}
+	for k := s.priced; k >= 0; k = w.priced[k].next {
+		if j := w.priced[k].node; sameSignature(w.g.Nodes[j], n) {
+			f.price[i] = f.price[j]
+			return nil
+		}
+	}
+	w.priced = append(w.priced, link{node: int32(i), next: s.priced})
+	s.priced = int32(len(w.priced) - 1)
+	w.buf = appendPriceSig(w.buf[:0], n, s.attrs)
+	id, ok := w.prices[string(w.buf)] // no copy: only a new signature keeps the key
+	if !ok {
+		id = int32(len(f.prices))
+		f.prices = append(f.prices, string(w.buf))
+		w.prices[f.prices[id]] = id
+	}
+	f.price[i] = id
+	return nil
+}
+
+// signature returns n's signature. A candidate of n's (tag, op) matches by
+// looking n's attributes up under its key's names; only a new signature
+// builds the key, and looks its description up.
+func (w *factWalk) signature(n *graph.Node) (*signature, error) {
+	key := tagOp{tag: n.UnrollTag, op: n.Op}
+	last := int32(-1)
+	if c, ok := w.first[key]; ok {
+		for ; c >= 0; c = w.sigs[c].next {
+			if w.sigs[c].attrs.Matches(n.Attrs) {
+				return &w.sigs[c], nil
+			}
+			last = c
+		}
+	}
+	d, err := w.g.Describe(n)
+	if err != nil {
+		return nil, fmt.Errorf("coarsen: %v: %w", n, err)
+	}
+	id := int32(-1)
+	if n.UnrollTag != "" {
+		id = int32(w.f.nsig)
+		w.f.nsig++
+	}
+	s := int32(len(w.sigs))
+	w.sigs = append(w.sigs, signature{attrs: tdl.MakeAttrsKey(n.Attrs), desc: d, next: -1, id: id, cell: -1, slot: -1, priced: -1})
+	if last < 0 {
+		w.first[key] = s
+	} else {
+		w.sigs[last].next = s
+	}
+	return &w.sigs[s], nil
+}
+
+// cell returns the cell of timestep ts in s's timestep index, adding it at
+// first sight.
+func (w *factWalk) cell(s *signature, ts int) int32 {
+	c := s.cell
+	if c < 0 {
+		c = w.addCell(s.id, ts, -1, -1)
+	} else {
+		cells := w.cells
+		for cells[c].ts < ts && cells[c].next >= 0 && cells[cells[c].next].ts <= ts {
+			c = cells[c].next
+		}
+		for cells[c].ts > ts && cells[c].prev >= 0 && cells[cells[c].prev].ts >= ts {
+			c = cells[c].prev
+		}
+		switch {
+		case cells[c].ts < ts:
+			c = w.addCell(s.id, ts, c, cells[c].next)
+		case cells[c].ts > ts:
+			c = w.addCell(s.id, ts, cells[c].prev, c)
+		}
+	}
+	s.cell = c
+	return c
+}
+
+// addCell adds a cell of signature sig between two neighbours of its index.
+func (w *factWalk) addCell(sig int32, ts int, prev, next int32) int32 {
+	c := int32(len(w.cells))
+	w.cells = append(w.cells, cellLink{ts: ts, prev: prev, next: next, last: -1})
+	if prev >= 0 {
+		w.cells[prev].next = c
+	}
+	if next >= 0 {
+		w.cells[next].prev = c
+	}
+	w.f.cellSig = append(w.f.cellSig, sig)
+	return c
+}
+
+// slot puts node i, the next node of cell c, into s's slot of the same
+// ordinal, and returns that slot's first node.
+func (w *factWalk) slot(s *signature, c int32, i int) int {
+	prev, k := w.cells[c].last, s.slot
+	if prev >= 0 {
+		k = w.slots[prev].next
+	}
+	if k < 0 {
+		k = int32(len(w.slots))
+		w.slots = append(w.slots, link{node: int32(i), next: -1})
+		if prev >= 0 {
+			w.slots[prev].next = k
 		} else {
-			d, err := g.Describe(n)
-			if err != nil {
-				return nodeFacts{}, fmt.Errorf("coarsen: %v: %w", n, err)
-			}
-			f.desc[i] = d
+			s.slot = k
 		}
-		if n.UnrollTag != "" {
-			if !interned {
-				sig = int32(len(sigs))
-				sigs[sk] = sig
-				lastOf = append(lastOf, 0)
-				descOf = append(descOf, f.desc[i])
-			}
-			ck := cellKey{sig: sig, ts: n.Timestep}
-			cell, ok := cells[ck]
-			if !ok {
-				cell = int32(len(cells))
-				cells[ck] = cell
-				f.cellSig = append(f.cellSig, sig)
-			}
-			f.cell[i] = cell
-			if j := lastOf[sig]; j > 0 && sameSignature(g.Nodes[j-1], n) {
-				f.price[i] = f.price[j-1]
-				continue
-			}
-			lastOf[sig] = int32(i + 1)
-		}
-		buf = appendPriceSig(buf[:0], n, ak)
-		id, ok := prices[string(buf)] // no copy: only a new signature keeps the key
-		if !ok {
-			id = int32(len(f.prices))
-			f.prices = append(f.prices, string(buf))
-			prices[f.prices[id]] = id
-		}
-		f.price[i] = id
 	}
-	f.nsig = len(sigs)
-	return f, nil
+	w.cells[c].last = k
+	return int(w.slots[k].node)
 }
 
 // appendPriceSig appends a node's structural pricing signature: operator
@@ -503,7 +645,7 @@ func coarsen(g *graph.Graph, facts *nodeFacts) (*Coarse, error) {
 
 	// Timestep merging: structurally identical ops across timesteps share
 	// slots; their same-position tensors share variables.
-	leader := slotLeaders(g, facts)
+	leader := facts.leader
 	for i, n := range g.Nodes {
 		if int(leader[i]) == i {
 			continue
@@ -575,57 +717,8 @@ func coarsen(g *graph.Graph, facts *nodeFacts) (*Coarse, error) {
 	return c, nil
 }
 
-// slotLeaders groups UnrollTag'd nodes into per-structural-position slots
-// and returns, dense by node ID, the first node of each node's slot (the node
-// itself outside any slot, and for a slot of one). The slot key is (signature
-// id — tag, op and attributes, see nodeFacts — and ordinal among
-// same-signature ops in the same timestep, which is the node's rank within
-// its cell); instances whose shapes disagree with the slot's first node are
-// left unmerged.
-//
-//tofu:hotpath once per coarsening; enforced by tofu-vet/hotalloc
-func slotLeaders(g *graph.Graph, f *nodeFacts) []int32 {
-	nN := len(g.Nodes)
-	unrolled := 0
-	for _, c := range f.cell {
-		if c >= 0 {
-			unrolled++
-		}
-	}
-	// One slab: the result, then the working tables. start[s] is where
-	// signature s's slots begin in first (a signature has at most as many
-	// slots as nodes); rank[c] counts cell c's nodes seen so far; first[k]
-	// is slot k's first node, plus one.
-	ints := make([]int32, nN+f.nsig+1+len(f.cellSig)+unrolled)
-	leader, ints := ints[:nN:nN], ints[nN:]
-	start, ints := ints[:f.nsig+1], ints[f.nsig+1:]
-	rank, first := ints[:len(f.cellSig)], ints[len(f.cellSig):]
-	for _, c := range f.cell {
-		if c >= 0 {
-			start[f.cellSig[c]+1]++
-		}
-	}
-	for s := 0; s < f.nsig; s++ {
-		start[s+1] += start[s]
-	}
-	for i, n := range g.Nodes {
-		leader[i] = int32(i)
-		c := f.cell[i]
-		if c < 0 {
-			continue
-		}
-		k := start[f.cellSig[c]] + rank[c]
-		rank[c]++
-		if first[k] == 0 {
-			first[k] = int32(i) + 1
-		} else if rep := first[k] - 1; sameSignature(g.Nodes[rep], n) {
-			// Keep only shape-consistent instances merged.
-			leader[i] = rep
-		}
-	}
-	return leader
-}
-
+// sameSignature reports whether two nodes run the same operator on the same
+// input and output shapes.
 func sameSignature(a, b *graph.Node) bool {
 	if a.Op != b.Op || len(a.Inputs) != len(b.Inputs) {
 		return false

@@ -8,7 +8,7 @@ import (
 	"tofu/internal/tdl"
 )
 
-// This file holds the two differential oracles of the production coarsening.
+// This file holds the differential oracles of the production coarsening.
 //
 // CoarsenSub is how segments were coarsened before Segment: extract the
 // segment with graph.Subgraph, then coarsen the clone with the node facts of
@@ -19,12 +19,17 @@ import (
 // in maps and grown by append, one object per variable, group and slot, lists
 // ordered by sorting. It carries no node facts, no pricing signatures and no
 // slot operands.
+//
+// referenceDescribeNodes and referenceSlotLeaders are the two passes the
+// one-walk describeNodes replaced, kept verbatim: the node facts through
+// maps keyed by (tag, op, attributes), (signature, timestep) and pricing
+// signature, then the slot leaders from the facts' cells.
 
 // CoarsenSub coarsens sub.G, an extraction of parent.G (graph.Subgraph), and
 // returns exactly what Coarsen(sub.G) would: the same algorithm over the whole
 // clone, with the node facts copied from the parent's through sub.NodeID — a
 // clone keeps its original's operator, attributes, shapes, unroll tag and
-// timestep.
+// timestep — and the clone's own slot leaders (referenceSlotLeaders).
 func CoarsenSub(parent *Coarse, sub *graph.Subgraphed) (*Coarse, error) {
 	n := len(sub.NodeID)
 	ints := make([]int32, 2*n)
@@ -35,7 +40,136 @@ func CoarsenSub(parent *Coarse, sub *graph.Subgraphed) (*Coarse, error) {
 		facts.cell[i] = parent.facts.cell[id]
 		facts.price[i] = parent.facts.price[id]
 	}
+	facts.leader = referenceSlotLeaders(sub.G, &facts)
 	return coarsen(sub.G, &facts)
+}
+
+// referenceDescribeNodes computes the node facts of a root graph: the interning of
+// unroll cells and pricing signatures, and one registry lookup per node
+// outside an unrolled loop and per unroll signature. A description depends
+// only on the operator and its attributes, both part of the signature, so
+// every later node of a signature takes the pointer the registry returned
+// for its first.
+func referenceDescribeNodes(g *graph.Graph) (nodeFacts, error) {
+	type sigKey struct {
+		tag, op string
+		attrs   tdl.AttrsKey
+	}
+	type cellKey struct {
+		sig int32
+		ts  int
+	}
+	n := len(g.Nodes)
+	ints := make([]int32, 2*n)
+	f := nodeFacts{desc: make([]*tdl.OpDesc, n), cell: ints[:n:n], price: ints[n:]}
+	sigs := map[sigKey]int32{}
+	cells := map[cellKey]int32{}
+	prices := map[string]int32{}
+	// lastOf[sig] is the last node priced under the signature, plus one:
+	// the timesteps of an unrolled operator repeat its shapes, so most
+	// nodes take their predecessor's pricing signature without building it.
+	// descOf[sig] is the signature's description.
+	var lastOf []int32
+	var descOf []*tdl.OpDesc
+	var buf []byte
+	for i, n := range g.Nodes {
+		f.cell[i] = -1
+		ak := tdl.MakeAttrsKey(n.Attrs)
+		sk := sigKey{tag: n.UnrollTag, op: n.Op, attrs: ak}
+		sig, interned := int32(0), false
+		if n.UnrollTag != "" {
+			sig, interned = sigs[sk]
+		}
+		if interned {
+			f.desc[i] = descOf[sig]
+		} else {
+			d, err := g.Describe(n)
+			if err != nil {
+				return nodeFacts{}, fmt.Errorf("coarsen: %v: %w", n, err)
+			}
+			f.desc[i] = d
+		}
+		if n.UnrollTag != "" {
+			if !interned {
+				sig = int32(len(sigs))
+				sigs[sk] = sig
+				lastOf = append(lastOf, 0)
+				descOf = append(descOf, f.desc[i])
+			}
+			ck := cellKey{sig: sig, ts: n.Timestep}
+			cell, ok := cells[ck]
+			if !ok {
+				cell = int32(len(cells))
+				cells[ck] = cell
+				f.cellSig = append(f.cellSig, sig)
+			}
+			f.cell[i] = cell
+			if j := lastOf[sig]; j > 0 && sameSignature(g.Nodes[j-1], n) {
+				f.price[i] = f.price[j-1]
+				continue
+			}
+			lastOf[sig] = int32(i + 1)
+		}
+		buf = appendPriceSig(buf[:0], n, ak)
+		id, ok := prices[string(buf)] // no copy: only a new signature keeps the key
+		if !ok {
+			id = int32(len(f.prices))
+			f.prices = append(f.prices, string(buf))
+			prices[f.prices[id]] = id
+		}
+		f.price[i] = id
+	}
+	f.nsig = len(sigs)
+	return f, nil
+}
+
+// referenceSlotLeaders groups UnrollTag'd nodes into per-structural-position slots
+// and returns, dense by node ID, the first node of each node's slot (the node
+// itself outside any slot, and for a slot of one). The slot key is (signature
+// id — tag, op and attributes, see nodeFacts — and ordinal among
+// same-signature ops in the same timestep, which is the node's rank within
+// its cell); instances whose shapes disagree with the slot's first node are
+// left unmerged.
+func referenceSlotLeaders(g *graph.Graph, f *nodeFacts) []int32 {
+	nN := len(g.Nodes)
+	unrolled := 0
+	for _, c := range f.cell {
+		if c >= 0 {
+			unrolled++
+		}
+	}
+	// One slab: the result, then the working tables. start[s] is where
+	// signature s's slots begin in first (a signature has at most as many
+	// slots as nodes); rank[c] counts cell c's nodes seen so far; first[k]
+	// is slot k's first node, plus one.
+	ints := make([]int32, nN+f.nsig+1+len(f.cellSig)+unrolled)
+	leader, ints := ints[:nN:nN], ints[nN:]
+	start, ints := ints[:f.nsig+1], ints[f.nsig+1:]
+	rank, first := ints[:len(f.cellSig)], ints[len(f.cellSig):]
+	for _, c := range f.cell {
+		if c >= 0 {
+			start[f.cellSig[c]+1]++
+		}
+	}
+	for s := 0; s < f.nsig; s++ {
+		start[s+1] += start[s]
+	}
+	for i, n := range g.Nodes {
+		leader[i] = int32(i)
+		c := f.cell[i]
+		if c < 0 {
+			continue
+		}
+		k := start[f.cellSig[c]] + rank[c]
+		rank[c]++
+		if first[k] == 0 {
+			first[k] = int32(i) + 1
+		} else if rep := first[k] - 1; sameSignature(g.Nodes[rep], n) {
+			// Keep only shape-consistent instances merged.
+			leader[i] = rep
+		}
+	}
+	return leader
 }
 
 // refDescribe looks up every node's description and interns the (UnrollTag,

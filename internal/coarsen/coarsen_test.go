@@ -400,15 +400,7 @@ func TestCoarsenMatchesReference(t *testing.T) {
 	}
 
 	// Timestep instances whose shapes disagree stay unmerged, in both.
-	g := graph.New()
-	w := g.Weight("w", shape.Of(8, 8))
-	for ts, rows := range []int64{4, 4, 6, 4} {
-		x := g.Input(fmt.Sprintf("x%d", ts), shape.Of(rows, 8))
-		for i := 0; i < 2; i++ { // two same-signature ops per timestep: ordinals 0 and 1
-			y := g.Apply("matmul", nil, x, w)
-			y.Producer.UnrollTag, y.Producer.Timestep = "cell", ts
-		}
-	}
+	g := stragglerGraph()
 	got, err := Coarsen(g)
 	if err != nil {
 		t.Fatal(err)

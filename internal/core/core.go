@@ -95,8 +95,10 @@ type Summary struct {
 	// Hybrid is the joint pipeline-and-partition result when Options.Pipeline
 	// requested one: per-stage plans and execution structures. Plan then
 	// holds the combined stage-annotated plan, Sharded is nil (execution is
-	// per stage), and Memory is the worst stage's footprint.
-	Hybrid *hybrid.Result
+	// per stage), StageMemory holds each stage's footprint and Memory the
+	// worst of them.
+	Hybrid      *hybrid.Result
+	StageMemory []memplan.Report
 	// Frontier is the coarsened graph's maximum DP frontier width.
 	Frontier int
 	// Groups and Vars describe the coarsened search space.
@@ -207,17 +209,20 @@ func partitionHybrid(g *graph.Graph, k int64, opts Options) (*Summary, error) {
 		Degraded:   res.Plan.Degraded,
 	}
 	// Memory is per-GPU: the worst stage's footprint bounds the machine.
-	for _, stg := range res.Stages {
-		rep := memplan.Plan(stg.Sharded, opts.Mem)
-		if rep.PeakBytes > s.Memory.PeakBytes {
-			s.Memory = rep
+	s.StageMemory = make([]memplan.Report, len(res.Stages))
+	for i, stg := range res.Stages {
+		s.StageMemory[i] = memplan.Plan(stg.Sharded, opts.Mem)
+		if s.StageMemory[i].PeakBytes > s.Memory.PeakBytes {
+			s.Memory = s.StageMemory[i]
 		}
 	}
 	return s, nil
 }
 
 // Simulate runs one training iteration of the partitioned graph on the
-// simulated machine and reports timing, throughput and memory. RunOptions
+// simulated machine and reports timing, throughput and memory. The memory is
+// the summary's: the report Partition planned under its Options.Mem (per
+// stage for a hybrid summary), which Simulate does not plan again. RunOptions
 // are forwarded to the simulator instead of silently passing the zero value
 // (DisableComm for compute-only breakdowns, Replicas for data-parallel
 // baselines). Hybrid summaries route through the pipelined model with a
@@ -241,7 +246,7 @@ func Simulate(s *Summary, batch int64, opts Options, ro sim.RunOptions) sim.Resu
 		}
 		return r
 	}
-	return sim.Run(s.Sharded, opts.topology(), batch, opts.Mem, ro)
+	return sim.Run(s.Sharded, opts.topology(), batch, s.Memory, ro)
 }
 
 // SimulatePipeline prices a hybrid summary's pipelined execution with the
@@ -267,11 +272,12 @@ func simulatePipeline(s *Summary, batch int64, microBatches int, opts Options, r
 		stages[i] = sim.PipelineStage{
 			Sharded:          stg.Sharded,
 			Topo:             stg.Topo,
+			Mem:              s.StageMemory[i],
 			HandoffBytes:     stg.HandoffBytes,
 			HandoffBandwidth: stg.HandoffBandwidth,
 		}
 	}
-	return sim.RunPipelineStages(stages, batch, microBatches, opts.Mem, ro)
+	return sim.RunPipelineStages(stages, batch, microBatches, ro)
 }
 
 // defaultMicroBatches picks one micro-batch per stage when the batch splits

@@ -6,6 +6,7 @@ import (
 
 	"tofu/internal/cancel"
 	"tofu/internal/graph"
+	"tofu/internal/memplan"
 	"tofu/internal/models"
 	"tofu/internal/obs"
 	"tofu/internal/partition"
@@ -209,5 +210,69 @@ func TestTraceAndCancelComeFromOptions(t *testing.T) {
 		if _, err := Partition(m.G, c.k, o); !cancel.IsCancellation(err) {
 			t.Errorf("%s: pre-cancelled Options.Cancel: err = %v, want a cancellation", path, err)
 		}
+	}
+}
+
+// TestSimulateReportsPartitionMemory: Simulate reports the memory Partition
+// planned and plans none of its own — on a flat machine the summary's report,
+// on a pipeline the worst of the summary's per-stage reports, each the
+// planner's report of its stage. Partition plans with reuse off and a
+// workspace per operator, Simulate is handed the default planner options:
+// planning again would show.
+func TestSimulateReportsPartitionMemory(t *testing.T) {
+	m, err := models.MLP(4, 256, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := memplan.Options{InPlaceAggregation: true, WorkspacePerOp: 1 << 20}
+	flat := DefaultOptions()
+	flat.Mem = mem
+	s, err := Partition(m.G, 8, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Memory != memplan.Plan(s.Sharded, mem) || s.StageMemory != nil {
+		t.Fatalf("flat summary: memory %+v, stage memory %v", s.Memory, s.StageMemory)
+	}
+	if s.Memory == memplan.Plan(s.Sharded, memplan.DefaultOptions()) {
+		t.Fatal("flat: the default planner options plan the same report; the test cannot tell them apart")
+	}
+	if got := Simulate(s, m.Batch, DefaultOptions(), sim.RunOptions{}).Mem; got != s.Memory {
+		t.Errorf("flat: Simulate reports %+v, the summary %+v", got, s.Memory)
+	}
+
+	cl := topo.Cluster4x2x8Topology()
+	piped := DefaultOptions()
+	piped.Mem, piped.Topology, piped.Pipeline = mem, &cl, &PipelineSpec{}
+	s, err = Partition(m.G, int64(cl.NumGPUs()), piped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.StageMemory) != len(s.Hybrid.Stages) || len(s.StageMemory) < 2 {
+		t.Fatalf("pipeline: %d stage reports for %d stages", len(s.StageMemory), len(s.Hybrid.Stages))
+	}
+	var worst memplan.Report
+	for i, stg := range s.Hybrid.Stages {
+		if rep := memplan.Plan(stg.Sharded, mem); s.StageMemory[i] != rep {
+			t.Fatalf("stage %d: summary reports %+v, the planner %+v", i, s.StageMemory[i], rep)
+		}
+		if s.StageMemory[i].PeakBytes > worst.PeakBytes {
+			worst = s.StageMemory[i]
+		}
+	}
+	if s.Memory != worst {
+		t.Fatalf("pipeline: summary memory %+v, worst stage %+v", s.Memory, worst)
+	}
+	other := piped
+	other.Mem = memplan.DefaultOptions()
+	if got := Simulate(s, m.Batch, other, sim.RunOptions{}).Mem; got != worst {
+		t.Errorf("pipeline: Simulate reports %+v, the worst stage %+v", got, worst)
+	}
+	got, err := SimulatePipeline(s, m.Batch, other, sim.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mem != worst {
+		t.Errorf("pipeline: SimulatePipeline reports %+v, the worst stage %+v", got.Mem, worst)
 	}
 }

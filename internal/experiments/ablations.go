@@ -78,7 +78,7 @@ func Ablations(o Opts, tp topo.Topology) (string, error) {
 		if err != nil {
 			return err
 		}
-		res := sim.Run(sh, tp, cfg.Batch, ab.mopts, sim.RunOptions{})
+		res := sim.Run(sh, tp, cfg.Batch, memplan.Plan(sh, ab.mopts), sim.RunOptions{})
 		rows[i] = []string{ab.name, fmt.Sprintf("%.3f", res.IterSeconds),
 			gb(float64(res.Mem.PeakBytes)), gb(float64(res.Mem.CommBufferPeak))}
 		return nil

@@ -90,7 +90,7 @@ func CrossTopology(o Opts, tp topo.Topology) (string, error) {
 		if err != nil {
 			return err
 		}
-		res := sim.Run(sh, tp, cfg.Batch, memplan.DefaultOptions(), sim.RunOptions{})
+		res := sim.Run(sh, tp, cfg.Batch, memplan.Plan(sh, memplan.DefaultOptions()), sim.RunOptions{})
 		oom := ""
 		if res.OOM {
 			oom = "  OOM"

@@ -160,8 +160,9 @@ func Figure10(o Opts, tp topo.Topology) (string, error) {
 		if err != nil {
 			return err
 		}
-		full := sim.Run(sh, tp, cfg.Batch, memplan.DefaultOptions(), sim.RunOptions{})
-		pure := sim.Run(sh, tp, cfg.Batch, memplan.DefaultOptions(), sim.RunOptions{DisableComm: true})
+		mem := memplan.Plan(sh, memplan.DefaultOptions())
+		full := sim.Run(sh, tp, cfg.Batch, mem, sim.RunOptions{})
+		pure := sim.Run(sh, tp, cfg.Batch, mem, sim.RunOptions{DisableComm: true})
 		if full.OOM {
 			lines[i] = fmt.Sprintf("  %-14s OOM (needs %s GB/GPU)\n", algo, gb(float64(full.Mem.PeakBytes)))
 			return nil

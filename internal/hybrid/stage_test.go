@@ -120,10 +120,11 @@ func checkStageExecution(t *testing.T, c *coarsen.Coarse, stg hybrid.Stage, batc
 			}
 		}
 		for _, mo := range stageMemOptions {
-			if g, w := memplan.Plan(got, mo), memplan.Plan(want, mo); g != w {
-				t.Fatalf("%s gen %+v mem %+v: report %+v, extraction's %+v", what, gen, mo, g, w)
+			gm, wm := memplan.Plan(got, mo), memplan.Plan(want, mo)
+			if gm != wm {
+				t.Fatalf("%s gen %+v mem %+v: report %+v, extraction's %+v", what, gen, mo, gm, wm)
 			}
-			g, w := sim.Run(got, stg.Topo, batch, mo, sim.RunOptions{}), sim.Run(want, stg.Topo, batch, mo, sim.RunOptions{})
+			g, w := sim.Run(got, stg.Topo, batch, gm, sim.RunOptions{}), sim.Run(want, stg.Topo, batch, wm, sim.RunOptions{})
 			if d := simDiff(g, w); d != "" {
 				t.Fatalf("%s gen %+v mem %+v: sim.Run differs from the extraction's: %s", what, gen, mo, d)
 			}

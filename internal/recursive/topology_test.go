@@ -20,7 +20,7 @@ func simulate(t *testing.T, m *models.Model, tp topo.Topology, opts Options) (fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sim.Run(sh, tp, m.Batch, memplan.DefaultOptions(), sim.RunOptions{})
+	res := sim.Run(sh, tp, m.Batch, memplan.Plan(sh, memplan.DefaultOptions()), sim.RunOptions{})
 	return res.IterSeconds, res.CommSeconds
 }
 

@@ -151,13 +151,13 @@ func TestRunMatchesOracle(t *testing.T) {
 		batch := c.m.Batch
 		for i, e := range executions(t, c) {
 			for _, ro := range variants {
-				got, want := sim.Run(e.sh, e.tp, batch, mem, ro), sim.RunReference(e.sh, e.tp, batch, mem, ro)
+				got, want := sim.Run(e.sh, e.tp, batch, memplan.Plan(e.sh, mem), ro), sim.RunReference(e.sh, e.tp, batch, mem, ro)
 				if d := diffResult(got, want); d != "" {
 					t.Errorf("%s execution %d %+v: %s differs: %+v vs %+v", c.name, i, ro, d, got, want)
 				}
 			}
 			tl, ref := obs.NewTimeline(), obs.NewTimeline()
-			got := sim.Run(e.sh, e.tp, batch, mem, sim.RunOptions{Timeline: tl})
+			got := sim.Run(e.sh, e.tp, batch, memplan.Plan(e.sh, mem), sim.RunOptions{Timeline: tl})
 			want := sim.RunReference(e.sh, e.tp, batch, mem, sim.RunOptions{Timeline: ref})
 			if d := diffResult(got, want); d != "" {
 				t.Errorf("%s execution %d traced: %s differs", c.name, i, d)
@@ -170,8 +170,8 @@ func TestRunMatchesOracle(t *testing.T) {
 }
 
 // TestSimRunAllocsConstant: an untraced Run allocates the same number of
-// objects whatever the graph's size — its memory plan and one ready-time
-// table.
+// objects whatever the graph's size — one ready-time table; the memory plan
+// is its caller's.
 func TestSimRunAllocsConstant(t *testing.T) {
 	allocs := func(c models.Config) float64 {
 		m, err := models.Build(c)
@@ -184,12 +184,12 @@ func TestSimRunAllocsConstant(t *testing.T) {
 		}
 		tp := topo.DefaultTopology()
 		return testing.AllocsPerRun(5, func() {
-			sim.Run(sum.Sharded, tp, c.Batch, memplan.DefaultOptions(), sim.RunOptions{})
+			sim.Run(sum.Sharded, tp, c.Batch, sum.Memory, sim.RunOptions{})
 		})
 	}
 	small := allocs(models.Config{Family: "mlp", Depth: 2, Width: 256, Batch: 64})
 	large := allocs(models.Config{Family: "rnn", Depth: 10, Width: 8192, Batch: 128})
-	if small != large || large > 4 {
-		t.Errorf("Run allocates %v objects on mlp-2-256 and %v on rnn-10-8192, want the same, at most 4", small, large)
+	if small != large || large > 1 {
+		t.Errorf("Run allocates %v objects on mlp-2-256 and %v on rnn-10-8192, want the same, at most 1", small, large)
 	}
 }

@@ -94,11 +94,11 @@ func emitTransfer(tl *obs.Timeline, kind, op string, start float64, tp topo.Topo
 // topological order while a communication engine overlaps MultiFetch and
 // reduction transfers; producers gate consumers. Each transfer is priced at
 // the bandwidth of the interconnect level it crosses (its plan step's level
-// annotation) — on a flat topology that is the single peer bandwidth.
-func Run(sh *graphgen.Sharded, tp topo.Topology, batch int64, memOpts memplan.Options, ro RunOptions) Result {
-	var res Result
-	res.Mem = memplan.Plan(sh, memOpts)
-	res.OOM = !res.Mem.Fits(tp.HW.GPUMemBytes)
+// annotation) — on a flat topology that is the single peer bandwidth. mem is
+// the execution's memory plan (memplan.Plan), which the result reports and
+// checks against the GPU's capacity.
+func Run(sh *graphgen.Sharded, tp topo.Topology, batch int64, mem memplan.Report, ro RunOptions) Result {
+	res := Result{Mem: mem, OOM: !mem.Fits(tp.HW.GPUMemBytes)}
 	res.IterSeconds = schedule(sh, tp, ro, make([]float64, len(sh.G.Tensors)), &res)
 	if res.IterSeconds > 0 {
 		replicas := 1

@@ -25,7 +25,7 @@ func TestRunBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	hw := topo.DefaultHW()
-	res := Run(singleSharded(t, m), topo.FlatTopology(hw), 64, memplan.DefaultOptions(), RunOptions{})
+	res := runDefault(singleSharded(t, m), topo.FlatTopology(hw), 64, RunOptions{})
 	if res.IterSeconds <= 0 || res.Throughput <= 0 {
 		t.Fatalf("degenerate result %+v", res)
 	}
@@ -43,8 +43,8 @@ func TestReplicasScaleThroughput(t *testing.T) {
 		t.Fatal(err)
 	}
 	hw := topo.DefaultHW()
-	one := Run(singleSharded(t, m), topo.FlatTopology(hw), 32, memplan.DefaultOptions(), RunOptions{Replicas: 1})
-	eight := Run(singleSharded(t, m), topo.FlatTopology(hw), 32, memplan.DefaultOptions(), RunOptions{Replicas: 8})
+	one := runDefault(singleSharded(t, m), topo.FlatTopology(hw), 32, RunOptions{Replicas: 1})
+	eight := runDefault(singleSharded(t, m), topo.FlatTopology(hw), 32, RunOptions{Replicas: 8})
 	if eight.Throughput < one.Throughput*7.9 || eight.Throughput > one.Throughput*8.1 {
 		t.Fatalf("replicas scaling wrong: %g vs %g", eight.Throughput, one.Throughput)
 	}
@@ -64,8 +64,8 @@ func TestCommOverlapsButGates(t *testing.T) {
 		t.Fatal(err)
 	}
 	hw := topo.DefaultHW()
-	with := Run(sh, topo.FlatTopology(hw), 64, memplan.DefaultOptions(), RunOptions{})
-	without := Run(sh, topo.FlatTopology(hw), 64, memplan.DefaultOptions(), RunOptions{DisableComm: true})
+	with := runDefault(sh, topo.FlatTopology(hw), 64, RunOptions{})
+	without := runDefault(sh, topo.FlatTopology(hw), 64, RunOptions{DisableComm: true})
 	if with.IterSeconds < without.IterSeconds {
 		t.Fatal("communication cannot speed execution up")
 	}
@@ -167,7 +167,7 @@ func TestPipelineRNN(t *testing.T) {
 	}
 	// Pipelining cannot beat perfect parallelism over the busiest GPU:
 	// with 4 layers on 8 GPUs, at most half the machine is busy.
-	ideal := Run(singleSharded(t, m), topo.FlatTopology(hw), 64, memplan.DefaultOptions(), RunOptions{Replicas: 8})
+	ideal := runDefault(singleSharded(t, m), topo.FlatTopology(hw), 64, RunOptions{Replicas: 8})
 	if res.Throughput >= ideal.Throughput {
 		t.Fatalf("pipeline %g must not reach ideal %g", res.Throughput, ideal.Throughput)
 	}
@@ -229,4 +229,10 @@ func TestPipelineMemoryImbalance(t *testing.T) {
 		t.Fatalf("doubled-up GPUs should show ~2x memory: %d vs %d",
 			r10.Mem.PeakBytes, r8.Mem.PeakBytes)
 	}
+}
+
+// runDefault is Run with the execution's memory planned under the default
+// options.
+func runDefault(sh *graphgen.Sharded, tp topo.Topology, batch int64, ro RunOptions) Result {
+	return Run(sh, tp, batch, memplan.Plan(sh, memplan.DefaultOptions()), ro)
 }

@@ -11,11 +11,14 @@ import (
 )
 
 // PipelineStage is one stage of a partitioned pipeline: a sharded
-// sub-execution on its own sub-machine, plus the hand-off it sends to the
-// next stage each iteration (zero on the last stage).
+// sub-execution on its own sub-machine with its memory plan, plus the
+// hand-off it sends to the next stage each iteration (zero on the last
+// stage).
 type PipelineStage struct {
 	Sharded *graphgen.Sharded
 	Topo    topo.Topology
+	// Mem is Sharded's memory plan (memplan.Plan).
+	Mem memplan.Report
 	// HandoffBytes is the full-batch activation/gradient traffic into the
 	// next stage; HandoffBandwidth is the per-GPU bandwidth of the link it
 	// crosses. Both are 0 on the last stage.
@@ -34,7 +37,7 @@ type PipelineStage struct {
 // drains microBatches + stages - 1 periods (the GPipe fill/drain makespan).
 // Memory is conservative: each stage's full-batch footprint, as if no
 // activation were released between micro-batches.
-func RunPipelineStages(stages []PipelineStage, batch int64, microBatches int, memOpts memplan.Options, ro RunOptions) (Result, error) {
+func RunPipelineStages(stages []PipelineStage, batch int64, microBatches int, ro RunOptions) (Result, error) {
 	var res Result
 	S := len(stages)
 	if S == 0 {
@@ -63,7 +66,7 @@ func RunPipelineStages(stages []PipelineStage, batch int64, microBatches int, me
 		// ("stage<si>/w0/..."), alongside the micro-batch schedule below.
 		ro2 := ro
 		ro2.Timeline = ro.Timeline.WithPrefix("stage" + strconv.Itoa(si) + "/")
-		r := Run(st.Sharded, st.Topo, batch, memOpts, ro2)
+		r := Run(st.Sharded, st.Topo, batch, st.Mem, ro2)
 		handoff := 0.0
 		if si < S-1 && !ro.DisableComm {
 			if st.HandoffBytes > 0 && st.HandoffBandwidth <= 0 {

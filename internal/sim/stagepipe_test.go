@@ -85,12 +85,13 @@ func TestRunPipelineStagesDeterministic(t *testing.T) {
 				stages[i] = sim.PipelineStage{
 					Sharded:          st.Sharded,
 					Topo:             st.Topo,
+					Mem:              memplan.Plan(st.Sharded, memplan.DefaultOptions()),
 					HandoffBytes:     st.HandoffBytes,
 					HandoffBandwidth: st.HandoffBandwidth,
 				}
 			}
 			for run := 0; run < 2; run++ {
-				r, err := sim.RunPipelineStages(stages, cfg.Batch, len(stages), memplan.DefaultOptions(), sim.RunOptions{})
+				r, err := sim.RunPipelineStages(stages, cfg.Batch, len(stages), sim.RunOptions{})
 				if err != nil {
 					t.Fatalf("%s par %d run %d: %v", prof, par, run, err)
 				}
@@ -130,11 +131,11 @@ func TestRunPipelineStagesErrors(t *testing.T) {
 		stages[i] = sim.PipelineStage{
 			Sharded:          st.Sharded,
 			Topo:             st.Topo,
+			Mem:              memplan.Plan(st.Sharded, memplan.DefaultOptions()),
 			HandoffBytes:     st.HandoffBytes,
 			HandoffBandwidth: st.HandoffBandwidth,
 		}
 	}
-	opts := memplan.DefaultOptions()
 	cases := []struct {
 		name   string
 		stages []sim.PipelineStage
@@ -153,7 +154,7 @@ func TestRunPipelineStagesErrors(t *testing.T) {
 		}, 64, 1, "bandwidth"},
 	}
 	for _, c := range cases {
-		_, err := sim.RunPipelineStages(c.stages, c.batch, c.micro, opts, sim.RunOptions{})
+		_, err := sim.RunPipelineStages(c.stages, c.batch, c.micro, sim.RunOptions{})
 		if err == nil || !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("%s: got %v, want error containing %q", c.name, err, c.frag)
 		}

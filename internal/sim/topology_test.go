@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"tofu/internal/graphgen"
-	"tofu/internal/memplan"
 	"tofu/internal/models"
 	"tofu/internal/plan"
 	"tofu/internal/recursive"
@@ -62,8 +61,8 @@ func TestFlatProfileEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rFlat := Run(sh, topo.FlatTopology(hw), m.Batch, memplan.DefaultOptions(), RunOptions{})
-		rTopo := Run(sh, tp, m.Batch, memplan.DefaultOptions(), RunOptions{})
+		rFlat := runDefault(sh, topo.FlatTopology(hw), m.Batch, RunOptions{})
+		rTopo := runDefault(sh, tp, m.Batch, RunOptions{})
 		if rFlat != rTopo {
 			t.Fatalf("%s: simulated results diverged between flat HW and default topology:\n%+v\n%+v",
 				m.Name, rFlat, rTopo)
@@ -111,13 +110,13 @@ func TestHierarchicalCommPricing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier := Run(sh, cl, m.Batch, memplan.DefaultOptions(), RunOptions{})
+	hier := runDefault(sh, cl, m.Batch, RunOptions{})
 	// The same execution on a fantasy flat machine whose every link runs at
 	// PCIe speed must see strictly less communication time: the real
 	// cluster's Ethernet level is slower than any flat link.
 	fast := cl.HW
 	fast.NumGPUs = 16
-	flat := Run(sh, topo.FlatTopology(fast), m.Batch, memplan.DefaultOptions(), RunOptions{})
+	flat := runDefault(sh, topo.FlatTopology(fast), m.Batch, RunOptions{})
 	if hier.CommSeconds <= flat.CommSeconds {
 		t.Fatalf("Ethernet-crossing steps must cost more than flat PCIe: %g vs %g",
 			hier.CommSeconds, flat.CommSeconds)

@@ -56,7 +56,7 @@ type descCacheKey struct {
 // allocates; larger sets (none exist in the standard operator library)
 // spill deterministically into a sorted string. Shared by every pass that
 // buckets operator instances by attributes (the description cache here,
-// coarsening's slot merge).
+// coarsening's node signatures).
 type AttrsKey struct {
 	N              int
 	K0, K1, K2, K3 string
@@ -101,6 +101,25 @@ func MakeAttrsKey(attrs Attrs) AttrsKey {
 	key.K0, key.K1, key.K2, key.K3 = ks[0], ks[1], ks[2], ks[3]
 	key.V0, key.V1, key.V2, key.V3 = vs[0], vs[1], vs[2], vs[3]
 	return key
+}
+
+// Matches reports whether k is the signature of attrs. It reads attrs by
+// lookup, one per inlined name, without building attrs' own signature; a
+// spilled k compares with MakeAttrsKey(attrs).
+func (k *AttrsKey) Matches(attrs Attrs) bool {
+	if len(attrs) != k.N {
+		return false
+	}
+	if k.Spill != "" {
+		return MakeAttrsKey(attrs).Spill == k.Spill
+	}
+	names, vals := [4]string{k.K0, k.K1, k.K2, k.K3}, [4]int64{k.V0, k.V1, k.V2, k.V3}
+	for i := range k.N {
+		if v, ok := attrs[names[i]]; !ok || v != vals[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Register installs a description builder; duplicate names are an error so
