@@ -79,6 +79,10 @@ type Slot struct {
 	// operator that a pricing depends on is in it; dp.PriceCache keys its
 	// memos by it.
 	Sig string
+	// SigID is Sig's index in the interned signatures of the whole graph's
+	// coarsening (Coarse.Sigs): within one coarsening and its segments, two
+	// slots have equal SigIDs exactly when they have equal Sigs.
+	SigID int32
 }
 
 // Rep returns the representative operator.
@@ -123,7 +127,16 @@ type Coarse struct {
 	// facts is what Coarsen looked up about G's nodes. A segment has none:
 	// only a whole graph's coarsening is segmented.
 	facts *nodeFacts
+	// sigs is the whole graph's coarsening's interned pricing signatures,
+	// which its segments share (Sigs).
+	sigs []string
 }
+
+// Sigs returns the pricing signatures of the whole graph's coarsening c is
+// or is a segment of, each once: Sigs()[s.SigID] == s.Sig for every slot.
+// Each Coarsen call interns its own table, so the table's identity tells
+// slot numberings apart.
+func (c *Coarse) Sigs() []string { return c.sigs }
 
 // nodeFacts is everything coarsening needs to know about the nodes of a
 // graph beyond its structure. desc, cell, price and leader are dense by node
@@ -181,12 +194,16 @@ func describeNodes(g *graph.Graph) (nodeFacts, error) {
 	// One slab: the facts dense by node, then cellSig (a node opens at most
 	// one cell).
 	ints := make([]int32, 3*n+unrolled)
-	// A graph holds tens of signatures, and pricing signatures of a hundred
-	// bytes or so: the walk starts with room for that.
-	w := factWalk{g: g, first: map[tagOp]int32{}, sigs: make([]signature, 0, 16),
-		cells: make([]cellLink, 0, unrolled), prices: map[string]int32{}, buf: make([]byte, 0, 256)}
+	// A graph holds tens of signatures, a few of them with attributes, and
+	// tens to hundreds of pricing signatures of a hundred bytes or so: the
+	// walk's tables start with room for that, or for one entry per node of a
+	// smaller graph, so that most graphs never grow them.
+	c := min(n, 64)
+	w := factWalk{g: g, first: make(map[tagOp]int32, min(n, 32)), sigs: make([]signature, 0, c),
+		keys: make([]tdl.AttrsKey, 0, min(n, 32)), cells: make([]cellLink, 0, unrolled),
+		priced: make([]link, 0, c), prices: make(map[string]int32, c), buf: make([]byte, 0, 256)}
 	w.f = nodeFacts{desc: make([]*tdl.OpDesc, n), cell: ints[:n:n], price: ints[n : 2*n : 2*n],
-		leader: ints[2*n : 3*n : 3*n], cellSig: ints[3*n : 3*n]}
+		leader: ints[2*n : 3*n : 3*n], cellSig: ints[3*n : 3*n], prices: make([]string, 0, c)}
 	for i, nd := range g.Nodes {
 		if err := w.visit(i, nd); err != nil {
 			return nodeFacts{}, err
@@ -202,6 +219,8 @@ type factWalk struct {
 	// first maps a (tag, op) to its first candidate signature.
 	first map[tagOp]int32
 	sigs  []signature
+	// keys holds the attribute keys of the signatures with attributes.
+	keys  []tdl.AttrsKey
 	cells []cellLink
 	// slots holds every signature's slots, chained by ordinal, and priced
 	// every signature's spelled nodes, chained latest first.
@@ -215,8 +234,9 @@ type tagOp struct{ tag, op string }
 
 // signature is one (UnrollTag, Op, attributes) of the walked graph.
 type signature struct {
-	attrs tdl.AttrsKey
-	desc  *tdl.OpDesc
+	desc *tdl.OpDesc
+	// key indexes the walk's attribute keys, -1 without attributes.
+	key int32
 	// next is the next candidate of the same (tag, op), -1 after the last.
 	next int32
 	// id is the unroll signature id, -1 outside unrolled loops.
@@ -266,7 +286,7 @@ func (w *factWalk) visit(i int, n *graph.Node) error {
 	}
 	w.priced = append(w.priced, link{node: int32(i), next: s.priced})
 	s.priced = int32(len(w.priced) - 1)
-	w.buf = appendPriceSig(w.buf[:0], n, s.attrs)
+	w.buf = appendPriceSig(w.buf[:0], n, *w.attrs(s))
 	id, ok := w.prices[string(w.buf)] // no copy: only a new signature keeps the key
 	if !ok {
 		id = int32(len(f.prices))
@@ -285,7 +305,7 @@ func (w *factWalk) signature(n *graph.Node) (*signature, error) {
 	last := int32(-1)
 	if c, ok := w.first[key]; ok {
 		for ; c >= 0; c = w.sigs[c].next {
-			if w.sigs[c].attrs.Matches(n.Attrs) {
+			if w.attrs(&w.sigs[c]).Matches(n.Attrs) {
 				return &w.sigs[c], nil
 			}
 			last = c
@@ -301,13 +321,29 @@ func (w *factWalk) signature(n *graph.Node) (*signature, error) {
 		w.f.nsig++
 	}
 	s := int32(len(w.sigs))
-	w.sigs = append(w.sigs, signature{attrs: tdl.MakeAttrsKey(n.Attrs), desc: d, next: -1, id: id, cell: -1, slot: -1, priced: -1})
+	k := int32(-1)
+	if len(n.Attrs) > 0 {
+		k = int32(len(w.keys))
+		w.keys = append(w.keys, tdl.MakeAttrsKey(n.Attrs))
+	}
+	w.sigs = append(w.sigs, signature{desc: d, key: k, next: -1, id: id, cell: -1, slot: -1, priced: -1})
 	if last < 0 {
 		w.first[key] = s
 	} else {
 		w.sigs[last].next = s
 	}
 	return &w.sigs[s], nil
+}
+
+// noAttrs is the attribute key of a signature without attributes.
+var noAttrs tdl.AttrsKey
+
+// attrs returns s's attribute key.
+func (w *factWalk) attrs(s *signature) *tdl.AttrsKey {
+	if s.key < 0 {
+		return &noAttrs
+	}
+	return &w.keys[s.key]
 }
 
 // cell returns the cell of timestep ts in s's timestep index, adding it at
@@ -659,7 +695,7 @@ func coarsen(g *graph.Graph, facts *nodeFacts) (*Coarse, error) {
 		tuf.union(n.Output.ID, rep.Output.ID)
 	}
 
-	c := &Coarse{G: g, facts: facts}
+	c := &Coarse{G: g, facts: facts, sigs: facts.prices}
 	varOf, err := buildVars(c, tuf)
 	if err != nil {
 		return nil, err
@@ -858,7 +894,8 @@ func fillGroups(c *Coarse, groups []Group, slotSlab []Slot, slotPtrs []*Slot, op
 			}
 			s.Out = c.Vars[varOf[n.Output.ID]]
 			s.Desc = c.facts.desc[n.ID]
-			s.Sig = c.facts.prices[c.facts.price[n.ID]]
+			s.SigID = c.facts.price[n.ID]
+			s.Sig = c.facts.prices[s.SigID]
 			grp := &groups[groupOf[i]]
 			grp.Slots = append(grp.Slots, s)
 		}

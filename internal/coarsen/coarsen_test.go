@@ -862,14 +862,19 @@ func BenchmarkSegmentView(b *testing.B) {
 
 // diffCoarse names the first difference between two coarsenings of one
 // graph ("" when there is none), comparing variables and operators by ID and
-// the slots' carried descriptions, pricing signatures and operands.
+// the slots' carried descriptions, pricing signatures and operands. A
+// coarsening with a signature table must index each slot's signature by its
+// SigID; the numberings of two tables need not agree.
 func diffCoarse(a, b *Coarse) string {
 	if diff := diffStructure(a, b); diff != "" {
 		return diff
 	}
+	interned := func(c *Coarse, s *Slot) bool {
+		return c.sigs == nil || int(s.SigID) < len(c.sigs) && c.sigs[s.SigID] == s.Sig
+	}
 	for i, g := range a.Groups {
 		if !slices.EqualFunc(g.Slots, b.Groups[i].Slots, func(s, r *Slot) bool {
-			return s.Sig == r.Sig && s.Out.ID == r.Out.ID &&
+			return s.Sig == r.Sig && s.Out.ID == r.Out.ID && interned(a, s) && interned(b, r) &&
 				slices.EqualFunc(s.In, r.In, func(v, w *Var) bool { return v.ID == w.ID })
 		}) {
 			return fmt.Sprintf("group %d: slot pricing signatures or operands", i)

@@ -242,13 +242,15 @@ func BenchmarkCoarsen(b *testing.B) {
 }
 
 // TestCoarsenAllocs is Coarsen's allocation ceiling on the cold-flat models,
-// in objects and in KB, set from measured values with about 10 % headroom.
+// in objects and in KB, set from measured values with about 10 % headroom
+// (the two WResNet KB ceilings with less: they were set before the walk's
+// tables were sized up front, and a ceiling is only ever lowered).
 func TestCoarsenAllocs(t *testing.T) {
-	ceilings := map[string]struct{ objects, kb float64 }{ // measured: 274/309, 274/788, 105/1284, 89/100
-		"wresnet-50-4@32":       {300, 340},
-		"wresnet-152-10@8":      {300, 865},
-		"rnn-10-8192@128":       {115, 1410},
-		"transformer-4-1024@16": {98, 110},
+	ceilings := map[string]struct{ objects, kb float64 }{ // measured: 252/311, 252/798, 86/1270, 69/100
+		"wresnet-50-4@32":       {277, 340},
+		"wresnet-152-10@8":      {277, 865},
+		"rnn-10-8192@128":       {95, 1397},
+		"transformer-4-1024@16": {76, 110},
 	}
 	for _, cfg := range workloadModels(t, "cold-flat") {
 		m, err := models.Build(cfg)

@@ -298,7 +298,7 @@ func (sc *SegmentScratch) view(c *Coarse, lo, hi int, out *slabs) *Coarse {
 		out.coarse = new(Coarse)
 	}
 	seg := out.coarse
-	*seg = Coarse{G: c.G}
+	*seg = Coarse{G: c.G, sigs: c.sigs}
 	out.vars, out.varPtrs = grow(out.vars, len(order)), grow(out.varPtrs, len(order))
 	out.members = grow(out.members, members)
 	seg.Vars = out.varPtrs
@@ -448,7 +448,7 @@ func (sc *SegmentScratch) viewGroups(c *Coarse, seg *Coarse, lo, hi int, out *sl
 				s.In[p] = sc.segVarOf(seg, v, rep.Inputs[p])
 			}
 			s.Out = sc.segVarOf(seg, rs.Out, rep.Output)
-			s.Desc, s.Sig = rs.Desc, rs.Sig
+			s.Desc, s.Sig, s.SigID = rs.Desc, rs.Sig, rs.SigID
 		}
 	}
 	nV := len(seg.Vars)

@@ -63,7 +63,7 @@ func referenceSegment(root *Coarse, lo, hi int) *Coarse {
 		}
 	}
 
-	seg := &Coarse{G: root.G}
+	seg := &Coarse{G: root.G, sigs: root.sigs}
 	vars := map[*graph.Tensor]*Var{} // by class root
 	for _, t := range sighted {
 		v := vars[find(t)]
@@ -78,7 +78,7 @@ func referenceSegment(root *Coarse, lo, hi int) *Coarse {
 	for gi, rg := range root.Groups[lo:hi] {
 		grp := &Group{ID: gi}
 		for _, rs := range rg.Slots {
-			s := &Slot{Ops: rs.Ops, Desc: rs.Desc, Sig: rs.Sig, Out: vars[find(rs.Rep().Output)]}
+			s := &Slot{Ops: rs.Ops, Desc: rs.Desc, Sig: rs.Sig, SigID: rs.SigID, Out: vars[find(rs.Rep().Output)]}
 			for _, in := range rs.Rep().Inputs {
 				s.In = append(s.In, vars[find(in)])
 			}

@@ -1,6 +1,7 @@
 // Package core wires Tofu's pieces into the end-to-end pipeline the paper
-// describes: TDL descriptions and their symbolic-interval analysis discover
-// each operator's partition strategies (Sec 4), coarsening and the recursive
+// describes: TDL descriptions, each compiled into a region program that
+// evaluates its symbolic access regions, discover and price every
+// operator's partition strategies (Sec 4), coarsening and the recursive
 // DP choose the plan (Sec 5), graph generation materializes the per-worker
 // execution with its memory optimizations (Sec 6), and the memory planner
 // plus simulator stand in for MXNet's allocator and the 8-GPU testbed.

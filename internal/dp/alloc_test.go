@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"runtime"
 	"testing"
 
 	"tofu/internal/models"
@@ -37,5 +38,45 @@ func TestPrepareSlotEvalsAllocs(t *testing.T) {
 			t.Errorf("%s (%d slots): rebuilding every evaluator allocates %v objects, ceiling %d", cfg, len(first.ordered), rebuild, rebuildCeiling)
 		}
 		t.Logf("%s: %d slots, rebuild %v", cfg, len(first.ordered), rebuild)
+	}
+}
+
+// TestPrepareColdAllocs is Prepare's allocation ceiling against a fresh
+// PriceCache — a cold search's first step, which pays for every pricing,
+// every table and the class memo — on the two WResNets of cold-flat. The
+// parent of the class memo allocated 4 248 objects and 767 KiB, and
+// 4 248 and 1 321 KiB.
+func TestPrepareColdAllocs(t *testing.T) {
+	ceilings := map[string]struct{ objects, kb float64 }{ // measured: 3 350/626, 3 350/1 032
+		"wresnet-50-4@32":  {3400, 645},
+		"wresnet-152-10@8": {3400, 1050},
+	}
+	for _, cfg := range []models.Config{
+		{Family: "wresnet", Depth: 50, Width: 4, Batch: 32},
+		{Family: "wresnet", Depth: 152, Width: 10, Batch: 8},
+	} {
+		m, err := models.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := problemFor(t, m, 2)
+		p.Parallelism = 1
+		prepare := func() {
+			p.Cache = NewPriceCache()
+			if _, err := Prepare(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		objects := testing.AllocsPerRun(5, prepare)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		prepare()
+		runtime.ReadMemStats(&after)
+		kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024
+		c := ceilings[cfg.String()]
+		if objects > c.objects || kb > c.kb {
+			t.Errorf("%s: a cold Prepare allocates %v objects and %.0f KiB, ceiling %v and %v", cfg, objects, kb, c.objects, c.kb)
+		}
+		t.Logf("%s: %v objects, %.0f KiB", cfg, objects, kb)
 	}
 }

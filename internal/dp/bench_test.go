@@ -135,3 +135,46 @@ func BenchmarkBoundGate(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPrepare times one Prepare — every slot's evaluator and dense
+// table — on a serial pool, two ways: against a fresh PriceCache (cold: the
+// pricings, the tables and the class memo all filled here, as in a cold
+// search's first step) and against a cache one untimed Prepare filled
+// (warm: every slot a class hit).
+func BenchmarkPrepare(b *testing.B) {
+	for _, cfg := range []models.Config{
+		{Family: "wresnet", Depth: 50, Width: 4, Batch: 32},
+		{Family: "wresnet", Depth: 152, Width: 10, Batch: 8},
+	} {
+		m, err := models.Build(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := problemFor(b, m, 2)
+		p.Parallelism = 1
+		for _, warm := range []bool{false, true} {
+			name := cfg.String() + "/cold"
+			if warm {
+				name = cfg.String() + "/warm"
+			}
+			b.Run(name, func(b *testing.B) {
+				p.Cache = NewPriceCache()
+				if warm {
+					if _, err := Prepare(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !warm {
+						p.Cache = NewPriceCache()
+					}
+					if _, err := Prepare(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

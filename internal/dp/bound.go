@@ -29,8 +29,8 @@ import (
 func (pr *Prepared) LowerBound() float64 {
 	total := 0.0
 	for _, ev := range pr.sl.ordered {
-		if ev.costT != nil {
-			total += ev.minCost
+		if ev.t != nil {
+			total += ev.t.minCost
 		}
 	}
 	return total
@@ -129,8 +129,8 @@ func (s *sweeper) seed(groups []*coarsen.Group, byGroup [][]*slotEval) {
 	s.floor[len(groups)] = 0
 	for gi := len(groups) - 1; gi >= 0; gi-- {
 		for _, ev := range byGroup[gi] {
-			if ev.costT != nil {
-				f += ev.minCost
+			if ev.t != nil {
+				f += ev.t.minCost
 			}
 		}
 		s.floor[gi] = f

@@ -67,17 +67,19 @@ func checkBounded(t *testing.T, name string, pr *Prepared) (want *Result, cut bo
 func tieHeavy(pr *Prepared, rng *rand.Rand) {
 	palette := []float64{0, 0, 0.1, 0.2, 0.3, 0.7, 1.1, math.Inf(1)}
 	for _, ev := range pr.sl.ordered {
-		if ev.costT == nil {
+		if ev.t == nil {
 			continue
 		}
-		ev.costT = append([]float64(nil), ev.costT...)
-		ev.minCost = math.Inf(1)
-		for i := range ev.costT {
-			if ev.bestT[i] >= 0 {
-				ev.costT[i] = palette[rng.Intn(len(palette))]
+		t := *ev.t
+		t.costT = append([]float64(nil), t.costT...)
+		t.minCost = math.Inf(1)
+		for i := range t.costT {
+			if t.bestT[i] >= 0 {
+				t.costT[i] = palette[rng.Intn(len(palette))]
 			}
-			ev.minCost = min(ev.minCost, ev.costT[i])
+			t.minCost = min(t.minCost, t.costT[i])
 		}
+		ev.t = &t
 	}
 }
 

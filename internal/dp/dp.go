@@ -182,7 +182,7 @@ func (res *Result) materialize() (float64, error) {
 	total := 0.0
 	maxIn := 0
 	for _, ev := range res.evals {
-		maxIn = max(maxIn, len(ev.inVars))
+		maxIn = max(maxIn, len(ev.slot.In))
 	}
 	cuts := make([]partition.Cut, maxIn)
 	for _, ev := range res.evals {
@@ -190,7 +190,7 @@ func (res *Result) materialize() (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		parts, err := ev.parts(si, res.VarCut, cuts[:len(ev.inVars)])
+		parts, err := ev.parts(si, res.VarCut, cuts[:len(ev.slot.In)])
 		if err != nil {
 			return 0, err
 		}
@@ -413,8 +413,14 @@ func prepareSlotEvals(p *Problem) (*slotSet, error) {
 			maxIn, maxSig = max(maxIn, len(s.Rep().Inputs)), max(maxSig, len(s.Sig))
 		}
 	}
+	cls := p.Cache.classes(p)
 	ranges := chunkRanges(nil, p.parallelism(), nSlots)
-	errs := make([]error, len(ranges))
+	// Per chunk: its error, then its class memo hits and misses.
+	type chunkOut struct {
+		err          error
+		hits, misses int64
+	}
+	outs := make([]chunkOut, len(ranges))
 	runChunks(ranges, func(w, lo, hi int) {
 		// An evaluator lists the slot's distinct variables (vars), and an
 		// index per entry of that list and per input (ints).
@@ -429,15 +435,20 @@ func prepareSlotEvals(p *Problem) (*slotSet, error) {
 			ints: make([]int, touched+ins),
 		}
 		sc := newEvalScratch(maxIn, maxSig)
+		out := &outs[w]
 		for i := lo; i < hi; i++ {
-			if ss.ordered[i], errs[w] = newSlotEval(p, slots[i], alphas, &sc, &slabs); errs[w] != nil {
-				return
+			if ss.ordered[i], out.err = newSlotEval(p, slots[i], alphas, cls, &sc, &slabs); out.err != nil {
+				break
 			}
 		}
+		out.hits, out.misses = sc.classHits, sc.classMisses
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for _, out := range outs {
+		if cls != nil {
+			p.Cache.countClasses(out.hits, out.misses)
+		}
+		if out.err != nil {
+			return nil, out.err
 		}
 	}
 	return ss, nil
@@ -497,10 +508,11 @@ func Evaluate(p *Problem, varCut map[int]int) (*Result, error) {
 	return priceAssignment(p.Coarse, sl.ordered, varCut)
 }
 
-// Evaluator prices assignments incrementally: the interval analyses and
-// cost tables are built once (on the worker pool), after which pricing any
-// assignment (or the delta of flipping a single variable) is plain
-// arithmetic. The Spartan-style greedy baseline relies on this.
+// Evaluator prices assignments incrementally: the pricings (each operator's
+// compiled region program evaluated into fetch terms) and the cost tables are
+// built once (on the worker pool), after which pricing any assignment (or the
+// delta of flipping a single variable) is plain arithmetic. The Spartan-style
+// greedy baseline relies on this.
 type Evaluator struct {
 	p       *Problem
 	evals   []*slotEval
@@ -518,14 +530,14 @@ func NewEvaluator(p *Problem) (*Evaluator, error) {
 	e := &Evaluator{p: p, evals: sl.ordered, byVar: map[int][]int{}, configs: map[int][]int{}}
 	for idx, ev := range sl.ordered {
 		seen := map[int]bool{}
-		for _, v := range ev.inVars {
+		for _, v := range ev.slot.In {
 			if !seen[v.ID] {
 				seen[v.ID] = true
 				e.byVar[v.ID] = append(e.byVar[v.ID], idx)
 			}
 		}
-		if !seen[ev.outVar.ID] {
-			e.byVar[ev.outVar.ID] = append(e.byVar[ev.outVar.ID], idx)
+		if !seen[ev.slot.Out.ID] {
+			e.byVar[ev.slot.Out.ID] = append(e.byVar[ev.slot.Out.ID], idx)
 		}
 	}
 	for _, v := range p.Coarse.Vars {

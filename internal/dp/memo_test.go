@@ -25,27 +25,37 @@ func sameTable(t *testing.T, name string, got, want *slotEval) {
 			t.Fatalf("%s: strategy %d = %v, fresh %v", name, i, got.priced.Strategies[i], st)
 		}
 	}
-	if len(got.costT) != len(want.costT) || len(got.bestT) != len(want.bestT) {
-		t.Fatalf("%s: table sizes (%d, %d), fresh (%d, %d)",
-			name, len(got.costT), len(got.bestT), len(want.costT), len(want.bestT))
+	if (got.t == nil) != (want.t == nil) {
+		t.Fatalf("%s: dense %v, fresh %v", name, got.t != nil, want.t != nil)
 	}
-	for ti := range want.costT {
-		if math.Float64bits(got.costT[ti]) != math.Float64bits(want.costT[ti]) || got.bestT[ti] != want.bestT[ti] {
+	if want.t == nil {
+		return
+	}
+	g, w := got.t, want.t
+	if len(g.costT) != len(w.costT) || len(g.bestT) != len(w.bestT) {
+		t.Fatalf("%s: table sizes (%d, %d), fresh (%d, %d)",
+			name, len(g.costT), len(g.bestT), len(w.costT), len(w.bestT))
+	}
+	for ti := range w.costT {
+		if math.Float64bits(g.costT[ti]) != math.Float64bits(w.costT[ti]) || g.bestT[ti] != w.bestT[ti] {
 			t.Fatalf("%s: entry %d = (%d, %v), fresh (%d, %v)",
-				name, ti, got.bestT[ti], got.costT[ti], want.bestT[ti], want.costT[ti])
+				name, ti, g.bestT[ti], g.costT[ti], w.bestT[ti], w.costT[ti])
 		}
 	}
-	if math.Float64bits(got.minCost) != math.Float64bits(want.minCost) {
-		t.Fatalf("%s: minCost %v, fresh %v", name, got.minCost, want.minCost)
+	if math.Float64bits(g.minCost) != math.Float64bits(w.minCost) {
+		t.Fatalf("%s: minCost %v, fresh %v", name, g.minCost, w.minCost)
 	}
 }
 
 // TestTableMemoMatchesFresh walks every benchmark family down its factor
 // steps — solve, divide the shapes, solve again — and at each step builds
 // the slot evaluators without a cache and through one cache shared by the
-// whole walk. The two must agree bit for bit, every lookup must be counted,
-// and every filled table must back all the evaluators that asked for it:
-// distinct backing arrays == misses.
+// whole walk. The two must agree bit for bit, and the lookups must add up:
+// one table lookup per dense evaluator, a class hit counting as a hit; every
+// filled table backs all the evaluators that asked for it (distinct tables
+// == fills); one class lookup per dense evaluator, missing exactly at the
+// first slot of each class the walk has not met at its K; and every slot of
+// a class holds the class's one table.
 func TestTableMemoMatchesFresh(t *testing.T) {
 	cases := []struct {
 		cfg     models.Config
@@ -63,32 +73,44 @@ func TestTableMemoMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		cache := NewPriceCache()
-		arrays := map[*float64]bool{}
-		var hits, misses int64
+		tables := map[*slotTable]bool{}
+		classes := map[string]*slotTable{} // by K, SigID and class key
+		var hits, misses, classHits, classMisses int64
 		p := problemFor(t, m, 0)
-		p.Parallelism = 2
 		for step, k := range tc.factors {
 			name := fmt.Sprintf("%s step %d (x%d)", cfg.Family, step+1, k)
-			p.K, p.Cache = k, nil
+			p.K, p.Cache, p.Parallelism = k, nil, 2
 			fresh, err := prepareSlotEvals(p)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			p.Cache = cache
+			// Serial, so that only a class's first slot misses.
+			p.Cache, p.Parallelism = cache, 1
 			memo, err := prepareSlotEvals(p)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			dense, filled := int64(0), int64(0)
+			dense, filled, met := int64(0), int64(0), int64(0)
 			for i, ev := range memo.ordered {
-				sameTable(t, fmt.Sprintf("%s slot %v", name, ev.slot.Rep()), ev, fresh.ordered[i])
-				if ev.costT == nil {
+				at := fmt.Sprintf("%s slot %v", name, ev.slot.Rep())
+				sameTable(t, at, ev, fresh.ordered[i])
+				if ev.t == nil {
 					continue
 				}
 				dense++
-				if !arrays[&ev.costT[0]] {
-					arrays[&ev.costT[0]] = true
+				if !tables[ev.t] {
+					tables[ev.t] = true
 					filled++
+				}
+				key, ok := ev.classKey(fmt.Appendf(nil, "%d/%d/", k, ev.slot.SigID))
+				if !ok {
+					t.Fatalf("%s: no class key", at)
+				}
+				if first, ok := classes[string(key)]; !ok {
+					classes[string(key)] = ev.t
+					met++
+				} else if first != ev.t {
+					t.Fatalf("%s: holds another table than its class's first slot", at)
 				}
 			}
 			h, ms, bytes := cache.TableStats()
@@ -99,7 +121,12 @@ func TestTableMemoMatchesFresh(t *testing.T) {
 			if bytes <= 0 || bytes > tableMemoBytes {
 				t.Fatalf("%s: %d resident table bytes", name, bytes)
 			}
-			hits, misses = h, ms
+			ch, cm := cache.ClassStats()
+			if ch+cm-classHits-classMisses != dense || cm-classMisses != met {
+				t.Fatalf("%s: %d class lookups missed %d times; evaluators show %d and %d new classes",
+					name, ch+cm-classHits-classMisses, cm-classMisses, dense, met)
+			}
+			hits, misses, classHits, classMisses = h, ms, ch, cm
 
 			p.Cache = nil
 			res := solveDense(t, p)
@@ -112,8 +139,8 @@ func TestTableMemoMatchesFresh(t *testing.T) {
 				}
 			}
 		}
-		if hits == 0 {
-			t.Errorf("%s: no table was ever shared", cfg.Family)
+		if hits == 0 || classHits == 0 {
+			t.Errorf("%s: %d table and %d class hits: a memo was never used", cfg.Family, hits, classHits)
 		}
 	}
 }
@@ -186,15 +213,126 @@ func TestTableMemoKeySeparates(t *testing.T) {
 		if hits, misses, _ := cache.TableStats(); hits != 0 || misses != 2 {
 			t.Fatalf("%s: table hits/misses = %d/%d, want 0/2", tc.name, hits, misses)
 		}
-		if &got.costT[0] == &ref.costT[0] {
+		if got.t == ref.t {
 			t.Fatalf("%s: shares the base slot's table", tc.name)
 		}
 		sameTable(t, tc.name, got, matmulEval(t, tc.g, nil, tc.tweak))
 
 		// The positive control: the same slot, coarsened afresh, does share.
 		again := matmulEval(t, tc.g, cache, tc.tweak)
-		if hits, _, _ := cache.TableStats(); hits != 1 || &again.costT[0] != &got.costT[0] {
+		if hits, _, _ := cache.TableStats(); hits != 1 || again.t != got.t {
 			t.Fatalf("%s: an identical slot did not share its table (hits %d)", tc.name, hits)
+		}
+	}
+}
+
+// TestClassMemoKeySeparates: within one coarsening, slots of one pricing
+// signature that differ in one other ingredient of the class key — the
+// aliasing pattern, an alphabet, the multiplicity — are classes apart, each
+// with the table a cache-less build fills, while a slot that agrees on the
+// whole key shares its class's table. A strategy filter keeps a preparation
+// away from the class memo, so a filtered preparation on a cache an
+// unfiltered one filled gets the filtered tables.
+func TestClassMemoKeySeparates(t *testing.T) {
+	const s = 12
+	type built struct {
+		g                      *graph.Graph
+		base, control, variant *graph.Node
+		shrink                 *graph.Tensor // an input the variant's step has divided, or nil
+	}
+	matmul := func(g *graph.Graph, x, w *graph.Tensor) *graph.Node { return g.Apply("matmul", nil, x, w).Producer }
+	in := func(g *graph.Graph, name string) *graph.Tensor { return g.Input(name, shape.Of(s, s)) }
+	// Every graph holds out = matmul(x, w), the base slot, and an identical
+	// control over fresh inputs; the variant is one more matmul.
+	build := func(variant func(g *graph.Graph, b *built)) built {
+		g := graph.New()
+		b := built{g: g}
+		b.base = matmul(g, in(g, "x"), in(g, "w"))
+		b.control = matmul(g, in(g, "x2"), in(g, "w2"))
+		variant(g, &b)
+		return b
+	}
+	cases := []struct {
+		name    string
+		variant func(g *graph.Graph, b *built)
+	}{
+		{"aliasing: operands numbered the other way round", func(g *graph.Graph, b *built) {
+			w := in(g, "w3")
+			b.variant = matmul(g, in(g, "x3"), w)
+		}},
+		{"aliasing: f(y, y)", func(g *graph.Graph, b *built) {
+			y := in(g, "y")
+			b.variant = matmul(g, y, y)
+		}},
+		{"alphabet: dim 0 of the first input exhausted", func(g *graph.Graph, b *built) {
+			b.shrink = in(g, "u")
+			b.variant = matmul(g, b.shrink, in(g, "v"))
+		}},
+		{"multiplicity: two timesteps in one slot", func(g *graph.Graph, b *built) {
+			c0, c1 := in(g, "c0"), in(g, "c1")
+			w := in(g, "wc")
+			for ts, x := range []*graph.Tensor{c0, c1} {
+				n := matmul(g, x, w)
+				n.UnrollTag, n.Timestep = "cell", ts
+				if ts == 0 {
+					b.variant = n
+				}
+			}
+		}},
+	}
+	evalOf := func(sl *slotSet, n *graph.Node) *slotEval {
+		for _, ev := range sl.ordered {
+			if ev.slot.Rep() == n {
+				return ev
+			}
+		}
+		t.Fatalf("no slot led by %v", n)
+		return nil
+	}
+	for _, tc := range cases {
+		b := build(tc.variant)
+		p := graphProblem(t, b.g, 2)
+		if b.shrink != nil {
+			p.Shapes[b.shrink.ID] = shape.Of(3, s) // 3 does not split 2 ways
+		}
+		fresh, err := prepareSlotEvals(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Cache, p.Parallelism = NewPriceCache(), 1
+		sl, err := prepareSlotEvals(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, control, variant := evalOf(sl, b.base), evalOf(sl, b.control), evalOf(sl, b.variant)
+		if base.slot.SigID != variant.slot.SigID {
+			t.Fatalf("%s: the variant has another signature", tc.name)
+		}
+		for i, ev := range sl.ordered {
+			sameTable(t, fmt.Sprintf("%s slot %v", tc.name, ev.slot.Rep()), ev, fresh.ordered[i])
+		}
+		if hits, misses := p.Cache.ClassStats(); hits != 1 || misses != 2 || control.t != base.t || variant.t == base.t {
+			t.Fatalf("%s: class hits/misses = %d/%d, control shares the base table %v, variant %v; want 1/2, true, false",
+				tc.name, hits, misses, control.t == base.t, variant.t == base.t)
+		}
+
+		// The filter scope: no class lookup, the filtered tables.
+		p.StrategyFilter = func(st partition.Strategy) bool { return st.Kind != partition.SplitReduce }
+		q := *p
+		q.Cache = nil
+		want, err := prepareSlotEvals(&q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		filtered, err := prepareSlotEvals(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ev := range filtered.ordered {
+			sameTable(t, fmt.Sprintf("%s filtered slot %v", tc.name, ev.slot.Rep()), ev, want.ordered[i])
+		}
+		if hits, misses := p.Cache.ClassStats(); hits != 1 || misses != 2 {
+			t.Fatalf("%s: a filtered preparation looked classes up (hits/misses now %d/%d)", tc.name, hits, misses)
 		}
 	}
 }
@@ -281,8 +419,8 @@ func TestTableMemoBypassedByLazySlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := sl.ordered[0]
-	if len(ev.tvars) != n+1 || ev.costT != nil || ev.memo == nil {
-		t.Fatalf("want a lazily priced slot over %d variables, got %d (dense: %v)", n+1, len(ev.tvars), ev.costT != nil)
+	if len(ev.tvars) != n+1 || ev.t != nil || ev.memo == nil {
+		t.Fatalf("want a lazily priced slot over %d variables, got %d (dense: %v)", n+1, len(ev.tvars), ev.t != nil)
 	}
 	if _, misses := p.Cache.Stats(); misses != 1 {
 		t.Errorf("pricing misses = %d, want 1: the priced enumeration is still memoized", misses)

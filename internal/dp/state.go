@@ -32,6 +32,9 @@ type varAlpha struct {
 	dims []int
 	// digitOf maps a dimension to its digit, -1 when not cuttable.
 	digitOf []int8
+	// mask is the set of dims as bits, 0 when the rank is past 64: a slot
+	// class key names an alphabet by it (slotEval.classKey).
+	mask uint64
 }
 
 // cuttable reports whether the alphabet lists dimension d.
@@ -69,7 +72,11 @@ func buildAlphas(p *Problem) ([]varAlpha, error) {
 			if s.CanSplit(d, p.K) {
 				a.digitOf[d] = int8(len(a.dims))
 				a.dims = append(a.dims, d)
+				a.mask |= 1 << d
 			}
+		}
+		if rank > 64 {
+			a.mask = 0
 		}
 		if len(a.dims) == 0 {
 			// Name a member tensor too: variable IDs are the coarsening's own,

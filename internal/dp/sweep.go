@@ -393,7 +393,7 @@ func (s *sweeper) plan(slots []*slotEval, prev, next *frontier) bool {
 	s.slotW = grow(s.slotW, nNew)
 	for i := range s.plans {
 		sp := &s.plans[i]
-		if sp.ev.costT == nil {
+		if sp.ev.t == nil {
 			continue
 		}
 		clear(s.slotW)
@@ -579,7 +579,8 @@ func (s *sweeper) fillRow(row []float64, c0, c1 int, dg []uint8) {
 		for _, t := range s.terms[sp.lo:sp.mid] {
 			base += t.stride * int(dg[t.pos])
 		}
-		if tbl := sp.ev.costT; tbl != nil {
+		if sp.ev.t != nil {
+			tbl := sp.ev.t.costT
 			off := s.slotOff[i*s.nC+c0 : i*s.nC+c1]
 			for k, o := range off {
 				row[k] += tbl[base+int(o)]

@@ -362,7 +362,7 @@ func TestSweepLazySlots(t *testing.T) {
 	var blanked []*slotEval
 	for i, ev := range pr.sl.ordered {
 		if i%2 == 0 {
-			ev.costT, ev.bestT, ev.memo = nil, nil, map[int]slotBest{}
+			ev.t, ev.memo = nil, &lazyMemo{m: map[int]slotBest{}}
 			blanked = append(blanked, ev)
 		}
 	}
@@ -387,7 +387,7 @@ func TestSweepLazySlots(t *testing.T) {
 	}
 	priced := 0
 	for _, ev := range blanked {
-		priced += len(ev.memo)
+		priced += len(ev.memo.m)
 	}
 	if priced == 0 {
 		t.Fatalf("no blanked slot priced lazily (%d blanked): the sweeps never took the lazy path", len(blanked))

@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -27,18 +28,15 @@ const (
 	tableEntryBytes = 256
 )
 
-// slotEval prices one slot under any variable assignment. The interval
-// analyses run once (cached across steps in PriceCache); on top of them the
-// evaluator precomputes a dense cost table indexed by the cross-product of
-// its touched variables' alphabet digits, so the DP sweep prices a slot
-// with one multiply-add per touched variable and a pair of array loads —
-// no locks, no maps, no error paths.
+// slotEval prices one slot under any variable assignment. The region
+// analysis runs once per pricing (compiled region programs, cached across
+// steps in PriceCache); on top of it the evaluator holds a dense cost table
+// indexed by the cross-product of its touched variables' alphabet digits, so
+// the DP sweep prices a slot with one multiply-add per touched variable and a
+// pair of array loads — no locks, no maps, no error paths.
 type slotEval struct {
 	slot   *coarsen.Slot
 	priced *partition.Priced
-	inVars []*coarsen.Var
-	outVar *coarsen.Var
-	mult   float64
 
 	// tvars lists the distinct touched variables ascending by ID; tstride
 	// their mixed-radix weights over alphabet digits (tvars[0] most
@@ -53,22 +51,20 @@ type slotEval struct {
 	inPos   []int
 	outPos  int
 
-	// costT/bestT are the dense tables: cost (pre-multiplied by the slot's
-	// timestep multiplicity) and best strategy index per digit
-	// cross-product. nil when the cross-product exceeds tableLimit. They and
-	// priced are read-only: evaluators with equal table keys share them
-	// through PriceCache (see slotTable).
-	costT []float64
-	bestT []int32
-	// minCost is the cheapest entry of costT — the slot's contribution to
-	// LowerBound. Slots priced lazily (cross-product beyond tableLimit)
-	// leave it 0, which keeps the bound admissible.
-	minCost float64
+	// t is the dense table, nil when the cross-product exceeds tableLimit.
+	// It and priced are read-only: evaluators of one slot class, or with
+	// equal table keys, share them through PriceCache.
+	t *slotTable
+	// memo is the lazy fallback for oversized cross-products; nil for a
+	// dense evaluator.
+	memo *lazyMemo
+}
 
-	// Lazy fallback for oversized cross-products: an integer-keyed memo
-	// guarded for the parallel sweep.
-	mu   sync.Mutex
-	memo map[int]slotBest
+// lazyMemo is an oversized slot's integer-keyed pricing memo, guarded for
+// the parallel sweep.
+type lazyMemo struct {
+	mu sync.Mutex
+	m  map[int]slotBest
 }
 
 type slotBest struct {
@@ -81,30 +77,42 @@ type slotBest struct {
 // one between every slot, step, segment and search whose table key agrees.
 type slotTable struct {
 	priced *partition.Priced
-	costT  []float64
-	bestT  []int32
-	// minCost is the cheapest entry of costT.
+	// costT and bestT are the cost (pre-multiplied by the slot's timestep
+	// multiplicity) and the best strategy index per digit cross-product.
+	costT []float64
+	bestT []int32
+	// minCost is the cheapest entry of costT — the slot's contribution to
+	// LowerBound. A lazily priced slot contributes 0, which keeps the bound
+	// admissible.
 	minCost float64
 }
 
 // evalScratch is the working memory one pool worker reuses across the slot
-// evaluators it builds; nothing in it outlives a newSlotEval call.
+// evaluators it builds; nothing in it outlives a newSlotEval call. key holds
+// a slot's class key, then its slot and table keys; ints the table filler's
+// digits and term columns.
 type evalScratch struct {
-	inCuts []partition.Cut
-	keep   []bool
-	key    []byte
+	ints []int
+	keep []bool
+	key  []byte
+	// sums holds the table filler's per-strategy fetch bytes; it is grown
+	// by the first fill, so a preparation that fills no table allocates
+	// none.
+	sums []float64
+	// classHits and classMisses count the worker's class memo lookups.
+	classHits, classMisses int64
 }
 
 // newEvalScratch sizes a scratch for building evaluators of slots of up to
-// maxIn inputs whose carried signatures are up to maxSig bytes: inCuts
-// exactly, keep and key with room for the strategy count and the table-key
-// tail of every registered operator (a longer one grows them like any
-// append).
+// maxIn inputs whose carried signatures are up to maxSig bytes: ints exactly
+// (at most 1 + 2·maxIn digits and columns), keep and key with room for
+// the strategy count, the class key and the table-key tail of every
+// registered operator (a longer one grows them like any append).
 func newEvalScratch(maxIn, maxSig int) evalScratch {
 	return evalScratch{
-		inCuts: make([]partition.Cut, maxIn),
-		keep:   make([]bool, 16),
-		key:    make([]byte, 0, maxSig+128),
+		ints: make([]int, 1+2*maxIn),
+		keep: make([]bool, 16),
+		key:  make([]byte, 0, maxSig+160),
 	}
 }
 
@@ -131,12 +139,30 @@ func touchedVars(s *coarsen.Slot) int {
 	return n
 }
 
-func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch, slabs *evalSlabs) (*slotEval, error) {
+// newSlotEval builds slot s's evaluator. Through a class memo (cls, nil
+// without one) only the first slot of each class prices: it looks the full
+// pricing and the table up by their string keys, gates the strategies and
+// fills the table; every later slot of the class lays out its own variables
+// and takes the class's table.
+func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, cls *classMemo, sc *evalScratch, slabs *evalSlabs) (*slotEval, error) {
 	rep := s.Rep()
 	ev := &slabs.evs[0]
 	slabs.evs = slabs.evs[1:]
-	ev.slot, ev.mult, ev.alphas = s, float64(len(s.Ops)), alphas
-	ev.inVars, ev.outVar = s.In, s.Out
+	ev.slot, ev.alphas = s, alphas
+	size := ev.layout(slabs)
+	n := 0 // the length of the slot's class key at the front of sc.key
+	if cls != nil && size <= tableLimit {
+		var ok bool
+		if sc.key, ok = ev.classKey(sc.key[:0]); ok {
+			if t := cls.get(s.SigID, sc.key); t != nil {
+				sc.classHits++
+				ev.take(t)
+				return ev, nil
+			}
+			sc.classMisses++
+			n = len(sc.key)
+		}
+	}
 
 	desc := s.Desc
 	if desc == nil {
@@ -153,8 +179,8 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch
 	// memoized in the cache — the Spec only materializes on a miss; the
 	// per-step strategy filter and the gate become a mask over its
 	// strategies.
-	sc.key = slotKey(sc.key, s.Sig, p.K, p.DType)
-	full, err := p.Cache.priced(sc.key, func() (*partition.Priced, error) {
+	sc.key = slotKey(sc.key[:n], s.Sig, p.K, p.DType)
+	full, err := p.Cache.priced(sc.key[n:], func() (*partition.Priced, error) {
 		origIn := make([]shape.Shape, len(rep.Inputs))
 		for i, in := range rep.Inputs {
 			origIn[i] = in.Shape
@@ -173,26 +199,37 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, sc *evalScratch
 	for si, st := range full.Strategies {
 		sc.keep[si] = (p.StrategyFilter == nil || p.StrategyFilter(st)) && admits(desc, s, alphas, p.K, st)
 	}
-	size := ev.layout(slabs)
 	if size > tableLimit {
 		// Oversized cross-product: no table to share, price lazily.
 		if ev.priced, err = full.Restrict(sc.keep); err != nil {
 			return nil, fmt.Errorf("dp: pricing %v: %w", rep, err)
 		}
-		ev.memo = map[int]slotBest{}
+		ev.memo = &lazyMemo{m: map[int]slotBest{}}
 		return ev, nil
 	}
 	sc.key = ev.tableKey(sc.key, sc.keep)
-	sc.inCuts = grow(sc.inCuts, len(s.In))
-	t, err := p.Cache.table(sc.key, size, func() (*slotTable, error) {
-		return ev.fill(full, sc.keep, size, sc.inCuts)
+	sc.ints = grow(sc.ints, len(ev.tvars)+len(s.In))
+	t, retained, err := p.Cache.table(sc.key[n:], size, func() (*slotTable, error) {
+		return ev.fill(full, size, sc)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dp: pricing %v: %w", rep, err)
 	}
-	ev.priced, ev.costT, ev.bestT, ev.minCost = t.priced, t.costT, t.bestT, t.minCost
+	if n > 0 && retained {
+		cls.put(s.SigID, sc.key[:n], t)
+	}
+	ev.take(t)
 	return ev, nil
 }
+
+// take points the evaluator at a filled table.
+func (ev *slotEval) take(t *slotTable) {
+	ev.priced, ev.t = t.priced, t
+}
+
+// mult is the slot's timestep multiplicity, which its costs are
+// pre-multiplied by.
+func (ev *slotEval) mult() float64 { return float64(len(ev.slot.Ops)) }
 
 // admits reports whether strategy st of a slot passes the current-shape
 // gate: whether the step's shapes still divide its partitioned extent into K
@@ -227,8 +264,8 @@ func admits(desc *tdl.OpDesc, s *coarsen.Slot, alphas []varAlpha, k int64, st pa
 // layout lays out the touched-variable cross-product — tvars, tstride,
 // inPos, outPos, carved from the slabs — and returns its size.
 func (ev *slotEval) layout(slabs *evalSlabs) int {
-	// Distinct touched vars (inVars/outVar may repeat), kept ascending by
-	// ID — the per-slot sets are tiny, so linear scans beat maps.
+	// Distinct touched vars (a slot's operands may repeat), kept ascending
+	// by ID — the per-slot sets are tiny, so linear scans beat maps.
 	tvars := slabs.vars[:0]
 	add := func(v *coarsen.Var) {
 		for _, t := range tvars {
@@ -244,11 +281,11 @@ func (ev *slotEval) layout(slabs *evalSlabs) int {
 		}
 		tvars[i] = v
 	}
-	for _, v := range ev.inVars {
+	for _, v := range ev.slot.In {
 		add(v)
 	}
-	add(ev.outVar)
-	nT, nIn := len(tvars), len(ev.inVars)
+	add(ev.slot.Out)
+	nT, nIn := len(tvars), len(ev.slot.In)
 	ev.tvars, slabs.vars = tvars[:nT:nT], slabs.vars[nT:]
 	pos := func(v *coarsen.Var) int {
 		for j, t := range tvars {
@@ -259,10 +296,10 @@ func (ev *slotEval) layout(slabs *evalSlabs) int {
 		return -1
 	}
 	ev.tstride, ev.inPos, slabs.ints = slabs.ints[:nT:nT], slabs.ints[nT:nT+nIn:nT+nIn], slabs.ints[nT+nIn:]
-	for i, v := range ev.inVars {
+	for i, v := range ev.slot.In {
 		ev.inPos[i] = pos(v)
 	}
-	ev.outPos = pos(ev.outVar)
+	ev.outPos = pos(ev.slot.Out)
 
 	size := 1
 	for j := len(tvars) - 1; j >= 0; j-- {
@@ -309,28 +346,83 @@ func (ev *slotEval) tableKey(key []byte, keep []bool) []byte {
 	return strconv.AppendInt(key, int64(len(ev.slot.Ops)), 10)
 }
 
+// classKey appends ev's class key to key: the slot's multiplicity, its
+// aliasing pattern (outPos, then inPos) and each touched variable's alphabet
+// mask in tvars order, as varints. The slot's SigID fixes its operand count
+// and the pattern the number of masks, so the key is self-delimiting. With
+// the SigID and the class memo's scope (the coarsening's signature table, K,
+// dtype, no strategy filter) it fixes everything the slot's table is a
+// function of (see tableKey). ok is false when a touched variable's rank is
+// past the mask (varAlpha.mask).
+//
+//tofu:hotpath once per dense slot per Solve/LowerBound; enforced by tofu-vet/hotalloc
+func (ev *slotEval) classKey(key []byte) (_ []byte, ok bool) {
+	key = binary.AppendUvarint(key, uint64(len(ev.slot.Ops)))
+	key = binary.AppendUvarint(key, uint64(ev.outPos))
+	for _, tp := range ev.inPos {
+		key = binary.AppendUvarint(key, uint64(tp))
+	}
+	for _, v := range ev.tvars {
+		m := ev.alphas[v.ID].mask
+		if m == 0 {
+			return key, false
+		}
+		key = binary.AppendUvarint(key, m)
+	}
+	return key, true
+}
+
 // fill restricts the full pricing to the surviving strategies and fills the
 // dense cost/strategy tables over the laid-out cross-product — the one table
-// filler, whether PriceCache retains the result or not. inCuts is caller
-// scratch, one per input.
-func (ev *slotEval) fill(full *partition.Priced, keep []bool, size int, inCuts []partition.Cut) (*slotTable, error) {
-	priced, err := full.Restrict(keep)
+// filler, whether PriceCache retains the result or not. It walks the digits
+// in table order, the last touched variable fastest, with a carry instead of
+// a division per entry. The strategies' fetch bytes (Priced.InSums) depend
+// on the input cuts alone, so they are summed again only when an input's
+// digit moved; Priced.BestOf adds the output term per entry. Together they
+// are Priced.Best: its sums, order and tie rule. sc.ints must hold
+// len(tvars) + len(slot.In) ints.
+func (ev *slotEval) fill(full *partition.Priced, size int, sc *evalScratch) (*slotTable, error) {
+	priced, err := full.Restrict(sc.keep)
 	if err != nil {
 		return nil, err
 	}
-	ev.priced = priced // price() minimizes over it
 	t := &slotTable{
 		priced:  priced,
 		costT:   make([]float64, size),
 		bestT:   make([]int32, size),
 		minCost: math.Inf(1),
 	}
-	for ti := 0; ti < size; ti++ {
-		si, cost := ev.price(ti, inCuts)
+	nT, mult := len(ev.tvars), ev.mult()
+	digit, cols := sc.ints[:nT], sc.ints[nT:nT+len(ev.inPos)]
+	clear(digit)
+	sc.sums = grow(sc.sums, len(priced.Strategies))
+	// outOnly is the output's digit when no input shares its variable, -1
+	// otherwise: the one digit that leaves the fetch bytes as they are.
+	outOnly := ev.outPos
+	if slices.Contains(ev.inPos, ev.outPos) {
+		outOnly = -1
+	}
+	for ti, moved := 0, true; ti < size; ti++ {
+		if moved {
+			for i, tp := range ev.inPos {
+				cols[i] = priced.Column(i, ev.alphas[ev.tvars[tp].ID].dims[digit[tp]])
+			}
+			priced.InSums(cols, sc.sums)
+		}
+		si, cost := priced.BestOf(sc.sums, ev.alphas[ev.tvars[ev.outPos].ID].dims[digit[ev.outPos]])
+		cost *= mult
 		t.costT[ti] = cost
-		t.bestT[ti] = si
+		t.bestT[ti] = int32(si)
 		if cost < t.minCost {
 			t.minCost = cost
+		}
+		moved = false
+		for j := nT - 1; j >= 0; j-- {
+			moved = moved || j != outOnly
+			if digit[j]++; digit[j] < len(ev.alphas[ev.tvars[j].ID].dims) {
+				break
+			}
+			digit[j] = 0
 		}
 	}
 	return t, nil
@@ -338,7 +430,8 @@ func (ev *slotEval) fill(full *partition.Priced, keep []bool, size int, inCuts [
 
 // price runs the legacy per-call pricing for one digit cross-product index:
 // decode the index into per-position cuts and take the cheapest strategy.
-// The returned cost is pre-multiplied by the slot multiplicity.
+// The returned cost is pre-multiplied by the slot multiplicity. The lazy
+// path prices with it, and it is the reference the dense tables are held to.
 //
 //tofu:hotpath allocation-free by PR 3; enforced by tofu-vet/hotalloc
 func (ev *slotEval) price(ti int, inCuts []partition.Cut) (int32, float64) {
@@ -347,7 +440,7 @@ func (ev *slotEval) price(ti int, inCuts []partition.Cut) (int32, float64) {
 	}
 	outCut := partition.Cut{Dim: ev.dimAt(ti, ev.outPos)}
 	si, cost := ev.priced.Best(inCuts, outCut)
-	return int32(si), cost * ev.mult
+	return int32(si), cost * ev.mult()
 }
 
 // dimAt is the cut dimension table index ti assigns to tvars[tp].
@@ -362,16 +455,17 @@ func (ev *slotEval) dimAt(ti, tp int) int {
 //
 //tofu:hotpath allocation-free by PR 3; enforced by tofu-vet/hotalloc
 func (ev *slotEval) lazy(ti int) (int32, float64) {
-	ev.mu.Lock()
-	b, ok := ev.memo[ti]
-	ev.mu.Unlock()
+	lm := ev.memo
+	lm.mu.Lock()
+	b, ok := lm.m[ti]
+	lm.mu.Unlock()
 	if !ok {
-		inCuts := make([]partition.Cut, len(ev.inVars))
+		inCuts := make([]partition.Cut, len(ev.slot.In))
 		si, cost := ev.price(ti, inCuts)
 		b = slotBest{si: si, cost: cost}
-		ev.mu.Lock()
-		ev.memo[ti] = b
-		ev.mu.Unlock()
+		lm.mu.Lock()
+		lm.m[ti] = b
+		lm.mu.Unlock()
 	}
 	return b.si, b.cost
 }
@@ -381,8 +475,8 @@ func (ev *slotEval) lazy(ti int) (int32, float64) {
 //
 //tofu:hotpath allocation-free by PR 3; enforced by tofu-vet/hotalloc
 func (ev *slotEval) bestAt(ti int) (int32, float64) {
-	if ev.costT != nil {
-		return ev.bestT[ti], ev.costT[ti]
+	if t := ev.t; t != nil {
+		return t.bestT[ti], t.costT[ti]
 	}
 	return ev.lazy(ti)
 }
@@ -395,7 +489,7 @@ func (ev *slotEval) indexOf(assign map[int]int) (int, error) {
 	for j, v := range ev.tvars {
 		d, ok := assign[v.ID]
 		if !ok {
-			for _, iv := range ev.inVars {
+			for _, iv := range ev.slot.In {
 				if iv == v {
 					return 0, fmt.Errorf("dp: slot %v references undecided var %v", ev.slot.Rep(), v)
 				}
@@ -426,16 +520,16 @@ func (ev *slotEval) best(assign map[int]int) (int, float64, error) {
 // parts itemizes the chosen strategy's communication under an assignment.
 // inCuts is caller scratch, one per input.
 func (ev *slotEval) parts(si int, assign map[int]int, inCuts []partition.Cut) (partition.Parts, error) {
-	for i, v := range ev.inVars {
+	for i, v := range ev.slot.In {
 		d, ok := assign[v.ID]
 		if !ok {
 			return partition.Parts{}, fmt.Errorf("dp: slot %v references undecided var %v", ev.slot.Rep(), v)
 		}
 		inCuts[i] = partition.Cut{Dim: d}
 	}
-	od, ok := assign[ev.outVar.ID]
+	od, ok := assign[ev.slot.Out.ID]
 	if !ok {
-		return partition.Parts{}, fmt.Errorf("dp: slot %v output var %v undecided", ev.slot.Rep(), ev.outVar)
+		return partition.Parts{}, fmt.Errorf("dp: slot %v output var %v undecided", ev.slot.Rep(), ev.slot.Out)
 	}
 	return ev.priced.PartsOf(si, inCuts, partition.Cut{Dim: od}), nil
 }

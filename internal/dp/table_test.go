@@ -57,14 +57,14 @@ func TestTablesMatchDirectPricing(t *testing.T) {
 					// Legacy per-call pricing: cuts straight from the
 					// assignment, best strategy from the restricted
 					// enumeration, multiplied by the slot multiplicity.
-					inCuts := make([]partition.Cut, len(ev.inVars))
-					for i, v := range ev.inVars {
+					inCuts := make([]partition.Cut, len(ev.slot.In))
+					for i, v := range ev.slot.In {
 						inCuts[i] = partition.Cut{Dim: assign[v.ID]}
 					}
-					wantSi, wantCost := ev.priced.Best(inCuts, partition.Cut{Dim: assign[ev.outVar.ID]})
-					if si != wantSi || cost != wantCost*ev.mult {
+					wantSi, wantCost := ev.priced.Best(inCuts, partition.Cut{Dim: assign[ev.slot.Out.ID]})
+					if si != wantSi || cost != wantCost*ev.mult() {
 						t.Fatalf("%s k=%d slot %v assign %v: table (%d, %g) != direct (%d, %g)",
-							b.name, k, ev.slot.Rep(), assign, si, cost, wantSi, wantCost*ev.mult)
+							b.name, k, ev.slot.Rep(), assign, si, cost, wantSi, wantCost*ev.mult())
 					}
 				}
 				// Evaluate's total must equal the direct per-slot sum.
@@ -74,12 +74,12 @@ func TestTablesMatchDirectPricing(t *testing.T) {
 				}
 				sum := 0.0
 				for _, ev := range sl.ordered {
-					inCuts := make([]partition.Cut, len(ev.inVars))
-					for i, v := range ev.inVars {
+					inCuts := make([]partition.Cut, len(ev.slot.In))
+					for i, v := range ev.slot.In {
 						inCuts[i] = partition.Cut{Dim: assign[v.ID]}
 					}
-					_, c := ev.priced.Best(inCuts, partition.Cut{Dim: assign[ev.outVar.ID]})
-					sum += c * ev.mult
+					_, c := ev.priced.Best(inCuts, partition.Cut{Dim: assign[ev.slot.Out.ID]})
+					sum += c * ev.mult()
 				}
 				if math.Abs(res.CommBytes-sum) > 1e-9*(1+sum) {
 					t.Fatalf("%s k=%d: Evaluate %g != direct sum %g", b.name, k, res.CommBytes, sum)
@@ -87,6 +87,57 @@ func TestTablesMatchDirectPricing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDenseTablesMatchBest holds every dense table the filler writes to one
+// filled entry by entry through the legacy pricing (slotEval.price: the
+// index decoded by division, Priced.Best on the cuts, times the
+// multiplicity): the same strategy index and cost bits at every entry, and
+// the same minimum. Every slot of the benchmark families at K = 2, 3 and 4,
+// filled with no price cache.
+func TestDenseTablesMatchBest(t *testing.T) {
+	builds := []func() (*models.Model, error){
+		func() (*models.Model, error) { return models.MLP(2, 96, 24) },
+		func() (*models.Model, error) { return models.RNN(2, 96, 24, 4) },
+		func() (*models.Model, error) { return models.WResNet(50, 2, 24) },
+		func() (*models.Model, error) {
+			return models.Build(models.Config{Family: "transformer", Depth: 2, Width: 96, Batch: 24})
+		},
+	}
+	entries := 0
+	for _, build := range builds {
+		m, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int64{2, 3, 4} {
+			p := problemFor(t, m, k)
+			sl, err := prepareSlotEvals(p)
+			if err != nil {
+				continue // no dimension divides k ways
+			}
+			for _, ev := range sl.ordered {
+				if ev.t == nil {
+					continue
+				}
+				inCuts := make([]partition.Cut, len(ev.slot.In))
+				least := math.Inf(1)
+				for ti, cost := range ev.t.costT {
+					si, want := ev.price(ti, inCuts)
+					if ev.t.bestT[ti] != si || math.Float64bits(cost) != math.Float64bits(want) {
+						t.Fatalf("%s k=%d slot %v entry %d: table (%d, %v), Best (%d, %v)",
+							m.Name, k, ev.slot.Rep(), ti, ev.t.bestT[ti], cost, si, want)
+					}
+					least = min(least, want)
+					entries++
+				}
+				if math.Float64bits(ev.t.minCost) != math.Float64bits(least) {
+					t.Fatalf("%s k=%d slot %v: minCost %v, least entry %v", m.Name, k, ev.slot.Rep(), ev.t.minCost, least)
+				}
+			}
+		}
+	}
+	t.Logf("%d entries", entries)
 }
 
 // TestStepMemoMatch pins what the step memo shares. Two preparations of one

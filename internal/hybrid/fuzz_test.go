@@ -36,6 +36,10 @@ import (
 //     frontier reaches turns the bound off) in VarCut and CommBytes bits, and
 //     ≡ brute force over the coarse variables (dp.NewEvaluator) where the
 //     assignment space is small;
+//   - every slot table the price cache's class memo serves, at each prime
+//     factor and at each step of every ordering's chain ≡ the table a
+//     preparation with no price cache fills for the same slot
+//     (dp.DiffPrepared);
 //   - each recursive step of the searched plan ≡ a fresh dp.Solve with no
 //     price cache at that step's divided shapes, bit for bit;
 //   - the ordering search ≡ Options.TopoExhaustive on hierarchical machines;
@@ -375,7 +379,7 @@ func (b *fuzzBuilder) block(code, m int, h *graph.Tensor) *graph.Tensor {
 var fuzzLayers = [...]string{"table memo hits", "shared preparations", "replayed sweeps",
 	"segment memo hits", "segments the lazy search skipped", "bounded sweeps", "orderings pruned",
 	"brute-forced flat DPs", "hybrid searches", "segments sharing a structural key",
-	"in-place chains crossing a stage edge", "tensors read by two stages"}
+	"in-place chains crossing a stage edge", "tensors read by two stages", "class memo hits"}
 
 // fuzzUse counts what one input exercised, per fuzzLayers entry.
 type fuzzUse [len(fuzzLayers)]int64
@@ -575,6 +579,21 @@ func checkFlatDP(t *testing.T, c *coarsen.Coarse, k int64, use *fuzzUse) {
 		t.Fatalf("flat DP at K=%d: cost %v, the exhaustive sweep's %v (same cuts %v)",
 			k, got.CommBytes, want.CommBytes, maps.Equal(got.VarCut, want.VarCut))
 	}
+	// A second preparation on the solve's cache takes every slot's table from
+	// the class memo.
+	memo, err := dp.Prepare(&dp.Problem{Coarse: c, K: k, Shapes: originalShapes(c), DType: shape.Float32, Parallelism: 1, Cache: cache})
+	if err != nil {
+		t.Fatalf("flat DP at K=%d, prepared again: %v", k, err)
+	}
+	fresh, err := dp.Prepare(q)
+	if err != nil {
+		t.Fatalf("flat DP at K=%d, prepared with no cache: %v", k, err)
+	}
+	if err := dp.DiffPrepared(memo, fresh); err != nil {
+		t.Fatalf("flat DP at K=%d: the class memo serves another table than a fresh fill: %v", k, err)
+	}
+	classHits, _ := cache.ClassStats()
+	use[12] += classHits
 	best, ok := bruteForce(t, &dp.Problem{Coarse: c, K: k, Shapes: originalShapes(c), DType: shape.Float32, Parallelism: 1}, cache)
 	if !ok {
 		return
@@ -828,8 +847,8 @@ func checkStepMemo(t *testing.T, c *coarsen.Coarse, factors []int64, use *fuzzUs
 }
 
 // memoStep prepares and solves p through memo and, with no price cache,
-// fresh, and holds the two to the same outcome, LowerBound bits, VarCut,
-// CommBytes, States and Configs. It returns the fresh result (nil when the
+// fresh, and holds the two to the same outcome, slot tables (dp.DiffPrepared),
+// LowerBound bits, VarCut, CommBytes, States and Configs. It returns the fresh result (nil when the
 // step is infeasible) and whether the memo shared the preparation and
 // replayed the sweep.
 func memoStep(t *testing.T, memo *dp.StepMemo, p *dp.Problem, at string) (want *dp.Result, hit, replayed bool) {
@@ -843,6 +862,9 @@ func memoStep(t *testing.T, memo *dp.StepMemo, p *dp.Problem, at string) (want *
 	}
 	if err != nil {
 		return nil, hit, false
+	}
+	if err := dp.DiffPrepared(pr, fresh); err != nil {
+		t.Fatalf("step memo at %s (shared %v): the preparation and a fresh one differ: %v", at, hit, err)
 	}
 	if got, want := pr.LowerBound(), fresh.LowerBound(); math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("step memo at %s (shared %v): LowerBound %v, fresh %v", at, hit, got, want)

@@ -77,7 +77,9 @@ func forEachCut(sp *Spec, fn func(inCuts []Cut, outCut Cut)) {
 // per-call Cost path for every strategy and cut combination. Cost sums each
 // input over the workers before adding the inputs up; PartsOf sums
 // worker-outer. With k a power of two every term is an exact dyadic number
-// and the two orders agree to the bit; otherwise to rounding.
+// and the two orders agree to the bit; otherwise to rounding. InSums and
+// BestOf, the table filler's kernel, must return Best's strategy and cost
+// bits at every combination, on the full pricing and on a restricted view.
 func TestPricedMatchesCost(t *testing.T) {
 	for _, sp := range edgeSpecs(t) {
 		for _, k := range workerCounts {
@@ -119,9 +121,22 @@ func TestPricedMatchesCost(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			cols := make([]int, len(sp.InShapes))
+			sums := make([]float64, len(p.Strategies))
 			forEachCut(sp, func(inCuts []Cut, outCut Cut) {
 				if got, want := view.CostOf(0, inCuts, outCut), p.CostOf(len(keep)-1, inCuts, outCut); got != want {
 					t.Errorf("%s k=%d: restricted view prices %v, full pricing %v", sp.Desc.Name, k, got, want)
+				}
+				for _, q := range []*Priced{p, view} {
+					for i, c := range inCuts {
+						cols[i] = q.Column(i, c.Dim)
+					}
+					q.InSums(cols, sums)
+					si, cost := q.BestOf(sums, outCut.Dim)
+					if wantSi, wantCost := q.Best(inCuts, outCut); si != wantSi || math.Float64bits(cost) != math.Float64bits(wantCost) {
+						t.Errorf("%s k=%d cuts %v/%v: InSums and BestOf (%d, %v), Best (%d, %v)",
+							sp.Desc.Name, k, inCuts, outCut, si, cost, wantSi, wantCost)
+					}
 				}
 			})
 		}
@@ -130,7 +145,8 @@ func TestPricedMatchesCost(t *testing.T) {
 
 // TestPartsOfRejectsCutBeyondRank: the term rows are flat, so a cut
 // dimension past an input's rank would land on the next input's terms. It
-// must fail as loudly as it did when PartsOf indexed the input's shape.
+// must fail as loudly as it did when PartsOf indexed the input's shape, and
+// so must Column, where the table filler's kernel takes its cuts.
 func TestPartsOfRejectsCutBeyondRank(t *testing.T) {
 	p, err := Price(matmulSpec(t, 64, 256, 512), 4, nil)
 	if err != nil {
@@ -145,7 +161,57 @@ func TestPartsOfRejectsCutBeyondRank(t *testing.T) {
 			}()
 			p.PartsOf(0, []Cut{{Dim: bad}, {Dim: 0}}, Cut{Dim: 0})
 		}()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("rank-2 input cut on dim %d returned a column", bad)
+				}
+			}()
+			p.Column(0, bad)
+		}()
 	}
+}
+
+// TestFillTermsMatchFetchBytes holds the term fill of Price to fetchBytes,
+// the definition Cost prices with: on every instance of every tdl.Std
+// operator the exact-access oracle runs and on the edge descriptions, at K =
+// 2, 3, 4, 6 and 12, every strategy's term for every (worker, input, cut
+// dimension) is fetchBytes of that worker's InputRegions box, bit for bit.
+func TestFillTermsMatchFetchBytes(t *testing.T) {
+	specs := edgeSpecs(t)
+	for _, c := range oracleCases(t) {
+		specs = append(specs, c.sp)
+	}
+	checked := 0
+	for _, sp := range specs {
+		ev := newRegionEval(sp)
+		row := len(ev.regs)
+		elemSize := float64(sp.DType.Size())
+		for _, k := range []int64{2, 3, 4, 6, 12} {
+			terms := make([]float64, int(k)*row)
+			for _, s := range Enumerate(sp.Desc) {
+				ev.fillTerms(terms, ev.prog.Symbol(s.Axis), k, elemSize)
+				for w := int64(0); w < k; w++ {
+					regions, err := InputRegions(sp, s, k, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, reg := range regions {
+						for d := range reg {
+							want := fetchBytes(reg, d, w, k, float64(sp.InShapes[i].Dim(d)), elemSize)
+							got := terms[int(w)*row+ev.prog.Offsets[i]+d]
+							if math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("%s %v k=%d worker %d input %d dim %d: term %v, fetchBytes %v",
+									sp.Desc.Name, s, k, w, i, d, got, want)
+							}
+							checked++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d specs, %d terms", len(specs), checked)
 }
 
 func conv2dSpec(t testing.TB) *Spec {
@@ -162,10 +228,10 @@ func bmmSpec(t testing.TB) *Spec {
 
 // TestPriceAllocsBounded: a pricing allocates its result — the Priced, its
 // strategy list, the term slab and its per-strategy windows — and the
-// evaluator's three buffers, whatever the worker count and however many
+// evaluator's two buffers, whatever the worker count and however many
 // strategies survive the filter.
 func TestPriceAllocsBounded(t *testing.T) {
-	const ceiling = 7
+	const ceiling = 6
 	sp := conv2dSpec(t)
 	first := Enumerate(sp.Desc)[0]
 	cases := []struct {

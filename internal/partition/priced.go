@@ -61,18 +61,43 @@ func Price(sp *Spec, k int64, filter func(Strategy) bool) (*Priced, error) {
 }
 
 // fillTerms evaluates every worker's regions with symbol split partitioned
-// k ways and writes the workers' fetch-term rows into terms.
+// k ways and writes the workers' fetch-term rows into terms. Each term is
+// fetchBytes' expression, with the region's element count taken once per
+// (worker, input) instead of once per cut dimension; TestFillTermsMatchFetchBytes
+// holds every term to fetchBytes bit for bit.
 //
 //tofu:hotpath once per strategy of every pricing; enforced by tofu-vet/hotalloc
 func (ev *regionEval) fillTerms(terms []float64, split int, k int64, elemSize float64) {
 	row := len(ev.regs)
-	for w := int64(0); w < k; w++ {
+	fw, fk := 0.0, float64(k)
+	for w := int64(0); w < k; w, fw = w+1, fw+1 {
 		ev.eval(split, k, w)
 		out := terms[int(w)*row : (int(w)+1)*row]
+		lo, hi := fw/fk, (fw+1)/fk
 		for i := 0; i+1 < len(ev.prog.Offsets); i++ {
+			at := ev.prog.Offsets[i]
 			reg := ev.input(i)
-			for d := range reg {
-				out[ev.prog.Offsets[i]+d] = fetchBytes(reg, d, w, k, ev.dim[ev.prog.Offsets[i]+d], elemSize)
+			need := 1.0 // reg.Elems(), in its order
+			for _, r := range reg {
+				need *= max(0, r.Hi-r.Lo)
+			}
+			for d, r := range reg {
+				if need == 0 {
+					out[at+d] = 0
+					continue
+				}
+				// The overlap of the region's cut-dimension range with the
+				// worker's own slab, and the elements held locally.
+				ext := ev.dim[at+d]
+				olo, ohi := max(r.Lo, lo*ext), min(r.Hi, hi*ext)
+				if ohi < olo {
+					ohi = olo
+				}
+				local := need
+				if size := max(0, r.Hi-r.Lo); size > 0 {
+					local = need / size * max(0, ohi-olo)
+				}
+				out[at+d] = max(0, need-local) * elemSize
 			}
 		}
 	}
@@ -80,9 +105,10 @@ func (ev *regionEval) fillTerms(terms []float64, split int, k int64, elemSize fl
 
 // Restrict returns a view of p holding only the strategies whose keep entry
 // is set (keep is indexed like p.Strategies), in the original enumeration
-// order. The view shares the underlying term tables, so restricting a cached
-// full pricing to one recursive step's applicable strategies costs two slice
-// fills instead of re-running the region analysis (see dp.PriceCache).
+// order: p itself when every entry is set. The view shares the underlying
+// term tables, so restricting a cached full pricing to one recursive step's
+// applicable strategies costs two slice fills instead of re-running the
+// region analysis (see dp.PriceCache).
 func (p *Priced) Restrict(keep []bool) (*Priced, error) {
 	n := 0
 	for si := range p.Strategies {
@@ -92,6 +118,9 @@ func (p *Priced) Restrict(keep []bool) (*Priced, error) {
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("partition: no applicable strategy for %s at k=%d", p.Spec.Desc.Name, p.K)
+	}
+	if n == len(p.Strategies) {
+		return p, nil
 	}
 	out := &Priced{
 		Spec: p.Spec, K: p.K, offs: p.offs, outBytes: p.outBytes,
@@ -150,6 +179,67 @@ func (p *Priced) PartsOf(si int, inCuts []Cut, outCut Cut) Parts {
 		parts.OutBytes += p.outBytes * float64(p.K-1)
 	}
 	return parts
+}
+
+// Column returns where the fetch terms of input i cut along dimension d
+// sit in a worker's row of the term tables: the cut InSums takes. A
+// dimension outside the input's rank panics, as a cut past it does in
+// PartsOf.
+//
+//tofu:hotpath every dense slot-table entry; enforced by tofu-vet/hotalloc
+func (p *Priced) Column(i, d int) int {
+	if uint(d) >= uint(p.offs[i+1]-p.offs[i]) {
+		panic("partition: a cut dimension outside its input's rank")
+	}
+	return p.offs[i] + d
+}
+
+// InSums writes into sums[si] strategy si's fetch bytes when input i's cut
+// is at column cols[i] (Column): PartsOf's InBytes, summed in its order,
+// worker-outer and input-inner. The output's cut does not enter, so the
+// dense table filler sums once per input cut and picks per output cut with
+// BestOf.
+//
+//tofu:hotpath the dense slot-table fill; enforced by tofu-vet/hotalloc
+func (p *Priced) InSums(cols []int, sums []float64) {
+	row := p.offs[len(p.offs)-1]
+	for si, terms := range p.terms {
+		in := 0.0
+		for w := 0; w < int(p.K); w++ {
+			worker := terms[w*row : (w+1)*row]
+			for _, c := range cols {
+				in += worker[c]
+			}
+		}
+		sums[si] = in
+	}
+}
+
+// BestOf returns what Best returns when the strategies' fetch bytes are
+// sums (InSums) and the output is cut along outDim: per strategy PartsOf's
+// total, its output term added to the fetch bytes, and the first strictly
+// cheapest strategy.
+//
+//tofu:hotpath every dense slot-table entry; enforced by tofu-vet/hotalloc
+func (p *Priced) BestOf(sums []float64, outDim int) (int, float64) {
+	move := p.outBytes * float64(p.K-1) / float64(p.K)
+	reduce := p.outBytes * float64(p.K-1)
+	best, bestCost := -1, math.Inf(1)
+	for si := range p.Strategies {
+		out := 0.0
+		switch s := &p.Strategies[si]; s.Kind {
+		case SplitOutput:
+			if s.OutDim != outDim {
+				out += move
+			}
+		case SplitReduce:
+			out += reduce
+		}
+		if c := sums[si] + out; c < bestCost {
+			best, bestCost = si, c
+		}
+	}
+	return best, bestCost
 }
 
 // Best returns the index and cost of the cheapest strategy under the cuts.

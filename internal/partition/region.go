@@ -36,8 +36,9 @@ func (r Region) Elems() float64 {
 	return n
 }
 
-// InputRegions runs the interval analysis (Sec 4.2) for worker w of k under
-// the given strategy and returns, per operator input, the bounding box of the
+// InputRegions evaluates the description's compiled region program (the
+// paper's interval analysis, Sec 4.2) for worker w of k under the given
+// strategy and returns, per operator input, the bounding box of the
 // region that worker must read. This is the information Fig 2's stripe
 // diagrams visualize.
 func InputRegions(sp *Spec, s Strategy, k, w int64) ([]Region, error) {
@@ -67,11 +68,11 @@ type regionEval struct {
 	regs []Range   // the last evaluated worker's regions, one per slot
 }
 
-func newRegionEval(sp *Spec) *regionEval {
+func newRegionEval(sp *Spec) regionEval {
 	prog := sp.Desc.Regions()
 	slots := prog.Offsets[len(sp.InShapes)]
 	floats := make([]float64, len(prog.Symbols)+slots)
-	ev := &regionEval{
+	ev := regionEval{
 		prog: prog,
 		ext:  floats[:len(prog.Symbols)],
 		dim:  floats[len(prog.Symbols):],
