@@ -18,29 +18,37 @@ func DiffPrepared(got, want *Prepared) error {
 		}
 	}
 	for i, w := range want.sl.ordered {
-		g := got.sl.ordered[i]
-		name := w.slot.Rep().String()
-		if !slices.Equal(g.priced.Strategies, w.priced.Strategies) {
-			return fmt.Errorf("slot %s: strategies %v, fresh %v", name, g.priced.Strategies, w.priced.Strategies)
+		if err := diffSlot(got.sl.ordered[i], w); err != nil {
+			return fmt.Errorf("slot %s: %w", w.slot.Rep(), err)
 		}
-		if (g.t == nil) != (w.t == nil) {
-			return fmt.Errorf("slot %s: dense %v, fresh %v", name, g.t != nil, w.t != nil)
+	}
+	return nil
+}
+
+// diffSlot describes the first difference between two evaluators of one
+// slot in what a table memo shares — strategies, costT, bestT, minCost, bit
+// for bit — or returns nil.
+func diffSlot(g, w *slotEval) error {
+	if !slices.Equal(g.priced.Strategies, w.priced.Strategies) {
+		return fmt.Errorf("strategies %v, fresh %v", g.priced.Strategies, w.priced.Strategies)
+	}
+	if (g.t == nil) != (w.t == nil) {
+		return fmt.Errorf("dense %v, fresh %v", g.t != nil, w.t != nil)
+	}
+	if w.t == nil {
+		return nil
+	}
+	if len(g.t.costT) != len(w.t.costT) || !slices.Equal(g.t.bestT, w.t.bestT) {
+		return fmt.Errorf("%d entries and best strategies %v, fresh %d and %v",
+			len(g.t.costT), g.t.bestT, len(w.t.costT), w.t.bestT)
+	}
+	for ti, c := range w.t.costT {
+		if math.Float64bits(g.t.costT[ti]) != math.Float64bits(c) {
+			return fmt.Errorf("entry %d costs %v, fresh %v", ti, g.t.costT[ti], c)
 		}
-		if w.t == nil {
-			continue
-		}
-		if len(g.t.costT) != len(w.t.costT) || !slices.Equal(g.t.bestT, w.t.bestT) {
-			return fmt.Errorf("slot %s: %d entries and best strategies %v, fresh %d and %v",
-				name, len(g.t.costT), g.t.bestT, len(w.t.costT), w.t.bestT)
-		}
-		for ti, c := range w.t.costT {
-			if math.Float64bits(g.t.costT[ti]) != math.Float64bits(c) {
-				return fmt.Errorf("slot %s: entry %d costs %v, fresh %v", name, ti, g.t.costT[ti], c)
-			}
-		}
-		if math.Float64bits(g.t.minCost) != math.Float64bits(w.t.minCost) {
-			return fmt.Errorf("slot %s: minCost %v, fresh %v", name, g.t.minCost, w.t.minCost)
-		}
+	}
+	if math.Float64bits(g.t.minCost) != math.Float64bits(w.t.minCost) {
+		return fmt.Errorf("minCost %v, fresh %v", g.t.minCost, w.t.minCost)
 	}
 	return nil
 }

@@ -14,36 +14,11 @@ import (
 )
 
 // sameTable asserts two evaluators of one slot agree bit for bit on
-// everything the table memo shares.
+// everything the table memo shares (diffSlot).
 func sameTable(t *testing.T, name string, got, want *slotEval) {
 	t.Helper()
-	if len(got.priced.Strategies) != len(want.priced.Strategies) {
-		t.Fatalf("%s: %d strategies, fresh %d", name, len(got.priced.Strategies), len(want.priced.Strategies))
-	}
-	for i, st := range want.priced.Strategies {
-		if got.priced.Strategies[i] != st {
-			t.Fatalf("%s: strategy %d = %v, fresh %v", name, i, got.priced.Strategies[i], st)
-		}
-	}
-	if (got.t == nil) != (want.t == nil) {
-		t.Fatalf("%s: dense %v, fresh %v", name, got.t != nil, want.t != nil)
-	}
-	if want.t == nil {
-		return
-	}
-	g, w := got.t, want.t
-	if len(g.costT) != len(w.costT) || len(g.bestT) != len(w.bestT) {
-		t.Fatalf("%s: table sizes (%d, %d), fresh (%d, %d)",
-			name, len(g.costT), len(g.bestT), len(w.costT), len(w.bestT))
-	}
-	for ti := range w.costT {
-		if math.Float64bits(g.costT[ti]) != math.Float64bits(w.costT[ti]) || g.bestT[ti] != w.bestT[ti] {
-			t.Fatalf("%s: entry %d = (%d, %v), fresh (%d, %v)",
-				name, ti, g.bestT[ti], g.costT[ti], w.bestT[ti], w.costT[ti])
-		}
-	}
-	if math.Float64bits(g.minCost) != math.Float64bits(w.minCost) {
-		t.Fatalf("%s: minCost %v, fresh %v", name, g.minCost, w.minCost)
+	if err := diffSlot(got, want); err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
 }
 

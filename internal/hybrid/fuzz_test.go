@@ -847,10 +847,10 @@ func checkStepMemo(t *testing.T, c *coarsen.Coarse, factors []int64, use *fuzzUs
 }
 
 // memoStep prepares and solves p through memo and, with no price cache,
-// fresh, and holds the two to the same outcome, slot tables (dp.DiffPrepared),
-// LowerBound bits, VarCut, CommBytes, States and Configs. It returns the fresh result (nil when the
-// step is infeasible) and whether the memo shared the preparation and
-// replayed the sweep.
+// fresh, and holds the two to the same outcome, slot tables
+// (dp.DiffPrepared), LowerBound bits, VarCut, CommBytes, States and Configs.
+// It returns the fresh result (nil when the step is infeasible) and whether
+// the memo shared the preparation and replayed the sweep.
 func memoStep(t *testing.T, memo *dp.StepMemo, p *dp.Problem, at string) (want *dp.Result, hit, replayed bool) {
 	t.Helper()
 	q := *p
