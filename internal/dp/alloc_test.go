@@ -43,9 +43,9 @@ func TestPrepareSlotEvalsAllocs(t *testing.T) {
 
 // TestPrepareColdAllocs is Prepare's allocation ceiling against a fresh
 // PriceCache — a cold search's first step, which pays for every pricing,
-// every table and the class memo — on the two WResNets of cold-flat. The
-// parent of the class memo allocated 4 248 objects and 767 KiB, and
-// 4 248 and 1 321 KiB.
+// every table and the class memo — on the two WResNets of cold-flat.
+// Before the class memo it allocated 4 248 objects and 767 KiB, and 4 248
+// and 1 321 KiB.
 func TestPrepareColdAllocs(t *testing.T) {
 	ceilings := map[string]struct{ objects, kb float64 }{ // measured: 3 350/626, 3 350/1 032
 		"wresnet-50-4@32":  {3400, 645},
