@@ -60,9 +60,9 @@ func BenchmarkSolveSweep(b *testing.B) {
 }
 
 // BenchmarkSolveWarm times one Solve whose slot tables are already filled,
-// two ways: found in the PriceCache table memo (one key build and two map
-// lookups per slot), and refilled from the cached pricings (a table memo
-// with no budget: what every warm Solve cost before the memo).
+// two ways: found in the PriceCache class memo (one class key and one walk of
+// a short chain per slot), and refilled from the cached pricings (a class
+// memo with no budget: what every warm Solve cost before a table memo).
 func BenchmarkSolveWarm(b *testing.B) {
 	for _, cfg := range []models.Config{
 		{Family: "wresnet", Depth: 152, Width: 10, Batch: 8},

@@ -9,7 +9,8 @@ import (
 	"tofu/internal/shape"
 )
 
-// PriceCache memoizes the priced strategy enumerations of operator slots.
+// PriceCache memoizes the priced strategy enumerations of operator slots
+// and the dense tables filled from them.
 // By Lemma 1 the DP prices every basic plan at the graph's ORIGINAL shapes,
 // so a slot's pricing — every (strategy, worker)'s input regions, evaluated
 // through the description's compiled region program and folded into a table
@@ -20,19 +21,18 @@ import (
 // model (per-step strategy filters become cheap Restrict views of the full
 // enumeration), and even structurally identical slots of different models.
 //
-// The cache is a two-level memo. Above the priced enumerations it keeps the
-// finished dense slot tables (table.go) under the slot key extended by
-// everything else their contents depend on (slotEval.tableKey), so each
-// distinct table is filled once however many slots, factor steps, pipeline
-// segments or lower-bound queries ask for it. Tables are immutable once
-// filled and a retained table is bit-identical to one filled on the spot, so
-// what the memo holds can change a search's speed, never its plan.
-//
-// In front of both levels sits a class memo: per scope — one coarsening's
-// interned signatures, K and the dtype, for problems without a strategy
-// filter — it maps a slot class (the slot's SigID and slotEval.classKey) to
-// the retained table its first slot found, so later slots of the class
-// build no string key and take no hashed lookup.
+// The cache holds two memos. The pricing memo (priced) keeps each slot key's
+// priced enumeration. The class memo keeps the finished dense slot tables
+// (table.go): per scope — one coarsening's interned signatures, K and the
+// dtype, for problems without a strategy filter — it maps a slot class (the
+// slot's SigID and slotEval.classKey, which fix everything a table is a
+// function of) to its table. Each class is claimed at its first lookup and
+// filled once, however many slots, factor steps or lower-bound queries of the
+// scope ask for it, and later slots of the class build no string key. A
+// problem without a class memo fills its tables for itself from the memoized
+// pricings. Tables are immutable once filled and a retained table is
+// bit-identical to one filled on the spot, so what the memo holds can change
+// a search's speed, never its plan.
 //
 // A search makes its own cache and drops it when done, unless its caller
 // passes one in (the paper-artifact experiments share one across cells).
@@ -42,23 +42,20 @@ import (
 type PriceCache struct {
 	mu sync.Mutex
 	m  map[string]*cacheEntry
-	// tables is the second level; tableBytes the retained tables' footprint,
-	// held at or below tableBudget (tableMemoBytes; tests shrink it).
-	tables      map[string]*tableEntry
+	// scopes holds the class memo of each scope; tableBytes the retained
+	// tables' footprint, held at or below tableBudget (tableMemoBytes; tests
+	// shrink it).
+	scopes      map[classScope]*classMemo
 	tableBytes  int64
 	tableBudget int64
 
-	// scopes holds the class memo of each scope.
-	scopes map[classScope]*classMemo
-
 	// hits/misses count priced() lookups that found an existing entry vs
-	// ones that created it (a miss is exactly one new entry).
-	// tableHits/tableMisses count table() lookups the same way. A class hit
-	// counts as a hit of both: one lookup per slot evaluator.
-	// classHits/classMisses count class memo lookups.
-	hits, misses           atomic.Int64
-	tableHits, tableMisses atomic.Int64
-	classHits, classMisses atomic.Int64
+	// ones that created it (a miss is exactly one new entry); a class hit
+	// counts as a hit too: one lookup per slot evaluator.
+	// tableHits/tableFills count class memo lookups that found their class
+	// vs filled its table.
+	hits, misses          atomic.Int64
+	tableHits, tableFills atomic.Int64
 }
 
 type cacheEntry struct {
@@ -67,15 +64,9 @@ type cacheEntry struct {
 	err    error
 }
 
-type tableEntry struct {
-	once sync.Once
-	t    *slotTable
-	err  error
-}
-
 // NewPriceCache returns an empty cache.
 func NewPriceCache() *PriceCache {
-	return &PriceCache{m: map[string]*cacheEntry{}, tables: map[string]*tableEntry{}, tableBudget: tableMemoBytes}
+	return &PriceCache{m: map[string]*cacheEntry{}, tableBudget: tableMemoBytes}
 }
 
 // priced returns the cached full pricing for key, building it at most once
@@ -101,52 +92,6 @@ func (c *PriceCache) priced(key []byte, build func() (*partition.Priced, error))
 	return e.priced, e.err
 }
 
-// table returns the dense table of size entries memoized under key, filling
-// it at most once (concurrent callers for the same key block on the first
-// fill), and whether the cache retains it. Past the byte budget a table is
-// filled for the caller alone and not retained. A nil receiver fills without
-// caching.
-func (c *PriceCache) table(key []byte, size int, fill func() (*slotTable, error)) (*slotTable, bool, error) {
-	if c == nil {
-		t, err := fill()
-		return t, false, err
-	}
-	c.mu.Lock()
-	e, ok := c.tables[string(key)] // no copy: only a retained miss keeps the key
-	if !ok {
-		if cost := tableEntryBytes + int64(len(key)) + 12*int64(size); c.tableBytes+cost <= c.tableBudget {
-			e = &tableEntry{}
-			c.tables[string(key)] = e
-			c.tableBytes += cost
-		}
-	}
-	c.mu.Unlock()
-	if ok {
-		c.tableHits.Add(1)
-	} else {
-		c.tableMisses.Add(1)
-	}
-	if e == nil {
-		t, err := fill()
-		return t, false, err
-	}
-	e.once.Do(func() { e.t, e.err = fill() })
-	return e.t, true, e.err
-}
-
-// TableStats reports how many dense-table lookups found a memoized table vs
-// filled one since the cache was created, and the bytes the retained tables
-// occupy.
-func (c *PriceCache) TableStats() (hits, misses, bytes int64) {
-	if c == nil {
-		return 0, 0, 0
-	}
-	c.mu.Lock()
-	bytes = c.tableBytes
-	c.mu.Unlock()
-	return c.tableHits.Load(), c.tableMisses.Load(), bytes
-}
-
 // Stats reports how many priced() lookups hit an existing entry vs built a
 // new one since the cache was created. A slot served by the class memo
 // counts as a hit.
@@ -157,22 +102,25 @@ func (c *PriceCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// ClassStats reports how many class memo lookups found their class's table
-// vs went on to the string-keyed levels since the cache was created.
-func (c *PriceCache) ClassStats() (hits, misses int64) {
+// TableStats reports how many class memo lookups found their class's table
+// vs filled it since the cache was created, and the bytes the retained
+// tables occupy. A problem without a class memo looks nothing up.
+func (c *PriceCache) TableStats() (hits, fills, bytes int64) {
 	if c == nil {
-		return 0, 0
+		return 0, 0, 0
 	}
-	return c.classHits.Load(), c.classMisses.Load()
+	c.mu.Lock()
+	bytes = c.tableBytes
+	c.mu.Unlock()
+	return c.tableHits.Load(), c.tableFills.Load(), bytes
 }
 
 // countClasses adds one preparation worker's class memo lookups: a hit is
-// also a hit of the pricing and the table level.
-func (c *PriceCache) countClasses(hits, misses int64) {
+// also a hit of the pricing memo.
+func (c *PriceCache) countClasses(hits, fills int64) {
 	c.hits.Add(hits)
 	c.tableHits.Add(hits)
-	c.classHits.Add(hits)
-	c.classMisses.Add(misses)
+	c.tableFills.Add(fills)
 }
 
 // classScope is what a class key leaves out: the coarsening whose
@@ -193,13 +141,17 @@ type classScope struct {
 type classMemo struct {
 	mu      sync.Mutex
 	head    []int32
-	entries []classEntry
+	entries []*classEntry
 	keys    []byte
 }
 
+// classEntry is one class: its key window, and its table, filled once by
+// whichever slot of the class gets to it first.
 type classEntry struct {
 	next, off, n int32
-	t            *slotTable
+	once         sync.Once
+	t            slotTable
+	err          error
 }
 
 // classKeyBytes is room for one class key in a new memo's key store: a
@@ -223,49 +175,51 @@ func (c *PriceCache) classes(p *Problem) *classMemo {
 			c.scopes = map[classScope]*classMemo{}
 		}
 		// A scope holds about one class per signature: room for that.
-		m = &classMemo{head: make([]int32, len(sigs)), entries: make([]classEntry, 0, len(sigs)),
+		m = &classMemo{head: make([]int32, len(sigs)), entries: make([]*classEntry, 0, len(sigs)),
 			keys: make([]byte, 0, classKeyBytes*len(sigs))}
 		c.scopes[sc] = m
 	}
 	return m
 }
 
-// get returns the table of the class of signature sig with key, or nil.
+// claim returns the entry of the class of signature sig with key in m, and
+// whether the class was there already. A class met for the first time is
+// claimed: its new entry is returned for the caller to fill, unless its
+// table of size entries would take the retained tables past the byte budget,
+// when claim records nothing and returns nil.
 //
 //tofu:hotpath once per dense slot per Solve/LowerBound; enforced by tofu-vet/hotalloc
-func (m *classMemo) get(sig int32, key []byte) *slotTable {
+func (c *PriceCache) claim(m *classMemo, sig int32, key []byte, size int) (_ *classEntry, found bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if en := m.find(sig, key); en != nil {
-		return en.t
+	for i := m.head[sig]; i > 0; {
+		e := m.entries[i-1]
+		if string(m.keys[e.off:e.off+e.n]) == string(key) {
+			return e, true
+		}
+		i = e.next
 	}
-	return nil
-}
-
-// put records t as the table of the class of signature sig with key, unless
-// a concurrent preparation recorded the class first.
-func (m *classMemo) put(sig int32, key []byte, t *slotTable) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.find(sig, key) != nil {
-		return
+	if !c.reserve(tableEntryBytes + int64(len(key)) + 12*int64(size)) {
+		return nil, false
 	}
-	m.entries = append(m.entries, classEntry{next: m.head[sig], off: int32(len(m.keys)), n: int32(len(key)), t: t})
+	e := &classEntry{next: m.head[sig], off: int32(len(m.keys)), n: int32(len(key))}
+	m.entries = append(m.entries, e)
 	m.keys = append(m.keys, key...)
 	m.head[sig] = int32(len(m.entries))
+	return e, false
 }
 
-// find returns the entry of the class of signature sig with key, or nil.
-// The caller holds m.mu.
-//
-//tofu:hotpath part of get
-func (m *classMemo) find(sig int32, key []byte) *classEntry {
-	for e := m.head[sig]; e > 0; e = m.entries[e-1].next {
-		if en := &m.entries[e-1]; string(m.keys[en.off:en.off+en.n]) == string(key) {
-			return en
-		}
+// reserve adds bytes to the retained tables' footprint if that keeps it
+// within the budget, and reports whether it did. claim calls it holding a
+// class memo's lock: a class memo's lock is taken before c.mu, never after.
+func (c *PriceCache) reserve(bytes int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.tableBytes+bytes > c.tableBudget {
+		return false
 	}
-	return nil
+	c.tableBytes += bytes
+	return true
 }
 
 // slotKey appends the key a pricing is memoized under: the slot's structural

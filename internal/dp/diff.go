@@ -26,7 +26,7 @@ func DiffPrepared(got, want *Prepared) error {
 }
 
 // diffSlot describes the first difference between two evaluators of one
-// slot in what a table memo shares — strategies, costT, bestT, minCost, bit
+// slot in what the class memo shares — strategies, costT, bestT, minCost, bit
 // for bit — or returns nil.
 func diffSlot(g, w *slotEval) error {
 	if !slices.Equal(g.priced.Strategies, w.priced.Strategies) {

@@ -415,10 +415,10 @@ func prepareSlotEvals(p *Problem) (*slotSet, error) {
 	}
 	cls := p.Cache.classes(p)
 	ranges := chunkRanges(nil, p.parallelism(), nSlots)
-	// Per chunk: its error, then its class memo hits and misses.
+	// Per chunk: its error, then its class memo hits and fills.
 	type chunkOut struct {
-		err          error
-		hits, misses int64
+		err         error
+		hits, fills int64
 	}
 	outs := make([]chunkOut, len(ranges))
 	runChunks(ranges, func(w, lo, hi int) {
@@ -441,11 +441,11 @@ func prepareSlotEvals(p *Problem) (*slotSet, error) {
 				break
 			}
 		}
-		out.hits, out.misses = sc.classHits, sc.classMisses
+		out.hits, out.fills = sc.classHits, sc.classFills
 	})
 	for _, out := range outs {
 		if cls != nil {
-			p.Cache.countClasses(out.hits, out.misses)
+			p.Cache.countClasses(out.hits, out.fills)
 		}
 		if out.err != nil {
 			return nil, out.err

@@ -14,7 +14,7 @@ import (
 )
 
 // sameTable asserts two evaluators of one slot agree bit for bit on
-// everything the table memo shares (diffSlot).
+// everything the class memo shares (diffSlot).
 func sameTable(t *testing.T, name string, got, want *slotEval) {
 	t.Helper()
 	if err := diffSlot(got, want); err != nil {
@@ -25,11 +25,10 @@ func sameTable(t *testing.T, name string, got, want *slotEval) {
 // TestTableMemoMatchesFresh walks every benchmark family down its factor
 // steps — solve, divide the shapes, solve again — and at each step builds
 // the slot evaluators without a cache and through one cache shared by the
-// whole walk. The two must agree bit for bit, and the lookups must add up:
-// one table lookup per dense evaluator, a class hit counting as a hit; every
-// filled table backs all the evaluators that asked for it (distinct tables
-// == fills); one class lookup per dense evaluator, missing exactly at the
-// first slot of each class the walk has not met at its K; and every slot of
+// whole walk. The two must agree bit for bit, and the class memo's lookups
+// must add up: one per dense evaluator, filling exactly at the first slot of
+// each class the walk has not met at its K; every filled table backs all the
+// evaluators that asked for it (distinct tables == fills); and every slot of
 // a class holds the class's one table.
 func TestTableMemoMatchesFresh(t *testing.T) {
 	cases := []struct {
@@ -50,7 +49,7 @@ func TestTableMemoMatchesFresh(t *testing.T) {
 		cache := NewPriceCache()
 		tables := map[*slotTable]bool{}
 		classes := map[string]*slotTable{} // by K, SigID and class key
-		var hits, misses, classHits, classMisses int64
+		var hits, fills int64
 		p := problemFor(t, m, 0)
 		for step, k := range tc.factors {
 			name := fmt.Sprintf("%s step %d (x%d)", cfg.Family, step+1, k)
@@ -88,20 +87,15 @@ func TestTableMemoMatchesFresh(t *testing.T) {
 					t.Fatalf("%s: holds another table than its class's first slot", at)
 				}
 			}
-			h, ms, bytes := cache.TableStats()
-			if h+ms-hits-misses != dense || ms-misses != filled {
-				t.Fatalf("%s: %d lookups filled %d tables; evaluators show %d and %d",
-					name, h+ms-hits-misses, ms-misses, dense, filled)
+			h, f, bytes := cache.TableStats()
+			if h+f-hits-fills != dense || f-fills != filled || filled != met {
+				t.Fatalf("%s: %d class lookups filled %d tables; evaluators show %d, %d tables and %d new classes",
+					name, h+f-hits-fills, f-fills, dense, filled, met)
 			}
 			if bytes <= 0 || bytes > tableMemoBytes {
 				t.Fatalf("%s: %d resident table bytes", name, bytes)
 			}
-			ch, cm := cache.ClassStats()
-			if ch+cm-classHits-classMisses != dense || cm-classMisses != met {
-				t.Fatalf("%s: %d class lookups missed %d times; evaluators show %d and %d new classes",
-					name, ch+cm-classHits-classMisses, cm-classMisses, dense, met)
-			}
-			hits, misses, classHits, classMisses = h, ms, ch, cm
+			hits, fills = h, f
 
 			p.Cache = nil
 			res := solveDense(t, p)
@@ -114,89 +108,8 @@ func TestTableMemoMatchesFresh(t *testing.T) {
 				}
 			}
 		}
-		if hits == 0 || classHits == 0 {
-			t.Errorf("%s: %d table and %d class hits: a memo was never used", cfg.Family, hits, classHits)
-		}
-	}
-}
-
-// matmulEval builds the evaluator of g's only matmul slot through cache.
-func matmulEval(t *testing.T, g *graph.Graph, cache *PriceCache, tweak func(*Problem)) *slotEval {
-	t.Helper()
-	p := graphProblem(t, g, 2)
-	p.Cache = cache
-	if tweak != nil {
-		tweak(p)
-	}
-	sl, err := prepareSlotEvals(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sl.ordered) != 1 || sl.ordered[0].slot.Rep().Op != "matmul" {
-		t.Fatalf("want one matmul slot, got %d slots", len(sl.ordered))
-	}
-	return sl.ordered[0]
-}
-
-// TestTableMemoKeySeparates: slots that share a pricing (equal slotKey) but
-// differ in any one other ingredient of a dense table must not share the
-// table — and each must still get exactly the table a cache-less build fills.
-func TestTableMemoKeySeparates(t *testing.T) {
-	const s = 12
-	// base is out = matmul(x, w), three distinct variables.
-	base := func() *graph.Graph {
-		g := graph.New()
-		g.Apply("matmul", nil, g.Input("x", shape.Of(s, s)), g.Input("w", shape.Of(s, s)))
-		return g
-	}
-	cases := []struct {
-		name  string
-		g     *graph.Graph
-		tweak func(*Problem)
-	}{
-		{"tie pattern f(x,x)", func() *graph.Graph {
-			g := graph.New()
-			x := g.Input("x", shape.Of(s, s))
-			g.Apply("matmul", nil, x, x)
-			return g
-		}(), nil},
-		{"alphabet: x's dim 0 exhausted by an earlier step", base(), func(p *Problem) {
-			p.Shapes[0] = shape.Of(3, s) // tensor 0 is x; 3 does not split 2 ways
-		}},
-		{"surviving strategies: no output reduction", base(), func(p *Problem) {
-			p.StrategyFilter = func(st partition.Strategy) bool { return st.Kind != partition.SplitReduce }
-		}},
-		{"multiplicity: two timesteps in one slot", func() *graph.Graph {
-			g := graph.New()
-			x0, x1 := g.Input("x0", shape.Of(s, s)), g.Input("x1", shape.Of(s, s))
-			w := g.Input("w", shape.Of(s, s))
-			for ts, x := range []*graph.Tensor{x0, x1} {
-				n := g.Apply("matmul", nil, x, w).Producer
-				n.UnrollTag, n.Timestep = "cell", ts
-			}
-			return g
-		}(), nil},
-	}
-	for _, tc := range cases {
-		cache := NewPriceCache()
-		ref := matmulEval(t, base(), cache, nil)
-		got := matmulEval(t, tc.g, cache, tc.tweak)
-		if hits, misses := cache.Stats(); hits != 1 || misses != 1 {
-			t.Fatalf("%s: pricing hits/misses = %d/%d, want 1/1 (the case must differ from the base in the table key only)",
-				tc.name, hits, misses)
-		}
-		if hits, misses, _ := cache.TableStats(); hits != 0 || misses != 2 {
-			t.Fatalf("%s: table hits/misses = %d/%d, want 0/2", tc.name, hits, misses)
-		}
-		if got.t == ref.t {
-			t.Fatalf("%s: shares the base slot's table", tc.name)
-		}
-		sameTable(t, tc.name, got, matmulEval(t, tc.g, nil, tc.tweak))
-
-		// The positive control: the same slot, coarsened afresh, does share.
-		again := matmulEval(t, tc.g, cache, tc.tweak)
-		if hits, _, _ := cache.TableStats(); hits != 1 || again.t != got.t {
-			t.Fatalf("%s: an identical slot did not share its table (hits %d)", tc.name, hits)
+		if hits == 0 {
+			t.Errorf("%s: no class hits: the memo was never used", cfg.Family)
 		}
 	}
 }
@@ -286,9 +199,9 @@ func TestClassMemoKeySeparates(t *testing.T) {
 		for i, ev := range sl.ordered {
 			sameTable(t, fmt.Sprintf("%s slot %v", tc.name, ev.slot.Rep()), ev, fresh.ordered[i])
 		}
-		if hits, misses := p.Cache.ClassStats(); hits != 1 || misses != 2 || control.t != base.t || variant.t == base.t {
-			t.Fatalf("%s: class hits/misses = %d/%d, control shares the base table %v, variant %v; want 1/2, true, false",
-				tc.name, hits, misses, control.t == base.t, variant.t == base.t)
+		if hits, fills, _ := p.Cache.TableStats(); hits != 1 || fills != 2 || control.t != base.t || variant.t == base.t {
+			t.Fatalf("%s: class hits/fills = %d/%d, control shares the base table %v, variant %v; want 1/2, true, false",
+				tc.name, hits, fills, control.t == base.t, variant.t == base.t)
 		}
 
 		// The filter scope: no class lookup, the filtered tables.
@@ -306,15 +219,16 @@ func TestClassMemoKeySeparates(t *testing.T) {
 		for i, ev := range filtered.ordered {
 			sameTable(t, fmt.Sprintf("%s filtered slot %v", tc.name, ev.slot.Rep()), ev, want.ordered[i])
 		}
-		if hits, misses := p.Cache.ClassStats(); hits != 1 || misses != 2 {
-			t.Fatalf("%s: a filtered preparation looked classes up (hits/misses now %d/%d)", tc.name, hits, misses)
+		if hits, fills, _ := p.Cache.TableStats(); hits != 1 || fills != 2 {
+			t.Fatalf("%s: a filtered preparation looked classes up (hits/fills now %d/%d)", tc.name, hits, fills)
 		}
 	}
 }
 
-// TestTableMemoBudget: past the byte budget tables are filled for their
-// evaluator alone — same contents, nothing retained, the budget never
-// exceeded — while tables retained earlier keep being shared.
+// TestTableMemoBudget: past the byte budget the class memo claims no more
+// classes, and their tables are filled for each evaluator alone — same
+// contents, nothing retained, the budget never exceeded — while the classes
+// claimed earlier keep being shared.
 func TestTableMemoBudget(t *testing.T) {
 	m, err := models.Build(models.Config{Family: "transformer", Depth: 1, Width: 64, Batch: 8})
 	if err != nil {
@@ -331,7 +245,7 @@ func TestTableMemoBudget(t *testing.T) {
 	if _, err := prepareSlotEvals(p); err != nil {
 		t.Fatal(err)
 	}
-	_, distinct, full := unbounded.TableStats()
+	_, _, full := unbounded.TableStats()
 
 	p.Cache = NewPriceCache()
 	p.Cache.tableBudget = full / 2
@@ -348,9 +262,9 @@ func TestTableMemoBudget(t *testing.T) {
 		if bytes <= 0 || bytes > full/2 {
 			t.Fatalf("round %d: %d resident bytes under a budget of %d", round, bytes, full/2)
 		}
-		if round == 1 && (hits-h0 == 0 || misses-m0 == 0 || misses-m0 >= distinct) {
-			t.Fatalf("round 1: %d hits and %d fills of %d distinct tables: want the retained half shared and the rest refilled",
-				hits-h0, misses-m0, distinct)
+		if round == 1 && (hits-h0 == 0 || misses-m0 == 0) {
+			t.Fatalf("round 1: %d hits and %d fills: want the retained half shared and the rest refilled",
+				hits-h0, misses-m0)
 		}
 		h0, m0 = hits, misses
 	}
@@ -359,7 +273,7 @@ func TestTableMemoBudget(t *testing.T) {
 var registerWide8 sync.Once
 
 // TestTableMemoBypassedByLazySlots: a slot whose cross-product exceeds
-// tableLimit has no dense table, so it must not touch the table memo.
+// tableLimit has no dense table, so it must not touch the class memo.
 func TestTableMemoBypassedByLazySlots(t *testing.T) {
 	const n = 8
 	registerWide8.Do(func() {
@@ -401,17 +315,19 @@ func TestTableMemoBypassedByLazySlots(t *testing.T) {
 		t.Errorf("pricing misses = %d, want 1: the priced enumeration is still memoized", misses)
 	}
 	if hits, misses, bytes := p.Cache.TableStats(); hits != 0 || misses != 0 || bytes != 0 {
-		t.Errorf("table hits/misses/bytes = %d/%d/%d, want none", hits, misses, bytes)
+		t.Errorf("class hits/fills/bytes = %d/%d/%d, want none", hits, misses, bytes)
 	}
 	if si, cost := ev.bestAt(0); si < 0 || math.IsInf(cost, 1) {
 		t.Errorf("lazy pricing returned (%d, %v)", si, cost)
 	}
 }
 
-// TestTableMemoConcurrent: solves racing on one PriceCache (run under -race)
-// return exactly what a serial, cache-less solve returns. Then steps of one
-// Coarse solved through one StepMemo return it too, the first swept and the
-// rest replayed.
+// TestTableMemoConcurrent (run under -race): solves of one Coarse racing on
+// one PriceCache, so on one class memo scope, return exactly what a serial,
+// cache-less solve returns, and fill each class's table exactly once: as
+// many fills, and as many pricing lookups (a class hit looks none up), as
+// one preparation has classes. Then steps of the Coarse solved through one
+// StepMemo return it too, the first swept and the rest replayed.
 func TestTableMemoConcurrent(t *testing.T) {
 	m, err := models.Build(models.Config{Family: "wresnet", Depth: 50, Width: 2, Batch: 16})
 	if err != nil {
@@ -420,6 +336,12 @@ func TestTableMemoConcurrent(t *testing.T) {
 	serial := problemFor(t, m, 2)
 	serial.Parallelism = 1
 	want := solveDense(t, serial)
+	alone := *serial
+	alone.Cache = NewPriceCache()
+	if _, err := prepareSlotEvals(&alone); err != nil {
+		t.Fatal(err)
+	}
+	_, classes, _ := alone.Cache.TableStats()
 	cache := NewPriceCache()
 	const workers = 8
 	got := make([]*Result, workers)
@@ -427,6 +349,7 @@ func TestTableMemoConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		p := problemFor(t, m, 2)
+		p.Coarse = serial.Coarse
 		p.Cache, p.Parallelism = cache, 2
 		wg.Add(1)
 		go func(w int) {
@@ -449,9 +372,11 @@ func TestTableMemoConcurrent(t *testing.T) {
 		}
 	}
 	check("solve")
-	hits, misses, _ := cache.TableStats()
-	if hits == 0 || misses == 0 {
-		t.Errorf("table hits/misses = %d/%d: the solves did not share tables", hits, misses)
+	hits, fills, _ := cache.TableStats()
+	ph, pm := cache.Stats()
+	if hits == 0 || fills != classes || ph+pm-hits != classes {
+		t.Errorf("%d class hits, %d fills and %d pricing lookups for %d classes: want hits, and each class filled once",
+			hits, fills, ph+pm-hits, classes)
 	}
 
 	var memo StepMemo

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"sync"
 
 	"tofu/internal/coarsen"
@@ -19,10 +18,10 @@ import (
 // near) price lazily through an integer-keyed memo instead.
 const tableLimit = 1 << 16
 
-// tableMemoBytes bounds the dense tables one PriceCache retains (12 bytes
-// per table entry plus key and bookkeeping). Past it a table is filled for
-// its evaluator alone, exactly as without a cache: retention decides who
-// pays for a table, never what is in it.
+// tableMemoBytes bounds the dense tables one PriceCache's class memo retains
+// (12 bytes per table entry plus class key and bookkeeping). Past it a table
+// is filled for its evaluator alone, exactly as without a cache: retention
+// decides who pays for a table, never what is in it.
 const (
 	tableMemoBytes  = 16 << 20
 	tableEntryBytes = 256
@@ -52,8 +51,8 @@ type slotEval struct {
 	outPos  int
 
 	// t is the dense table, nil when the cross-product exceeds tableLimit.
-	// It and priced are read-only: evaluators of one slot class, or with
-	// equal table keys, share them through PriceCache.
+	// It and priced are read-only: evaluators of one slot class share them
+	// through PriceCache.
 	t *slotTable
 	// memo is the lazy fallback for oversized cross-products; nil for a
 	// dense evaluator.
@@ -73,8 +72,8 @@ type slotBest struct {
 }
 
 // slotTable is the finished, immutable payload of a dense evaluator: the
-// step's restricted pricing and the tables filled from it. PriceCache shares
-// one between every slot, step, segment and search whose table key agrees.
+// step's restricted pricing and the tables filled from it. PriceCache's class
+// memo shares one between every slot of a class (classEntry).
 type slotTable struct {
 	priced *partition.Priced
 	// costT and bestT are the cost (pre-multiplied by the slot's timestep
@@ -89,8 +88,8 @@ type slotTable struct {
 
 // evalScratch is the working memory one pool worker reuses across the slot
 // evaluators it builds; nothing in it outlives a newSlotEval call. key holds
-// a slot's class key, then its slot and table keys; ints the table filler's
-// digits and term columns.
+// a slot's class key, then its slot key; ints the table filler's digits and
+// term columns.
 type evalScratch struct {
 	ints []int
 	keep []bool
@@ -99,20 +98,20 @@ type evalScratch struct {
 	// by the first fill, so a preparation that fills no table allocates
 	// none.
 	sums []float64
-	// classHits and classMisses count the worker's class memo lookups.
-	classHits, classMisses int64
+	// classHits and classFills count the worker's class memo lookups.
+	classHits, classFills int64
 }
 
 // newEvalScratch sizes a scratch for building evaluators of slots of up to
 // maxIn inputs whose carried signatures are up to maxSig bytes: ints exactly
 // (at most 1 + 2·maxIn digits and columns), keep and key with room for
-// the strategy count, the class key and the table-key tail of every
-// registered operator (a longer one grows them like any append).
+// the strategy count, and the class key or slot key of every registered
+// operator (a longer one grows them like any append).
 func newEvalScratch(maxIn, maxSig int) evalScratch {
 	return evalScratch{
 		ints: make([]int, 1+2*maxIn),
 		keep: make([]bool, 16),
-		key:  make([]byte, 0, maxSig+160),
+		key:  make([]byte, 0, maxSig+32),
 	}
 }
 
@@ -140,30 +139,16 @@ func touchedVars(s *coarsen.Slot) int {
 }
 
 // newSlotEval builds slot s's evaluator. Through a class memo (cls, nil
-// without one) only the first slot of each class prices: it looks the full
-// pricing and the table up by their string keys, gates the strategies and
-// fills the table; every later slot of the class lays out its own variables
-// and takes the class's table.
+// without one) the slot looks its class up: the first slot of each class
+// claims it and fills its table, every later one lays out its own variables
+// and takes the class's table. Without a class memo, or past its budget, the
+// slot fills a table of its own.
 func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, cls *classMemo, sc *evalScratch, slabs *evalSlabs) (*slotEval, error) {
 	rep := s.Rep()
 	ev := &slabs.evs[0]
 	slabs.evs = slabs.evs[1:]
 	ev.slot, ev.alphas = s, alphas
 	size := ev.layout(slabs)
-	n := 0 // the length of the slot's class key at the front of sc.key
-	if cls != nil && size <= tableLimit {
-		var ok bool
-		if sc.key, ok = ev.classKey(sc.key[:0]); ok {
-			if t := cls.get(s.SigID, sc.key); t != nil {
-				sc.classHits++
-				ev.take(t)
-				return ev, nil
-			}
-			sc.classMisses++
-			n = len(sc.key)
-		}
-	}
-
 	desc := s.Desc
 	if desc == nil {
 		var err error
@@ -172,15 +157,56 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, cls *classMemo,
 			return nil, err
 		}
 	}
-	// Price at ORIGINAL shapes (see Problem); gate applicability on the
-	// CURRENT shapes, where earlier steps may have exhausted a dimension —
-	// read off the step's alphabets (admits). The full pricing (every
-	// strategy applicable at original shapes) is step-invariant, so it is
-	// memoized in the cache — the Spec only materializes on a miss; the
-	// per-step strategy filter and the gate become a mask over its
-	// strategies.
-	sc.key = slotKey(sc.key[:n], s.Sig, p.K, p.DType)
-	full, err := p.Cache.priced(sc.key[n:], func() (*partition.Priced, error) {
+	if size > tableLimit {
+		// Oversized cross-product: no table to share, price lazily.
+		full, err := ev.pricing(p, desc, sc)
+		if err == nil {
+			ev.priced, err = full.Restrict(sc.keep)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("dp: pricing %v: %w", rep, err)
+		}
+		ev.memo = &lazyMemo{m: map[int]slotBest{}}
+		return ev, nil
+	}
+	var e *classEntry
+	if cls != nil {
+		if key, ok := ev.classKey(sc.key[:0]); ok {
+			var found bool
+			sc.key = key
+			if e, found = p.Cache.claim(cls, s.SigID, key, size); found {
+				sc.classHits++
+			} else {
+				sc.classFills++
+			}
+		}
+	}
+	var err error
+	if e == nil {
+		ev.t = new(slotTable)
+		err = ev.fill(ev.t, p, desc, size, sc)
+	} else {
+		e.once.Do(func() { e.err = ev.fill(&e.t, p, desc, size, sc) })
+		ev.t, err = &e.t, e.err
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dp: pricing %v: %w", rep, err)
+	}
+	ev.priced = ev.t.priced
+	return ev, nil
+}
+
+// pricing returns the slot's full pricing and leaves in sc.keep which of its
+// strategies the step admits. Price at ORIGINAL shapes (see Problem); gate
+// applicability on the CURRENT shapes, where earlier steps may have
+// exhausted a dimension — read off the step's alphabets (admits). The full
+// pricing (every strategy applicable at original shapes) is step-invariant,
+// so it is memoized in the cache — the Spec only materializes on a miss; the
+// per-step strategy filter and the gate become a mask over its strategies.
+func (ev *slotEval) pricing(p *Problem, desc *tdl.OpDesc, sc *evalScratch) (*partition.Priced, error) {
+	s, rep := ev.slot, ev.slot.Rep()
+	sc.key = slotKey(sc.key[:0], s.Sig, p.K, p.DType)
+	full, err := p.Cache.priced(sc.key, func() (*partition.Priced, error) {
 		origIn := make([]shape.Shape, len(rep.Inputs))
 		for i, in := range rep.Inputs {
 			origIn[i] = in.Shape
@@ -193,38 +219,13 @@ func newSlotEval(p *Problem, s *coarsen.Slot, alphas []varAlpha, cls *classMemo,
 		}, p.K, nil)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("dp: pricing %v: %w", rep, err)
+		return nil, err
 	}
 	sc.keep = grow(sc.keep, len(full.Strategies))
 	for si, st := range full.Strategies {
-		sc.keep[si] = (p.StrategyFilter == nil || p.StrategyFilter(st)) && admits(desc, s, alphas, p.K, st)
+		sc.keep[si] = (p.StrategyFilter == nil || p.StrategyFilter(st)) && admits(desc, s, ev.alphas, p.K, st)
 	}
-	if size > tableLimit {
-		// Oversized cross-product: no table to share, price lazily.
-		if ev.priced, err = full.Restrict(sc.keep); err != nil {
-			return nil, fmt.Errorf("dp: pricing %v: %w", rep, err)
-		}
-		ev.memo = &lazyMemo{m: map[int]slotBest{}}
-		return ev, nil
-	}
-	sc.key = ev.tableKey(sc.key, sc.keep)
-	sc.ints = grow(sc.ints, len(ev.tvars)+len(s.In))
-	t, retained, err := p.Cache.table(sc.key[n:], size, func() (*slotTable, error) {
-		return ev.fill(full, size, sc)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("dp: pricing %v: %w", rep, err)
-	}
-	if n > 0 && retained {
-		cls.put(s.SigID, sc.key[:n], t)
-	}
-	ev.take(t)
-	return ev, nil
-}
-
-// take points the evaluator at a filled table.
-func (ev *slotEval) take(t *slotTable) {
-	ev.priced, ev.t = t.priced, t
+	return full, nil
 }
 
 // mult is the slot's timestep multiplicity, which its costs are
@@ -309,51 +310,19 @@ func (ev *slotEval) layout(slabs *evalSlabs) int {
 	return size
 }
 
-// tableKey extends key — the slot's structural signature (slotKey) — with
-// everything else a dense table's contents depend on: which strategies of
-// the full pricing survive this step's filter and current-shape gate, which
-// positions share a variable (inPos/outPos: f(x,x) and f(x,y) index their
-// tables differently), each touched variable's alphabet (the cut dimension
-// behind every digit) and the slot multiplicity the costs are pre-multiplied
-// by. Variable IDs, the step and the graph are deliberately absent: slots
-// that agree on the key fill bit-identical tables wherever they occur.
-//
-//tofu:hotpath runs once per slot per Solve/LowerBound; enforced by tofu-vet/hotalloc
-func (ev *slotEval) tableKey(key []byte, keep []bool) []byte {
-	key = append(key, '#')
-	for _, ok := range keep {
-		if ok {
-			key = append(key, '1')
-		} else {
-			key = append(key, '0')
-		}
-	}
-	key = append(key, '#')
-	for _, tp := range ev.inPos {
-		key = strconv.AppendInt(key, int64(tp), 10)
-		key = append(key, ',')
-	}
-	key = append(key, '>')
-	key = strconv.AppendInt(key, int64(ev.outPos), 10)
-	for _, v := range ev.tvars {
-		key = append(key, '|')
-		for _, d := range ev.alphas[v.ID].dims {
-			key = strconv.AppendInt(key, int64(d), 10)
-			key = append(key, ',')
-		}
-	}
-	key = append(key, '*')
-	return strconv.AppendInt(key, int64(len(ev.slot.Ops)), 10)
-}
-
 // classKey appends ev's class key to key: the slot's multiplicity, its
 // aliasing pattern (outPos, then inPos) and each touched variable's alphabet
 // mask in tvars order, as varints. The slot's SigID fixes its operand count
 // and the pattern the number of masks, so the key is self-delimiting. With
 // the SigID and the class memo's scope (the coarsening's signature table, K,
 // dtype, no strategy filter) it fixes everything the slot's table is a
-// function of (see tableKey). ok is false when a touched variable's rank is
-// past the mask (varAlpha.mask).
+// function of: which strategies of the full pricing survive the gate (a
+// function of the alphabets), which positions share a variable (f(x,x) and
+// f(x,y) index their tables differently), each touched variable's alphabet
+// (the cut dimension behind every digit) and the multiplicity the costs are
+// pre-multiplied by. Variable IDs, the step and the graph are deliberately
+// absent. ok is false when a touched variable's rank is past the mask
+// (varAlpha.mask).
 //
 //tofu:hotpath once per dense slot per Solve/LowerBound; enforced by tofu-vet/hotalloc
 func (ev *slotEval) classKey(key []byte) (_ []byte, ok bool) {
@@ -372,26 +341,31 @@ func (ev *slotEval) classKey(key []byte) (_ []byte, ok bool) {
 	return key, true
 }
 
-// fill restricts the full pricing to the surviving strategies and fills the
-// dense cost/strategy tables over the laid-out cross-product — the one table
-// filler, whether PriceCache retains the result or not. It walks the digits
-// in table order, the last touched variable fastest, with a carry instead of
-// a division per entry. The strategies' fetch bytes (Priced.InSums) depend
-// on the input cuts alone, so they are summed again only when an input's
-// digit moved; Priced.BestOf adds the output term per entry. Together they
-// are Priced.Best: its sums, order and tie rule. sc.ints must hold
-// len(tvars) + len(slot.In) ints.
-func (ev *slotEval) fill(full *partition.Priced, size int, sc *evalScratch) (*slotTable, error) {
+// fill prices the slot (pricing), restricts the full pricing to the
+// surviving strategies and fills t's dense cost/strategy tables over the
+// laid-out cross-product — the one table filler, whether the class memo
+// retains the result or not. It walks the digits in table order, the last
+// touched variable fastest, with a carry instead of a division per entry. The
+// strategies' fetch bytes (Priced.InSums) depend on the input cuts alone, so
+// they are summed again only when an input's digit moved; Priced.BestOf adds
+// the output term per entry. Together they are Priced.Best: its sums, order
+// and tie rule.
+func (ev *slotEval) fill(t *slotTable, p *Problem, desc *tdl.OpDesc, size int, sc *evalScratch) error {
+	full, err := ev.pricing(p, desc, sc)
+	if err != nil {
+		return err
+	}
 	priced, err := full.Restrict(sc.keep)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	t := &slotTable{
+	*t = slotTable{
 		priced:  priced,
 		costT:   make([]float64, size),
 		bestT:   make([]int32, size),
 		minCost: math.Inf(1),
 	}
+	sc.ints = grow(sc.ints, len(ev.tvars)+len(ev.inPos))
 	nT, mult := len(ev.tvars), ev.mult()
 	digit, cols := sc.ints[:nT], sc.ints[nT:nT+len(ev.inPos)]
 	clear(digit)
@@ -425,7 +399,7 @@ func (ev *slotEval) fill(full *partition.Priced, size int, sc *evalScratch) (*sl
 			digit[j] = 0
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // price runs the legacy per-call pricing for one digit cross-product index:

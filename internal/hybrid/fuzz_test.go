@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ import (
 
 // FuzzPartition decodes its input into a small training or forward graph and
 // a machine (decodeFuzzInput) and holds every layer that skips work on the
-// strength of a key or a bound — the table memo, the step memo's shared
+// strength of a key or a bound — the class memo, the step memo's shared
 // preparations and replayed sweeps, the structural segment memo, the lazy
 // boundary search, the bounded sweep and the ordering branch-and-bound — to a
 // reference that skips nothing of the kind:
@@ -376,10 +377,10 @@ func (b *fuzzBuilder) block(code, m int, h *graph.Tensor) *graph.Tensor {
 
 // fuzzLayers names the layers FuzzPartition must see exercised, in the order
 // fuzzUse counts them.
-var fuzzLayers = [...]string{"table memo hits", "shared preparations", "replayed sweeps",
+var fuzzLayers = [...]string{"class memo hits", "shared preparations", "replayed sweeps",
 	"segment memo hits", "segments the lazy search skipped", "bounded sweeps", "orderings pruned",
 	"brute-forced flat DPs", "hybrid searches", "segments sharing a structural key",
-	"in-place chains crossing a stage edge", "tensors read by two stages", "class memo hits"}
+	"in-place chains crossing a stage edge", "tensors read by two stages"}
 
 // fuzzUse counts what one input exercised, per fuzzLayers entry.
 type fuzzUse [len(fuzzLayers)]int64
@@ -572,8 +573,6 @@ func checkFlatDP(t *testing.T, c *coarsen.Coarse, k int64, use *fuzzUse) {
 	if err != nil {
 		return
 	}
-	hits, _, _ := cache.TableStats()
-	use[0] += hits
 	use[5] += countAttr(span, "bound_pruned")
 	if math.Float64bits(got.CommBytes) != math.Float64bits(want.CommBytes) || !maps.Equal(got.VarCut, want.VarCut) {
 		t.Fatalf("flat DP at K=%d: cost %v, the exhaustive sweep's %v (same cuts %v)",
@@ -592,8 +591,8 @@ func checkFlatDP(t *testing.T, c *coarsen.Coarse, k int64, use *fuzzUse) {
 	if err := dp.DiffPrepared(memo, fresh); err != nil {
 		t.Fatalf("flat DP at K=%d: the class memo serves another table than a fresh fill: %v", k, err)
 	}
-	classHits, _ := cache.ClassStats()
-	use[12] += classHits
+	hits, _, _ := cache.TableStats()
+	use[0] += hits
 	best, ok := bruteForce(t, &dp.Problem{Coarse: c, K: k, Shapes: originalShapes(c), DType: shape.Float32, Parallelism: 1}, cache)
 	if !ok {
 		return
@@ -1011,7 +1010,7 @@ func checkHybrid(t *testing.T, c *coarsen.Coarse, tp topo.Topology, use *fuzzUse
 	t.Helper()
 	k := int64(tp.NumGPUs())
 	xb := handoffs(c)
-	refs, intervals := pipelineReference(t, c, tp, xb)
+	refs, intervals, _ := pipelineReference(t, c, tp, xb)
 	var auto *pipelineRef // the innermost cheapest level: a later one must be strictly cheaper
 	for i, r := range refs {
 		want := &refs[i]
@@ -1020,14 +1019,10 @@ func checkHybrid(t *testing.T, c *coarsen.Coarse, tp topo.Topology, use *fuzzUse
 		} else if auto == nil || r.cost < auto.cost {
 			auto = want
 		}
-		// The lazy search, and the exhaustive walk, which fills every
-		// segment of the level through the segment memo.
-		for _, exhaustive := range []bool{false, true} {
-			span := obs.NewSpan("fuzz")
-			got, err := hybrid.PartitionCoarse(c, k, hybrid.Options{Topology: &tp, Level: r.level, Parallelism: 1, Exhaustive: exhaustive, Trace: span})
-			use[3] += countAttr(span, "memo_hit")
-			comparePipeline(t, fmt.Sprintf("hybrid at level %d (exhaustive %v)", r.level, exhaustive), c, got, err, want, xb)
-		}
+		span := obs.NewSpan("fuzz")
+		got, err := hybrid.PartitionCoarse(c, k, hybrid.Options{Topology: &tp, Level: r.level, Parallelism: 1, Trace: span})
+		use[3] += countAttr(span, "memo_hit")
+		comparePipeline(t, fmt.Sprintf("hybrid at level %d", r.level), c, got, err, want, xb)
 	}
 
 	span := obs.NewSpan("fuzz")
@@ -1133,13 +1128,23 @@ type pipelineRef struct {
 // pipelineReference is the pipeline search restated without a memo or a
 // bound, at every level whose stages fit in the groups: every boundary set in
 // lexicographic order, each segment searched directly on its view of c at
-// first use, the set priced left to right as the search prices it, the first
-// cheapest kept. intervals counts the segments a search filling every one of
-// those levels' segments would fill.
-func pipelineReference(t *testing.T, c *coarsen.Coarse, tp topo.Topology, xb []float64) (refs []pipelineRef, intervals int64) {
+// first use, the set priced left to right as the search prices it up to its
+// first failing segment, the first cheapest kept. intervals counts the
+// segments a search filling every one of those levels' segments would fill;
+// reasons are the distinct ways the levels failed, sorted — a level with more
+// stages than groups, and each failing segment a set reached — worded as the
+// search words them.
+func pipelineReference(t *testing.T, c *coarsen.Coarse, tp topo.Topology, xb []float64) (refs []pipelineRef, intervals int64, reasons []string) {
 	t.Helper()
 	L := len(c.Groups)
 	var sc coarsen.SegmentScratch
+	seen := map[string]bool{}
+	reason := func(msg string) {
+		if !seen[msg] {
+			seen[msg] = true
+			reasons = append(reasons, msg)
+		}
+	}
 	for level := 1; level < len(tp.Levels); level++ {
 		kSub, S := int64(1), 1
 		for li, lv := range tp.Levels {
@@ -1150,6 +1155,7 @@ func pipelineReference(t *testing.T, c *coarsen.Coarse, tp topo.Topology, xb []f
 			}
 		}
 		if S > L {
+			reason(fmt.Sprintf("level %d (%s): %d stages exceed %d pipeline groups", level, tp.Levels[level].Name, S, L))
 			continue
 		}
 		intervals += int64(L * (L + 1) / 2)
@@ -1176,6 +1182,8 @@ func pipelineReference(t *testing.T, c *coarsen.Coarse, tp topo.Topology, xb []f
 			var s *seg
 			if p, err := recursive.Search(co, kSub, recursive.Options{Topology: &sub, Parallelism: 1}); err == nil {
 				s = &seg{p, recursive.CommTime(p, sub)}
+			} else {
+				reason(fmt.Sprintf("groups [%d,%d) on %d GPUs: %v", lo, hi, kSub, err))
 			}
 			segs[[2]int{lo, hi}] = s
 			return s
@@ -1213,7 +1221,8 @@ func pipelineReference(t *testing.T, c *coarsen.Coarse, tp topo.Topology, xb []f
 		}
 		refs = append(refs, ref)
 	}
-	return refs, intervals
+	slices.Sort(reasons)
+	return refs, intervals, reasons
 }
 
 // handoffs is the traffic crossing each group boundary b (between groups b-1

@@ -13,8 +13,9 @@
 // the (stage, boundary) DAG whose edges start at admissible per-group floors
 // and turn exact only when the cheapest estimated path crosses them (search.go).
 // Pruning is strict and ties break by the exhaustive enumeration's
-// lexicographic order, so the chosen plan is byte-identical to the
-// Options.Exhaustive oracle at any Parallelism.
+// lexicographic order, so the chosen plan is the exhaustive enumeration's at
+// any Parallelism (the tests hold it to one that shares no code with the
+// search).
 //
 //tofu:searchpath reachable from dp.Solve / recursive.Partition; nodeterm enforces determinism
 package hybrid
@@ -62,10 +63,6 @@ type Options struct {
 	// Cache shares priced strategy enumerations across segments and stages
 	// (nil = one fresh cache for this search; segments still share it).
 	Cache *dp.PriceCache
-	// Exhaustive disables the branch-and-bound pruning and enumerates every
-	// boundary set in lexicographic order — the differential-test oracle.
-	// Chosen plans are byte-identical either way.
-	Exhaustive bool
 	// Stats, when non-nil, receives the search-effort counters.
 	Stats *Stats
 	// Trace, if non-nil, records the joint search's span tree: "coarsen",

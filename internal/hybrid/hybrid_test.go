@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"regexp"
 	"strconv"
 	"strings"
@@ -44,10 +45,12 @@ func planBytes(t *testing.T, p *plan.Plan) []byte {
 	return buf.Bytes()
 }
 
-// TestHybridMatchesOracle is the tentpole differential test: the
-// branch-and-bound joint search must return byte-identical plans to the
-// exhaustive boundary oracle on every feasible profile, at Parallelism 1, 2
-// and 8.
+// TestHybridMatchesOracle is the tentpole differential test: on every
+// profile the branch-and-bound joint search must return the level, cost bits,
+// stage groups and stage plans of pipelineReference — every boundary set,
+// each segment searched directly, no memo and no bound — at Parallelism 1, 2
+// and 8, with byte-identical plans at each. At level 0 the reference's pick
+// is the innermost cheapest level.
 func TestHybridMatchesOracle(t *testing.T) {
 	for _, c := range diffCases {
 		tp, err := topo.Profile(c.prof)
@@ -58,33 +61,51 @@ func TestHybridMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("building %s: %v", c.cfg, err)
 		}
-		k := int64(tp.NumGPUs())
-		oracle, err := hybrid.Partition(m.G, k, hybrid.Options{
-			Topology: &tp, Level: c.level, Parallelism: 1, Exhaustive: true,
-		})
+		root, err := recursive.Coarsen(m.G, nil)
 		if err != nil {
-			t.Fatalf("%s: oracle: %v", c.prof, err)
+			t.Fatal(err)
 		}
-		want := planBytes(t, oracle.Plan)
+		xb := handoffs(root)
+		refs, _, _ := pipelineReference(t, root, tp, xb)
+		var want *pipelineRef
+		for i, r := range refs {
+			if (c.level == 0 || r.level == c.level) && (want == nil || r.cost < want.cost) {
+				want = &refs[i]
+			}
+		}
+		if want == nil || math.IsInf(want.cost, 1) {
+			t.Fatalf("%s: the reference finds no feasible pipeline", c.prof)
+		}
+		var first []byte
 		for _, par := range []int{1, 2, 8} {
-			var st hybrid.Stats
-			res, err := hybrid.Partition(m.G, k, hybrid.Options{
-				Topology: &tp, Level: c.level, Parallelism: par, Stats: &st,
+			res, err := hybrid.PartitionCoarse(root, int64(tp.NumGPUs()), hybrid.Options{
+				Topology: &tp, Level: c.level, Parallelism: par,
 			})
-			if err != nil {
-				t.Fatalf("%s par %d: %v", c.prof, par, err)
-			}
-			if got := planBytes(t, res.Plan); !bytes.Equal(got, want) {
-				t.Errorf("%s par %d: branch-and-bound plan differs from exhaustive oracle", c.prof, par)
-			}
-			if res.Cost != oracle.Cost {
-				t.Errorf("%s par %d: cost %g, oracle %g", c.prof, par, res.Cost, oracle.Cost)
-			}
-			if res.Level != oracle.Level {
-				t.Errorf("%s par %d: level %d, oracle %d", c.prof, par, res.Level, oracle.Level)
+			comparePipeline(t, fmt.Sprintf("%s par %d", c.prof, par), root, res, err, want, xb)
+			if got := planBytes(t, res.Plan); first == nil {
+				first = got
+			} else if !bytes.Equal(got, first) {
+				t.Errorf("%s par %d: plan bytes differ from parallelism 1's", c.prof, par)
 			}
 		}
 	}
+}
+
+// infeasibleRef is the error a search that finds nothing feasible on tp
+// reports, built from pipelineReference's reasons.
+func infeasibleRef(t *testing.T, g *graph.Graph, tp topo.Topology) string {
+	t.Helper()
+	root, err := recursive.Coarsen(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, _, reasons := pipelineReference(t, root, tp, handoffs(root))
+	for _, r := range refs {
+		if !math.IsInf(r.cost, 1) {
+			t.Fatalf("the reference finds a feasible pipeline at level %d", r.level)
+		}
+	}
+	return fmt.Sprintf("hybrid: no feasible stage assignment on topology %q:\n  %s", tp.Name, strings.Join(reasons, "\n  "))
 }
 
 // levelAttrs runs fn under a trace and returns each "hybrid.level" span's
@@ -339,8 +360,9 @@ func TestHybridInfeasible(t *testing.T) {
 		t.Error("nil topology accepted")
 	}
 	// Nothing splits: every candidate level fails, and the pruned search must
-	// still report every distinct reason the exhaustive walk finds — one per
-	// failing segment and sub-machine, not just the first it met.
+	// still report every distinct reason the exhaustive walk of
+	// pipelineReference finds — one per failing segment and sub-machine, not
+	// just the first it met.
 	odd, err := models.Build(models.Config{Family: "mlp", Depth: 4, Width: 63, Batch: 63})
 	if err != nil {
 		t.Fatal(err)
@@ -350,11 +372,11 @@ func TestHybridInfeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, got := hybrid.Partition(odd.G, int64(mid.NumGPUs()), hybrid.Options{Topology: &mid, Parallelism: 1})
-	_, want := hybrid.Partition(odd.G, int64(mid.NumGPUs()), hybrid.Options{Topology: &mid, Parallelism: 1, Exhaustive: true})
-	if got == nil || want == nil || got.Error() != want.Error() {
+	want := infeasibleRef(t, odd.G, mid)
+	if got == nil || got.Error() != want {
 		t.Errorf("indivisible model: search reports\n%v\nexhaustive walk reports\n%v", got, want)
-	} else if n := strings.Count(want.Error(), "\n"); n < 10 ||
-		!strings.Contains(want.Error(), "on 8 GPUs") || !strings.Contains(want.Error(), "on 16 GPUs") {
+	} else if n := strings.Count(want, "\n"); n < 10 ||
+		!strings.Contains(want, "on 8 GPUs") || !strings.Contains(want, "on 16 GPUs") {
 		t.Errorf("indivisible model: %d reasons, want at least 10 across both stage sub-machines:\n%v", n, want)
 	}
 }
@@ -422,7 +444,7 @@ func TestHybridStagePlansMatchExtraction(t *testing.T) {
 // shape as reported — and splits along none of its dimensions the reported
 // number of ways, also in segments that do not start at group 0, where an
 // extracted subgraph would have numbered its tensors differently. The pruned
-// search reports the exhaustive walk's reasons.
+// search reports the reasons of pipelineReference's exhaustive walk.
 func TestHybridInfeasibleNamesRootTensors(t *testing.T) {
 	g := graph.New()
 	h := g.Input("x", shape.Of(64, 64))
@@ -436,8 +458,8 @@ func TestHybridInfeasibleNamesRootTensors(t *testing.T) {
 	}
 	k := int64(tp.NumGPUs())
 	_, got := hybrid.Partition(g, k, hybrid.Options{Topology: &tp, Parallelism: 1})
-	_, want := hybrid.Partition(g, k, hybrid.Options{Topology: &tp, Parallelism: 1, Exhaustive: true})
-	if got == nil || want == nil || got.Error() != want.Error() {
+	want := infeasibleRef(t, g, tp)
+	if got == nil || got.Error() != want {
 		t.Fatalf("search reports\n%v\nexhaustive walk reports\n%v", got, want)
 	}
 	segment := regexp.MustCompile(`^  groups \[(\d+),\d+\) on \d+ GPUs: `)
@@ -445,7 +467,7 @@ func TestHybridInfeasibleNamesRootTensors(t *testing.T) {
 	lo, cited, inner := -1, 0, 0
 	// A segment's reason starts a line; an ordering search's joined reasons
 	// continue it on the lines below.
-	for _, line := range strings.Split(want.Error(), "\n")[1:] {
+	for _, line := range strings.Split(want, "\n")[1:] {
 		if m := segment.FindStringSubmatch(line); m != nil {
 			lo, _ = strconv.Atoi(m[1])
 		}

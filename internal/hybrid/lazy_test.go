@@ -29,7 +29,7 @@ type synthLevel struct {
 	class func(lo, hi int) int
 }
 
-// synthOutcome is everything the two searches must agree on.
+// synthOutcome is everything the search must agree with the brute force on.
 type synthOutcome struct {
 	level int // index of the winning level, -1 when nothing is feasible
 	set   []int
@@ -47,14 +47,14 @@ type synthOutcome struct {
 // dfs, offer, and the structural memo in segment/fill — over synthetic levels
 // through the levelState.prepare/solve seam; only the segment solver, its key
 // and the topology-derived inputs are stand-ins.
-func runSynth(xb []float64, levels []synthLevel, exhaustive bool) synthOutcome {
-	return runSynthWith(xb, levels, exhaustive, nil)
+func runSynth(xb []float64, levels []synthLevel) synthOutcome {
+	return runSynthWith(xb, levels, nil)
 }
 
 // runSynthWith is runSynth with a hook that sees each level state before its
 // search runs (nil: none).
-func runSynthWith(xb []float64, levels []synthLevel, exhaustive bool, hook func(*levelState)) synthOutcome {
-	s := &search{xb: xb, opts: Options{Exhaustive: exhaustive}}
+func runSynthWith(xb []float64, levels []synthLevel, hook func(*levelState)) synthOutcome {
+	s := &search{xb: xb}
 	out := synthOutcome{level: -1}
 	var best *levelState
 	for i, lv := range levels {
@@ -124,30 +124,59 @@ func seedSettled(xb []float64, lv synthLevel) bool {
 	return ls.segs[b*ls.W+ls.W-1] != nil
 }
 
-// bruteSynth is the oracle's oracle, sharing no code with the search: every
-// boundary set of every level in lexicographic order, costed left to right,
-// first strict minimum wins within a level and across levels.
-func bruteSynth(xb []float64, levels []synthLevel) (level int, set []int, bits uint64) {
+// bruteSynth is the oracle, sharing no code with the search: every boundary
+// set of every level in lexicographic order, costed left to right, first
+// strict minimum wins within a level and across levels. A set stops at its
+// first failing segment, as the search's walk does, so the segments it
+// touches are the ones an exhaustive walk would: it returns their distinct
+// failure reasons, sorted, and the segment searches a structural memo over
+// them must run — per level, one per class touched whose segments solve, one
+// per failing segment touched.
+func bruteSynth(xb []float64, levels []synthLevel) (level int, set []int, bits uint64, errs []string, searches int64) {
 	level, best := -1, math.Inf(1)
+	seen := map[string]bool{}
 	for li, lv := range levels {
 		L := len(xb)
+		class := func(lo, hi int) int { return lo*(L+1) + hi }
+		if lv.class != nil {
+			class = lv.class
+		}
+		touched, classes := map[[2]int]bool{}, map[int]bool{}
+		cost := func(lo, hi int) (float64, bool) {
+			c, err := lv.cost(lo, hi)
+			if !touched[[2]int{lo, hi}] {
+				touched[[2]int{lo, hi}] = true
+				if err != nil || !classes[class(lo, hi)] {
+					searches++
+				}
+				if err != nil && !seen[err.Error()] {
+					seen[err.Error()] = true
+					errs = append(errs, err.Error())
+				}
+			}
+			if err == nil {
+				classes[class(lo, hi)] = true
+			}
+			return c, err == nil
+		}
 		var walk func(j, prev int, g float64, chosen []int)
 		walk = func(j, prev int, g float64, chosen []int) {
 			if j == lv.S {
-				if c, err := lv.cost(prev, L); err == nil && g+c < best {
+				if c, ok := cost(prev, L); ok && g+c < best {
 					level, set, best = li, slices.Clone(chosen), g+c
 				}
 				return
 			}
 			for b := prev + 1; b <= L-(lv.S-j); b++ {
-				if c, err := lv.cost(prev, b); err == nil {
+				if c, ok := cost(prev, b); ok {
 					walk(j+1, b, g+c+xb[b]/lv.bw[j], append(chosen, b))
 				}
 			}
 		}
 		walk(1, 0, 0, nil)
 	}
-	return level, set, math.Float64bits(best)
+	slices.Sort(errs)
+	return level, set, math.Float64bits(best), errs, searches
 }
 
 // synthInstance draws one instance. The mode picks what it stresses:
@@ -281,13 +310,13 @@ func synthInstance(rng, crng *rand.Rand) (xb []float64, levels []synthLevel, twi
 
 // TestLazySearchMatchesExhaustive is the synthetic differential: on seeded
 // random boundary problems (L ≤ 12, S ≤ 5, up to three candidate levels) the
-// lazy shortest-path search must return the exhaustive oracle's level,
-// boundary set and cost bits — and, when nothing is feasible, its reasons —
-// and both must match a brute force that shares no code with either. Segments
-// fall into random structural classes (equal cost, equal failure status), so
-// the structural memo serves part of every walk: each search must run exactly
-// one segment search per complete class it touches plus one per failing
-// segment it touches.
+// lazy shortest-path search must return the level, boundary set and cost bits
+// of a brute force that shares no code with it (bruteSynth) — and, when
+// nothing is feasible, its reasons. Segments fall into random structural
+// classes (equal cost, equal failure status), so the structural memo serves
+// part of every walk: the search must run exactly one segment search per
+// complete class it touches plus one per failing segment it touches, and no
+// more than a memo over the brute force's exhaustive walk would.
 //
 // Mutation log — each applied alone to search.go with this test re-run:
 //
@@ -301,9 +330,8 @@ func synthInstance(rng, crng *rand.Rand) (xb []float64, levels []synthLevel, twi
 //	           Installing a round's set unconditionally instead of offering it
 //	           survives: whatever the seed installs, the walk's offers restore
 //	           the lex-first minimum — the seed is only ever a bound.
-//	level      contend's `ls.bestCost < best.bestCost` → `<=`: killed by the
-//	           brute force (Exhaustive shares contend, so it agrees with the
-//	           mutant): a twin level steals the tie.
+//	level      contend's `ls.bestCost < best.bestCost` → `<=`: killed: a
+//	           twin level steals the tie.
 //	dominance  seen keyed on prev alone, or the comparison reversed: killed.
 //	           Recording seen on entry instead of on completion survives: the
 //	           two differ only if a visit is cut short, which only cancellation
@@ -320,16 +348,10 @@ func TestLazySearchMatchesExhaustive(t *testing.T) {
 	var ties, infeasible, twins, cheaper, shared int64
 	for i := 0; i < n; i++ {
 		xb, levels, twin := synthInstance(rng, crng)
-		want := runSynth(xb, levels, true)
-		got := runSynth(xb, levels, false)
-		for _, o := range []struct {
-			name string
-			out  synthOutcome
-		}{{"oracle", want}, {"lazy search", got}} {
-			if o.out.stats.Segments != o.out.searches {
-				t.Fatalf("instance %d: %s ran %d segment searches, want %d (one per complete class touched, one per failing segment)",
-					i, o.name, o.out.stats.Segments, o.out.searches)
-			}
+		got := runSynth(xb, levels)
+		if got.stats.Segments != got.searches {
+			t.Fatalf("instance %d: the search ran %d segment searches, want %d (one per complete class touched, one per failing segment)",
+				i, got.stats.Segments, got.searches)
 		}
 		if got.hits > 0 {
 			shared++
@@ -337,35 +359,32 @@ func TestLazySearchMatchesExhaustive(t *testing.T) {
 		if !seedSettled(xb, levels[0]) {
 			t.Fatalf("instance %d: the seed phase stopped before the estimate-optimal set was filled", i)
 		}
-		if bl, bs, bb := bruteSynth(xb, levels); bl != want.level || (bl >= 0 && (!slices.Equal(bs, want.set) || bb != want.bits)) {
-			t.Fatalf("instance %d: Exhaustive chose level %d set %v cost %x, brute force level %d set %v cost %x",
-				i, want.level, want.set, want.bits, bl, bs, bb)
+		level, set, bits, errs, searches := bruteSynth(xb, levels)
+		if got.level != level || level >= 0 && (!slices.Equal(got.set, set) || got.bits != bits) {
+			t.Fatalf("instance %d (L=%d, %d levels): lazy search chose level %d set %v cost %x, brute force level %d set %v cost %x",
+				i, len(xb), len(levels), got.level, got.set, got.bits, level, set, bits)
 		}
-		if got.level != want.level || !slices.Equal(got.set, want.set) || got.bits != want.bits {
-			t.Fatalf("instance %d (L=%d, %d levels): lazy search chose level %d set %v cost %x, oracle level %d set %v cost %x",
-				i, len(xb), len(levels), got.level, got.set, got.bits, want.level, want.set, want.bits)
-		}
-		if want.level < 0 {
+		if level < 0 {
 			infeasible++
-			if !slices.Equal(got.errs, want.errs) {
-				t.Fatalf("instance %d: infeasible reasons differ:\n lazy   %v\n oracle %v", i, got.errs, want.errs)
+			if !slices.Equal(got.errs, errs) {
+				t.Fatalf("instance %d: infeasible reasons differ:\n lazy        %v\n brute force %v", i, got.errs, errs)
 			}
 			continue
 		}
-		if got.stats.Segments > want.stats.Segments {
-			t.Fatalf("instance %d: lazy search solved %d segments, the oracle %d", i, got.stats.Segments, want.stats.Segments)
+		if got.stats.Segments > searches {
+			t.Fatalf("instance %d: lazy search solved %d segments, the exhaustive walk %d", i, got.stats.Segments, searches)
 		}
-		if got.stats.Segments < want.stats.Segments {
+		if got.stats.Segments < searches {
 			cheaper++
 		}
-		if twin && want.level == 0 {
+		if twin && level == 0 {
 			twins++
 		}
 		if got.stats.Leaves > 1 {
 			ties++
 		}
 	}
-	t.Logf("%d instances: %d infeasible, %d with several leaves costed, %d level ties kept by the innermost, %d solved fewer segments than the oracle, %d served segments from the memo",
+	t.Logf("%d instances: %d infeasible, %d with several leaves costed, %d level ties kept by the innermost, %d solved fewer segments than the exhaustive walk, %d served segments from the memo",
 		n, infeasible, ties, twins, cheaper, shared)
 	if infeasible == 0 || ties == 0 || twins == 0 || cheaper < int64(n)/2 || shared < int64(n)/4 {
 		t.Errorf("generator lost coverage: infeasible=%d ties=%d twins=%d cheaper=%d shared=%d", infeasible, ties, twins, cheaper, shared)
@@ -384,9 +403,9 @@ func TestLazySearchSkipsBeatenLevel(t *testing.T) {
 		return synthLevel{S: 3, bw: []float64{0, 1, 1}, lb1: lb1,
 			cost: func(lo, hi int) (float64, error) { return scale * float64(hi-lo), nil }}
 	}
-	out := runSynth(xb, []synthLevel{unit(1)}, false)
+	out := runSynth(xb, []synthLevel{unit(1)})
 	alone := out.stats.Segments
-	out = runSynth(xb, []synthLevel{unit(1), unit(10)}, false)
+	out = runSynth(xb, []synthLevel{unit(1), unit(10)})
 	if out.level != 0 || out.stats.Segments != alone {
 		t.Errorf("dearer second level: winner %d, %d segments solved, want level 0 and %d (the first level's alone)",
 			out.level, out.stats.Segments, alone)
@@ -484,7 +503,7 @@ func TestLazySearchRefreshExact(t *testing.T) {
 			t.Fatalf("instance %d: "+format, append([]any{i}, args...)...)
 		}
 		var states []*levelState
-		runSynthWith(xb, levels, false, func(ls *levelState) {
+		runSynthWith(xb, levels, func(ls *levelState) {
 			synth.watch(ls)
 			states = append(states, ls)
 		})

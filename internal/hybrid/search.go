@@ -338,9 +338,8 @@ func (ls *levelState) stageOptions() recursive.Options {
 }
 
 // segment returns the memoized partition solution for groups [lo, hi),
-// filling it on first touch. Shared across every boundary set — and, via the
-// memo, across the branch-and-bound and oracle paths of the same Partition
-// call.
+// filling it on first touch. Shared across every boundary set the search
+// costs, the seed rounds' and the walk's alike.
 func (ls *levelState) segment(lo, hi int) *segment {
 	at := lo*ls.W + hi
 	if sg := ls.segs[at]; sg != nil {
@@ -444,21 +443,18 @@ func (ls *levelState) contend(best *levelState) *levelState {
 // run finds the level's lex-first cheapest boundary set as a lazy shortest
 // path: seed rounds solve only the segments the estimate-optimal set needs,
 // then a depth-first walk in lexicographic order settles exact ties, cutting
-// what the cost-to-go table or a dominating earlier visit rules out
-// (Exhaustive walks the whole tree with neither). The leaf offer rule — strict
-// improvement, or equal cost and lexicographically smaller — makes the winner
-// the lex-first minimum whatever was offered in whatever order, so
-// branch-and-bound plans are byte-identical to the oracle's.
+// what the cost-to-go table or a dominating earlier visit rules out. The leaf
+// offer rule — strict improvement, or equal cost and lexicographically
+// smaller — makes the winner the lex-first minimum whatever was offered in
+// whatever order, so the plan is the exhaustive enumeration's.
 func (ls *levelState) run() {
 	sets := binomial(ls.W-2, ls.S-1)
 	ls.s.stats.BoundarySets = satAdd(ls.s.stats.BoundarySets, sets)
 	ls.s.stats.FlatDPSolves = satAdd(ls.s.stats.FlatDPSolves,
 		satMul(sets, satMul(int64(ls.S), int64(ls.depth))))
 
-	solved, rounds, open := ls.s.stats.Segments, 0, true
-	if !ls.s.opts.Exhaustive {
-		rounds, open = ls.seed()
-	}
+	solved := ls.s.stats.Segments
+	rounds, open := ls.seed()
 	if open {
 		ls.dfs(1, 0, 0, make([]int, 0, ls.S-1))
 	}
@@ -533,12 +529,12 @@ func (ls *levelState) leafCost(set []int) (float64, bool) {
 }
 
 // dfs places boundary j (1-based) at every position after prev, accumulating
-// the exact prefix cost g. Outside Exhaustive mode it cuts a node dominated by
-// a completed earlier visit to the same (j, prev) with no larger g — that
-// visit was lexicographically smaller and float accumulation is monotone in g,
-// so every completion here lost to or tied behind its twin there — and a child
-// whose bound leaves the bar, before its segment solve (estimate + cost-to-go:
-// where dp.Solve calls are saved) and after it (exact prefix + cost-to-go).
+// the exact prefix cost g. It cuts a node dominated by a completed earlier
+// visit to the same (j, prev) with no larger g — that visit was
+// lexicographically smaller and float accumulation is monotone in g, so every
+// completion here lost to or tied behind its twin there — and a child whose
+// bound leaves the bar, before its segment solve (estimate + cost-to-go: where
+// dp.Solve calls are saved) and after it (exact prefix + cost-to-go).
 func (ls *levelState) dfs(j, prev int, g float64, chosen []int) {
 	if ls.s.opts.Cancel.Cancelled() {
 		// Wind the walk down; the incumbent (a seed round or an earlier
@@ -546,8 +542,7 @@ func (ls *levelState) dfs(j, prev int, g float64, chosen []int) {
 		ls.s.cancelled = true
 		return
 	}
-	bound := !ls.s.opts.Exhaustive
-	if bound && g >= ls.seen[j*ls.W+prev] {
+	if g >= ls.seen[j*ls.W+prev] {
 		ls.s.stats.Pruned++
 		return
 	}
@@ -555,7 +550,7 @@ func (ls *levelState) dfs(j, prev int, g float64, chosen []int) {
 	L := ls.W - 1
 	for b := prev + 1; b <= L-(ls.S-j) && !ls.s.cancelled; b++ {
 		hb := ls.hand[j*ls.W+b]
-		if bound && g+ls.est[prev*ls.W+b]+hb+ls.h(j, b) > ls.bar() {
+		if g+ls.est[prev*ls.W+b]+hb+ls.h(j, b) > ls.bar() {
 			ls.s.stats.Pruned++
 			continue
 		}
@@ -565,7 +560,7 @@ func (ls *levelState) dfs(j, prev int, g float64, chosen []int) {
 			continue
 		}
 		g2 := g + sg.cost + hb
-		if bound && g2+ls.h(j, b) > ls.bar() {
+		if g2+ls.h(j, b) > ls.bar() {
 			ls.s.stats.Pruned++
 			continue
 		}
@@ -583,7 +578,7 @@ func (ls *levelState) dfs(j, prev int, g float64, chosen []int) {
 		}
 		chosen = chosen[:len(chosen)-1]
 	}
-	if bound && !ls.s.cancelled {
+	if !ls.s.cancelled {
 		ls.seen[j*ls.W+prev] = g // completed: every child was offered or ruled out
 	}
 }

@@ -187,7 +187,7 @@ func TestOrderingSearchEffort(t *testing.T) {
 		leaves, expanded, pruned int // exact: orderings costed, branch-and-bound nodes expanded and pruned
 		steps                    int // ceilings: DP steps (one per distinct factor prefix),
 		dpSolves                 int // the sweeps among them,
-		lookups                  int // and dense-table lookups (PriceCache.TableStats hits + fills)
+		lookups                  int // and class memo lookups (PriceCache.TableStats hits + fills)
 	}{
 		// All-2 pools, one prefix per depth: every step after the first
 		// replays its sweep. A preparation whose factor and alphabets repeat
